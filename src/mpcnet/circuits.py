@@ -254,7 +254,8 @@ class LayeredCircuit:
 
     Stage k (the k-th addition layer and the multiplication layer after it)
     runs with schedule[k] parties; the schedule follows ceil(N/c^k) but
-    never drops below the quorum floor, so reconstruction stays possible.
+    never drops below the quorum floor max(3, 2t+1), so degree reduction
+    after every multiplication still has the 2t+1 parties it needs.
     """
 
     circuit: Circuit
@@ -296,7 +297,7 @@ def layerize(circuit: Circuit, n_parties: int, c: int, threshold: int = 1) -> La
         if muls:
             layers.append(("mul", muls))
 
-    floor = max(3, threshold + 1)
+    floor = max(3, 2 * threshold + 1)
     n_mul_layers = sum(1 for kind, _ in layers if kind == "mul")
     schedule = tuple(max(floor, math.ceil(n_parties / c ** k))
                      for k in range(n_mul_layers + 1))

@@ -1,9 +1,10 @@
 """Prime-field arithmetic shared by every sharing scheme in the package.
 
 All secret values, shares and MACs live in GF(p) for a configurable prime p.
-The default runtime field is the Mersenne prime M61 = 2^61 - 1, which keeps
-products inside Python's fast small-int path and admits a cheap shift-and-add
-reduction. Tests mostly use p = 101 so expected values can be checked by hand.
+The default runtime field is the Mersenne prime M61 = 2^61 - 1. Reduction is
+a plain `%`: a shift-and-add Mersenne reduction written in Python measured
+slower than CPython's own big-int modulo. Tests mostly use p = 101 so
+expected values can be checked by hand.
 
 Values are plain Python ints in [0, p); a Field instance carries the modulus
 and provides the operations. There is deliberately no element wrapper class:
@@ -46,28 +47,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _mersenne_exponent(p: int) -> int | None:
-    """Return e if p == 2^e - 1, else None."""
-    e = p.bit_length()
-    return e if (1 << e) - 1 == p else None
-
-
 class Field:
-    """GF(p) for prime p, with a fast path for Mersenne moduli.
+    """GF(p) for prime p.
 
     Attributes:
         p: The prime modulus.
         elem_size: Fixed byte width used when encoding elements on the wire.
     """
 
-    __slots__ = ("p", "elem_size", "_mersenne_e")
+    __slots__ = ("p", "elem_size")
 
     def __init__(self, p: int = M61):
         if not is_prime(p):
             raise ValueError(f"field modulus must be prime, got {p}")
         self.p = p
         self.elem_size = (p - 1).bit_length() // 8 + 1
-        self._mersenne_e = _mersenne_exponent(p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and other.p == self.p
@@ -97,16 +91,7 @@ class Field:
         return self.p - a if a else 0
 
     def mul(self, a: int, b: int) -> int:
-        e = self._mersenne_e
-        if e is None:
-            return a * b % self.p
-        # Mersenne split: x mod (2^e - 1) = (x >> e) + (x & p), one fix-up.
-        x = a * b
-        r = (x >> e) + (x & self.p)
-        r = (r >> e) + (r & self.p)
-        if r >= self.p:
-            r -= self.p
-        return r
+        return a * b % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import LedgerRejected
 from .keys import KeyPair, sha256
 from .ledger import Account, Ledger, make_tx
 from .trace import ComputationTrace
@@ -244,9 +243,5 @@ class RentManager:
             }
             tx = make_tx(self.authority, "fee-settlement", payload,
                          nonce=self.ledger.next_nonce(self.authority.sign_pk))
-            try:
-                self.ledger.submit_tx(tx)
-            except LedgerRejected:
-                # Should not happen: charges were staged against live balances.
-                raise
+            self.ledger.submit_tx(tx)
         return actions

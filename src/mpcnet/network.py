@@ -18,7 +18,6 @@ a CommitteeChannel.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass, field as dc_field
@@ -336,30 +335,96 @@ def _layer_plan(circ: Circuit, n: int, reduction: int | None,
 
 
 def detect_bad_shares(points: list, t: int, field: Field) -> tuple:
-    """Consensus-polynomial check over claimed degree-t points.
+    """Berlekamp–Welch decoding of claimed degree-t points (BGW error correction).
 
     Returns (value_at_zero, positions of outliers) when a unique consensus
     exists. A degree-t polynomial other than the true one can agree with at
-    most t honest points plus all e corrupted ones, so identification is
-    unambiguous only when the winner's agreement m satisfies 2m > n + t;
-    anything less is detectable corruption without an identifiable culprit,
-    reported as CheatDetected.
+    most t honest points plus all corrupted ones, so identification is
+    unambiguous only when the winner's agreement m satisfies 2m > n + t,
+    i.e. at most e = floor((n - t - 1) / 2) points are wrong; anything less
+    is detectable corruption without an identifiable culprit, reported as
+    CheatDetected.
+
+    With E monic of degree e (the error locator, padded) and Q = P*E of
+    degree at most t + e, every point satisfies Q(x_i) = y_i * E(x_i). That
+    is n linear equations in t + 2e + 1 unknowns, solved by Gaussian
+    elimination: O(n^3) field multiplications and at most n inversions.
+    The system has a solution with E dividing Q exactly when some degree-t
+    P misses at most e points, which is the same 2m > n + t condition; the
+    quotient Q/E is then that P (its degree is at most t by construction).
     """
     n = len(points)
-    best = None
-    for subset in itertools.combinations(range(n), t + 1):
-        base = [points[j] for j in subset]
-        agrees = [i for i in range(n)
-                  if shamir.lagrange_eval(base, points[i][0], field) == points[i][1]]
-        if best is None or len(agrees) > len(best):
-            best = agrees
-        if len(agrees) == n:
-            break
-    if best is None or 2 * len(best) <= n + t:
+    e = (n - t - 1) // 2
+    if e < 0:
         raise CheatDetected("inconsistent shares without an identifiable culprit")
-    value = shamir.interpolate_at_zero([points[i] for i in best[:t + 1]], field)
-    outliers = tuple(i for i in range(n) if i not in best)
-    return value, outliers
+    # Unknowns q_0..q_{t+e}, then E_0..E_{e-1}; the leading E_e = 1 moves
+    # to the right-hand side: sum q_j x^j - y * sum E_k x^k = y * x^e.
+    rows = []
+    for x, y in points:
+        powers = [1]
+        for _ in range(t + e):
+            powers.append(field.mul(powers[-1], x))
+        rows.append(powers
+                    + [field.neg(field.mul(y, powers[k])) for k in range(e)]
+                    + [field.mul(y, powers[e])])
+    solution = _solve_linear(rows, t + 2 * e + 1, field)
+    if solution is None:
+        raise CheatDetected("inconsistent shares without an identifiable culprit")
+    poly, remainder = _divide_monic(solution[:t + e + 1],
+                                    solution[t + e + 1:] + [1], field)
+    if any(remainder):
+        raise CheatDetected("inconsistent shares without an identifiable culprit")
+    outliers = tuple(i for i, (x, y) in enumerate(points)
+                     if field.poly_eval(poly, x) != y)
+    return poly[0], outliers
+
+
+def _solve_linear(rows: list, cols: int, field: Field) -> list | None:
+    """One solution of the augmented system `rows` (free unknowns set to 0),
+    or None when it is inconsistent. Reduces `rows` in place."""
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = field.inv(rows[r][col])
+        head = [field.mul(scale, v) for v in rows[r][col:]]
+        rows[r][col:] = head
+        for i in range(r + 1, len(rows)):
+            factor = rows[i][col]
+            if factor:
+                rows[i][col:] = [field.sub(a, field.mul(factor, b))
+                                 for a, b in zip(rows[i][col:], head)]
+        pivots.append(col)
+    # Below the pivot rows every coefficient is now zero.
+    if any(row[cols] for row in rows[len(pivots):]):
+        return None
+    solution = [0] * cols
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        acc = rows[r][cols]
+        for j in range(col + 1, cols):
+            if rows[r][j] and solution[j]:
+                acc = field.sub(acc, field.mul(rows[r][j], solution[j]))
+        solution[col] = acc
+    return solution
+
+
+def _divide_monic(num: list, den: list, field: Field) -> tuple:
+    """(quotient, remainder) of num / den, coefficients lowest degree first;
+    den's leading coefficient is 1."""
+    rem = list(num)
+    d = len(den) - 1
+    quot = [0] * (len(num) - d)
+    for k in reversed(range(len(quot))):
+        c = rem[k + d]
+        quot[k] = c
+        if c:
+            for j in range(d):
+                rem[k + j] = field.sub(rem[k + j], field.mul(c, den[j]))
+    return quot, rem[:d]
 
 
 def protocol_compute(requester: KeyPair, requester_label: str, addr: bytes,
@@ -413,7 +478,7 @@ def _eval_shamir(refs, plan, committee, rt, trace, rng, t):
     n = len(committee)
     chan = CommitteeChannel(rt.bus, {pos + 1: node.index
                                      for pos, node in enumerate(committee)})
-    quorum = max(3, t + 1)
+    quorum = max(3, 2 * t + 1)
     messages_before = rt.bus.messages
 
     wires = {}
@@ -575,7 +640,7 @@ def _open_outputs(state, mode, committee, plan, requester_label, rt, trace):
     """Final opening toward the requester, with misbehavior handling.
 
     Shamir mode tolerates aborts (reconstruct from the remainder) and
-    identifies wrong contributions by the consensus-polynomial check. SPDZ
+    identifies wrong contributions by Berlekamp–Welch decoding. SPDZ
     additive shares are all-or-nothing: a silent party forces a restart.
     """
     field = rt.field

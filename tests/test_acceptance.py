@@ -203,7 +203,7 @@ def test_criterion_6_adaptable_circuits():
         lay = layerize(circ, n, c)
         inputs = [rng.randrange(101) for _ in range(circ.n_inputs)]
         assert eval_layered(lay, inputs, field) == eval_plain(circ, inputs, field)
-        floor = max(3, 1 + 1)
+        floor = max(3, 2 * 1 + 1)
         for k, size in enumerate(lay.schedule):
             assert size == min(n, max(floor, math.ceil(n / c ** k)))
 

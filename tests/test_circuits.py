@@ -179,7 +179,7 @@ def test_layerize_schedule_formula(f101):
         n, c = rng.randrange(3, 30), rng.randrange(2, 5)
         t = rng.randrange(1, 3)
         lay = layerize(circ, n, c, threshold=t)
-        floor = max(3, t + 1)
+        floor = max(3, 2 * t + 1)
         for k, size in enumerate(lay.schedule):
             assert size == min(n, max(floor, math.ceil(n / c ** k)))
         assert all(a >= b for a, b in zip(lay.schedule, lay.schedule[1:]))

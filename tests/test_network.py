@@ -1,10 +1,14 @@
+import itertools
+import random
+
 import pytest
 from cryptography.exceptions import InvalidTag
 
 from mpcnet.circuits import cost_model, eval_plain, parse_circuit
 from mpcnet.errors import CheatDetected
-from mpcnet.field import Field
+from mpcnet.field import M61, Field
 from mpcnet.identity import Predicate, gen_shared_identity
+from mpcnet import shamir
 from mpcnet.incentives import post_deposit
 from mpcnet.keys import KeyPair
 from mpcnet.net import EncryptedBus
@@ -249,6 +253,28 @@ def test_compute_with_reduction_layered(mode):
     assert any("reduce" in e for e in trace.events)
 
 
+@pytest.mark.parametrize("t", [2, 3])
+def test_shamir_reduction_keeps_degree_reduction_quorum(t):
+    # With c=3 the schedule asks for ceil(15/3^k) parties; the floor must
+    # hold every stage at 2t+1, the size degree reduction needs.
+    rt, owners, ident, committee, mac_key, rng = make_env("shamir", nodes=16,
+                                                          committee=15)
+    circ = parse_circuit(
+        "in a\nin b\nin c\nm1 = mul a b\nm2 = mul m1 c\nm3 = mul m2 a\nout m3")
+    q = Predicate.key_list([owners[0].sign_pk])
+    ptrs = []
+    for i, v in enumerate((2, 3, 4)):
+        ptr, _ = protocol_share(owners[0], "owner0", ident.addr, v, f"r{i}", q,
+                                n=15, t=t, rt=rt, rng=rng, mode="shamir",
+                                committee=committee)
+        ptrs.append(ptr)
+    trace = fresh_trace(rt, committee, owners[0])
+    out = protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
+                           trace, rng, reduction=3)
+    assert out == eval_plain(circ, [2, 3, 4], rt.field)
+    assert [e for e in trace.events if "reduce" in e]
+
+
 def test_spdz_wrong_share_caught_by_mac_check():
     rt, owners, ident, committee, mac_key, rng = make_env("spdz")
     committee[1].behavior = "wrong-share"
@@ -275,3 +301,101 @@ def test_detect_bad_shares_consensus(f101, rng):
     points[2] = (points[2][0], (points[2][1] + 1) % 101)
     value, outliers = detect_bad_shares(points, 1, f101)
     assert value == 42 and outliers == (2,)
+
+
+def subset_search(points, t, field):
+    """Exhaustive reference decoder: the best-agreeing polynomial through any
+    t+1 of the points, accepted only when its agreement m has 2m > n + t."""
+    n = len(points)
+    best = None
+    for subset in itertools.combinations(range(n), t + 1):
+        base = [points[j] for j in subset]
+        agrees = [i for i in range(n)
+                  if shamir.lagrange_eval(base, points[i][0], field) == points[i][1]]
+        if best is None or len(agrees) > len(best):
+            best = agrees
+        if len(agrees) == n:
+            break
+    if best is None or 2 * len(best) <= n + t:
+        raise CheatDetected("inconsistent shares without an identifiable culprit")
+    value = shamir.interpolate_at_zero([points[i] for i in best[:t + 1]], field)
+    return value, tuple(i for i in range(n) if i not in best)
+
+
+def _decode_or_raise(decoder, points, t, field):
+    try:
+        return decoder(points, t, field)
+    except CheatDetected:
+        return "cheat-detected"
+
+
+@pytest.mark.parametrize("p, trials", [(101, 1000), (M61, 200)],
+                         ids=["p101", "M61"])
+def test_detect_bad_shares_matches_subset_search(p, trials):
+    # The reference search inverts a 61-bit element per Lagrange term, so
+    # M61 gets fewer trials to keep the suite fast.
+    field = Field(p)
+    rng = random.Random(2024 + p % 1000)
+    raised = decoded_with_outliers = 0
+    for _ in range(trials):
+        n = rng.randrange(1, 10)
+        t = rng.randrange(0, n + 2)           # n <= t: no t+1 points at all
+        xs = rng.sample(range(1, min(p, 40)), n)
+        honest = [field.rand(rng) for _ in range(t + 1)]
+        rival = [field.rand(rng) for _ in range(t + 1)]
+        points = [(x, field.poly_eval(honest, x)) for x in xs]
+        # Half the sets take at most one fault past the radius (n - t - 1) // 2,
+        # the rest any number; some move their points onto a second degree-t
+        # polynomial to compete with the honest one.
+        radius = max(0, (n - t - 1) // 2)
+        faults = min(n, rng.randrange(0, (radius + 1 if rng.random() < 0.5 else n) + 1))
+        for i in rng.sample(range(n), faults):
+            x, y = points[i]
+            if rng.random() < 0.4:
+                points[i] = (x, field.poly_eval(rival, x))
+            else:
+                points[i] = (x, field.add(y, field.rand_nonzero(rng)))
+        want = _decode_or_raise(subset_search, points, t, field)
+        assert _decode_or_raise(detect_bad_shares, points, t, field) == want
+        raised += want == "cheat-detected"
+        decoded_with_outliers += want != "cheat-detected" and bool(want[1])
+    assert raised > trials // 10 and decoded_with_outliers > trials // 10
+
+
+class CountingField(Field):
+    __slots__ = ("muls", "invs")
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.muls = self.invs = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+    def inv(self, a):
+        self.invs += 1
+        return super().inv(a)
+
+
+def test_detect_bad_shares_polynomial_work_at_n31():
+    # C(31, 16) ~ 3e8 subsets for the exhaustive search; count operations,
+    # never time.
+    n, t = 31, 15
+    field = CountingField(M61)
+    rng = random.Random(31)
+    shares = shamir.share(123456789, t, n, field, rng)
+    points = [(s.index, s.value) for s in shares]
+    bad = sorted(rng.sample(range(n), 7))
+    for i in bad:
+        points[i] = (points[i][0], field.add(points[i][1], field.rand_nonzero(rng)))
+    field.muls = field.invs = 0
+    value, outliers = detect_bad_shares(points, t, field)
+    assert value == 123456789 and outliers == tuple(bad)
+    assert field.muls <= 2 * n ** 3
+    assert field.invs <= 2 * n
+    # One more error is past the radius (n - t - 1) // 2 = 7.
+    extra = next(i for i in range(n) if i not in bad)
+    points[extra] = (points[extra][0], field.add(points[extra][1], 1))
+    with pytest.raises(CheatDetected):
+        detect_bad_shares(points, t, field)
