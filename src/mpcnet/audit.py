@@ -216,6 +216,13 @@ class AuditReport:
         return self.ok
 
 
+def _inverse_or_zero(c: int, q: int) -> int:
+    """c^-1 mod q for a posted commitment c. A c divisible by q has no
+    inverse; it maps to 0, as c^(q-2) does, so the derived commitment fails
+    its opening check and names the party instead of aborting the audit."""
+    return pow(c, -1, q) if c % q else 0
+
+
 def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                 openings: list | None = None) -> AuditReport:
     """Recompute the commitment trail and name every inconsistent party.
@@ -276,8 +283,8 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
             eps_opens = rec["eps_openings"]
             delta_opens = rec["delta_openings"]
             # Derived commitments for the masks: C(x) / C(a), C(y) / C(b).
-            eps_c = [x_c[i] * pow(trip["a"][i], q - 2, q) % q for i in range(n)]
-            delta_c = [y_c[i] * pow(trip["b"][i], q - 2, q) % q for i in range(n)]
+            eps_c = [x_c[i] * _inverse_or_zero(trip["a"][i], q) % q for i in range(n)]
+            delta_c = [y_c[i] * _inverse_or_zero(trip["b"][i], q) % q for i in range(n)]
             check_openings(eps_c, eps_opens, f"step {step} (eps)")
             check_openings(delta_c, delta_opens, f"step {step} (delta)")
             eps = sum(s for s, _ in eps_opens) % field.p
@@ -287,7 +294,7 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                 c = trip["c"][i] * pow(trip["b"][i], eps, q) % q
                 c = c * pow(trip["a"][i], delta, q) % q
                 if i == 0:
-                    c = c * pow(params.g, field.mul(eps, delta), q) % q
+                    c = c * pedersen.commit(field.mul(eps, delta), 0, params) % q
                 acc.append(c)
             commitments[step] = acc
         elif kind == "output":

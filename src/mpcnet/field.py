@@ -96,7 +96,7 @@ class Field:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("no inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .keys import sha256
 from .ledger import Ledger, make_tx
@@ -182,6 +184,17 @@ def parse_acl(data: bytes) -> dict:
     return {bytes.fromhex(pk): parse_predicate(text) for pk, text in body.items()}
 
 
+@lru_cache(maxsize=16)
+def _acl_view(data: bytes) -> MappingProxyType:
+    """Read-only parsed ACL, memoised by its stored bytes.
+
+    Every store and load checks a permission against the same few ACLs, and
+    a parse is a pure function of the bytes, so a replaced ACL is simply a
+    new key. The entries hold predicates over public keys, nothing secret.
+    """
+    return MappingProxyType(parse_acl(data))
+
+
 def gen_shared_identity(keygens: list, policies: list, ledger: Ledger):
     """Protocol: fresh keypair per party, fold the address, register the ACL.
 
@@ -212,5 +225,4 @@ def check_permission(pk: bytes, addr: bytes, q: Predicate, board) -> int:
     stored = board.get(addr)
     if stored is None:
         return 0
-    acl = parse_acl(stored)
-    return 1 if q.evaluate(acl, pk) else 0
+    return 1 if q.evaluate(_acl_view(stored), pk) else 0

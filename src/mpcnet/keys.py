@@ -5,6 +5,12 @@ simulator nodes additionally own an encryption keypair used for the secure
 point-to-point channels. Keypairs can be derived deterministically from a
 seed so whole scenario runs replay bit-identically.
 
+A KeyPair holds its two private keys both as raw bytes (the keypair's value:
+equality, repr and the text form use only these) and as parsed key objects,
+built once per KeyPair. Parsing a private key re-derives its public key,
+which costs about as much as a signature or a key exchange, so signing and
+channel set-up use the held objects instead of re-parsing the bytes.
+
 Public keys are always handled as 32 raw bytes, which lines up with the
 256-bit key/address space used by the ledger and the DHT.
 """
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -47,12 +53,26 @@ def sha256(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A node's signing and encryption key material."""
+    """A node's signing and encryption key material.
+
+    sign_key and enc_key are the parsed forms of sign_sk and enc_sk; they are
+    built from the bytes when not given, and take no part in comparison.
+    """
 
     sign_sk: bytes
     sign_pk: bytes
     enc_sk: bytes
     enc_pk: bytes
+    sign_key: Ed25519PrivateKey = field(default=None, compare=False, repr=False)
+    enc_key: X25519PrivateKey = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.sign_key is None:
+            object.__setattr__(self, "sign_key",
+                               Ed25519PrivateKey.from_private_bytes(self.sign_sk))
+        if self.enc_key is None:
+            object.__setattr__(self, "enc_key",
+                               X25519PrivateKey.from_private_bytes(self.enc_sk))
 
     @classmethod
     def generate(cls, rng: random.Random) -> "KeyPair":
@@ -66,10 +86,12 @@ class KeyPair:
             sign_pk=_raw_public(sk.public_key()),
             enc_sk=_raw_private(ek),
             enc_pk=_raw_public(ek.public_key()),
+            sign_key=sk,
+            enc_key=ek,
         )
 
     def sign(self, message: bytes) -> bytes:
-        return Ed25519PrivateKey.from_private_bytes(self.sign_sk).sign(message)
+        return self.sign_key.sign(message)
 
     def to_text(self) -> str:
         return (
@@ -105,11 +127,12 @@ def verify(sign_pk: bytes, signature: bytes, message: bytes) -> bool:
         return False
 
 
-def shared_key(my_enc_sk: bytes, their_enc_pk: bytes) -> bytes:
-    """Pairwise symmetric key via X25519 agreement (symmetric in the pair)."""
-    secret = X25519PrivateKey.from_private_bytes(my_enc_sk).exchange(
-        X25519PublicKey.from_public_bytes(their_enc_pk)
-    )
+def shared_key(my_enc_key: X25519PrivateKey, their_enc_pk: bytes) -> bytes:
+    """Pairwise symmetric key via X25519 agreement (symmetric in the pair).
+
+    my_enc_key is a KeyPair's parsed enc_key; their_enc_pk is raw bytes.
+    """
+    secret = my_enc_key.exchange(X25519PublicKey.from_public_bytes(their_enc_pk))
     return sha256(b"mpcnet-channel-v1" + secret)
 
 

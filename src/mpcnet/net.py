@@ -64,7 +64,7 @@ class EncryptedBus(LocalChannel):
 
     def __init__(self):
         super().__init__()
-        self._enc_sk = {}
+        self._enc_key = {}
         self._enc_pk = {}
         self._pair_keys = {}
         self._nonces = defaultdict(int)
@@ -73,14 +73,14 @@ class EncryptedBus(LocalChannel):
         self.logs = defaultdict(list)
         self.broadcast_log = []
 
-    def register(self, node, enc_sk: bytes, enc_pk: bytes):
-        self._enc_sk[node] = enc_sk
-        self._enc_pk[node] = enc_pk
+    def register(self, node, keypair: keys.KeyPair):
+        self._enc_key[node] = keypair.enc_key
+        self._enc_pk[node] = keypair.enc_pk
 
     def _key_for(self, a, b) -> bytes:
         pair = (a, b) if (a, b) in self._pair_keys else (b, a)
         if pair not in self._pair_keys:
-            self._pair_keys[(a, b)] = keys.shared_key(self._enc_sk[a], self._enc_pk[b])
+            self._pair_keys[(a, b)] = keys.shared_key(self._enc_key[a], self._enc_pk[b])
             pair = (a, b)
         return self._pair_keys[pair]
 
@@ -101,7 +101,7 @@ class EncryptedBus(LocalChannel):
         Succeeds only when node is the addressee (or shares its key, i.e.
         is the sender); raises cryptography's InvalidTag otherwise.
         """
-        key = keys.shared_key(self._enc_sk[node], self._enc_pk[dst if node != dst else src])
+        key = keys.shared_key(self._enc_key[node], self._enc_pk[dst if node != dst else src])
         return keys.unseal(key, counter, ciphertext)
 
     def length_sequence(self, node) -> list:

@@ -96,7 +96,7 @@ class Runtime:
             node_id = NodeId(value=rng.randbytes(32))
             node = SimNode(index=i, node_id=node_id, keypair=kp)
             self.registry.append(node)
-            self.bus.register(i, kp.enc_sk, kp.enc_pk)
+            self.bus.register(i, kp)
             self.dht.add_node(node_id, kp)
             balances[kp.sign_pk] = genesis_balance
         self.dht.bootstrap()
@@ -109,7 +109,7 @@ class Runtime:
     def add_client(self, label: str, balance: int | None = None) -> KeyPair:
         kp = KeyPair.generate(child_rng(self.seed, f"client:{label}"))
         self.clients[label] = kp
-        self.bus.register(label, kp.enc_sk, kp.enc_pk)
+        self.bus.register(label, kp)
         amount = self._genesis_balance if balance is None else balance
         self.ledger.account(kp.sign_pk).balance += amount
         return kp

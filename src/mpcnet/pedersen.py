@@ -6,24 +6,52 @@ the multiplicative group of a larger prime q with p | q-1. h is derived from
 a hash so nobody knows log_g(h); the scheme is hiding (r uniform) and
 binding (under discrete log), and multiplying commitments commits to the
 sum of the openings -- the property the public audit trail leans on.
+
+g and h are fixed for a parameter set, so each CommitParams carries 8-bit
+fixed-base window tables for them (Brickell, Gordon, McCurley and Wilson,
+"Fast exponentiation with precomputation", EUROCRYPT 1992): row j of a
+table holds base^(d * 256^j) for every byte d, and a power is the product
+of one entry per byte of the exponent. A commitment to exponents below p
+then costs two table look-ups and two multiplications per exponent byte
+instead of two square-and-multiply exponentiations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .field import Field, is_prime
 from .keys import sha256
 
 
+def _window_table(base: int, q: int, p: int) -> tuple:
+    """Rows base^(d * 256^j) mod q, d in [0, 256), one row per exponent byte
+    needed to write any value below p."""
+    rows = []
+    for _ in range((p.bit_length() + 7) // 8):
+        row = [1]
+        for _ in range(255):
+            row.append(row[-1] * base % q)
+        rows.append(tuple(row))
+        base = row[-1] * base % q
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class CommitParams:
-    """Group modulus q, subgroup order p, and generators g, h."""
+    """Group modulus q, subgroup order p, and generators g, h.
+
+    g_table and h_table are the fixed-base window tables of g and h, built
+    once per parameter set; they are derived from q, p, g and h and take no
+    part in comparison.
+    """
 
     q: int
     p: int
     g: int
     h: int
+    g_table: tuple = dc_field(init=False, compare=False, repr=False)
+    h_table: tuple = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.q - 1) % self.p != 0:
@@ -31,6 +59,8 @@ class CommitParams:
         for gen in (self.g, self.h):
             if gen in (0, 1) or pow(gen, self.p, self.q) != 1:
                 raise ValueError("generator does not have order p")
+        object.__setattr__(self, "g_table", _window_table(self.g, self.q, self.p))
+        object.__setattr__(self, "h_table", _window_table(self.h, self.q, self.p))
 
 
 def _derive_generator(tag: bytes, q: int, p: int, exclude=()) -> int:
@@ -70,8 +100,16 @@ def setup(field: Field) -> CommitParams:
 
 
 def commit(s: int, r: int, params: CommitParams) -> int:
-    """g^s * h^r mod q."""
-    return pow(params.g, s % params.p, params.q) * pow(params.h, r % params.p, params.q) % params.q
+    """g^s * h^r mod q, as a product of one window-table entry per byte."""
+    width = len(params.g_table)
+    s_bytes = (s % params.p).to_bytes(width, "little")
+    r_bytes = (r % params.p).to_bytes(width, "little")
+    q = params.q
+    acc = 1
+    for g_row, h_row, s_byte, r_byte in zip(params.g_table, params.h_table,
+                                            s_bytes, r_bytes):
+        acc = acc * g_row[s_byte] * h_row[r_byte] % q
+    return acc
 
 
 def verify_open(commitment: int, s: int, r: int, params: CommitParams) -> bool:

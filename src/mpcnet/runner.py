@@ -147,10 +147,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         metrics_rows.append((n, base, hier, rounds))
 
     expected = eval_plain(circuit, cfg.inputs, field)
+    cheated = bool(trace.detected_faults) or trace.outcome == "cheat-detected"
     return RunResult(
         config=cfg, runtime=rt, trace=trace, settlement=settlement,
         outputs=outputs, expected=expected, metrics_rows=metrics_rows,
-        exit_code=2 if trace.detected_faults else 0,
+        exit_code=2 if cheated else 0,
     )
 
 
@@ -164,13 +165,14 @@ def _run_compute(cfg, rt, trace, requester, addr, pointers, circuit, mac_key,
             requester, "owner0", addr, pointers, circuit, rt, trace,
             compute_rng, mac_key=mac_key, reduction=cfg.reduction) or []
     except CheatDetected:
-        # The MAC check (or consistency check) condemns the batch without
-        # naming anyone; the settlement needs named culprits, which the
-        # scenario's injected behaviors provide.
-        channel = "mac_check" if cfg.mode == "spdz" else "share-consistency"
-        for node in committee:
-            if node.behavior == WRONG_SHARE:
-                trace.fault(node.index, WRONG_SHARE, channel)
+        # The MAC check (or the Shamir output decoder) condemns the batch
+        # without naming anyone. A decoder that cannot identify a culprit
+        # leaves nobody to blame or slash; the SPDZ settlement still takes
+        # its culprits from the scenario's injected behaviors.
+        if cfg.mode == "spdz":
+            for node in committee:
+                if node.behavior == WRONG_SHARE:
+                    trace.fault(node.index, WRONG_SHARE, "mac_check")
         trace.finalize("cheat-detected")
         return []
     except AbortedComputation as aborted:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -112,3 +113,23 @@ def test_false_output_opening_blames_party(setup101, f101):
     report = audit.audit_trail(ledger, comp_id, claimed_output=claimed, openings=opens)
     assert not report.ok
     assert 2 in report.guilty
+
+
+def test_zero_triple_commitment_names_its_party(setup101):
+    # A posted commitment divisible by q has no inverse; the audit must name
+    # the party that posted it rather than fail on the division.
+    ledger, comp_id, _ = run_pv_computation(setup101, 3)
+    steps = json.loads(ledger.get(audit.trail_meta_key(comp_id)).decode())["steps"]
+    records = {audit.trail_key(comp_id, i): json.loads(ledger.get(audit.trail_key(comp_id, i)))
+               for i in range(steps)}
+    triple_key = next(k for k, rec in records.items() if rec["kind"] == "triple")
+    records[triple_key]["a"][1] = hex(setup101["params"].q)
+    forged = json.dumps(records[triple_key], sort_keys=True).encode()
+
+    class Board:
+        def get(self, key):
+            return forged if key == triple_key else ledger.get(key)
+
+    report = audit.audit_trail(Board(), comp_id)
+    assert not report.ok
+    assert report.guilty == (1,)

@@ -13,7 +13,7 @@ from mpcnet.identity import (
     serialize_acl,
 )
 from mpcnet.keys import KeyPair, sha256
-from mpcnet.ledger import Ledger
+from mpcnet.ledger import Ledger, make_tx
 
 
 def make_gens(count, base_seed=100):
@@ -141,3 +141,36 @@ def test_check_permission_is_pure():
     for _ in range(3):
         assert check_permission(pairs[0].sign_pk, ident.addr, Predicate.owner(), ledger) == 1
     assert ledger.height == height
+
+
+def test_check_permission_follows_a_replaced_acl():
+    ledger = Ledger()
+    ident, (a, b) = gen_shared_identity(make_gens(2), [Predicate.owner()] * 2, ledger)
+    original = ledger.get(ident.addr)
+
+    def register(acl_bytes):
+        ledger.submit_tx(make_tx(a, "identity-registration",
+                                 {"key": ident.addr.hex(), "value": acl_bytes.hex()},
+                                 nonce=ledger.next_nonce(a.sign_pk)))
+
+    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+    register(serialize_acl({a.sign_pk: Predicate.owner()}))
+    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger) == 0
+    assert check_permission(a.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+    register(original)
+    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+
+
+def test_parse_acl_returns_a_fresh_dict():
+    ledger = Ledger()
+    ident, pairs = gen_shared_identity(make_gens(2), [Predicate.owner()] * 2, ledger)
+    outsider = KeyPair.generate(random.Random(778))
+    stored = ledger.get(ident.addr)
+    assert check_permission(outsider.sign_pk, ident.addr, Predicate.owner(), ledger) == 0
+    first = parse_acl(stored)
+    first[outsider.sign_pk] = Predicate.any()
+    second = parse_acl(stored)
+    assert second is not first
+    assert set(second) == {kp.sign_pk for kp in pairs}
+    # Editing a parse result changes neither later parses nor the checks.
+    assert check_permission(outsider.sign_pk, ident.addr, Predicate.owner(), ledger) == 0

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from mpcnet.circuits import cost_model, eval_plain, parse_circuit
 from mpcnet.errors import CheatDetected
@@ -22,7 +24,7 @@ from mpcnet.network import (
 )
 from mpcnet.spdz import gen_mac_key
 from mpcnet.trace import ComputationTrace
-from mpcnet.keys import sha256
+from mpcnet.keys import sha256, shared_key, verify
 
 MEAN3 = """
 in x0
@@ -59,13 +61,47 @@ def fresh_trace(rt, committee, requester, seed=11):
         requester_pk=requester.sign_pk)
 
 
+# -- key material ----------------------------------------------------------------
+
+def test_keypair_value_ignores_the_held_key_objects(rng):
+    kp = KeyPair.generate(rng)
+    again = KeyPair.from_text(kp.to_text())
+    assert again.sign_key is not kp.sign_key and again.enc_key is not kp.enc_key
+    assert again == kp and hash(again) == hash(kp)
+    assert repr(again) == repr(kp)
+    assert "sign_key" not in repr(kp) and "enc_key" not in repr(kp)
+    assert again.to_text() == kp.to_text()
+    assert [line.partition("=")[0] for line in kp.to_text().splitlines()] == \
+        ["sign_sk", "sign_pk", "enc_sk", "enc_pk"]
+    assert dataclasses.replace(kp, enc_pk=bytes(32)) != kp
+
+
+def test_sign_matches_a_freshly_parsed_key(rng):
+    kp = KeyPair.generate(rng)
+    fresh = Ed25519PrivateKey.from_private_bytes(kp.sign_sk)
+    reloaded = KeyPair.from_text(kp.to_text())
+    for message in (b"", b"ledger entry", bytes(range(256))):
+        # Ed25519 signatures are deterministic, so they must agree bytewise.
+        assert kp.sign(message) == fresh.sign(message) == reloaded.sign(message)
+        assert verify(kp.sign_pk, kp.sign(message), message)
+
+
+def test_shared_key_is_symmetric_in_the_pair(rng):
+    a, b, c = (KeyPair.generate(rng) for _ in range(3))
+    ab = shared_key(a.enc_key, b.enc_pk)
+    assert ab == shared_key(b.enc_key, a.enc_pk)
+    assert ab == shared_key(KeyPair.from_text(a.to_text()).enc_key, b.enc_pk)
+    assert ab != shared_key(a.enc_key, c.enc_pk)
+    assert len(ab) == 32
+
+
 # -- encrypted broadcast bus -----------------------------------------------------
 
 def test_bus_non_recipients_cannot_decrypt(rng):
     bus = EncryptedBus()
     keys = {name: KeyPair.generate(rng) for name in ("a", "b", "c")}
     for name, kp in keys.items():
-        bus.register(name, kp.enc_sk, kp.enc_pk)
+        bus.register(name, kp)
     bus.send("a", "b", b"for bob only")
     src, dst, counter, ciphertext = bus.broadcast_log[0]
     assert bus.eavesdrop("b", src, dst, counter, ciphertext) == b"for bob only"
@@ -77,7 +113,7 @@ def test_bus_logs_and_length_sequences(rng):
     bus = EncryptedBus()
     for name in ("a", "b"):
         kp = KeyPair.generate(rng)
-        bus.register(name, kp.enc_sk, kp.enc_pk)
+        bus.register(name, kp)
     bus.send("a", "b", b"xyz")
     bus.send("a", "b", b"pqrs")
     assert [d for d, _, _ in bus.logs["a"]] == ["sent", "sent"]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -61,3 +62,34 @@ def test_bad_params_rejected():
         pedersen.CommitParams(q=607, p=103, g=2, h=3)   # 103 does not divide 606
     with pytest.raises(ValueError):
         pedersen.CommitParams(q=607, p=101, g=1, h=3)
+
+
+@pytest.mark.parametrize("p", [101, M61], ids=["p101", "M61"])
+def test_table_commit_matches_generic_pow(p):
+    params = pedersen.setup(Field(p))
+    q = params.q
+
+    def naive(s, r):
+        return pow(params.g, s % p, q) * pow(params.h, r % p, q) % q
+
+    edges = [0, 1, 2, 255, 256, p - 1, p, p + 1, 2 * p - 1, 3 * p + 7,
+             -1, -p, -(p + 1), -(5 * p) - 3, 1 << 200]
+    for s, r in itertools.product(edges, edges):
+        assert pedersen.commit(s, r, params) == naive(s, r), (s, r)
+    rng = random.Random(p)
+    for _ in range(500):
+        s, r = rng.randrange(-4 * p, 4 * p), rng.randrange(-4 * p, 4 * p)
+        assert pedersen.commit(s, r, params) == naive(s, r), (s, r)
+
+
+def test_window_tables_are_derived_state(params):
+    # One row per exponent byte, 256 entries each; row j, entry d is g^(d*256^j).
+    assert len(params.g_table) == len(params.h_table) == 1
+    assert params.g_table[0][:3] == (1, params.g, params.g * params.g % params.q)
+    big = pedersen.setup(Field(M61))
+    assert len(big.g_table) == 8 and all(len(row) == 256 for row in big.g_table)
+    assert big.h_table[3][5] == pow(big.h, 5 << 24, big.q)
+    # Equality, hashing and repr see only (q, p, g, h).
+    rebuilt = pedersen.CommitParams(q=params.q, p=params.p, g=params.g, h=params.h)
+    assert rebuilt == params and hash(rebuilt) == hash(params)
+    assert repr(params) == f"CommitParams(q={params.q}, p=101, g={params.g}, h={params.h})"
