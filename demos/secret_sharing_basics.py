@@ -37,7 +37,8 @@ print("\n3*5 + 9 + 10 =", shamir.reconstruct(combo, field))
 # ---------------------------------------------------------------------------
 # 3. Multiplication needs one interactive round: every party re-shares its
 #    local product and the degree of the hidden polynomial drops from 2t
-#    back to t. The channel counts exactly n(n-1) messages.
+#    back to t. The channel counts exactly n(n-1) messages per
+#    multiplication *layer*.
 # ---------------------------------------------------------------------------
 x = shamir.share(6, 1, 3, field, rng)
 y = shamir.share(7, 1, 3, field, rng)
@@ -45,3 +46,15 @@ net = LocalChannel()
 z = shamir.mul_with_reduction(x, y, field, net, rng)
 print("\n6*7 =", shamir.reconstruct(z, field))
 print("messages for one product among 3 parties:", net.messages)
+
+# ---------------------------------------------------------------------------
+# 4. Independent products form one multiplication layer and share its
+#    round: each ordered pair of parties exchanges one message carrying a
+#    sub-share of every product, so the layer still costs n(n-1) messages.
+# ---------------------------------------------------------------------------
+pairs = [(shamir.share(u, 1, 3, field, rng), shamir.share(v, 1, 3, field, rng))
+         for u, v in ((2, 3), (4, 5), (6, 7))]
+net = LocalChannel()
+products = shamir.mul_layer(pairs, field, net, rng)
+print("\n2*3, 4*5, 6*7 =", [shamir.reconstruct(z, field) for z in products])
+print("messages for a layer of three products among 3 parties:", net.messages)

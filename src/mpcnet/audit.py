@@ -160,39 +160,54 @@ def _openings(share: PVShare) -> list:
 def pv_beaver(x: PVShare, y: PVShare, triple: tuple, key: MacKey,
               params: CommitParams, field: Field, net, queue: MacCheckQueue,
               writer: TrailWriter) -> PVShare:
-    """[[x*y]] via a Beaver triple; the mask openings go on the trail.
+    """[[x*y]] via a Beaver triple; the mask openings go on the trail
+    (see pv_beaver_layer)."""
+    return pv_beaver_layer([(x, y)], [triple], key, params, field, net, queue,
+                           writer)[0]
 
-    eps = x - a and delta = y - b are opened in one batched broadcast round
-    (MAC check deferred to the queue) and their per-party openings (share,
-    blinding) are posted so the auditor can hold every party to its input
-    commitments.
-    """
-    a, b, c = triple
+
+def _mask(x: PVShare, a: PVShare, key: MacKey, field: Field) -> PVShare:
+    """[[x - a]], with no trail step of its own."""
     minus_one = field.p - 1
-    eps_share = PVShare(
+    return PVShare(
         value=spdz.auth_linear([(1, x.value), (minus_one, a.value)], 0, key, field),
-        randomness=spdz.auth_linear([(1, x.randomness), (minus_one, a.randomness)], 0, key, field),
-        commitments=[], step=-1)
-    delta_share = PVShare(
-        value=spdz.auth_linear([(1, y.value), (minus_one, b.value)], 0, key, field),
-        randomness=spdz.auth_linear([(1, y.randomness), (minus_one, b.randomness)], 0, key, field),
+        randomness=spdz.auth_linear([(1, x.randomness), (minus_one, a.randomness)],
+                                    0, key, field),
         commitments=[], step=-1)
 
-    eps, delta = spdz.open_pair(eps_share.value, delta_share.value, field, net, queue)
 
-    value = spdz.auth_linear(
-        [(1, c.value), (eps, b.value), (delta, a.value)],
-        field.mul(eps, delta), key, field)
-    blind = spdz.auth_linear(
-        [(1, c.randomness), (eps, b.randomness), (delta, a.randomness)],
-        0, key, field)
-    step = writer.post_step({
-        "kind": "beaver",
-        "x": x.step, "y": y.step, "triple": c.step,
-        "eps_openings": _openings(eps_share),
-        "delta_openings": _openings(delta_share),
-    })
-    return PVShare(value=value, randomness=blind, commitments=[], step=step)
+def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParams,
+                    field: Field, net, queue: MacCheckQueue,
+                    writer: TrailWriter) -> list:
+    """[[x*y]] for every pair of one multiplication layer, a triple each.
+
+    eps = x - a and delta = y - b of every product are opened in one
+    batched broadcast round (MAC check deferred to the queue). Then each
+    product posts its own beaver step with the per-party openings (share,
+    blinding) of its masks, so the auditor can hold every party to its
+    input commitments.
+    """
+    masks = [(_mask(x, a, key, field), _mask(y, b, key, field))
+             for (x, y), (a, b, _) in zip(pairs, triples, strict=True)]
+    opened = spdz.open_many([m.value for pair in masks for m in pair],
+                            field, net, queue)
+    products = []
+    for (x, y), (a, b, c), (eps_share, delta_share), eps, delta in zip(
+            pairs, triples, masks, opened[0::2], opened[1::2]):
+        value = spdz.auth_linear(
+            [(1, c.value), (eps, b.value), (delta, a.value)],
+            field.mul(eps, delta), key, field)
+        blind = spdz.auth_linear(
+            [(1, c.randomness), (eps, b.randomness), (delta, a.randomness)],
+            0, key, field)
+        step = writer.post_step({
+            "kind": "beaver",
+            "x": x.step, "y": y.step, "triple": c.step,
+            "eps_openings": _openings(eps_share),
+            "delta_openings": _openings(delta_share),
+        })
+        products.append(PVShare(value=value, randomness=blind, commitments=[], step=step))
+    return products
 
 
 def pv_output(share: PVShare, field: Field, writer: TrailWriter) -> int:

@@ -268,7 +268,8 @@ class LayeredCircuit:
         return sum(1 for kind, _ in self.layers if kind == "mul")
 
 
-def layerize(circuit: Circuit, n_parties: int, c: int, threshold: int = 1) -> LayeredCircuit:
+def layerize(circuit: Circuit, n_parties: int, c: int | None = None,
+             threshold: int = 1) -> LayeredCircuit:
     """Regroup gates into the feed-forward add/mul layering.
 
     Addition-family gates at multiplicative height k form addition layer k;
@@ -276,10 +277,13 @@ def layerize(circuit: Circuit, n_parties: int, c: int, threshold: int = 1) -> La
     layers k and k+1. Dependencies only ever point to earlier layers (or
     earlier gates in the same addition layer), so evaluating layers in order
     reproduces the original circuit.
+
+    With c=None the committee stays fixed: every stage runs with all
+    n_parties and the plan's reduction is 0.
     """
-    if c < 2:
+    if c is not None and c < 2:
         raise ValueError(f"invalid reduction factor {c}, need c >= 2")
-    if n_parties < c:
+    if c is not None and n_parties < c:
         raise ValueError(f"need at least c={c} parties, got {n_parties}")
     lowered = lower_select(circuit)
     heights = mul_heights(lowered)
@@ -297,8 +301,11 @@ def layerize(circuit: Circuit, n_parties: int, c: int, threshold: int = 1) -> La
         if muls:
             layers.append(("mul", muls))
 
-    floor = max(3, 2 * threshold + 1)
     n_mul_layers = sum(1 for kind, _ in layers if kind == "mul")
+    if c is None:
+        return LayeredCircuit(circuit=lowered, layers=tuple(layers),
+                              schedule=(n_parties,) * (n_mul_layers + 1), reduction=0)
+    floor = max(3, 2 * threshold + 1)
     schedule = tuple(max(floor, math.ceil(n_parties / c ** k))
                      for k in range(n_mul_layers + 1))
     schedule = tuple(min(n_parties, s) for s in schedule)
@@ -339,10 +346,12 @@ class CostModel:
     def messages(self, n: int) -> int:
         """Point-to-point messages at a fixed committee size n.
 
-        Linear gates are local; every multiplication costs one n(n-1)
-        re-share (Shamir reduction) or masked-opening (Beaver) round.
+        Linear gates are local. Every multiplication *layer* costs one
+        n(n-1) round, however many products it holds: one re-share
+        (Shamir reduction) or masked-opening (Beaver) message per ordered
+        pair of parties carries the whole layer.
         """
-        return self.muls * n * (n - 1)
+        return self.rounds * n * (n - 1)
 
 
 def cost_model(circuit: Circuit) -> CostModel:

@@ -23,7 +23,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < 3.3e24."""
+    """Miller-Rabin with the first twelve prime bases.
+
+    Deterministic (exact) only for n < 3.3 * 10^24. Above that bound it is
+    only a probable-prime test: a composite that is a strong pseudoprime to
+    all twelve bases passes, and such composites can be constructed.
+    """
     if n < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

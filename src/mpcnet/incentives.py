@@ -6,7 +6,9 @@ across any settlement) is checkable straight off the ledger accounts.
 
 Fee rule: an honest participant earns
     w_round * rounds + w_add * adds + w_mul * muls
-from the requester's balance. A node flagged malicious in the trace
+from the requester's balance. A run that detected cheating without naming
+anyone and released nothing pays no fees and charges the requester
+nothing; every deposit stays intact. A node flagged malicious in the trace
 forfeits its entire deposit, split equally among the honest participants
 with the integer remainder going to the lowest-index honest node. A
 requester whose balance cannot cover the threshold (or the bill) has the
@@ -96,11 +98,15 @@ def settle_computation(trace: ComputationTrace, schedule: FeeSchedule,
     malicious = {f.node for f in trace.detected_faults}
     honest = [i for i in trace.committee if i not in malicious]
     pk_of = dict(zip(trace.committee, trace.committee_pks))
+    # Cheating was detected but nobody could be named and nothing was
+    # released: paying the members would pay the unnamed cheater too.
+    withheld = (trace.outcome == "cheat-detected" and not malicious
+                and not trace.output)
 
     fees = {}
     for idx in honest:
         t = trace.per_node.get(idx)
-        if t is None:
+        if t is None or withheld:
             fees[idx] = 0
         else:
             fees[idx] = schedule.fee(t.rounds, t.adds, t.muls)

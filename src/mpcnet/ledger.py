@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import base64
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import keys as keymod
 from .errors import CorruptDump, LedgerRejected
@@ -76,6 +78,30 @@ class LedgerEntry:
                 + len(self.value).to_bytes(4, "big") + self.value + self.author)
 
 
+class KVHistory:
+    """Every value each key has held, with the height it was written at.
+
+    Heights are appended in increasing order, so the value as of height t
+    is found by bisection.
+    """
+
+    def __init__(self):
+        self._history: dict = {}          # key -> [(height, value)]
+
+    def append(self, key: bytes, height: int, value: bytes):
+        self._history.setdefault(key, []).append((height, value))
+
+    def get(self, k) -> bytes | None:
+        history = self._history.get(normalize_key(k))
+        return history[-1][1] if history else None
+
+    def get_at(self, k, t: int) -> bytes | None:
+        """Value of k as of height t: the newest entry with height <= t."""
+        history = self._history.get(normalize_key(k), ())
+        pos = bisect_right(history, t, key=itemgetter(0))
+        return history[pos - 1][1] if pos else None
+
+
 @dataclass
 class Account:
     """Spendable balance plus the locked security deposit, in fee units."""
@@ -94,7 +120,7 @@ class Ledger:
         self.rejected: list = []          # (tx, reason)
         self.accounts: dict = {}
         self._nonces: dict = {}
-        self._kv: dict = {}               # key -> [(height, value)]
+        self._kv = KVHistory()
         self._genesis = dict(genesis_balances or {})
         for pk, amount in self._genesis.items():
             self.accounts[pk] = Account(balance=amount)
@@ -112,18 +138,11 @@ class Ledger:
         return self._nonces.get(pk, -1) + 1
 
     def get(self, k) -> bytes | None:
-        history = self._kv.get(normalize_key(k))
-        return history[-1][1] if history else None
+        return self._kv.get(k)
 
     def get_at(self, k, t: int) -> bytes | None:
         """Value of k as of height t: the newest entry with height <= t."""
-        history = self._kv.get(normalize_key(k), [])
-        result = None
-        for h, v in history:
-            if h > t:
-                break
-            result = v
-        return result
+        return self._kv.get_at(k, t)
 
     # -- writes ------------------------------------------------------------
 
@@ -158,7 +177,7 @@ class Ledger:
         prev = self.chain_hashes[-1] if self.chain_hashes else ZERO_HASH
         self.chain_hashes.append(sha256(prev + entry.canonical_bytes()))
         self.entries.append(entry)
-        self._kv.setdefault(key, []).append((entry.height, value))
+        self._kv.append(key, entry.height, value)
         return entry.height
 
     def _apply(self, tx: Transaction) -> list:
@@ -247,26 +266,20 @@ class ReadOnlyBoard:
 
     def __init__(self, entries: list):
         self.entries = entries
-        self._kv = {}
+        self._kv = KVHistory()
         for e in entries:
-            self._kv.setdefault(e.key, []).append((e.height, e.value))
+            self._kv.append(e.key, e.height, e.value)
 
     @property
     def height(self) -> int:
         return self.entries[-1].height if self.entries else 0
 
     def get(self, k) -> bytes | None:
-        history = self._kv.get(normalize_key(k))
-        return history[-1][1] if history else None
+        return self._kv.get(k)
 
     def get_at(self, k, t: int) -> bytes | None:
-        history = self._kv.get(normalize_key(k), [])
-        result = None
-        for h, v in history:
-            if h > t:
-                break
-            result = v
-        return result
+        """Value of k as of height t: the newest entry with height <= t."""
+        return self._kv.get_at(k, t)
 
 
 def load_dump(text: str) -> ReadOnlyBoard:

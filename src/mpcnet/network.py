@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import audit as auditmod
 from . import pedersen, shamir, spdz
-from .circuits import Circuit, LayeredCircuit, layerize, lower_select, mul_heights
+from .circuits import Circuit, layerize
 from .dht import DhtNetwork, NodeId, protocol_load, protocol_store
 from .errors import CheatDetected
 from .field import Field
@@ -310,30 +310,6 @@ def mpc_declassify(requester: KeyPair, requester_label: str, addr: bytes,
 
 # -- secure evaluation ---------------------------------------------------------
 
-def _layer_plan(circ: Circuit, n: int, reduction: int | None,
-                threshold: int) -> LayeredCircuit:
-    """Layered plan; a None reduction keeps the committee fixed at n."""
-    if reduction is not None:
-        return layerize(circ, n, reduction, threshold=threshold)
-    lowered = lower_select(circ)
-    heights = mul_heights(lowered)
-    depth = max((heights[i] for i, g in enumerate(lowered.gates)
-                 if g.kind != "output"), default=0)
-    layers = []
-    for level in range(depth + 1):
-        adds = tuple(i for i, g in enumerate(lowered.gates)
-                     if g.kind in ("add", "smul") and heights[i] == level)
-        if adds or level == 0:
-            layers.append(("add", adds))
-        muls = tuple(i for i, g in enumerate(lowered.gates)
-                     if g.kind == "mul" and heights[i] == level + 1)
-        if muls:
-            layers.append(("mul", muls))
-    n_mul = sum(1 for kind, _ in layers if kind == "mul")
-    return LayeredCircuit(circuit=lowered, layers=tuple(layers),
-                          schedule=(n,) * (n_mul + 1), reduction=0)
-
-
 def detect_bad_shares(points: list, t: int, field: Field) -> tuple:
     """Berlekamp–Welch decoding of claimed degree-t points (BGW error correction).
 
@@ -459,7 +435,7 @@ def protocol_compute(requester: KeyPair, requester_label: str, addr: bytes,
     committee = [rt.registry[i] for i in committee_idx]
     trace.event("compute", gates=len(circ.gates), mode=mode, n=n)
 
-    plan = _layer_plan(circ, n, reduction, t if mode == "shamir" else 1)
+    plan = layerize(circ, n, reduction, threshold=t if mode == "shamir" else 1)
     try:
         if mode == "shamir":
             state = _eval_shamir(refs, plan, committee, rt, trace, rng, t)
@@ -496,23 +472,24 @@ def _eval_shamir(refs, plan, committee, rt, trace, rng, t):
         members = committee[:plan.schedule[min(stage, len(plan.schedule) - 1)]]
         for node in members:
             trace.tally(node.index).rounds += 1
-        for gi in gate_indices:
-            g = plan.circuit.gates[gi]
-            if g.kind == "add":
-                wires[gi] = shamir.linear_combine(
-                    [wires[g.args[0]], wires[g.args[1]]], [1, 1], 0, field)
-                kind_tally = "adds"
-            elif g.kind == "smul":
-                wires[gi] = shamir.linear_combine(
-                    [wires[g.args[0]]], [g.scalar % field.p], 0, field)
-                kind_tally = "adds"
-            else:
-                wires[gi] = shamir.mul_with_reduction(
-                    wires[g.args[0]], wires[g.args[1]], field, chan, rng)
-                kind_tally = "muls"
+        if kind == "mul":
+            args = [plan.circuit.gates[gi].args for gi in gate_indices]
+            products = shamir.mul_layer([(wires[a], wires[b]) for a, b in args],
+                                        field, chan, rng)
+            wires.update(zip(gate_indices, products))
             for node in members:
-                setattr(trace.tally(node.index), kind_tally,
-                        getattr(trace.tally(node.index), kind_tally) + 1)
+                trace.tally(node.index).muls += len(gate_indices)
+        else:
+            for gi in gate_indices:
+                g = plan.circuit.gates[gi]
+                if g.kind == "add":
+                    wires[gi] = shamir.linear_combine(
+                        [wires[g.args[0]], wires[g.args[1]]], [1, 1], 0, field)
+                else:
+                    wires[gi] = shamir.linear_combine(
+                        [wires[g.args[0]]], [g.scalar % field.p], 0, field)
+                for node in members:
+                    trace.tally(node.index).adds += 1
         trace.per_round_messages.append(rt.bus.new_round())
         if kind == "mul" and plan.reduction and stage + 1 < len(plan.schedule):
             stage += 1
@@ -572,9 +549,28 @@ def _eval_spdz(refs, plan, committee, rt, trace, rng, mac_key, with_trail):
         members = committee[:plan.schedule[min(stage, len(plan.schedule) - 1)]]
         for node in members:
             trace.tally(node.index).rounds += 1
-        for gi in gate_indices:
-            g = plan.circuit.gates[gi]
-            if g.kind in ("add", "smul"):
+        if kind == "mul":
+            args = [plan.circuit.gates[gi].args for gi in gate_indices]
+            pairs = [(wires[a], wires[b]) for a, b in args]
+            if writer is not None:
+                triples = [auditmod.pv_triple(key, rt.params, writer, field, rng)
+                           for _ in pairs]
+                products = auditmod.pv_beaver_layer(pairs, triples, key, rt.params,
+                                                    field, chan, queue, writer)
+            else:
+                triples = spdz.deal_triples(len(pairs), key.n, key, field, rng)
+                values = spdz.beaver_layer([(x.value, y.value) for x, y in pairs],
+                                           triples, key, field, chan, queue)
+                products = [auditmod.PVShare(
+                    value=value,
+                    randomness=spdz.auth_linear([(1, x.randomness)], 0, key, field),
+                    commitments=[], step=-1) for value, (x, _) in zip(values, pairs)]
+            wires.update(zip(gate_indices, products))
+            for node in members:
+                trace.tally(node.index).muls += len(gate_indices)
+        else:
+            for gi in gate_indices:
+                g = plan.circuit.gates[gi]
                 if g.kind == "add":
                     terms = [(1, wires[g.args[0]]), (1, wires[g.args[1]])]
                 else:
@@ -590,23 +586,6 @@ def _eval_spdz(refs, plan, committee, rt, trace, rng, mac_key, with_trail):
                         commitments=[], step=-1)
                 for node in members:
                     trace.tally(node.index).adds += 1
-            else:
-                if writer is not None:
-                    triple = auditmod.pv_triple(key, rt.params, writer, field, rng)
-                    wires[gi] = auditmod.pv_beaver(
-                        wires[g.args[0]], wires[g.args[1]], triple, key,
-                        rt.params, field, chan, queue, writer)
-                else:
-                    triple = spdz.deal_triples(1, key.n, key, field, rng)[0]
-                    x_w, y_w = wires[g.args[0]], wires[g.args[1]]
-                    value = spdz.beaver_mul(x_w.value, y_w.value, triple, key,
-                                            field, chan, queue)
-                    wires[gi] = auditmod.PVShare(
-                        value=value,
-                        randomness=spdz.auth_linear([(1, x_w.randomness)], 0, key, field),
-                        commitments=[], step=-1)
-                for node in members:
-                    trace.tally(node.index).muls += 1
         trace.per_round_messages.append(rt.bus.new_round())
         if kind == "mul" and plan.reduction and stage + 1 < len(plan.schedule):
             stage += 1

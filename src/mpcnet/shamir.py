@@ -8,8 +8,10 @@ interpolation; any t points are information-theoretically independent of s.
 Addition and scalar multiplication act share-wise with no interaction.
 Multiplying two degree-t sharings yields points on a degree-2t polynomial,
 so a re-share-and-recombine reduction step brings the product back to
-degree t; that step is the only one here that touches the network and it
-costs exactly n(n-1) point-to-point messages.
+degree t. That step is the only one here that touches the network. The
+independent products of one multiplication layer share it: it costs
+exactly n(n-1) point-to-point messages per multiplication *layer*, each
+carrying one sub-share per product (Damgård–Nielsen, CRYPTO 2007).
 """
 
 from __future__ import annotations
@@ -139,38 +141,62 @@ def linear_combine(share_lists: list, coeffs: list, constant: int, field: Field)
 def mul_with_reduction(x: list, y: list, field: Field, net, rng: random.Random) -> list:
     """Secure product of two degree-t sharings, reduced back to degree t.
 
+    A multiplication layer holding this one product: exactly n(n-1)
+    messages, as for every multiplication layer (see mul_layer).
+    """
+    return mul_layer([(x, y)], field, net, rng)[0]
+
+
+def mul_layer(pairs: list, field: Field, net, rng: random.Random) -> list:
+    """Secure products of independent degree-t sharing pairs, one batch.
+
     Each party multiplies its shares locally (a point on the degree-2t
     product polynomial), deals a fresh degree-t sharing of that point, and
     every party combines the sub-shares it received with the degree-2t
     Lagrange weights. Requires an honest majority (2t < n) so the product
     polynomial is determined by the n available points.
 
-    Exactly n(n-1) messages cross `net`: each of n parties sends one
-    sub-share to each other party and keeps its own.
+    Exactly n(n-1) messages cross `net` per multiplication *layer*, however
+    many products it holds: party i sends party j one message carrying its
+    sub-share of every product, in the order of `pairs`, and keeps its own.
+    Sub-sharings are dealt products-outer, parties-inner, so the rng draws
+    are those of one mul_with_reduction call per pair in turn.
     """
-    t, indices = _check_aligned([x, y])
+    t, indices = _check_aligned([s for pair in pairs for s in pair])
     n = len(indices)
     if 2 * t >= n:
         raise ValueError(f"honest majority violated: need 2t < n, got t={t}, n={n}")
 
-    weights = weights_at_zero(indices, field.p)
+    # payloads[src_pos][dest_pos] carries party src's sub-share of every
+    # product for dest; kept[src_pos] holds the sub-shares it keeps.
+    payloads = [[b""] * n for _ in range(n)]
+    kept = [[] for _ in range(n)]
+    for x, y in pairs:
+        for src_pos in range(n):
+            d = field.mul(x[src_pos].value, y[src_pos].value)
+            coeffs = [d] + [field.rand(rng) for _ in range(t)]
+            row = payloads[src_pos]
+            for dest_pos, dest in enumerate(indices):
+                sub = field.poly_eval(coeffs, dest)
+                if dest_pos == src_pos:
+                    kept[src_pos].append(sub)
+                else:
+                    row[dest_pos] += field.encode(sub)
 
-    kept = {}
-    for pos, idx in enumerate(indices):
-        d = field.mul(x[pos].value, y[pos].value)
-        coeffs = [d] + [field.rand(rng) for _ in range(t)]
-        for dest in indices:
-            sub = field.poly_eval(coeffs, dest)
-            if dest == idx:
-                kept[idx] = sub
-            else:
-                net.send(idx, dest, field.encode(sub))
+    for src, row in zip(indices, payloads):
+        for dest, payload in zip(indices, row):
+            if dest != src:
+                net.send(src, dest, payload)
 
-    weight_of = dict(zip(indices, weights))
-    out = []
+    weight_of = dict(zip(indices, weights_at_zero(indices, field.p)))
+    w = field.elem_size
+    products = [[] for _ in pairs]
     for pos, idx in enumerate(indices):
-        acc = field.mul(weight_of[idx], kept[idx])
-        for src, payload in net.recv_all(idx):
-            acc = field.add(acc, field.mul(weight_of[src], field.decode(payload)))
-        out.append(ShamirShare(idx, acc, t))
-    return out
+        inbox = net.recv_all(idx)
+        for k, own in enumerate(kept[pos]):
+            # Exact integer sum of the weighted sub-shares, reduced once.
+            lo, hi = k * w, (k + 1) * w
+            total = weight_of[idx] * own + sum(
+                weight_of[src] * field.decode(payload[lo:hi]) for src, payload in inbox)
+            products[k].append(ShamirShare(idx, total % field.p, t))
+    return products

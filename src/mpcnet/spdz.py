@@ -4,7 +4,9 @@ Every shared value s is held as n additive value shares plus n additive
 shares of the MAC alpha*s under a global key alpha that is itself only ever
 held in additive shares. Linear operations are local; multiplication
 consumes a precomputed Beaver triple and only opens the masked differences
-eps = x-a and delta = y-b. Opened values accumulate in a deferred MAC-check
+eps = x-a and delta = y-b; the masks of every product in a multiplication
+layer open together in one broadcast round (open_many), n(n-1) messages
+per layer. Opened values accumulate in a deferred MAC-check
 queue; the batched check takes a public random linear combination and does
 a commit-then-open round on the per-party check values, so a single
 additive tamper anywhere survives undetected only with probability 1/p.
@@ -140,77 +142,79 @@ class MacCheckQueue:
         return len(self.entries)
 
 
-def partial_open(shares: list, field: Field, net, queue: MacCheckQueue | None = None) -> int:
-    """Reveal the value (not the MAC): every party broadcasts its value share.
+def open_many(sharings: list, field: Field, net, queue: MacCheckQueue | None = None) -> list:
+    """Reveal every sharing's value (not its MAC) in one broadcast round.
 
-    Costs n(n-1) messages. The opened value and its MAC shares are pushed on
-    the MAC-check queue for the deferred verification round.
+    Party i sends party j one message carrying its value share of every
+    sharing, in order: n(n-1) messages however many sharings there are.
+    Each opened value and its MAC shares are pushed on the MAC-check queue,
+    in order, for the deferred verification round.
     """
-    missing = [i for i, s in enumerate(shares) if s is None]
+    missing = sorted({i for shares in sharings for i, s in enumerate(shares) if s is None})
     if missing:
         raise MissingParty(missing)
-    n = len(shares)
+    n = len(sharings[0])
     for i in range(n):
-        payload = field.encode(shares[i].value_share)
+        payload = b"".join([field.encode(shares[i].value_share) for shares in sharings])
         for j in range(n):
             if j != i:
                 net.send(i, j, payload)
-    # Every party drains its inbox and computes the same sum; simulate once
+    # Every party drains its inbox and computes the same sums; simulate once
     # at party 0's view and discard the redundant copies.
-    total = shares[0].value_share
+    totals = [shares[0].value_share for shares in sharings]
+    w = field.elem_size
     for _, payload in net.recv_all(0):
-        total = field.add(total, field.decode(payload))
+        for k in range(len(totals)):
+            totals[k] = field.add(totals[k], field.decode(payload[k * w:(k + 1) * w]))
     for j in range(1, n):
         net.recv_all(j)
     if queue is not None:
-        queue.push(total, [s.mac_share for s in shares])
-    return total
+        for total, shares in zip(totals, sharings):
+            queue.push(total, [s.mac_share for s in shares])
+    return totals
+
+
+def partial_open(shares: list, field: Field, net, queue: MacCheckQueue | None = None) -> int:
+    """Reveal one sharing's value: n(n-1) messages (see open_many)."""
+    return open_many([shares], field, net, queue)[0]
 
 
 def open_pair(a: list, b: list, field: Field, net, queue: MacCheckQueue) -> tuple:
-    """Partially open two sharings in one broadcast round (n(n-1) messages).
-
-    Both opened values and their MAC shares join the deferred check queue.
-    """
-    n = len(a)
-    for i in range(n):
-        payload = field.encode(a[i].value_share) + field.encode(b[i].value_share)
-        for j in range(n):
-            if j != i:
-                net.send(i, j, payload)
-    va = a[0].value_share
-    vb = b[0].value_share
-    w = field.elem_size
-    for _, payload in net.recv_all(0):
-        va = field.add(va, field.decode(payload[:w]))
-        vb = field.add(vb, field.decode(payload[w:]))
-    for j in range(1, n):
-        net.recv_all(j)
-    queue.push(va, [s.mac_share for s in a])
-    queue.push(vb, [s.mac_share for s in b])
-    return va, vb
+    """Partially open two sharings in one broadcast round (see open_many)."""
+    return tuple(open_many([a, b], field, net, queue))
 
 
 def beaver_mul(x: list, y: list, triple: BeaverTriple, key: MacKey, field: Field,
                net, queue: MacCheckQueue) -> list:
-    """Multiply <x> and <y> by consuming a Beaver triple.
+    """Multiply <x> and <y> by consuming a Beaver triple (see beaver_layer)."""
+    return beaver_layer([(x, y)], [triple], key, field, net, queue)[0]
 
-    Parties open eps = x-a and delta = y-b (batched into one broadcast
-    round, n(n-1) sends), then locally assemble
-    <c> + eps<b> + delta<a> + eps*delta. MAC verification of the opened
-    masks is deferred to the queued batch check.
+
+def beaver_layer(pairs: list, triples: list, key: MacKey, field: Field,
+                 net, queue: MacCheckQueue) -> list:
+    """Multiply every pair (<x>, <y>) of one layer, one Beaver triple each.
+
+    Parties open eps = x-a and delta = y-b of every product in a single
+    broadcast round (n(n-1) sends per layer, eps and delta interleaved per
+    product), then locally assemble <c> + eps<b> + delta<a> + eps*delta.
+    MAC verification of the opened masks is deferred to the queued batch
+    check.
     """
-    if triple.consumed:
-        raise TripleReuse("triple already consumed")
-    triple.consumed = True
+    if len(triples) != len(pairs):
+        raise ValueError("need one triple per product")
+    for triple in triples:
+        if triple.consumed:
+            raise TripleReuse("triple already consumed")
+        triple.consumed = True
     minus_one = field.p - 1
-    eps_shares = auth_linear([(1, x), (minus_one, triple.a)], 0, key, field)
-    delta_shares = auth_linear([(1, y), (minus_one, triple.b)], 0, key, field)
-    eps, delta = open_pair(eps_shares, delta_shares, field, net, queue)
-    return auth_linear(
-        [(1, triple.c), (eps, triple.b), (delta, triple.a)],
-        field.mul(eps, delta), key, field,
-    )
+    masks = []
+    for (x, y), triple in zip(pairs, triples):
+        masks.append(auth_linear([(1, x), (minus_one, triple.a)], 0, key, field))
+        masks.append(auth_linear([(1, y), (minus_one, triple.b)], 0, key, field))
+    opened = open_many(masks, field, net, queue)
+    return [auth_linear([(1, triple.c), (eps, triple.b), (delta, triple.a)],
+                        field.mul(eps, delta), key, field)
+            for triple, eps, delta in zip(triples, opened[0::2], opened[1::2])]
 
 
 def mac_check(queue: MacCheckQueue, key: MacKey, field: Field, net,

@@ -70,6 +70,36 @@ def test_single_broken_commitment_named_exactly(setup101):
             assert report.guilty == (culprit,)
 
 
+def test_broken_triple_in_batched_layer_named(setup101):
+    # Four products share one opening round; party 1 posts a broken
+    # commitment for the third product's triple only. The audit still
+    # names exactly party 1.
+    env = setup101
+    field, params, rng = env["field"], env["params"], env["rng"]
+    n, k = 3, 4
+    key = spdz.gen_mac_key(n, field, rng)
+    ledger = Ledger()
+    comp_id = sha256(b"batched-layer")
+    writer = audit.TrailWriter(ledger, comp_id, env["poster"], field, n)
+    pairs = [(audit.pv_share(2 + i, n, key, params, writer, field, rng),
+              audit.pv_share(7 + i, n, key, params, writer, field, rng))
+             for i in range(k)]
+    triples = [audit.pv_triple(key, params, writer, field, rng,
+                               broken={1} if i == 2 else frozenset())
+               for i in range(k)]
+    net = LocalChannel()
+    products = audit.pv_beaver_layer(pairs, triples, key, params, field, net,
+                                     spdz.MacCheckQueue(), writer)
+    assert net.messages == n * (n - 1)
+    total = audit.pv_linear([(1, z) for z in products], 0, key, field, writer)
+    assert audit.pv_output(total, field, writer) == sum(
+        (2 + i) * (7 + i) for i in range(k)) % field.p
+    writer.close()
+    report = audit.audit_trail(ledger, comp_id)
+    assert not report.ok
+    assert report.guilty == (1,)
+
+
 def test_missing_trail_records(setup101):
     ledger = Ledger()
     with pytest.raises(IncompleteTrail):

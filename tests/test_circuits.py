@@ -185,6 +185,19 @@ def test_layerize_schedule_formula(f101):
         assert all(a >= b for a, b in zip(lay.schedule, lay.schedule[1:]))
 
 
+def test_fixed_committee_plan_matches_reduction_layers():
+    # c=None keeps the committee at n: same layers as any reduction plan,
+    # every stage with all n parties, and no reduction.
+    rng = random.Random(13)
+    for _ in range(100):
+        circ = random_circuit(rng)
+        n = rng.randrange(3, 30)
+        fixed = layerize(circ, n)
+        assert fixed.layers == layerize(circ, n, c=2).layers
+        assert fixed.schedule == (n,) * (fixed.mul_layer_count + 1)
+        assert fixed.reduction == 0
+
+
 def test_layered_eval_matches_plain(f101):
     rng = random.Random(11)
     for _ in range(100):
@@ -200,6 +213,18 @@ def test_cost_model_single_mul():
     cm = cost_model(parse_circuit(MUL2))
     assert (cm.rounds, cm.adds, cm.muls) == (1, 0, 1)
     assert cm.messages(4) == 12
+
+
+def test_cost_model_parallel_muls_share_one_round():
+    # Independent products form one multiplication layer: one n(n-1) round.
+    k = 5
+    lines = [f"in a{i}" for i in range(k)] + [f"in b{i}" for i in range(k)]
+    lines += [f"p{i} = mul a{i} b{i}" for i in range(k)]
+    lines += ["s1 = add p0 p1"] + [f"s{i} = add s{i - 1} p{i}" for i in range(2, k)]
+    lines.append(f"out s{k - 1}")
+    cm = cost_model(parse_circuit("\n".join(lines)))
+    assert (cm.rounds, cm.adds, cm.muls) == (1, k - 1, k)
+    assert cm.messages(7) == 7 * 6
 
 
 def test_cost_model_parallel_adds():

@@ -189,3 +189,25 @@ def test_get_at_random_sequence_oracle(ledger, kp, rng):
             if hk == k and h <= t:
                 expected = hv
         assert ledger.get_at(k, t) == expected
+
+
+def test_get_at_every_height_matches_linear_scan(ledger, kp, rng):
+    # The live ledger and a board loaded from its dump share one history;
+    # both must agree with a linear scan for every key at every height.
+    history = []
+    keys = [f"key{i}" for i in range(5)]
+    for _ in range(120):
+        k = rng.choice(keys)
+        v = rng.randbytes(3)
+        history.append((put(ledger, kp, k, v), k, v))
+    board = load_dump(ledger.dump())
+    for t in range(ledger.height + 2):
+        for k in keys + ["never-written"]:
+            expected = None
+            for h, hk, hv in history:
+                if hk == k and h <= t:
+                    expected = hv
+            assert ledger.get_at(k, t) == expected
+            assert board.get_at(k, t) == expected
+    for k in keys:
+        assert board.get(k) == ledger.get(k) == ledger.get_at(k, ledger.height)

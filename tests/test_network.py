@@ -269,6 +269,42 @@ def test_compute_message_count_matches_cost_model(mode):
     assert trace.per_node[committee[0].index].adds == 1
 
 
+@pytest.mark.parametrize("mode,per_product", [("shamir", 1), ("spdz", 2)])
+def test_parallel_muls_cost_one_message_per_pair(mode, per_product):
+    # A dot product's k independent muls form one layer: exactly n(n-1)
+    # messages, each carrying every product's sub-share (Shamir) or eps and
+    # delta shares (SPDZ). On the bus a ciphertext is a 16-byte tag plus
+    # the payload.
+    k, n = 4, 3
+    rt, owners, ident, committee, mac_key, rng = make_env(mode, committee=n)
+    circ = parse_circuit("\n".join(
+        [f"in x{i}" for i in range(k)] + [f"in y{i}" for i in range(k)]
+        + [f"p{i} = mul x{i} y{i}" for i in range(k)]
+        + ["s1 = add p0 p1"] + [f"s{i} = add s{i - 1} p{i}" for i in range(2, k)]
+        + [f"out s{k - 1}"]))
+    values = [rng.randrange(101) for _ in range(2 * k)]
+    q = Predicate.key_list([owners[0].sign_pk])
+    ptrs = []
+    for i, v in enumerate(values):
+        ptr, _ = protocol_share(owners[0], "owner0", ident.addr, v, f"d{i}", q,
+                                n=n, t=1, rt=rt, rng=rng, mode=mode,
+                                mac_key=mac_key, committee=committee)
+        ptrs.append(ptr)
+    trace = fresh_trace(rt, committee, owners[0])
+    start = len(rt.bus.broadcast_log)
+    out = protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
+                           trace, rng, mac_key=mac_key)
+    assert out == eval_plain(circ, values, rt.field)
+    assert trace.messages_eval == n * (n - 1) == cost_model(circ).messages(n)
+    members = {node.index for node in committee}
+    layer = rt.bus.broadcast_log[start:start + trace.messages_eval]
+    assert {(src, dst) for src, dst, _, _ in layer} == \
+        {(a, b) for a in members for b in members if a != b}
+    assert [len(ct) for _, _, _, ct in layer] == \
+        [16 + per_product * k * rt.field.elem_size] * (n * (n - 1))
+    assert trace.per_node[committee[0].index].muls == k
+
+
 @pytest.mark.parametrize("mode", ["shamir", "spdz"])
 def test_compute_with_reduction_layered(mode):
     rt, owners, ident, committee, mac_key, rng = make_env(mode, nodes=12,

@@ -113,7 +113,8 @@ def test_shamir_wrong_share_identified_at_committee_4():
 def test_shamir_wrong_share_detected_at_committee_3():
     # n=3, t=1 cannot identify the liar from consistency alone, but it must
     # never silently accept a wrong value. Nobody is named, so nobody is
-    # slashed: blame may only come from what the protocol can show.
+    # slashed: blame may only come from what the protocol can show. Nothing
+    # was released, so nobody is paid either: the liar is among the members.
     cfg = load("average")
     cfg.faults = {1: "wrong-share"}
     result = run_scenario(cfg)
@@ -123,6 +124,8 @@ def test_shamir_wrong_share_detected_at_committee_3():
     assert result.trace.detected_faults == []
     assert "event=fault" not in result.trace.to_text()
     assert [line.slash for line in result.settlement.lines] == [0, 0, 0]
+    assert [line.fee for line in result.settlement.lines] == [0, 0, 0]
+    assert result.settlement.requester_charge == 0
     ledger = result.runtime.ledger
     assert all(ledger.account(pk).deposit == cfg.deposit
                for pk in result.trace.committee_pks)

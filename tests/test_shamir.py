@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mpcnet import shamir
+from mpcnet.circuits import eval_plain, parse_circuit
 from mpcnet.field import Field, M61
 from mpcnet.net import LocalChannel
 
@@ -135,6 +136,33 @@ def test_mul_random_cases_and_message_invariant():
         z = shamir.mul_with_reduction(x, y, field, net, rng)
         assert shamir.reconstruct(z, field) == field.mul(a, b)
         assert net.messages == n * (n - 1)
+
+
+def test_mul_layer_matches_plain_and_separate_products():
+    # A layer of five products: one n(n-1) round, the plaintext products,
+    # and, from the same rng state, exactly the shares five separate
+    # mul_with_reduction calls give (sub-shares are dealt products-outer).
+    field = Field(M61)
+    n, t, k = 7, 3, 5
+    circ = parse_circuit("\n".join(
+        [f"in a{i}" for i in range(k)] + [f"in b{i}" for i in range(k)]
+        + [f"p{i} = mul a{i} b{i}" for i in range(k)]
+        + [f"out p{i}" for i in range(k)]))
+    rng = random.Random(17)
+    inputs = [field.rand(rng) for _ in range(2 * k)]
+    shared = [shamir.share(v, t, n, field, rng) for v in inputs]
+    pairs = list(zip(shared[:k], shared[k:]))
+
+    net = LocalChannel()
+    layer = shamir.mul_layer(pairs, field, net, random.Random(3))
+    assert net.messages == n * (n - 1)
+    assert [shamir.reconstruct(z, field) for z in layer] == \
+        eval_plain(circ, inputs, field)
+
+    one_rng = random.Random(3)
+    separate = [shamir.mul_with_reduction(x, y, field, LocalChannel(), one_rng)
+                for x, y in pairs]
+    assert separate == layer
 
 
 def test_every_subset_reconstructs_small():

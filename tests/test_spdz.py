@@ -171,3 +171,51 @@ def test_tamper_detection_large_field():
                                                 field.rand_nonzero(rng))
         with pytest.raises(CheatDetected):
             spdz.mac_check(queue, key, field, net, rng)
+
+
+class LyingChannel(LocalChannel):
+    """Records payload sizes; party `liar` (if any) adds one to its share of
+    the `slot`-th value in every broadcast it sends."""
+
+    def __init__(self, field, liar=None, slot=0):
+        super().__init__()
+        self.field, self.liar, self.slot = field, liar, slot
+        self.sizes = []
+
+    def send(self, src, dst, payload):
+        if src == self.liar:
+            w = self.field.elem_size
+            lo, hi = self.slot * w, (self.slot + 1) * w
+            share = self.field.decode(payload[lo:hi])
+            payload = payload[:lo] + self.field.encode(self.field.add(share, 1)) + payload[hi:]
+        self.sizes.append(len(payload))
+        super().send(src, dst, payload)
+
+
+@pytest.mark.parametrize("liar", [None, 2], ids=["honest", "eps-plus-one"])
+def test_beaver_layer_one_round_and_tampered_eps_caught(liar):
+    # Four products open all their eps/delta values in one n(n-1) round,
+    # eps and delta interleaved per product. One party adding 1 to its eps
+    # share of the third product is caught by the deferred MAC check.
+    field = Field(M61)
+    rng = random.Random(23)
+    n, k = 4, 4
+    key = spdz.gen_mac_key(n, field, rng)
+    xs = [field.rand(rng) for _ in range(k)]
+    ys = [field.rand(rng) for _ in range(k)]
+    pairs = [(spdz.deal_authenticated(x, n, key, field, rng),
+              spdz.deal_authenticated(y, n, key, field, rng)) for x, y in zip(xs, ys)]
+    triples = spdz.deal_triples(k, n, key, field, rng)
+    net = LyingChannel(field, liar, slot=2 * 2)
+    queue = spdz.MacCheckQueue()
+    products = spdz.beaver_layer(pairs, triples, key, field, net, queue)
+    assert net.messages == n * (n - 1)
+    assert net.sizes == [2 * k * field.elem_size] * (n * (n - 1))
+    assert len(queue) == 2 * k
+    if liar is None:
+        assert [spdz.open_value(z, field) for z in products] == \
+            [field.mul(x, y) for x, y in zip(xs, ys)]
+        assert spdz.mac_check(queue, key, field, LocalChannel(), rng) is True
+    else:
+        with pytest.raises(CheatDetected):
+            spdz.mac_check(queue, key, field, LocalChannel(), rng)
