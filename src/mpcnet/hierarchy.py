@@ -9,19 +9,18 @@ Three ways of not paying the full n^2 price of naive MPC:
                         by constant-size committees arranged in a tree of
                         depth log_c(n), dropping total messages from
                         quadratic to linear in n.
-  reduce_parties     -- re-shares values from N holders to ceil(N/c),
-                        clamped at the quorum floor, for the feed-forward
-                        layered evaluation.
+  reduce_parties     -- re-shares values from N holders to the first m of
+                        them, m being the layered plan's next committee
+                        size (circuits.layerize sets the schedule).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from .field import Field
-from .shamir import ShamirShare, reconstruct, weights_at_zero
+from .shamir import ShamirShare, reconstruct, reshare, weights_at_zero
 from . import spdz
 from .spdz import AuthShare, MacKey
 
@@ -209,16 +208,14 @@ def hierarchical_message_bound(n: int, c: int) -> int:
     return 2 * n * c * c
 
 
-def reduce_parties(values: list, c: int, field: Field, net, rng: random.Random,
-                   quorum: int = 3) -> list:
-    """Re-share every sharing in `values` from its N holders to the next
-    committee size on the schedule: max(quorum, ceil(N/c)).
+def reduce_parties(values: list, m: int, field: Field, net, rng: random.Random) -> list:
+    """Re-share every sharing in `values` from its N holders to the first m.
 
     Each source party deals a fresh degree-t sharing of each of its shares
-    to the M target parties (one batched message per source/target pair);
-    targets recombine with the source-point interpolation weights. Opened
-    values are unchanged; the departing parties' shares simply stop being
-    part of any quorum.
+    to the m target parties (one batched message per source/target pair,
+    shamir.reshare); targets recombine with the source-point interpolation
+    weights. Opened values are unchanged; the departing parties' shares
+    simply stop being part of any quorum.
     """
     if not values:
         return []
@@ -227,61 +224,28 @@ def reduce_parties(values: list, c: int, field: Field, net, rng: random.Random,
     for v in values:
         if len(v) != n or v[0].threshold != t:
             raise ValueError("mismatched sharings in reduction batch")
-    m = max(quorum, math.ceil(n / c))
-    m = min(m, n)
+    if m > n:
+        raise ValueError(f"cannot re-share {n} parties to {m}")
     if m < t + 1:
         raise ValueError(f"below quorum: cannot reduce {n} parties to {m} < t+1")
-
-    indices = tuple(v.index for v in values[0])
-    weight_of = dict(zip(indices, weights_at_zero(indices, field.p)))
-    targets = indices[:m]
-
-    # One batched message per (source, target) pair carrying the sub-shares
-    # of every value being reduced; targets recombine what they receive.
-    kept = {}
-    for src_pos, src in enumerate(indices):
-        payloads = [b""] * m
-        for sharing in values:
-            dealt = _deal_at(sharing[src_pos].value, t, targets, field, rng)
-            for tgt_pos in range(m):
-                payloads[tgt_pos] += field.encode(dealt[tgt_pos])
-        for tgt_pos, tgt in enumerate(targets):
-            if tgt == src:
-                kept[tgt] = payloads[tgt_pos]
-            else:
-                net.send(src, tgt, payloads[tgt_pos])
-
-    w = field.elem_size
-    acc = [[0] * len(values) for _ in range(m)]
-    for tgt_pos, tgt in enumerate(targets):
-        batches = [(tgt, kept[tgt])] if tgt in kept else []
-        batches += net.recv_all(tgt)
-        for src, payload in batches:
-            weight = weight_of[src]
-            for v_idx in range(len(values)):
-                sub = field.decode(payload[v_idx * w:(v_idx + 1) * w])
-                acc[tgt_pos][v_idx] = field.add(
-                    acc[tgt_pos][v_idx], field.mul(weight, sub))
-
-    out = []
-    for v_idx in range(len(values)):
-        out.append([ShamirShare(targets[tgt_pos], acc[tgt_pos][v_idx], t)
-                    for tgt_pos in range(m)])
-    return out
+    indices = tuple(s.index for s in values[0])
+    return reshare([[s.value for s in v] for v in values], indices, m, t, field,
+                   net, rng)
 
 
-def reduce_parties_spdz(values: list, c: int, key: MacKey, field: Field,
-                        net, rng: random.Random, quorum: int = 3) -> tuple:
-    """Additive re-share of SPDZ values (and the MAC key split) to M parties.
+def reduce_parties_spdz(values: list, m: int, key: MacKey, field: Field,
+                        net, rng: random.Random) -> tuple:
+    """Additive re-share of SPDZ values (and the MAC key split) to the first
+    m parties.
 
     Every source splits each of its value/MAC shares (and its alpha share)
-    into M summands; target j's new share is the sum of what it received.
+    into m summands; target j's new share is the sum of what it received.
     Sums over the whole committee are preserved exactly, so openings and
     MAC relations are unchanged. Returns (new values, new MacKey).
     """
     n = key.n
-    m = max(quorum, math.ceil(n / c))
-    m = min(m, n)
+    if not 1 <= m <= n:
+        raise ValueError(f"cannot re-share {n} parties to {m}")
     kept = {}
     for src in range(n):
         payloads = [b""] * m

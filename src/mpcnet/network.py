@@ -4,9 +4,17 @@ Everything a scenario run needs lives in a Runtime: the field, the ledger,
 the DHT, the encrypted broadcast bus, and the node registry. On top of it,
 protocol_share distributes verifiable shares to a sampled committee and
 registers the computation reference behind a predicate; protocol_compute
-loads the reference, compiles the circuit into the layered secure protocol
-and evaluates it over shares -- the plaintext never exists at any single
-node. Node misbehavior is injected per scenario and surfaces through the
+loads the reference, compiles the circuit into the layered plan
+(circuits.layerize) and evaluates it over shares -- the plaintext never
+exists at any single node.
+
+Both engines run one layer loop, _evaluate: inputs, add and mul layers,
+per-node tallies, per-round message counts and party reduction. The engine
+supplies only load, linear, mul_layer, reduce and open: ShamirEngine,
+AuditedSpdzEngine (Pedersen trail, fixed committee) or SpdzEngine (no
+trail, party reduction), chosen once when the evaluation starts.
+
+Node misbehavior is injected per scenario and surfaces through the
 protocol's own detection channels (MAC check, commitment audit, share
 consistency, timeout); the trace records what was detected and how.
 
@@ -33,7 +41,6 @@ from .identity import Predicate, check_permission, parse_predicate
 from .keys import KeyPair, sha256
 from .ledger import Ledger, make_tx
 from .net import EncryptedBus
-from .shamir import ShamirShare
 from .spdz import MacCheckQueue, MacKey
 from .trace import ComputationTrace
 
@@ -406,13 +413,14 @@ def _divide_monic(num: list, den: list, field: Field) -> tuple:
 def protocol_compute(requester: KeyPair, requester_label: str, addr: bytes,
                      pointers: list, circ: Circuit, rt: Runtime,
                      trace: ComputationTrace, rng: random.Random,
-                     mac_key: MacKey | None = None,
-                     reduction: int | None = None, with_trail: bool = True):
+                     mac_key: MacKey | None = None, reduction: int | None = None):
     """Evaluate `circ` over previously shared inputs named by `pointers`.
 
     Returns the opened output list, or None when a reference is denied (no
     MPC message is sent in that case). CheatDetected and AbortedComputation
-    propagate to the caller after the trace counters are settled.
+    propagate to the caller after the trace counters are settled. A SPDZ
+    run posts its commitment trail exactly when the committee stays fixed
+    (`reduction` is None).
     """
     refs = []
     for pointer in pointers:
@@ -436,257 +444,232 @@ def protocol_compute(requester: KeyPair, requester_label: str, addr: bytes,
     trace.event("compute", gates=len(circ.gates), mode=mode, n=n)
 
     plan = layerize(circ, n, reduction, threshold=t if mode == "shamir" else 1)
+    context = (committee, rt, trace, rng, requester_label)
     try:
         if mode == "shamir":
-            state = _eval_shamir(refs, plan, committee, rt, trace, rng, t)
+            engine = ShamirEngine(*context)
+        elif reduction is None:
+            engine = AuditedSpdzEngine(mac_key, *context)
         else:
-            state = _eval_spdz(refs, plan, committee, rt, trace, rng, mac_key,
-                               with_trail and reduction is None)
-        result = _open_outputs(state, mode, committee, plan, requester_label,
-                               rt, trace)
+            engine = SpdzEngine(mac_key, *context)
+        result = _evaluate(engine, refs, plan)
     finally:
         trace.messages_total = rt.bus.messages
     return result
 
 
-def _eval_shamir(refs, plan, committee, rt, trace, rng, t):
-    field = rt.field
-    n = len(committee)
-    chan = CommitteeChannel(rt.bus, {pos + 1: node.index
-                                     for pos, node in enumerate(committee)})
-    quorum = max(3, 2 * t + 1)
+def _evaluate(engine, refs: list, plan) -> list:
+    """Walk the plan's layers over `engine`'s sharings; returns the opened
+    outputs. With party reduction, each multiplication layer is followed by
+    a re-share to the plan's next committee size that carries only the live
+    wires: those a later layer reads or an output gate names.
+    """
+    rt, trace = engine.rt, engine.trace
+    gates = plan.circuit.gates
+    outputs = [g.args[0] for g in gates if g.kind == "output"]
     messages_before = rt.bus.messages
-
-    wires = {}
-    ref_iter = iter(refs)
-    for idx, g in enumerate(plan.circuit.gates):
-        if g.kind != "input":
-            continue
-        ref = next(ref_iter)
-        sharing_id = bytes.fromhex(ref["sharing"])
-        wires[idx] = [ShamirShare(pos + 1, node.shares[sharing_id]["share"].value, t)
-                      for pos, node in enumerate(committee)]
-
+    sharings = iter(refs)
+    wires = {idx: engine.load(bytes.fromhex(next(sharings)["sharing"]))
+             for idx, g in enumerate(gates) if g.kind == "input"}
     stage = 0
-    for kind, gate_indices in plan.layers:
-        members = committee[:plan.schedule[min(stage, len(plan.schedule) - 1)]]
+    for pos, (kind, gate_indices) in enumerate(plan.layers):
+        members = engine.committee[:plan.schedule[stage]]
         for node in members:
             trace.tally(node.index).rounds += 1
         if kind == "mul":
-            args = [plan.circuit.gates[gi].args for gi in gate_indices]
-            products = shamir.mul_layer([(wires[a], wires[b]) for a, b in args],
-                                        field, chan, rng)
+            products = engine.mul_layer([(wires[a], wires[b]) for a, b in
+                                         (gates[gi].args for gi in gate_indices)])
             wires.update(zip(gate_indices, products))
             for node in members:
                 trace.tally(node.index).muls += len(gate_indices)
         else:
             for gi in gate_indices:
-                g = plan.circuit.gates[gi]
-                if g.kind == "add":
-                    wires[gi] = shamir.linear_combine(
-                        [wires[g.args[0]], wires[g.args[1]]], [1, 1], 0, field)
-                else:
-                    wires[gi] = shamir.linear_combine(
-                        [wires[g.args[0]]], [g.scalar % field.p], 0, field)
-                for node in members:
-                    trace.tally(node.index).adds += 1
-        trace.per_round_messages.append(rt.bus.new_round())
-        if kind == "mul" and plan.reduction and stage + 1 < len(plan.schedule):
-            stage += 1
-            live = sorted(wires)
-            reduced = reduce_parties([wires[i] for i in live], plan.reduction,
-                                     field, chan, rng, quorum=quorum)
-            for i, shares in zip(live, reduced):
-                wires[i] = shares
-            trace.event("reduce", parties=len(reduced[0]))
-    trace.messages_eval = rt.bus.messages - messages_before
-    return {"wires": wires, "t": t}
-
-
-def _eval_spdz(refs, plan, committee, rt, trace, rng, mac_key, with_trail):
-    if mac_key is None:
-        raise ValueError("spdz evaluation needs the MAC key split")
-    field = rt.field
-    chan = CommitteeChannel(rt.bus, {pos: node.index
-                                     for pos, node in enumerate(committee)})
-    queue = MacCheckQueue()
-    messages_before = rt.bus.messages
-    writer = auditmod.TrailWriter(rt.ledger, trace.computation_id, rt.authority,
-                                  field, mac_key.n) if with_trail else None
-
-    wires = {}
-    ref_iter = iter(refs)
-    for idx, g in enumerate(plan.circuit.gates):
-        if g.kind != "input":
-            continue
-        ref = next(ref_iter)
-        sharing_id = bytes.fromhex(ref["sharing"])
-        value, blind = [], []
-        for node in committee:
-            mat = node.shares[sharing_id]
-            share, rand = mat["share"], mat["blind"]
-            if node.behavior == WRONG_SHARE:
-                # The node contributes a share off by one; its MAC share is
-                # not adjusted, which is exactly what the MAC check exists
-                # to catch.
-                share = spdz.AuthShare(field.add(share.value_share, 1),
-                                       share.mac_share, share.owner)
-            value.append(share)
-            blind.append(rand)
-        commitments = []
-        step = -1
-        if writer is not None:
-            record = json.loads(rt.ledger.get(vss_key(sharing_id)).decode())
-            commitments = [int(c, 16) for c in record["commitments"]]
-            step = writer.post_step({"kind": "input",
-                                     "commitments": [hex(c) for c in commitments]})
-        wires[idx] = auditmod.PVShare(value=value, randomness=blind,
-                                      commitments=commitments, step=step)
-
-    key = mac_key
-    stage = 0
-    for kind, gate_indices in plan.layers:
-        members = committee[:plan.schedule[min(stage, len(plan.schedule) - 1)]]
-        for node in members:
-            trace.tally(node.index).rounds += 1
-        if kind == "mul":
-            args = [plan.circuit.gates[gi].args for gi in gate_indices]
-            pairs = [(wires[a], wires[b]) for a, b in args]
-            if writer is not None:
-                triples = [auditmod.pv_triple(key, rt.params, writer, field, rng)
-                           for _ in pairs]
-                products = auditmod.pv_beaver_layer(pairs, triples, key, rt.params,
-                                                    field, chan, queue, writer)
-            else:
-                triples = spdz.deal_triples(len(pairs), key.n, key, field, rng)
-                values = spdz.beaver_layer([(x.value, y.value) for x, y in pairs],
-                                           triples, key, field, chan, queue)
-                products = [auditmod.PVShare(
-                    value=value,
-                    randomness=spdz.auth_linear([(1, x.randomness)], 0, key, field),
-                    commitments=[], step=-1) for value, (x, _) in zip(values, pairs)]
-            wires.update(zip(gate_indices, products))
-            for node in members:
-                trace.tally(node.index).muls += len(gate_indices)
-        else:
-            for gi in gate_indices:
-                g = plan.circuit.gates[gi]
+                g = gates[gi]
                 if g.kind == "add":
                     terms = [(1, wires[g.args[0]]), (1, wires[g.args[1]])]
                 else:
-                    terms = [(g.scalar % field.p, wires[g.args[0]])]
-                if writer is not None:
-                    wires[gi] = auditmod.pv_linear(terms, 0, key, field, writer)
-                else:
-                    wires[gi] = auditmod.PVShare(
-                        value=spdz.auth_linear(
-                            [(c, s.value) for c, s in terms], 0, key, field),
-                        randomness=spdz.auth_linear(
-                            [(c, s.randomness) for c, s in terms], 0, key, field),
-                        commitments=[], step=-1)
-                for node in members:
-                    trace.tally(node.index).adds += 1
+                    terms = [(g.scalar % rt.field.p, wires[g.args[0]])]
+                wires[gi] = engine.linear(terms)
+            for node in members:
+                trace.tally(node.index).adds += len(gate_indices)
         trace.per_round_messages.append(rt.bus.new_round())
         if kind == "mul" and plan.reduction and stage + 1 < len(plan.schedule):
             stage += 1
-            # Openings queued so far belong to the current key split; check
-            # them before the re-share rotates the per-party attribution.
-            if queue.entries:
-                spdz.mac_check(queue, key, field, chan,
-                               child_rng(rt.seed, f"mac-check:{stage}"))
-            live = sorted(wires)
-            flat = []
-            for i in live:
-                flat.append(wires[i].value)
-                flat.append(wires[i].randomness)
-            reduced, key = reduce_parties_spdz(flat, plan.reduction, key, field,
-                                               chan, rng, quorum=3)
-            for pos, i in enumerate(live):
-                wires[i] = auditmod.PVShare(value=reduced[2 * pos],
-                                            randomness=reduced[2 * pos + 1],
-                                            commitments=[], step=-1)
-            trace.event("reduce", parties=key.n)
-
-    # The deferred MAC check happens after the last gate; its commit/open
-    # rounds are not part of the per-gate message accounting.
+            read_later = set(outputs).union(*(gates[gi].args for _, later in
+                                              plan.layers[pos + 1:] for gi in later))
+            live = sorted(read_later & wires.keys())
+            wires = dict(zip(live, engine.reduce([wires[i] for i in live],
+                                                 plan.schedule[stage])))
+            trace.event("reduce", parties=plan.schedule[stage])
     trace.messages_eval = rt.bus.messages - messages_before
-    if queue.entries:
-        spdz.mac_check(queue, key, field, chan, child_rng(rt.seed, "mac-check"))
-    return {"wires": wires, "writer": writer, "key": key}
+    return engine.open([wires[i] for i in outputs])
 
 
-def _open_outputs(state, mode, committee, plan, requester_label, rt, trace):
-    """Final opening toward the requester, with misbehavior handling.
+class _Engine:
+    """State shared by the engines that _evaluate drives through load,
+    linear, mul_layer, reduce and open; party points start at first_point."""
 
-    Shamir mode tolerates aborts (reconstruct from the remainder) and
-    identifies wrong contributions by Berlekamp–Welch decoding. SPDZ
-    additive shares are all-or-nothing: a silent party forces a restart.
-    """
-    field = rt.field
-    out_indices = [g.args[0] for g in plan.circuit.gates if g.kind == "output"]
-    wires = state["wires"]
-    results = []
+    first_point = 0
 
-    if mode == "shamir":
-        t = state["t"]
+    def __init__(self, committee, rt, trace, rng, requester):
+        self.committee = committee
+        self.rt = rt
+        self.field = rt.field
+        self.trace = trace
+        self.rng = rng
+        self.requester = requester
+        self.chan = CommitteeChannel(rt.bus, {pos + self.first_point: node.index
+                                              for pos, node in enumerate(committee)})
+
+    def load(self, sharing_id: bytes) -> list:
+        return [node.shares[sharing_id]["share"] for node in self.committee]
+
+    def _deliver(self, values: list) -> tuple:
+        """Member k sends values[k] to the requester unless it is silent;
+        returns the (k, value) pairs that arrived and the silent members."""
+        arrived, silent = [], []
+        for pos, (node, value) in enumerate(zip(self.committee, values)):
+            if node.behavior == ABORT_AFTER_OUTPUT:
+                silent.append(node)
+                continue
+            self.rt.bus.send(node.index, self.requester, self.field.encode(value))
+            arrived.append((pos, value))
+        self.rt.bus.recv_all(self.requester)
+        if silent:
+            for step in range(IDLE_TIMEOUT):
+                self.trace.event("idle", step=step + 1)
+        return arrived, silent
+
+
+class ShamirEngine(_Engine):
+    """Degree-t Shamir sharings at points 1..n. The output opening
+    reconstructs without silent parties and names wrong contributions by
+    Berlekamp–Welch decoding."""
+
+    first_point = 1
+
+    def linear(self, terms: list) -> list:
+        return shamir.linear_combine([s for _, s in terms], [c for c, _ in terms],
+                                     0, self.field)
+
+    def mul_layer(self, pairs: list) -> list:
+        return shamir.mul_layer(pairs, self.field, self.chan, self.rng)
+
+    def reduce(self, values: list, m: int) -> list:
+        return reduce_parties(values, m, self.field, self.chan, self.rng)
+
+    def open(self, outputs: list) -> list:
         reported = set()
-        for out_idx in out_indices:
-            shares = wires[out_idx]
-            contributions = []
-            silent = []
-            for pos, share in enumerate(shares):
-                node = committee[share.index - 1]
-                if node.behavior == ABORT_AFTER_OUTPUT:
-                    silent.append(node)
-                    continue
-                value = share.value
-                if node.behavior == WRONG_SHARE:
-                    value = field.add(value, 1)
-                rt.bus.send(node.index, requester_label, field.encode(value))
-                contributions.append((share.index, value))
-            rt.bus.recv_all(requester_label)
-            if silent:
-                for step in range(IDLE_TIMEOUT):
-                    trace.event("idle", step=step + 1)
+
+        def blame(node, behavior, channel, action):
+            if node.index not in reported:
+                reported.add(node.index)
+                self.trace.fault(node.index, behavior, channel)
+                self.trace.event("recover", action=action, node=node.index)
+
+        results = []
+        for shares in outputs:
+            arrived, silent = self._deliver([
+                self.field.add(s.value, 1) if node.behavior == WRONG_SHARE else s.value
+                for node, s in zip(self.committee, shares)])
             for node in silent:
-                if node.index not in reported:
-                    reported.add(node.index)
-                    trace.fault(node.index, ABORT_AFTER_OUTPUT, "timeout")
-                    trace.event("recover", action="reconstruct-without", node=node.index)
-            value, outliers = detect_bad_shares(contributions, t, field)
-            for c_pos in outliers:
-                node = committee[contributions[c_pos][0] - 1]
-                if node.index not in reported:
-                    reported.add(node.index)
-                    trace.fault(node.index, WRONG_SHARE, "share-consistency")
-                    trace.event("recover", action="exclude-share", node=node.index)
+                blame(node, ABORT_AFTER_OUTPUT, "timeout", "reconstruct-without")
+            value, outliers = detect_bad_shares([(pos + 1, v) for pos, v in arrived],
+                                                shares[0].threshold, self.field)
+            for k in outliers:
+                blame(self.committee[arrived[k][0]], WRONG_SHARE, "share-consistency",
+                      "exclude-share")
             results.append(value)
         return results
 
-    key = state["key"]
-    writer = state["writer"]
-    active = committee[:key.n]
-    aborters = [node for node in active if node.behavior == ABORT_AFTER_OUTPUT]
-    for out_idx in out_indices:
-        pv = wires[out_idx]
-        total = 0
-        for pos in range(key.n):
-            node = active[pos]
-            if node.behavior == ABORT_AFTER_OUTPUT:
-                continue
-            rt.bus.send(node.index, requester_label,
-                        field.encode(pv.value[pos].value_share))
-            total = field.add(total, pv.value[pos].value_share)
-        rt.bus.recv_all(requester_label)
-        if aborters:
-            for step in range(IDLE_TIMEOUT):
-                trace.event("idle", step=step + 1)
-            for node in aborters:
-                trace.fault(node.index, ABORT_AFTER_OUTPUT, "timeout")
-            raise AbortedComputation([n.index for n in aborters])
-        results.append(total)
-        if writer is not None:
-            auditmod.pv_output(pv, field, writer)
-    if writer is not None:
-        writer.close()
-    return results
+
+class SpdzEngine(_Engine):
+    """SPDZ without a trail (party reduction posts none), so wires are bare
+    AuthShare vectors with no blinding sharing. The deferred MAC check runs
+    before each reduction and before the output opening; a silent party at
+    the output forces a restart, as additive shares are all-or-nothing."""
+
+    def __init__(self, mac_key: MacKey | None, *context):
+        super().__init__(*context)
+        if mac_key is None:
+            raise ValueError("spdz evaluation needs the MAC key split")
+        self.key = mac_key
+        self.queue = MacCheckQueue()
+        self.check_rng = child_rng(self.rt.seed, "mac-check")
+
+    def load(self, sharing_id: bytes) -> list:
+        # A wrong-share node contributes a share off by one; its MAC share is
+        # not adjusted, which is exactly what the MAC check exists to catch.
+        return [spdz.AuthShare(self.field.add(s.value_share, 1), s.mac_share, s.owner)
+                if node.behavior == WRONG_SHARE else s
+                for node, s in zip(self.committee, super().load(sharing_id))]
+
+    def linear(self, terms: list) -> list:
+        return spdz.auth_linear(terms, 0, self.key, self.field)
+
+    def mul_layer(self, pairs: list) -> list:
+        triples = spdz.deal_triples(len(pairs), self.key.n, self.key, self.field, self.rng)
+        return spdz.beaver_layer(pairs, triples, self.key, self.field, self.chan,
+                                 self.queue)
+
+    def check_macs(self):
+        if self.queue.entries:
+            spdz.mac_check(self.queue, self.key, self.field, self.chan, self.check_rng)
+
+    def reduce(self, values: list, m: int) -> list:
+        # Openings queued so far belong to the current key split; check them
+        # before the re-share rotates the per-party attribution.
+        self.check_macs()
+        values, self.key = reduce_parties_spdz(values, m, self.key, self.field,
+                                               self.chan, self.rng)
+        return values
+
+    def open(self, outputs: list) -> list:
+        self.check_macs()
+        results = []
+        for shares in outputs:
+            arrived, silent = self._deliver([s.value_share for s in shares])
+            if silent:
+                for node in silent:
+                    self.trace.fault(node.index, ABORT_AFTER_OUTPUT, "timeout")
+                raise AbortedComputation([node.index for node in silent])
+            results.append(sum(v for _, v in arrived) % self.field.p)
+        return results
+
+
+class AuditedSpdzEngine(SpdzEngine):
+    """SPDZ with the public Pedersen trail (see audit): wires are PVShares,
+    a value and a blinding sharing, and every step is posted to the ledger.
+    Built only for a fixed committee, so it never reduces."""
+
+    def __init__(self, mac_key: MacKey | None, *context):
+        super().__init__(mac_key, *context)
+        self.writer = auditmod.TrailWriter(self.rt.ledger, self.trace.computation_id,
+                                           self.rt.authority, self.field, self.key.n)
+
+    def load(self, sharing_id: bytes) -> auditmod.PVShare:
+        # The input step restates the owner's VSS commitments, so the
+        # auditor can fold them through the circuit.
+        record = json.loads(self.rt.ledger.get(vss_key(sharing_id)).decode())
+        step = self.writer.post_step({"kind": "input",
+                                      "commitments": record["commitments"]})
+        return auditmod.PVShare(
+            value=super().load(sharing_id),
+            randomness=[node.shares[sharing_id]["blind"] for node in self.committee],
+            commitments=[], step=step)
+
+    def linear(self, terms: list) -> auditmod.PVShare:
+        return auditmod.pv_linear(terms, 0, self.key, self.field, self.writer)
+
+    def mul_layer(self, pairs: list) -> list:
+        triples = [auditmod.pv_triple(self.key, self.rt.params, self.writer, self.field,
+                                      self.rng) for _ in pairs]
+        return auditmod.pv_beaver_layer(pairs, triples, self.key, self.rt.params,
+                                        self.field, self.chan, self.queue, self.writer)
+
+    def open(self, outputs: list) -> list:
+        results = super().open([pv.value for pv in outputs])
+        for pv in outputs:
+            auditmod.pv_output(pv, self.field, self.writer)
+        self.writer.close()
+        return results

@@ -151,52 +151,66 @@ def mul_layer(pairs: list, field: Field, net, rng: random.Random) -> list:
     """Secure products of independent degree-t sharing pairs, one batch.
 
     Each party multiplies its shares locally (a point on the degree-2t
-    product polynomial), deals a fresh degree-t sharing of that point, and
-    every party combines the sub-shares it received with the degree-2t
-    Lagrange weights. Requires an honest majority (2t < n) so the product
+    product polynomial) and the points are re-shared at degree t to every
+    party (see reshare), which combines them with the degree-2t Lagrange
+    weights. Requires an honest majority (2t < n) so the product
     polynomial is determined by the n available points.
 
     Exactly n(n-1) messages cross `net` per multiplication *layer*, however
-    many products it holds: party i sends party j one message carrying its
-    sub-share of every product, in the order of `pairs`, and keeps its own.
-    Sub-sharings are dealt products-outer, parties-inner, so the rng draws
-    are those of one mul_with_reduction call per pair in turn.
+    many products it holds. Sub-sharings are dealt products-outer,
+    parties-inner, so the rng draws are those of one mul_with_reduction
+    call per pair in turn.
     """
     t, indices = _check_aligned([s for pair in pairs for s in pair])
     n = len(indices)
     if 2 * t >= n:
         raise ValueError(f"honest majority violated: need 2t < n, got t={t}, n={n}")
+    points = [[field.mul(a.value, b.value) for a, b in zip(x, y)] for x, y in pairs]
+    return reshare(points, indices, n, t, field, net, rng)
 
-    # payloads[src_pos][dest_pos] carries party src's sub-share of every
-    # product for dest; kept[src_pos] holds the sub-shares it keeps.
-    payloads = [[b""] * n for _ in range(n)]
-    kept = [[] for _ in range(n)]
-    for x, y in pairs:
-        for src_pos in range(n):
-            d = field.mul(x[src_pos].value, y[src_pos].value)
+
+def reshare(points: list, indices: tuple, m: int, t: int, field: Field,
+            net, rng: random.Random) -> list:
+    """Re-share, at degree t, values held as points at `indices` to the
+    first m of those parties.
+
+    points[k][i] is party indices[i]'s point of the k-th value. Every party
+    deals a fresh degree-t sharing of each of its points to the m targets
+    (values outer, parties inner) and sends each other target one message
+    with its sub-share of every value, in order; it keeps its own. Each
+    target combines what it holds with the Lagrange weights at zero of
+    `indices`. Returns, per value, the targets' degree-t shares.
+    """
+    targets = indices[:m]
+    # payloads[src_pos][tgt_pos] carries party src's sub-share of every
+    # value for the target; kept[src_pos] holds the sub-shares it keeps.
+    payloads = [[b""] * len(targets) for _ in indices]
+    kept = [[] for _ in indices]
+    for values in points:
+        for src_pos, (src, d) in enumerate(zip(indices, values)):
             coeffs = [d] + [field.rand(rng) for _ in range(t)]
             row = payloads[src_pos]
-            for dest_pos, dest in enumerate(indices):
-                sub = field.poly_eval(coeffs, dest)
-                if dest_pos == src_pos:
+            for tgt_pos, tgt in enumerate(targets):
+                sub = field.poly_eval(coeffs, tgt)
+                if tgt == src:
                     kept[src_pos].append(sub)
                 else:
-                    row[dest_pos] += field.encode(sub)
+                    row[tgt_pos] += field.encode(sub)
 
     for src, row in zip(indices, payloads):
-        for dest, payload in zip(indices, row):
-            if dest != src:
-                net.send(src, dest, payload)
+        for tgt, payload in zip(targets, row):
+            if tgt != src:
+                net.send(src, tgt, payload)
 
     weight_of = dict(zip(indices, weights_at_zero(indices, field.p)))
     w = field.elem_size
-    products = [[] for _ in pairs]
-    for pos, idx in enumerate(indices):
+    shares = [[] for _ in points]
+    for idx, own in zip(targets, kept):
         inbox = net.recv_all(idx)
-        for k, own in enumerate(kept[pos]):
+        for k in range(len(points)):
             # Exact integer sum of the weighted sub-shares, reduced once.
             lo, hi = k * w, (k + 1) * w
-            total = weight_of[idx] * own + sum(
+            total = weight_of[idx] * own[k] + sum(
                 weight_of[src] * field.decode(payload[lo:hi]) for src, payload in inbox)
-            products[k].append(ShamirShare(idx, total % field.p, t))
-    return products
+            shares[k].append(ShamirShare(idx, total % field.p, t))
+    return shares

@@ -162,13 +162,28 @@ def test_reduce_parties_shamir(f101, rng):
     assert net.messages == 3 * 8
 
 
-def test_reduce_parties_floor_rule(f101, rng):
+def test_reduce_parties_same_size_reshare(f101, rng):
+    # Re-sharing to m = N keeps the holders and refreshes their shares;
+    # the floor that stops a schedule at 3 lives in circuits.layerize.
     values = [shamir.share(5, 1, 9, f101, rng)]
     first = reduce_parties(values, 3, f101, LocalChannel(), rng)
     assert len(first[0]) == 3
-    second = reduce_parties(first, 3, f101, LocalChannel(), rng)
-    assert len(second[0]) == 3          # clamped at the quorum floor
+    net = LocalChannel()
+    second = reduce_parties(first, 3, f101, net, rng)
+    assert [s.index for s in second[0]] == [1, 2, 3]
+    assert [s.value for s in second[0]] != [s.value for s in first[0]]
     assert shamir.reconstruct(second[0], f101) == 5
+    assert net.messages == 3 * 2
+
+
+def test_reduce_parties_rejects_growing(f101, rng):
+    values = [shamir.share(5, 1, 3, f101, rng)]
+    with pytest.raises(ValueError, match="cannot re-share 3 parties to 4"):
+        reduce_parties(values, 4, f101, LocalChannel(), rng)
+    key = gen_mac_key(3, f101, rng)
+    auth = [deal_authenticated(5, 3, key, f101, rng)]
+    with pytest.raises(ValueError, match="cannot re-share 3 parties to 4"):
+        reduce_parties_spdz(auth, 4, key, f101, LocalChannel(), rng)
 
 
 def test_reduce_parties_below_quorum(f101, rng):
@@ -182,7 +197,8 @@ def test_reduce_random_values_survive():
     rng = random.Random(31)
     secrets = [field.rand(rng) for _ in range(100)]
     values = [shamir.share(s, 1, 8, field, rng) for s in secrets]
-    reduced = reduce_parties(values, 2, field, LocalChannel(), rng)
+    reduced = reduce_parties(values, 4, field, LocalChannel(), rng)
+    assert all(len(r) == 4 for r in reduced)
     assert [shamir.reconstruct(r, field) for r in reduced] == secrets
 
 
@@ -190,7 +206,7 @@ def test_reduce_parties_spdz(f101, rng):
     key = gen_mac_key(6, f101, rng)
     values = [deal_authenticated(v, 6, key, f101, rng) for v in (11, 22)]
     net = LocalChannel()
-    reduced, new_key = reduce_parties_spdz(values, 2, key, f101, net, rng)
+    reduced, new_key = reduce_parties_spdz(values, 3, key, f101, net, rng)
     assert new_key.n == 3
     assert sum(new_key.alpha_shares) % 101 == key.alpha
     for sharing, expected in zip(reduced, (11, 22)):

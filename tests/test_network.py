@@ -6,11 +6,11 @@ import pytest
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from mpcnet.circuits import cost_model, eval_plain, parse_circuit
+from mpcnet.circuits import cost_model, eval_plain, layerize, parse_circuit
 from mpcnet.errors import CheatDetected
 from mpcnet.field import M61, Field
 from mpcnet.identity import Predicate, gen_shared_identity
-from mpcnet import shamir
+from mpcnet import network, shamir
 from mpcnet.incentives import post_deposit
 from mpcnet.keys import KeyPair
 from mpcnet.net import EncryptedBus
@@ -345,6 +345,104 @@ def test_shamir_reduction_keeps_degree_reduction_quorum(t):
                            trace, rng, reduction=3)
     assert out == eval_plain(circ, [2, 3, 4], rt.field)
     assert [e for e in trace.events if "reduce" in e]
+
+
+def share_inputs(rt, owners, ident, committee, mac_key, rng, mode, values, label):
+    q = Predicate.key_list([owners[0].sign_pk])
+    return [protocol_share(owners[0], "owner0", ident.addr, v, f"{label}{i}", q,
+                           n=len(committee), t=1, rt=rt, rng=rng, mode=mode,
+                           mac_key=mac_key, committee=committee)[0]
+            for i, v in enumerate(values)]
+
+
+CHAIN5 = "in a\nin b\nin c\nin d\nin e\nm1 = mul a b\nm2 = mul m1 c\n" \
+    "m3 = mul m2 d\nm4 = mul m3 e\nout m4"
+OUTPUT_NAMES_INPUT = "in a\nin b\nin c\nm1 = mul a b\nm2 = mul m1 c\nout m2\nout a"
+INPUT_READ_LAST = "in a\nin b\nin c\nm1 = mul a b\nm2 = mul m1 m1\nm3 = mul m2 c\nout m3"
+
+
+@pytest.mark.parametrize("mode", ["shamir", "spdz"])
+@pytest.mark.parametrize("text,live", [
+    (CHAIN5, [4, 3, 2, 1]),
+    (OUTPUT_NAMES_INPUT, [3, 2]),
+    (INPUT_READ_LAST, [2, 2, 1]),
+], ids=["chain", "output-names-input", "input-read-last"])
+def test_reduction_reshares_only_live_wires(mode, text, live, monkeypatch):
+    # A reduction after a multiplication layer re-shares the wires a later
+    # layer reads or an output names, and nothing else. Each of its
+    # messages carries one sub-share per wire (Shamir), or a value share
+    # and a MAC share per wire plus one alpha share (SPDZ): no blinding
+    # sharings, because a run with party reduction posts no trail.
+    rt, owners, ident, committee, mac_key, rng = make_env(mode, nodes=12,
+                                                          committee=9)
+    batches = []
+
+    def recording(reduce):
+        def wrapper(values, *args, **kwargs):
+            start = len(rt.bus.broadcast_log)
+            result = reduce(values, *args, **kwargs)
+            sizes = {len(ct) for _, _, _, ct in rt.bus.broadcast_log[start:]}
+            batches.append((len(values), sizes))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(network, "reduce_parties", recording(network.reduce_parties))
+    monkeypatch.setattr(network, "reduce_parties_spdz",
+                        recording(network.reduce_parties_spdz))
+    circ = parse_circuit(text)
+    values = [3, 5, 7, 11, 13][:circ.n_inputs]
+    ptrs = share_inputs(rt, owners, ident, committee, mac_key, rng, mode, values, "l")
+    trace = fresh_trace(rt, committee, owners[0])
+    out = protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
+                           trace, rng, mac_key=mac_key, reduction=3)
+    assert out == eval_plain(circ, values, rt.field)
+    w = rt.field.elem_size
+    per_wire, extra = (1, 0) if mode == "shamir" else (2, 1)
+    assert batches == [(k, {16 + (per_wire * k + extra) * w}) for k in live]
+
+
+@pytest.mark.parametrize("mode", ["shamir", "spdz"])
+def test_reduction_on_random_circuits_matches_plain_and_stage_tallies(mode):
+    # Under party reduction (c = 2 or 3) the outputs equal the plaintext
+    # oracle, and every node's rounds/adds/muls are the fixed-committee
+    # tallies restricted to the stages it is a member of: a layer after k
+    # multiplication layers runs with the first schedule[k] members.
+    from tests.test_circuits import random_circuit
+
+    n = 9
+    gen = random.Random(4242)
+    reducing = 0
+    rt, owners, ident, committee, mac_key, rng = make_env(mode, nodes=12,
+                                                          committee=n)
+    for case in range(30):
+        circ = random_circuit(gen, max_gates=12)
+        c = 2 + case % 2
+        values = [gen.randrange(101) for _ in range(circ.n_inputs)]
+        ptrs = share_inputs(rt, owners, ident, committee, mac_key, rng, mode,
+                            values, f"c{case}i")
+        trace = fresh_trace(rt, committee, owners[0], seed=case)
+        out = protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
+                               trace, rng, mac_key=mac_key, reduction=c)
+        assert out == eval_plain(circ, values, rt.field), f"case {case}"
+        reducing += any(e.startswith("event=reduce") for e in trace.events)
+
+        plan = layerize(circ, n, c, threshold=1)
+        fixed = layerize(circ, n)
+        assert fixed.layers == plan.layers
+        expected = {node.index: [0, 0, 0] for node in committee}
+        stage = 0
+        for kind, gate_indices in fixed.layers:
+            for node in committee[:plan.schedule[stage]]:
+                counts = expected[node.index]
+                counts[0] += 1
+                counts[1 if kind == "add" else 2] += len(gate_indices)
+            stage += kind == "mul"
+        model = cost_model(circ)
+        assert expected[committee[0].index] == \
+            [len(fixed.layers), model.adds, model.muls], f"case {case}"
+        got = {i: [t.rounds, t.adds, t.muls] for i, t in trace.per_node.items()}
+        assert got == expected, f"case {case}"
+    assert reducing >= 15   # most random circuits have a multiplication layer
 
 
 def test_spdz_wrong_share_caught_by_mac_check():
