@@ -25,8 +25,6 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .field import Field
 
 GATE_KINDS = ("input", "add", "smul", "mul", "select", "output")
@@ -179,35 +177,6 @@ def eval_plain(circuit: Circuit, inputs: list, field: Field) -> list:
     return outputs
 
 
-def eval_plain_vec(circuit: Circuit, inputs: list, field: Field) -> list:
-    """Vectorized evaluator over int64 numpy arrays (exhaustive small-field runs).
-
-    Only valid when (p-1)^2 fits in int64; meant for test fields like p=101
-    where sweeping the whole input cube is feasible.
-    """
-    if (field.p - 1) ** 2 >= 2 ** 63:
-        raise ValueError("field too large for int64 vectorized evaluation")
-    p = field.p
-    values = [None] * len(circuit.gates)
-    outputs = []
-    it = iter(inputs)
-    for idx, g in enumerate(circuit.gates):
-        if g.kind == "input":
-            values[idx] = np.asarray(next(it), dtype=np.int64) % p
-        elif g.kind == "add":
-            values[idx] = (values[g.args[0]] + values[g.args[1]]) % p
-        elif g.kind == "smul":
-            values[idx] = (g.scalar % p) * values[g.args[0]] % p
-        elif g.kind == "mul":
-            values[idx] = values[g.args[0]] * values[g.args[1]] % p
-        elif g.kind == "select":
-            c, a, b = (values[a] for a in g.args)
-            values[idx] = (c * a + (1 - c) % p * b) % p
-        elif g.kind == "output":
-            outputs.append(values[g.args[0]])
-    return outputs
-
-
 def lower_select(circuit: Circuit) -> Circuit:
     """Rewrite select(c, a, b) as c*(a-b) + b using one mul per select.
 
@@ -311,28 +280,6 @@ def layerize(circuit: Circuit, n_parties: int, c: int | None = None,
     schedule = tuple(min(n_parties, s) for s in schedule)
     return LayeredCircuit(circuit=lowered, layers=tuple(layers),
                           schedule=schedule, reduction=c)
-
-
-def eval_layered(layered: LayeredCircuit, inputs: list, field: Field) -> list:
-    """Evaluate the circuit in layer order (plaintext transform oracle)."""
-    circ = layered.circuit
-    if len(inputs) != circ.n_inputs:
-        raise ValueError("arity mismatch")
-    values = {}
-    it = iter(inputs)
-    for idx, g in enumerate(circ.gates):
-        if g.kind == "input":
-            values[idx] = next(it) % field.p
-    for kind, indices in layered.layers:
-        for idx in indices:
-            g = circ.gates[idx]
-            if g.kind == "add":
-                values[idx] = field.add(values[g.args[0]], values[g.args[1]])
-            elif g.kind == "smul":
-                values[idx] = field.mul(g.scalar % field.p, values[g.args[0]])
-            else:
-                values[idx] = field.mul(values[g.args[0]], values[g.args[1]])
-    return [values[g.args[0]] for g in circ.gates if g.kind == "output"]
 
 
 @dataclass(frozen=True)

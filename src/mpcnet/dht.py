@@ -253,15 +253,7 @@ class DhtNetwork:
             raise LookupError("no route: network is empty")
         start = origin if origin is not None and self.nodes[origin].alive \
             else alive[0].node_id.value
-        shortlist, value, hops = self.iterative_find(start, key)
-        if value is None:
-            # Routing converged near the key; ask the full placement ring
-            # before giving up (replicas may sit just outside the shortlist).
-            for node in alive:
-                if key in node.store:
-                    value = node.store[key]
-                    hops += 1
-                    break
+        _, value, hops = self.iterative_find(start, key)
         if value is None:
             raise KeyError(f"not found: {key.hex()}")
         return value, hops

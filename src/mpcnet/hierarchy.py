@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .field import Field
-from .shamir import ShamirShare, reconstruct, reshare, weights_at_zero
+from .shamir import ShamirShare, reconstruct, reshare, share, weights_at_zero
 from . import spdz
 from .spdz import AuthShare, MacKey
 
@@ -107,15 +107,23 @@ class CommitteeSharing:
         return reconstruct(self.shares, field)
 
 
-def _deal_at(value: int, t: int, points: tuple, field: Field,
-             rng: random.Random) -> list:
-    """Fresh degree-t sharing of `value`, evaluated at the given points."""
-    coeffs = [value % field.p] + [field.rand(rng) for _ in range(t)]
-    return [field.poly_eval(coeffs, pt) for pt in points]
-
-
-def _local_points(c: int) -> tuple:
-    return tuple(range(1, c + 1))
+def _hop(senders: list, committee: tuple, t_c: int, field: Field, net,
+         rng: random.Random) -> list:
+    """One tree step: every (party, value, weight) sender deals a degree-t_c
+    sharing of its value to `committee` (keeping its own sub-share if it is
+    a member), and member k's new share is the weighted sum of the
+    sub-shares it holds. Returns the members' shares in committee order."""
+    weight_of = {party: weight for party, _, weight in senders}
+    kept = {}
+    for party, value, weight in senders:
+        for member, sub in zip(committee, share(value, t_c, len(committee), field, rng)):
+            if member == party:
+                kept[member] = weight * sub.value
+            else:
+                net.send(party, member, field.encode(sub.value))
+    return [(kept.get(member, 0) + sum(weight_of[src] * field.decode(payload)
+                                       for src, payload in net.recv_all(member))) % field.p
+            for member in committee]
 
 
 def hierarchical_mul(x: list, y: list, tree: CommitteeTree, field: Field,
@@ -139,64 +147,25 @@ def hierarchical_mul(x: list, y: list, tree: CommitteeTree, field: Field,
         raise ValueError(f"honest majority violated: 2t={2 * t} >= n={n}")
     c = tree.c
     t_c = (c - 1) // 2
-    party_weight = dict(zip(range(n), weights_at_zero(
-        tuple(s.index for s in x), field.p)))
+    party_weight = weights_at_zero(tuple(s.index for s in x), field.p)
 
     # Leaf phase: every real party deals its weighted local product within
-    # its leaf committee only; receivers apply the dealer's public weight.
-    # Virtual dealers contribute a public zero and send nothing.
-    current = {}   # committee tuple -> list of accumulated share values
-    for committee in tree.levels[0]:
-        kept = {}
-        for pos, dealer in enumerate(committee):
-            if dealer >= n:
-                continue
-            d = field.mul(x[dealer].value, y[dealer].value)
-            subs = _deal_at(d, t_c, _local_points(c), field, rng)
-            for mpos, member in enumerate(committee):
-                if member == dealer:
-                    kept[member] = subs[mpos]
-                else:
-                    net.send(dealer, member, field.encode(subs[mpos]))
-        acc = [0] * c
-        for mpos, member in enumerate(committee):
-            if member in kept:
-                acc[mpos] = field.mul(party_weight[member], kept[member])
-            for src, payload in net.recv_all(member):
-                acc[mpos] = field.add(
-                    acc[mpos], field.mul(party_weight[src], field.decode(payload)))
-        current[committee] = acc
+    # its leaf committee only. Virtual dealers contribute a public zero and
+    # send nothing, but virtual members still receive.
+    current = {committee: _hop([(d, field.mul(x[d].value, y[d].value), party_weight[d])
+                                for d in committee if d < n], committee, t_c, field, net, rng)
+               for committee in tree.levels[0]}
 
     # Tree phase: each child committee re-shares its partial-sum shares to
     # the parent committee, which recombines with the child-local weights
     # and sums over its children.
-    local_weights = weights_at_zero(_local_points(c), field.p)
+    local_weights = weights_at_zero(tuple(range(1, c + 1)), field.p)
     for level in range(1, tree.depth):
-        nxt = {}
-        for j, parent in enumerate(tree.levels[level]):
-            children = tree.levels[level - 1][j * c:(j + 1) * c]
-            sender_weight = {}
-            kept = {}
-            for child in children:
-                child_shares = current[child]
-                for pos, member in enumerate(child):
-                    sender_weight[member] = local_weights[pos]
-                    subs = _deal_at(child_shares[pos], t_c, _local_points(c), field, rng)
-                    for mpos, target in enumerate(parent):
-                        if target == member:
-                            kept.setdefault(target, []).append(subs[mpos])
-                        else:
-                            net.send(member, target, field.encode(subs[mpos]))
-            acc = [0] * c
-            for mpos, target in enumerate(parent):
-                for sub in kept.get(target, []):
-                    acc[mpos] = field.add(
-                        acc[mpos], field.mul(sender_weight[target], sub))
-                for src, payload in net.recv_all(target):
-                    acc[mpos] = field.add(
-                        acc[mpos], field.mul(sender_weight[src], field.decode(payload)))
-            nxt[parent] = acc
-        current = nxt
+        current = {parent: _hop([(member, current[child][pos], local_weights[pos])
+                                 for child in tree.levels[level - 1][j * c:(j + 1) * c]
+                                 for pos, member in enumerate(child)],
+                                parent, t_c, field, net, rng)
+                   for j, parent in enumerate(tree.levels[level])}
 
     root = tree.root
     shares = [ShamirShare(pos + 1, v, t_c) for pos, v in enumerate(current[root])]

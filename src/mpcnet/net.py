@@ -12,7 +12,7 @@ Two implementations of the same small interface:
                      byte-scan for plaintext leaks and compare message-length
                      marginals across runs.
 
-Both count every point-to-point send, per ordered pair and per round, which
+Both count every point-to-point send, in total and per round, which
 is what the message-complexity assertions measure.
 """
 
@@ -28,8 +28,6 @@ class LocalChannel:
 
     def __init__(self):
         self.messages = 0
-        self.pair_counts = defaultdict(int)
-        self.round_counts = []
         self._round_messages = 0
         self._inbox = defaultdict(deque)
 
@@ -38,7 +36,6 @@ class LocalChannel:
             raise ValueError("self-sends are local state, not messages")
         self.messages += 1
         self._round_messages += 1
-        self.pair_counts[(src, dst)] += 1
         self._deliver(src, dst, payload)
 
     def _deliver(self, src, dst, payload: bytes):
@@ -54,7 +51,6 @@ class LocalChannel:
     def new_round(self):
         """Close the current accounting round; returns its message count."""
         n = self._round_messages
-        self.round_counts.append(n)
         self._round_messages = 0
         return n
 

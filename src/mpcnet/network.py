@@ -14,6 +14,12 @@ supplies only load, linear, mul_layer, reduce and open: ShamirEngine,
 AuditedSpdzEngine (Pedersen trail, fixed committee) or SpdzEngine (no
 trail, party reduction), chosen once when the evaluation starts.
 
+Every opening to a client goes through one path, reveal: each member
+sends the requester one message carrying all of its values (every output of
+a computation, or a declassified share with its blinding), and the result is
+read from the requester's inbox. A member whose message is missing is
+silent, whatever the reason; the engines time it out once per opening.
+
 Node misbehavior is injected per scenario and surfaces through the
 protocol's own detection channels (MAC check, commitment audit, share
 consistency, timeout); the trace records what was detected and how.
@@ -253,6 +259,24 @@ def load_reference(requester: KeyPair, addr: bytes, pointer: bytes, rt: Runtime)
     return None if blob is None else json.loads(blob.decode())
 
 
+def reveal(members: list, rows: list, requester, rt: Runtime) -> dict:
+    """Open rows[k] to the requester: member k sends one message carrying
+    every value in its row, and an abort-after-output member sends nothing.
+
+    Returns {k: row} decoded from the requester's inbox; a member whose
+    message is not there is silent, and the caller decides what that costs.
+    """
+    field = rt.field
+    for node, row in zip(members, rows):
+        if node.behavior != ABORT_AFTER_OUTPUT:
+            rt.bus.send(node.index, requester, b"".join(field.encode(v) for v in row))
+    position = {node.index: k for k, node in enumerate(members)}
+    w = field.elem_size
+    return {position[src]: [field.decode(payload[i:i + w])
+                            for i in range(0, len(payload), w)]
+            for src, payload in rt.bus.recv_all(requester)}
+
+
 def mpc_declassify(requester: KeyPair, requester_label: str, addr: bytes,
                    pointer: bytes, rt: Runtime):
     """Collect the raw shares back and reconstruct, verifying each opening
@@ -277,25 +301,19 @@ def mpc_declassify(requester: KeyPair, requester_label: str, addr: bytes,
     commitments = [int(c, 16) for c in record["commitments"]]
     field = rt.field
     committee = [rt.registry[i] for i in ref["committee"]]
-    faults = []
-    contributions = []
-    for pos, node in enumerate(committee):
+    rows = []
+    for node in committee:
         mat = node.shares[sharing_id]
-        if node.behavior == ABORT_AFTER_OUTPUT:
-            continue
         if ref["mode"] == "shamir":
             value, blind = mat["share"].value, mat["blind"]
         else:
             value, blind = mat["share"].value_share, mat["blind"].value_share
         if node.behavior == WRONG_SHARE:
             value = field.add(value, 1)
-        rt.bus.send(node.index, requester_label,
-                    field.encode(value) + field.encode(blind))
-        contributions.append((pos, value, blind))
-    rt.bus.recv_all(requester_label)
+        rows.append([value, blind])
 
-    good = []
-    for pos, value, blind in contributions:
+    good, faults = [], []
+    for pos, (value, blind) in sorted(reveal(committee, rows, requester_label, rt).items()):
         if pedersen.verify_open(commitments[pos], value, blind, rt.params):
             good.append((pos, value))
         else:
@@ -309,10 +327,7 @@ def mpc_declassify(requester: KeyPair, requester_label: str, addr: bytes,
         return shamir.interpolate_at_zero(points[:t + 1], field), faults
     if len(good) != ref["n"]:
         return None, faults
-    total = 0
-    for _, value in good:
-        total = field.add(total, value)
-    return total, faults
+    return sum(value for _, value in good) % field.p, faults
 
 
 # -- secure evaluation ---------------------------------------------------------
@@ -524,17 +539,14 @@ class _Engine:
     def load(self, sharing_id: bytes) -> list:
         return [node.shares[sharing_id]["share"] for node in self.committee]
 
-    def _deliver(self, values: list) -> tuple:
-        """Member k sends values[k] to the requester unless it is silent;
-        returns the (k, value) pairs that arrived and the silent members."""
-        arrived, silent = [], []
-        for pos, (node, value) in enumerate(zip(self.committee, values)):
-            if node.behavior == ABORT_AFTER_OUTPUT:
-                silent.append(node)
-                continue
-            self.rt.bus.send(node.index, self.requester, self.field.encode(value))
-            arrived.append((pos, value))
-        self.rt.bus.recv_all(self.requester)
+    def _deliver(self, rows: list) -> tuple:
+        """Reveal to the requester: rows[k] is member k's share of every
+        output (after a reduction only the first len(rows) members hold
+        one). Returns the rows that arrived, {k: row}, and the silent
+        members, for whom the requester waits IDLE_TIMEOUT steps once."""
+        members = self.committee[:len(rows)]
+        arrived = reveal(members, rows, self.requester, self.rt)
+        silent = [node for k, node in enumerate(members) if k not in arrived]
         if silent:
             for step in range(IDLE_TIMEOUT):
                 self.trace.event("idle", step=step + 1)
@@ -559,27 +571,23 @@ class ShamirEngine(_Engine):
         return reduce_parties(values, m, self.field, self.chan, self.rng)
 
     def open(self, outputs: list) -> list:
-        reported = set()
-
-        def blame(node, behavior, channel, action):
-            if node.index not in reported:
-                reported.add(node.index)
-                self.trace.fault(node.index, behavior, channel)
-                self.trace.event("recover", action=action, node=node.index)
-
-        results = []
-        for shares in outputs:
-            arrived, silent = self._deliver([
-                self.field.add(s.value, 1) if node.behavior == WRONG_SHARE else s.value
-                for node, s in zip(self.committee, shares)])
-            for node in silent:
-                blame(node, ABORT_AFTER_OUTPUT, "timeout", "reconstruct-without")
-            value, outliers = detect_bad_shares([(pos + 1, v) for pos, v in arrived],
-                                                shares[0].threshold, self.field)
-            for k in outliers:
-                blame(self.committee[arrived[k][0]], WRONG_SHARE, "share-consistency",
-                      "exclude-share")
+        arrived, silent = self._deliver([
+            [self.field.add(s.value, 1) if node.behavior == WRONG_SHARE else s.value
+             for s in row] for node, row in zip(self.committee, zip(*outputs))])
+        for node in silent:
+            self.trace.fault(node.index, ABORT_AFTER_OUTPUT, "timeout")
+            self.trace.event("recover", action="reconstruct-without", node=node.index)
+        positions = sorted(arrived)
+        results, outliers = [], set()
+        for i, shares in enumerate(outputs):
+            value, bad = detect_bad_shares([(k + 1, arrived[k][i]) for k in positions],
+                                           shares[0].threshold, self.field)
+            outliers.update(positions[j] for j in bad)
             results.append(value)
+        for k in sorted(outliers):
+            node = self.committee[k]
+            self.trace.fault(node.index, WRONG_SHARE, "share-consistency")
+            self.trace.event("recover", action="exclude-share", node=node.index)
         return results
 
 
@@ -626,15 +634,13 @@ class SpdzEngine(_Engine):
 
     def open(self, outputs: list) -> list:
         self.check_macs()
-        results = []
-        for shares in outputs:
-            arrived, silent = self._deliver([s.value_share for s in shares])
-            if silent:
-                for node in silent:
-                    self.trace.fault(node.index, ABORT_AFTER_OUTPUT, "timeout")
-                raise AbortedComputation([node.index for node in silent])
-            results.append(sum(v for _, v in arrived) % self.field.p)
-        return results
+        arrived, silent = self._deliver([[s.value_share for s in row]
+                                         for row in zip(*outputs)])
+        if silent:
+            for node in silent:
+                self.trace.fault(node.index, ABORT_AFTER_OUTPUT, "timeout")
+            raise AbortedComputation([node.index for node in silent])
+        return [sum(column) % self.field.p for column in zip(*arrived.values())]
 
 
 class AuditedSpdzEngine(SpdzEngine):

@@ -177,8 +177,7 @@ def _run_compute(cfg, rt, trace, requester, addr, pointers, circuit, mac_key,
         return []
     except AbortedComputation as aborted:
         replacements = [n for n in rt.eligible_nodes()
-                        if n.index not in {c.index for c in committee}
-                        and n.behavior == HONEST]
+                        if n.index not in {c.index for c in committee}]
         survivors = [n for n in committee if n.index not in aborted.nodes]
         needed = len(committee) - len(survivors)
         if len(replacements) < needed:

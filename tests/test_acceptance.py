@@ -14,13 +14,7 @@ import numpy as np
 
 from mpcnet import audit as auditmod
 from mpcnet import pedersen, shamir, spdz
-from mpcnet.circuits import (
-    eval_layered,
-    eval_plain,
-    eval_plain_vec,
-    layerize,
-    parse_circuit,
-)
+from mpcnet.circuits import eval_plain, layerize, parse_circuit
 from mpcnet.dht import protocol_load, protocol_store
 from mpcnet.errors import CheatDetected
 from mpcnet.field import Field, M61
@@ -33,6 +27,7 @@ from mpcnet.network import Runtime, child_rng, mpc_declassify, protocol_compute,
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import parse_scenario
 from mpcnet.trace import ComputationTrace, NodeTally
+from oracles import eval_layered, eval_plain_vec, random_circuit
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = ("average", "cheater", "abort", "broken", "scaling", "select")
@@ -173,32 +168,11 @@ def test_criterion_5_scaling_reproduction(tmp_path):
               f"vs baseline growth {base_ratio[81] / base_ratio[9]:.0f}x (>= 8x)")
 
 
-def _random_circuit(rng, n_inputs=None, max_gates=20):
-    n_inputs = n_inputs or rng.randrange(1, 5)
-    lines = [f"in x{i}" for i in range(n_inputs)]
-    wires = [f"x{i}" for i in range(n_inputs)]
-    for g in range(rng.randrange(1, max_gates - n_inputs + 1)):
-        kind = rng.choice(["add", "smul", "mul", "select"])
-        name = f"w{g}"
-        if kind == "add":
-            lines.append(f"{name} = add {rng.choice(wires)} {rng.choice(wires)}")
-        elif kind == "smul":
-            lines.append(f"{name} = smul {rng.randrange(-5, 100)} {rng.choice(wires)}")
-        elif kind == "mul":
-            lines.append(f"{name} = mul {rng.choice(wires)} {rng.choice(wires)}")
-        else:
-            c, a, b = (rng.choice(wires) for _ in range(3))
-            lines.append(f"{name} = select {c} {a} {b}")
-        wires.append(name)
-    lines.append(f"out {wires[-1]}")
-    return parse_circuit("\n".join(lines))
-
-
 def test_criterion_6_adaptable_circuits():
     field = Field(101)
     rng = random.Random(606)
     for _ in range(100):
-        circ = _random_circuit(rng)
+        circ = random_circuit(rng)
         n, c = rng.randrange(3, 28), rng.randrange(2, 5)
         lay = layerize(circ, n, c)
         inputs = [rng.randrange(101) for _ in range(circ.n_inputs)]
@@ -212,7 +186,7 @@ def test_criterion_6_adaptable_circuits():
     cube = np.stack(np.meshgrid(xs, xs, xs, indexing="ij")).reshape(3, -1)
     exhaustive = 0
     for seed in range(5):
-        circ = _random_circuit(random.Random(6000 + seed), n_inputs=3, max_gates=12)
+        circ = random_circuit(random.Random(6000 + seed), n_inputs=3, max_gates=12)
         lay = layerize(circ, 9, 3)
         plain = eval_plain_vec(circ, list(cube), field)
         lowered = eval_plain_vec(lay.circuit, list(cube), field)

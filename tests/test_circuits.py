@@ -7,36 +7,14 @@ import pytest
 from mpcnet.circuits import (
     CircuitSyntaxError,
     cost_model,
-    eval_layered,
     eval_plain,
-    eval_plain_vec,
     layerize,
     lower_select,
     parse_circuit,
 )
+from oracles import eval_layered, eval_plain_vec, random_circuit
+
 MUL2 = "in x\nin y\nm = mul x y\nout m\n"
-
-
-def random_circuit(rng, n_inputs=None, max_gates=20):
-    """Seeded random DAG over the gate grammar (test-only generator)."""
-    n_inputs = n_inputs or rng.randrange(1, 5)
-    lines = [f"in x{i}" for i in range(n_inputs)]
-    wires = [f"x{i}" for i in range(n_inputs)]
-    for g in range(rng.randrange(1, max_gates - n_inputs + 1)):
-        kind = rng.choice(["add", "smul", "mul", "select"])
-        name = f"w{g}"
-        if kind == "add":
-            lines.append(f"{name} = add {rng.choice(wires)} {rng.choice(wires)}")
-        elif kind == "smul":
-            lines.append(f"{name} = smul {rng.randrange(-5, 100)} {rng.choice(wires)}")
-        elif kind == "mul":
-            lines.append(f"{name} = mul {rng.choice(wires)} {rng.choice(wires)}")
-        else:
-            c, a, b = (rng.choice(wires) for _ in range(3))
-            lines.append(f"{name} = select {c} {a} {b}")
-        wires.append(name)
-    lines.append(f"out {wires[-1]}")
-    return parse_circuit("\n".join(lines))
 
 
 # -- parsing ------------------------------------------------------------------

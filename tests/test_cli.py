@@ -1,10 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from mpcnet.cli import main
 from mpcnet.keys import KeyPair
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def run_cli(*argv):
@@ -121,3 +125,14 @@ def test_run_seed_override(tmp_path):
     run_cli("run", SCENARIOS / "average.scn", "--out", other, "--seed", 777)
     assert "seed=777" in (other / "trace.txt").read_text()
     assert (base / "trace.txt").read_bytes() != (other / "trace.txt").read_bytes()
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy is a test dependency (the vectorised oracle); the program must
+    # start without it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, mpcnet.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "False"

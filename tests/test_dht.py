@@ -6,6 +6,7 @@ import pytest
 from mpcnet.dht import (
     Bucket,
     DhtNetwork,
+    DhtRecord,
     NodeId,
     protocol_load,
     protocol_store,
@@ -120,6 +121,33 @@ def test_lookup_never_stored():
     net, _, rng = build_network(16)
     with pytest.raises(KeyError, match="not found"):
         net.dht_lookup(rng.randbytes(32))
+
+
+def test_routed_miss_raises_although_an_unqueried_node_holds_the_record():
+    # A lookup answers only from the nodes its routing queries. A record
+    # that sits on a live node outside that set is a routing failure, and
+    # the lookup must report it rather than find the record by a scan.
+    net, ids, rng = build_network(64)
+    key, origin = rng.randbytes(32), ids[0].value
+    queried = set()
+
+    class WatchedStore(dict):
+        def __init__(self, owner):
+            super().__init__()
+            self.owner = owner
+
+        def __contains__(self, k):
+            queried.add(self.owner)
+            return super().__contains__(k)
+
+    for nid, node in net.nodes.items():
+        node.store = WatchedStore(nid)
+    net.iterative_find(origin, key)
+    hidden = next(nid for nid in net.nodes if nid not in queried)
+    net.nodes[hidden].store[key] = DhtRecord(key=key, data=b"off-route",
+                                             encrypted=False, replicas=(hidden,))
+    with pytest.raises(KeyError, match="not found"):
+        net.dht_lookup(key, origin=origin)
 
 
 def test_replication_and_churn():

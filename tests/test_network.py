@@ -25,6 +25,7 @@ from mpcnet.network import (
 from mpcnet.spdz import gen_mac_key
 from mpcnet.trace import ComputationTrace
 from mpcnet.keys import sha256, shared_key, verify
+from oracles import random_circuit
 
 MEAN3 = """
 in x0
@@ -226,10 +227,7 @@ def test_compute_denied_sends_no_mpc_messages():
 def test_cost_model_matches_simulator_on_random_circuits():
     # The static message model must agree with the simulator's measured
     # per-gate traffic for arbitrary circuits at a fixed committee size.
-    import random as stdrandom
-    from tests.test_circuits import random_circuit
-
-    gen = stdrandom.Random(91)
+    gen = random.Random(91)
     for case in range(10):
         circ = random_circuit(gen, max_gates=12)
         rt, owners, ident, committee, _, rng = make_env(seed=900 + case)
@@ -407,8 +405,6 @@ def test_reduction_on_random_circuits_matches_plain_and_stage_tallies(mode):
     # oracle, and every node's rounds/adds/muls are the fixed-committee
     # tallies restricted to the stages it is a member of: a layer after k
     # multiplication layers runs with the first schedule[k] members.
-    from tests.test_circuits import random_circuit
-
     n = 9
     gen = random.Random(4242)
     reducing = 0
@@ -460,6 +456,83 @@ def test_spdz_wrong_share_caught_by_mac_check():
     with pytest.raises(CheatDetected):
         protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
                          trace, rng, mac_key=mac_key)
+
+
+# -- output opening ------------------------------------------------------------
+
+FOUR_OUTPUTS = "in x\nin y\ns = add x y\nm = mul x y\nd = smul 3 s\nout s\nout m\nout d\nout x"
+FOUR_EXPECTED = [22, 9 * 13 % 101, 66, 9]
+
+
+def four_output_run(mode, n=3):
+    """Share x = 9 and y = 13 with an n-member committee; returns the
+    runtime, committee, trace, a thunk that runs the four-output circuit,
+    and a thunk listing the ciphertexts sent to the requester since."""
+    rt, owners, ident, committee, mac_key, rng = make_env(mode, committee=n)
+    q = Predicate.key_list([owners[0].sign_pk])
+    ptrs = [protocol_share(owners[0], "owner0", ident.addr, v, f"o{i}", q, n=n, t=1,
+                           rt=rt, rng=rng, mode=mode, mac_key=mac_key,
+                           committee=committee)[0] for i, v in enumerate((9, 13))]
+    trace = fresh_trace(rt, committee, owners[0])
+    start = len(rt.bus.broadcast_log)
+    circ = parse_circuit(FOUR_OUTPUTS)
+    return (rt, committee, trace,
+            lambda: protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
+                                     trace, rng, mac_key=mac_key),
+            lambda: [ct for _, dst, _, ct in rt.bus.broadcast_log[start:]
+                     if dst == "owner0"])
+
+
+@pytest.mark.parametrize("mode", ["shamir", "spdz"])
+def test_outputs_open_in_one_message_per_member(mode):
+    rt, committee, trace, compute, openings = four_output_run(mode)
+    assert compute() == FOUR_EXPECTED
+    assert [len(ct) for ct in openings()] == [16 + 4 * rt.field.elem_size] * 3
+    assert trace.detected_faults == []
+
+
+def test_silent_shamir_member_is_timed_out_once_per_opening():
+    rt, committee, trace, compute, openings = four_output_run("shamir")
+    committee[1].behavior = "abort-after-output"
+    assert compute() == FOUR_EXPECTED
+    assert len(openings()) == 2
+    assert sum(e.startswith("event=idle ") for e in trace.events) == 3
+    assert [(f.node, f.channel) for f in trace.detected_faults] == \
+        [(committee[1].index, "timeout")]
+
+
+def test_wrong_shamir_share_blamed_once_for_every_output():
+    rt, committee, trace, compute, openings = four_output_run("shamir", n=4)
+    committee[2].behavior = "wrong-share"
+    assert compute() == FOUR_EXPECTED
+    assert len(openings()) == 4
+    assert [(f.node, f.channel) for f in trace.detected_faults] == \
+        [(committee[2].index, "share-consistency")]
+
+
+@pytest.mark.parametrize("mode", ["shamir", "spdz"])
+def test_lost_opening_message_is_read_as_silence(mode, monkeypatch):
+    # An honest member's opening is lost on the wire. The requester can
+    # only see that it did not arrive: Shamir reconstructs without it and
+    # times the member out; SPDZ cannot open without every share.
+    rt, committee, trace, compute, openings = four_output_run(mode)
+    lost = committee[2]
+    send = rt.bus.send
+
+    def lossy(src, dst, payload):
+        if (src, dst) != (lost.index, "owner0"):
+            send(src, dst, payload)
+
+    monkeypatch.setattr(rt.bus, "send", lossy)
+    if mode == "shamir":
+        assert compute() == FOUR_EXPECTED
+    else:
+        with pytest.raises(network.AbortedComputation) as aborted:
+            compute()
+        assert aborted.value.nodes == (lost.index,)
+    assert len(openings()) == 2
+    assert [(f.node, f.channel) for f in trace.detected_faults] == \
+        [(lost.index, "timeout")]
 
 
 def test_detect_bad_shares_consensus(f101, rng):
