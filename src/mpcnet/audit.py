@@ -2,9 +2,10 @@
 
 Augments the authenticated sharing with a blinding sharing <r> and
 per-party Pedersen commitments g^{s_i} h^{r_i} posted to the bulletin
-board. Computing nodes only ever operate on the <.>-shares; the
-commitments sit on the ledger where any third party can fold them through
-the circuit after the fact:
+board. Computing nodes only ever operate on the <.>-shares; the blinding
+is plain additive shares with no MAC, since only the auditor's Pedersen
+check ever reads it. The commitments sit on the ledger where any third
+party can fold them through the circuit after the fact:
 
   * linear steps and the public Beaver corrections are homomorphic on
     commitments, so every intermediate per-party commitment is recomputable
@@ -14,8 +15,15 @@ the circuit after the fact:
   * the output step posts every party's final (share, blinding) opening.
 
 A party that posted a commitment inconsistent with what it later opened --
-anywhere along the trail -- is named by the auditor. Trail records are JSON
-blobs keyed by H(computation_id || step_index).
+anywhere along the trail -- is named by the auditor. The auditor keeps each
+derived commitment as a posted product times a list of (base, exponent)
+terms and evaluates it with one multi-exponentiation only when an opening
+is checked against it.
+
+Trail steps are posted in batches, one per opening round: the steps since
+the previous round go on the ledger as one JSON list keyed by
+H(computation_id || batch_index) before the next values open, so every
+commitment is public before anything masked by it is revealed.
 """
 
 from __future__ import annotations
@@ -33,8 +41,8 @@ from .pedersen import CommitParams
 from .spdz import MacCheckQueue, MacKey
 
 
-def trail_key(computation_id: bytes, step: int) -> bytes:
-    return sha256(computation_id + step.to_bytes(8, "big"))
+def trail_key(computation_id: bytes, batch: int) -> bytes:
+    return sha256(computation_id + batch.to_bytes(8, "big"))
 
 
 def trail_meta_key(computation_id: bytes) -> bytes:
@@ -46,7 +54,7 @@ class PVShare:
     """<s> plus <r> plus the posted per-party commitments, as trail step."""
 
     value: list          # AuthShare vector for s
-    randomness: list     # AuthShare vector for r
+    randomness: list     # additive shares of r (no MAC)
     commitments: list    # per-party g^{s_i} h^{r_i}
     step: int
 
@@ -54,8 +62,11 @@ class PVShare:
 class TrailWriter:
     """Posts trail records for one computation to the bulletin board.
 
-    The step count lands in the metadata record only on close(), so an
-    unfinished trail audits as incomplete rather than silently passing.
+    post_step buffers a record and returns its step index; flush posts every
+    pending record as one batch, and the protocol flushes before each
+    opening round. The step and batch counts land in the metadata record
+    only on close(), so an unfinished trail audits as incomplete rather
+    than silently passing.
     """
 
     def __init__(self, board: Ledger, computation_id: bytes, poster: KeyPair,
@@ -66,9 +77,11 @@ class TrailWriter:
         self.field_p = field.p
         self.n = n
         self.steps = 0
+        self.batches = 0
+        self._pending = []
         self._post_raw(trail_meta_key(computation_id), {"p": field.p, "n": n})
 
-    def _post_raw(self, key: bytes, record: dict):
+    def _post_raw(self, key: bytes, record):
         tx = make_tx(self.poster, "commitment-post",
                      {"key": key.hex(),
                       "value": json.dumps(record, sort_keys=True).encode().hex()},
@@ -76,14 +89,29 @@ class TrailWriter:
         self.board.submit_tx(tx)
 
     def post_step(self, record: dict) -> int:
-        step = self.steps
-        self._post_raw(trail_key(self.computation_id, step), record)
+        self._pending.append(record)
         self.steps += 1
-        return step
+        return self.steps - 1
+
+    def flush(self):
+        """Post the pending steps as one batch."""
+        self._post_raw(trail_key(self.computation_id, self.batches), self._pending)
+        self.batches += 1
+        self._pending = []
 
     def close(self):
+        self.flush()
         self._post_raw(trail_meta_key(self.computation_id),
-                       {"p": self.field_p, "n": self.n, "steps": self.steps})
+                       {"p": self.field_p, "n": self.n, "steps": self.steps,
+                        "batches": self.batches})
+
+
+def _combine(terms: list, p: int) -> list:
+    """sum(coeff * r_i) for each party i over (coeff, blinding vector)
+    terms, as one exact integer reduced once mod p."""
+    coeffs = [c for c, _ in terms]
+    return [sum(c * r for c, r in zip(coeffs, column)) % p
+            for column in zip(*(vector for _, vector in terms))]
 
 
 def _commit_shares(values: list, blinds: list, params: CommitParams,
@@ -91,7 +119,7 @@ def _commit_shares(values: list, blinds: list, params: CommitParams,
     """Per-party commitments; parties in `broken` post a shifted commitment."""
     out = []
     for i, (v, r) in enumerate(zip(values, blinds)):
-        c = pedersen.commit(v.value_share, r.value_share, params)
+        c = pedersen.commit(v.value_share, r, params)
         if i in broken:
             c = c * params.g % params.q
         out.append(c)
@@ -107,7 +135,7 @@ def pv_share(secret: int, n: int, key: MacKey, params: CommitParams,
     post a commitment that does not match the share they actually hold.
     """
     value = spdz.deal_authenticated(secret, n, key, field, rng)
-    blind = spdz.deal_authenticated(field.rand(rng), n, key, field, rng)
+    blind = spdz.additive_split(field.rand(rng), n, field, rng)
     commitments = _commit_shares(value, blind, params, broken)
     step = writer.post_step({"kind": "input", "commitments": [hex(c) for c in commitments]})
     return PVShare(value=value, randomness=blind, commitments=commitments, step=step)
@@ -124,7 +152,7 @@ def pv_triple(key: MacKey, params: CommitParams, writer: TrailWriter,
     n = key.n
     for name, plain in (("a", a), ("b", b), ("c", field.mul(a, b))):
         value = spdz.deal_authenticated(plain, n, key, field, rng)
-        blind = spdz.deal_authenticated(field.rand(rng), n, key, field, rng)
+        blind = spdz.additive_split(field.rand(rng), n, field, rng)
         commitments = _commit_shares(value, blind, params, broken if name == "a" else frozenset())
         parts[name] = PVShare(value=value, randomness=blind,
                               commitments=commitments, step=-1)
@@ -143,7 +171,7 @@ def pv_linear(terms: list, constant: int, key: MacKey, field: Field,
     matching how the auditor folds it into party 0's commitment.
     """
     value = spdz.auth_linear([(c, sh.value) for c, sh in terms], constant, key, field)
-    blind = spdz.auth_linear([(c, sh.randomness) for c, sh in terms], 0, key, field)
+    blind = _combine([(c, sh.randomness) for c, sh in terms], field.p)
     step = writer.post_step({
         "kind": "linear",
         "terms": [[c % field.p, sh.step] for c, sh in terms],
@@ -153,8 +181,7 @@ def pv_linear(terms: list, constant: int, key: MacKey, field: Field,
 
 
 def _openings(share: PVShare) -> list:
-    return [[v.value_share, r.value_share]
-            for v, r in zip(share.value, share.randomness)]
+    return [[v.value_share, r] for v, r in zip(share.value, share.randomness)]
 
 
 def pv_beaver(x: PVShare, y: PVShare, triple: tuple, key: MacKey,
@@ -171,8 +198,7 @@ def _mask(x: PVShare, a: PVShare, key: MacKey, field: Field) -> PVShare:
     minus_one = field.p - 1
     return PVShare(
         value=spdz.auth_linear([(1, x.value), (minus_one, a.value)], 0, key, field),
-        randomness=spdz.auth_linear([(1, x.randomness), (minus_one, a.randomness)],
-                                    0, key, field),
+        randomness=_combine([(1, x.randomness), (-1, a.randomness)], field.p),
         commitments=[], step=-1)
 
 
@@ -181,14 +207,16 @@ def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParam
                     writer: TrailWriter) -> list:
     """[[x*y]] for every pair of one multiplication layer, a triple each.
 
-    eps = x - a and delta = y - b of every product are opened in one
-    batched broadcast round (MAC check deferred to the queue). Then each
-    product posts its own beaver step with the per-party openings (share,
-    blinding) of its masks, so the auditor can hold every party to its
-    input commitments.
+    The trail is flushed first, so the input and triple commitments are on
+    the ledger before any mask opens. eps = x - a and delta = y - b of every
+    product are then opened in one batched broadcast round (MAC check
+    deferred to the queue), and each product posts its own beaver step with
+    the per-party openings (share, blinding) of its masks, so the auditor
+    can hold every party to its input commitments.
     """
     masks = [(_mask(x, a, key, field), _mask(y, b, key, field))
              for (x, y), (a, b, _) in zip(pairs, triples, strict=True)]
+    writer.flush()
     opened = spdz.open_many([m.value for pair in masks for m in pair],
                             field, net, queue)
     products = []
@@ -197,9 +225,8 @@ def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParam
         value = spdz.auth_linear(
             [(1, c.value), (eps, b.value), (delta, a.value)],
             field.mul(eps, delta), key, field)
-        blind = spdz.auth_linear(
-            [(1, c.randomness), (eps, b.randomness), (delta, a.randomness)],
-            0, key, field)
+        blind = _combine([(1, c.randomness), (eps, b.randomness), (delta, a.randomness)],
+                         field.p)
         step = writer.post_step({
             "kind": "beaver",
             "x": x.step, "y": y.step, "triple": c.step,
@@ -231,22 +258,59 @@ class AuditReport:
         return self.ok
 
 
-def _inverse_or_zero(c: int, q: int) -> int:
-    """c^-1 mod q for a posted commitment c. A c divisible by q has no
-    inverse; it maps to 0, as c^(q-2) does, so the derived commitment fails
-    its opening check and names the party instead of aborting the audit."""
-    return pow(c, -1, q) if c % q else 0
+_PIPPENGER_FROM = 8   # fewer terms: one pow each is faster
+
+
+def _multi_exp(terms: list, q: int) -> int:
+    """prod(base^exp) mod q over (base, exp) terms with exp >= 0.
+
+    From _PIPPENGER_FROM terms on, Pippenger's bucket method: the exponents
+    are cut into w-bit windows from the top; in each window every base goes
+    into the bucket of its digit, and the buckets are combined as
+    prod_d bucket_d^d with two running products, so a window costs one
+    multiplication per term plus two per bucket instead of a pow per term.
+    """
+    if len(terms) < _PIPPENGER_FROM:
+        acc = 1
+        for base, exp in terms:
+            acc = acc * pow(base, exp, q) % q
+        return acc
+    w = max(3, (len(terms).bit_length() + 2) // 2)   # 3 up to 31 terms, 4 to 127
+    top = (1 << w) - 1
+    bits = max(exp.bit_length() for _, exp in terms)
+    acc = 1
+    for shift in range((bits - 1) // w * w, -1, -w):
+        for _ in range(w):
+            acc = acc * acc % q
+        buckets = [1] * (top + 1)
+        for base, exp in terms:
+            digit = exp >> shift & top
+            if digit:
+                buckets[digit] = buckets[digit] * base % q
+        running = window = 1
+        for digit in range(top, 0, -1):
+            running = running * buckets[digit] % q
+            window = window * running % q
+        acc = acc * window % q
+    return acc
 
 
 def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                 openings: list | None = None) -> AuditReport:
     """Recompute the commitment trail and name every inconsistent party.
 
-    Walks the posted steps, folding input/triple commitments through linear
-    and Beaver records, and checks every posted opening (Beaver masks and
-    the final output) against the derived per-party commitments. `openings`
-    overrides the output step's posted openings when an auditor wants to
-    check a third-party claim.
+    Reads the posted batches in order and walks their steps, folding
+    input/triple commitments through linear and Beaver records, and checks
+    every posted opening (Beaver masks and the final output) against the
+    derived per-party commitments. `openings` overrides the output step's
+    posted openings when an auditor wants to check a third-party claim.
+
+    A derived commitment is held per party as (known, [(base, exp), ...]):
+    a Beaver step contributes (C(b_i), eps) and (C(a_i), delta), a linear
+    coefficient c scales the exponents and coefficient 1 just multiplies.
+    Exponents stay exact integers, so the one multi-exponentiation that
+    evaluates it when an opening is checked gives what folding step by step
+    gives mod q, malformed bases included.
     """
     meta_raw = board.get(trail_meta_key(computation_id))
     if meta_raw is None:
@@ -255,68 +319,91 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
     steps = meta.get("steps")
     if steps is None:
         raise IncompleteTrail("trail metadata lacks a step count")
+    records = []
+    for batch in range(meta["batches"]):
+        raw = board.get(trail_key(computation_id, batch))
+        if raw is None:
+            raise IncompleteTrail(f"missing trail batch {batch}")
+        records.extend(json.loads(raw.decode()))
+    if len(records) != steps:
+        raise IncompleteTrail(f"trail batches hold {len(records)} steps, "
+                              f"metadata says {steps}")
     field = Field(meta["p"])
     params = pedersen.setup(field)
     n = meta["n"]
     q = params.q
 
-    commitments = {}   # step -> per-party commitment vector (or dict of vectors)
+    derived = {}   # step -> per-party (known, terms), or a triple's posted vectors
     guilty = set()
     reasons = []
     output_seen = False
 
-    def check_openings(derived: list, opens: list, label: str):
+    def blame(i: int, label: str):
+        guilty.add(i)
+        reasons.append(f"party {i} broke its commitment at {label}")
+
+    def expect_n(opens: list, label: str):
         if len(opens) != n:
             raise IncompleteTrail(f"{label}: expected {n} openings, got {len(opens)}")
-        for i, (c, (s, r)) in enumerate(zip(derived, opens)):
-            if not pedersen.verify_open(c, s, r, params):
-                guilty.add(i)
-                reasons.append(f"party {i} broke its commitment at {label}")
 
-    for step in range(steps):
-        raw = board.get(trail_key(computation_id, step))
-        if raw is None:
-            raise IncompleteTrail(f"missing trail step {step}")
-        rec = json.loads(raw.decode())
+    def evaluate(step: int) -> list:
+        """The per-party commitments of a step, folded once on first use."""
+        values = [known * _multi_exp(terms, q) % q if terms else known
+                  for known, terms in derived[step]]
+        derived[step] = [(c, ()) for c in values]
+        return values
+
+    def check_masks(masked: list, mask: list, opens: list, label: str):
+        # C(x_i) = commit(s_i, r_i) * C(a_i), with no inversion; a C(a_i)
+        # divisible by q has no opening at all.
+        expect_n(opens, label)
+        for i, (cx, ca, (s, r)) in enumerate(zip(masked, mask, opens)):
+            if not ca % q or cx % q != pedersen.commit(s, r, params) * ca % q:
+                blame(i, label)
+
+    for step, rec in enumerate(records):
         kind = rec["kind"]
         if kind == "input":
-            commitments[step] = [int(c, 16) for c in rec["commitments"]]
+            derived[step] = [(int(c, 16), ()) for c in rec["commitments"]]
         elif kind == "triple":
-            commitments[step] = {name: [int(c, 16) for c in rec[name]]
-                                 for name in ("a", "b", "c")}
+            derived[step] = {name: [int(c, 16) for c in rec[name]]
+                             for name in ("a", "b", "c")}
         elif kind == "linear":
-            acc = [pedersen.commit(rec["constant"] if i == 0 else 0, 0, params)
-                   for i in range(n)]
-            for coeff, ref in rec["terms"]:
-                src = commitments[ref]
-                for i in range(n):
-                    acc[i] = acc[i] * pow(src[i], coeff, q) % q
-            commitments[step] = acc
-        elif kind == "beaver":
-            trip = commitments[rec["triple"]]
-            x_c, y_c = commitments[rec["x"]], commitments[rec["y"]]
-            eps_opens = rec["eps_openings"]
-            delta_opens = rec["delta_openings"]
-            # Derived commitments for the masks: C(x) / C(a), C(y) / C(b).
-            eps_c = [x_c[i] * _inverse_or_zero(trip["a"][i], q) % q for i in range(n)]
-            delta_c = [y_c[i] * _inverse_or_zero(trip["b"][i], q) % q for i in range(n)]
-            check_openings(eps_c, eps_opens, f"step {step} (eps)")
-            check_openings(delta_c, delta_opens, f"step {step} (delta)")
-            eps = sum(s for s, _ in eps_opens) % field.p
-            delta = sum(s for s, _ in delta_opens) % field.p
             acc = []
             for i in range(n):
-                c = trip["c"][i] * pow(trip["b"][i], eps, q) % q
-                c = c * pow(trip["a"][i], delta, q) % q
-                if i == 0:
-                    c = c * pedersen.commit(field.mul(eps, delta), 0, params) % q
-                acc.append(c)
-            commitments[step] = acc
+                known = pedersen.commit(rec["constant"], 0, params) if i == 0 else 1
+                terms = []
+                for coeff, ref in rec["terms"]:
+                    src_known, src_terms = derived[ref][i]
+                    if coeff == 1:
+                        known = known * src_known % q
+                        terms.extend(src_terms)
+                    else:
+                        terms.append((src_known, coeff))
+                        terms.extend((base, exp * coeff) for base, exp in src_terms)
+                acc.append((known, terms))
+            derived[step] = acc
+        elif kind == "beaver":
+            trip = derived[rec["triple"]]
+            eps_opens = rec["eps_openings"]
+            delta_opens = rec["delta_openings"]
+            check_masks(evaluate(rec["x"]), trip["a"], eps_opens, f"step {step} (eps)")
+            check_masks(evaluate(rec["y"]), trip["b"], delta_opens, f"step {step} (delta)")
+            eps = sum(s for s, _ in eps_opens) % field.p
+            delta = sum(s for s, _ in delta_opens) % field.p
+            public = pedersen.commit(field.mul(eps, delta), 0, params)
+            derived[step] = [(trip["c"][i] * public % q if i == 0 else trip["c"][i],
+                              [(trip["b"][i], eps), (trip["a"][i], delta)])
+                             for i in range(n)]
         elif kind == "output":
             output_seen = True
-            derived = commitments[rec["source"]]
             opens = openings if openings is not None else rec["openings"]
-            check_openings(derived, opens, f"step {step} (output)")
+            label = f"step {step} (output)"
+            derived_c = evaluate(rec["source"])
+            expect_n(opens, label)
+            for i, (c, (s, r)) in enumerate(zip(derived_c, opens)):
+                if not pedersen.verify_open(c, s, r, params):
+                    blame(i, label)
             total = sum(s for s, _ in opens) % field.p
             claimed = claimed_output if claimed_output is not None else rec["value"]
             if total != claimed % field.p:

@@ -80,16 +80,26 @@ class EncryptedBus(LocalChannel):
             pair = (a, b)
         return self._pair_keys[pair]
 
+    def nonce(self, src, dst, counter: int) -> int:
+        """The 96-bit AES-GCM nonce of the counter-th message src -> dst.
+
+        Both directions of a pair share one key, so the top bit names the
+        direction (set when src's encryption key sorts above dst's) and the
+        two counters never produce the same nonce.
+        """
+        return (self._enc_pk[src] > self._enc_pk[dst]) << 95 | counter
+
     def _deliver(self, src, dst, payload: bytes):
         key = self._key_for(src, dst)
         counter = self._nonces[(src, dst)]
         self._nonces[(src, dst)] += 1
-        ciphertext = keys.seal(key, counter, payload)
+        nonce = self.nonce(src, dst, counter)
+        ciphertext = keys.seal(key, nonce, payload)
         self.broadcast_log.append((src, dst, counter, ciphertext))
         self.logs[src].append(("sent", dst, ciphertext))
         self.logs[dst].append(("recv", src, ciphertext))
         # Addressee decrypts on delivery; everyone else only sees ciphertext.
-        self._inbox[dst].append((src, keys.unseal(key, counter, ciphertext)))
+        self._inbox[dst].append((src, keys.unseal(key, nonce, ciphertext)))
 
     def eavesdrop(self, node, src, dst, counter, ciphertext) -> bytes:
         """Attempt decryption of a broadcast entry with `node`'s keys.
@@ -98,7 +108,7 @@ class EncryptedBus(LocalChannel):
         is the sender); raises cryptography's InvalidTag otherwise.
         """
         key = keys.shared_key(self._enc_key[node], self._enc_pk[dst if node != dst else src])
-        return keys.unseal(key, counter, ciphertext)
+        return keys.unseal(key, self.nonce(src, dst, counter), ciphertext)
 
     def length_sequence(self, node) -> list:
         """Per-node marginal traffic shape: (direction, peer, nbytes) list."""

@@ -645,8 +645,9 @@ class SpdzEngine(_Engine):
 
 class AuditedSpdzEngine(SpdzEngine):
     """SPDZ with the public Pedersen trail (see audit): wires are PVShares,
-    a value and a blinding sharing, and every step is posted to the ledger.
-    Built only for a fixed committee, so it never reduces."""
+    a value sharing and a MAC-free blinding sharing, and every step goes on
+    the ledger in one batch per opening round. Built only for a fixed
+    committee, so it never reduces."""
 
     def __init__(self, mac_key: MacKey | None, *context):
         super().__init__(mac_key, *context)
@@ -661,7 +662,8 @@ class AuditedSpdzEngine(SpdzEngine):
                                       "commitments": record["commitments"]})
         return auditmod.PVShare(
             value=super().load(sharing_id),
-            randomness=[node.shares[sharing_id]["blind"] for node in self.committee],
+            randomness=[node.shares[sharing_id]["blind"].value_share
+                        for node in self.committee],
             commitments=[], step=step)
 
     def linear(self, terms: list) -> auditmod.PVShare:
@@ -674,6 +676,9 @@ class AuditedSpdzEngine(SpdzEngine):
                                         self.field, self.chan, self.queue, self.writer)
 
     def open(self, outputs: list) -> list:
+        # The steps since the last mask opening go on the ledger before the
+        # MAC check and the reveal.
+        self.writer.flush()
         results = super().open([pv.value for pv in outputs])
         for pv in outputs:
             auditmod.pv_output(pv, self.field, self.writer)

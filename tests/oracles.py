@@ -1,10 +1,14 @@
 """Test-only oracles: plaintext evaluators the secure engines are checked
-against, and a seeded random-circuit generator. numpy is a test dependency,
-so the vectorised evaluator lives here and not in the package."""
+against, a step-by-step audit fold the batched auditor is checked against,
+and a seeded random-circuit generator. numpy is a test dependency, so the
+vectorised evaluator lives here and not in the package."""
 
 import numpy as np
 
+from mpcnet import pedersen
+from mpcnet.audit import AuditReport
 from mpcnet.circuits import Circuit, LayeredCircuit, parse_circuit
+from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
 
 
@@ -79,3 +83,83 @@ def eval_layered(layered: LayeredCircuit, inputs: list, field: Field) -> list:
             else:
                 values[idx] = field.mul(values[g.args[0]], values[g.args[1]])
     return [values[g.args[0]] for g in circ.gates if g.kind == "output"]
+
+
+def fold_trail(records: list, n: int, p: int, claimed_output=None,
+               openings=None) -> AuditReport:
+    """The audit as a per-step, per-party fold over a trail's record list.
+
+    Every derived commitment is reduced mod q as soon as its step is read:
+    a linear step raises each source to its coefficient, a Beaver step
+    multiplies C(c_i) by C(b_i)^eps and C(a_i)^delta, and a mask opening is
+    checked against C(x_i) / C(a_i), a posted commitment divisible by q
+    standing for 0 as c^(q-2) would.
+    """
+    field = Field(p)
+    params = pedersen.setup(field)
+    q = params.q
+    commitments = {}
+    guilty = set()
+    reasons = []
+    output_seen = False
+
+    def inverse_or_zero(c):
+        return pow(c, -1, q) if c % q else 0
+
+    def check_openings(derived, opens, label):
+        if len(opens) != n:
+            raise IncompleteTrail(f"{label}: expected {n} openings, got {len(opens)}")
+        for i, (c, (s, r)) in enumerate(zip(derived, opens)):
+            if not pedersen.verify_open(c, s, r, params):
+                guilty.add(i)
+                reasons.append(f"party {i} broke its commitment at {label}")
+
+    for step, rec in enumerate(records):
+        kind = rec["kind"]
+        if kind == "input":
+            commitments[step] = [int(c, 16) for c in rec["commitments"]]
+        elif kind == "triple":
+            commitments[step] = {name: [int(c, 16) for c in rec[name]]
+                                 for name in ("a", "b", "c")}
+        elif kind == "linear":
+            acc = [pedersen.commit(rec["constant"] if i == 0 else 0, 0, params)
+                   for i in range(n)]
+            for coeff, ref in rec["terms"]:
+                src = commitments[ref]
+                for i in range(n):
+                    acc[i] = acc[i] * pow(src[i], coeff, q) % q
+            commitments[step] = acc
+        elif kind == "beaver":
+            trip = commitments[rec["triple"]]
+            x_c, y_c = commitments[rec["x"]], commitments[rec["y"]]
+            eps_opens = rec["eps_openings"]
+            delta_opens = rec["delta_openings"]
+            eps_c = [x_c[i] * inverse_or_zero(trip["a"][i]) % q for i in range(n)]
+            delta_c = [y_c[i] * inverse_or_zero(trip["b"][i]) % q for i in range(n)]
+            check_openings(eps_c, eps_opens, f"step {step} (eps)")
+            check_openings(delta_c, delta_opens, f"step {step} (delta)")
+            eps = sum(s for s, _ in eps_opens) % field.p
+            delta = sum(s for s, _ in delta_opens) % field.p
+            acc = []
+            for i in range(n):
+                c = trip["c"][i] * pow(trip["b"][i], eps, q) % q
+                c = c * pow(trip["a"][i], delta, q) % q
+                if i == 0:
+                    c = c * pedersen.commit(field.mul(eps, delta), 0, params) % q
+                acc.append(c)
+            commitments[step] = acc
+        elif kind == "output":
+            output_seen = True
+            opens = openings if openings is not None else rec["openings"]
+            check_openings(commitments[rec["source"]], opens, f"step {step} (output)")
+            total = sum(s for s, _ in opens) % field.p
+            claimed = claimed_output if claimed_output is not None else rec["value"]
+            if total != claimed % field.p:
+                reasons.append(f"claimed output {claimed} != opened total {total}")
+        else:
+            raise IncompleteTrail(f"unknown trail record kind {kind!r}")
+
+    if not output_seen:
+        raise IncompleteTrail("trail has no output step")
+    return AuditReport(ok=not guilty and not reasons, guilty=tuple(sorted(guilty)),
+                       reason="; ".join(reasons))

@@ -5,6 +5,7 @@ import pytest
 
 from mpcnet import audit, pedersen, spdz
 from mpcnet.errors import IncompleteTrail
+from mpcnet.field import M61, Field
 from mpcnet.keys import KeyPair, sha256
 from mpcnet.ledger import Ledger
 from mpcnet.net import LocalChannel
@@ -56,7 +57,7 @@ def test_pv_share_posts_n_commitments(setup101, f101):
     assert len(share.commitments) == 4
     assert pedersen.combine(share.commitments, env["params"]) == pedersen.commit(
         sum(s.value_share for s in share.value) % 101,
-        sum(s.value_share for s in share.randomness) % 101,
+        sum(share.randomness) % 101,
         env["params"])
 
 
@@ -136,7 +137,7 @@ def test_false_output_opening_blames_party(setup101, f101):
     import json
     from mpcnet.audit import trail_key, trail_meta_key
     meta = json.loads(ledger.get(trail_meta_key(comp_id)).decode())
-    out_rec = json.loads(ledger.get(trail_key(comp_id, meta["steps"] - 1)).decode())
+    out_rec = json.loads(ledger.get(trail_key(comp_id, meta["batches"] - 1)).decode())[-1]
     opens = out_rec["openings"]
     opens[2][0] = (opens[2][0] + 1) % 101
     claimed = sum(s for s, _ in opens) % 101
@@ -149,12 +150,13 @@ def test_zero_triple_commitment_names_its_party(setup101):
     # A posted commitment divisible by q has no inverse; the audit must name
     # the party that posted it rather than fail on the division.
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
-    steps = json.loads(ledger.get(audit.trail_meta_key(comp_id)).decode())["steps"]
-    records = {audit.trail_key(comp_id, i): json.loads(ledger.get(audit.trail_key(comp_id, i)))
-               for i in range(steps)}
-    triple_key = next(k for k, rec in records.items() if rec["kind"] == "triple")
-    records[triple_key]["a"][1] = hex(setup101["params"].q)
-    forged = json.dumps(records[triple_key], sort_keys=True).encode()
+    batches = json.loads(ledger.get(audit.trail_meta_key(comp_id)).decode())["batches"]
+    posted = {audit.trail_key(comp_id, i): json.loads(ledger.get(audit.trail_key(comp_id, i)))
+              for i in range(batches)}
+    triple_key, batch = next((k, batch) for k, batch in posted.items()
+                             if any(rec["kind"] == "triple" for rec in batch))
+    next(rec for rec in batch if rec["kind"] == "triple")["a"][1] = hex(setup101["params"].q)
+    forged = json.dumps(batch, sort_keys=True).encode()
 
     class Board:
         def get(self, key):
@@ -163,3 +165,31 @@ def test_zero_triple_commitment_names_its_party(setup101):
     report = audit.audit_trail(Board(), comp_id)
     assert not report.ok
     assert report.guilty == (1,)
+
+
+@pytest.mark.parametrize("p", [101, M61], ids=["p101", "M61"])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 64, 200])
+def test_multi_exp_equals_the_product_of_pows(p, count):
+    # Below eight terms the product is one pow per term, from eight on the
+    # bucket method; both must give prod(pow(base, exp, q)) exactly, for
+    # exponent 0, exponents >= p and the bases 0, 1, q - 1 and q.
+    q = pedersen.setup(Field(p)).q
+    rng = random.Random(count * 1009 + p % 997)
+    r = rng.randrange(2, q - 1)
+    edge = [(0, 0), (q, 0), (1, 1 << 130), (q - 1, p), (q - 1, p + 1),
+            (r, 0), (r, p - 1), (r, 2 * p + 3)]
+    terms = (edge + [(rng.randrange(2 * q), rng.randrange(1 << rng.choice((8, 61, 200))))
+                     for _ in range(count)])[:count]
+
+    def product(pairs):
+        acc = 1
+        for base, exp in pairs:
+            acc = acc * pow(base, exp, q) % q
+        return acc
+
+    assert audit._multi_exp(terms, q) == product(terms)
+    if count:
+        # A base divisible by q under a positive exponent zeroes the product.
+        for zero in ((0, 5), (q, 1)):
+            spoiled = terms[:-1] + [zero]
+            assert audit._multi_exp(spoiled, q) == product(spoiled) == 0

@@ -1,11 +1,14 @@
+import copy
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
+from mpcnet import audit
 from mpcnet.circuits import cost_model, eval_plain, layerize, parse_circuit
 from mpcnet.errors import CheatDetected
 from mpcnet.field import M61, Field
@@ -25,7 +28,7 @@ from mpcnet.network import (
 from mpcnet.spdz import gen_mac_key
 from mpcnet.trace import ComputationTrace
 from mpcnet.keys import sha256, shared_key, verify
-from oracles import random_circuit
+from oracles import fold_trail, random_circuit
 
 MEAN3 = """
 in x0
@@ -108,6 +111,27 @@ def test_bus_non_recipients_cannot_decrypt(rng):
     assert bus.eavesdrop("b", src, dst, counter, ciphertext) == b"for bob only"
     with pytest.raises(InvalidTag):
         bus.eavesdrop("c", src, dst, counter, ciphertext)
+
+
+def test_bus_directions_of_a_pair_use_distinct_nonces(rng):
+    # Both directions share one key and both counters start at 0, so the
+    # nonce's top bit names the direction: the same plaintext sealed each
+    # way gives different ciphertexts, and either end (never a third node)
+    # can read both.
+    bus = EncryptedBus()
+    keys = {name: KeyPair.generate(rng) for name in ("a", "b", "c")}
+    for name, kp in keys.items():
+        bus.register(name, kp)
+    bus.send("a", "b", b"same words")
+    bus.send("b", "a", b"same words")
+    (s1, d1, n1, ct1), (s2, d2, n2, ct2) = bus.broadcast_log
+    assert n1 == n2 == 0
+    assert ct1 != ct2
+    for src, dst, counter, ct in bus.broadcast_log:
+        for reader in ("a", "b"):
+            assert bus.eavesdrop(reader, src, dst, counter, ct) == b"same words"
+        with pytest.raises(InvalidTag):
+            bus.eavesdrop("c", src, dst, counter, ct)
 
 
 def test_bus_logs_and_length_sequences(rng):
@@ -439,6 +463,98 @@ def test_reduction_on_random_circuits_matches_plain_and_stage_tallies(mode):
         got = {i: [t.rounds, t.adds, t.muls] for i, t in trace.per_node.items()}
         assert got == expected, f"case {case}"
     assert reducing >= 15   # most random circuits have a multiplication layer
+
+
+DOT4 = "\n".join([f"in x{i}" for i in range(4)] + [f"in y{i}" for i in range(4)]
+                 + [f"p{i} = mul x{i} y{i}" for i in range(4)]
+                 + ["s1 = add p0 p1", "s2 = add s1 p2", "s3 = add s2 p3", "out s3"])
+CHAIN4 = "in x0\nin x1\nin x2\nin x3\nm1 = mul x0 x1\nm2 = mul m1 x2\n" \
+    "m3 = mul m2 x3\nout m3"
+
+
+@pytest.mark.parametrize("text,layers", [(DOT4, 1), (CHAIN4, 3)], ids=["dot4", "chain4"])
+def test_audited_trail_posts_one_batch_per_opening_round(text, layers):
+    # The trail goes on the ledger once per multiplication layer (before its
+    # masks open), once before the output opening and once at close, plus
+    # the two metadata records: L + 4 authority transactions.
+    rt, owners, ident, committee, mac_key, rng = make_env("spdz")
+    circ = parse_circuit(text)
+    values = [rng.randrange(101) for _ in range(circ.n_inputs)]
+    ptrs = share_inputs(rt, owners, ident, committee, mac_key, rng, "spdz", values, "c")
+    trace = fresh_trace(rt, committee, owners[0])
+    start = len(rt.ledger.accepted)
+    out = protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
+                           trace, rng, mac_key=mac_key)
+    assert out == eval_plain(circ, values, rt.field)
+    posted = [tx.payload_type for tx, _ in rt.ledger.accepted[start:]
+              if tx.sender == rt.authority.sign_pk]
+    assert posted == ["commitment-post"] * (layers + 4)
+    assert audit.audit_trail(rt.ledger, trace.computation_id).ok
+
+
+def posted_trail(ledger, computation_id):
+    """(metadata, list of batches) of a closed trail, as posted."""
+    meta = json.loads(ledger.get(audit.trail_meta_key(computation_id)))
+    return meta, [json.loads(ledger.get(audit.trail_key(computation_id, b)))
+                  for b in range(meta["batches"])]
+
+
+def tamper(records, q, rng):
+    """A copy of the record list with one fault: +-1 on an opening's share
+    or blinding, or a posted commitment set to 0, q, q + c or another
+    party's."""
+    records = copy.deepcopy(records)
+    opened = [rec[name] for rec in records for name in
+              ("eps_openings", "delta_openings", "openings") if name in rec]
+    posted = [rec[name] for rec in records if rec["kind"] in ("input", "triple")
+              for name in ("commitments", "a", "b", "c") if name in rec]
+    if opened and rng.random() < 0.5:
+        row = rng.choice(rng.choice(opened))
+        row[rng.randrange(2)] += rng.choice((1, -1))
+    else:
+        vector = rng.choice(posted)
+        i = rng.randrange(len(vector))
+        c = int(vector[i], 16)
+        vector[i] = hex(rng.choice((0, q, q + c, int(vector[(i + 1) % len(vector)], 16))))
+    return records
+
+
+def test_batched_audit_matches_step_fold_on_tampered_trails():
+    # Audited SPDZ runs of seeded random circuits at p = 101 and M61, n = 3
+    # and 4; each trail is tampered 12 ways and re-posted in its original
+    # batches. The auditor (one multi-exponentiation per checked opening,
+    # no inversions) must agree with the per-step fold on ok, guilty and
+    # reason every time.
+    rng = random.Random(4242)
+    cases = failing = 0
+    for trail in range(20):
+        p, n = (101, M61)[trail % 2], 3 + trail // 2 % 2
+        rt, owners, ident, committee, mac_key, env_rng = make_env(
+            "spdz", seed=trail, nodes=n + 2, committee=n, p=p)
+        circ = random_circuit(rng, max_gates=14)
+        values = [rng.randrange(p) for _ in range(circ.n_inputs)]
+        ptrs = share_inputs(rt, owners, ident, committee, mac_key, env_rng, "spdz",
+                            values, "t")
+        trace = fresh_trace(rt, committee, owners[0], seed=trail)
+        protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt, trace,
+                         env_rng, mac_key=mac_key)
+        cid = trace.computation_id
+        meta, batches = posted_trail(rt.ledger, cid)
+        records = [rec for batch in batches for rec in batch]
+        assert audit.audit_trail(rt.ledger, cid) == fold_trail(records, n, p)
+        for _ in range(12):
+            forged = tamper(records, rt.params.q, rng)
+            board = {audit.trail_meta_key(cid): json.dumps(meta).encode()}
+            at = 0
+            for b, batch in enumerate(batches):
+                board[audit.trail_key(cid, b)] = json.dumps(forged[at:at + len(batch)]).encode()
+                at += len(batch)
+            expected = fold_trail(forged, n, p)
+            assert audit.audit_trail(board, cid) == expected, (trail, forged)
+            cases += 1
+            failing += not expected.ok
+    assert cases >= 200
+    assert failing > cases // 2
 
 
 def test_spdz_wrong_share_caught_by_mac_check():

@@ -1,8 +1,12 @@
+import json
 from pathlib import Path
 
 import pytest
 
+from mpcnet import keys
+from mpcnet.audit import audit_trail, trail_key, trail_meta_key
 from mpcnet.circuits import eval_plain, parse_circuit
+from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import ScenarioError, parse_scenario
@@ -55,6 +59,41 @@ def test_cheater_scenario_slashes():
     assert faults[0].channel == "mac_check"
     slashes = [l for l in result.settlement.lines if l.slash > 0]
     assert len(slashes) == 1 and slashes[0].slash == 90
+
+
+def test_mac_failure_leaves_the_flushed_batches_and_no_step_count():
+    # The trail is flushed before the mask opening and before the MAC check
+    # that fails; nothing closes it, so the audit reads it as incomplete.
+    result = run_scenario(load("cheater"))
+    ledger, cid = result.runtime.ledger, result.trace.computation_id
+    assert result.trace.outcome == "cheat-detected"
+    assert "steps" not in json.loads(ledger.get(trail_meta_key(cid)))
+    assert [[rec["kind"] for rec in json.loads(ledger.get(trail_key(cid, b)))]
+            for b in range(2)] == [["input", "input", "triple"], ["beaver"]]
+    assert ledger.get(trail_key(cid, 2)) is None
+    authority = result.runtime.authority.sign_pk
+    assert sum(tx.sender == authority and tx.payload_type == "commitment-post"
+               for tx, _ in ledger.accepted) == 3
+    with pytest.raises(IncompleteTrail):
+        audit_trail(ledger, cid)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scn")))
+def test_no_channel_reuses_a_nonce(name):
+    # Each ciphertext opens under the nonce whose top bit is
+    # enc_pk[src] > enc_pk[dst], and no unordered pair (one key) sees a
+    # nonce twice.
+    rt = run_scenario(load(name)).runtime
+
+    def keypair(party):
+        return rt.clients[party] if isinstance(party, str) else rt.registry[party].keypair
+
+    seen = set()
+    for src, dst, counter, ct in rt.bus.broadcast_log:
+        nonce = (keypair(src).enc_pk > keypair(dst).enc_pk) << 95 | counter
+        keys.unseal(keys.shared_key(keypair(dst).enc_key, keypair(src).enc_pk), nonce, ct)
+        seen.add((frozenset((src, dst)), nonce))
+    assert len(seen) == len(rt.bus.broadcast_log) > 0
 
 
 def test_abort_scenario_timeout_and_recovery():
