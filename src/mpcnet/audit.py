@@ -16,9 +16,9 @@ party can fold them through the circuit after the fact:
 
 A party that posted a commitment inconsistent with what it later opened --
 anywhere along the trail -- is named by the auditor. The auditor keeps each
-derived commitment as a posted product times a list of (base, exponent)
-terms and evaluates it with one multi-exponentiation only when an opening
-is checked against it.
+derived commitment as a posted product times one exponent per base, and
+evaluates it with one multi-exponentiation only when an opening is checked
+against it.
 
 Trail steps are posted in batches, one per opening round: the steps since
 the previous round go on the ledger as one JSON list keyed by
@@ -295,6 +295,18 @@ def _multi_exp(terms: list, q: int) -> int:
     return acc
 
 
+def _reads(rec: dict) -> list:
+    """The steps whose derived commitments a trail record reads."""
+    kind = rec["kind"]
+    if kind == "linear":
+        return [ref for _, ref in rec["terms"]]
+    if kind == "beaver":
+        return [rec["x"], rec["y"], rec["triple"]]
+    if kind == "output":
+        return [rec["source"]]
+    return []
+
+
 def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                 openings: list | None = None) -> AuditReport:
     """Recompute the commitment trail and name every inconsistent party.
@@ -305,26 +317,35 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
     derived per-party commitments. `openings` overrides the output step's
     posted openings when an auditor wants to check a third-party claim.
 
-    A derived commitment is held per party as (known, [(base, exp), ...]):
-    a Beaver step contributes (C(b_i), eps) and (C(a_i), delta), a linear
+    A derived commitment is held per party as (known, {base: exp}): a
+    Beaver step contributes C(b_i)^eps and C(a_i)^delta, a linear
     coefficient c scales the exponents and coefficient 1 just multiplies.
-    Exponents stay exact integers, so the one multi-exponentiation that
-    evaluates it when an opening is checked gives what folding step by step
-    gives mod q, malformed bases included.
+    Exponents of one base add up, so a commitment carries at most one term
+    per distinct base however often a wire is reused, and an exponent above
+    q - 1 is cut to ((e - 1) mod (q - 1)) + 1, which is exact for every base
+    mod the prime q, 0 included. The one multi-exponentiation that evaluates
+    it when an opening is checked thus gives what folding step by step gives
+    mod q, malformed bases included.
     """
     meta_raw = board.get(trail_meta_key(computation_id))
     if meta_raw is None:
         raise IncompleteTrail("no trail metadata for computation")
     meta = json.loads(meta_raw.decode())
-    steps = meta.get("steps")
-    if steps is None:
+    if not isinstance(meta, dict) or meta.get("steps") is None:
         raise IncompleteTrail("trail metadata lacks a step count")
+    batches = meta.get("batches")
+    if not isinstance(batches, int):
+        raise IncompleteTrail("trail metadata lacks a batch count")
     records = []
-    for batch in range(meta["batches"]):
+    for batch in range(batches):
         raw = board.get(trail_key(computation_id, batch))
         if raw is None:
             raise IncompleteTrail(f"missing trail batch {batch}")
-        records.extend(json.loads(raw.decode()))
+        posted = json.loads(raw.decode())
+        if not isinstance(posted, list) or not all(isinstance(r, dict) for r in posted):
+            raise IncompleteTrail(f"trail batch {batch} is not a list of records")
+        records.extend(posted)
+    steps = meta["steps"]
     if len(records) != steps:
         raise IncompleteTrail(f"trail batches hold {len(records)} steps, "
                               f"metadata says {steps}")
@@ -332,8 +353,16 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
     params = pedersen.setup(field)
     n = meta["n"]
     q = params.q
+    order = q - 1
 
-    derived = {}   # step -> per-party (known, terms), or a triple's posted vectors
+    # The last step that reads each step: its derived commitments are
+    # dropped after that, and a linear step may take over their terms.
+    last_read = {}
+    for step, rec in enumerate(records):
+        for ref in _reads(rec):
+            last_read[ref] = step
+
+    derived = {}   # step -> per-party (known, {base: exp}), or a triple's posted vectors
     guilty = set()
     reasons = []
     output_seen = False
@@ -348,10 +377,16 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
 
     def evaluate(step: int) -> list:
         """The per-party commitments of a step, folded once on first use."""
-        values = [known * _multi_exp(terms, q) % q if terms else known
+        values = [known * _multi_exp(terms.items(), q) % q if terms else known
                   for known, terms in derived[step]]
-        derived[step] = [(c, ()) for c in values]
+        derived[step] = [(c, {}) for c in values]
         return values
+
+    def accumulate(terms: dict, base: int, exp: int):
+        # b^e = b^((e - 1) mod (q - 1) + 1) for every e >= 1 and every base
+        # mod prime q, 0 included, so exponents stay below q.
+        exp += terms.get(base, 0)
+        terms[base] = (exp - 1) % order + 1 if exp > order else exp
 
     def check_masks(masked: list, mask: list, opens: list, label: str):
         # C(x_i) = commit(s_i, r_i) * C(a_i), with no inversion; a C(a_i)
@@ -364,23 +399,33 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
     for step, rec in enumerate(records):
         kind = rec["kind"]
         if kind == "input":
-            derived[step] = [(int(c, 16), ()) for c in rec["commitments"]]
+            derived[step] = [(int(c, 16), {}) for c in rec["commitments"]]
         elif kind == "triple":
             derived[step] = {name: [int(c, 16) for c in rec[name]]
                              for name in ("a", "b", "c")}
         elif kind == "linear":
+            rec_terms = rec["terms"]
+            refs = [ref for _, ref in rec_terms]
+            # A coefficient-1 source read here for the last time, and only
+            # once, hands its terms over instead of being copied.
+            heir = next((pos for pos, (coeff, ref) in enumerate(rec_terms)
+                         if coeff == 1 and last_read[ref] == step and refs.count(ref) == 1),
+                        None)
+            public = pedersen.commit(rec["constant"], 0, params)
             acc = []
             for i in range(n):
-                known = pedersen.commit(rec["constant"], 0, params) if i == 0 else 1
-                terms = []
-                for coeff, ref in rec["terms"]:
+                known, terms = derived[refs[heir]][i] if heir is not None else (1, {})
+                known = known * public % q if i == 0 else known % q
+                for pos, (coeff, ref) in enumerate(rec_terms):
+                    if pos == heir:
+                        continue
                     src_known, src_terms = derived[ref][i]
                     if coeff == 1:
                         known = known * src_known % q
-                        terms.extend(src_terms)
                     else:
-                        terms.append((src_known, coeff))
-                        terms.extend((base, exp * coeff) for base, exp in src_terms)
+                        accumulate(terms, src_known, coeff)
+                    for base, exp in src_terms.items():
+                        accumulate(terms, base, exp * coeff)
                 acc.append((known, terms))
             derived[step] = acc
         elif kind == "beaver":
@@ -392,9 +437,12 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
             eps = sum(s for s, _ in eps_opens) % field.p
             delta = sum(s for s, _ in delta_opens) % field.p
             public = pedersen.commit(field.mul(eps, delta), 0, params)
-            derived[step] = [(trip["c"][i] * public % q if i == 0 else trip["c"][i],
-                              [(trip["b"][i], eps), (trip["a"][i], delta)])
-                             for i in range(n)]
+            acc = []
+            for i in range(n):
+                terms = {trip["b"][i]: eps}
+                accumulate(terms, trip["a"][i], delta)
+                acc.append((trip["c"][i] * public % q if i == 0 else trip["c"][i], terms))
+            derived[step] = acc
         elif kind == "output":
             output_seen = True
             opens = openings if openings is not None else rec["openings"]
@@ -410,6 +458,9 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                 reasons.append(f"claimed output {claimed} != opened total {total}")
         else:
             raise IncompleteTrail(f"unknown trail record kind {kind!r}")
+        for ref in set(_reads(rec)):
+            if last_read[ref] == step:
+                del derived[ref]
 
     if not output_seen:
         raise IncompleteTrail("trail has no output step")

@@ -9,6 +9,7 @@ from mpcnet.field import M61, Field
 from mpcnet.keys import KeyPair, sha256
 from mpcnet.ledger import Ledger
 from mpcnet.net import LocalChannel
+from oracles import fold_trail
 
 
 @pytest.fixture
@@ -165,6 +166,68 @@ def test_zero_triple_commitment_names_its_party(setup101):
     report = audit.audit_trail(Board(), comp_id)
     assert not report.ok
     assert report.guilty == (1,)
+
+
+def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
+    # Linear steps the engine never emits: w = z + 2z reads one source twice
+    # with different coefficients, and v = 1*x takes over input x's
+    # commitments on x's last read. Both are opened. Honest, and with x's
+    # posted commitment of party 1 raised by q, the audit must agree with
+    # the per-step fold.
+    env, n = setup101, 3
+    field, params, rng = f101, env["params"], env["rng"]
+    key = spdz.gen_mac_key(n, field, rng)
+    ledger = Ledger()
+    comp_id = sha256(b"unusual-linear")
+    writer = audit.TrailWriter(ledger, comp_id, env["poster"], field, n)
+    x = audit.pv_share(4, n, key, params, writer, field, rng)
+    y = audit.pv_share(5, n, key, params, writer, field, rng)
+    triple = audit.pv_triple(key, params, writer, field, rng)
+    z = audit.pv_beaver(x, y, triple, key, params, field, LocalChannel(),
+                        spdz.MacCheckQueue(), writer)
+    w = audit.pv_linear([(1, z), (2, z)], 1, key, field, writer)
+    assert audit.pv_output(w, field, writer) == 61   # 3*(4*5) + 1
+    v = audit.pv_linear([(1, x)], 0, key, field, writer)
+    assert audit.pv_output(v, field, writer) == 4
+    writer.close()
+    meta_key = audit.trail_meta_key(comp_id)
+    batches = [json.loads(ledger.get(audit.trail_key(comp_id, b)))
+               for b in range(json.loads(ledger.get(meta_key))["batches"])]
+    records = [rec for batch in batches for rec in batch]
+    report = audit.audit_trail(ledger, comp_id)
+    assert report.ok and report == fold_trail(records, n, 101)
+    records[x.step]["commitments"][1] = hex(x.commitments[1] + params.q)
+    board = {meta_key: ledger.get(meta_key)}
+    at = 0
+    for b, batch in enumerate(batches):
+        board[audit.trail_key(comp_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
+        at += len(batch)
+    assert audit.audit_trail(board, comp_id) == fold_trail(records, n, 101)
+
+
+@pytest.mark.parametrize("meta_edit,batch_edit", [
+    (lambda meta: meta.pop("batches"), None),
+    (lambda meta: meta.update(batches="2"), None),
+    (None, lambda batch: batch[0]),
+    (None, lambda batch: [batch]),
+], ids=["no-batch-count", "batch-count-string", "batch-is-a-record", "batch-of-lists"])
+def test_malformed_trail_is_incomplete(setup101, meta_edit, batch_edit):
+    # Metadata without an integer batch count (as in a per-step trail) and
+    # a batch that is not a list of records are incomplete trails.
+    ledger, comp_id, _ = run_pv_computation(setup101, 3)
+    meta_key = audit.trail_meta_key(comp_id)
+    board = {meta_key: ledger.get(meta_key)}
+    meta = json.loads(board[meta_key])
+    for b in range(meta["batches"]):
+        batch = json.loads(ledger.get(audit.trail_key(comp_id, b)))
+        if batch_edit:
+            batch = batch_edit(batch)
+        board[audit.trail_key(comp_id, b)] = json.dumps(batch).encode()
+    if meta_edit:
+        meta_edit(meta)
+        board[meta_key] = json.dumps(meta).encode()
+    with pytest.raises(IncompleteTrail):
+        audit.audit_trail(board, comp_id)
 
 
 @pytest.mark.parametrize("p", [101, M61], ids=["p101", "M61"])

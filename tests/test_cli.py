@@ -1,9 +1,12 @@
+import base64
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+from mpcnet.audit import trail_meta_key
 from mpcnet.cli import main
 from mpcnet.keys import KeyPair
 
@@ -99,6 +102,29 @@ def test_audit_unknown_computation(tmp_path, capsys):
     code = run_cli("audit", outdir / "ledger.tsv", "--id", "cd" * 32)
     assert code == 1
     assert "incomplete" in capsys.readouterr().err
+
+
+def test_audit_dump_without_batch_count(tmp_path, capsys):
+    # Trail metadata with a step count but no batch count is reported as an
+    # incomplete trail, not a traceback.
+    outdir = tmp_path / "out"
+    run_cli("run", SCENARIOS / "broken.scn", "--out", outdir)
+    capsys.readouterr()
+    trace = (outdir / "trace.txt").read_text()
+    comp_id = re.search(r"computation=([0-9a-f]{64})", trace).group(1)
+    meta_key = trail_meta_key(bytes.fromhex(comp_id)).hex()
+    lines = []
+    for line in (outdir / "ledger.tsv").read_text().splitlines():
+        height, key, value64, author = line.split("\t")
+        if key == meta_key:
+            meta = json.loads(base64.b64decode(value64))
+            meta.pop("batches", None)
+            value64 = base64.b64encode(json.dumps(meta).encode()).decode()
+        lines.append("\t".join((height, key, value64, author)))
+    dump = tmp_path / "per-step.tsv"
+    dump.write_text("\n".join(lines) + "\n")
+    assert run_cli("audit", dump, "--id", comp_id) == 1
+    assert "incomplete trail" in capsys.readouterr().err
 
 
 def test_keygen_deterministic(tmp_path, capsys):

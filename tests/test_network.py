@@ -557,6 +557,54 @@ def test_batched_audit_matches_step_fold_on_tampered_trails():
     assert failing > cases // 2
 
 
+def reuse_circuit(depth: int) -> str:
+    """Every linear wire read at least twice: `depth` chained self-adds
+    (y_k = y_{k-1} + y_{k-1}), a chain of `depth` smul gates, a
+    Fibonacci-shaped add DAG, and a second multiplication of two of them."""
+    last = depth - 1
+    lines = ["in a", "in b", "m = mul a b", "y0 = add m m"]
+    lines += [f"y{k} = add y{k - 1} y{k - 1}" for k in range(1, depth)]
+    lines += [f"s0 = smul 3 y{last}"]
+    lines += [f"s{k} = smul {k + 2} s{k - 1}" for k in range(1, depth)]
+    lines += [f"f0 = add s{last} m", "f1 = add f0 m"]
+    lines += [f"f{k} = add f{k - 1} f{k - 2}" for k in range(2, depth)]
+    lines += [f"u = mul f{last} y{last}", "v = add u u", f"w = add v f{last}", "out w"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("p", [101, M61], ids=["p101", "M61"])
+def test_audit_of_reused_wires_matches_step_fold(p):
+    # Forty self-adds double a derived commitment's exponents forty times
+    # and the add DAG reconverges forty times; the auditor keeps one term
+    # per distinct base, so it finishes at once and agrees with the
+    # per-step fold on the honest trail and on 12 tampered copies.
+    n = 3
+    rt, owners, ident, committee, mac_key, env_rng = make_env(
+        "spdz", seed=5, nodes=n + 2, committee=n, p=p)
+    circ = parse_circuit(reuse_circuit(40))
+    values = [env_rng.randrange(p) for _ in range(circ.n_inputs)]
+    ptrs = share_inputs(rt, owners, ident, committee, mac_key, env_rng, "spdz",
+                        values, "r")
+    trace = fresh_trace(rt, committee, owners[0], seed=5)
+    out = protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt, trace,
+                           env_rng, mac_key=mac_key)
+    assert out == eval_plain(circ, values, rt.field)
+    cid = trace.computation_id
+    meta, batches = posted_trail(rt.ledger, cid)
+    records = [rec for batch in batches for rec in batch]
+    assert audit.audit_trail(rt.ledger, cid) == fold_trail(records, n, p)
+    assert audit.audit_trail(rt.ledger, cid).ok
+    rng = random.Random(p)
+    for _ in range(12):
+        forged = tamper(records, rt.params.q, rng)
+        board = {audit.trail_meta_key(cid): json.dumps(meta).encode()}
+        at = 0
+        for b, batch in enumerate(batches):
+            board[audit.trail_key(cid, b)] = json.dumps(forged[at:at + len(batch)]).encode()
+            at += len(batch)
+        assert audit.audit_trail(board, cid) == fold_trail(forged, n, p), forged
+
+
 def test_spdz_wrong_share_caught_by_mac_check():
     rt, owners, ident, committee, mac_key, rng = make_env("spdz")
     committee[1].behavior = "wrong-share"
