@@ -24,7 +24,6 @@ from math import log2
 from cryptography.exceptions import InvalidTag
 
 from . import keys as keymod
-from .errors import LedgerRejected
 from .identity import Predicate, check_permission, parse_predicate
 from .keys import KeyPair, sha256
 from .ledger import Ledger, make_tx
@@ -281,6 +280,10 @@ def protocol_store(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
     Returns a_x on success and None when the store permission is denied; a
     denial leaves neither a ledger entry nor a DHT record behind. The write
     permission defaults to the requester's own registered policy.
+
+    The predicate goes on the ledger first, so a registration the ledger
+    rejects (LedgerRejected propagates) places nothing, and a record some
+    other writer already holds at a_x stays as it is.
     """
     q_store = q_store if q_store is not None else Predicate.policy()
     if not check_permission(requester.sign_pk, addr, q_store, board):
@@ -291,17 +294,10 @@ def protocol_store(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
                            int.from_bytes(a_x[:12], "big"), x)
     else:
         data = x
-    replicas = dht.dht_store(a_x, data, encrypted=encrypt)
-    tx = make_tx(requester, "kv-put",
-                 {"key": a_x.hex(), "value": q_read.to_text().encode().hex()},
-                 nonce=board.next_nonce(requester.sign_pk))
-    try:
-        board.submit_tx(tx)
-    except LedgerRejected:
-        # Keep the pair atomic: a rejected predicate registration must not
-        # leave an orphan record behind.
-        dht.delete(a_x)
-        raise
+    board.submit_tx(make_tx(requester, "kv-put",
+                            {"key": a_x.hex(), "value": q_read.to_text().encode().hex()},
+                            nonce=board.next_nonce(requester.sign_pk)))
+    dht.dht_store(a_x, data, encrypted=encrypt)
     return a_x
 
 

@@ -6,7 +6,8 @@ settlements all land here as signed transactions. Consensus is out of
 scope, so a single serialized writer with instant finality stands in for
 the chain; what is preserved faithfully is the contract everything else
 depends on -- append-only totally-ordered history, signature-checked writes,
-balance accounting, and bit-exact replayability.
+keys that only their first writer may rewrite, balance accounting, and
+bit-exact replayability.
 
 Keys are 256-bit. Arbitrary strings/byte strings are admitted at the API
 and hashed down to the shared keyspace.
@@ -121,6 +122,7 @@ class Ledger:
         self.accounts: dict = {}
         self._nonces: dict = {}
         self._kv = KVHistory()
+        self._writers: dict = {}          # key -> author of its first entry
         self._genesis = dict(genesis_balances or {})
         for pk, amount in self._genesis.items():
             self.accounts[pk] = Account(balance=amount)
@@ -178,6 +180,7 @@ class Ledger:
         self.chain_hashes.append(sha256(prev + entry.canonical_bytes()))
         self.entries.append(entry)
         self._kv.append(key, entry.height, value)
+        self._writers.setdefault(key, author)
         return entry.height
 
     def _apply(self, tx: Transaction) -> list:
@@ -187,6 +190,10 @@ class Ledger:
             key = bytes.fromhex(p["key"])
             if len(key) != 32:
                 raise LedgerRejected("key must be 256-bit")
+            # Only a key's first writer may rewrite it, so an ACL or a
+            # predicate cannot be replaced by whoever signs next.
+            if self._writers.get(key, tx.sender) != tx.sender:
+                raise LedgerRejected(f"key {key.hex()[:16]} belongs to another writer")
             return [(key, bytes.fromhex(p["value"]))]
 
         if tx.payload_type == "deposit":

@@ -92,7 +92,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         rt.ledger,
     )
     requester = owners[0]
-    q_compute = Predicate.key_list([kp.sign_pk for kp in owners])
+    # Input pointers defer to the identity's ACL, so compute rights follow
+    # it and the owner list is on the ledger once.
+    q_compute = Predicate.owner()
 
     committee = rt.sample_committee(cfg.committee, child_rng(cfg.seed, "committee"))
     for pos, behavior in sorted(cfg.faults.items()):
@@ -133,7 +135,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         trace.finalize("rejected")
     else:
         outputs = _run_compute(cfg, rt, trace, requester, ident.addr, pointers,
-                               circuit, mac_key, committee)
+                               q_compute, circuit, mac_key, committee)
 
     settlement = settle_computation(trace, cfg.fees, rt.ledger, rt.authority)
     trace.event("settled", rejected="yes" if settlement.rejected else "no",
@@ -155,8 +157,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     )
 
 
-def _run_compute(cfg, rt, trace, requester, addr, pointers, circuit, mac_key,
-                 committee):
+def _run_compute(cfg, rt, trace, requester, addr, pointers, q_compute, circuit,
+                 mac_key, committee):
     """One protocol_compute attempt plus fault bookkeeping and recovery."""
     compute_rng = child_rng(cfg.seed, "compute")
     outputs = []
@@ -192,7 +194,6 @@ def _run_compute(cfg, rt, trace, requester, addr, pointers, circuit, mac_key,
                 trace.committee_pks.append(node.keypair.sign_pk)
         share_rng = child_rng(cfg.seed, "share-retry")
         owners = [rt.clients[f"owner{i}"] for i in range(circuit.n_inputs)]
-        q_compute = Predicate.key_list([kp.sign_pk for kp in owners])
         pointers = []
         for i, value in enumerate(cfg.inputs):
             pointer, _ = protocol_share(

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+from .circuits import CircuitSyntaxError, parse_circuit
 from .field import M61
 from .incentives import FeeSchedule
 from .network import BEHAVIORS as FAULT_BEHAVIORS
@@ -132,4 +133,14 @@ def parse_scenario(path) -> ScenarioConfig:
     for pos in cfg.faults:
         if not 0 <= pos < cfg.committee:
             raise ScenarioError(f"{path}: fault position {pos} outside committee")
+    if cfg.mode == "shamir" and not 0 <= cfg.threshold < cfg.committee:
+        raise ScenarioError(f"{path}: threshold={cfg.threshold} must satisfy "
+                            f"0 <= threshold < committee={cfg.committee}")
+    try:
+        n_inputs = parse_circuit(cfg.circuit_text).n_inputs
+    except CircuitSyntaxError as exc:
+        raise ScenarioError(f"{circuit_path}: {exc}") from None
+    if len(cfg.inputs) != n_inputs:
+        raise ScenarioError(f"{path}: inputs has {len(cfg.inputs)} values but "
+                            f"{circuit_path.name} takes {n_inputs}")
     return cfg

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mpcnet.audit import trail_meta_key
 from mpcnet.cli import main
 from mpcnet.keys import KeyPair
@@ -47,6 +49,31 @@ def test_run_missing_circuit_exit_one(tmp_path, capsys):
     code = run_cli("run", scn, "--out", tmp_path / "out")
     assert code == 1
     assert "gone.circ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, named", [
+    ("inputs=5,8", "inputs"),
+    ("threshold=5", "threshold"),
+    ("circuit=bad.circ", "line 4"),
+])
+def test_run_inconsistent_scenario_exits_one_without_traceback(tmp_path, edit, named):
+    (tmp_path / "bad.circ").write_text("in a\nin b\nin c\nd = mul a z\nout d\n")
+    (tmp_path / "mean3.circ").write_text((SCENARIOS / "mean3.circ").read_text())
+    key = edit.partition("=")[0]
+    lines = [edit if line.startswith(key + "=") else line
+             for line in (SCENARIOS / "average.scn").read_text().splitlines()]
+    scn = tmp_path / "edited.scn"
+    scn.write_text("\n".join(lines) + "\n")
+    outdir = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpcnet.cli", "run", str(scn), "--out", str(outdir)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not outdir.exists()
 
 
 def test_determinism_via_cli(tmp_path):

@@ -286,6 +286,24 @@ def test_protocol_store_rolls_back_on_ledger_rejection(gated_env):
     assert {k for n in net.nodes.values() for k in n.store} == before
 
 
+def test_rejected_store_keeps_the_first_writers_record(gated_env):
+    # Records are addressed by content, so a second owner storing the same
+    # bytes hits alice's key; the ledger refuses bob's predicate, and
+    # alice's record and predicate stay as they were.
+    from mpcnet.errors import LedgerRejected
+
+    net, ledger, ident, (alice, bob), _ = gated_env
+    a_x = protocol_store(alice, ident.addr, b"same-bytes", Predicate.owner(), ledger,
+                         net, encrypt=False)
+    holders = net.holders(a_x)
+    with pytest.raises(LedgerRejected, match="another writer"):
+        protocol_store(bob, ident.addr, b"same-bytes", Predicate.any(), ledger, net,
+                       encrypt=False)
+    assert net.holders(a_x) == holders
+    assert ledger.get(a_x) == b"(owner)"
+    assert protocol_load(alice, ident.addr, a_x, ledger, net) == b"same-bytes"
+
+
 def test_encrypted_records_owner_only(gated_env):
     net, ledger, ident, (alice, bob), _ = gated_env
     a_x = protocol_store(alice, ident.addr, b"diary-entry", Predicate.owner(),

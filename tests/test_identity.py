@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from mpcnet.dht import protocol_store
+from mpcnet.errors import LedgerRejected
+from mpcnet.field import Field
 from mpcnet.identity import (
     Predicate,
     check_permission,
@@ -14,6 +17,7 @@ from mpcnet.identity import (
 )
 from mpcnet.keys import KeyPair, sha256
 from mpcnet.ledger import Ledger, make_tx
+from mpcnet.network import Runtime
 
 
 def make_gens(count, base_seed=100):
@@ -174,3 +178,39 @@ def test_parse_acl_returns_a_fresh_dict():
     assert set(second) == {kp.sign_pk for kp in pairs}
     # Editing a parse result changes neither later parses nor the checks.
     assert check_permission(outsider.sign_pk, ident.addr, Predicate.owner(), ledger) == 0
+
+
+def test_only_the_first_writer_may_rewrite_an_acl_or_a_pointer():
+    # An ACL decides every (owner) check against it, so an outsider must
+    # not be able to register over it, nor over a pointer's predicate.
+    rt = Runtime(Field(101), 5, 4)
+    alice, eve = rt.add_client("alice"), rt.add_client("eve")
+    ledger = rt.ledger
+    ident, _ = gen_shared_identity([lambda: alice], [Predicate.owner()], ledger)
+    pointer = protocol_store(alice, ident.addr, b"input", Predicate.owner(),
+                             ledger, rt.dht, encrypt=False)
+    acl, height = ledger.get(ident.addr), ledger.height
+
+    def write(kp, payload_type, key, value: bytes):
+        ledger.submit_tx(make_tx(kp, payload_type, {"key": key.hex(), "value": value.hex()},
+                                 nonce=ledger.next_nonce(kp.sign_pk)))
+
+    with pytest.raises(LedgerRejected, match="another writer"):
+        write(eve, "identity-registration", ident.addr,
+              serialize_acl({eve.sign_pk: Predicate.owner()}))
+    with pytest.raises(LedgerRejected, match="another writer"):
+        write(eve, "kv-put", pointer, Predicate.any().to_text().encode())
+    assert [(tx.sender, tx.payload["key"]) for tx, _ in ledger.rejected] == \
+        [(eve.sign_pk, ident.addr.hex()), (eve.sign_pk, pointer.hex())]
+    assert all("another writer" in reason for _, reason in ledger.rejected)
+    assert (ledger.height, ledger.get(ident.addr)) == (height, acl)
+    assert ledger.get(pointer) == b"(owner)"
+    assert ledger.next_nonce(eve.sign_pk) == 0
+    assert check_permission(alice.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+    assert check_permission(eve.sign_pk, ident.addr, Predicate.owner(), ledger) == 0
+
+    write(alice, "identity-registration", ident.addr,
+          serialize_acl({alice.sign_pk: Predicate.owner(), eve.sign_pk: Predicate.owner()}))
+    write(alice, "kv-put", pointer, Predicate.key_list([alice.sign_pk]).to_text().encode())
+    assert check_permission(eve.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+    assert ledger.get(pointer) == Predicate.key_list([alice.sign_pk]).to_text().encode()

@@ -23,6 +23,21 @@ def put(ledger, kp, key, value: bytes):
     return ledger.submit_tx(tx)
 
 
+def test_only_the_first_writer_may_rewrite_a_key(ledger, kp, rng):
+    other = KeyPair.generate(rng)
+    put(ledger, kp, "k", b"\x01")
+    for payload_type in ("kv-put", "identity-registration", "commitment-post"):
+        tx = make_tx(other, payload_type, {"key": normalize_key("k").hex(), "value": "02"},
+                     nonce=ledger.next_nonce(other.sign_pk))
+        with pytest.raises(LedgerRejected, match="another writer"):
+            ledger.submit_tx(tx)
+    assert len(ledger.rejected) == 3 and ledger.height == 1
+    assert ledger.get("k") == b"\x01" and ledger.next_nonce(other.sign_pk) == 0
+    put(ledger, other, "k2", b"\x03")
+    put(ledger, kp, "k", b"\x04")
+    assert (ledger.get("k"), ledger.get("k2")) == (b"\x04", b"\x03")
+
+
 def test_put_get_round_trip(ledger, kp):
     put(ledger, kp, "k", b"\x01")
     assert ledger.get("k") == b"\x01"

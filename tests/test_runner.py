@@ -8,8 +8,12 @@ from mpcnet.audit import audit_trail, trail_key, trail_meta_key
 from mpcnet.circuits import eval_plain, parse_circuit
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
+from mpcnet.identity import Predicate, identity_address, serialize_acl
+from mpcnet.ledger import make_tx
+from mpcnet.network import child_rng, protocol_compute
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import ScenarioError, parse_scenario
+from mpcnet.trace import ComputationTrace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -236,3 +240,84 @@ def test_privacy_traffic_shape_independent_of_secrets():
     bus_a, bus_b = res_a.runtime.bus, res_b.runtime.bus
     for node in res_a.runtime.registry:
         assert bus_a.length_sequence(node.index) == bus_b.length_sequence(node.index)
+
+
+def share_pointers(result) -> list:
+    return [bytes.fromhex(e.split("pointer=")[1]) for e in result.trace.events
+            if e.startswith("event=share ")]
+
+
+def sum_circuit(n_inputs: int) -> str:
+    lines = [f"in x{i}" for i in range(n_inputs)] + ["s1 = add x0 x1"]
+    lines += [f"s{i} = add s{i - 1} x{i}" for i in range(2, n_inputs)]
+    return "\n".join(lines + [f"out s{n_inputs - 1}"]) + "\n"
+
+
+@pytest.mark.parametrize("n_inputs", [3, 12])
+def test_input_pointers_defer_to_the_identity_acl(n_inputs):
+    # The owner list is on the ledger once, in the ACL, and every pointer's
+    # compute predicate defers to it.
+    cfg = load("average")
+    cfg.circuit_text = sum_circuit(n_inputs)
+    cfg.inputs = list(range(1, n_inputs + 1))
+    result = run_scenario(cfg)
+    assert result.exit_code == 0
+    assert result.outputs == [n_inputs * (n_inputs + 1) // 2]
+    ledger = result.runtime.ledger
+    pointers = share_pointers(result)
+    assert len(pointers) == n_inputs
+    assert [ledger.get(p) for p in pointers] == [b"(owner)"] * n_inputs
+
+
+def test_restarted_inputs_defer_to_the_identity_acl():
+    cfg = load("cheater")
+    cfg.faults = {1: "abort-after-output"}
+    result = run_scenario(cfg)
+    assert any(e.startswith("event=restart committee=") for e in result.trace.events)
+    values = [e.value for e in result.runtime.ledger.entries]
+    assert values.count(b"(owner)") == 2 * len(result.config.inputs)
+
+
+def test_average_ledger_bytes_at_seed_1():
+    cfg = load("average")
+    cfg.seed = 1
+    entries = run_scenario(cfg).runtime.ledger.entries
+    assert len(entries) == 23
+    assert sum(len(e.canonical_bytes()) for e in entries) == 3410
+
+
+def recompute(result, requester, label):
+    rt, cfg = result.runtime, result.config
+    addr = identity_address([rt.clients[f"owner{i}"].sign_pk
+                             for i in range(len(cfg.inputs))])
+    trace = ComputationTrace(
+        computation_id=bytes(32), mode=cfg.mode, seed=cfg.seed,
+        committee=list(result.trace.committee),
+        committee_pks=list(result.trace.committee_pks),
+        requester_pk=requester.sign_pk)
+    outputs = protocol_compute(requester, label, addr, share_pointers(result),
+                               parse_circuit(cfg.circuit_text), rt, trace,
+                               child_rng(cfg.seed, "recompute"))
+    return outputs, trace
+
+
+def test_compute_rights_follow_a_replaced_acl():
+    result = run_scenario(load("average"))
+    rt = result.runtime
+    outsider = rt.add_client("outsider")
+    outputs, trace = recompute(result, outsider, "outsider")
+    assert outputs is None and trace.outcome == "denied"
+
+    owners = [rt.clients[f"owner{i}"] for i in range(3)]
+    addr = identity_address([kp.sign_pk for kp in owners])
+    registrar = owners[0]
+    rt.ledger.submit_tx(make_tx(
+        registrar, "identity-registration",
+        {"key": addr.hex(),
+         "value": serialize_acl({kp.sign_pk: Predicate.owner()
+                                 for kp in owners[1:]}).hex()},
+        nonce=rt.ledger.next_nonce(registrar.sign_pk)))
+    outputs, trace = recompute(result, registrar, "owner0")
+    assert outputs is None and trace.outcome == "denied"
+    outputs, trace = recompute(result, owners[1], "owner1")
+    assert outputs == result.outputs
