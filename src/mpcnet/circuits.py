@@ -62,10 +62,6 @@ class Circuit:
                     raise ValueError(f"gate {idx} references an output marker")
         return self
 
-    @property
-    def output_indices(self) -> list:
-        return [g.args[0] for g in self.gates if g.kind == "output"]
-
     def counts(self) -> dict:
         out = {k: 0 for k in GATE_KINDS}
         for g in self.gates:
@@ -231,10 +227,6 @@ class LayeredCircuit:
     layers: tuple  # of (kind, tuple of gate indices)
     schedule: tuple
     reduction: int
-
-    @property
-    def mul_layer_count(self) -> int:
-        return sum(1 for kind, _ in self.layers if kind == "mul")
 
 
 def layerize(circuit: Circuit, n_parties: int, c: int | None = None,

@@ -21,7 +21,7 @@ from .errors import CorruptDump, IncompleteTrail
 from .keys import KeyPair
 from .ledger import load_dump
 from .runner import run_scenario
-from .scenario import ScenarioError, parse_scenario
+from .scenario import SEED_LIMIT, ScenarioError, parse_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -35,6 +35,9 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:
+        if not 0 <= args.seed < SEED_LIMIT:
+            print(f"error: --seed must be in [0, 2^64), got {args.seed}", file=sys.stderr)
+            return EXIT_CONFIG
         cfg.seed = args.seed
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

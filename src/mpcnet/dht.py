@@ -1,4 +1,4 @@
-"""Kademlia-style DHT with persistence and preference-weighted placement.
+"""Kademlia-style DHT with preference-weighted placement.
 
 Routing uses the classic XOR metric over 256-bit node identifiers with
 prefix-range buckets, so iterative lookups converge in O(log n) hops.
@@ -125,7 +125,7 @@ class RoutingTable:
 
 
 class DhtNode:
-    """One simulated storage node: routing table plus a persistent local store."""
+    """One simulated storage node: routing table plus a local record store."""
 
     def __init__(self, node_id: NodeId, keypair: KeyPair):
         self.node_id = node_id
@@ -134,41 +134,13 @@ class DhtNode:
         self.store: dict = {}
         self.alive = True
 
-    # -- persistence: key(32) | flags(1) | len(4, BE) | value ----------------
-
-    def save_store(self) -> bytes:
-        blob = bytearray()
-        for rec in self.store.values():
-            blob += rec.key
-            blob.append(1 if rec.encrypted else 0)
-            blob += len(rec.data).to_bytes(4, "big")
-            blob += rec.data
-        return bytes(blob)
-
-    def load_store(self, blob: bytes):
-        self.store.clear()
-        pos = 0
-        while pos < len(blob):
-            if pos + 37 > len(blob):
-                raise ValueError("truncated persistence record")
-            key = blob[pos:pos + 32]
-            flags = blob[pos + 32]
-            length = int.from_bytes(blob[pos + 33:pos + 37], "big")
-            pos += 37
-            if pos + length > len(blob):
-                raise ValueError("truncated persistence record")
-            data = blob[pos:pos + length]
-            pos += length
-            self.store[key] = DhtRecord(key=key, data=data, encrypted=bool(flags & 1))
-
 
 class DhtNetwork:
     """In-process network of DhtNodes with iterative XOR routing."""
 
-    def __init__(self, lam: float = DEFAULT_LAMBDA, replication: int = REPLICATION):
+    def __init__(self, lam: float = DEFAULT_LAMBDA):
         self.nodes: dict = {}
         self.lam = lam
-        self.replication = replication
 
     def add_node(self, node_id: NodeId, keypair: KeyPair) -> DhtNode:
         node = DhtNode(node_id, keypair)
@@ -184,9 +156,6 @@ class DhtNetwork:
 
     def alive_nodes(self) -> list:
         return [n for n in self.nodes.values() if n.alive]
-
-    def _node_infos(self, ids) -> list:
-        return [self.nodes[i].node_id for i in ids]
 
     # -- routing -------------------------------------------------------------
 
@@ -231,10 +200,9 @@ class DhtNetwork:
         """Replica set: the r closest live nodes by weighted distance."""
         ranked = sorted(self.alive_nodes(),
                         key=lambda n: weighted_distance(key, n.node_id, self.lam))
-        return ranked[:self.replication]
+        return ranked[:REPLICATION]
 
-    def dht_store(self, key: bytes, data: bytes, encrypted: bool,
-                  origin: bytes | None = None) -> list:
+    def dht_store(self, key: bytes, data: bytes, encrypted: bool) -> list:
         """Replicate a record to its placement set; returns replica ids."""
         if not self.alive_nodes():
             raise LookupError("no route: network is empty")
@@ -256,10 +224,6 @@ class DhtNetwork:
         if value is None:
             raise KeyError(f"not found: {key.hex()}")
         return value, hops
-
-    def delete(self, key: bytes):
-        for node in self.nodes.values():
-            node.store.pop(key, None)
 
     def holders(self, key: bytes) -> list:
         return [n.node_id.value for n in self.nodes.values() if key in n.store]

@@ -172,11 +172,6 @@ def hierarchical_mul(x: list, y: list, tree: CommitteeTree, field: Field,
     return CommitteeSharing(members=root, shares=shares, threshold=t_c)
 
 
-def hierarchical_message_bound(n: int, c: int) -> int:
-    """K*n*c^2 ceiling asserted by the scaling tests (K=2 is generous)."""
-    return 2 * n * c * c
-
-
 def reduce_parties(values: list, m: int, field: Field, net, rng: random.Random) -> list:
     """Re-share every sharing in `values` from its N holders to the first m.
 

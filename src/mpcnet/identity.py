@@ -168,7 +168,10 @@ def parse_predicate(text: str) -> Predicate:
         pos += 1
         return node
 
-    node = parse()
+    try:
+        node = parse()
+    except (IndexError, RecursionError):
+        raise ValueError("predicate truncated or nested too deeply") from None
     if pos != len(tokens):
         raise ValueError("trailing tokens after predicate")
     return node
@@ -181,6 +184,8 @@ def serialize_acl(acl: dict) -> bytes:
 
 def parse_acl(data: bytes) -> dict:
     body = json.loads(data.decode())
+    if not isinstance(body, dict) or not all(isinstance(t, str) for t in body.values()):
+        raise ValueError("an ACL is a JSON object of predicate texts")
     return {bytes.fromhex(pk): parse_predicate(text) for pk, text in body.items()}
 
 

@@ -1,8 +1,9 @@
-"""Deposits, slashing, round-weighted fees and time-limited storage rent.
+"""Deposits, slashing and round-weighted fees.
 
 All value movements are integer fee units settled through signed ledger
-transactions, so the conservation invariant (balances + deposits constant
-across any settlement) is checkable straight off the ledger accounts.
+transactions. The ledger rejects a settlement whose balance and deposit
+deltas do not sum to zero, so balances + deposits stay constant across
+every settlement.
 
 Fee rule: an honest participant earns
     w_round * rounds + w_add * adds + w_mul * muls
@@ -19,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .keys import KeyPair, sha256
+from .keys import KeyPair
 from .ledger import Account, Ledger, make_tx
 from .trace import ComputationTrace
 
 __all__ = ["Account", "FeeSchedule", "SettlementLine", "SettlementReport",
-           "post_deposit", "is_eligible", "settle_computation", "RentManager"]
+           "post_deposit", "settle_computation"]
 
 
 @dataclass(frozen=True)
@@ -35,12 +36,9 @@ class FeeSchedule:
     w_add: int = 1
     w_mul: int = 10
     min_balance: int = 1
-    storage_price: int = 1     # per byte-step
-    grace_period: int = 3      # steps a record survives unfunded
 
     def __post_init__(self):
-        for name in ("w_round", "w_add", "w_mul", "min_balance",
-                     "storage_price", "grace_period"):
+        for name in ("w_round", "w_add", "w_mul", "min_balance"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -53,10 +51,6 @@ def post_deposit(node_keypair: KeyPair, amount: int, ledger: Ledger) -> int:
     tx = make_tx(node_keypair, "deposit", {"amount": amount},
                  nonce=ledger.next_nonce(node_keypair.sign_pk))
     return ledger.submit_tx(tx)
-
-
-def is_eligible(pk: bytes, ledger: Ledger) -> bool:
-    return ledger.account(pk).deposit > 0
 
 
 @dataclass(frozen=True)
@@ -166,88 +160,3 @@ def settle_computation(trace: ComputationTrace, schedule: FeeSchedule,
             report.lines.append(SettlementLine(
                 pk_of[idx], 0 if rejected else fees[idx], 0, "honest"))
     return report
-
-
-@dataclass
-class HostedRecord:
-    key: bytes
-    owner_pk: bytes
-    size: int
-    hosts: list                 # host pks, credit order
-    state: str = "active"       # active | restricted | deleted
-    restricted_at: int = -1
-
-
-class RentManager:
-    """Per-step storage rent with a grace period before deletion.
-
-    Lifecycle: active -> restricted (first unfunded step) -> deleted (after
-    grace_period further steps without top-up); a top-up during grace
-    restores the record to active. Rent accrues to the hosting nodes.
-    """
-
-    def __init__(self, schedule: FeeSchedule, ledger: Ledger, dht,
-                 authority: KeyPair):
-        self.schedule = schedule
-        self.ledger = ledger
-        self.dht = dht
-        self.authority = authority
-        self.records: dict = {}
-
-    def register(self, key: bytes, owner_pk: bytes, size: int, hosts: list):
-        self.records[key] = HostedRecord(key=key, owner_pk=owner_pk,
-                                         size=size, hosts=list(hosts))
-
-    def is_restricted(self, key: bytes) -> bool:
-        rec = self.records.get(key)
-        return rec is not None and rec.state != "active"
-
-    def tick(self, now: int) -> list:
-        """Advance one simulator step; returns (key, action) pairs."""
-        actions = []
-        balance_deltas = {}
-
-        def credit(pk, amount):
-            balance_deltas[pk] = balance_deltas.get(pk, 0) + amount
-
-        for key, rec in self.records.items():
-            if rec.state == "deleted":
-                continue
-            price = self.schedule.storage_price * rec.size
-            available = self.ledger.account(rec.owner_pk).balance + \
-                balance_deltas.get(rec.owner_pk, 0)
-            if available >= price:
-                credit(rec.owner_pk, -price)
-                share, rem = divmod(price, len(rec.hosts))
-                for pos, host in enumerate(rec.hosts):
-                    credit(host, share + (rem if pos == 0 else 0))
-                if rec.state == "restricted":
-                    rec.state = "active"
-                    rec.restricted_at = -1
-                    actions.append((key, "restored"))
-                else:
-                    actions.append((key, "charged"))
-            elif rec.state == "active":
-                rec.state = "restricted"
-                rec.restricted_at = now
-                actions.append((key, "restricted"))
-            elif now - rec.restricted_at >= self.schedule.grace_period:
-                rec.state = "deleted"
-                self.dht.delete(key)
-                actions.append((key, "deleted"))
-                tx = make_tx(self.authority, "kv-put",
-                             {"key": sha256(b"storage-deleted" + key).hex(),
-                              "value": now.to_bytes(8, "big").hex()},
-                             nonce=self.ledger.next_nonce(self.authority.sign_pk))
-                self.ledger.submit_tx(tx)
-
-        if balance_deltas:
-            payload = {
-                "computation": "storage-rent",
-                "balance_deltas": [[pk.hex(), d] for pk, d in balance_deltas.items()],
-                "deposit_deltas": [],
-            }
-            tx = make_tx(self.authority, "fee-settlement", payload,
-                         nonce=self.ledger.next_nonce(self.authority.sign_pk))
-            self.ledger.submit_tx(tx)
-        return actions

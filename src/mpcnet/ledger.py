@@ -6,8 +6,9 @@ settlements all land here as signed transactions. Consensus is out of
 scope, so a single serialized writer with instant finality stands in for
 the chain; what is preserved faithfully is the contract everything else
 depends on -- append-only totally-ordered history, signature-checked writes,
-keys that only their first writer may rewrite, balance accounting, and
-bit-exact replayability.
+keys that only their first writer may rewrite, identity registrations that
+parse as ACLs, balance accounting with zero-sum settlements, and bit-exact
+replayability.
 
 Keys are 256-bit. Arbitrary strings/byte strings are admitted at the API
 and hashed down to the shared keyspace.
@@ -194,7 +195,12 @@ class Ledger:
             # predicate cannot be replaced by whoever signs next.
             if self._writers.get(key, tx.sender) != tx.sender:
                 raise LedgerRejected(f"key {key.hex()[:16]} belongs to another writer")
-            return [(key, bytes.fromhex(p["value"]))]
+            value = bytes.fromhex(p["value"])
+            if tx.payload_type == "identity-registration":
+                # Every later permission check parses this ACL.
+                from .identity import parse_acl
+                parse_acl(value)
+            return [(key, value)]
 
         if tx.payload_type == "deposit":
             amount = int(p["amount"])
@@ -210,6 +216,8 @@ class Ledger:
         if tx.payload_type == "fee-settlement":
             transfers = [(bytes.fromhex(pk), int(d)) for pk, d in p.get("balance_deltas", [])]
             slashes = [(bytes.fromhex(pk), int(d)) for pk, d in p.get("deposit_deltas", [])]
+            if sum(d for _, d in transfers + slashes):
+                raise LedgerRejected("settlement deltas do not sum to zero")
             staged = {}
             for pk, delta in transfers:
                 acct = self.account(pk)

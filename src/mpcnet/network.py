@@ -93,12 +93,12 @@ class Runtime:
     """Shared substrate for one scenario: nodes, ledger, DHT, bus, params."""
 
     def __init__(self, field: Field, seed: int, n_nodes: int,
-                 genesis_balance: int = 1000, lam: float = 0.5):
+                 genesis_balance: int = 1000):
         self.field = field
         self.seed = seed
         self.params = pedersen.setup(field)
         self.bus = EncryptedBus()
-        self.dht = DhtNetwork(lam=lam)
+        self.dht = DhtNetwork()
         self.registry: list = []
         self.clients: dict = {}
 

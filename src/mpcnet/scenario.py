@@ -26,11 +26,12 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .circuits import CircuitSyntaxError, parse_circuit
-from .field import M61
+from .field import M61, is_prime
 from .incentives import FeeSchedule
 from .network import BEHAVIORS as FAULT_BEHAVIORS
 
 MODES = ("shamir", "spdz")
+SEED_LIMIT = 2 ** 64    # seeds are hashed as 8 unsigned bytes
 
 
 class ScenarioError(ValueError):
@@ -103,11 +104,12 @@ def parse_scenario(path) -> ScenarioConfig:
             faults[pos] = value
         elif key.startswith("fee."):
             name = {"round": "w_round", "add": "w_add", "mul": "w_mul",
-                    "min_balance": "min_balance", "storage": "storage_price",
-                    "grace": "grace_period"}.get(key.split(".", 1)[1])
+                    "min_balance": "min_balance"}.get(key.split(".", 1)[1])
             if name is None:
                 raise ScenarioError(f"{path}: unknown fee key {key!r}")
             fee_kwargs[name] = _parse_int(value, key)
+            if fee_kwargs[name] < 0:
+                raise ScenarioError(f"{path}: {key} must be non-negative")
 
     cfg = ScenarioConfig(
         nodes=_parse_int(pairs["nodes"], "nodes"),
@@ -128,8 +130,31 @@ def parse_scenario(path) -> ScenarioConfig:
         scaling_c=_parse_int(pairs.get("scaling_c", "3"), "scaling_c"),
         source=path,
     )
+    if not 0 <= cfg.seed < SEED_LIMIT:
+        raise ScenarioError(f"{path}: seed={cfg.seed} must be in [0, 2^64)")
+    if cfg.committee < 2:
+        raise ScenarioError(f"{path}: committee={cfg.committee} must be at least 2")
     if cfg.committee > cfg.nodes:
         raise ScenarioError(f"{path}: committee={cfg.committee} exceeds nodes={cfg.nodes}")
+    # Every metrics row multiplies a t = 1 sharing flat among its n parties.
+    metrics_key = "scaling" if cfg.scaling else "committee"
+    metrics_sizes = cfg.scaling or [cfg.committee]
+    if min(metrics_sizes) < 3:
+        raise ScenarioError(f"{path}: {metrics_key} size {min(metrics_sizes)} is below "
+                            "the 3 parties a metrics row's t = 1 product needs")
+    if cfg.scaling_c < 2:
+        raise ScenarioError(f"{path}: scaling_c={cfg.scaling_c} must be at least 2")
+    largest = max(metrics_sizes + [cfg.committee])
+    if not is_prime(cfg.prime) or cfg.prime <= largest:
+        raise ScenarioError(f"{path}: prime={cfg.prime} must be a prime above "
+                            f"the largest party count {largest}")
+    if cfg.reduction is not None and not 2 <= cfg.reduction <= cfg.committee:
+        raise ScenarioError(f"{path}: reduction={cfg.reduction} must satisfy "
+                            f"2 <= reduction <= committee={cfg.committee}")
+    # Only nodes holding a deposit are eligible for the committee.
+    if not 1 <= cfg.deposit <= cfg.balance:
+        raise ScenarioError(f"{path}: deposit={cfg.deposit} must satisfy "
+                            f"1 <= deposit <= balance={cfg.balance}")
     for pos in cfg.faults:
         if not 0 <= pos < cfg.committee:
             raise ScenarioError(f"{path}: fault position {pos} outside committee")

@@ -55,13 +55,23 @@ def test_run_missing_circuit_exit_one(tmp_path, capsys):
     ("inputs=5,8", "inputs"),
     ("threshold=5", "threshold"),
     ("circuit=bad.circ", "line 4"),
+    ("fee.mul=-1", "fee.mul"),
+    ("fee.storage=1", "fee.storage"),
+    ("reduction=1", "reduction"),
+    ("reduction=5", "reduction"),
+    ("deposit=0", "deposit"),
+    ("prime=4", "prime"),
+    ("scaling_c=1", "scaling_c"),
+    ("scaling=3,2", "scaling"),
+    ("committee=2", "committee"),
+    ("seed=-1", "seed"),
 ])
 def test_run_inconsistent_scenario_exits_one_without_traceback(tmp_path, edit, named):
     (tmp_path / "bad.circ").write_text("in a\nin b\nin c\nd = mul a z\nout d\n")
     (tmp_path / "mean3.circ").write_text((SCENARIOS / "mean3.circ").read_text())
     key = edit.partition("=")[0]
-    lines = [edit if line.startswith(key + "=") else line
-             for line in (SCENARIOS / "average.scn").read_text().splitlines()]
+    lines = [line for line in (SCENARIOS / "average.scn").read_text().splitlines()
+             if not line.startswith(key + "=")] + [edit]
     scn = tmp_path / "edited.scn"
     scn.write_text("\n".join(lines) + "\n")
     outdir = tmp_path / "out"
@@ -73,6 +83,13 @@ def test_run_inconsistent_scenario_exits_one_without_traceback(tmp_path, edit, n
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and named in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not outdir.exists()
+
+
+def test_run_seed_override_out_of_range_exits_one(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert run_cli("run", SCENARIOS / "average.scn", "--out", outdir, "--seed", -1) == 1
+    assert capsys.readouterr().err.startswith("error: --seed")
     assert not outdir.exists()
 
 

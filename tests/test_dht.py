@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mpcnet.dht import (
+    REPLICATION,
     Bucket,
     DhtNetwork,
     DhtRecord,
@@ -155,7 +156,7 @@ def test_replication_and_churn():
     for _ in range(50):
         key = rng.randbytes(32)
         replicas = net.dht_store(key, b"precious", encrypted=False)
-        assert len(replicas) == net.replication
+        assert len(replicas) == REPLICATION
         # Kill less than half the replica set; the record must survive.
         net.nodes[replicas[0]].alive = False
         record, _ = net.dht_lookup(key)
@@ -180,35 +181,6 @@ def test_placement_prefers_reputable_nodes():
         placement = net.placement(key)
         hits += any(n.node_id.value == star.value for n in placement)
     assert hits > 100
-
-
-def test_persistence_file_round_trip():
-    from mpcnet.dht import DhtRecord
-
-    net, ids, rng = build_network(8)
-    node = net.nodes[ids[0].value]
-    node.store.clear()
-    records = {}
-    for i in range(5):
-        key = rng.randbytes(32)
-        rec = DhtRecord(key=key, data=rng.randbytes(i * 7 + 1), encrypted=bool(i % 2))
-        records[key] = rec
-        node.store[key] = rec
-    blob = node.save_store()
-    # byte format: key(32) | flags(1) | len(4 BE) | value
-    first_key = next(iter(records))
-    assert blob[:32] == first_key
-    assert blob[32] == (1 if records[first_key].encrypted else 0)
-    assert int.from_bytes(blob[33:37], "big") == len(records[first_key].data)
-
-    node.store.clear()
-    node.load_store(blob)
-    assert set(node.store) == set(records)
-    for key, rec in records.items():
-        assert node.store[key].data == rec.data
-        assert node.store[key].encrypted == rec.encrypted
-    with pytest.raises(ValueError, match="truncated"):
-        node.load_store(blob[:-1])
 
 
 # -- predicate-gated store/load ---------------------------------------------------

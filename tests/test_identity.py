@@ -107,6 +107,9 @@ def test_predicate_text_round_trip():
         parse_predicate("(frobnicate)")
     with pytest.raises(ValueError):
         parse_predicate("(owner) trailing")
+    for truncated in ("(", "(keys", "(and (owner)", "(owner"):
+        with pytest.raises(ValueError):
+            parse_predicate(truncated)
 
 
 def test_acl_serialization_round_trip():
@@ -178,6 +181,23 @@ def test_parse_acl_returns_a_fresh_dict():
     assert set(second) == {kp.sign_pk for kp in pairs}
     # Editing a parse result changes neither later parses nor the checks.
     assert check_permission(outsider.sign_pk, ident.addr, Predicate.owner(), ledger) == 0
+
+
+@pytest.mark.parametrize("acl_text", [
+    "{not an acl", "[1,2]", '{"%s": "(keys"}',
+    '{"%s": "' + "(not " * 2000 + "(any)" + ")" * 2000 + '"}',
+], ids=["not-json", "json-list", "truncated-predicate", "deep-predicate"])
+def test_registration_that_does_not_parse_as_an_acl_is_rejected(acl_text):
+    ledger = Ledger()
+    ident, (a, b) = gen_shared_identity(make_gens(2), [Predicate.owner()] * 2, ledger)
+    acl, height = ledger.get(ident.addr), ledger.height
+    value = acl_text.replace("%s", b.sign_pk.hex()).encode()
+    with pytest.raises(LedgerRejected, match="malformed"):
+        ledger.submit_tx(make_tx(a, "identity-registration",
+                                 {"key": ident.addr.hex(), "value": value.hex()},
+                                 nonce=ledger.next_nonce(a.sign_pk)))
+    assert (ledger.height, ledger.get(ident.addr)) == (height, acl)
+    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
 
 
 def test_only_the_first_writer_may_rewrite_an_acl_or_a_pointer():

@@ -2,16 +2,11 @@ import random
 
 import pytest
 
-from mpcnet.dht import DhtNetwork, NodeId
-from mpcnet.incentives import (
-    FeeSchedule,
-    RentManager,
-    is_eligible,
-    post_deposit,
-    settle_computation,
-)
+from mpcnet.field import Field
+from mpcnet.incentives import FeeSchedule, post_deposit, settle_computation
 from mpcnet.keys import KeyPair
 from mpcnet.ledger import Ledger, LedgerRejected
+from mpcnet.network import Runtime
 from mpcnet.trace import ComputationTrace, NodeTally
 
 
@@ -48,11 +43,12 @@ def test_post_deposit_locks_and_gates_eligibility():
     assert (acct.balance, acct.deposit) == (900, 100)
     with pytest.raises(LedgerRejected):
         post_deposit(node, 1000, ledger)
-    assert is_eligible(node.sign_pk, ledger)
+    rt = Runtime(Field(101), 3, 2)
+    staked, other = rt.registry
+    post_deposit(staked.keypair, 100, rt.ledger)
     # zero deposit leaves the node ineligible
-    other = keypairs[1]
-    post_deposit(other, 0, ledger)
-    assert not is_eligible(other.sign_pk, ledger)
+    post_deposit(other.keypair, 0, rt.ledger)
+    assert rt.eligible_nodes() == [staked]
 
 
 def test_fee_fixture_hand_derived():
@@ -169,72 +165,3 @@ def test_settlement_report_format():
     line = report.to_text().splitlines()[1]
     assert line == f"node={keypairs[0].sign_pk.hex()} fee=1 slash=0 reason=honest"
 
-
-# -- storage rent -----------------------------------------------------------------
-
-def rent_env(balance=1000, price=2, grace=3):
-    rng = random.Random(8)
-    owner = KeyPair.generate(rng)
-    hosts = [KeyPair.generate(rng) for _ in range(2)]
-    authority = KeyPair.generate(rng)
-    ledger = Ledger(genesis_balances={owner.sign_pk: balance})
-    dht = DhtNetwork()
-    node_ids = []
-    for kp in hosts:
-        nid = NodeId(value=rng.randbytes(32))
-        dht.add_node(nid, kp)
-        node_ids.append(nid)
-    dht.bootstrap()
-    key = rng.randbytes(32)
-    dht.dht_store(key, b"x" * 10, encrypted=False)
-    schedule = FeeSchedule(storage_price=price, grace_period=grace)
-    manager = RentManager(schedule, ledger, dht, authority)
-    manager.register(key, owner.sign_pk, size=10, hosts=[kp.sign_pk for kp in hosts])
-    return manager, ledger, dht, key, owner, hosts
-
-
-def test_rent_linear_charging():
-    manager, ledger, dht, key, owner, hosts = rent_env()
-    for now in range(10):
-        actions = manager.tick(now)
-        assert actions == [(key, "charged")]
-    assert ledger.account(owner.sign_pk).balance == 1000 - 10 * 2 * 10
-    assert sum(ledger.account(kp.sign_pk).balance for kp in hosts) == 200
-    assert dht.holders(key)
-
-
-def test_rent_restriction_and_deletion():
-    manager, ledger, dht, key, owner, hosts = rent_env(balance=45)
-    # Ticks 0 and 1 charge 20 each; tick 2 finds 5 < 20 -> restricted;
-    # deletion exactly grace (3) ticks later, at tick 5.
-    assert manager.tick(0) == [(key, "charged")]
-    assert manager.tick(1) == [(key, "charged")]
-    assert manager.tick(2) == [(key, "restricted")]
-    assert manager.is_restricted(key)
-    assert manager.tick(3) == []
-    assert manager.tick(4) == []
-    assert manager.tick(5) == [(key, "deleted")]
-    assert not dht.holders(key)
-    # The deletion leaves a ledger record.
-    from mpcnet.keys import sha256
-    assert ledger.get(sha256(b"storage-deleted" + key)) is not None
-
-
-def test_rent_topup_restores():
-    manager, ledger, dht, key, owner, hosts = rent_env(balance=25)
-    assert manager.tick(0) == [(key, "charged")]
-    assert manager.tick(1) == [(key, "restricted")]
-    ledger.account(owner.sign_pk).balance += 100
-    assert manager.tick(2) == [(key, "restored")]
-    assert not manager.is_restricted(key)
-    assert manager.tick(3) == [(key, "charged")]
-    assert dht.holders(key)
-
-
-def test_rent_lifecycle_never_reverses_without_topup():
-    manager, ledger, dht, key, owner, _ = rent_env(balance=0, grace=2)
-    states = []
-    for now in range(5):
-        manager.tick(now)
-        states.append(manager.records[key].state)
-    assert states == ["restricted", "restricted", "deleted", "deleted", "deleted"]

@@ -123,6 +123,22 @@ def test_settlement_atomic(ledger, kp, rng):
     assert ledger.account(other.sign_pk).balance == 0
 
 
+def test_settlement_that_mints_is_rejected(rng):
+    # Any signer may post a settlement, so it must not create value: eve
+    # credits herself 1,000,000 against node's 100 deposit.
+    eve, node = KeyPair.generate(rng), KeyPair.generate(rng)
+    ledger = Ledger(genesis_balances={eve.sign_pk: 1000, node.sign_pk: 1000})
+    ledger.submit_tx(make_tx(node, "deposit", {"amount": 100}, nonce=0))
+    payload = {"computation": "00" * 32,
+               "balance_deltas": [[eve.sign_pk.hex(), 1_000_000]],
+               "deposit_deltas": [[node.sign_pk.hex(), -100]]}
+    with pytest.raises(LedgerRejected, match="sum to zero"):
+        ledger.submit_tx(make_tx(eve, "fee-settlement", payload, nonce=0))
+    assert len(ledger.rejected) == 1 and ledger.height == 1
+    assert ledger.account(eve.sign_pk).balance == 1000
+    assert ledger.account(node.sign_pk).deposit == 100
+
+
 def test_append_only_prefix_property(ledger, kp):
     keys_before = []
     for i in range(6):

@@ -208,6 +208,16 @@ def test_determinism_byte_identical():
         assert first.metrics_csv() == second.metrics_csv(), name
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scn")))
+def test_scenario_conserves_balances_plus_deposits(name):
+    cfg = load(name)
+    result = run_scenario(cfg)
+    accounts = result.runtime.ledger.accounts.values()
+    # Genesis funds every node and every data owner with `balance`.
+    assert sum(a.balance + a.deposit for a in accounts) == \
+        (cfg.nodes + len(cfg.inputs)) * cfg.balance
+
+
 def test_scaling_metrics_rows():
     result = run_scenario(load("scaling"))
     rows = {n: (base, hier) for n, base, hier, _ in result.metrics_rows}
