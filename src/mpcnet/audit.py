@@ -36,7 +36,7 @@ from . import pedersen, spdz
 from .errors import IncompleteTrail
 from .field import Field
 from .keys import KeyPair, sha256
-from .ledger import Ledger, make_tx
+from .ledger import Ledger, make_tx, writes_payload
 from .pedersen import CommitParams
 from .spdz import MacCheckQueue, MacKey
 
@@ -83,8 +83,7 @@ class TrailWriter:
 
     def _post_raw(self, key: bytes, record):
         tx = make_tx(self.poster, "commitment-post",
-                     {"key": key.hex(),
-                      "value": json.dumps(record, sort_keys=True).encode().hex()},
+                     writes_payload([(key, json.dumps(record, sort_keys=True).encode())]),
                      nonce=self.board.next_nonce(self.poster.sign_pk))
         self.board.submit_tx(tx)
 

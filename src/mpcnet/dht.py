@@ -26,7 +26,7 @@ from cryptography.exceptions import InvalidTag
 from . import keys as keymod
 from .identity import Predicate, check_permission, parse_predicate
 from .keys import KeyPair, sha256
-from .ledger import Ledger, make_tx
+from .ledger import Ledger, make_tx, writes_payload
 
 K_BUCKET = 8
 REPLICATION = 3
@@ -238,16 +238,18 @@ def record_address(addr: bytes, x: bytes) -> bytes:
 
 def protocol_store(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
                    board: Ledger, dht: DhtNetwork, encrypt: bool = True,
-                   q_store: Predicate | None = None):
+                   q_store: Predicate | None = None, writes: tuple = ()):
     """Authorize, then register the read predicate and place the record.
 
     Returns a_x on success and None when the store permission is denied; a
     denial leaves neither a ledger entry nor a DHT record behind. The write
     permission defaults to the requester's own registered policy.
 
-    The predicate goes on the ledger first, so a registration the ledger
-    rejects (LedgerRejected propagates) places nothing, and a record some
-    other writer already holds at a_x stays as it is.
+    The predicate goes on the ledger first, as the last write of one
+    transaction that starts with the caller's (key, value) `writes`, so a
+    transaction the ledger rejects (LedgerRejected propagates) places
+    nothing, and a record some other writer already holds at a_x stays as
+    it is.
     """
     q_store = q_store if q_store is not None else Predicate.policy()
     if not check_permission(requester.sign_pk, addr, q_store, board):
@@ -258,8 +260,8 @@ def protocol_store(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
                            int.from_bytes(a_x[:12], "big"), x)
     else:
         data = x
-    board.submit_tx(make_tx(requester, "kv-put",
-                            {"key": a_x.hex(), "value": q_read.to_text().encode().hex()},
+    writes = [*writes, (a_x, q_read.to_text().encode())]
+    board.submit_tx(make_tx(requester, "kv-put", writes_payload(writes),
                             nonce=board.next_nonce(requester.sign_pk)))
     dht.dht_store(a_x, data, encrypted=encrypt)
     return a_x

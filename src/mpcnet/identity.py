@@ -25,7 +25,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .keys import sha256
-from .ledger import Ledger, make_tx
+from .ledger import Ledger, make_tx, writes_payload
 
 ZERO_ADDR = bytes(32)
 
@@ -218,7 +218,7 @@ def gen_shared_identity(keygens: list, policies: list, ledger: Ledger):
 
     registrar = pairs[0]
     tx = make_tx(registrar, "identity-registration",
-                 {"key": addr.hex(), "value": serialize_acl(acl).hex()},
+                 writes_payload([(addr, serialize_acl(acl))]),
                  nonce=ledger.next_nonce(registrar.sign_pk))
     ledger.submit_tx(tx)
     return SharedIdentity(addr=addr, pks=tuple(kp.sign_pk for kp in pairs)), pairs

@@ -7,8 +7,15 @@ scope, so a single serialized writer with instant finality stands in for
 the chain; what is preserved faithfully is the contract everything else
 depends on -- append-only totally-ordered history, signature-checked writes,
 keys that only their first writer may rewrite, identity registrations that
-parse as ACLs, balance accounting with zero-sum settlements, and bit-exact
+parse as ACLs and bind their address to their keys, balance accounting with
+zero-sum settlements that only the genesis authority may post, and bit-exact
 replayability.
+
+A keyed transaction (`kv-put`, `identity-registration`, `commitment-post`)
+carries a non-empty list of (key, value) writes, applied atomically: every
+write must pass, and each becomes one entry in list order. So a data owner
+registers an input -- its commitments, its declassify predicate and its
+pointer predicate -- with one signature.
 
 Keys are 256-bit. Arbitrary strings/byte strings are admitted at the API
 and hashed down to the shared keyspace.
@@ -26,13 +33,8 @@ from . import keys as keymod
 from .errors import CorruptDump, LedgerRejected
 from .keys import sha256
 
-PAYLOAD_TYPES = (
-    "kv-put",
-    "identity-registration",
-    "commitment-post",
-    "deposit",
-    "fee-settlement",
-)
+KEYED_TYPES = ("kv-put", "identity-registration", "commitment-post")
+PAYLOAD_TYPES = KEYED_TYPES + ("deposit", "fee-settlement")
 
 ZERO_HASH = bytes(32)
 
@@ -46,11 +48,16 @@ def normalize_key(k) -> bytes:
     raise TypeError(f"ledger keys are str or bytes, got {type(k).__name__}")
 
 
+def writes_payload(writes) -> list:
+    """A keyed transaction's payload: one [key hex, value hex] per write."""
+    return [[key.hex(), value.hex()] for key, value in writes]
+
+
 @dataclass(frozen=True)
 class Transaction:
     sender: bytes          # signing public key, 32 bytes
     payload_type: str
-    payload: dict
+    payload: dict | list   # a list of writes for the keyed types
     nonce: int
     signature: bytes
 
@@ -60,7 +67,7 @@ class Transaction:
                 + self.nonce.to_bytes(8, "big"))
 
 
-def make_tx(keypair, payload_type: str, payload: dict, nonce: int) -> Transaction:
+def make_tx(keypair, payload_type: str, payload: dict | list, nonce: int) -> Transaction:
     if payload_type not in PAYLOAD_TYPES:
         raise ValueError(f"unknown payload type {payload_type!r}")
     unsigned = Transaction(keypair.sign_pk, payload_type, payload, nonce, b"")
@@ -113,9 +120,14 @@ class Account:
 
 
 class Ledger:
-    """Append-only bulletin board with balance accounts and full history."""
+    """Append-only bulletin board with balance accounts and full history.
 
-    def __init__(self, genesis_balances: dict | None = None):
+    `authority` is the settlement authority's signing key, named at genesis;
+    a ledger without one accepts no settlement.
+    """
+
+    def __init__(self, genesis_balances: dict | None = None,
+                 authority: bytes | None = None):
         self.entries: list = []
         self.chain_hashes: list = []
         self.accepted: list = []          # (tx, [entry heights])
@@ -125,6 +137,7 @@ class Ledger:
         self._kv = KVHistory()
         self._writers: dict = {}          # key -> author of its first entry
         self._genesis = dict(genesis_balances or {})
+        self.authority = authority
         for pk, amount in self._genesis.items():
             self.accounts[pk] = Account(balance=amount)
 
@@ -150,10 +163,10 @@ class Ledger:
     # -- writes ------------------------------------------------------------
 
     def submit_tx(self, tx: Transaction) -> int:
-        """Verify and apply a transaction; returns the height of its entry.
+        """Verify and apply a transaction; returns the height of its last entry.
 
-        Rejected transactions raise LedgerRejected and leave no state behind
-        (they are kept on the rejection log only).
+        Rejected transactions raise LedgerRejected and leave no state behind:
+        no entry, no nonce used up (they are kept on the rejection log only).
         """
         try:
             if not keymod.verify(tx.sender, tx.signature, tx.signing_bytes()):
@@ -187,20 +200,10 @@ class Ledger:
     def _apply(self, tx: Transaction) -> list:
         """Validate a payload and return the entries it produces."""
         p = tx.payload
-        if tx.payload_type in ("kv-put", "identity-registration", "commitment-post"):
-            key = bytes.fromhex(p["key"])
-            if len(key) != 32:
-                raise LedgerRejected("key must be 256-bit")
-            # Only a key's first writer may rewrite it, so an ACL or a
-            # predicate cannot be replaced by whoever signs next.
-            if self._writers.get(key, tx.sender) != tx.sender:
-                raise LedgerRejected(f"key {key.hex()[:16]} belongs to another writer")
-            value = bytes.fromhex(p["value"])
-            if tx.payload_type == "identity-registration":
-                # Every later permission check parses this ACL.
-                from .identity import parse_acl
-                parse_acl(value)
-            return [(key, value)]
+        if tx.payload_type in KEYED_TYPES:
+            if not isinstance(p, list) or not p:
+                raise ValueError("a keyed payload is a non-empty list of writes")
+            return [self._check_write(tx, key_hex, value_hex) for key_hex, value_hex in p]
 
         if tx.payload_type == "deposit":
             amount = int(p["amount"])
@@ -214,6 +217,8 @@ class Ledger:
             return [(sha256(b"account" + tx.sender), self._account_record(tx.sender))]
 
         if tx.payload_type == "fee-settlement":
+            if tx.sender != self.authority:
+                raise LedgerRejected("settlements are posted only by the authority")
             transfers = [(bytes.fromhex(pk), int(d)) for pk, d in p.get("balance_deltas", [])]
             slashes = [(bytes.fromhex(pk), int(d)) for pk, d in p.get("deposit_deltas", [])]
             if sum(d for _, d in transfers + slashes):
@@ -240,6 +245,30 @@ class Ledger:
             return entries
 
         raise LedgerRejected(f"unknown payload type {tx.payload_type!r}")
+
+    def _check_write(self, tx: Transaction, key_hex: str, value_hex: str) -> tuple:
+        """Validate one write of a keyed transaction; returns (key, value)."""
+        key = bytes.fromhex(key_hex)
+        if len(key) != 32:
+            raise LedgerRejected("key must be 256-bit")
+        # Only a key's first writer may rewrite it, so an ACL or a
+        # predicate cannot be replaced by whoever signs next.
+        first_writer = self._writers.get(key)
+        if first_writer not in (None, tx.sender):
+            raise LedgerRejected(f"key {key.hex()[:16]} belongs to another writer")
+        value = bytes.fromhex(value_hex)
+        if tx.payload_type == "identity-registration":
+            # Every later permission check parses this ACL.
+            from .identity import identity_address, parse_acl
+            acl = parse_acl(value)
+            # A first registration binds the address to its keys, so nobody
+            # can claim an identity that is not theirs before its owners do.
+            if first_writer is None:
+                if key != identity_address(list(acl)):
+                    raise LedgerRejected("address is not the identity address of the ACL's keys")
+                if tx.sender not in acl:
+                    raise LedgerRejected("the registrar is not in the ACL")
+        return key, value
 
     def _account_record(self, pk: bytes) -> bytes:
         acct = self.account(pk)

@@ -45,7 +45,7 @@ from .field import Field
 from .hierarchy import reduce_parties, reduce_parties_spdz, select_committee
 from .identity import Predicate, check_permission, parse_predicate
 from .keys import KeyPair, sha256
-from .ledger import Ledger, make_tx
+from .ledger import Ledger
 from .net import EncryptedBus
 from .spdz import MacCheckQueue, MacKey
 from .trace import ComputationTrace
@@ -117,7 +117,7 @@ class Runtime:
         self.authority = KeyPair.generate(child_rng(seed, "authority"))
         balances[self.authority.sign_pk] = 0
         self._genesis_balance = genesis_balance
-        self.ledger = Ledger(genesis_balances=balances)
+        self.ledger = Ledger(genesis_balances=balances, authority=self.authority.sign_pk)
 
     def add_client(self, label: str, balance: int | None = None) -> KeyPair:
         kp = KeyPair.generate(child_rng(self.seed, f"client:{label}"))
@@ -171,12 +171,13 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
     """Verifiably share x with a sampled committee and register the pointer.
 
     Deals the sharing (Shamir or SPDZ per `mode`) together with per-party
-    Pedersen commitments (the VSS layer), sends each share with its blinding
-    to its committee member over the secure channel, posts commitments and
-    the declassify predicate to the ledger, then registers the computation
-    reference in the DHT gated by q_compute. Returns (pointer, committee);
-    a denied store permission returns (None, None) before anything is
-    shared or written.
+    Pedersen commitments (the VSS layer) and sends each share with its
+    blinding to its committee member over the secure channel. The owner
+    then signs one ledger transaction that posts the commitments, the
+    declassify predicate and the pointer's predicate q_compute, in that
+    order, and places the computation reference in the DHT. Returns
+    (pointer, committee); a denied store permission returns (None, None)
+    before anything is shared or written.
     """
     q_store = q_store if q_store is not None else Predicate.policy()
     if not check_permission(owner.sign_pk, addr, q_store, rt.ledger):
@@ -225,20 +226,8 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
 
     vss_record = {"mode": mode, "n": n, "t": t,
                   "commitments": [hex(c) for c in commitments]}
-    rt.ledger.submit_tx(make_tx(
-        owner, "commitment-post",
-        {"key": vss_key(sharing_id).hex(),
-         "value": json.dumps(vss_record, sort_keys=True).encode().hex()},
-        nonce=rt.ledger.next_nonce(owner.sign_pk)))
-
     q_declassify = q_declassify if q_declassify is not None \
         else Predicate.key_list([owner.sign_pk])
-    rt.ledger.submit_tx(make_tx(
-        owner, "kv-put",
-        {"key": sharing_id.hex(),
-         "value": q_declassify.to_text().encode().hex()},
-        nonce=rt.ledger.next_nonce(owner.sign_pk)))
-
     blob = json.dumps({
         "ref": x_ref,
         "sharing": sharing_id.hex(),
@@ -247,8 +236,12 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
         "t": t,
         "committee": [node.index for node in committee],
     }, sort_keys=True).encode()
+    # One owner transaction: the commitments, the declassify predicate,
+    # then (through protocol_store) the pointer's predicate.
+    writes = ((vss_key(sharing_id), json.dumps(vss_record, sort_keys=True).encode()),
+              (sharing_id, q_declassify.to_text().encode()))
     pointer = protocol_store(owner, addr, blob, q_compute, rt.ledger, rt.dht,
-                             encrypt=False, q_store=q_store)
+                             encrypt=False, q_store=q_store, writes=writes)
     if pointer is None:
         return None, None
     return pointer, committee

@@ -21,7 +21,7 @@ from mpcnet.field import Field, M61
 from mpcnet.identity import Predicate, check_permission, gen_shared_identity
 from mpcnet.incentives import FeeSchedule, post_deposit, settle_computation
 from mpcnet.keys import KeyPair, sha256
-from mpcnet.ledger import Ledger, make_tx, normalize_key
+from mpcnet.ledger import Ledger, make_tx, normalize_key, writes_payload
 from mpcnet.net import LocalChannel
 from mpcnet.network import Runtime, child_rng, mpc_declassify, protocol_compute, protocol_share
 from mpcnet.runner import run_scenario
@@ -276,8 +276,9 @@ def test_criterion_8_incentive_suite():
     schedule = FeeSchedule(w_round=1, w_add=1, w_mul=10)
     rng = random.Random(808)
     keypairs = [KeyPair.generate(rng) for _ in range(3)]
-    ledger = Ledger(genesis_balances={kp.sign_pk: 1000 for kp in keypairs})
     authority = KeyPair.generate(rng)
+    ledger = Ledger(genesis_balances={kp.sign_pk: 1000 for kp in keypairs},
+                    authority=authority.sign_pk)
     trace = ComputationTrace(computation_id=b"\x08" * 32, mode="shamir", seed=8,
                              committee=[0, 1], committee_pks=[keypairs[0].sign_pk,
                                                               keypairs[1].sign_pk],
@@ -294,8 +295,10 @@ def test_criterion_8_incentive_suite():
         crng = random.Random(8000 + case)
         n = crng.randrange(2, 6)
         pairs = [KeyPair.generate(crng) for _ in range(n + 1)]
+        authority = KeyPair.generate(crng)
         lg = Ledger(genesis_balances={kp.sign_pk: crng.randrange(100, 3000)
-                                      for kp in pairs})
+                                      for kp in pairs},
+                    authority=authority.sign_pk)
         for kp in pairs[:n]:
             cap = lg.account(kp.sign_pk).balance
             post_deposit(kp, crng.randrange(0, cap), lg)
@@ -314,7 +317,7 @@ def test_criterion_8_incentive_suite():
                             w_mul=crng.randrange(12),
                             min_balance=crng.randrange(100))
         total_before = sum(a.balance + a.deposit for a in lg.accounts.values())
-        settle_computation(tr, sched, lg, KeyPair.generate(crng))
+        settle_computation(tr, sched, lg, authority)
         total_after = sum(a.balance + a.deposit for a in lg.accounts.values())
         assert total_after == total_before
 
@@ -339,7 +342,7 @@ def test_criterion_9_ledger_history():
     for _ in range(1000):
         k = rng.choice(keys)
         v = rng.randbytes(5)
-        tx = make_tx(kp, "kv-put", {"key": normalize_key(k).hex(), "value": v.hex()},
+        tx = make_tx(kp, "kv-put", writes_payload([(normalize_key(k), v)]),
                      nonce=ledger.next_nonce(kp.sign_pk))
         h = ledger.submit_tx(tx)
         history.append((h, k, v))

@@ -11,6 +11,7 @@ from mpcnet.dht import (
     NodeId,
     protocol_load,
     protocol_store,
+    record_address,
     reputation_norm,
     weighted_distance,
     xor_distance,
@@ -274,6 +275,25 @@ def test_rejected_store_keeps_the_first_writers_record(gated_env):
     assert net.holders(a_x) == holders
     assert ledger.get(a_x) == b"(owner)"
     assert protocol_load(alice, ident.addr, a_x, ledger, net) == b"same-bytes"
+
+
+def test_store_with_a_rejected_preceding_write_places_nothing(gated_env):
+    # The caller's writes and the predicate are one transaction: a write to
+    # alice's key rejects bob's whole store, so neither his predicate nor
+    # his record lands, and his nonce stays unused.
+    from mpcnet.errors import LedgerRejected
+
+    net, ledger, ident, (alice, bob), _ = gated_env
+    a_x = protocol_store(alice, ident.addr, b"alice-data", Predicate.owner(), ledger,
+                         net, encrypt=False)
+    height, nonce = ledger.height, ledger.next_nonce(bob.sign_pk)
+    with pytest.raises(LedgerRejected, match="another writer"):
+        protocol_store(bob, ident.addr, b"bob-data", Predicate.owner(), ledger, net,
+                       encrypt=False, writes=[(a_x, b"(any)")])
+    bob_x = record_address(ident.addr, b"bob-data")
+    assert (ledger.height, ledger.next_nonce(bob.sign_pk)) == (height, nonce)
+    assert ledger.get(bob_x) is None and not net.holders(bob_x)
+    assert ledger.get(a_x) == b"(owner)"
 
 
 def test_encrypted_records_owner_only(gated_env):

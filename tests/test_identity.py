@@ -16,7 +16,7 @@ from mpcnet.identity import (
     serialize_acl,
 )
 from mpcnet.keys import KeyPair, sha256
-from mpcnet.ledger import Ledger, make_tx
+from mpcnet.ledger import Ledger, make_tx, writes_payload
 from mpcnet.network import Runtime
 
 
@@ -157,7 +157,7 @@ def test_check_permission_follows_a_replaced_acl():
 
     def register(acl_bytes):
         ledger.submit_tx(make_tx(a, "identity-registration",
-                                 {"key": ident.addr.hex(), "value": acl_bytes.hex()},
+                                 writes_payload([(ident.addr, acl_bytes)]),
                                  nonce=ledger.next_nonce(a.sign_pk)))
 
     assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
@@ -194,7 +194,7 @@ def test_registration_that_does_not_parse_as_an_acl_is_rejected(acl_text):
     value = acl_text.replace("%s", b.sign_pk.hex()).encode()
     with pytest.raises(LedgerRejected, match="malformed"):
         ledger.submit_tx(make_tx(a, "identity-registration",
-                                 {"key": ident.addr.hex(), "value": value.hex()},
+                                 writes_payload([(ident.addr, value)]),
                                  nonce=ledger.next_nonce(a.sign_pk)))
     assert (ledger.height, ledger.get(ident.addr)) == (height, acl)
     assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
@@ -212,7 +212,7 @@ def test_only_the_first_writer_may_rewrite_an_acl_or_a_pointer():
     acl, height = ledger.get(ident.addr), ledger.height
 
     def write(kp, payload_type, key, value: bytes):
-        ledger.submit_tx(make_tx(kp, payload_type, {"key": key.hex(), "value": value.hex()},
+        ledger.submit_tx(make_tx(kp, payload_type, writes_payload([(key, value)]),
                                  nonce=ledger.next_nonce(kp.sign_pk)))
 
     with pytest.raises(LedgerRejected, match="another writer"):
@@ -220,7 +220,7 @@ def test_only_the_first_writer_may_rewrite_an_acl_or_a_pointer():
               serialize_acl({eve.sign_pk: Predicate.owner()}))
     with pytest.raises(LedgerRejected, match="another writer"):
         write(eve, "kv-put", pointer, Predicate.any().to_text().encode())
-    assert [(tx.sender, tx.payload["key"]) for tx, _ in ledger.rejected] == \
+    assert [(tx.sender, tx.payload[0][0]) for tx, _ in ledger.rejected] == \
         [(eve.sign_pk, ident.addr.hex()), (eve.sign_pk, pointer.hex())]
     assert all("another writer" in reason for _, reason in ledger.rejected)
     assert (ledger.height, ledger.get(ident.addr)) == (height, acl)
@@ -234,3 +234,27 @@ def test_only_the_first_writer_may_rewrite_an_acl_or_a_pointer():
     write(alice, "kv-put", pointer, Predicate.key_list([alice.sign_pk]).to_text().encode())
     assert check_permission(eve.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
     assert ledger.get(pointer) == Predicate.key_list([alice.sign_pk]).to_text().encode()
+
+
+def test_an_identity_address_cannot_be_squatted():
+    # Addresses are computable from public keys. Eve registers alice's
+    # address first, under her own ACL and then under alice's; both are
+    # rejected, and alice can still register her identity.
+    alice, eve = (KeyPair.generate(random.Random(seed)) for seed in (31, 32))
+    ledger = Ledger()
+    addr = identity_address([alice.sign_pk])
+
+    def register(acl: dict):
+        ledger.submit_tx(make_tx(eve, "identity-registration",
+                                 writes_payload([(addr, serialize_acl(acl))]),
+                                 nonce=ledger.next_nonce(eve.sign_pk)))
+
+    with pytest.raises(LedgerRejected, match="identity address"):
+        register({eve.sign_pk: Predicate.owner()})
+    with pytest.raises(LedgerRejected, match="registrar is not in the ACL"):
+        register({alice.sign_pk: Predicate.owner()})
+    assert ledger.get(addr) is None and ledger.next_nonce(eve.sign_pk) == 0
+    ident, _ = gen_shared_identity([lambda: alice], [Predicate.owner()], ledger)
+    assert ident.addr == addr
+    assert check_permission(alice.sign_pk, addr, Predicate.owner(), ledger) == 1
+    assert check_permission(eve.sign_pk, addr, Predicate.owner(), ledger) == 0

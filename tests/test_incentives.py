@@ -14,10 +14,13 @@ def total_value(ledger):
     return sum(a.balance + a.deposit for a in ledger.accounts.values())
 
 
-def make_parties(count, balance=1000, seed=55):
+def make_parties(count, balance=1000, seed=55, authority=None):
+    """Funded keypairs on a ledger whose genesis names `authority` (a
+    KeyPair) as the only key that may post settlements."""
     rng = random.Random(seed)
     keypairs = [KeyPair.generate(rng) for _ in range(count)]
-    ledger = Ledger(genesis_balances={kp.sign_pk: balance for kp in keypairs})
+    ledger = Ledger(genesis_balances={kp.sign_pk: balance for kp in keypairs},
+                    authority=authority.sign_pk if authority else None)
     return keypairs, ledger
 
 
@@ -56,8 +59,8 @@ def test_fee_fixture_hand_derived():
     # earns 5 + 2 + 30 = 37.
     schedule = FeeSchedule(w_round=1, w_add=1, w_mul=10)
     assert schedule.fee(5, 2, 3) == 37
-    keypairs, ledger = make_parties(4)
     authority = KeyPair.generate(random.Random(1))
+    keypairs, ledger = make_parties(4, authority=authority)
     worker_pks = [kp.sign_pk for kp in keypairs[:3]]
     trace = make_trace(worker_pks, keypairs[3].sign_pk,
                        [NodeTally(5, 2, 3), NodeTally(1, 1, 0), NodeTally(0, 0, 0)])
@@ -78,8 +81,8 @@ def test_settlement_requires_finalized_trace():
 
 
 def test_no_faults_leave_deposits_unchanged():
-    keypairs, ledger = make_parties(4)
     authority = KeyPair.generate(random.Random(2))
+    keypairs, ledger = make_parties(4, authority=authority)
     for kp in keypairs[:3]:
         post_deposit(kp, 90, ledger)
     trace = make_trace([kp.sign_pk for kp in keypairs[:3]], keypairs[3].sign_pk,
@@ -91,8 +94,8 @@ def test_no_faults_leave_deposits_unchanged():
 
 def test_slash_split_equally():
     # 1 malicious with deposit 90, 3 honest -> each honest +30.
-    keypairs, ledger = make_parties(5)
     authority = KeyPair.generate(random.Random(3))
+    keypairs, ledger = make_parties(5, authority=authority)
     for kp in keypairs[:4]:
         post_deposit(kp, 90, ledger)
     committee_pks = [kp.sign_pk for kp in keypairs[:4]]
@@ -109,8 +112,8 @@ def test_slash_split_equally():
 
 
 def test_slash_remainder_to_first_honest():
-    keypairs, ledger = make_parties(4)
     authority = KeyPair.generate(random.Random(4))
+    keypairs, ledger = make_parties(4, authority=authority)
     for kp, amount in zip(keypairs[:3], (100, 100, 91)):
         post_deposit(kp, amount, ledger)
     committee_pks = [kp.sign_pk for kp in keypairs[:3]]
@@ -124,8 +127,8 @@ def test_slash_remainder_to_first_honest():
 
 
 def test_min_balance_rejects_request():
-    keypairs, ledger = make_parties(3, balance=5)
     authority = KeyPair.generate(random.Random(5))
+    keypairs, ledger = make_parties(3, balance=5, authority=authority)
     trace = make_trace([keypairs[0].sign_pk, keypairs[1].sign_pk],
                        keypairs[2].sign_pk, [NodeTally(1, 1, 1)] * 2)
     schedule = FeeSchedule(min_balance=100)
@@ -140,8 +143,8 @@ def test_conservation_randomized():
     for case in range(500):
         n = rng.randrange(2, 6)
         balance = rng.randrange(50, 2000)
-        keypairs, ledger = make_parties(n + 1, balance=balance, seed=case)
         authority = KeyPair.generate(random.Random(9000 + case))
+        keypairs, ledger = make_parties(n + 1, balance=balance, seed=case, authority=authority)
         for kp in keypairs[:n]:
             post_deposit(kp, rng.randrange(0, min(balance, 200)), ledger)
         tallies = [NodeTally(rng.randrange(5), rng.randrange(5), rng.randrange(3))
@@ -157,8 +160,8 @@ def test_conservation_randomized():
 
 
 def test_settlement_report_format():
-    keypairs, ledger = make_parties(2)
     authority = KeyPair.generate(random.Random(6))
+    keypairs, ledger = make_parties(2, authority=authority)
     trace = make_trace([keypairs[0].sign_pk], keypairs[1].sign_pk,
                        [NodeTally(1, 0, 0)])
     report = settle_computation(trace, FeeSchedule(), ledger, authority)

@@ -3,8 +3,10 @@ import dataclasses
 import pytest
 
 from mpcnet.errors import CorruptDump, LedgerRejected
+from mpcnet.identity import Predicate, identity_address, serialize_acl
 from mpcnet.keys import KeyPair
-from mpcnet.ledger import Ledger, Transaction, load_dump, make_tx, normalize_key
+from mpcnet.ledger import (KEYED_TYPES, Ledger, Transaction, load_dump, make_tx,
+                           normalize_key, writes_payload)
 
 
 @pytest.fixture
@@ -14,28 +16,63 @@ def kp(rng):
 
 @pytest.fixture
 def ledger(kp):
-    return Ledger(genesis_balances={kp.sign_pk: 1000})
+    return Ledger(genesis_balances={kp.sign_pk: 1000}, authority=kp.sign_pk)
 
 
-def put(ledger, kp, key, value: bytes):
-    tx = make_tx(kp, "kv-put", {"key": normalize_key(key).hex(), "value": value.hex()},
+def submit(ledger, kp, payload_type, writes):
+    tx = make_tx(kp, payload_type, writes_payload(writes),
                  nonce=ledger.next_nonce(kp.sign_pk))
     return ledger.submit_tx(tx)
 
 
+def put(ledger, kp, key, value: bytes):
+    return submit(ledger, kp, "kv-put", [(normalize_key(key), value)])
+
+
+def own_identity(kp):
+    """A write that is a valid first registration of kp's own address."""
+    return identity_address([kp.sign_pk]), serialize_acl({kp.sign_pk: Predicate.owner()})
+
+
 def test_only_the_first_writer_may_rewrite_a_key(ledger, kp, rng):
+    # One write to another writer's key rejects the whole transaction, and
+    # the writes before it in the list leave nothing behind.
     other = KeyPair.generate(rng)
     put(ledger, kp, "k", b"\x01")
-    for payload_type in ("kv-put", "identity-registration", "commitment-post"):
-        tx = make_tx(other, payload_type, {"key": normalize_key("k").hex(), "value": "02"},
-                     nonce=ledger.next_nonce(other.sign_pk))
+    for payload_type in KEYED_TYPES:
+        fresh = own_identity(other) if payload_type == "identity-registration" \
+            else (normalize_key("k2"), b"\x02")
         with pytest.raises(LedgerRejected, match="another writer"):
-            ledger.submit_tx(tx)
-    assert len(ledger.rejected) == 3 and ledger.height == 1
-    assert ledger.get("k") == b"\x01" and ledger.next_nonce(other.sign_pk) == 0
+            submit(ledger, other, payload_type, [(normalize_key("k"), b"\x02")])
+        with pytest.raises(LedgerRejected, match="another writer"):
+            submit(ledger, other, payload_type, [fresh, (normalize_key("k"), b"\x02")])
+    assert len(ledger.rejected) == 6 and ledger.height == 1
+    assert ledger.get("k") == b"\x01" and ledger.get("k2") is None
+    assert ledger.get(identity_address([other.sign_pk])) is None
+    assert ledger.next_nonce(other.sign_pk) == 0
     put(ledger, other, "k2", b"\x03")
     put(ledger, kp, "k", b"\x04")
     assert (ledger.get("k"), ledger.get("k2")) == (b"\x04", b"\x03")
+
+
+def test_a_transaction_writes_each_entry_in_list_order(ledger, kp):
+    writes = [(normalize_key(k), v) for k, v in (("a", b"1"), ("b", b"2"), ("a", b"3"))]
+    assert submit(ledger, kp, "kv-put", writes) == 3
+    assert [(e.key, e.value) for e in ledger.entries] == writes
+    assert ledger.accepted[0][1] == [1, 2, 3] and ledger.next_nonce(kp.sign_pk) == 1
+    assert (ledger.get("a"), ledger.get_at("a", 1)) == (b"3", b"1")
+
+
+def test_registration_whose_second_value_is_not_an_acl_is_rejected_whole(ledger, kp, rng):
+    other = KeyPair.generate(rng)
+    both = identity_address([kp.sign_pk, other.sign_pk])
+    acl = serialize_acl({kp.sign_pk: Predicate.owner(), other.sign_pk: Predicate.owner()})
+    with pytest.raises(LedgerRejected, match="malformed"):
+        submit(ledger, kp, "identity-registration", [own_identity(kp), (both, b"{not an acl")])
+    assert ledger.height == 0 and len(ledger.rejected) == 1
+    assert ledger.next_nonce(kp.sign_pk) == 0
+    assert submit(ledger, kp, "identity-registration", [own_identity(kp), (both, acl)]) == 2
+    assert ledger.get(both) == acl
 
 
 def test_put_get_round_trip(ledger, kp):
@@ -73,7 +110,7 @@ def test_get_at_stable_under_later_writes(ledger, kp):
 
 
 def test_bad_signature_rejected(ledger, kp):
-    tx = make_tx(kp, "kv-put", {"key": normalize_key("k").hex(), "value": "00"},
+    tx = make_tx(kp, "kv-put", writes_payload([(normalize_key("k"), b"\x00")]),
                  nonce=ledger.next_nonce(kp.sign_pk))
     forged = Transaction(tx.sender, tx.payload_type, tx.payload, tx.nonce, b"\x00" * 64)
     with pytest.raises(LedgerRejected, match="signature"):
@@ -84,21 +121,22 @@ def test_bad_signature_rejected(ledger, kp):
 
 def test_stale_nonce_rejected(ledger, kp):
     put(ledger, kp, "k", b"v")
-    tx = make_tx(kp, "kv-put", {"key": normalize_key("k").hex(), "value": "00"}, nonce=0)
+    tx = make_tx(kp, "kv-put", writes_payload([(normalize_key("k"), b"\x00")]), nonce=0)
     with pytest.raises(LedgerRejected, match="nonce"):
         ledger.submit_tx(tx)
 
 
 def test_malformed_payload_rejected(ledger, kp):
-    tx = make_tx(kp, "kv-put", {"key": "zz-not-hex", "value": "00"},
-                 nonce=ledger.next_nonce(kp.sign_pk))
-    with pytest.raises(LedgerRejected, match="malformed"):
-        ledger.submit_tx(tx)
-    tx = make_tx(kp, "deposit", {"amount": "plenty"},
-                 nonce=ledger.next_nonce(kp.sign_pk))
-    with pytest.raises(LedgerRejected, match="malformed"):
-        ledger.submit_tx(tx)
-    assert ledger.height == 0 and len(ledger.rejected) == 2
+    # A keyed payload is a non-empty list of [key hex, value hex] writes;
+    # an empty list, the old single-write object and a short write are not.
+    keyed = [[["zz-not-hex", "00"]], [], {"key": "00" * 32, "value": "00"}, [["00" * 32]]]
+    cases = [(t, payload) for t in KEYED_TYPES for payload in keyed]
+    for payload_type, payload in cases + [("deposit", {"amount": "plenty"})]:
+        tx = make_tx(kp, payload_type, payload, nonce=ledger.next_nonce(kp.sign_pk))
+        with pytest.raises(LedgerRejected, match="malformed"):
+            ledger.submit_tx(tx)
+    assert ledger.height == 0 and len(ledger.rejected) == len(cases) + 1
+    assert ledger.next_nonce(kp.sign_pk) == 0
 
 
 def test_deposit_and_insufficient_balance(ledger, kp):
@@ -124,19 +162,38 @@ def test_settlement_atomic(ledger, kp, rng):
 
 
 def test_settlement_that_mints_is_rejected(rng):
-    # Any signer may post a settlement, so it must not create value: eve
-    # credits herself 1,000,000 against node's 100 deposit.
-    eve, node = KeyPair.generate(rng), KeyPair.generate(rng)
-    ledger = Ledger(genesis_balances={eve.sign_pk: 1000, node.sign_pk: 1000})
+    # Not even the authority may create value: it credits eve 1,000,000
+    # against node's 100 deposit.
+    eve, node, authority = (KeyPair.generate(rng) for _ in range(3))
+    ledger = Ledger(genesis_balances={eve.sign_pk: 1000, node.sign_pk: 1000},
+                    authority=authority.sign_pk)
     ledger.submit_tx(make_tx(node, "deposit", {"amount": 100}, nonce=0))
     payload = {"computation": "00" * 32,
                "balance_deltas": [[eve.sign_pk.hex(), 1_000_000]],
                "deposit_deltas": [[node.sign_pk.hex(), -100]]}
     with pytest.raises(LedgerRejected, match="sum to zero"):
-        ledger.submit_tx(make_tx(eve, "fee-settlement", payload, nonce=0))
+        ledger.submit_tx(make_tx(authority, "fee-settlement", payload, nonce=0))
     assert len(ledger.rejected) == 1 and ledger.height == 1
     assert ledger.account(eve.sign_pk).balance == 1000
     assert ledger.account(node.sign_pk).deposit == 100
+
+
+def test_settlement_from_a_client_key_is_rejected(rng):
+    # A balanced settlement still moves value, so only the authority named
+    # at genesis may post one: eve moves node's deposit to her balance.
+    eve, node, authority = (KeyPair.generate(rng) for _ in range(3))
+    ledger = Ledger(genesis_balances={eve.sign_pk: 1000, node.sign_pk: 1000},
+                    authority=authority.sign_pk)
+    ledger.submit_tx(make_tx(node, "deposit", {"amount": 100}, nonce=0))
+    payload = {"computation": "00" * 32,
+               "balance_deltas": [[eve.sign_pk.hex(), 100]],
+               "deposit_deltas": [[node.sign_pk.hex(), -100]]}
+    with pytest.raises(LedgerRejected, match="only by the authority"):
+        ledger.submit_tx(make_tx(eve, "fee-settlement", payload, nonce=0))
+    assert len(ledger.rejected) == 1 and ledger.height == 1
+    assert ledger.next_nonce(eve.sign_pk) == 0
+    assert (ledger.account(eve.sign_pk).balance, ledger.account(eve.sign_pk).deposit) == (1000, 0)
+    assert (ledger.account(node.sign_pk).balance, ledger.account(node.sign_pk).deposit) == (900, 100)
 
 
 def test_append_only_prefix_property(ledger, kp):

@@ -167,14 +167,22 @@ def test_share_then_declassify_owner_only(mode):
 
 
 def test_share_posts_n_commitments():
+    # One owner transaction: the VSS record, the declassify predicate, then
+    # the pointer's predicate.
     rt, owners, ident, committee, _, rng = make_env()
     q = Predicate.key_list([owners[0].sign_pk])
-    protocol_share(owners[0], "owner0", ident.addr, 9, "x", q, n=3, t=1,
-                   rt=rt, rng=rng, committee=committee)
+    accepted = len(rt.ledger.accepted)
+    pointer, _ = protocol_share(owners[0], "owner0", ident.addr, 9, "x", q, n=3, t=1,
+                                rt=rt, rng=rng, committee=committee)
     import json
     from mpcnet.network import sharing_key, vss_key
-    record = json.loads(rt.ledger.get(vss_key(sharing_key(ident.addr, "x"))).decode())
+    sharing = sharing_key(ident.addr, "x")
+    record = json.loads(rt.ledger.get(vss_key(sharing)).decode())
     assert len(record["commitments"]) == 3
+    (tx, heights), = rt.ledger.accepted[accepted:]
+    assert tx.sender == owners[0].sign_pk
+    assert [rt.ledger.entries[h - 1].key for h in heights] == \
+        [vss_key(sharing), sharing, pointer]
 
 
 def test_share_denied_for_non_member():

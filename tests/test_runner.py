@@ -3,14 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from mpcnet import keys
+from mpcnet import keys, runner
 from mpcnet.audit import audit_trail, trail_key, trail_meta_key
 from mpcnet.circuits import eval_plain, parse_circuit
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
 from mpcnet.identity import Predicate, identity_address, serialize_acl
-from mpcnet.ledger import make_tx
-from mpcnet.network import child_rng, protocol_compute
+from mpcnet.ledger import make_tx, writes_payload
+from mpcnet.network import child_rng, protocol_compute, protocol_share
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import ScenarioError, parse_scenario
 from mpcnet.trace import ComputationTrace
@@ -218,6 +218,34 @@ def test_scenario_conserves_balances_plus_deposits(name):
         (cfg.nodes + len(cfg.inputs)) * cfg.balance
 
 
+@pytest.mark.parametrize("name, faults, rounds",
+                         [(p.stem, None, 1) for p in sorted(SCENARIOS.glob("*.scn"))]
+                         + [("cheater", {1: "abort-after-output"}, 2)],
+                         ids=[p.stem for p in sorted(SCENARIOS.glob("*.scn"))]
+                         + ["spdz-abort"])
+def test_each_input_is_one_owner_transaction(name, faults, rounds, monkeypatch):
+    # An input's commitments, declassify predicate and pointer predicate
+    # carry one owner signature; the only other owner transaction is
+    # owner0's identity registration. An SPDZ abort restarts the
+    # computation and shares every input a second time.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].sign_pk)
+        return protocol_share(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "protocol_share", counted)
+    cfg = load(name)
+    cfg.faults = faults if faults is not None else cfg.faults
+    result = run_scenario(cfg)
+    rt = result.runtime
+    owners = {kp.sign_pk for label, kp in rt.clients.items() if label.startswith("owner")}
+    signed = [(tx.sender, len(heights)) for tx, heights in rt.ledger.accepted
+              if tx.sender in owners]
+    assert len(calls) == len(cfg.inputs) * rounds
+    assert signed == [(rt.clients["owner0"].sign_pk, 1)] + [(pk, 3) for pk in calls]
+
+
 def test_scaling_metrics_rows():
     result = run_scenario(load("scaling"))
     rows = {n: (base, hier) for n, base, hier, _ in result.metrics_rows}
@@ -323,9 +351,8 @@ def test_compute_rights_follow_a_replaced_acl():
     registrar = owners[0]
     rt.ledger.submit_tx(make_tx(
         registrar, "identity-registration",
-        {"key": addr.hex(),
-         "value": serialize_acl({kp.sign_pk: Predicate.owner()
-                                 for kp in owners[1:]}).hex()},
+        writes_payload([(addr, serialize_acl({kp.sign_pk: Predicate.owner()
+                                              for kp in owners[1:]}))]),
         nonce=rt.ledger.next_nonce(registrar.sign_pk)))
     outputs, trace = recompute(result, registrar, "owner0")
     assert outputs is None and trace.outcome == "denied"
