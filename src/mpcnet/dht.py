@@ -1,10 +1,9 @@
-"""Kademlia-style DHT with preference-weighted placement.
+"""Kademlia-style DHT with XOR routing and XOR placement.
 
 Routing uses the classic XOR metric over 256-bit node identifiers with
-prefix-range buckets, so iterative lookups converge in O(log n) hops.
-Storage placement (and only placement -- routing stays pure-XOR so the
-convergence argument holds) is biased toward reputable, under-loaded nodes
-through a weighted distance score.
+prefix-range buckets, so iterative lookups converge in O(log n) hops
+(Maymounkov and Mazières, IPTPS 2002). A record's replicas are the
+REPLICATION live nodes closest to its key by the same metric.
 
 Values are encrypted client-side by default, under a key derived from the
 owner's signing keypair; record bytes at rest on any non-owner node are
@@ -19,7 +18,6 @@ Desk-scale parameters: bucket size 8, replication 3, lookup parallelism 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
 
 from cryptography.exceptions import InvalidTag
 
@@ -31,50 +29,11 @@ from .ledger import Ledger, make_tx, writes_payload
 K_BUCKET = 8
 REPLICATION = 3
 PARALLELISM = 3
-DEFAULT_LAMBDA = 0.5
 
 
-@dataclass(frozen=True)
-class NodeId:
-    """A node's identifier plus the preference inputs used for placement."""
-
-    value: bytes
-    reputation: float = 0.0
-    capacity: float = 1.0
-
-    def __post_init__(self):
-        if len(self.value) != 32:
-            raise ValueError("node identifiers are 256-bit")
-        if self.reputation < 0:
-            raise ValueError("reputation is non-negative")
-        if not 0 <= self.capacity <= 1:
-            raise ValueError("capacity is a load headroom in [0,1]")
-
-
-def _ident(node) -> bytes:
-    return node.value if isinstance(node, NodeId) else node
-
-
-def xor_distance(a, b) -> int:
+def xor_distance(a: bytes, b: bytes) -> int:
     """The original Kademlia distance metric."""
-    return int.from_bytes(_ident(a), "big") ^ int.from_bytes(_ident(b), "big")
-
-
-def reputation_norm(node: NodeId) -> float:
-    """Squash unbounded reputation into [0, 1)."""
-    return node.reputation / (1.0 + node.reputation)
-
-
-def weighted_distance(a, b: NodeId, lam: float = DEFAULT_LAMBDA) -> float:
-    """Placement score: log-distance minus a preference bonus; lower wins.
-
-    With lam=0 the induced ranking is exactly the XOR ranking. A node with
-    preference weight w = reputation_norm * capacity can outrank nodes up
-    to roughly a factor 2^(lam*w) farther away, and no more.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    return log2(1 + xor_distance(a, b)) - lam * reputation_norm(b) * b.capacity
+    return int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
 
 
 @dataclass
@@ -86,30 +45,26 @@ class DhtRecord:
 
 
 class Bucket:
-    """Fixed-capacity peer list ordered least- to most-recently seen."""
+    """At most K_BUCKET peers, ordered least- to most-recently seen."""
 
-    def __init__(self, capacity: int = K_BUCKET):
-        self.capacity = capacity
+    def __init__(self):
         self.peers: list = []
 
-    def touch(self, peer: bytes) -> bool:
+    def touch(self, peer: bytes):
         """Insert or refresh a peer; full buckets evict the stalest entry."""
         if peer in self.peers:
             self.peers.remove(peer)
-            self.peers.append(peer)
-            return True
-        if len(self.peers) >= self.capacity:
+        elif len(self.peers) >= K_BUCKET:
             self.peers.pop(0)
         self.peers.append(peer)
-        return True
 
 
 class RoutingTable:
     """256 buckets; bucket i holds peers at XOR distance in [2^i, 2^(i+1))."""
 
-    def __init__(self, owner: bytes, capacity: int = K_BUCKET):
+    def __init__(self, owner: bytes):
         self.owner = owner
-        self.buckets = [Bucket(capacity) for _ in range(256)]
+        self.buckets = [Bucket() for _ in range(256)]
 
     def insert(self, peer: bytes):
         d = xor_distance(self.owner, peer)
@@ -127,10 +82,10 @@ class RoutingTable:
 class DhtNode:
     """One simulated storage node: routing table plus a local record store."""
 
-    def __init__(self, node_id: NodeId, keypair: KeyPair):
+    def __init__(self, node_id: bytes, keypair: KeyPair):
         self.node_id = node_id
         self.keypair = keypair
-        self.table = RoutingTable(node_id.value)
+        self.table = RoutingTable(node_id)
         self.store: dict = {}
         self.alive = True
 
@@ -138,13 +93,12 @@ class DhtNode:
 class DhtNetwork:
     """In-process network of DhtNodes with iterative XOR routing."""
 
-    def __init__(self, lam: float = DEFAULT_LAMBDA):
+    def __init__(self):
         self.nodes: dict = {}
-        self.lam = lam
 
-    def add_node(self, node_id: NodeId, keypair: KeyPair) -> DhtNode:
+    def add_node(self, node_id: bytes, keypair: KeyPair) -> DhtNode:
         node = DhtNode(node_id, keypair)
-        self.nodes[node_id.value] = node
+        self.nodes[node_id] = node
         return node
 
     def bootstrap(self):
@@ -197,9 +151,8 @@ class DhtNetwork:
         return shortlist, value, hops
 
     def placement(self, key: bytes) -> list:
-        """Replica set: the r closest live nodes by weighted distance."""
-        ranked = sorted(self.alive_nodes(),
-                        key=lambda n: weighted_distance(key, n.node_id, self.lam))
+        """Replica set: the REPLICATION live nodes XOR-closest to `key`."""
+        ranked = sorted(self.alive_nodes(), key=lambda n: xor_distance(key, n.node_id))
         return ranked[:REPLICATION]
 
     def dht_store(self, key: bytes, data: bytes, encrypted: bool) -> list:
@@ -207,7 +160,7 @@ class DhtNetwork:
         if not self.alive_nodes():
             raise LookupError("no route: network is empty")
         replicas = self.placement(key)
-        replica_ids = tuple(n.node_id.value for n in replicas)
+        replica_ids = tuple(n.node_id for n in replicas)
         for node in replicas:
             node.store[key] = DhtRecord(key=key, data=data, encrypted=encrypted,
                                         replicas=replica_ids)
@@ -219,14 +172,14 @@ class DhtNetwork:
         if not alive:
             raise LookupError("no route: network is empty")
         start = origin if origin is not None and self.nodes[origin].alive \
-            else alive[0].node_id.value
+            else alive[0].node_id
         _, value, hops = self.iterative_find(start, key)
         if value is None:
             raise KeyError(f"not found: {key.hex()}")
         return value, hops
 
     def holders(self, key: bytes) -> list:
-        return [n.node_id.value for n in self.nodes.values() if key in n.store]
+        return [n.node_id for n in self.nodes.values() if key in n.store]
 
 
 # -- predicate-gated store/load (the link protocol over ledger + DHT) --------
@@ -238,12 +191,12 @@ def record_address(addr: bytes, x: bytes) -> bytes:
 
 def protocol_store(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
                    board: Ledger, dht: DhtNetwork, encrypt: bool = True,
-                   q_store: Predicate | None = None, writes: tuple = ()):
+                   writes: tuple = ()):
     """Authorize, then register the read predicate and place the record.
 
-    Returns a_x on success and None when the store permission is denied; a
-    denial leaves neither a ledger entry nor a DHT record behind. The write
-    permission defaults to the requester's own registered policy.
+    Returns a_x on success and None when the identity's `(policy)` denies
+    the requester; a denial leaves neither a ledger entry nor a DHT record
+    behind.
 
     The predicate goes on the ledger first, as the last write of one
     transaction that starts with the caller's (key, value) `writes`, so a
@@ -251,8 +204,7 @@ def protocol_store(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
     nothing, and a record some other writer already holds at a_x stays as
     it is.
     """
-    q_store = q_store if q_store is not None else Predicate.policy()
-    if not check_permission(requester.sign_pk, addr, q_store, board):
+    if not check_permission(requester.sign_pk, addr, Predicate.policy(), board):
         return None
     a_x = record_address(addr, x)
     if encrypt:

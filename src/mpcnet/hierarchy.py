@@ -2,8 +2,8 @@
 
 Three ways of not paying the full n^2 price of naive MPC:
 
-  select_committee   -- weighted random sampling of a working subset of the
-                        network (reputation- and load-aware).
+  select_committee   -- uniform random sampling of a working subset of the
+                        network.
   hierarchical_mul   -- the committee-tree multiplication: the n(n-1)
                         all-to-all re-share of degree reduction is replaced
                         by constant-size committees arranged in a tree of
@@ -12,6 +12,9 @@ Three ways of not paying the full n^2 price of naive MPC:
   reduce_parties     -- re-shares values from N holders to the first m of
                         them, m being the layered plan's next committee
                         size (circuits.layerize sets the schedule).
+
+Every Shamir hand-off -- a tree hop, a party reduction -- is one call of
+shamir.reshare; reduce_parties_spdz is its additive (SPDZ) counterpart.
 """
 
 from __future__ import annotations
@@ -20,38 +23,22 @@ import random
 from dataclasses import dataclass
 
 from .field import Field
-from .shamir import ShamirShare, reconstruct, reshare, share, weights_at_zero
+from .shamir import reconstruct, reshare, weights_at_zero
 from . import spdz
 from .spdz import AuthShare, MacKey
 
 
-def selection_weight(node) -> float:
-    """(1 + reputation) * capacity; zero-capacity nodes are never picked."""
-    return (1.0 + node.reputation) * node.capacity
+def select_committee(candidates: list, k: int, rng: random.Random) -> list:
+    """Uniform sampling of k candidates without replacement, in draw order.
 
-
-def select_committee(registry: list, k: int, rng: random.Random) -> list:
-    """Weighted sampling without replacement from the node registry.
-
-    Every node with positive weight has positive selection probability;
-    equal weights degrade to uniform sampling.
+    Each draw pops the candidate at index floor(u * len(pool)) for one
+    uniform u = rng.random().
     """
-    candidates = [(node, selection_weight(node)) for node in registry]
-    candidates = [(n, w) for n, w in candidates if w > 0]
     if k > len(candidates):
         raise ValueError(f"insufficient nodes: need {k}, have {len(candidates)} selectable")
-    chosen = []
-    for _ in range(k):
-        total = sum(w for _, w in candidates)
-        pick = rng.random() * total
-        acc = 0.0
-        for pos, (node, w) in enumerate(candidates):
-            acc += w
-            if pick < acc or pos == len(candidates) - 1:
-                chosen.append(node)
-                candidates.pop(pos)
-                break
-    return chosen
+    pool = list(candidates)
+    return [pool.pop(min(int(rng.random() * len(pool)), len(pool) - 1))
+            for _ in range(k)]
 
 
 @dataclass(frozen=True)
@@ -107,25 +94,6 @@ class CommitteeSharing:
         return reconstruct(self.shares, field)
 
 
-def _hop(senders: list, committee: tuple, t_c: int, field: Field, net,
-         rng: random.Random) -> list:
-    """One tree step: every (party, value, weight) sender deals a degree-t_c
-    sharing of its value to `committee` (keeping its own sub-share if it is
-    a member), and member k's new share is the weighted sum of the
-    sub-shares it holds. Returns the members' shares in committee order."""
-    weight_of = {party: weight for party, _, weight in senders}
-    kept = {}
-    for party, value, weight in senders:
-        for member, sub in zip(committee, share(value, t_c, len(committee), field, rng)):
-            if member == party:
-                kept[member] = weight * sub.value
-            else:
-                net.send(party, member, field.encode(sub.value))
-    return [(kept.get(member, 0) + sum(weight_of[src] * field.decode(payload)
-                                       for src, payload in net.recv_all(member))) % field.p
-            for member in committee]
-
-
 def hierarchical_mul(x: list, y: list, tree: CommitteeTree, field: Field,
                      net, rng: random.Random) -> CommitteeSharing:
     """Multiply two degree-t sharings through the committee tree.
@@ -152,24 +120,31 @@ def hierarchical_mul(x: list, y: list, tree: CommitteeTree, field: Field,
     # Leaf phase: every real party deals its weighted local product within
     # its leaf committee only. Virtual dealers contribute a public zero and
     # send nothing, but virtual members still receive.
-    current = {committee: _hop([(d, field.mul(x[d].value, y[d].value), party_weight[d])
-                                for d in committee if d < n], committee, t_c, field, net, rng)
-               for committee in tree.levels[0]}
+    local_points = range(1, c + 1)
+    current = {}
+    for committee in tree.levels[0]:
+        real = [d for d in committee if d < n]
+        current[committee] = reshare(
+            [[field.mul(x[d].value, y[d].value) for d in real]], real,
+            [party_weight[d] for d in real], list(zip(committee, local_points)),
+            t_c, field, net, rng)[0]
 
     # Tree phase: each child committee re-shares its partial-sum shares to
     # the parent committee, which recombines with the child-local weights
     # and sums over its children.
-    local_weights = weights_at_zero(tuple(range(1, c + 1)), field.p)
+    local_weights = weights_at_zero(tuple(local_points), field.p)
     for level in range(1, tree.depth):
-        current = {parent: _hop([(member, current[child][pos], local_weights[pos])
-                                 for child in tree.levels[level - 1][j * c:(j + 1) * c]
-                                 for pos, member in enumerate(child)],
-                                parent, t_c, field, net, rng)
-                   for j, parent in enumerate(tree.levels[level])}
+        below, current = current, {}
+        for j, parent in enumerate(tree.levels[level]):
+            children = tree.levels[level - 1][j * c:(j + 1) * c]
+            current[parent] = reshare(
+                [[s.value for child in children for s in below[child]]],
+                [member for child in children for member in child],
+                local_weights * len(children), list(zip(parent, local_points)),
+                t_c, field, net, rng)[0]
 
     root = tree.root
-    shares = [ShamirShare(pos + 1, v, t_c) for pos, v in enumerate(current[root])]
-    return CommitteeSharing(members=root, shares=shares, threshold=t_c)
+    return CommitteeSharing(members=root, shares=current[root], threshold=t_c)
 
 
 def reduce_parties(values: list, m: int, field: Field, net, rng: random.Random) -> list:
@@ -193,8 +168,9 @@ def reduce_parties(values: list, m: int, field: Field, net, rng: random.Random) 
     if m < t + 1:
         raise ValueError(f"below quorum: cannot reduce {n} parties to {m} < t+1")
     indices = tuple(s.index for s in values[0])
-    return reshare([[s.value for s in v] for v in values], indices, m, t, field,
-                   net, rng)
+    return reshare([[s.value for s in v] for v in values], indices,
+                   weights_at_zero(indices, field.p), [(i, i) for i in indices[:m]],
+                   t, field, net, rng)
 
 
 def reduce_parties_spdz(values: list, m: int, key: MacKey, field: Field,
@@ -202,47 +178,36 @@ def reduce_parties_spdz(values: list, m: int, key: MacKey, field: Field,
     """Additive re-share of SPDZ values (and the MAC key split) to the first
     m parties.
 
-    Every source splits each of its value/MAC shares (and its alpha share)
-    into m summands; target j's new share is the sum of what it received.
-    Sums over the whole committee are preserved exactly, so openings and
-    MAC relations are unchanged. Returns (new values, new MacKey).
+    Every source splits one flat row -- each value's (value, MAC) shares,
+    then its alpha share -- into m additive summands and sends target j one
+    message with the j-th summand of every element, in row order; it keeps
+    its own. Target j's new row is the sum of what it holds. Sums over the
+    whole committee are preserved exactly, so openings and MAC relations
+    are unchanged. Returns (new values, new MacKey).
     """
     n = key.n
     if not 1 <= m <= n:
         raise ValueError(f"cannot re-share {n} parties to {m}")
     kept = {}
     for src in range(n):
-        payloads = [b""] * m
-        for sharing in values:
-            v_parts = spdz.additive_split(sharing[src].value_share, m, field, rng)
-            m_parts = spdz.additive_split(sharing[src].mac_share, m, field, rng)
-            for tgt in range(m):
-                payloads[tgt] += field.encode(v_parts[tgt]) + field.encode(m_parts[tgt])
-        a_parts = spdz.additive_split(key.alpha_shares[src], m, field, rng)
+        row = [x for sharing in values
+               for x in (sharing[src].value_share, sharing[src].mac_share)]
+        parts = [spdz.additive_split(x, m, field, rng)
+                 for x in row + [key.alpha_shares[src]]]
         for tgt in range(m):
-            payloads[tgt] += field.encode(a_parts[tgt])
+            payload = b"".join(field.encode(part[tgt]) for part in parts)
             if tgt == src:
-                kept[tgt] = payloads[tgt]
+                kept[tgt] = payload
             else:
-                net.send(src, tgt, payloads[tgt])
+                net.send(src, tgt, payload)
 
     w = field.elem_size
-    acc_v = [[0] * len(values) for _ in range(m)]
-    acc_m = [[0] * len(values) for _ in range(m)]
-    acc_alpha = [0] * m
+    sums = []
     for tgt in range(m):
-        batches = [(tgt, kept[tgt])] if tgt in kept else []
-        batches += net.recv_all(tgt)
-        for _, payload in batches:
-            for v_idx in range(len(values)):
-                off = 2 * v_idx * w
-                acc_v[tgt][v_idx] = field.add(
-                    acc_v[tgt][v_idx], field.decode(payload[off:off + w]))
-                acc_m[tgt][v_idx] = field.add(
-                    acc_m[tgt][v_idx], field.decode(payload[off + w:off + 2 * w]))
-            acc_alpha[tgt] = field.add(acc_alpha[tgt], field.decode(payload[-w:]))
-
-    new_key = MacKey(alpha=key.alpha, alpha_shares=tuple(acc_alpha))
-    new_values = [[AuthShare(acc_v[tgt][v_idx], acc_m[tgt][v_idx], tgt)
-                   for tgt in range(m)] for v_idx in range(len(values))]
+        batches = [kept[tgt]] + [payload for _, payload in net.recv_all(tgt)]
+        sums.append([sum(field.decode(b[i:i + w]) for b in batches) % field.p
+                     for i in range(0, len(kept[tgt]), w)])
+    new_key = MacKey(alpha=key.alpha, alpha_shares=tuple(row[-1] for row in sums))
+    new_values = [[AuthShare(row[2 * k], row[2 * k + 1], tgt) for tgt, row in enumerate(sums)]
+                  for k in range(len(values))]
     return new_values, new_key

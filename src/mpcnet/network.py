@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 from . import audit as auditmod
 from . import pedersen, shamir, spdz
 from .circuits import Circuit, layerize
-from .dht import DhtNetwork, NodeId, protocol_load, protocol_store
+from .dht import DhtNetwork, protocol_load, protocol_store
 from .errors import CheatDetected
 from .field import Field
 from .hierarchy import reduce_parties, reduce_parties_spdz, select_committee
@@ -70,7 +70,7 @@ class AbortedComputation(Exception):
 @dataclass
 class SimNode:
     index: int
-    node_id: NodeId
+    node_id: bytes
     keypair: KeyPair
     behavior: str = HONEST
     shares: dict = dc_field(default_factory=dict)   # sharing_id -> material
@@ -106,7 +106,7 @@ class Runtime:
         balances = {}
         for i in range(n_nodes):
             kp = KeyPair.generate(rng)
-            node_id = NodeId(value=rng.randbytes(32))
+            node_id = rng.randbytes(32)
             node = SimNode(index=i, node_id=node_id, keypair=kp)
             self.registry.append(node)
             self.bus.register(i, kp)
@@ -132,9 +132,7 @@ class Runtime:
                 if self.ledger.account(n.keypair.sign_pk).deposit > 0]
 
     def sample_committee(self, k: int, rng: random.Random) -> list:
-        by_id = {n.node_id.value: n for n in self.registry}
-        picked = select_committee([n.node_id for n in self.eligible_nodes()], k, rng)
-        return [by_id[nid.value] for nid in picked]
+        return select_committee(self.eligible_nodes(), k, rng)
 
 
 class CommitteeChannel:
@@ -165,22 +163,20 @@ def vss_key(sharing_id: bytes) -> bytes:
 def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
                    x_ref: str, q_compute: Predicate, n: int, t: int,
                    rt: Runtime, rng: random.Random, mode: str = "shamir",
-                   mac_key: MacKey | None = None, committee: list | None = None,
-                   q_declassify: Predicate | None = None,
-                   q_store: Predicate | None = None):
+                   mac_key: MacKey | None = None, committee: list | None = None):
     """Verifiably share x with a sampled committee and register the pointer.
 
     Deals the sharing (Shamir or SPDZ per `mode`) together with per-party
     Pedersen commitments (the VSS layer) and sends each share with its
     blinding to its committee member over the secure channel. The owner
     then signs one ledger transaction that posts the commitments, the
-    declassify predicate and the pointer's predicate q_compute, in that
-    order, and places the computation reference in the DHT. Returns
-    (pointer, committee); a denied store permission returns (None, None)
-    before anything is shared or written.
+    declassify predicate (the owner's own key list) and the pointer's
+    predicate q_compute, in that order, and places the computation
+    reference in the DHT. Returns (pointer, committee); an owner whom the
+    identity's `(policy)` denies gets (None, None) before anything is shared
+    or written.
     """
-    q_store = q_store if q_store is not None else Predicate.policy()
-    if not check_permission(owner.sign_pk, addr, q_store, rt.ledger):
+    if not check_permission(owner.sign_pk, addr, Predicate.policy(), rt.ledger):
         return None, None
     if committee is None:
         committee = rt.sample_committee(n, rng)
@@ -226,8 +222,6 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
 
     vss_record = {"mode": mode, "n": n, "t": t,
                   "commitments": [hex(c) for c in commitments]}
-    q_declassify = q_declassify if q_declassify is not None \
-        else Predicate.key_list([owner.sign_pk])
     blob = json.dumps({
         "ref": x_ref,
         "sharing": sharing_id.hex(),
@@ -239,9 +233,9 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
     # One owner transaction: the commitments, the declassify predicate,
     # then (through protocol_store) the pointer's predicate.
     writes = ((vss_key(sharing_id), json.dumps(vss_record, sort_keys=True).encode()),
-              (sharing_id, q_declassify.to_text().encode()))
+              (sharing_id, Predicate.key_list([owner.sign_pk]).to_text().encode()))
     pointer = protocol_store(owner, addr, blob, q_compute, rt.ledger, rt.dht,
-                             encrypt=False, q_store=q_store, writes=writes)
+                             encrypt=False, writes=writes)
     if pointer is None:
         return None, None
     return pointer, committee

@@ -166,51 +166,55 @@ def mul_layer(pairs: list, field: Field, net, rng: random.Random) -> list:
     if 2 * t >= n:
         raise ValueError(f"honest majority violated: need 2t < n, got t={t}, n={n}")
     points = [[field.mul(a.value, b.value) for a, b in zip(x, y)] for x, y in pairs]
-    return reshare(points, indices, n, t, field, net, rng)
+    return reshare(points, indices, weights_at_zero(indices, field.p),
+                   [(i, i) for i in indices], t, field, net, rng)
 
 
-def reshare(points: list, indices: tuple, m: int, t: int, field: Field,
-            net, rng: random.Random) -> list:
-    """Re-share, at degree t, values held as points at `indices` to the
-    first m of those parties.
+def reshare(points: list, sources: list, weights: list, targets: list, t: int,
+            field: Field, net, rng: random.Random) -> list:
+    """Re-share weighted points at degree t from `sources` to `targets`.
 
-    points[k][i] is party indices[i]'s point of the k-th value. Every party
-    deals a fresh degree-t sharing of each of its points to the m targets
-    (values outer, parties inner) and sends each other target one message
-    with its sub-share of every value, in order; it keeps its own. Each
-    target combines what it holds with the Lagrange weights at zero of
-    `indices`. Returns, per value, the targets' degree-t shares.
+    points[k][i] is party sources[i]'s point of the k-th value and weights[i]
+    its recombination weight; targets lists (party, evaluation point) pairs,
+    and a target need not be a source. Every source deals a fresh degree-t
+    sharing of each of its points at the targets' evaluation points (values
+    outer, sources inner) and sends each other target one message with its
+    sub-share of every value, in order; it keeps its own. Each target's new
+    share of value k is the weighted sum of the sub-shares it holds. This is
+    the Damgård–Nielsen re-share step (CRYPTO 2007). Returns, per value, the
+    targets' degree-t shares indexed by their evaluation points.
     """
-    targets = indices[:m]
-    # payloads[src_pos][tgt_pos] carries party src's sub-share of every
-    # value for the target; kept[src_pos] holds the sub-shares it keeps.
-    payloads = [[b""] * len(targets) for _ in indices]
-    kept = [[] for _ in indices]
+    # payloads[i][j] carries source i's sub-share of every value for
+    # target j; kept[party] holds the sub-shares a source keeps.
+    payloads = [[b""] * len(targets) for _ in sources]
+    kept = {}
     for values in points:
-        for src_pos, (src, d) in enumerate(zip(indices, values)):
+        for src, d, row in zip(sources, values, payloads):
             coeffs = [d] + [field.rand(rng) for _ in range(t)]
-            row = payloads[src_pos]
-            for tgt_pos, tgt in enumerate(targets):
-                sub = field.poly_eval(coeffs, tgt)
+            for j, (tgt, x) in enumerate(targets):
+                sub = field.poly_eval(coeffs, x)
                 if tgt == src:
-                    kept[src_pos].append(sub)
+                    kept.setdefault(tgt, []).append(sub)
                 else:
-                    row[tgt_pos] += field.encode(sub)
+                    row[j] += field.encode(sub)
 
-    for src, row in zip(indices, payloads):
-        for tgt, payload in zip(targets, row):
+    for src, row in zip(sources, payloads):
+        for (tgt, _), payload in zip(targets, row):
             if tgt != src:
                 net.send(src, tgt, payload)
 
-    weight_of = dict(zip(indices, weights_at_zero(indices, field.p)))
+    weight_of = dict(zip(sources, weights))
     w = field.elem_size
     shares = [[] for _ in points]
-    for idx, own in zip(targets, kept):
-        inbox = net.recv_all(idx)
+    for tgt, x in targets:
+        inbox = net.recv_all(tgt)
+        own = kept.get(tgt)
         for k in range(len(points)):
             # Exact integer sum of the weighted sub-shares, reduced once.
             lo, hi = k * w, (k + 1) * w
-            total = weight_of[idx] * own[k] + sum(
-                weight_of[src] * field.decode(payload[lo:hi]) for src, payload in inbox)
-            shares[k].append(ShamirShare(idx, total % field.p, t))
+            total = sum(weight_of[src] * field.decode(payload[lo:hi])
+                        for src, payload in inbox)
+            if own is not None:
+                total += weight_of[tgt] * own[k]
+            shares[k].append(ShamirShare(x, total % field.p, t))
     return shares

@@ -4,16 +4,14 @@ import random
 import pytest
 
 from mpcnet.dht import (
+    K_BUCKET,
     REPLICATION,
     Bucket,
     DhtNetwork,
     DhtRecord,
-    NodeId,
     protocol_load,
     protocol_store,
     record_address,
-    reputation_norm,
-    weighted_distance,
     xor_distance,
 )
 from mpcnet.identity import Predicate, gen_shared_identity
@@ -21,12 +19,12 @@ from mpcnet.keys import KeyPair
 from mpcnet.ledger import Ledger
 
 
-def build_network(size, seed=5, lam=0.5):
+def build_network(size, seed=5):
     rng = random.Random(seed)
-    net = DhtNetwork(lam=lam)
+    net = DhtNetwork()
     ids = []
     for _ in range(size):
-        nid = NodeId(value=rng.randbytes(32))
+        nid = rng.randbytes(32)
         net.add_node(nid, KeyPair.generate(rng))
         ids.append(nid)
     net.bootstrap()
@@ -48,61 +46,14 @@ def test_xor_distance_symmetry(rng):
         assert xor_distance(a, b) == xor_distance(b, a)
 
 
-def test_weighted_distance_lambda_zero_is_xor(rng):
-    target = rng.randbytes(32)
-    nodes = [NodeId(value=rng.randbytes(32), reputation=rng.random() * 10,
-                    capacity=rng.random()) for _ in range(20)]
-    by_weighted = sorted(nodes, key=lambda n: weighted_distance(target, n, 0.0))
-    by_xor = sorted(nodes, key=lambda n: xor_distance(target, n))
-    assert [n.value for n in by_weighted] == [n.value for n in by_xor]
-
-
-def test_weighted_distance_reputation_monotone():
-    target = bytes(32)
-    addr = bytes(31) + b"\x40"
-    low = NodeId(value=addr, reputation=0, capacity=1)
-    high = NodeId(value=addr, reputation=4, capacity=1)
-    assert weighted_distance(target, high, 0.5) < weighted_distance(target, low, 0.5)
-    with pytest.raises(ValueError):
-        weighted_distance(target, low, -1)
-
-
-def test_weighted_distance_bonus_bound():
-    # A node with preference weight w at distance 2^r outranks a plain node
-    # at distance 2^(r - lam*w), but not one at half that distance.
-    target = bytes(32)
-    lam = 8.0
-    for r in (10, 14, 18):
-        for rep, cap in ((1, 0.5), (1, 1.0), (3, 1.0)):
-            w = reputation_norm(NodeId(value=bytes(32), reputation=rep,
-                                       capacity=cap)) * cap
-            bonus_bits = int(lam * w)
-            boosted = NodeId(value=(1 << r).to_bytes(32, "big"),
-                             reputation=rep, capacity=cap)
-            at_bound = NodeId(value=(1 << (r - bonus_bits)).to_bytes(32, "big"))
-            below = NodeId(value=(1 << (r - bonus_bits - 1)).to_bytes(32, "big"))
-            assert weighted_distance(target, boosted, lam) < \
-                weighted_distance(target, at_bound, lam)
-            assert weighted_distance(target, boosted, lam) > \
-                weighted_distance(target, below, lam)
-
-
-def test_node_id_validation():
-    with pytest.raises(ValueError):
-        NodeId(value=b"short")
-    with pytest.raises(ValueError):
-        NodeId(value=bytes(32), reputation=-1)
-    with pytest.raises(ValueError):
-        NodeId(value=bytes(32), capacity=1.5)
-
-
 def test_bucket_lru_eviction():
-    bucket = Bucket(capacity=3)
-    for peer in (b"a", b"b", b"c"):
+    bucket = Bucket()
+    peers = [bytes([i]) for i in range(K_BUCKET + 1)]
+    for peer in peers[:K_BUCKET]:
         bucket.touch(peer)
-    bucket.touch(b"a")                  # refresh: a is now most recent
-    bucket.touch(b"d")                  # evicts b, the stalest
-    assert bucket.peers == [b"c", b"a", b"d"]
+    bucket.touch(peers[0])              # refresh: peer 0 is now most recent
+    bucket.touch(peers[K_BUCKET])       # evicts peer 1, the stalest
+    assert bucket.peers == peers[2:K_BUCKET] + [peers[0], peers[K_BUCKET]]
 
 
 # -- routing and storage ---------------------------------------------------------
@@ -113,7 +64,7 @@ def test_store_lookup_round_trip_and_hops():
     for i in range(500):
         key = rng.randbytes(32)
         net.dht_store(key, b"v%d" % i, encrypted=False)
-        origin = ids[rng.randrange(len(ids))].value
+        origin = ids[rng.randrange(len(ids))]
         record, hops = net.dht_lookup(key, origin=origin)
         assert record.data == b"v%d" % i
         assert hops <= bound
@@ -130,7 +81,7 @@ def test_routed_miss_raises_although_an_unqueried_node_holds_the_record():
     # that sits on a live node outside that set is a routing failure, and
     # the lookup must report it rather than find the record by a scan.
     net, ids, rng = build_network(64)
-    key, origin = rng.randbytes(32), ids[0].value
+    key, origin = rng.randbytes(32), ids[0]
     queried = set()
 
     class WatchedStore(dict):
@@ -165,23 +116,19 @@ def test_replication_and_churn():
         net.nodes[replicas[0]].alive = True
 
 
-def test_placement_prefers_reputable_nodes():
-    rng = random.Random(2)
-    net = DhtNetwork(lam=5.0)
-    key = rng.randbytes(32)
-    # One highly reputable node among plain ones; it should enter placement
-    # sets far more often than uniform placement would allow.
-    star = NodeId(value=rng.randbytes(32), reputation=9, capacity=1)
-    net.add_node(star, KeyPair.generate(rng))
-    for _ in range(15):
-        net.add_node(NodeId(value=rng.randbytes(32)), KeyPair.generate(rng))
-    net.bootstrap()
-    hits = 0
-    for _ in range(200):
+def test_placement_is_the_xor_closest_live_nodes():
+    net, ids, rng = build_network(16, seed=2)
+    for round_ in range(200):
+        if round_ % 50 == 0:
+            for nid in ids:
+                net.nodes[nid].alive = True
+            for nid in rng.sample(ids, 4):
+                net.nodes[nid].alive = False
         key = rng.randbytes(32)
-        placement = net.placement(key)
-        hits += any(n.node_id.value == star.value for n in placement)
-    assert hits > 100
+        live = [nid for nid in ids if net.nodes[nid].alive]
+        expected = sorted(live, key=lambda nid: xor_distance(key, nid))[:REPLICATION]
+        assert [n.node_id for n in net.placement(key)] == expected
+        assert net.dht_store(key, b"v", encrypted=False) == expected
 
 
 # -- predicate-gated store/load ---------------------------------------------------
