@@ -38,9 +38,9 @@ print("committee nodes:", [n.index for n in committee])
 q_compute = Predicate.key_list([kp.sign_pk for kp in owners])
 pointers = []
 for i, salary in enumerate(salaries):
-    ptr, _ = protocol_share(owners[i], f"owner{i}", ident.addr, salary,
-                            f"salary{i}", q_compute, n=3, t=1, rt=rt,
-                            rng=rng, committee=committee)
+    ptr = protocol_share(owners[i], f"owner{i}", ident.addr, salary,
+                         f"salary{i}", q_compute, t=1, rt=rt,
+                         rng=rng, committee=committee)
     pointers.append(ptr)
     print(f"owner{i} shared a salary; pointer {ptr.hex()[:16]}...")
 

@@ -2,10 +2,14 @@
 
 Augments the authenticated sharing with a blinding sharing <r> and
 per-party Pedersen commitments g^{s_i} h^{r_i} posted to the bulletin
-board. Computing nodes only ever operate on the <.>-shares; the blinding
-is plain additive shares with no MAC, since only the auditor's Pedersen
-check ever reads it. The commitments sit on the ledger where any third
-party can fold them through the circuit after the fact:
+board (commit_shares computes every dealing's). Computing nodes only ever
+operate on the <.>-shares; the blinding of a sharing dealt here carries no
+MAC, since only the auditor's Pedersen check ever reads it. An input's
+commitments are on the ledger once, in its dealer's VSS record, which the
+input step names together with the record's sha256, so a dealer that
+rewrites the record later leaves the trail incomplete rather than moving
+the blame. Any third party can fold them through the circuit after
+the fact:
 
   * linear steps and the public Beaver corrections are homomorphic on
     commitments, so every intermediate per-party commitment is recomputable
@@ -49,13 +53,42 @@ def trail_meta_key(computation_id: bytes) -> bytes:
     return sha256(computation_id + b"meta")
 
 
+def vss_key(sharing_id: bytes) -> bytes:
+    """Ledger key of a sharing's VSS record, its dealer's commitments."""
+    return sha256(sharing_id + b"vss")
+
+
+def vss_commitments(board, sharing: str, n: int, digest: str | None = None) -> list:
+    """The n commitments in the VSS record of the sharing with hex id
+    `sharing`. ValueError if the record is missing, malformed or not n
+    long, or, given a `digest`, if its sha256 hex is not that digest."""
+    try:
+        raw = board.get(vss_key(bytes.fromhex(sharing)))
+        commitments = [int(c, 16) for c in json.loads(raw.decode())["commitments"]]
+        if len(commitments) == n and digest in (None, sha256(raw).hex()):
+            return commitments
+    except (AttributeError, KeyError, TypeError, ValueError):
+        pass
+    raise ValueError(f"sharing {sharing} has no VSS record of {n} commitments"
+                     + ("" if digest is None else f" with digest {digest}"))
+
+
+def commit_shares(values: list, blinds: list, params: CommitParams,
+                  broken: set = frozenset()) -> list:
+    """Per-party commitments g^{v_i} h^{r_i} of one dealing; the parties in
+    `broken` post theirs shifted by g (the broken-commitment fault)."""
+    commitments = [pedersen.commit(v, r, params) for v, r in zip(values, blinds)]
+    for i in broken:
+        commitments[i] = commitments[i] * params.g % params.q
+    return commitments
+
+
 @dataclass
 class PVShare:
-    """<s> plus <r> plus the posted per-party commitments, as trail step."""
+    """<s> plus <r>, and the trail step whose commitments they open."""
 
     value: list          # AuthShare vector for s
     randomness: list     # additive shares of r (no MAC)
-    commitments: list    # per-party g^{s_i} h^{r_i}
     step: int
 
 
@@ -79,13 +112,20 @@ class TrailWriter:
         self.steps = 0
         self.batches = 0
         self._pending = []
-        self._post_raw(trail_meta_key(computation_id), {"p": field.p, "n": n})
+        self.post(trail_meta_key(computation_id), {"p": field.p, "n": n})
 
-    def _post_raw(self, key: bytes, record):
+    def post(self, key: bytes, record):
         tx = make_tx(self.poster, "commitment-post",
                      writes_payload([(key, json.dumps(record, sort_keys=True).encode())]),
                      nonce=self.board.next_nonce(self.poster.sign_pk))
         self.board.submit_tx(tx)
+
+    def post_input(self, sharing_id: bytes) -> int:
+        """An input step naming the sharing's VSS record as it stands now:
+        its sha256 binds the step to this version of the record."""
+        raw = self.board.get(vss_key(sharing_id))
+        return self.post_step({"kind": "input", "sharing": sharing_id.hex(),
+                               "vss": sha256(raw).hex()})
 
     def post_step(self, record: dict) -> int:
         self._pending.append(record)
@@ -94,15 +134,15 @@ class TrailWriter:
 
     def flush(self):
         """Post the pending steps as one batch."""
-        self._post_raw(trail_key(self.computation_id, self.batches), self._pending)
+        self.post(trail_key(self.computation_id, self.batches), self._pending)
         self.batches += 1
         self._pending = []
 
     def close(self):
         self.flush()
-        self._post_raw(trail_meta_key(self.computation_id),
-                       {"p": self.field_p, "n": self.n, "steps": self.steps,
-                        "batches": self.batches})
+        self.post(trail_meta_key(self.computation_id),
+                  {"p": self.field_p, "n": self.n, "steps": self.steps,
+                   "batches": self.batches})
 
 
 def _combine(terms: list, p: int) -> list:
@@ -113,31 +153,22 @@ def _combine(terms: list, p: int) -> list:
             for column in zip(*(vector for _, vector in terms))]
 
 
-def _commit_shares(values: list, blinds: list, params: CommitParams,
-                   broken: set) -> list:
-    """Per-party commitments; parties in `broken` post a shifted commitment."""
-    out = []
-    for i, (v, r) in enumerate(zip(values, blinds)):
-        c = pedersen.commit(v.value_share, r, params)
-        if i in broken:
-            c = c * params.g % params.q
-        out.append(c)
-    return out
-
-
 def pv_share(secret: int, n: int, key: MacKey, params: CommitParams,
              writer: TrailWriter, field: Field, rng: random.Random,
              broken: set = frozenset()) -> PVShare:
-    """Deal [[secret]]: <s>, a blinding <r>, and commitments on the ledger.
+    """Deal [[secret]]: <s>, a blinding <r>, and the commitments in a VSS
+    record that the input step names, as an owner's dealing does.
 
     The `broken` set injects the broken-commitment fault: those parties
     post a commitment that does not match the share they actually hold.
     """
     value = spdz.deal_authenticated(secret, n, key, field, rng)
     blind = spdz.additive_split(field.rand(rng), n, field, rng)
-    commitments = _commit_shares(value, blind, params, broken)
-    step = writer.post_step({"kind": "input", "commitments": [hex(c) for c in commitments]})
-    return PVShare(value=value, randomness=blind, commitments=commitments, step=step)
+    commitments = commit_shares([v.value_share for v in value], blind, params, broken)
+    sharing_id = sha256(writer.computation_id + writer.steps.to_bytes(8, "big") + b"input")
+    writer.post(vss_key(sharing_id), {"commitments": [hex(c) for c in commitments]})
+    step = writer.post_input(sharing_id)
+    return PVShare(value=value, randomness=blind, step=step)
 
 
 def pv_triple(key: MacKey, params: CommitParams, writer: TrailWriter,
@@ -152,9 +183,9 @@ def pv_triple(key: MacKey, params: CommitParams, writer: TrailWriter,
     for name, plain in (("a", a), ("b", b), ("c", field.mul(a, b))):
         value = spdz.deal_authenticated(plain, n, key, field, rng)
         blind = spdz.additive_split(field.rand(rng), n, field, rng)
-        commitments = _commit_shares(value, blind, params, broken if name == "a" else frozenset())
-        parts[name] = PVShare(value=value, randomness=blind,
-                              commitments=commitments, step=-1)
+        commitments = commit_shares([v.value_share for v in value], blind, params,
+                                    broken if name == "a" else ())
+        parts[name] = PVShare(value=value, randomness=blind, step=-1)
         record[name] = [hex(c) for c in commitments]
     step = writer.post_step(record)
     for part in parts.values():
@@ -176,7 +207,7 @@ def pv_linear(terms: list, constant: int, key: MacKey, field: Field,
         "terms": [[c % field.p, sh.step] for c, sh in terms],
         "constant": constant % field.p,
     })
-    return PVShare(value=value, randomness=blind, commitments=[], step=step)
+    return PVShare(value=value, randomness=blind, step=step)
 
 
 def _openings(share: PVShare) -> list:
@@ -198,7 +229,7 @@ def _mask(x: PVShare, a: PVShare, key: MacKey, field: Field) -> PVShare:
     return PVShare(
         value=spdz.auth_linear([(1, x.value), (minus_one, a.value)], 0, key, field),
         randomness=_combine([(1, x.randomness), (-1, a.randomness)], field.p),
-        commitments=[], step=-1)
+        step=-1)
 
 
 def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParams,
@@ -232,7 +263,7 @@ def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParam
             "eps_openings": _openings(eps_share),
             "delta_openings": _openings(delta_share),
         })
-        products.append(PVShare(value=value, randomness=blind, commitments=[], step=step))
+        products.append(PVShare(value=value, randomness=blind, step=step))
     return products
 
 
@@ -311,7 +342,8 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
     """Recompute the commitment trail and name every inconsistent party.
 
     Reads the posted batches in order and walks their steps, folding
-    input/triple commitments through linear and Beaver records, and checks
+    input (VSS record) and triple commitments through linear and Beaver
+    records, and checks
     every posted opening (Beaver masks and the final output) against the
     derived per-party commitments. `openings` overrides the output step's
     posted openings when an auditor wants to check a third-party claim.
@@ -398,7 +430,13 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
     for step, rec in enumerate(records):
         kind = rec["kind"]
         if kind == "input":
-            derived[step] = [(int(c, 16), {}) for c in rec["commitments"]]
+            # An input step without a digest matches no record.
+            try:
+                commitments = vss_commitments(board, rec.get("sharing"), n,
+                                              str(rec.get("vss")))
+            except ValueError as exc:
+                raise IncompleteTrail(str(exc)) from None
+            derived[step] = [(c, {}) for c in commitments]
         elif kind == "triple":
             derived[step] = {name: [int(c, 16) for c in rec[name]]
                              for name in ("a", "b", "c")}

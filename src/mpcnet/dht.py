@@ -190,13 +190,18 @@ def record_address(addr: bytes, x: bytes) -> bytes:
 
 
 def protocol_store(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
-                   board: Ledger, dht: DhtNetwork, encrypt: bool = True,
-                   writes: tuple = ()):
-    """Authorize, then register the read predicate and place the record.
+                   board: Ledger, dht: DhtNetwork, encrypt: bool = True):
+    """Authorize, then place_record: returns a_x, or None with nothing
+    written or placed when the identity's `(policy)` denies the requester."""
+    if not check_permission(requester.sign_pk, addr, Predicate.policy(), board):
+        return None
+    return place_record(requester, addr, x, q_read, board, dht, encrypt)
 
-    Returns a_x on success and None when the identity's `(policy)` denies
-    the requester; a denial leaves neither a ledger entry nor a DHT record
-    behind.
+
+def place_record(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
+                 board: Ledger, dht: DhtNetwork, encrypt: bool = True,
+                 writes: tuple = ()) -> bytes:
+    """protocol_store after its `(policy)` check, which the caller has made.
 
     The predicate goes on the ledger first, as the last write of one
     transaction that starts with the caller's (key, value) `writes`, so a
@@ -204,8 +209,6 @@ def protocol_store(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
     nothing, and a record some other writer already holds at a_x stays as
     it is.
     """
-    if not check_permission(requester.sign_pk, addr, Predicate.policy(), board):
-        return None
     a_x = record_address(addr, x)
     if encrypt:
         data = keymod.seal(keymod.storage_key(requester),

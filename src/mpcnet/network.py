@@ -2,7 +2,8 @@
 
 Everything a scenario run needs lives in a Runtime: the field, the ledger,
 the DHT, the encrypted broadcast bus, and the node registry. On top of it,
-protocol_share distributes verifiable shares to a sampled committee and
+protocol_share deals verifiable shares to the committee it is given, posts
+their commitments as the owner's VSS record (keyed by audit.vss_key) and
 registers the computation reference behind a predicate; protocol_compute
 loads the reference, compiles the circuit into the layered plan
 (circuits.layerize) and evaluates it over shares -- the plaintext never
@@ -38,8 +39,9 @@ from dataclasses import dataclass, field as dc_field
 
 from . import audit as auditmod
 from . import pedersen, shamir, spdz
+from .audit import vss_key
 from .circuits import Circuit, layerize
-from .dht import DhtNetwork, protocol_load, protocol_store
+from .dht import DhtNetwork, place_record, protocol_load
 from .errors import CheatDetected
 from .field import Field
 from .hierarchy import reduce_parties, reduce_parties_spdz, select_committee
@@ -156,69 +158,54 @@ def sharing_key(addr: bytes, x_ref: str) -> bytes:
     return sha256(addr + x_ref.encode())
 
 
-def vss_key(sharing_id: bytes) -> bytes:
-    return sha256(sharing_id + b"vss")
-
-
 def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
-                   x_ref: str, q_compute: Predicate, n: int, t: int,
+                   x_ref: str, q_compute: Predicate, committee: list, t: int,
                    rt: Runtime, rng: random.Random, mode: str = "shamir",
-                   mac_key: MacKey | None = None, committee: list | None = None):
-    """Verifiably share x with a sampled committee and register the pointer.
+                   mac_key: MacKey | None = None):
+    """Verifiably share x with `committee` and register the pointer.
 
-    Deals the sharing (Shamir or SPDZ per `mode`) together with per-party
-    Pedersen commitments (the VSS layer) and sends each share with its
-    blinding to its committee member over the secure channel. The owner
-    then signs one ledger transaction that posts the commitments, the
-    declassify predicate (the owner's own key list) and the pointer's
-    predicate q_compute, in that order, and places the computation
-    reference in the DHT. Returns (pointer, committee); an owner whom the
-    identity's `(policy)` denies gets (None, None) before anything is shared
-    or written.
+    Deals the sharing (Shamir or SPDZ per `mode`) with its per-party
+    Pedersen commitments (the VSS layer) and sends each member its share
+    and blinding over the secure channel. The owner then signs one ledger
+    transaction that posts the commitments, the declassify predicate (the
+    owner's own key list) and the pointer's predicate q_compute, and places
+    the computation reference in the DHT. Returns the pointer, or None
+    before anything is sent or written when the identity's `(policy)`
+    denies the owner.
     """
     if not check_permission(owner.sign_pk, addr, Predicate.policy(), rt.ledger):
-        return None, None
-    if committee is None:
-        committee = rt.sample_committee(n, rng)
-    if len(committee) != n:
-        raise ValueError("committee size does not match n")
+        return None
+    n = len(committee)
     field = rt.field
     sharing_id = sharing_key(addr, x_ref)
 
     if mode == "shamir":
         value_shares = shamir.share(x, t, n, field, rng)
-        blinds = [field.rand(rng) for _ in range(n)]
-        commitments = [pedersen.commit(s.value, r, rt.params)
-                       for s, r in zip(value_shares, blinds)]
-        payloads = [field.encode(s.value) + field.encode(r)
-                    for s, r in zip(value_shares, blinds)]
-        material = [{"mode": mode, "t": t, "share": s, "blind": r}
-                    for s, r in zip(value_shares, blinds)]
+        blind_shares = blinds = [field.rand(rng) for _ in range(n)]
+        values = [s.value for s in value_shares]
+        payloads = [field.encode(v) + field.encode(r) for v, r in zip(values, blinds)]
     elif mode == "spdz":
         if mac_key is None or mac_key.n != n:
             raise ValueError("spdz mode needs a MAC key split for n parties")
         value_shares = spdz.deal_authenticated(x, n, mac_key, field, rng)
         blind_shares = spdz.deal_authenticated(field.rand(rng), n, mac_key, field, rng)
-        commitments = [pedersen.commit(v.value_share, r.value_share, rt.params)
-                       for v, r in zip(value_shares, blind_shares)]
+        values = [v.value_share for v in value_shares]
+        blinds = [r.value_share for r in blind_shares]
         payloads = [field.encode(v.value_share) + field.encode(v.mac_share)
                     + field.encode(r.value_share) + field.encode(r.mac_share)
                     for v, r in zip(value_shares, blind_shares)]
-        material = [{"mode": mode, "share": v, "blind": r}
-                    for v, r in zip(value_shares, blind_shares)]
     else:
         raise ValueError(f"unknown engine mode {mode!r}")
-
     # A broken-commitment node publishes a commitment inconsistent with the
     # share it actually holds.
-    for pos, node in enumerate(committee):
-        if node.behavior == BROKEN_COMMITMENT:
-            commitments[pos] = commitments[pos] * rt.params.g % rt.params.q
+    commitments = auditmod.commit_shares(
+        values, blinds, rt.params,
+        {pos for pos, node in enumerate(committee) if node.behavior == BROKEN_COMMITMENT})
 
-    for pos, node in enumerate(committee):
-        rt.bus.send(owner_label, node.index, payloads[pos])
+    for node, payload, share, blind in zip(committee, payloads, value_shares, blind_shares):
+        rt.bus.send(owner_label, node.index, payload)
         rt.bus.recv_all(node.index)
-        node.shares[sharing_id] = material[pos]
+        node.shares[sharing_id] = {"share": share, "blind": blind}
 
     vss_record = {"mode": mode, "n": n, "t": t,
                   "commitments": [hex(c) for c in commitments]}
@@ -231,14 +218,11 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
         "committee": [node.index for node in committee],
     }, sort_keys=True).encode()
     # One owner transaction: the commitments, the declassify predicate,
-    # then (through protocol_store) the pointer's predicate.
+    # then (through place_record) the pointer's predicate.
     writes = ((vss_key(sharing_id), json.dumps(vss_record, sort_keys=True).encode()),
               (sharing_id, Predicate.key_list([owner.sign_pk]).to_text().encode()))
-    pointer = protocol_store(owner, addr, blob, q_compute, rt.ledger, rt.dht,
-                             encrypt=False, writes=writes)
-    if pointer is None:
-        return None, None
-    return pointer, committee
+    return place_record(owner, addr, blob, q_compute, rt.ledger, rt.dht,
+                        encrypt=False, writes=writes)
 
 
 def load_reference(requester: KeyPair, addr: bytes, pointer: bytes, rt: Runtime):
@@ -272,6 +256,7 @@ def mpc_declassify(requester: KeyPair, requester_label: str, addr: bytes,
     Returns (value, faults); value is None when the declassify predicate
     denies the requester or too few verified shares remain. faults lists
     (node index, channel) pairs for shares that failed their commitment.
+    A VSS record that is missing, malformed or not n long raises ValueError.
     """
     ref = load_reference(requester, addr, pointer, rt)
     if ref is None:
@@ -284,8 +269,7 @@ def mpc_declassify(requester: KeyPair, requester_label: str, addr: bytes,
                             parse_predicate(stored.decode()), rt.ledger):
         return None, []
 
-    record = json.loads(rt.ledger.get(vss_key(sharing_id)).decode())
-    commitments = [int(c, 16) for c in record["commitments"]]
+    commitments = auditmod.vss_commitments(rt.ledger, ref["sharing"], ref["n"])
     field = rt.field
     committee = [rt.registry[i] for i in ref["committee"]]
     rows = []
@@ -642,16 +626,14 @@ class AuditedSpdzEngine(SpdzEngine):
                                            self.rt.authority, self.field, self.key.n)
 
     def load(self, sharing_id: bytes) -> auditmod.PVShare:
-        # The input step restates the owner's VSS commitments, so the
-        # auditor can fold them through the circuit.
-        record = json.loads(self.rt.ledger.get(vss_key(sharing_id)).decode())
-        step = self.writer.post_step({"kind": "input",
-                                      "commitments": record["commitments"]})
+        # The input step names the owner's VSS record, and the auditor
+        # reads the input commitments from there.
+        step = self.writer.post_input(sharing_id)
         return auditmod.PVShare(
             value=super().load(sharing_id),
             randomness=[node.shares[sharing_id]["blind"].value_share
                         for node in self.committee],
-            commitments=[], step=step)
+            step=step)
 
     def linear(self, terms: list) -> auditmod.PVShare:
         return auditmod.pv_linear(terms, 0, self.key, self.field, self.writer)

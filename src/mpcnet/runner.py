@@ -117,16 +117,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     )
     trace.event("committee", members=[n.index for n in committee])
 
-    share_rng = child_rng(cfg.seed, "share")
-    pointers = []
-    for i, value in enumerate(cfg.inputs):
-        pointer, _ = protocol_share(
-            owners[i], f"owner{i}", ident.addr, value, f"input{i}", q_compute,
-            n=cfg.committee, t=cfg.threshold, rt=rt, rng=share_rng,
-            mode=cfg.mode, mac_key=mac_key, committee=committee)
-        if pointer is None:
-            raise LedgerRejected("owner was denied its own store")
-        pointers.append(pointer)
+    pointers = _share_inputs(cfg, rt, ident.addr, q_compute, mac_key, committee, "")
+    for i, pointer in enumerate(pointers):
         trace.event("share", ref=f"input{i}", pointer=pointer)
 
     outputs = []
@@ -155,6 +147,22 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         outputs=outputs, expected=expected, metrics_rows=metrics_rows,
         exit_code=2 if cheated else 0,
     )
+
+
+def _share_inputs(cfg, rt, addr, q_compute, mac_key, committee, suffix: str) -> list:
+    """Share every input with `committee` as refs input<i><suffix>, drawing
+    from the share<suffix> stream; returns the pointers."""
+    rng = child_rng(cfg.seed, f"share{suffix}")
+    pointers = []
+    for i, value in enumerate(cfg.inputs):
+        pointer = protocol_share(
+            rt.clients[f"owner{i}"], f"owner{i}", addr, value, f"input{i}{suffix}",
+            q_compute, committee=committee, t=cfg.threshold, rt=rt, rng=rng,
+            mode=cfg.mode, mac_key=mac_key)
+        if pointer is None:
+            raise LedgerRejected("owner was denied its own store")
+        pointers.append(pointer)
+    return pointers
 
 
 def _run_compute(cfg, rt, trace, requester, addr, pointers, q_compute, circuit,
@@ -192,15 +200,8 @@ def _run_compute(cfg, rt, trace, requester, addr, pointers, q_compute, circuit,
             if node.index not in trace.committee:
                 trace.committee.append(node.index)
                 trace.committee_pks.append(node.keypair.sign_pk)
-        share_rng = child_rng(cfg.seed, "share-retry")
-        owners = [rt.clients[f"owner{i}"] for i in range(circuit.n_inputs)]
-        pointers = []
-        for i, value in enumerate(cfg.inputs):
-            pointer, _ = protocol_share(
-                owners[i], f"owner{i}", addr, value, f"input{i}-retry", q_compute,
-                n=cfg.committee, t=cfg.threshold, rt=rt, rng=share_rng,
-                mode=cfg.mode, mac_key=mac_key, committee=new_committee)
-            pointers.append(pointer)
+        pointers = _share_inputs(cfg, rt, addr, q_compute, mac_key, new_committee,
+                                 "-retry")
         outputs = protocol_compute(
             requester, "owner0", addr, pointers, circuit, rt, trace,
             child_rng(cfg.seed, "compute-retry"), mac_key=mac_key,

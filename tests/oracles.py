@@ -3,13 +3,16 @@ against, a step-by-step audit fold the batched auditor is checked against,
 and a seeded random-circuit generator. numpy is a test dependency, so the
 vectorised evaluator lives here and not in the package."""
 
+import json
+
 import numpy as np
 
 from mpcnet import pedersen
-from mpcnet.audit import AuditReport
+from mpcnet.audit import AuditReport, vss_key
 from mpcnet.circuits import Circuit, LayeredCircuit, parse_circuit
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
+from mpcnet.keys import sha256
 
 
 def random_circuit(rng, n_inputs=None, max_gates=20):
@@ -85,9 +88,11 @@ def eval_layered(layered: LayeredCircuit, inputs: list, field: Field) -> list:
     return [values[g.args[0]] for g in circ.gates if g.kind == "output"]
 
 
-def fold_trail(records: list, n: int, p: int, claimed_output=None,
+def fold_trail(board, records: list, n: int, p: int, claimed_output=None,
                openings=None) -> AuditReport:
-    """The audit as a per-step, per-party fold over a trail's record list.
+    """The audit as a per-step, per-party fold over a trail's record list,
+    reading each input's commitments from the VSS record on `board` that
+    its step names, if the record still has the sha256 the step gives.
 
     Every derived commitment is reduced mod q as soon as its step is read:
     a linear step raises each source to its coefficient, a Beaver step
@@ -117,7 +122,10 @@ def fold_trail(records: list, n: int, p: int, claimed_output=None,
     for step, rec in enumerate(records):
         kind = rec["kind"]
         if kind == "input":
-            commitments[step] = [int(c, 16) for c in rec["commitments"]]
+            raw = board.get(vss_key(bytes.fromhex(rec["sharing"])))
+            if sha256(raw).hex() != rec["vss"]:
+                raise IncompleteTrail(f"input step {step} names a rewritten VSS record")
+            commitments[step] = [int(c, 16) for c in json.loads(raw)["commitments"]]
         elif kind == "triple":
             commitments[step] = {name: [int(c, 16) for c in rec[name]]
                                  for name in ("a", "b", "c")}

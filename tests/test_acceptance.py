@@ -230,9 +230,9 @@ def test_criterion_7_protocols_end_to_end():
     pointers = []
     for i, v in enumerate(salaries):
         owner, label = (alice, "alice") if i == 0 else (bob, "bob")
-        ptr, _ = protocol_share(owner, label, ident.addr, v, f"salary{i}",
-                                q_compute, n=3, t=1, rt=rt, rng=rng,
-                                committee=committee)
+        ptr = protocol_share(owner, label, ident.addr, v, f"salary{i}",
+                             q_compute, t=1, rt=rt, rng=rng,
+                             committee=committee)
         pointers.append(ptr)
 
     identity_circ = parse_circuit("in x\nout x")

@@ -55,11 +55,61 @@ def test_pv_share_posts_n_commitments(setup101, f101):
     comp_id = sha256(b"cardinality")
     writer = audit.TrailWriter(ledger, comp_id, env["poster"], f101, 4)
     share = audit.pv_share(33, 4, key, env["params"], writer, f101, env["rng"])
-    assert len(share.commitments) == 4
-    assert pedersen.combine(share.commitments, env["params"]) == pedersen.commit(
+    writer.flush()
+    record = json.loads(ledger.get(audit.trail_key(comp_id, 0)))[share.step]
+    vss = ledger.get(audit.vss_key(bytes.fromhex(record["sharing"])))
+    assert record == {"kind": "input", "sharing": record["sharing"],
+                      "vss": sha256(vss).hex()}
+    commitments = audit.vss_commitments(ledger, record["sharing"], 4, record["vss"])
+    assert pedersen.combine(commitments, env["params"]) == pedersen.commit(
         sum(s.value_share for s in share.value) % 101,
         sum(share.randomness) % 101,
         env["params"])
+
+
+@pytest.mark.parametrize("broken", [set(), {0}, {2}, {1, 3}])
+def test_commit_shares_shifts_exactly_the_broken_parties(setup101, broken):
+    params, rng = setup101["params"], setup101["rng"]
+    values = [rng.randrange(101) for _ in range(4)]
+    blinds = [rng.randrange(101) for _ in range(4)]
+    honest = [pedersen.commit(v, r, params) for v, r in zip(values, blinds)]
+    assert audit.commit_shares(values, blinds, params, broken) == [
+        c * params.g % params.q if i in broken else c for i, c in enumerate(honest)]
+
+
+@pytest.mark.parametrize("posted", [None, b"not json", b'{"commitments": ["0x5", "0x7"]}',
+                                    b'{"commitments": 5}', b"[1, 2, 3]"],
+                         ids=["missing", "not-json", "two-of-three", "not-a-list",
+                              "no-commitments"])
+def test_input_naming_a_bad_vss_record_is_incomplete(setup101, posted):
+    ledger, comp_id, _ = run_pv_computation(setup101, 3)
+    first = json.loads(ledger.get(audit.trail_key(comp_id, 0)))[0]
+    x_key = audit.vss_key(bytes.fromhex(first["sharing"]))
+
+    class Board:
+        def get(self, key):
+            return posted if key == x_key else ledger.get(key)
+
+    with pytest.raises(IncompleteTrail, match="VSS record"):
+        audit.audit_trail(Board(), comp_id)
+
+
+@pytest.mark.parametrize("name", [None, "zz", 7], ids=["no-name", "not-hex", "not-a-string"])
+def test_input_without_a_sharing_name_is_incomplete(setup101, name):
+    ledger, comp_id, _ = run_pv_computation(setup101, 3)
+    first_key = audit.trail_key(comp_id, 0)
+    batch = json.loads(ledger.get(first_key))
+    batch[0].pop("sharing")
+    if name is not None:
+        batch[0]["sharing"] = name
+    forged = json.dumps(batch).encode()
+
+    class Board:
+        def get(self, key):
+            return forged if key == first_key else ledger.get(key)
+
+    with pytest.raises(IncompleteTrail, match="VSS record"):
+        audit.audit_trail(Board(), comp_id)
 
 
 def test_single_broken_commitment_named_exactly(setup101):
@@ -171,9 +221,10 @@ def test_zero_triple_commitment_names_its_party(setup101):
 def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
     # Linear steps the engine never emits: w = z + 2z reads one source twice
     # with different coefficients, and v = 1*x takes over input x's
-    # commitments on x's last read. Both are opened. Honest, and with x's
-    # posted commitment of party 1 raised by q, the audit must agree with
-    # the per-step fold.
+    # commitments on x's last read. Both are opened. Honest, and with party
+    # 1's commitment in x's VSS record raised by q (and x's input step
+    # naming the forged record's digest), the audit must agree with the
+    # per-step fold.
     env, n = setup101, 3
     field, params, rng = f101, env["params"], env["rng"]
     key = spdz.gen_mac_key(n, field, rng)
@@ -195,14 +246,21 @@ def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
                for b in range(json.loads(ledger.get(meta_key))["batches"])]
     records = [rec for batch in batches for rec in batch]
     report = audit.audit_trail(ledger, comp_id)
-    assert report.ok and report == fold_trail(records, n, 101)
-    records[x.step]["commitments"][1] = hex(x.commitments[1] + params.q)
-    board = {meta_key: ledger.get(meta_key)}
-    at = 0
-    for b, batch in enumerate(batches):
-        board[audit.trail_key(comp_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
-        at += len(batch)
-    assert audit.audit_trail(board, comp_id) == fold_trail(records, n, 101)
+    assert report.ok and report == fold_trail(ledger, records, n, 101)
+    x_key = audit.vss_key(bytes.fromhex(records[x.step]["sharing"]))
+    x_record = json.loads(ledger.get(x_key))
+    x_record["commitments"][1] = hex(int(x_record["commitments"][1], 16) + params.q)
+    forged = json.dumps(x_record).encode()
+    records[x.step]["vss"] = sha256(forged).hex()
+    overrides = {x_key: forged, audit.trail_key(comp_id, 0):
+                 json.dumps(records[:len(batches[0])]).encode()}
+
+    class Board:
+        def get(self, key):
+            return overrides.get(key) or ledger.get(key)
+
+    board = Board()
+    assert audit.audit_trail(board, comp_id) == fold_trail(board, records, n, 101)
 
 
 @pytest.mark.parametrize("meta_edit,batch_edit", [

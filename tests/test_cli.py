@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mpcnet.audit import trail_meta_key
+from mpcnet.audit import trail_key, trail_meta_key, vss_key
 from mpcnet.cli import main
 from mpcnet.keys import KeyPair
 
@@ -169,6 +169,37 @@ def test_audit_dump_without_batch_count(tmp_path, capsys):
     dump.write_text("\n".join(lines) + "\n")
     assert run_cli("audit", dump, "--id", comp_id) == 1
     assert "incomplete trail" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda key, value: (bytes(32).hex(), value),
+    lambda key, value: (key, b"{not json"),
+    lambda key, value: (key, json.dumps({"commitments": json.loads(value)["commitments"][:2]}).encode()),
+], ids=["missing", "not-json", "two-of-three"])
+def test_audit_dump_with_a_bad_vss_record(tmp_path, capsys, edit):
+    # An input step names a VSS record the dump does not hold, holds as
+    # something other than JSON, or holds with 2 commitments for 3 parties:
+    # an incomplete trail, exit 1, and no traceback.
+    outdir = tmp_path / "out"
+    run_cli("run", SCENARIOS / "broken.scn", "--out", outdir)
+    capsys.readouterr()
+    trace = (outdir / "trace.txt").read_text()
+    comp_id = re.search(r"computation=([0-9a-f]{64})", trace).group(1)
+    first_batch = trail_key(bytes.fromhex(comp_id), 0).hex()
+    lines = [line.split("\t") for line in (outdir / "ledger.tsv").read_text().splitlines()]
+    batch = next(json.loads(base64.b64decode(v)) for _, k, v, _ in lines if k == first_batch)
+    vss = vss_key(bytes.fromhex(batch[0]["sharing"])).hex()
+    edited = []
+    for height, key, value64, author in lines:
+        if key == vss:
+            key, value = edit(key, base64.b64decode(value64))
+            value64 = base64.b64encode(value).decode()
+        edited.append("\t".join((height, key, value64, author)))
+    dump = tmp_path / "bad-vss.tsv"
+    dump.write_text("\n".join(edited) + "\n")
+    assert run_cli("audit", dump, "--id", comp_id) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: incomplete trail") and "Traceback" not in err
 
 
 def test_keygen_deterministic(tmp_path, capsys):

@@ -9,6 +9,7 @@ from mpcnet.dht import (
     Bucket,
     DhtNetwork,
     DhtRecord,
+    place_record,
     protocol_load,
     protocol_store,
     record_address,
@@ -235,8 +236,8 @@ def test_store_with_a_rejected_preceding_write_places_nothing(gated_env):
                          net, encrypt=False)
     height, nonce = ledger.height, ledger.next_nonce(bob.sign_pk)
     with pytest.raises(LedgerRejected, match="another writer"):
-        protocol_store(bob, ident.addr, b"bob-data", Predicate.owner(), ledger, net,
-                       encrypt=False, writes=[(a_x, b"(any)")])
+        place_record(bob, ident.addr, b"bob-data", Predicate.owner(), ledger, net,
+                     encrypt=False, writes=[(a_x, b"(any)")])
     bob_x = record_address(ident.addr, b"bob-data")
     assert (ledger.height, ledger.next_nonce(bob.sign_pk)) == (height, nonce)
     assert ledger.get(bob_x) is None and not net.holders(bob_x)

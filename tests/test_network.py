@@ -10,12 +10,13 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from mpcnet import audit
 from mpcnet.circuits import cost_model, eval_plain, layerize, parse_circuit
-from mpcnet.errors import CheatDetected
+from mpcnet.errors import CheatDetected, IncompleteTrail
 from mpcnet.field import M61, Field
 from mpcnet.identity import Predicate, gen_shared_identity
 from mpcnet import network, shamir
 from mpcnet.incentives import post_deposit
 from mpcnet.keys import KeyPair
+from mpcnet.ledger import load_dump, make_tx, writes_payload
 from mpcnet.net import EncryptedBus
 from mpcnet.network import (
     Runtime,
@@ -154,9 +155,9 @@ def test_share_then_declassify_owner_only(mode):
     rt, owners, ident, committee, mac_key, rng = make_env(mode)
     alice = owners[0]
     q_compute = Predicate.key_list([kp.sign_pk for kp in owners])
-    pointer, _ = protocol_share(alice, "owner0", ident.addr, 57, "salary",
-                                q_compute, n=3, t=1, rt=rt, rng=rng, mode=mode,
-                                mac_key=mac_key, committee=committee)
+    pointer = protocol_share(alice, "owner0", ident.addr, 57, "salary",
+                             q_compute, t=1, rt=rt, rng=rng, mode=mode,
+                             mac_key=mac_key, committee=committee)
     assert pointer is not None
     value, faults = mpc_declassify(alice, "owner0", ident.addr, pointer, rt)
     assert value == 57 and faults == []
@@ -172,8 +173,8 @@ def test_share_posts_n_commitments():
     rt, owners, ident, committee, _, rng = make_env()
     q = Predicate.key_list([owners[0].sign_pk])
     accepted = len(rt.ledger.accepted)
-    pointer, _ = protocol_share(owners[0], "owner0", ident.addr, 9, "x", q, n=3, t=1,
-                                rt=rt, rng=rng, committee=committee)
+    pointer = protocol_share(owners[0], "owner0", ident.addr, 9, "x", q, t=1,
+                             rt=rt, rng=rng, committee=committee)
     import json
     from mpcnet.network import sharing_key, vss_key
     sharing = sharing_key(ident.addr, "x")
@@ -189,20 +190,40 @@ def test_share_denied_for_non_member():
     rt, owners, ident, committee, _, rng = make_env()
     eve = rt.add_client("eve")
     height = rt.ledger.height
-    pointer, com = protocol_share(eve, "eve", ident.addr, 1, "spam",
-                                  Predicate.any(), n=3, t=1, rt=rt, rng=rng,
-                                  committee=committee)
-    assert pointer is None and com is None
+    pointer = protocol_share(eve, "eve", ident.addr, 1, "spam",
+                             Predicate.any(), t=1, rt=rt, rng=rng,
+                             committee=committee)
+    assert pointer is None
     assert rt.ledger.height == height
     assert rt.bus.messages == 0
+
+
+def rewrite_vss(rt, owner, sharing_id, value: bytes):
+    """The owner, the VSS record's first writer, rewrites it on the ledger."""
+    rt.ledger.submit_tx(make_tx(owner, "kv-put",
+                                writes_payload([(network.vss_key(sharing_id), value)]),
+                                nonce=rt.ledger.next_nonce(owner.sign_pk)))
+
+
+@pytest.mark.parametrize("posted", [b"not json", b'{"commitments": ["0x5"]}'],
+                         ids=["not-json", "one-of-three"])
+def test_declassify_with_a_malformed_vss_record_raises_value_error(posted):
+    rt, owners, ident, committee, _, rng = make_env()
+    alice = owners[0]
+    pointer = protocol_share(alice, "owner0", ident.addr, 57, "salary",
+                             Predicate.key_list([alice.sign_pk]), t=1, rt=rt, rng=rng,
+                             committee=committee)
+    rewrite_vss(rt, alice, network.sharing_key(ident.addr, "salary"), posted)
+    with pytest.raises(ValueError, match="VSS record"):
+        mpc_declassify(alice, "owner0", ident.addr, pointer, rt)
 
 
 def test_declassify_detects_wrong_share_via_commitments():
     rt, owners, ident, committee, _, rng = make_env()
     alice = owners[0]
-    pointer, _ = protocol_share(alice, "owner0", ident.addr, 70, "w",
-                                Predicate.key_list([alice.sign_pk]), n=3, t=1,
-                                rt=rt, rng=rng, committee=committee)
+    pointer = protocol_share(alice, "owner0", ident.addr, 70, "w",
+                             Predicate.key_list([alice.sign_pk]), t=1,
+                             rt=rt, rng=rng, committee=committee)
     committee[1].behavior = "wrong-share"
     value, faults = mpc_declassify(alice, "owner0", ident.addr, pointer, rt)
     assert value == 70                          # reconstructed from the rest
@@ -219,9 +240,9 @@ def test_compute_mean_matches_plain_oracle(mode):
     inputs = [52, 61, 46]
     pointers = []
     for i, v in enumerate(inputs):
-        ptr, _ = protocol_share(owners[i], f"owner{i}", ident.addr, v, f"in{i}",
-                                q_compute, n=3, t=1, rt=rt, rng=rng, mode=mode,
-                                mac_key=mac_key, committee=committee)
+        ptr = protocol_share(owners[i], f"owner{i}", ident.addr, v, f"in{i}",
+                             q_compute, t=1, rt=rt, rng=rng, mode=mode,
+                             mac_key=mac_key, committee=committee)
         pointers.append(ptr)
     trace = fresh_trace(rt, committee, owners[0])
     out = protocol_compute(owners[0], "owner0", ident.addr, pointers, circ, rt,
@@ -232,9 +253,9 @@ def test_compute_mean_matches_plain_oracle(mode):
 def test_compute_identity_circuit():
     rt, owners, ident, committee, _, rng = make_env()
     circ = parse_circuit("in x\nout x")
-    ptr, _ = protocol_share(owners[0], "owner0", ident.addr, 88, "v",
-                            Predicate.key_list([owners[0].sign_pk]), n=3, t=1,
-                            rt=rt, rng=rng, committee=committee)
+    ptr = protocol_share(owners[0], "owner0", ident.addr, 88, "v",
+                         Predicate.key_list([owners[0].sign_pk]), t=1,
+                         rt=rt, rng=rng, committee=committee)
     trace = fresh_trace(rt, committee, owners[0])
     out = protocol_compute(owners[0], "owner0", ident.addr, [ptr], circ, rt,
                            trace, rng)
@@ -244,9 +265,9 @@ def test_compute_identity_circuit():
 def test_compute_denied_sends_no_mpc_messages():
     rt, owners, ident, committee, _, rng = make_env()
     circ = parse_circuit("in x\nout x")
-    ptr, _ = protocol_share(owners[0], "owner0", ident.addr, 5, "v",
-                            Predicate.key_list([owners[0].sign_pk]), n=3, t=1,
-                            rt=rt, rng=rng, committee=committee)
+    ptr = protocol_share(owners[0], "owner0", ident.addr, 5, "v",
+                         Predicate.key_list([owners[0].sign_pk]), t=1,
+                         rt=rt, rng=rng, committee=committee)
     eve = rt.add_client("eve")
     before = rt.bus.messages
     trace = fresh_trace(rt, committee, eve)
@@ -268,9 +289,9 @@ def test_cost_model_matches_simulator_on_random_circuits():
         values = []
         for i in range(circ.n_inputs):
             values.append(gen.randrange(101))
-            ptr, _ = protocol_share(owners[0], "owner0", ident.addr,
-                                    values[-1], f"c{case}i{i}", q,
-                                    n=3, t=1, rt=rt, rng=rng, committee=committee)
+            ptr = protocol_share(owners[0], "owner0", ident.addr,
+                                 values[-1], f"c{case}i{i}", q,
+                                 t=1, rt=rt, rng=rng, committee=committee)
             ptrs.append(ptr)
         trace = fresh_trace(rt, committee, owners[0], seed=case)
         out = protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
@@ -286,9 +307,9 @@ def test_compute_message_count_matches_cost_model(mode):
     q = Predicate.key_list([owners[0].sign_pk])
     ptrs = []
     for i, v in enumerate((3, 4)):
-        ptr, _ = protocol_share(owners[0], "owner0", ident.addr, v, f"i{i}", q,
-                                n=3, t=1, rt=rt, rng=rng, mode=mode,
-                                mac_key=mac_key, committee=committee)
+        ptr = protocol_share(owners[0], "owner0", ident.addr, v, f"i{i}", q,
+                             t=1, rt=rt, rng=rng, mode=mode,
+                             mac_key=mac_key, committee=committee)
         ptrs.append(ptr)
     trace = fresh_trace(rt, committee, owners[0])
     out = protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
@@ -316,9 +337,9 @@ def test_parallel_muls_cost_one_message_per_pair(mode, per_product):
     q = Predicate.key_list([owners[0].sign_pk])
     ptrs = []
     for i, v in enumerate(values):
-        ptr, _ = protocol_share(owners[0], "owner0", ident.addr, v, f"d{i}", q,
-                                n=n, t=1, rt=rt, rng=rng, mode=mode,
-                                mac_key=mac_key, committee=committee)
+        ptr = protocol_share(owners[0], "owner0", ident.addr, v, f"d{i}", q,
+                             t=1, rt=rt, rng=rng, mode=mode,
+                             mac_key=mac_key, committee=committee)
         ptrs.append(ptr)
     trace = fresh_trace(rt, committee, owners[0])
     start = len(rt.bus.broadcast_log)
@@ -344,9 +365,9 @@ def test_compute_with_reduction_layered(mode):
     q = Predicate.key_list([owners[0].sign_pk])
     ptrs = []
     for i, v in enumerate((2, 3, 4)):
-        ptr, _ = protocol_share(owners[0], "owner0", ident.addr, v, f"r{i}", q,
-                                n=9, t=1, rt=rt, rng=rng, mode=mode,
-                                mac_key=mac_key, committee=committee)
+        ptr = protocol_share(owners[0], "owner0", ident.addr, v, f"r{i}", q,
+                             t=1, rt=rt, rng=rng, mode=mode,
+                             mac_key=mac_key, committee=committee)
         ptrs.append(ptr)
     trace = fresh_trace(rt, committee, owners[0])
     out = protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
@@ -366,9 +387,9 @@ def test_shamir_reduction_keeps_degree_reduction_quorum(t):
     q = Predicate.key_list([owners[0].sign_pk])
     ptrs = []
     for i, v in enumerate((2, 3, 4)):
-        ptr, _ = protocol_share(owners[0], "owner0", ident.addr, v, f"r{i}", q,
-                                n=15, t=t, rt=rt, rng=rng, mode="shamir",
-                                committee=committee)
+        ptr = protocol_share(owners[0], "owner0", ident.addr, v, f"r{i}", q,
+                             t=t, rt=rt, rng=rng, mode="shamir",
+                             committee=committee)
         ptrs.append(ptr)
     trace = fresh_trace(rt, committee, owners[0])
     out = protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt,
@@ -380,8 +401,8 @@ def test_shamir_reduction_keeps_degree_reduction_quorum(t):
 def share_inputs(rt, owners, ident, committee, mac_key, rng, mode, values, label):
     q = Predicate.key_list([owners[0].sign_pk])
     return [protocol_share(owners[0], "owner0", ident.addr, v, f"{label}{i}", q,
-                           n=len(committee), t=1, rt=rt, rng=rng, mode=mode,
-                           mac_key=mac_key, committee=committee)[0]
+                           t=1, rt=rt, rng=rng, mode=mode,
+                           mac_key=mac_key, committee=committee)
             for i, v in enumerate(values)]
 
 
@@ -501,21 +522,46 @@ def test_audited_trail_posts_one_batch_per_opening_round(text, layers):
 
 
 def posted_trail(ledger, computation_id):
-    """(metadata, list of batches) of a closed trail, as posted."""
+    """(metadata, list of batches, VSS records by sharing) of a closed
+    trail, as posted."""
     meta = json.loads(ledger.get(audit.trail_meta_key(computation_id)))
-    return meta, [json.loads(ledger.get(audit.trail_key(computation_id, b)))
-                  for b in range(meta["batches"])]
+    batches = [json.loads(ledger.get(audit.trail_key(computation_id, b)))
+               for b in range(meta["batches"])]
+    vss = {rec["sharing"]: json.loads(ledger.get(audit.vss_key(bytes.fromhex(rec["sharing"]))))
+           for batch in batches for rec in batch if rec["kind"] == "input"}
+    return meta, batches, vss
 
 
-def tamper(records, q, rng):
-    """A copy of the record list with one fault: +-1 on an opening's share
-    or blinding, or a posted commitment set to 0, q, q + c or another
-    party's."""
-    records = copy.deepcopy(records)
+def repost(computation_id, meta, batches, records, vss):
+    """A board with the trail's metadata, `records` in the original
+    batches, and the VSS records `vss`, each input step naming the sha256
+    of the record as reposted."""
+    board = {audit.trail_meta_key(computation_id): json.dumps(meta).encode()}
+    for sharing, record in vss.items():
+        board[audit.vss_key(bytes.fromhex(sharing))] = json.dumps(record).encode()
+    for rec in records:
+        if rec["kind"] == "input":
+            rec["vss"] = sha256(board[audit.vss_key(bytes.fromhex(rec["sharing"]))]).hex()
+    at = 0
+    for b, batch in enumerate(batches):
+        board[audit.trail_key(computation_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
+        at += len(batch)
+    return board
+
+
+def tamper(records, vss, q, rng):
+    """Copies of the record list and the VSS records with one fault: +-1 on
+    an opening's share or blinding, or a posted input or triple commitment
+    set to 0, q, q + c or another party's."""
+    records, vss = copy.deepcopy((records, vss))
     opened = [rec[name] for rec in records for name in
               ("eps_openings", "delta_openings", "openings") if name in rec]
-    posted = [rec[name] for rec in records if rec["kind"] in ("input", "triple")
-              for name in ("commitments", "a", "b", "c") if name in rec]
+    posted = []
+    for rec in records:
+        if rec["kind"] == "input":
+            posted.append(vss[rec["sharing"]]["commitments"])
+        elif rec["kind"] == "triple":
+            posted += [rec["a"], rec["b"], rec["c"]]
     if opened and rng.random() < 0.5:
         row = rng.choice(rng.choice(opened))
         row[rng.randrange(2)] += rng.choice((1, -1))
@@ -524,17 +570,17 @@ def tamper(records, q, rng):
         i = rng.randrange(len(vector))
         c = int(vector[i], 16)
         vector[i] = hex(rng.choice((0, q, q + c, int(vector[(i + 1) % len(vector)], 16))))
-    return records
+    return records, vss
 
 
 def test_batched_audit_matches_step_fold_on_tampered_trails():
     # Audited SPDZ runs of seeded random circuits at p = 101 and M61, n = 3
-    # and 4; each trail is tampered 12 ways and re-posted in its original
-    # batches. The auditor (one multi-exponentiation per checked opening,
-    # no inversions) must agree with the per-step fold on ok, guilty and
-    # reason every time.
+    # and 4; each trail is tampered 12 ways (some in an owner's VSS record)
+    # and re-posted in its original batches. The auditor (one
+    # multi-exponentiation per checked opening, no inversions) must agree
+    # with the per-step fold on ok, guilty and reason every time.
     rng = random.Random(4242)
-    cases = failing = 0
+    cases = failing = vss_forged = 0
     for trail in range(20):
         p, n = (101, M61)[trail % 2], 3 + trail // 2 % 2
         rt, owners, ident, committee, mac_key, env_rng = make_env(
@@ -547,22 +593,47 @@ def test_batched_audit_matches_step_fold_on_tampered_trails():
         protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt, trace,
                          env_rng, mac_key=mac_key)
         cid = trace.computation_id
-        meta, batches = posted_trail(rt.ledger, cid)
+        meta, batches, vss = posted_trail(rt.ledger, cid)
         records = [rec for batch in batches for rec in batch]
-        assert audit.audit_trail(rt.ledger, cid) == fold_trail(records, n, p)
+        assert audit.audit_trail(rt.ledger, cid) == fold_trail(rt.ledger, records, n, p)
         for _ in range(12):
-            forged = tamper(records, rt.params.q, rng)
-            board = {audit.trail_meta_key(cid): json.dumps(meta).encode()}
-            at = 0
-            for b, batch in enumerate(batches):
-                board[audit.trail_key(cid, b)] = json.dumps(forged[at:at + len(batch)]).encode()
-                at += len(batch)
-            expected = fold_trail(forged, n, p)
-            assert audit.audit_trail(board, cid) == expected, (trail, forged)
+            forged, forged_vss = tamper(records, vss, rt.params.q, rng)
+            board = repost(cid, meta, batches, forged, forged_vss)
+            expected = fold_trail(board, forged, n, p)
+            assert audit.audit_trail(board, cid) == expected, (trail, forged, forged_vss)
             cases += 1
             failing += not expected.ok
+            vss_forged += forged_vss != vss
     assert cases >= 200
     assert failing > cases // 2
+    assert vss_forged
+
+
+def test_vss_record_rewritten_after_compute_blames_nobody():
+    # After the computation the owner rewrites its VSS record with party
+    # 1's commitment shifted by g, which the ledger allows its first
+    # writer. Read as it stands now, the record would blame party 1; the
+    # input step's digest pins the record the engine loaded, so the audit
+    # of the ledger and of its dump finds the trail incomplete instead.
+    rt, owners, ident, committee, mac_key, rng = make_env("spdz", seed=3)
+    ptrs = share_inputs(rt, owners, ident, committee, mac_key, rng, "spdz", [4, 5], "v")
+    trace = fresh_trace(rt, committee, owners[0], seed=3)
+    protocol_compute(owners[0], "owner0", ident.addr, ptrs, parse_circuit(MUL2), rt,
+                     trace, rng, mac_key=mac_key)
+    cid = trace.computation_id
+    assert audit.audit_trail(rt.ledger, cid).ok
+    sharing = network.sharing_key(ident.addr, "v0")
+    record = json.loads(rt.ledger.get(network.vss_key(sharing)))
+    record["commitments"][1] = hex(int(record["commitments"][1], 16) * rt.params.g
+                                   % rt.params.q)
+    rewrite_vss(rt, owners[0], sharing, json.dumps(record, sort_keys=True).encode())
+    meta, batches, vss = posted_trail(rt.ledger, cid)
+    assert vss[sharing.hex()] == record
+    records = [rec for batch in batches for rec in batch]
+    assert audit.audit_trail(repost(cid, meta, batches, records, vss), cid).guilty == (1,)
+    for board in (rt.ledger, load_dump(rt.ledger.dump())):
+        with pytest.raises(IncompleteTrail, match="VSS record"):
+            audit.audit_trail(board, cid)
 
 
 def reuse_circuit(depth: int) -> str:
@@ -598,19 +669,15 @@ def test_audit_of_reused_wires_matches_step_fold(p):
                            env_rng, mac_key=mac_key)
     assert out == eval_plain(circ, values, rt.field)
     cid = trace.computation_id
-    meta, batches = posted_trail(rt.ledger, cid)
+    meta, batches, vss = posted_trail(rt.ledger, cid)
     records = [rec for batch in batches for rec in batch]
-    assert audit.audit_trail(rt.ledger, cid) == fold_trail(records, n, p)
+    assert audit.audit_trail(rt.ledger, cid) == fold_trail(rt.ledger, records, n, p)
     assert audit.audit_trail(rt.ledger, cid).ok
     rng = random.Random(p)
     for _ in range(12):
-        forged = tamper(records, rt.params.q, rng)
-        board = {audit.trail_meta_key(cid): json.dumps(meta).encode()}
-        at = 0
-        for b, batch in enumerate(batches):
-            board[audit.trail_key(cid, b)] = json.dumps(forged[at:at + len(batch)]).encode()
-            at += len(batch)
-        assert audit.audit_trail(board, cid) == fold_trail(forged, n, p), forged
+        forged, forged_vss = tamper(records, vss, rt.params.q, rng)
+        board = repost(cid, meta, batches, forged, forged_vss)
+        assert audit.audit_trail(board, cid) == fold_trail(board, forged, n, p), forged
 
 
 def test_spdz_wrong_share_caught_by_mac_check():
@@ -620,9 +687,9 @@ def test_spdz_wrong_share_caught_by_mac_check():
     q = Predicate.key_list([owners[0].sign_pk])
     ptrs = []
     for i, v in enumerate((6, 7)):
-        ptr, _ = protocol_share(owners[0], "owner0", ident.addr, v, f"m{i}", q,
-                                n=3, t=1, rt=rt, rng=rng, mode="spdz",
-                                mac_key=mac_key, committee=committee)
+        ptr = protocol_share(owners[0], "owner0", ident.addr, v, f"m{i}", q,
+                             t=1, rt=rt, rng=rng, mode="spdz",
+                             mac_key=mac_key, committee=committee)
         ptrs.append(ptr)
     trace = fresh_trace(rt, committee, owners[0])
     with pytest.raises(CheatDetected):
@@ -642,9 +709,9 @@ def four_output_run(mode, n=3):
     and a thunk listing the ciphertexts sent to the requester since."""
     rt, owners, ident, committee, mac_key, rng = make_env(mode, committee=n)
     q = Predicate.key_list([owners[0].sign_pk])
-    ptrs = [protocol_share(owners[0], "owner0", ident.addr, v, f"o{i}", q, n=n, t=1,
+    ptrs = [protocol_share(owners[0], "owner0", ident.addr, v, f"o{i}", q, t=1,
                            rt=rt, rng=rng, mode=mode, mac_key=mac_key,
-                           committee=committee)[0] for i, v in enumerate((9, 13))]
+                           committee=committee) for i, v in enumerate((9, 13))]
     trace = fresh_trace(rt, committee, owners[0])
     start = len(rt.bus.broadcast_log)
     circ = parse_circuit(FOUR_OUTPUTS)

@@ -3,14 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from mpcnet import keys, runner
-from mpcnet.audit import audit_trail, trail_key, trail_meta_key
+from mpcnet import dht, identity, keys, network, runner
+from mpcnet.audit import audit_trail, trail_key, trail_meta_key, vss_key
 from mpcnet.circuits import eval_plain, parse_circuit
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
 from mpcnet.identity import Predicate, identity_address, serialize_acl
-from mpcnet.ledger import make_tx, writes_payload
-from mpcnet.network import child_rng, protocol_compute, protocol_share
+from mpcnet.ledger import LedgerRejected, make_tx, writes_payload
+from mpcnet.network import child_rng, protocol_compute, protocol_share, sharing_key
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import ScenarioError, parse_scenario
 from mpcnet.trace import ComputationTrace
@@ -125,6 +125,58 @@ def test_broken_commitment_scenario_audited():
     assert faults[0].channel == "audit_trail"
     guilty_node = result.trace.committee[0]
     assert faults[0].node == guilty_node
+
+
+def test_broken_commitment_shifts_only_its_vss_position():
+    # Committee position 0 posts a broken commitment: each VSS record of
+    # broken.scn differs from the same run without the fault at position 0
+    # and nowhere else, where it is the honest commitment times g.
+    def vss_commitments(faults):
+        cfg = load("broken")
+        cfg.faults = faults
+        rt = run_scenario(cfg).runtime
+        addr = identity_address([rt.clients[f"owner{i}"].sign_pk
+                                 for i in range(len(cfg.inputs))])
+        return rt.params, [
+            [int(c, 16) for c in json.loads(rt.ledger.get(
+                vss_key(sharing_key(addr, f"input{i}"))))["commitments"]]
+            for i in range(len(cfg.inputs))]
+
+    params, broken = vss_commitments(load("broken").faults)
+    _, honest = vss_commitments({})
+    for shifted, plain in zip(broken, honest, strict=True):
+        assert [pos for pos, (b, h) in enumerate(zip(shifted, plain)) if b != h] == [0]
+        assert shifted[0] == plain[0] * params.g % params.q
+
+
+def test_denied_restart_share_is_rejected(monkeypatch):
+    # The SPDZ restart re-shares through the loop of the first attempt, so
+    # a denied re-share raises instead of handing a None pointer on.
+    def deny_retry(*args, **kwargs):
+        return None if args[4].endswith("-retry") else protocol_share(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "protocol_share", deny_retry)
+    cfg = load("cheater")
+    cfg.faults = {1: "abort-after-output"}
+    with pytest.raises(LedgerRejected):
+        run_scenario(cfg)
+
+
+def test_each_input_evaluates_the_policy_once(monkeypatch):
+    # protocol_share checks the owner against the identity's `(policy)` and
+    # then places the pointer without asking again: 3 inputs, 3 checks.
+    policy_checks = []
+
+    def counted(pk, addr, q, board):
+        if q == Predicate.policy():
+            policy_checks.append(pk)
+        return identity.check_permission(pk, addr, q, board)
+
+    for module in (network, dht):
+        monkeypatch.setattr(module, "check_permission", counted)
+    result = run_scenario(load("average"))
+    assert result.exit_code == 0
+    assert len(policy_checks) == 3
 
 
 def test_spdz_abort_restarts_with_replacement():
