@@ -361,143 +361,144 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
     meta_raw = board.get(trail_meta_key(computation_id))
     if meta_raw is None:
         raise IncompleteTrail("no trail metadata for computation")
-    meta = json.loads(meta_raw.decode())
-    if not isinstance(meta, dict) or meta.get("steps") is None:
-        raise IncompleteTrail("trail metadata lacks a step count")
-    batches = meta.get("batches")
-    if not isinstance(batches, int):
-        raise IncompleteTrail("trail metadata lacks a batch count")
-    records = []
-    for batch in range(batches):
-        raw = board.get(trail_key(computation_id, batch))
-        if raw is None:
-            raise IncompleteTrail(f"missing trail batch {batch}")
-        posted = json.loads(raw.decode())
-        if not isinstance(posted, list) or not all(isinstance(r, dict) for r in posted):
-            raise IncompleteTrail(f"trail batch {batch} is not a list of records")
-        records.extend(posted)
-    steps = meta["steps"]
-    if len(records) != steps:
-        raise IncompleteTrail(f"trail batches hold {len(records)} steps, "
-                              f"metadata says {steps}")
-    field = Field(meta["p"])
-    params = pedersen.setup(field)
-    n = meta["n"]
-    q = params.q
-    order = q - 1
+    # A missing or mistyped field anywhere in the trail leaves it incomplete.
+    try:
+        meta = json.loads(meta_raw.decode())
+        if not isinstance(meta, dict) or meta.get("steps") is None:
+            raise IncompleteTrail("trail metadata lacks a step count")
+        batches = meta.get("batches")
+        if not isinstance(batches, int):
+            raise IncompleteTrail("trail metadata lacks a batch count")
+        records = []
+        for batch in range(batches):
+            raw = board.get(trail_key(computation_id, batch))
+            if raw is None:
+                raise IncompleteTrail(f"missing trail batch {batch}")
+            posted = json.loads(raw.decode())
+            if not isinstance(posted, list) or not all(isinstance(r, dict) for r in posted):
+                raise IncompleteTrail(f"trail batch {batch} is not a list of records")
+            records.extend(posted)
+        steps = meta["steps"]
+        if len(records) != steps:
+            raise IncompleteTrail(f"trail batches hold {len(records)} steps, "
+                                  f"metadata says {steps}")
+        field = Field(meta["p"])
+        params = pedersen.setup(field)
+        n = meta["n"]
+        q = params.q
+        order = q - 1
 
-    # The last step that reads each step: its derived commitments are
-    # dropped after that, and a linear step may take over their terms.
-    last_read = {}
-    for step, rec in enumerate(records):
-        for ref in _reads(rec):
-            last_read[ref] = step
+        # The last step that reads each step: its derived commitments are
+        # dropped after that, and a linear step may take over their terms.
+        last_read = {}
+        for step, rec in enumerate(records):
+            for ref in _reads(rec):
+                last_read[ref] = step
 
-    derived = {}   # step -> per-party (known, {base: exp}), or a triple's posted vectors
-    guilty = set()
-    reasons = []
-    output_seen = False
+        derived = {}   # step -> per-party (known, {base: exp}), or a triple's posted vectors
+        guilty = set()
+        reasons = []
+        output_seen = False
 
-    def blame(i: int, label: str):
-        guilty.add(i)
-        reasons.append(f"party {i} broke its commitment at {label}")
+        def blame(i: int, label: str):
+            guilty.add(i)
+            reasons.append(f"party {i} broke its commitment at {label}")
 
-    def expect_n(opens: list, label: str):
-        if len(opens) != n:
-            raise IncompleteTrail(f"{label}: expected {n} openings, got {len(opens)}")
+        def expect_n(opens: list, label: str):
+            if len(opens) != n:
+                raise IncompleteTrail(f"{label}: expected {n} openings, got {len(opens)}")
 
-    def evaluate(step: int) -> list:
-        """The per-party commitments of a step, folded once on first use."""
-        values = [known * _multi_exp(terms.items(), q) % q if terms else known
-                  for known, terms in derived[step]]
-        derived[step] = [(c, {}) for c in values]
-        return values
+        def evaluate(step: int) -> list:
+            """The per-party commitments of a step, folded once on first use."""
+            values = [known * _multi_exp(terms.items(), q) % q if terms else known
+                      for known, terms in derived[step]]
+            derived[step] = [(c, {}) for c in values]
+            return values
 
-    def accumulate(terms: dict, base: int, exp: int):
-        # b^e = b^((e - 1) mod (q - 1) + 1) for every e >= 1 and every base
-        # mod prime q, 0 included, so exponents stay below q.
-        exp += terms.get(base, 0)
-        terms[base] = (exp - 1) % order + 1 if exp > order else exp
+        def accumulate(terms: dict, base: int, exp: int):
+            # b^e = b^((e - 1) mod (q - 1) + 1) for every e >= 1 and every base
+            # mod prime q, 0 included, so exponents stay below q.
+            exp += terms.get(base, 0)
+            terms[base] = (exp - 1) % order + 1 if exp > order else exp
 
-    def check_masks(masked: list, mask: list, opens: list, label: str):
-        # C(x_i) = commit(s_i, r_i) * C(a_i), with no inversion; a C(a_i)
-        # divisible by q has no opening at all.
-        expect_n(opens, label)
-        for i, (cx, ca, (s, r)) in enumerate(zip(masked, mask, opens)):
-            if not ca % q or cx % q != pedersen.commit(s, r, params) * ca % q:
-                blame(i, label)
+        def check_masks(masked: list, mask: list, opens: list, label: str):
+            # C(x_i) = commit(s_i, r_i) * C(a_i), with no inversion; a C(a_i)
+            # divisible by q has no opening at all.
+            expect_n(opens, label)
+            for i, (cx, ca, (s, r)) in enumerate(zip(masked, mask, opens)):
+                if not ca % q or cx % q != pedersen.commit(s, r, params) * ca % q:
+                    blame(i, label)
 
-    for step, rec in enumerate(records):
-        kind = rec["kind"]
-        if kind == "input":
-            # An input step without a digest matches no record.
-            try:
+        for step, rec in enumerate(records):
+            kind = rec["kind"]
+            if kind == "input":
+                # An input step without a digest matches no record.
                 commitments = vss_commitments(board, rec.get("sharing"), n,
                                               str(rec.get("vss")))
-            except ValueError as exc:
-                raise IncompleteTrail(str(exc)) from None
-            derived[step] = [(c, {}) for c in commitments]
-        elif kind == "triple":
-            derived[step] = {name: [int(c, 16) for c in rec[name]]
-                             for name in ("a", "b", "c")}
-        elif kind == "linear":
-            rec_terms = rec["terms"]
-            refs = [ref for _, ref in rec_terms]
-            # A coefficient-1 source read here for the last time, and only
-            # once, hands its terms over instead of being copied.
-            heir = next((pos for pos, (coeff, ref) in enumerate(rec_terms)
-                         if coeff == 1 and last_read[ref] == step and refs.count(ref) == 1),
-                        None)
-            public = pedersen.commit(rec["constant"], 0, params)
-            acc = []
-            for i in range(n):
-                known, terms = derived[refs[heir]][i] if heir is not None else (1, {})
-                known = known * public % q if i == 0 else known % q
-                for pos, (coeff, ref) in enumerate(rec_terms):
-                    if pos == heir:
-                        continue
-                    src_known, src_terms = derived[ref][i]
-                    if coeff == 1:
-                        known = known * src_known % q
-                    else:
-                        accumulate(terms, src_known, coeff)
-                    for base, exp in src_terms.items():
-                        accumulate(terms, base, exp * coeff)
-                acc.append((known, terms))
-            derived[step] = acc
-        elif kind == "beaver":
-            trip = derived[rec["triple"]]
-            eps_opens = rec["eps_openings"]
-            delta_opens = rec["delta_openings"]
-            check_masks(evaluate(rec["x"]), trip["a"], eps_opens, f"step {step} (eps)")
-            check_masks(evaluate(rec["y"]), trip["b"], delta_opens, f"step {step} (delta)")
-            eps = sum(s for s, _ in eps_opens) % field.p
-            delta = sum(s for s, _ in delta_opens) % field.p
-            public = pedersen.commit(field.mul(eps, delta), 0, params)
-            acc = []
-            for i in range(n):
-                terms = {trip["b"][i]: eps}
-                accumulate(terms, trip["a"][i], delta)
-                acc.append((trip["c"][i] * public % q if i == 0 else trip["c"][i], terms))
-            derived[step] = acc
-        elif kind == "output":
-            output_seen = True
-            opens = openings if openings is not None else rec["openings"]
-            label = f"step {step} (output)"
-            derived_c = evaluate(rec["source"])
-            expect_n(opens, label)
-            for i, (c, (s, r)) in enumerate(zip(derived_c, opens)):
-                if not pedersen.verify_open(c, s, r, params):
-                    blame(i, label)
-            total = sum(s for s, _ in opens) % field.p
-            claimed = claimed_output if claimed_output is not None else rec["value"]
-            if total != claimed % field.p:
-                reasons.append(f"claimed output {claimed} != opened total {total}")
-        else:
-            raise IncompleteTrail(f"unknown trail record kind {kind!r}")
-        for ref in set(_reads(rec)):
-            if last_read[ref] == step:
-                del derived[ref]
+                derived[step] = [(c, {}) for c in commitments]
+            elif kind == "triple":
+                derived[step] = {name: [int(c, 16) for c in rec[name]]
+                                 for name in ("a", "b", "c")}
+            elif kind == "linear":
+                rec_terms = rec["terms"]
+                refs = [ref for _, ref in rec_terms]
+                # A coefficient-1 source read here for the last time, and only
+                # once, hands its terms over instead of being copied.
+                heir = next((pos for pos, (coeff, ref) in enumerate(rec_terms)
+                             if coeff == 1 and last_read[ref] == step and refs.count(ref) == 1),
+                            None)
+                public = pedersen.commit(rec["constant"], 0, params)
+                acc = []
+                for i in range(n):
+                    known, terms = derived[refs[heir]][i] if heir is not None else (1, {})
+                    known = known * public % q if i == 0 else known % q
+                    for pos, (coeff, ref) in enumerate(rec_terms):
+                        if pos == heir:
+                            continue
+                        src_known, src_terms = derived[ref][i]
+                        if coeff == 1:
+                            known = known * src_known % q
+                        else:
+                            accumulate(terms, src_known, coeff)
+                        for base, exp in src_terms.items():
+                            accumulate(terms, base, exp * coeff)
+                    acc.append((known, terms))
+                derived[step] = acc
+            elif kind == "beaver":
+                trip = derived[rec["triple"]]
+                eps_opens = rec["eps_openings"]
+                delta_opens = rec["delta_openings"]
+                check_masks(evaluate(rec["x"]), trip["a"], eps_opens, f"step {step} (eps)")
+                check_masks(evaluate(rec["y"]), trip["b"], delta_opens, f"step {step} (delta)")
+                eps = sum(s for s, _ in eps_opens) % field.p
+                delta = sum(s for s, _ in delta_opens) % field.p
+                public = pedersen.commit(field.mul(eps, delta), 0, params)
+                acc = []
+                for i in range(n):
+                    terms = {trip["b"][i]: eps}
+                    accumulate(terms, trip["a"][i], delta)
+                    acc.append((trip["c"][i] * public % q if i == 0 else trip["c"][i], terms))
+                derived[step] = acc
+            elif kind == "output":
+                output_seen = True
+                opens = openings if openings is not None else rec["openings"]
+                label = f"step {step} (output)"
+                derived_c = evaluate(rec["source"])
+                expect_n(opens, label)
+                for i, (c, (s, r)) in enumerate(zip(derived_c, opens)):
+                    if not pedersen.verify_open(c, s, r, params):
+                        blame(i, label)
+                total = sum(s for s, _ in opens) % field.p
+                claimed = claimed_output if claimed_output is not None else rec["value"]
+                if total != claimed % field.p:
+                    reasons.append(f"claimed output {claimed} != opened total {total}")
+            else:
+                raise IncompleteTrail(f"unknown trail record kind {kind!r}")
+            for ref in set(_reads(rec)):
+                if last_read[ref] == step:
+                    del derived[ref]
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise IncompleteTrail(repr(exc)) from None
 
     if not output_seen:
         raise IncompleteTrail("trail has no output step")

@@ -77,9 +77,6 @@ class Field:
     def __repr__(self) -> str:
         return f"Field({self.p})"
 
-    def reduce(self, x: int) -> int:
-        return x % self.p
-
     def add(self, a: int, b: int) -> int:
         s = a + b
         if s >= self.p:

@@ -11,6 +11,10 @@ parse as ACLs and bind their address to their keys, balance accounting with
 zero-sum settlements that only the genesis authority may post, and bit-exact
 replayability.
 
+Keys live in one `Board`. The live `Ledger` is a Board that validates what
+it appends, and `load_dump` returns one, so `get`, `get_at`, `height` and
+`writer` (a key's first author) read alike on the ledger and on its dump.
+
 A keyed transaction (`kv-put`, `identity-registration`, `commitment-post`)
 carries a non-empty list of (key, value) writes, applied atomically: every
 write must pass, and each becomes one entry in list order. So a data owner
@@ -27,7 +31,7 @@ import base64
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter
 
 from . import keys as keymod
 from .errors import CorruptDump, LedgerRejected
@@ -87,28 +91,39 @@ class LedgerEntry:
                 + len(self.value).to_bytes(4, "big") + self.value + self.author)
 
 
-class KVHistory:
-    """Every value each key has held, with the height it was written at.
+class Board:
+    """Every entry in height order and, per key, the entries it has held.
 
-    Heights are appended in increasing order, so the value as of height t
-    is found by bisection.
+    Heights grow with each entry, so the value as of height t is found by
+    bisection; a key's first entry names the only author that may rewrite it.
     """
 
     def __init__(self):
-        self._history: dict = {}          # key -> [(height, value)]
+        self.entries: list = []
+        self._history: dict = {}          # key -> [LedgerEntry]
 
-    def append(self, key: bytes, height: int, value: bytes):
-        self._history.setdefault(key, []).append((height, value))
+    def _record(self, entry: LedgerEntry):
+        self.entries.append(entry)
+        self._history.setdefault(entry.key, []).append(entry)
+
+    @property
+    def height(self) -> int:
+        return len(self.entries)
 
     def get(self, k) -> bytes | None:
         history = self._history.get(normalize_key(k))
-        return history[-1][1] if history else None
+        return history[-1].value if history else None
 
     def get_at(self, k, t: int) -> bytes | None:
         """Value of k as of height t: the newest entry with height <= t."""
         history = self._history.get(normalize_key(k), ())
-        pos = bisect_right(history, t, key=itemgetter(0))
-        return history[pos - 1][1] if pos else None
+        pos = bisect_right(history, t, key=attrgetter("height"))
+        return history[pos - 1].value if pos else None
+
+    def writer(self, k) -> bytes | None:
+        """The author of k's first entry, or None if k was never written."""
+        history = self._history.get(normalize_key(k))
+        return history[0].author if history else None
 
 
 @dataclass
@@ -119,7 +134,7 @@ class Account:
     deposit: int = 0
 
 
-class Ledger:
+class Ledger(Board):
     """Append-only bulletin board with balance accounts and full history.
 
     `authority` is the settlement authority's signing key, named at genesis;
@@ -128,37 +143,27 @@ class Ledger:
 
     def __init__(self, genesis_balances: dict | None = None,
                  authority: bytes | None = None):
-        self.entries: list = []
+        super().__init__()
         self.chain_hashes: list = []
         self.accepted: list = []          # (tx, [entry heights])
         self.rejected: list = []          # (tx, reason)
         self.accounts: dict = {}
         self._nonces: dict = {}
-        self._kv = KVHistory()
-        self._writers: dict = {}          # key -> author of its first entry
-        self._genesis = dict(genesis_balances or {})
         self.authority = authority
-        for pk, amount in self._genesis.items():
+        for pk, amount in (genesis_balances or {}).items():
             self.accounts[pk] = Account(balance=amount)
 
     # -- state access ------------------------------------------------------
 
-    @property
-    def height(self) -> int:
-        return len(self.entries)
+    # Its own attribute, so perfbench's `ledger.Ledger.get` span times the
+    # live ledger's reads apart from an auditor's reads of a dump.
+    get = Board.get
 
     def account(self, pk: bytes) -> Account:
         return self.accounts.setdefault(pk, Account())
 
     def next_nonce(self, pk: bytes) -> int:
         return self._nonces.get(pk, -1) + 1
-
-    def get(self, k) -> bytes | None:
-        return self._kv.get(k)
-
-    def get_at(self, k, t: int) -> bytes | None:
-        """Value of k as of height t: the newest entry with height <= t."""
-        return self._kv.get_at(k, t)
 
     # -- writes ------------------------------------------------------------
 
@@ -192,9 +197,7 @@ class Ledger:
         entry = LedgerEntry(key=key, value=value, height=self.height + 1, author=author)
         prev = self.chain_hashes[-1] if self.chain_hashes else ZERO_HASH
         self.chain_hashes.append(sha256(prev + entry.canonical_bytes()))
-        self.entries.append(entry)
-        self._kv.append(key, entry.height, value)
-        self._writers.setdefault(key, author)
+        self._record(entry)
         return entry.height
 
     def _apply(self, tx: Transaction) -> list:
@@ -253,7 +256,7 @@ class Ledger:
             raise LedgerRejected("key must be 256-bit")
         # Only a key's first writer may rewrite it, so an ACL or a
         # predicate cannot be replaced by whoever signs next.
-        first_writer = self._writers.get(key)
+        first_writer = self.writer(key)
         if first_writer not in (None, tx.sender):
             raise LedgerRejected(f"key {key.hex()[:16]} belongs to another writer")
         value = bytes.fromhex(value_hex)
@@ -305,30 +308,9 @@ class Ledger:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-class ReadOnlyBoard:
-    """Offline view over a ledger dump, exposing the read API auditors use."""
-
-    def __init__(self, entries: list):
-        self.entries = entries
-        self._kv = KVHistory()
-        for e in entries:
-            self._kv.append(e.key, e.height, e.value)
-
-    @property
-    def height(self) -> int:
-        return self.entries[-1].height if self.entries else 0
-
-    def get(self, k) -> bytes | None:
-        return self._kv.get(k)
-
-    def get_at(self, k, t: int) -> bytes | None:
-        """Value of k as of height t: the newest entry with height <= t."""
-        return self._kv.get_at(k, t)
-
-
-def load_dump(text: str) -> ReadOnlyBoard:
+def load_dump(text: str) -> Board:
     """Parse a ledger dump; malformed lines raise CorruptDump."""
-    entries = []
+    board = Board()
     expected = 1
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -346,5 +328,5 @@ def load_dump(text: str) -> ReadOnlyBoard:
         if height != expected or len(key) != 32 or len(author) != 32:
             raise CorruptDump(f"line {lineno}: malformed entry")
         expected += 1
-        entries.append(LedgerEntry(key=key, value=value, height=height, author=author))
-    return ReadOnlyBoard(entries)
+        board._record(LedgerEntry(key=key, value=value, height=height, author=author))
+    return board

@@ -118,15 +118,14 @@ class Runtime:
 
         self.authority = KeyPair.generate(child_rng(seed, "authority"))
         balances[self.authority.sign_pk] = 0
-        self._genesis_balance = genesis_balance
+        self._starting_balance = genesis_balance
         self.ledger = Ledger(genesis_balances=balances, authority=self.authority.sign_pk)
 
-    def add_client(self, label: str, balance: int | None = None) -> KeyPair:
+    def add_client(self, label: str) -> KeyPair:
         kp = KeyPair.generate(child_rng(self.seed, f"client:{label}"))
         self.clients[label] = kp
         self.bus.register(label, kp)
-        amount = self._genesis_balance if balance is None else balance
-        self.ledger.account(kp.sign_pk).balance += amount
+        self.ledger.account(kp.sign_pk).balance += self._starting_balance
         return kp
 
     def eligible_nodes(self) -> list:
@@ -165,13 +164,13 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
     """Verifiably share x with `committee` and register the pointer.
 
     Deals the sharing (Shamir or SPDZ per `mode`) with its per-party
-    Pedersen commitments (the VSS layer) and sends each member its share
-    and blinding over the secure channel. The owner then signs one ledger
+    Pedersen commitments (the VSS layer). The owner signs one ledger
     transaction that posts the commitments, the declassify predicate (the
-    owner's own key list) and the pointer's predicate q_compute, and places
-    the computation reference in the DHT. Returns the pointer, or None
-    before anything is sent or written when the identity's `(policy)`
-    denies the owner.
+    owner's own key list) and the pointer's predicate q_compute, places
+    the computation reference in the DHT, and only then sends each member
+    its share and blinding over the secure channel. Returns the pointer, or
+    None before anything is sent or written when the identity's `(policy)`
+    denies the owner; LedgerRejected propagates with nothing sent.
     """
     if not check_permission(owner.sign_pk, addr, Predicate.policy(), rt.ledger):
         return None
@@ -202,11 +201,6 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
         values, blinds, rt.params,
         {pos for pos, node in enumerate(committee) if node.behavior == BROKEN_COMMITMENT})
 
-    for node, payload, share, blind in zip(committee, payloads, value_shares, blind_shares):
-        rt.bus.send(owner_label, node.index, payload)
-        rt.bus.recv_all(node.index)
-        node.shares[sharing_id] = {"share": share, "blind": blind}
-
     vss_record = {"mode": mode, "n": n, "t": t,
                   "commitments": [hex(c) for c in commitments]}
     blob = json.dumps({
@@ -221,8 +215,14 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
     # then (through place_record) the pointer's predicate.
     writes = ((vss_key(sharing_id), json.dumps(vss_record, sort_keys=True).encode()),
               (sharing_id, Predicate.key_list([owner.sign_pk]).to_text().encode()))
-    return place_record(owner, addr, blob, q_compute, rt.ledger, rt.dht,
-                        encrypt=False, writes=writes)
+    pointer = place_record(owner, addr, blob, q_compute, rt.ledger, rt.dht,
+                           encrypt=False, writes=writes)
+    # A rejected transaction raised above: only an accepted input is dealt.
+    for node, payload, share, blind in zip(committee, payloads, value_shares, blind_shares):
+        rt.bus.send(owner_label, node.index, payload)
+        rt.bus.recv_all(node.index)
+        node.shares[sharing_id] = {"share": share, "blind": blind}
+    return pointer
 
 
 def load_reference(requester: KeyPair, addr: bytes, pointer: bytes, rt: Runtime):

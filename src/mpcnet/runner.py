@@ -80,8 +80,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     # Deposits make nodes eligible for committee work.
     for node in rt.registry:
-        if cfg.deposit > 0:
-            post_deposit(node.keypair, cfg.deposit, rt.ledger)
+        post_deposit(node.keypair, cfg.deposit, rt.ledger)
 
     # The data owners form a shared identity; its ACL is what every later
     # permission check resolves against.

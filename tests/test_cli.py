@@ -202,6 +202,55 @@ def test_audit_dump_with_a_bad_vss_record(tmp_path, capsys, edit):
     assert err.startswith("error: incomplete trail") and "Traceback" not in err
 
 
+def without(record: dict, field: str) -> dict:
+    return {k: v for k, v in record.items() if k != field}
+
+
+@pytest.mark.parametrize("part, edit", [
+    ("beaver", lambda rec: without(rec, "x")),
+    ("beaver", lambda rec: {**rec, "x": 99}),
+    ("input", lambda rec: without(rec, "kind")),
+    ("meta", lambda meta: "{not json"),
+    ("meta", lambda meta: without(meta, "p")),
+    ("meta", lambda meta: {**meta, "p": 100}),
+    ("beaver", lambda rec: {**rec, "eps_openings": [1, 2, 3]}),
+], ids=["beaver-without-x", "beaver-x-names-step-99", "record-without-kind",
+        "meta-not-json", "meta-without-p", "meta-p-not-prime", "eps-openings-not-pairs"])
+def test_audit_malformed_trail_is_an_incomplete_trail(tmp_path, capsys, part, edit):
+    # A trail whose metadata or first record of one kind lacks a field, or
+    # holds one of the wrong type or range, is an incomplete trail: exit 1
+    # and no traceback.
+    outdir = tmp_path / "out"
+    run_cli("run", SCENARIOS / "broken.scn", "--out", outdir)
+    capsys.readouterr()
+    trace = (outdir / "trace.txt").read_text()
+    comp_id = re.search(r"computation=([0-9a-f]{64})", trace).group(1)
+    meta_key = trail_meta_key(bytes.fromhex(comp_id)).hex()
+    batch_keys = {trail_key(bytes.fromhex(comp_id), b).hex() for b in range(16)}
+    edited, done = [], False
+    for line in (outdir / "ledger.tsv").read_text().splitlines():
+        height, key, value64, author = line.split("\t")
+        value = None
+        if part == "meta" and key == meta_key:
+            value = edit(json.loads(base64.b64decode(value64)))
+        elif part != "meta" and key in batch_keys and not done:
+            records = json.loads(base64.b64decode(value64))
+            pos = next((i for i, rec in enumerate(records) if rec["kind"] == part), None)
+            if pos is not None:
+                records[pos], done = edit(records[pos]), True
+                value = records
+        if value is not None:
+            raw = value.encode() if isinstance(value, str) else json.dumps(value).encode()
+            value64 = base64.b64encode(raw).decode()
+        edited.append("\t".join((height, key, value64, author)))
+    dump = tmp_path / "malformed.tsv"
+    dump.write_text("\n".join(edited) + "\n")
+    assert dump.read_text() != (outdir / "ledger.tsv").read_text()
+    assert run_cli("audit", dump, "--id", comp_id) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: incomplete trail") and "Traceback" not in err
+
+
 def test_keygen_deterministic(tmp_path, capsys):
     k1, k2 = tmp_path / "k1", tmp_path / "k2"
     assert run_cli("keygen", "--count", 3, "--out", k1, "--seed", 7) == 0

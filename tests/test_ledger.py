@@ -299,3 +299,20 @@ def test_get_at_every_height_matches_linear_scan(ledger, kp, rng):
             assert board.get_at(k, t) == expected
     for k in keys:
         assert board.get(k) == ledger.get(k) == ledger.get_at(k, ledger.height)
+
+
+def test_writer_is_the_first_author_on_the_ledger_and_its_dump(ledger, kp, rng):
+    # The live ledger and a board loaded from its dump name the same first
+    # writer for every key, a key its first writer rewrote included.
+    other = KeyPair.generate(rng)
+    put(ledger, kp, "mine", b"v1")
+    put(ledger, other, "theirs", b"w1")
+    put(ledger, kp, "mine", b"v2")
+    with pytest.raises(LedgerRejected):
+        put(ledger, other, "mine", b"x")
+    board = load_dump(ledger.dump())
+    for key in {e.key for e in ledger.entries}:
+        first = next(e.author for e in ledger.entries if e.key == key)
+        assert ledger.writer(key) == board.writer(key) == first
+    assert board.get("mine") == b"v2" and board.writer("mine") == kp.sign_pk
+    assert ledger.writer("never-written") is None and board.writer("never-written") is None

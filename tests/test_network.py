@@ -10,7 +10,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from mpcnet import audit
 from mpcnet.circuits import cost_model, eval_plain, layerize, parse_circuit
-from mpcnet.errors import CheatDetected, IncompleteTrail
+from mpcnet.errors import CheatDetected, IncompleteTrail, LedgerRejected
 from mpcnet.field import M61, Field
 from mpcnet.identity import Predicate, gen_shared_identity
 from mpcnet import network, shamir
@@ -196,6 +196,27 @@ def test_share_denied_for_non_member():
     assert pointer is None
     assert rt.ledger.height == height
     assert rt.bus.messages == 0
+
+
+def test_share_the_ledger_rejects_deals_no_share():
+    # eve first-writes the VSS key and the sharing key of alice's next
+    # input, both computable from the identity address and x_ref. The
+    # ledger rejects alice's registration, and no member may hold her
+    # shares, or eve's own pointer naming the sharing would declassify them.
+    rt, owners, ident, committee, _, rng = make_env()
+    alice, eve = owners[0], rt.add_client("eve")
+    sharing = network.sharing_key(ident.addr, "salary")
+    dummy = json.dumps({"commitments": ["0x1"] * 3}).encode()
+    rt.ledger.submit_tx(make_tx(eve, "kv-put", writes_payload(
+        [(network.vss_key(sharing), dummy), (sharing, Predicate.any().to_text().encode())]),
+        nonce=rt.ledger.next_nonce(eve.sign_pk)))
+    before = rt.bus.messages
+    with pytest.raises(LedgerRejected, match="another writer"):
+        protocol_share(alice, "owner0", ident.addr, 42, "salary",
+                       Predicate.key_list([alice.sign_pk]), t=1, rt=rt, rng=rng,
+                       committee=committee)
+    assert rt.bus.messages == before
+    assert not any(sharing in node.shares for node in rt.registry)
 
 
 def rewrite_vss(rt, owner, sharing_id, value: bytes):
