@@ -57,6 +57,9 @@ ABORT_AFTER_OUTPUT = "abort-after-output"
 WRONG_SHARE = "wrong-share"
 BROKEN_COMMITMENT = "broken-commitment"
 BEHAVIORS = (HONEST, ABORT_AFTER_OUTPUT, WRONG_SHARE, BROKEN_COMMITMENT)
+# What a requester observes of a member whose opening never arrived, whatever
+# the cause; a fault label, not a behavior a scenario can inject.
+SILENT = "silent"
 
 IDLE_TIMEOUT = 3  # idle simulator steps before a silent party is timed out
 
@@ -201,8 +204,7 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
         values, blinds, rt.params,
         {pos for pos, node in enumerate(committee) if node.behavior == BROKEN_COMMITMENT})
 
-    vss_record = {"mode": mode, "n": n, "t": t,
-                  "commitments": [hex(c) for c in commitments]}
+    vss_record = {"commitments": [hex(c) for c in commitments]}
     blob = json.dumps({
         "ref": x_ref,
         "sharing": sharing_id.hex(),
@@ -546,7 +548,7 @@ class ShamirEngine(_Engine):
             [self.field.add(s.value, 1) if node.behavior == WRONG_SHARE else s.value
              for s in row] for node, row in zip(self.committee, zip(*outputs))])
         for node in silent:
-            self.trace.fault(node.index, ABORT_AFTER_OUTPUT, "timeout")
+            self.trace.fault(node.index, SILENT, "timeout")
             self.trace.event("recover", action="reconstruct-without", node=node.index)
         positions = sorted(arrived)
         results, outliers = [], set()
@@ -609,7 +611,7 @@ class SpdzEngine(_Engine):
                                          for row in zip(*outputs)])
         if silent:
             for node in silent:
-                self.trace.fault(node.index, ABORT_AFTER_OUTPUT, "timeout")
+                self.trace.fault(node.index, SILENT, "timeout")
             raise AbortedComputation([node.index for node in silent])
         return [sum(column) % self.field.p for column in zip(*arrived.values())]
 

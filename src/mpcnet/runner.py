@@ -22,7 +22,6 @@ from .ledger import LedgerRejected
 from .net import LocalChannel
 from .network import (
     BROKEN_COMMITMENT,
-    HONEST,
     WRONG_SHARE,
     AbortedComputation,
     Runtime,
@@ -32,11 +31,12 @@ from .network import (
     protocol_share,
 )
 from .scenario import ScenarioConfig
-from .audit import audit_trail
+from .audit import audit_trail, trail_meta_key
 from .spdz import gen_mac_key
 from .trace import ComputationTrace
 
 METRICS_HEADER = "n,baseline_msgs,hierarchical_msgs,rounds"
+TREE_COMMITTEE = 3   # committee size c of the metrics rows' committee tree
 
 
 @dataclass
@@ -56,7 +56,7 @@ class RunResult:
         return "\n".join(lines) + "\n"
 
 
-def measure_mul_messages(n: int, c: int, field: Field, seed: int) -> tuple:
+def measure_mul_messages(n: int, field: Field, seed: int) -> tuple:
     """Measured message counts for one secure multiplication at size n:
     (flat n(n-1) baseline, committee-tree hierarchical)."""
     rng = child_rng(seed, f"scaling:{n}")
@@ -64,7 +64,7 @@ def measure_mul_messages(n: int, c: int, field: Field, seed: int) -> tuple:
     y = shamir.share(4, 1, n, field, rng)
     base_net = LocalChannel()
     shamir.mul_with_reduction(x, y, field, base_net, rng)
-    tree = CommitteeTree.build(n, c)
+    tree = CommitteeTree.build(n, TREE_COMMITTEE)
     hier_net = LocalChannel()
     hierarchical_mul(x, y, tree, field, hier_net, rng)
     return base_net.messages, hier_net.messages
@@ -136,7 +136,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     rounds = cost_model(circuit).rounds
     sizes = cfg.scaling if cfg.scaling else [cfg.committee]
     for n in sizes:
-        base, hier = measure_mul_messages(n, min(cfg.scaling_c, n), field, cfg.seed)
+        base, hier = measure_mul_messages(n, field, cfg.seed)
         metrics_rows.append((n, base, hier, rounds))
 
     expected = eval_plain(circuit, cfg.inputs, field)
@@ -166,59 +166,56 @@ def _share_inputs(cfg, rt, addr, q_compute, mac_key, committee, suffix: str) -> 
 
 def _run_compute(cfg, rt, trace, requester, addr, pointers, q_compute, circuit,
                  mac_key, committee):
-    """One protocol_compute attempt plus fault bookkeeping and recovery."""
-    compute_rng = child_rng(cfg.seed, "compute")
-    outputs = []
-    try:
-        outputs = protocol_compute(
-            requester, "owner0", addr, pointers, circuit, rt, trace,
-            compute_rng, mac_key=mac_key, reduction=cfg.reduction) or []
-    except CheatDetected:
-        # The MAC check (or the Shamir output decoder) condemns the batch
-        # without naming anyone. A decoder that cannot identify a culprit
-        # leaves nobody to blame or slash; the SPDZ settlement still takes
-        # its culprits from the scenario's injected behaviors.
-        if cfg.mode == "spdz":
-            for node in committee:
-                if node.behavior == WRONG_SHARE:
-                    trace.fault(node.index, WRONG_SHARE, "mac_check")
-        trace.finalize("cheat-detected")
-        return []
-    except AbortedComputation as aborted:
-        replacements = [n for n in rt.eligible_nodes()
-                        if n.index not in {c.index for c in committee}]
-        survivors = [n for n in committee if n.index not in aborted.nodes]
-        needed = len(committee) - len(survivors)
-        if len(replacements) < needed:
-            trace.event("restart", possible="no")
-            trace.finalize("aborted")
+    """Compute on `committee`; after an abort, once more on its survivors
+    plus replacements. The attempt that finishes is audited when it posted
+    a trail, and blame indexes that attempt's committee."""
+    rng = child_rng(cfg.seed, "compute")
+    for attempt in range(2):
+        try:
+            outputs = protocol_compute(
+                requester, "owner0", addr, pointers, circuit, rt, trace, rng,
+                mac_key=mac_key, reduction=cfg.reduction) or []
+            break
+        except CheatDetected:
+            # The MAC check (or the Shamir output decoder) condemns the batch
+            # without naming anyone. A decoder that cannot identify a culprit
+            # leaves nobody to blame or slash; the SPDZ settlement still takes
+            # its culprits from the scenario's injected behaviors.
+            if cfg.mode == "spdz":
+                for node in committee:
+                    if node.behavior == WRONG_SHARE:
+                        trace.fault(node.index, WRONG_SHARE, "mac_check")
+            trace.finalize("cheat-detected")
             return []
-        new_committee = survivors + replacements[:needed]
-        trace.event("restart", committee=[n.index for n in new_committee])
-        for node in new_committee:
-            if node.index not in trace.committee:
-                trace.committee.append(node.index)
-                trace.committee_pks.append(node.keypair.sign_pk)
-        pointers = _share_inputs(cfg, rt, addr, q_compute, mac_key, new_committee,
-                                 "-retry")
-        outputs = protocol_compute(
-            requester, "owner0", addr, pointers, circuit, rt, trace,
-            child_rng(cfg.seed, "compute-retry"), mac_key=mac_key,
-            reduction=cfg.reduction) or []
-        trace.finalize("cheat-detected" if trace.detected_faults else "ok", outputs)
-        return outputs
+        except AbortedComputation as aborted:
+            replacements = [n for n in rt.eligible_nodes()
+                            if n.index not in {c.index for c in committee}]
+            survivors = [n for n in committee if n.index not in aborted.nodes]
+            needed = len(committee) - len(survivors)
+            if attempt or len(replacements) < needed:
+                trace.event("restart", possible="no")
+                trace.finalize("aborted")
+                return []
+            committee = survivors + replacements[:needed]
+            trace.event("restart", committee=[n.index for n in committee])
+            for node in committee:
+                if node.index not in trace.committee:
+                    trace.committee.append(node.index)
+                    trace.committee_pks.append(node.keypair.sign_pk)
+            pointers = _share_inputs(cfg, rt, addr, q_compute, mac_key, committee,
+                                     "-retry")
+            rng = child_rng(cfg.seed, "compute-retry")
 
-    # Post-hoc public audit of the commitment trail (SPDZ runs post one).
-    if cfg.mode == "spdz" and cfg.reduction is None and trace.outcome == "unfinished":
+    # Post-hoc public audit of the commitment trail, where one was posted.
+    # The audit observes commitments that do not match their openings.
+    trail_ok = True
+    if rt.ledger.get(trail_meta_key(trace.computation_id)) is not None:
         report = audit_trail(rt.ledger, trace.computation_id)
-        if not report.ok:
-            for pos in report.guilty:
-                node = committee[pos]
-                behavior = node.behavior if node.behavior != HONEST else BROKEN_COMMITMENT
-                trace.fault(node.index, behavior, "audit_trail")
-            trace.finalize("cheat-detected", outputs)
-            return outputs
+        for pos in report.guilty:
+            trace.fault(committee[pos].index, BROKEN_COMMITMENT, "audit_trail")
+        trail_ok = report.ok
 
     if trace.outcome == "unfinished":
-        trace.finalize("cheat-detected" if trace.detected_faults else "ok", outputs)
+        trace.finalize("ok" if trail_ok and not trace.detected_faults
+                       else "cheat-detected", outputs)
     return outputs

@@ -31,6 +31,8 @@ from .incentives import FeeSchedule
 from .network import BEHAVIORS as FAULT_BEHAVIORS
 
 MODES = ("shamir", "spdz")
+KEYS = ("nodes", "mode", "circuit", "inputs", "seed", "prime", "threshold",
+        "committee", "reduction", "deposit", "balance", "scaling")
 SEED_LIMIT = 2 ** 64    # seeds are hashed as 8 unsigned bytes
 
 
@@ -55,7 +57,6 @@ class ScenarioConfig:
     balance: int = 100000
     fees: FeeSchedule = dc_field(default_factory=FeeSchedule)
     scaling: list = dc_field(default_factory=list)
-    scaling_c: int = 3
     source: Path | None = None
 
 
@@ -80,6 +81,9 @@ def parse_scenario(path) -> ScenarioConfig:
         key, _, value = line.partition("=")
         pairs[key.strip()] = value.strip()
 
+    for key in pairs:
+        if key not in KEYS and not key.startswith(("fault.", "fee.")):
+            raise ScenarioError(f"{path}: unknown key {key!r}")
     for required in ("nodes", "mode", "circuit", "inputs", "seed"):
         if required not in pairs:
             raise ScenarioError(f"{path}: missing required key {required!r}")
@@ -87,6 +91,9 @@ def parse_scenario(path) -> ScenarioConfig:
     mode = pairs["mode"]
     if mode not in MODES:
         raise ScenarioError(f"{path}: mode must be one of {MODES}, got {mode!r}")
+    if mode == "spdz" and "threshold" in pairs:
+        raise ScenarioError(f"{path}: threshold is the Shamir degree; a spdz run "
+                            "does not use it")
 
     circuit_path = Path(pairs["circuit"])
     if not circuit_path.is_absolute():
@@ -127,7 +134,6 @@ def parse_scenario(path) -> ScenarioConfig:
         balance=_parse_int(pairs.get("balance", "100000"), "balance"),
         fees=FeeSchedule(**fee_kwargs),
         scaling=[_parse_int(v, "scaling") for v in pairs.get("scaling", "").split(",") if v],
-        scaling_c=_parse_int(pairs.get("scaling_c", "3"), "scaling_c"),
         source=path,
     )
     if not 0 <= cfg.seed < SEED_LIMIT:
@@ -142,8 +148,6 @@ def parse_scenario(path) -> ScenarioConfig:
     if min(metrics_sizes) < 3:
         raise ScenarioError(f"{path}: {metrics_key} size {min(metrics_sizes)} is below "
                             "the 3 parties a metrics row's t = 1 product needs")
-    if cfg.scaling_c < 2:
-        raise ScenarioError(f"{path}: scaling_c={cfg.scaling_c} must be at least 2")
     largest = max(metrics_sizes + [cfg.committee])
     if not is_prime(cfg.prime) or cfg.prime <= largest:
         raise ScenarioError(f"{path}: prime={cfg.prime} must be a prime above "

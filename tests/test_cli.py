@@ -61,10 +61,13 @@ def test_run_missing_circuit_exit_one(tmp_path, capsys):
     ("reduction=5", "reduction"),
     ("deposit=0", "deposit"),
     ("prime=4", "prime"),
-    ("scaling_c=1", "scaling_c"),
     ("scaling=3,2", "scaling"),
     ("committee=2", "committee"),
     ("seed=-1", "seed"),
+    # keys the run does not read
+    ("scaling_c=1", "scaling_c"),
+    ("comittee=5", "comittee"),
+    ("reductoin=3", "reductoin"),
 ])
 def test_run_inconsistent_scenario_exits_one_without_traceback(tmp_path, edit, named):
     (tmp_path / "bad.circ").write_text("in a\nin b\nin c\nd = mul a z\nout d\n")

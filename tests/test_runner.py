@@ -9,7 +9,7 @@ from mpcnet.circuits import eval_plain, parse_circuit
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
 from mpcnet.identity import Predicate, identity_address, serialize_acl
-from mpcnet.ledger import LedgerRejected, make_tx, writes_payload
+from mpcnet.ledger import LedgerRejected, load_dump, make_tx, writes_payload
 from mpcnet.network import child_rng, protocol_compute, protocol_share, sharing_key
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import ScenarioError, parse_scenario
@@ -42,6 +42,15 @@ def test_parse_scenario_errors(tmp_path):
     bad.write_text("nodes=4\nmode=shamir\ninputs=1\ncircuit=x\n")
     with pytest.raises(ScenarioError, match="seed"):
         parse_scenario(bad)
+
+
+def test_spdz_scenario_rejects_threshold(tmp_path):
+    # SPDZ shares additively, so a Shamir degree would be silently ignored.
+    scn = tmp_path / "cheater.scn"
+    scn.write_text((SCENARIOS / "cheater.scn").read_text()
+                   .replace("circuit=", f"circuit={SCENARIOS}/") + "threshold=1\n")
+    with pytest.raises(ScenarioError, match="threshold"):
+        parse_scenario(scn)
 
 
 def test_average_scenario_matches_oracle():
@@ -105,7 +114,8 @@ def test_abort_scenario_timeout_and_recovery():
     result = run_scenario(cfg)
     assert result.exit_code == 2
     faults = result.trace.detected_faults
-    assert faults[0].behavior == "abort-after-output"
+    # The requester observes silence, not the injected behavior behind it.
+    assert faults[0].behavior == "silent"
     assert faults[0].channel == "timeout"
     # Shamir honest majority: the run recovers and still produces the output.
     circuit = parse_circuit(cfg.circuit_text)
@@ -184,10 +194,46 @@ def test_spdz_abort_restarts_with_replacement():
     cfg.faults = {1: "abort-after-output"}
     result = run_scenario(cfg)
     assert any("restart" in e for e in result.trace.events)
-    assert result.trace.detected_faults[0].channel == "timeout"
-    circuit = parse_circuit(cfg.circuit_text)
-    assert result.outputs == eval_plain(circuit, cfg.inputs, Field(cfg.prime))
+    assert [f.channel for f in result.trace.detected_faults] == ["timeout"]
+    assert result.outputs == result.expected
     assert result.exit_code == 2
+    # The restarted attempt's trail is complete and passes the audit.
+    rt = result.runtime
+    assert audit_trail(load_dump(rt.ledger.dump()), result.trace.computation_id).ok
+
+
+def spdz_average(faults: dict):
+    """average.scn under SPDZ: a linear circuit, so only the trail audit
+    can catch a lying share."""
+    cfg = load("average")
+    cfg.mode = "spdz"
+    cfg.faults = faults
+    return cfg
+
+
+def settled(result, node: int) -> tuple:
+    pk = dict(zip(result.trace.committee, result.trace.committee_pks))[node]
+    line = next(line for line in result.settlement.lines if line.node_pk == pk)
+    return line.fee, line.slash, line.reason
+
+
+@pytest.mark.parametrize("faults, restarted_on, guilty", [
+    ({0: "wrong-share", 1: "abort-after-output"}, "3,5,0", 3),
+    ({0: "broken-commitment", 1: "abort-after-output"}, "3,5,0", 3),
+    # Node 7 moves from position 1 to 0, so the audit's position 0 is node
+    # 7, not the silent node 3.
+    ({0: "abort-after-output", 1: "broken-commitment"}, "7,5,0", 7),
+], ids=["wrong-share", "broken-commitment", "moved-position"])
+def test_restarted_spdz_run_is_audited(faults, restarted_on, guilty):
+    # The restarted attempt's trail is audited like a first attempt's, and
+    # blame indexes the restarted committee.
+    result = run_scenario(spdz_average(faults))
+    assert f"event=restart committee={restarted_on}" in result.trace.events
+    assert result.exit_code == 2
+    assert result.trace.outcome == "cheat-detected"
+    assert [(f.node, f.behavior) for f in result.trace.detected_faults
+            if f.channel == "audit_trail"] == [(guilty, "broken-commitment")]
+    assert settled(result, guilty) == (0, 100, "broken-commitment")
 
 
 def test_shamir_wrong_share_identified_at_committee_4():
@@ -228,7 +274,8 @@ def test_shamir_wrong_share_detected_at_committee_3():
 
 def test_spdz_wrong_share_on_linear_circuit_caught_by_audit():
     # A linear-only circuit opens nothing mid-run, so the MAC check never
-    # fires; the commitment-trail audit is what catches the lying share.
+    # fires; the commitment-trail audit is what catches the lying share, and
+    # it labels what it observes: an opening that breaks its commitment.
     cfg = load("cheater")
     mean3 = SCENARIOS / "mean3.circ"
     cfg.circuit_path = mean3
@@ -237,7 +284,7 @@ def test_spdz_wrong_share_on_linear_circuit_caught_by_audit():
     result = run_scenario(cfg)
     assert result.exit_code == 2
     fault = result.trace.detected_faults[0]
-    assert fault.behavior == "wrong-share"
+    assert fault.behavior == "broken-commitment"
     assert fault.channel == "audit_trail"
 
 
@@ -373,7 +420,7 @@ def test_average_ledger_bytes_at_seed_1():
     cfg.seed = 1
     entries = run_scenario(cfg).runtime.ledger.entries
     assert len(entries) == 23
-    assert sum(len(e.canonical_bytes()) for e in entries) == 3410
+    assert sum(len(e.canonical_bytes()) for e in entries) == 3308
 
 
 def recompute(result, requester, label):
