@@ -3,7 +3,9 @@
 Routing uses the classic XOR metric over 256-bit node identifiers with
 prefix-range buckets, so iterative lookups converge in O(log n) hops
 (Maymounkov and Mazières, IPTPS 2002). A record's replicas are the
-REPLICATION live nodes closest to its key by the same metric.
+REPLICATION live nodes closest to its key by the same metric. Lookups and
+placement convert the target to an integer once and compare integer XORs
+against ids each table or node holds already converted.
 
 Values are encrypted client-side by default, under a key derived from the
 owner's signing keypair; record bytes at rest on any non-owner node are
@@ -60,23 +62,33 @@ class Bucket:
 
 
 class RoutingTable:
-    """256 buckets; bucket i holds peers at XOR distance in [2^i, 2^(i+1))."""
+    """256 buckets; bucket i holds peers at XOR distance in [2^i, 2^(i+1)).
+
+    Lookups read a flat list of (integer id, id) over every bucket, built on
+    the first lookup after an insert; an insert drops it.
+    """
 
     def __init__(self, owner: bytes):
         self.owner = owner
         self.buckets = [Bucket() for _ in range(256)]
+        self._flat = None
 
     def insert(self, peer: bytes):
         d = xor_distance(self.owner, peer)
         if d == 0:
             return
         self.buckets[d.bit_length() - 1].touch(peer)
+        self._flat = None
 
     def known_peers(self) -> list:
         return [p for b in self.buckets for p in b.peers]
 
-    def closest(self, target: bytes, count: int) -> list:
-        return sorted(self.known_peers(), key=lambda p: xor_distance(p, target))[:count]
+    def closest(self, target: int, count: int) -> list:
+        """The `count` known peers XOR-closest to the integer `target`, as
+        (distance, id) pairs in increasing distance."""
+        if self._flat is None:
+            self._flat = [(int.from_bytes(p, "big"), p) for p in self.known_peers()]
+        return sorted([(key ^ target, p) for key, p in self._flat])[:count]
 
 
 class DhtNode:
@@ -84,6 +96,7 @@ class DhtNode:
 
     def __init__(self, node_id: bytes, keypair: KeyPair):
         self.node_id = node_id
+        self.int_id = int.from_bytes(node_id, "big")
         self.keypair = keypair
         self.table = RoutingTable(node_id)
         self.store: dict = {}
@@ -118,42 +131,49 @@ class DhtNetwork:
 
         Each round queries the PARALLELISM closest un-queried live peers and
         merges their k-closest answers; it stops when a round brings nothing
-        closer (or a stored value surfaces).
+        closer (or a stored value surfaces). The shortlist holds (distance,
+        id) pairs, the target converted to an integer once per lookup.
         """
+        goal = int.from_bytes(target, "big")
         origin = self.nodes[start]
-        shortlist = sorted(set(origin.table.closest(target, K_BUCKET)) | {start},
-                           key=lambda p: xor_distance(p, target))
+        shortlist = origin.table.closest(goal, K_BUCKET)
+        if start not in {p for _, p in shortlist}:
+            shortlist.append((origin.int_id ^ goal, start))
+            shortlist.sort()
         queried = set()
         hops = 0
         value = None
         while True:
-            pending = [p for p in shortlist if p not in queried
+            pending = [p for _, p in shortlist if p not in queried
                        and self.nodes[p].alive][:PARALLELISM]
             if not pending:
                 break
             hops += 1
-            best_before = xor_distance(shortlist[0], target)
+            best_before = shortlist[0][0]
+            listed = {p for _, p in shortlist}
             for peer in pending:
                 queried.add(peer)
                 node = self.nodes[peer]
                 if target in node.store and value is None:
                     value = node.store[target]
-                for cand in node.table.closest(target, K_BUCKET):
-                    if cand not in shortlist:
-                        shortlist.append(cand)
-            shortlist.sort(key=lambda p: xor_distance(p, target))
+                for entry in node.table.closest(goal, K_BUCKET):
+                    if entry[1] not in listed:
+                        listed.add(entry[1])
+                        shortlist.append(entry)
+            shortlist.sort()
             shortlist = shortlist[:K_BUCKET * 2]
             if value is not None:
                 break
-            if xor_distance(shortlist[0], target) >= best_before and \
-                    all(p in queried or not self.nodes[p].alive for p in shortlist[:K_BUCKET]):
+            if shortlist[0][0] >= best_before and \
+                    all(p in queried or not self.nodes[p].alive
+                        for _, p in shortlist[:K_BUCKET]):
                 break
-        return shortlist, value, hops
+        return [p for _, p in shortlist], value, hops
 
     def placement(self, key: bytes) -> list:
         """Replica set: the REPLICATION live nodes XOR-closest to `key`."""
-        ranked = sorted(self.alive_nodes(), key=lambda n: xor_distance(key, n.node_id))
-        return ranked[:REPLICATION]
+        goal = int.from_bytes(key, "big")
+        return sorted(self.alive_nodes(), key=lambda n: n.int_id ^ goal)[:REPLICATION]
 
     def dht_store(self, key: bytes, data: bytes, encrypted: bool) -> list:
         """Replicate a record to its placement set; returns replica ids."""
@@ -211,7 +231,7 @@ def place_record(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
     """
     a_x = record_address(addr, x)
     if encrypt:
-        data = keymod.seal(keymod.storage_key(requester),
+        data = keymod.seal(keymod.storage_cipher(requester),
                            int.from_bytes(a_x[:12], "big"), x)
     else:
         data = x
@@ -243,7 +263,7 @@ def protocol_load(requester: KeyPair, addr: bytes, a_x: bytes,
     if not record.encrypted:
         return record.data
     try:
-        return keymod.unseal(keymod.storage_key(requester),
+        return keymod.unseal(keymod.storage_cipher(requester),
                              int.from_bytes(a_x[:12], "big"), record.data)
     except InvalidTag:
         return None

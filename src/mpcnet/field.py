@@ -110,24 +110,46 @@ class Field:
     def rand_nonzero(self, rng: random.Random) -> int:
         return rng.randrange(1, self.p)
 
-    def poly_eval(self, coeffs: list, x: int) -> int:
-        """Horner evaluation of a_0 + a_1 x + ... (lowest degree first)."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
-        return acc
-
     def encode(self, a: int) -> bytes:
         """Fixed-width big-endian encoding (width never depends on the value)."""
         return a.to_bytes(self.elem_size, "big")
 
     def decode(self, data: bytes) -> int:
-        if len(data) != self.elem_size:
-            raise ValueError(f"expected {self.elem_size} bytes, got {len(data)}")
-        v = int.from_bytes(data, "big")
-        if v >= self.p:
+        return self.decode_many([data], 1)[0]
+
+    def encode_many(self, values) -> bytes:
+        """The encodings of `values`, concatenated in order."""
+        w = self.elem_size
+        return b"".join([v.to_bytes(w, "big") for v in values])
+
+    def decode_many(self, payloads: list, count: int) -> list:
+        """The elements of every payload, in order, each payload holding
+        exactly `count` encodings: a flat list of count * len(payloads).
+
+        Raises ValueError when a payload is not count * elem_size bytes long
+        or holds an element >= p.
+        """
+        w = self.elem_size
+        for data in payloads:
+            if len(data) != count * w:
+                raise ValueError(f"expected {count * w} bytes, got {len(data)}")
+        data = b"".join(payloads)
+        values = [int.from_bytes(data[i:i + w], "big") for i in range(0, len(data), w)]
+        if values and max(values) >= self.p:
             raise ValueError("encoded value out of field range")
-        return v
+        return values
+
+
+def eval_poly(coeffs: list, xs: list, p: int) -> list:
+    """a_0 + a_1 x + ... (lowest degree first) at every x in xs, mod p.
+
+    Horner's rule runs across the whole vector of points in exact integers,
+    reduced once at the end, so no call is made per coefficient.
+    """
+    acc = [0] * len(xs)
+    for c in reversed(coeffs):
+        acc = [a * x + c for a, x in zip(acc, xs)]
+    return [a % p for a in acc]
 
 
 DEFAULT_FIELD = Field(M61)

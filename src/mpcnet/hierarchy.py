@@ -194,19 +194,18 @@ def reduce_parties_spdz(values: list, m: int, key: MacKey, field: Field,
                for x in (sharing[src].value_share, sharing[src].mac_share)]
         parts = [spdz.additive_split(x, m, field, rng)
                  for x in row + [key.alpha_shares[src]]]
-        for tgt in range(m):
-            payload = b"".join(field.encode(part[tgt]) for part in parts)
+        for tgt, column in enumerate(zip(*parts)):
             if tgt == src:
-                kept[tgt] = payload
+                kept[tgt] = column
             else:
-                net.send(src, tgt, payload)
+                net.send(src, tgt, field.encode_many(column))
 
-    w = field.elem_size
+    count = 2 * len(values) + 1
     sums = []
     for tgt in range(m):
-        batches = [kept[tgt]] + [payload for _, payload in net.recv_all(tgt)]
-        sums.append([sum(field.decode(b[i:i + w]) for b in batches) % field.p
-                     for i in range(0, len(kept[tgt]), w)])
+        rows = [kept[tgt]] + [field.decode_many([payload], count)
+                              for _, payload in net.recv_all(tgt)]
+        sums.append([sum(column) % field.p for column in zip(*rows)])
     new_key = MacKey(alpha=key.alpha, alpha_shares=tuple(row[-1] for row in sums))
     new_values = [[AuthShare(row[2 * k], row[2 * k + 1], tgt) for tgt, row in enumerate(sums)]
                   for k in range(len(values))]

@@ -5,11 +5,16 @@ simulator nodes additionally own an encryption keypair used for the secure
 point-to-point channels. Keypairs can be derived deterministically from a
 seed so whole scenario runs replay bit-identically.
 
-A KeyPair holds its two private keys both as raw bytes (the keypair's value:
-equality, repr and the text form use only these) and as parsed key objects,
-built once per KeyPair. Parsing a private key re-derives its public key,
-which costs about as much as a signature or a key exchange, so signing and
-channel set-up use the held objects instead of re-parsing the bytes.
+A KeyPair holds its two private keys and its encryption public key both as
+raw bytes (the keypair's value: equality, repr and the text form use only
+these) and as parsed key objects, built once per KeyPair. Parsing a private
+key re-derives its public key, which costs about as much as a signature or
+a key exchange, and parsing a public key costs a few microseconds more per
+agreement; so signing and channel set-up use the held objects instead of
+re-parsing the bytes.
+
+seal and unseal take an AES-GCM context rather than key bytes, so a caller
+that seals and opens one message under one key builds the context once.
 
 Public keys are always handled as 32 raw bytes, which lines up with the
 256-bit key/address space used by the ledger and the DHT.
@@ -55,8 +60,9 @@ def sha256(data: bytes) -> bytes:
 class KeyPair:
     """A node's signing and encryption key material.
 
-    sign_key and enc_key are the parsed forms of sign_sk and enc_sk; they are
-    built from the bytes when not given, and take no part in comparison.
+    sign_key, enc_key and enc_pub are the parsed forms of sign_sk, enc_sk
+    and enc_pk; they are built from the bytes when not given, and take no
+    part in comparison.
     """
 
     sign_sk: bytes
@@ -65,6 +71,7 @@ class KeyPair:
     enc_pk: bytes
     sign_key: Ed25519PrivateKey = field(default=None, compare=False, repr=False)
     enc_key: X25519PrivateKey = field(default=None, compare=False, repr=False)
+    enc_pub: X25519PublicKey = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.sign_key is None:
@@ -73,6 +80,9 @@ class KeyPair:
         if self.enc_key is None:
             object.__setattr__(self, "enc_key",
                                X25519PrivateKey.from_private_bytes(self.enc_sk))
+        if self.enc_pub is None:
+            object.__setattr__(self, "enc_pub",
+                               X25519PublicKey.from_public_bytes(self.enc_pk))
 
     @classmethod
     def generate(cls, rng: random.Random) -> "KeyPair":
@@ -81,13 +91,15 @@ class KeyPair:
         enc_seed = rng.randbytes(32)
         sk = Ed25519PrivateKey.from_private_bytes(sign_seed)
         ek = X25519PrivateKey.from_private_bytes(enc_seed)
+        epub = ek.public_key()
         return cls(
             sign_sk=sign_seed,
             sign_pk=_raw_public(sk.public_key()),
             enc_sk=_raw_private(ek),
-            enc_pk=_raw_public(ek.public_key()),
+            enc_pk=_raw_public(epub),
             sign_key=sk,
             enc_key=ek,
+            enc_pub=epub,
         )
 
     def sign(self, message: bytes) -> bytes:
@@ -127,32 +139,30 @@ def verify(sign_pk: bytes, signature: bytes, message: bytes) -> bool:
         return False
 
 
-def shared_key(my_enc_key: X25519PrivateKey, their_enc_pk: bytes) -> bytes:
+def shared_key(my_enc_key: X25519PrivateKey, their_enc_pub: X25519PublicKey) -> bytes:
     """Pairwise symmetric key via X25519 agreement (symmetric in the pair).
 
-    my_enc_key is a KeyPair's parsed enc_key; their_enc_pk is raw bytes.
+    my_enc_key is one KeyPair's parsed enc_key, their_enc_pub the other's
+    parsed enc_pub.
     """
-    secret = my_enc_key.exchange(X25519PublicKey.from_public_bytes(their_enc_pk))
-    return sha256(b"mpcnet-channel-v1" + secret)
+    return sha256(b"mpcnet-channel-v1" + my_enc_key.exchange(their_enc_pub))
 
 
-def seal(key: bytes, nonce_counter: int, plaintext: bytes) -> bytes:
+def seal(aead: AESGCM, nonce_counter: int, plaintext: bytes) -> bytes:
     """AES-GCM encryption with an explicit counter nonce (12 bytes, BE)."""
-    nonce = nonce_counter.to_bytes(12, "big")
-    return AESGCM(key).encrypt(nonce, plaintext, None)
+    return aead.encrypt(nonce_counter.to_bytes(12, "big"), plaintext, None)
 
 
-def unseal(key: bytes, nonce_counter: int, ciphertext: bytes) -> bytes:
+def unseal(aead: AESGCM, nonce_counter: int, ciphertext: bytes) -> bytes:
     """AES-GCM decryption; raises InvalidTag on a wrong key or tampering."""
-    nonce = nonce_counter.to_bytes(12, "big")
-    return AESGCM(key).decrypt(nonce, ciphertext, None)
+    return aead.decrypt(nonce_counter.to_bytes(12, "big"), ciphertext, None)
 
 
-def storage_key(owner: KeyPair) -> bytes:
-    """Symmetric key for client-side encryption of DHT records.
+def storage_cipher(owner: KeyPair) -> AESGCM:
+    """AES-GCM context for client-side encryption of DHT records.
 
-    Derived from the owner's signing secret so only the signing entity can
-    recover the plaintext; the derivation keeps the signing key itself out
-    of the storage path.
+    Its key is derived from the owner's signing secret so only the signing
+    entity can recover the plaintext; the derivation keeps the signing key
+    itself out of the storage path.
     """
-    return sha256(b"mpcnet-storage-v1" + owner.sign_sk)
+    return AESGCM(sha256(b"mpcnet-storage-v1" + owner.sign_sk))

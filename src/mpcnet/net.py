@@ -12,6 +12,12 @@ Two implementations of the same small interface:
                      byte-scan for plaintext leaks and compare message-length
                      marginals across runs.
 
+Each communicating pair on an EncryptedBus makes one X25519 agreement, from
+the parsed keys its KeyPairs hold, and keeps the derived key for the bus's
+lifetime. Each message builds one AES-GCM context, which seals it and opens
+it for the addressee; contexts are not kept per pair, since most pairs carry
+a single message.
+
 Both count every point-to-point send, in total and per round, which
 is what the message-complexity assertions measure.
 """
@@ -19,6 +25,8 @@ is what the message-complexity assertions measure.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import keys
 
@@ -60,8 +68,7 @@ class EncryptedBus(LocalChannel):
 
     def __init__(self):
         super().__init__()
-        self._enc_key = {}
-        self._enc_pk = {}
+        self._keypairs = {}
         self._pair_keys = {}
         self._nonces = defaultdict(int)
         # node -> list of (direction, peer, ciphertext); ciphertext bytes are
@@ -70,13 +77,13 @@ class EncryptedBus(LocalChannel):
         self.broadcast_log = []
 
     def register(self, node, keypair: keys.KeyPair):
-        self._enc_key[node] = keypair.enc_key
-        self._enc_pk[node] = keypair.enc_pk
+        self._keypairs[node] = keypair
 
     def _key_for(self, a, b) -> bytes:
         pair = (a, b) if (a, b) in self._pair_keys else (b, a)
         if pair not in self._pair_keys:
-            self._pair_keys[(a, b)] = keys.shared_key(self._enc_key[a], self._enc_pk[b])
+            self._pair_keys[(a, b)] = keys.shared_key(self._keypairs[a].enc_key,
+                                                      self._keypairs[b].enc_pub)
             pair = (a, b)
         return self._pair_keys[pair]
 
@@ -87,19 +94,19 @@ class EncryptedBus(LocalChannel):
         direction (set when src's encryption key sorts above dst's) and the
         two counters never produce the same nonce.
         """
-        return (self._enc_pk[src] > self._enc_pk[dst]) << 95 | counter
+        return (self._keypairs[src].enc_pk > self._keypairs[dst].enc_pk) << 95 | counter
 
     def _deliver(self, src, dst, payload: bytes):
-        key = self._key_for(src, dst)
+        aead = AESGCM(self._key_for(src, dst))
         counter = self._nonces[(src, dst)]
         self._nonces[(src, dst)] += 1
         nonce = self.nonce(src, dst, counter)
-        ciphertext = keys.seal(key, nonce, payload)
+        ciphertext = keys.seal(aead, nonce, payload)
         self.broadcast_log.append((src, dst, counter, ciphertext))
         self.logs[src].append(("sent", dst, ciphertext))
         self.logs[dst].append(("recv", src, ciphertext))
         # Addressee decrypts on delivery; everyone else only sees ciphertext.
-        self._inbox[dst].append((src, keys.unseal(key, nonce, ciphertext)))
+        self._inbox[dst].append((src, keys.unseal(aead, nonce, ciphertext)))
 
     def eavesdrop(self, node, src, dst, counter, ciphertext) -> bytes:
         """Attempt decryption of a broadcast entry with `node`'s keys.
@@ -107,8 +114,9 @@ class EncryptedBus(LocalChannel):
         Succeeds only when node is the addressee (or shares its key, i.e.
         is the sender); raises cryptography's InvalidTag otherwise.
         """
-        key = keys.shared_key(self._enc_key[node], self._enc_pk[dst if node != dst else src])
-        return keys.unseal(key, self.nonce(src, dst, counter), ciphertext)
+        peer = self._keypairs[dst if node != dst else src]
+        key = keys.shared_key(self._keypairs[node].enc_key, peer.enc_pub)
+        return keys.unseal(AESGCM(key), self.nonce(src, dst, counter), ciphertext)
 
     def length_sequence(self, node) -> list:
         """Per-node marginal traffic shape: (direction, peer, nbytes) list."""

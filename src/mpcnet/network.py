@@ -43,7 +43,7 @@ from .audit import vss_key
 from .circuits import Circuit, layerize
 from .dht import DhtNetwork, place_record, protocol_load
 from .errors import CheatDetected
-from .field import Field
+from .field import Field, eval_poly
 from .hierarchy import reduce_parties, reduce_parties_spdz, select_committee
 from .identity import Predicate, check_permission, parse_predicate
 from .keys import KeyPair, sha256
@@ -238,15 +238,14 @@ def reveal(members: list, rows: list, requester, rt: Runtime) -> dict:
 
     Returns {k: row} decoded from the requester's inbox; a member whose
     message is not there is silent, and the caller decides what that costs.
+    A message that is not a row of len(rows[k]) elements raises ValueError.
     """
     field = rt.field
     for node, row in zip(members, rows):
         if node.behavior != ABORT_AFTER_OUTPUT:
-            rt.bus.send(node.index, requester, b"".join(field.encode(v) for v in row))
+            rt.bus.send(node.index, requester, field.encode_many(row))
     position = {node.index: k for k, node in enumerate(members)}
-    w = field.elem_size
-    return {position[src]: [field.decode(payload[i:i + w])
-                            for i in range(0, len(payload), w)]
+    return {position[src]: field.decode_many([payload], len(rows[position[src]]))
             for src, payload in rt.bus.recv_all(requester)}
 
 
@@ -345,8 +344,8 @@ def detect_bad_shares(points: list, t: int, field: Field) -> tuple:
                                     solution[t + e + 1:] + [1], field)
     if any(remainder):
         raise CheatDetected("inconsistent shares without an identifiable culprit")
-    outliers = tuple(i for i, (x, y) in enumerate(points)
-                     if field.poly_eval(poly, x) != y)
+    fitted = eval_poly(poly, [x for x, _ in points], field.p)
+    outliers = tuple(i for i, ((_, y), v) in enumerate(zip(points, fitted)) if v != y)
     return poly[0], outliers
 
 

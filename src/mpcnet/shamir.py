@@ -19,8 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
-from .field import Field
+from .field import Field, eval_poly
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,9 @@ def share(secret: int, t: int, n: int, field: Field, rng: random.Random) -> list
         raise ValueError(f"invalid threshold: need 0 <= t < n, got t={t}, n={n}")
     if n >= field.p:
         raise ValueError(f"field too small: need n < p, got n={n}, p={field.p}")
-    secret %= field.p
-    coeffs = [secret] + [field.rand(rng) for _ in range(t)]
-    return [ShamirShare(i, field.poly_eval(coeffs, i), t) for i in range(1, n + 1)]
+    coeffs = [secret % field.p] + [field.rand(rng) for _ in range(t)]
+    return [ShamirShare(i, y, t)
+            for i, y in enumerate(eval_poly(coeffs, range(1, n + 1), field.p), 1)]
 
 
 @lru_cache(maxsize=4096)
@@ -128,14 +129,11 @@ def linear_combine(share_lists: list, coeffs: list, constant: int, field: Field)
     if not share_lists:
         raise ValueError("mismatched parameters: need at least one sharing")
     t, indices = _check_aligned(share_lists)
-    constant %= field.p
-    out = []
-    for pos, idx in enumerate(indices):
-        acc = constant
-        for c, lst in zip(coeffs, share_lists):
-            acc = field.add(acc, field.mul(c % field.p, lst[pos].value))
-        out.append(ShamirShare(idx, acc, t))
-    return out
+    # Each share is one exact integer sum, reduced once.
+    columns = zip(*([s.value for s in lst] for lst in share_lists))
+    return [ShamirShare(idx, (sum(c * v for c, v in zip(coeffs, column)) + constant)
+                        % field.p, t)
+            for idx, column in zip(indices, columns)]
 
 
 def mul_with_reduction(x: list, y: list, field: Field, net, rng: random.Random) -> list:
@@ -184,37 +182,37 @@ def reshare(points: list, sources: list, weights: list, targets: list, t: int,
     the Damgård–Nielsen re-share step (CRYPTO 2007). Returns, per value, the
     targets' degree-t shares indexed by their evaluation points.
     """
-    # payloads[i][j] carries source i's sub-share of every value for
-    # target j; kept[party] holds the sub-shares a source keeps.
-    payloads = [[b""] * len(targets) for _ in sources]
-    kept = {}
+    # subs[i][k][j] is source i's sub-share of value k for target j.
+    p = field.p
+    xs = [x for _, x in targets]
+    subs = [[] for _ in sources]
     for values in points:
-        for src, d, row in zip(sources, values, payloads):
-            coeffs = [d] + [field.rand(rng) for _ in range(t)]
-            for j, (tgt, x) in enumerate(targets):
-                sub = field.poly_eval(coeffs, x)
-                if tgt == src:
-                    kept.setdefault(tgt, []).append(sub)
-                else:
-                    row[j] += field.encode(sub)
+        for d, rows in zip(values, subs):
+            rows.append(eval_poly([d] + [field.rand(rng) for _ in range(t)], xs, p))
 
-    for src, row in zip(sources, payloads):
-        for (tgt, _), payload in zip(targets, row):
-            if tgt != src:
-                net.send(src, tgt, payload)
+    # kept[party] holds the sub-shares a source keeps for itself.
+    kept = {}
+    for src, rows in zip(sources, subs):
+        for (tgt, _), column in zip(targets, zip(*rows)):
+            if tgt == src:
+                kept[tgt] = column
+            else:
+                net.send(src, tgt, field.encode_many(column))
 
     weight_of = dict(zip(sources, weights))
-    w = field.elem_size
+    count = len(points)
     shares = [[] for _ in points]
     for tgt, x in targets:
+        # Every payload in the inbox is decoded in one pass: held is flat,
+        # count sub-shares per source, and the target's own come last.
         inbox = net.recv_all(tgt)
-        own = kept.get(tgt)
-        for k in range(len(points)):
-            # Exact integer sum of the weighted sub-shares, reduced once.
-            lo, hi = k * w, (k + 1) * w
-            total = sum(weight_of[src] * field.decode(payload[lo:hi])
-                        for src, payload in inbox)
-            if own is not None:
-                total += weight_of[tgt] * own[k]
-            shares[k].append(ShamirShare(x, total % field.p, t))
+        held = field.decode_many([payload for _, payload in inbox], count)
+        held_weights = [weight_of[src] for src, _ in inbox]
+        if tgt in kept:
+            held += kept[tgt]
+            held_weights.append(weight_of[tgt])
+        # Exact integer sums of the weighted sub-shares, reduced once.
+        for k in range(count):
+            total = sum(map(mul, held_weights, held[k::count]))
+            shares[k].append(ShamirShare(x, total % p, t))
     return shares

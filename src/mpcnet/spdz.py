@@ -65,10 +65,7 @@ class BeaverTriple:
 def additive_split(value: int, n: int, field: Field, rng: random.Random) -> list:
     """n uniform values summing to `value` mod p."""
     parts = [field.rand(rng) for _ in range(n - 1)]
-    last = value % field.p
-    for x in parts:
-        last = field.sub(last, x)
-    parts.append(last)
+    parts.append((value - sum(parts)) % field.p)
     return parts
 
 
@@ -116,16 +113,14 @@ def auth_linear(terms: list, constant: int, key: MacKey, field: Field) -> list:
     for _, shares in terms:
         if len(shares) != n or any(s.owner != i for i, s in enumerate(shares)):
             raise ValueError("mismatched parties across terms")
-    constant %= field.p
+    # Each share is one exact integer sum, reduced once.
+    p = field.p
     out = []
-    for i in range(n):
-        v = constant if i == 0 else 0
-        m = field.mul(key.alpha_shares[i], constant)
-        for coeff, shares in terms:
-            c = coeff % field.p
-            v = field.add(v, field.mul(c, shares[i].value_share))
-            m = field.add(m, field.mul(c, shares[i].mac_share))
-        out.append(AuthShare(v, m, i))
+    for i, alpha_i in enumerate(key.alpha_shares):
+        v = sum(c * shares[i].value_share for c, shares in terms)
+        m = sum(c * shares[i].mac_share for c, shares in terms)
+        out.append(AuthShare((v + constant if i == 0 else v) % p,
+                             (m + alpha_i * constant) % p, i))
     return out
 
 
@@ -155,17 +150,17 @@ def open_many(sharings: list, field: Field, net, queue: MacCheckQueue | None = N
         raise MissingParty(missing)
     n = len(sharings[0])
     for i in range(n):
-        payload = b"".join([field.encode(shares[i].value_share) for shares in sharings])
+        payload = field.encode_many([shares[i].value_share for shares in sharings])
         for j in range(n):
             if j != i:
                 net.send(i, j, payload)
     # Every party drains its inbox and computes the same sums; simulate once
-    # at party 0's view and discard the redundant copies.
-    totals = [shares[0].value_share for shares in sharings]
-    w = field.elem_size
-    for _, payload in net.recv_all(0):
-        for k in range(len(totals)):
-            totals[k] = field.add(totals[k], field.decode(payload[k * w:(k + 1) * w]))
+    # at party 0's view and discard the redundant copies. Each total is one
+    # exact integer sum, reduced once.
+    count = len(sharings)
+    held = [shares[0].value_share for shares in sharings] + \
+        field.decode_many([payload for _, payload in net.recv_all(0)], count)
+    totals = [sum(held[k::count]) % field.p for k in range(count)]
     for j in range(1, n):
         net.recv_all(j)
     if queue is not None:

@@ -1,7 +1,8 @@
 """Test-only oracles: plaintext evaluators the secure engines are checked
 against, a step-by-step audit fold the batched auditor is checked against,
-and a seeded random-circuit generator. numpy is a test dependency, so the
-vectorised evaluator lives here and not in the package."""
+per-element sharing kernels and DHT lookups the vectorised ones are checked
+against, and a seeded random-circuit generator. numpy is a test dependency,
+so the vectorised evaluator lives here and not in the package."""
 
 import json
 
@@ -10,9 +11,12 @@ import numpy as np
 from mpcnet import pedersen
 from mpcnet.audit import AuditReport, vss_key
 from mpcnet.circuits import Circuit, LayeredCircuit, parse_circuit
+from mpcnet.dht import K_BUCKET, PARALLELISM, xor_distance
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
 from mpcnet.keys import sha256
+from mpcnet.shamir import ShamirShare
+from mpcnet.spdz import AuthShare
 
 
 def random_circuit(rng, n_inputs=None, max_gates=20):
@@ -171,3 +175,118 @@ def fold_trail(board, records: list, n: int, p: int, claimed_output=None,
         raise IncompleteTrail("trail has no output step")
     return AuditReport(ok=not guilty and not reasons, guilty=tuple(sorted(guilty)),
                        reason="; ".join(reasons))
+
+
+# -- per-element sharing kernels ------------------------------------------------
+# One field operation per coefficient and per term: the same draws, shares and
+# wire bytes as the package's vectorised kernels, at interpreter speed.
+
+def horner(coeffs: list, x: int, field: Field) -> int:
+    """a_0 + a_1 x + ... (lowest degree first) at one point."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def share(secret: int, t: int, n: int, field: Field, rng) -> list:
+    secret %= field.p
+    coeffs = [secret] + [field.rand(rng) for _ in range(t)]
+    return [ShamirShare(i, horner(coeffs, i, field), t) for i in range(1, n + 1)]
+
+
+def reshare(points: list, sources: list, weights: list, targets: list, t: int,
+            field: Field, net, rng) -> list:
+    payloads = [[b""] * len(targets) for _ in sources]
+    kept = {}
+    for values in points:
+        for src, d, row in zip(sources, values, payloads):
+            coeffs = [d] + [field.rand(rng) for _ in range(t)]
+            for j, (tgt, x) in enumerate(targets):
+                sub = horner(coeffs, x, field)
+                if tgt == src:
+                    kept.setdefault(tgt, []).append(sub)
+                else:
+                    row[j] += field.encode(sub)
+
+    for src, row in zip(sources, payloads):
+        for (tgt, _), payload in zip(targets, row):
+            if tgt != src:
+                net.send(src, tgt, payload)
+
+    weight_of = dict(zip(sources, weights))
+    w = field.elem_size
+    shares = [[] for _ in points]
+    for tgt, x in targets:
+        inbox = net.recv_all(tgt)
+        own = kept.get(tgt)
+        for k in range(len(points)):
+            lo, hi = k * w, (k + 1) * w
+            total = sum(weight_of[src] * field.decode(payload[lo:hi])
+                        for src, payload in inbox)
+            if own is not None:
+                total += weight_of[tgt] * own[k]
+            shares[k].append(ShamirShare(x, total % field.p, t))
+    return shares
+
+
+def additive_split(value: int, n: int, field: Field, rng) -> list:
+    parts = [field.rand(rng) for _ in range(n - 1)]
+    last = value % field.p
+    for x in parts:
+        last = field.sub(last, x)
+    parts.append(last)
+    return parts
+
+
+def auth_linear(terms: list, constant: int, key, field: Field) -> list:
+    constant %= field.p
+    out = []
+    for i in range(key.n):
+        v = constant if i == 0 else 0
+        m = field.mul(key.alpha_shares[i], constant)
+        for coeff, shares in terms:
+            c = coeff % field.p
+            v = field.add(v, field.mul(c, shares[i].value_share))
+            m = field.add(m, field.mul(c, shares[i].mac_share))
+        out.append(AuthShare(v, m, i))
+    return out
+
+
+# -- DHT lookups by byte ids ----------------------------------------------------
+
+def closest(table, target: bytes, count: int) -> list:
+    return sorted(table.known_peers(), key=lambda p: xor_distance(p, target))[:count]
+
+
+def iterative_find(net, start: bytes, target: bytes) -> tuple:
+    """DhtNetwork.iterative_find over byte ids, sorting by xor_distance."""
+    origin = net.nodes[start]
+    shortlist = sorted(set(closest(origin.table, target, K_BUCKET)) | {start},
+                       key=lambda p: xor_distance(p, target))
+    queried = set()
+    hops = 0
+    value = None
+    while True:
+        pending = [p for p in shortlist if p not in queried
+                   and net.nodes[p].alive][:PARALLELISM]
+        if not pending:
+            break
+        hops += 1
+        best_before = xor_distance(shortlist[0], target)
+        for peer in pending:
+            queried.add(peer)
+            node = net.nodes[peer]
+            if target in node.store and value is None:
+                value = node.store[target]
+            for cand in closest(node.table, target, K_BUCKET):
+                if cand not in shortlist:
+                    shortlist.append(cand)
+        shortlist.sort(key=lambda p: xor_distance(p, target))
+        shortlist = shortlist[:K_BUCKET * 2]
+        if value is not None:
+            break
+        if xor_distance(shortlist[0], target) >= best_before and \
+                all(p in queried or not net.nodes[p].alive for p in shortlist[:K_BUCKET]):
+            break
+    return shortlist, value, hops

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mpcnet.field import M61, Field, is_prime
+from mpcnet.field import M61, Field, eval_poly, is_prime
 
 
 def test_field_requires_prime_modulus():
@@ -38,10 +38,12 @@ def test_add_sub_neg(f101):
     assert f101.neg(1) == 100
 
 
-def test_poly_eval_horner(f101):
-    # 5 + 3x at x=2 -> 11
-    assert f101.poly_eval([5, 3], 2) == 11
-    assert f101.poly_eval([7], 99) == 7
+def test_poly_eval_horner():
+    # 5 + 3x at x=2 -> 11, at every point of the vector at once
+    assert eval_poly([5, 3], [2], 101) == [11]
+    assert eval_poly([7], [99, 3], 101) == [7, 7]
+    assert eval_poly([5, 3], [2, 40, 0], 101) == [11, 125 % 101, 5]
+    assert eval_poly([1, 2, 3], [], 101) == []
 
 
 def test_encode_decode_fixed_width():
@@ -55,3 +57,20 @@ def test_encode_decode_fixed_width():
     assert g.elem_size == 1
     with pytest.raises(ValueError):
         g.decode(bytes([200]))
+
+
+def test_decode_many_takes_exactly_count_elements_in_range():
+    f = Field(M61)
+    values = [0, 1, M61 - 1, 12345]
+    data = f.encode_many(values)
+    assert data == b"".join(f.encode(v) for v in values)
+    assert f.decode_many([data], 4) == values
+    assert f.decode_many([data[:16], data[16:]], 2) == values
+    assert f.decode_many([], 3) == f.decode_many([b""], 0) == []
+    for bad in (data + b"\x00", data[:-1], data[:-8]):
+        with pytest.raises(ValueError):
+            f.decode_many([bad], 4)
+        with pytest.raises(ValueError):
+            f.decode_many([data, bad], 4)
+    with pytest.raises(ValueError, match="range"):
+        f.decode_many([data[:8] + M61.to_bytes(8, "big")], 2)

@@ -11,7 +11,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from mpcnet import audit
 from mpcnet.circuits import cost_model, eval_plain, layerize, parse_circuit
 from mpcnet.errors import CheatDetected, IncompleteTrail, LedgerRejected
-from mpcnet.field import M61, Field
+from mpcnet.field import M61, Field, eval_poly
 from mpcnet.identity import Predicate, gen_shared_identity
 from mpcnet import network, shamir
 from mpcnet.incentives import post_deposit
@@ -72,9 +72,11 @@ def test_keypair_value_ignores_the_held_key_objects(rng):
     kp = KeyPair.generate(rng)
     again = KeyPair.from_text(kp.to_text())
     assert again.sign_key is not kp.sign_key and again.enc_key is not kp.enc_key
+    assert again.enc_pub is not kp.enc_pub
     assert again == kp and hash(again) == hash(kp)
     assert repr(again) == repr(kp)
     assert "sign_key" not in repr(kp) and "enc_key" not in repr(kp)
+    assert "enc_pub" not in repr(kp)
     assert again.to_text() == kp.to_text()
     assert [line.partition("=")[0] for line in kp.to_text().splitlines()] == \
         ["sign_sk", "sign_pk", "enc_sk", "enc_pk"]
@@ -93,10 +95,11 @@ def test_sign_matches_a_freshly_parsed_key(rng):
 
 def test_shared_key_is_symmetric_in_the_pair(rng):
     a, b, c = (KeyPair.generate(rng) for _ in range(3))
-    ab = shared_key(a.enc_key, b.enc_pk)
-    assert ab == shared_key(b.enc_key, a.enc_pk)
-    assert ab == shared_key(KeyPair.from_text(a.to_text()).enc_key, b.enc_pk)
-    assert ab != shared_key(a.enc_key, c.enc_pk)
+    ab = shared_key(a.enc_key, b.enc_pub)
+    assert ab == shared_key(b.enc_key, a.enc_pub)
+    assert ab == shared_key(KeyPair.from_text(a.to_text()).enc_key, b.enc_pub)
+    assert ab == shared_key(a.enc_key, KeyPair.from_text(b.to_text()).enc_pub)
+    assert ab != shared_key(a.enc_key, c.enc_pub)
     assert len(ab) == 32
 
 
@@ -846,7 +849,7 @@ def test_detect_bad_shares_matches_subset_search(p, trials):
         xs = rng.sample(range(1, min(p, 40)), n)
         honest = [field.rand(rng) for _ in range(t + 1)]
         rival = [field.rand(rng) for _ in range(t + 1)]
-        points = [(x, field.poly_eval(honest, x)) for x in xs]
+        points = list(zip(xs, eval_poly(honest, xs, p)))
         # Half the sets take at most one fault past the radius (n - t - 1) // 2,
         # the rest any number; some move their points onto a second degree-t
         # polynomial to compete with the honest one.
@@ -855,7 +858,7 @@ def test_detect_bad_shares_matches_subset_search(p, trials):
         for i in rng.sample(range(n), faults):
             x, y = points[i]
             if rng.random() < 0.4:
-                points[i] = (x, field.poly_eval(rival, x))
+                points[i] = (x, eval_poly(rival, [x], p)[0])
             else:
                 points[i] = (x, field.add(y, field.rand_nonzero(rng)))
         want = _decode_or_raise(subset_search, points, t, field)
