@@ -5,11 +5,11 @@ per-party Pedersen commitments g^{s_i} h^{r_i} posted to the bulletin
 board (commit_shares computes every dealing's). Computing nodes only ever
 operate on the <.>-shares; the blinding of a sharing dealt here carries no
 MAC, since only the auditor's Pedersen check ever reads it. An input's
-commitments are on the ledger once, in its dealer's VSS record, which the
-input step names together with the record's sha256, so a dealer that
-rewrites the record later leaves the trail incomplete rather than moving
-the blame. Any third party can fold them through the circuit after
-the fact:
+commitments are on the ledger once, in its dealer's VSS record at the
+sharing id, which the input step names together with the record's sha256,
+so a dealer that rewrites the record later leaves the trail incomplete
+rather than moving the blame. Any third party can fold them through the
+circuit after the fact:
 
   * linear steps and the public Beaver corrections are homomorphic on
     commitments, so every intermediate per-party commitment is recomputable
@@ -53,17 +53,12 @@ def trail_meta_key(computation_id: bytes) -> bytes:
     return sha256(computation_id + b"meta")
 
 
-def vss_key(sharing_id: bytes) -> bytes:
-    """Ledger key of a sharing's VSS record, its dealer's commitments."""
-    return sha256(sharing_id + b"vss")
-
-
 def vss_commitments(board, sharing: str, n: int, digest: str | None = None) -> list:
-    """The n commitments in the VSS record of the sharing with hex id
-    `sharing`. ValueError if the record is missing, malformed or not n
+    """The n commitments in the VSS record at the sharing id `sharing`
+    (hex). ValueError if the record is missing, malformed or not n
     long, or, given a `digest`, if its sha256 hex is not that digest."""
     try:
-        raw = board.get(vss_key(bytes.fromhex(sharing)))
+        raw = board.get(bytes.fromhex(sharing))
         commitments = [int(c, 16) for c in json.loads(raw.decode())["commitments"]]
         if len(commitments) == n and digest in (None, sha256(raw).hex()):
             return commitments
@@ -97,9 +92,9 @@ class TrailWriter:
 
     post_step buffers a record and returns its step index; flush posts every
     pending record as one batch, and the protocol flushes before each
-    opening round. The step and batch counts land in the metadata record
-    only on close(), so an unfinished trail audits as incomplete rather
-    than silently passing.
+    opening round. The metadata record, with the step and batch counts, is
+    posted only by close(), so an unfinished trail has none and audits as
+    incomplete rather than silently passing.
     """
 
     def __init__(self, board: Ledger, computation_id: bytes, poster: KeyPair,
@@ -112,7 +107,6 @@ class TrailWriter:
         self.steps = 0
         self.batches = 0
         self._pending = []
-        self.post(trail_meta_key(computation_id), {"p": field.p, "n": n})
 
     def post(self, key: bytes, record):
         tx = make_tx(self.poster, "commitment-post",
@@ -123,7 +117,7 @@ class TrailWriter:
     def post_input(self, sharing_id: bytes) -> int:
         """An input step naming the sharing's VSS record as it stands now:
         its sha256 binds the step to this version of the record."""
-        raw = self.board.get(vss_key(sharing_id))
+        raw = self.board.get(sharing_id)
         return self.post_step({"kind": "input", "sharing": sharing_id.hex(),
                                "vss": sha256(raw).hex()})
 
@@ -166,7 +160,7 @@ def pv_share(secret: int, n: int, key: MacKey, params: CommitParams,
     blind = spdz.additive_split(field.rand(rng), n, field, rng)
     commitments = commit_shares([v.value_share for v in value], blind, params, broken)
     sharing_id = sha256(writer.computation_id + writer.steps.to_bytes(8, "big") + b"input")
-    writer.post(vss_key(sharing_id), {"commitments": [hex(c) for c in commitments]})
+    writer.post(sharing_id, {"commitments": [hex(c) for c in commitments]})
     step = writer.post_input(sharing_id)
     return PVShare(value=value, randomness=blind, step=step)
 

@@ -43,7 +43,6 @@ class DhtRecord:
     key: bytes
     data: bytes
     encrypted: bool
-    replicas: tuple = ()
 
 
 class Bucket:
@@ -94,10 +93,9 @@ class RoutingTable:
 class DhtNode:
     """One simulated storage node: routing table plus a local record store."""
 
-    def __init__(self, node_id: bytes, keypair: KeyPair):
+    def __init__(self, node_id: bytes):
         self.node_id = node_id
         self.int_id = int.from_bytes(node_id, "big")
-        self.keypair = keypair
         self.table = RoutingTable(node_id)
         self.store: dict = {}
         self.alive = True
@@ -109,8 +107,8 @@ class DhtNetwork:
     def __init__(self):
         self.nodes: dict = {}
 
-    def add_node(self, node_id: bytes, keypair: KeyPair) -> DhtNode:
-        node = DhtNode(node_id, keypair)
+    def add_node(self, node_id: bytes) -> DhtNode:
+        node = DhtNode(node_id)
         self.nodes[node_id] = node
         return node
 
@@ -182,8 +180,7 @@ class DhtNetwork:
         replicas = self.placement(key)
         replica_ids = tuple(n.node_id for n in replicas)
         for node in replicas:
-            node.store[key] = DhtRecord(key=key, data=data, encrypted=encrypted,
-                                        replicas=replica_ids)
+            node.store[key] = DhtRecord(key=key, data=data, encrypted=encrypted)
         return list(replica_ids)
 
     def dht_lookup(self, key: bytes, origin: bytes | None = None) -> tuple:

@@ -61,8 +61,8 @@ class KeyPair:
     """A node's signing and encryption key material.
 
     sign_key, enc_key and enc_pub are the parsed forms of sign_sk, enc_sk
-    and enc_pk; they are built from the bytes when not given, and take no
-    part in comparison.
+    and enc_pk; they are built from the bytes when not given or when they
+    do not match them, and take no part in comparison.
     """
 
     sign_sk: bytes
@@ -74,13 +74,15 @@ class KeyPair:
     enc_pub: X25519PublicKey = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.sign_key is None:
+        # Parse a held object that is missing or does not serialize to its
+        # field, as after dataclasses.replace; serializing is far cheaper.
+        if self.sign_key is None or _raw_private(self.sign_key) != self.sign_sk:
             object.__setattr__(self, "sign_key",
                                Ed25519PrivateKey.from_private_bytes(self.sign_sk))
-        if self.enc_key is None:
+        if self.enc_key is None or _raw_private(self.enc_key) != self.enc_sk:
             object.__setattr__(self, "enc_key",
                                X25519PrivateKey.from_private_bytes(self.enc_sk))
-        if self.enc_pub is None:
+        if self.enc_pub is None or _raw_public(self.enc_pub) != self.enc_pk:
             object.__setattr__(self, "enc_pub",
                                X25519PublicKey.from_public_bytes(self.enc_pk))
 

@@ -8,8 +8,8 @@ the chain; what is preserved faithfully is the contract everything else
 depends on -- append-only totally-ordered history, signature-checked writes,
 keys that only their first writer may rewrite, identity registrations that
 parse as ACLs and bind their address to their keys, balance accounting with
-zero-sum settlements that only the genesis authority may post, and bit-exact
-replayability.
+zero-sum settlements that only the genesis authority may post, at most one
+per computation, and bit-exact replayability.
 
 Keys live in one `Board`. The live `Ledger` is a Board that validates what
 it appends, and `load_dump` returns one, so `get`, `get_at`, `height` and
@@ -18,8 +18,8 @@ it appends, and `load_dump` returns one, so `get`, `get_at`, `height` and
 A keyed transaction (`kv-put`, `identity-registration`, `commitment-post`)
 carries a non-empty list of (key, value) writes, applied atomically: every
 write must pass, and each becomes one entry in list order. So a data owner
-registers an input -- its commitments, its declassify predicate and its
-pointer predicate -- with one signature.
+registers an input -- its commitments and its pointer predicate -- with one
+signature.
 
 Keys are 256-bit. Arbitrary strings/byte strings are admitted at the API
 and hashed down to the shared keyspace.
@@ -222,6 +222,9 @@ class Ledger(Board):
         if tx.payload_type == "fee-settlement":
             if tx.sender != self.authority:
                 raise LedgerRejected("settlements are posted only by the authority")
+            key = sha256(b"settlement" + bytes.fromhex(p["computation"]))
+            if self.writer(key) is not None:
+                raise LedgerRejected("the computation is already settled")
             transfers = [(bytes.fromhex(pk), int(d)) for pk, d in p.get("balance_deltas", [])]
             slashes = [(bytes.fromhex(pk), int(d)) for pk, d in p.get("deposit_deltas", [])]
             if sum(d for _, d in transfers + slashes):
@@ -241,8 +244,7 @@ class Ledger(Board):
             for pk, (bal, dep) in staged.items():
                 acct = self.account(pk)
                 acct.balance, acct.deposit = bal, dep
-            entries = [(sha256(b"settlement" + tx.signature[:32]),
-                        json.dumps(p, sort_keys=True).encode())]
+            entries = [(key, json.dumps(p, sort_keys=True).encode())]
             for pk in staged:
                 entries.append((sha256(b"account" + pk), self._account_record(pk)))
             return entries

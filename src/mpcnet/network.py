@@ -3,7 +3,7 @@
 Everything a scenario run needs lives in a Runtime: the field, the ledger,
 the DHT, the encrypted broadcast bus, and the node registry. On top of it,
 protocol_share deals verifiable shares to the committee it is given, posts
-their commitments as the owner's VSS record (keyed by audit.vss_key) and
+their commitments as the owner's VSS record at the sharing id and
 registers the computation reference behind a predicate; protocol_compute
 loads the reference, compiles the circuit into the layered plan
 (circuits.layerize) and evaluates it over shares -- the plaintext never
@@ -39,13 +39,12 @@ from dataclasses import dataclass, field as dc_field
 
 from . import audit as auditmod
 from . import pedersen, shamir, spdz
-from .audit import vss_key
 from .circuits import Circuit, layerize
 from .dht import DhtNetwork, place_record, protocol_load
 from .errors import CheatDetected
 from .field import Field, eval_poly
 from .hierarchy import reduce_parties, reduce_parties_spdz, select_committee
-from .identity import Predicate, check_permission, parse_predicate
+from .identity import Predicate, check_permission
 from .keys import KeyPair, sha256
 from .ledger import Ledger
 from .net import EncryptedBus
@@ -115,7 +114,7 @@ class Runtime:
             node = SimNode(index=i, node_id=node_id, keypair=kp)
             self.registry.append(node)
             self.bus.register(i, kp)
-            self.dht.add_node(node_id, kp)
+            self.dht.add_node(node_id)
             balances[kp.sign_pk] = genesis_balance
         self.dht.bootstrap()
 
@@ -168,12 +167,13 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
 
     Deals the sharing (Shamir or SPDZ per `mode`) with its per-party
     Pedersen commitments (the VSS layer). The owner signs one ledger
-    transaction that posts the commitments, the declassify predicate (the
-    owner's own key list) and the pointer's predicate q_compute, places
-    the computation reference in the DHT, and only then sends each member
-    its share and blinding over the secure channel. Returns the pointer, or
-    None before anything is sent or written when the identity's `(policy)`
-    denies the owner; LedgerRejected propagates with nothing sent.
+    transaction that posts the commitments at the sharing id (so the owner
+    is the one key that may declassify it) and the pointer's predicate
+    q_compute, places the computation reference in the DHT, and only then
+    sends each member its share and blinding over the secure channel.
+    Returns the pointer, or None before anything is sent or written when
+    the identity's `(policy)` denies the owner; LedgerRejected propagates
+    with nothing sent.
     """
     if not check_permission(owner.sign_pk, addr, Predicate.policy(), rt.ledger):
         return None
@@ -213,10 +213,9 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
         "t": t,
         "committee": [node.index for node in committee],
     }, sort_keys=True).encode()
-    # One owner transaction: the commitments, the declassify predicate,
-    # then (through place_record) the pointer's predicate.
-    writes = ((vss_key(sharing_id), json.dumps(vss_record, sort_keys=True).encode()),
-              (sharing_id, Predicate.key_list([owner.sign_pk]).to_text().encode()))
+    # One owner transaction: the commitments, then (through place_record)
+    # the pointer's predicate.
+    writes = ((sharing_id, json.dumps(vss_record, sort_keys=True).encode()),)
     pointer = place_record(owner, addr, blob, q_compute, rt.ledger, rt.dht,
                            encrypt=False, writes=writes)
     # A rejected transaction raised above: only an accepted input is dealt.
@@ -254,20 +253,17 @@ def mpc_declassify(requester: KeyPair, requester_label: str, addr: bytes,
     """Collect the raw shares back and reconstruct, verifying each opening
     against the posted VSS commitments.
 
-    Returns (value, faults); value is None when the declassify predicate
-    denies the requester or too few verified shares remain. faults lists
-    (node index, channel) pairs for shares that failed their commitment.
-    A VSS record that is missing, malformed or not n long raises ValueError.
+    Returns (value, faults); value is None when the requester is not the
+    first writer of the VSS record (the dealer) or too few verified shares
+    remain. faults lists (node index, channel) pairs for shares that failed
+    their commitment. A VSS record that is missing, malformed or not n
+    long raises ValueError.
     """
     ref = load_reference(requester, addr, pointer, rt)
     if ref is None:
         return None, []
     sharing_id = bytes.fromhex(ref["sharing"])
-    stored = rt.ledger.get(sharing_id)
-    if stored is None:
-        return None, []
-    if not check_permission(requester.sign_pk, addr,
-                            parse_predicate(stored.decode()), rt.ledger):
+    if rt.ledger.writer(sharing_id) != requester.sign_pk:
         return None, []
 
     commitments = auditmod.vss_commitments(rt.ledger, ref["sharing"], ref["n"])

@@ -9,7 +9,7 @@ import json
 import numpy as np
 
 from mpcnet import pedersen
-from mpcnet.audit import AuditReport, vss_key
+from mpcnet.audit import AuditReport
 from mpcnet.circuits import Circuit, LayeredCircuit, parse_circuit
 from mpcnet.dht import K_BUCKET, PARALLELISM, xor_distance
 from mpcnet.errors import IncompleteTrail
@@ -126,7 +126,7 @@ def fold_trail(board, records: list, n: int, p: int, claimed_output=None,
     for step, rec in enumerate(records):
         kind = rec["kind"]
         if kind == "input":
-            raw = board.get(vss_key(bytes.fromhex(rec["sharing"])))
+            raw = board.get(bytes.fromhex(rec["sharing"]))
             if sha256(raw).hex() != rec["vss"]:
                 raise IncompleteTrail(f"input step {step} names a rewritten VSS record")
             commitments[step] = [int(c, 16) for c in json.loads(raw)["commitments"]]

@@ -48,6 +48,20 @@ def test_honest_run_passes(setup101):
     assert report.ok and report.guilty == ()
 
 
+def test_trail_metadata_is_written_once_at_close(setup101, f101):
+    # A new trail posts nothing; close() writes the metadata record, with
+    # the step and batch counts, as its last entry and its only one.
+    ledger = Ledger()
+    comp_id = sha256(b"metadata-once")
+    writer = audit.TrailWriter(ledger, comp_id, setup101["poster"], f101, 3)
+    assert ledger.height == 0
+    writer.post_step({"kind": "marker"})
+    writer.close()
+    meta_key = audit.trail_meta_key(comp_id)
+    assert [e.key for e in ledger.entries] == [audit.trail_key(comp_id, 0), meta_key]
+    assert json.loads(ledger.get(meta_key)) == {"p": 101, "n": 3, "steps": 1, "batches": 1}
+
+
 def test_pv_share_posts_n_commitments(setup101, f101):
     env = setup101
     key = spdz.gen_mac_key(4, f101, env["rng"])
@@ -57,7 +71,7 @@ def test_pv_share_posts_n_commitments(setup101, f101):
     share = audit.pv_share(33, 4, key, env["params"], writer, f101, env["rng"])
     writer.flush()
     record = json.loads(ledger.get(audit.trail_key(comp_id, 0)))[share.step]
-    vss = ledger.get(audit.vss_key(bytes.fromhex(record["sharing"])))
+    vss = ledger.get(bytes.fromhex(record["sharing"]))
     assert record == {"kind": "input", "sharing": record["sharing"],
                       "vss": sha256(vss).hex()}
     commitments = audit.vss_commitments(ledger, record["sharing"], 4, record["vss"])
@@ -84,7 +98,7 @@ def test_commit_shares_shifts_exactly_the_broken_parties(setup101, broken):
 def test_input_naming_a_bad_vss_record_is_incomplete(setup101, posted):
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
     first = json.loads(ledger.get(audit.trail_key(comp_id, 0)))[0]
-    x_key = audit.vss_key(bytes.fromhex(first["sharing"]))
+    x_key = bytes.fromhex(first["sharing"])
 
     class Board:
         def get(self, key):
@@ -247,7 +261,7 @@ def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
     records = [rec for batch in batches for rec in batch]
     report = audit.audit_trail(ledger, comp_id)
     assert report.ok and report == fold_trail(ledger, records, n, 101)
-    x_key = audit.vss_key(bytes.fromhex(records[x.step]["sharing"]))
+    x_key = bytes.fromhex(records[x.step]["sharing"])
     x_record = json.loads(ledger.get(x_key))
     x_record["commitments"][1] = hex(int(x_record["commitments"][1], 16) + params.q)
     forged = json.dumps(x_record).encode()

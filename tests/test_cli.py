@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mpcnet.audit import trail_key, trail_meta_key, vss_key
+from mpcnet.audit import trail_key, trail_meta_key
 from mpcnet.cli import main
 from mpcnet.keys import KeyPair
 
@@ -191,7 +191,7 @@ def test_audit_dump_with_a_bad_vss_record(tmp_path, capsys, edit):
     first_batch = trail_key(bytes.fromhex(comp_id), 0).hex()
     lines = [line.split("\t") for line in (outdir / "ledger.tsv").read_text().splitlines()]
     batch = next(json.loads(base64.b64decode(v)) for _, k, v, _ in lines if k == first_batch)
-    vss = vss_key(bytes.fromhex(batch[0]["sharing"])).hex()
+    vss = batch[0]["sharing"]
     edited = []
     for height, key, value64, author in lines:
         if key == vss:

@@ -26,7 +26,7 @@ def build_network(size, seed=5):
     ids = []
     for _ in range(size):
         nid = rng.randbytes(32)
-        net.add_node(nid, KeyPair.generate(rng))
+        net.add_node(nid)
         ids.append(nid)
     net.bootstrap()
     return net, ids, rng
@@ -98,8 +98,7 @@ def test_routed_miss_raises_although_an_unqueried_node_holds_the_record():
         node.store = WatchedStore(nid)
     net.iterative_find(origin, key)
     hidden = next(nid for nid in net.nodes if nid not in queried)
-    net.nodes[hidden].store[key] = DhtRecord(key=key, data=b"off-route",
-                                             encrypted=False, replicas=(hidden,))
+    net.nodes[hidden].store[key] = DhtRecord(key=key, data=b"off-route", encrypted=False)
     with pytest.raises(KeyError, match="not found"):
         net.dht_lookup(key, origin=origin)
 

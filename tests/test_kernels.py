@@ -13,7 +13,6 @@ from mpcnet import shamir, spdz
 from mpcnet.dht import K_BUCKET, DhtNetwork
 from mpcnet.field import M61, Field
 from mpcnet.hierarchy import reduce_parties_spdz
-from mpcnet.keys import KeyPair
 from mpcnet.net import LocalChannel
 from mpcnet.network import HONEST, reveal
 import oracles
@@ -96,7 +95,7 @@ def test_lookups_match_the_byte_id_oracle(size):
     net = DhtNetwork()
     ids = [rng.randbytes(32) for _ in range(size)]
     for nid in ids:
-        net.add_node(nid, KeyPair.generate(rng))
+        net.add_node(nid)
     net.bootstrap()
     stored = [rng.randbytes(32) for _ in range(6)]
     for key in stored:

@@ -4,7 +4,7 @@ import pytest
 
 from mpcnet.errors import CorruptDump, LedgerRejected
 from mpcnet.identity import Predicate, identity_address, serialize_acl
-from mpcnet.keys import KeyPair
+from mpcnet.keys import KeyPair, sha256
 from mpcnet.ledger import (KEYED_TYPES, Ledger, Transaction, load_dump, make_tx,
                            normalize_key, writes_payload)
 
@@ -152,7 +152,8 @@ def test_deposit_and_insufficient_balance(ledger, kp):
 
 def test_settlement_atomic(ledger, kp, rng):
     other = KeyPair.generate(rng)
-    payload = {"balance_deltas": [[kp.sign_pk.hex(), -2000], [other.sign_pk.hex(), 2000]],
+    payload = {"computation": "00" * 32,
+               "balance_deltas": [[kp.sign_pk.hex(), -2000], [other.sign_pk.hex(), 2000]],
                "deposit_deltas": []}
     with pytest.raises(LedgerRejected):
         ledger.submit_tx(make_tx(kp, "fee-settlement", payload,
@@ -194,6 +195,36 @@ def test_settlement_from_a_client_key_is_rejected(rng):
     assert ledger.next_nonce(eve.sign_pk) == 0
     assert (ledger.account(eve.sign_pk).balance, ledger.account(eve.sign_pk).deposit) == (1000, 0)
     assert (ledger.account(node.sign_pk).balance, ledger.account(node.sign_pk).deposit) == (900, 100)
+
+
+def test_a_computation_is_settled_once(rng):
+    # A settlement is keyed by its computation, so a second one for the same
+    # computation, though balanced and covered, is rejected before it moves
+    # a balance or a deposit; another computation still settles.
+    eve, node, authority = (KeyPair.generate(rng) for _ in range(3))
+    ledger = Ledger(genesis_balances={eve.sign_pk: 1000, node.sign_pk: 1000},
+                    authority=authority.sign_pk)
+    ledger.submit_tx(make_tx(node, "deposit", {"amount": 100}, nonce=0))
+
+    def settle(computation: str, nonce: int):
+        payload = {"computation": computation,
+                   "balance_deltas": [[eve.sign_pk.hex(), 50]],
+                   "deposit_deltas": [[node.sign_pk.hex(), -50]]}
+        return ledger.submit_tx(make_tx(authority, "fee-settlement", payload, nonce=nonce))
+
+    def state():
+        return ({pk: (a.balance, a.deposit) for pk, a in ledger.accounts.items()},
+                ledger.height, ledger.next_nonce(authority.sign_pk))
+
+    settle("ab" * 32, 0)
+    assert ledger.writer(sha256(b"settlement" + bytes.fromhex("ab" * 32))) == authority.sign_pk
+    before = state()
+    with pytest.raises(LedgerRejected, match="already settled"):
+        settle("ab" * 32, 1)
+    assert state() == before
+    assert ledger.account(node.sign_pk).deposit == 50
+    settle("cd" * 32, 1)
+    assert ledger.account(node.sign_pk).deposit == 0
 
 
 def test_append_only_prefix_property(ledger, kp):

@@ -10,12 +10,13 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from mpcnet import audit
 from mpcnet.circuits import cost_model, eval_plain, layerize, parse_circuit
+from mpcnet.dht import place_record
 from mpcnet.errors import CheatDetected, IncompleteTrail, LedgerRejected
 from mpcnet.field import M61, Field, eval_poly
 from mpcnet.identity import Predicate, gen_shared_identity
 from mpcnet import network, shamir
 from mpcnet.incentives import post_deposit
-from mpcnet.keys import KeyPair
+from mpcnet.keys import KeyPair, _raw_private, _raw_public
 from mpcnet.ledger import load_dump, make_tx, writes_payload
 from mpcnet.net import EncryptedBus
 from mpcnet.network import (
@@ -81,6 +82,17 @@ def test_keypair_value_ignores_the_held_key_objects(rng):
     assert [line.partition("=")[0] for line in kp.to_text().splitlines()] == \
         ["sign_sk", "sign_pk", "enc_sk", "enc_pk"]
     assert dataclasses.replace(kp, enc_pk=bytes(32)) != kp
+
+
+def test_replaced_key_bytes_replace_the_held_key_objects(rng):
+    # dataclasses.replace hands the held objects to the new KeyPair; any
+    # that no longer serializes to its byte field is parsed from the bytes.
+    a, b = KeyPair.generate(rng), KeyPair.generate(rng)
+    assert _raw_public(dataclasses.replace(a, enc_pk=b.enc_pk).enc_pub) == b.enc_pk
+    assert _raw_private(dataclasses.replace(a, enc_sk=b.enc_sk).enc_key) == b.enc_sk
+    assert _raw_private(dataclasses.replace(a, sign_sk=b.sign_sk).sign_key) == b.sign_sk
+    same = dataclasses.replace(a, sign_pk=a.sign_pk)
+    assert (same.sign_key, same.enc_key, same.enc_pub) == (a.sign_key, a.enc_key, a.enc_pub)
 
 
 def test_sign_matches_a_freshly_parsed_key(rng):
@@ -171,22 +183,22 @@ def test_share_then_declassify_owner_only(mode):
 
 
 def test_share_posts_n_commitments():
-    # One owner transaction: the VSS record, the declassify predicate, then
-    # the pointer's predicate.
+    # One owner transaction: the VSS record at the sharing id, then the
+    # pointer's predicate.
     rt, owners, ident, committee, _, rng = make_env()
     q = Predicate.key_list([owners[0].sign_pk])
     accepted = len(rt.ledger.accepted)
     pointer = protocol_share(owners[0], "owner0", ident.addr, 9, "x", q, t=1,
                              rt=rt, rng=rng, committee=committee)
     import json
-    from mpcnet.network import sharing_key, vss_key
+    from mpcnet.network import sharing_key
     sharing = sharing_key(ident.addr, "x")
-    record = json.loads(rt.ledger.get(vss_key(sharing)).decode())
+    record = json.loads(rt.ledger.get(sharing).decode())
     assert len(record["commitments"]) == 3
     (tx, heights), = rt.ledger.accepted[accepted:]
     assert tx.sender == owners[0].sign_pk
     assert [rt.ledger.entries[h - 1].key for h in heights] == \
-        [vss_key(sharing), sharing, pointer]
+        [sharing, pointer]
 
 
 def test_share_denied_for_non_member():
@@ -202,17 +214,16 @@ def test_share_denied_for_non_member():
 
 
 def test_share_the_ledger_rejects_deals_no_share():
-    # eve first-writes the VSS key and the sharing key of alice's next
-    # input, both computable from the identity address and x_ref. The
-    # ledger rejects alice's registration, and no member may hold her
-    # shares, or eve's own pointer naming the sharing would declassify them.
+    # eve first-writes the sharing id of alice's next input, computable
+    # from the identity address and x_ref. The ledger rejects alice's
+    # registration, and no member may hold her shares, or eve's own pointer
+    # naming the sharing would declassify them.
     rt, owners, ident, committee, _, rng = make_env()
     alice, eve = owners[0], rt.add_client("eve")
     sharing = network.sharing_key(ident.addr, "salary")
     dummy = json.dumps({"commitments": ["0x1"] * 3}).encode()
-    rt.ledger.submit_tx(make_tx(eve, "kv-put", writes_payload(
-        [(network.vss_key(sharing), dummy), (sharing, Predicate.any().to_text().encode())]),
-        nonce=rt.ledger.next_nonce(eve.sign_pk)))
+    rt.ledger.submit_tx(make_tx(eve, "kv-put", writes_payload([(sharing, dummy)]),
+                                nonce=rt.ledger.next_nonce(eve.sign_pk)))
     before = rt.bus.messages
     with pytest.raises(LedgerRejected, match="another writer"):
         protocol_share(alice, "owner0", ident.addr, 42, "salary",
@@ -222,10 +233,31 @@ def test_share_the_ledger_rejects_deals_no_share():
     assert not any(sharing in node.shares for node in rt.registry)
 
 
+@pytest.mark.parametrize("mode", ["shamir", "spdz"])
+def test_declassify_denies_a_pointer_to_another_dealers_sharing(mode):
+    # eve places her own pointer, readable by her, whose reference names
+    # alice's sharing. Only the VSS record's first writer may declassify,
+    # so eve is denied before any member sends a share.
+    rt, owners, ident, committee, mac_key, rng = make_env(mode)
+    alice, eve = owners[0], rt.add_client("eve")
+    pointer = protocol_share(alice, "owner0", ident.addr, 57, "salary",
+                             Predicate.key_list([alice.sign_pk]), t=1, rt=rt, rng=rng,
+                             mode=mode, mac_key=mac_key, committee=committee)
+    ref = network.load_reference(alice, ident.addr, pointer, rt)
+    forged = json.dumps({**ref, "ref": "eve"}, sort_keys=True).encode()
+    eve_pointer = place_record(eve, ident.addr, forged, Predicate.key_list([eve.sign_pk]),
+                               rt.ledger, rt.dht, encrypt=False)
+    assert network.load_reference(eve, ident.addr, eve_pointer, rt) == {**ref, "ref": "eve"}
+    before = rt.bus.messages
+    assert mpc_declassify(eve, "eve", ident.addr, eve_pointer, rt) == (None, [])
+    assert rt.bus.messages == before
+    assert mpc_declassify(alice, "owner0", ident.addr, pointer, rt) == (57, [])
+
+
 def rewrite_vss(rt, owner, sharing_id, value: bytes):
     """The owner, the VSS record's first writer, rewrites it on the ledger."""
     rt.ledger.submit_tx(make_tx(owner, "kv-put",
-                                writes_payload([(network.vss_key(sharing_id), value)]),
+                                writes_payload([(sharing_id, value)]),
                                 nonce=rt.ledger.next_nonce(owner.sign_pk)))
 
 
@@ -529,7 +561,7 @@ CHAIN4 = "in x0\nin x1\nin x2\nin x3\nm1 = mul x0 x1\nm2 = mul m1 x2\n" \
 def test_audited_trail_posts_one_batch_per_opening_round(text, layers):
     # The trail goes on the ledger once per multiplication layer (before its
     # masks open), once before the output opening and once at close, plus
-    # the two metadata records: L + 4 authority transactions.
+    # the metadata record at close: L + 3 authority transactions.
     rt, owners, ident, committee, mac_key, rng = make_env("spdz")
     circ = parse_circuit(text)
     values = [rng.randrange(101) for _ in range(circ.n_inputs)]
@@ -541,7 +573,7 @@ def test_audited_trail_posts_one_batch_per_opening_round(text, layers):
     assert out == eval_plain(circ, values, rt.field)
     posted = [tx.payload_type for tx, _ in rt.ledger.accepted[start:]
               if tx.sender == rt.authority.sign_pk]
-    assert posted == ["commitment-post"] * (layers + 4)
+    assert posted == ["commitment-post"] * (layers + 3)
     assert audit.audit_trail(rt.ledger, trace.computation_id).ok
 
 
@@ -551,7 +583,7 @@ def posted_trail(ledger, computation_id):
     meta = json.loads(ledger.get(audit.trail_meta_key(computation_id)))
     batches = [json.loads(ledger.get(audit.trail_key(computation_id, b)))
                for b in range(meta["batches"])]
-    vss = {rec["sharing"]: json.loads(ledger.get(audit.vss_key(bytes.fromhex(rec["sharing"]))))
+    vss = {rec["sharing"]: json.loads(ledger.get(bytes.fromhex(rec["sharing"])))
            for batch in batches for rec in batch if rec["kind"] == "input"}
     return meta, batches, vss
 
@@ -562,10 +594,10 @@ def repost(computation_id, meta, batches, records, vss):
     of the record as reposted."""
     board = {audit.trail_meta_key(computation_id): json.dumps(meta).encode()}
     for sharing, record in vss.items():
-        board[audit.vss_key(bytes.fromhex(sharing))] = json.dumps(record).encode()
+        board[bytes.fromhex(sharing)] = json.dumps(record).encode()
     for rec in records:
         if rec["kind"] == "input":
-            rec["vss"] = sha256(board[audit.vss_key(bytes.fromhex(rec["sharing"]))]).hex()
+            rec["vss"] = sha256(board[bytes.fromhex(rec["sharing"])]).hex()
     at = 0
     for b, batch in enumerate(batches):
         board[audit.trail_key(computation_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
@@ -647,7 +679,7 @@ def test_vss_record_rewritten_after_compute_blames_nobody():
     cid = trace.computation_id
     assert audit.audit_trail(rt.ledger, cid).ok
     sharing = network.sharing_key(ident.addr, "v0")
-    record = json.loads(rt.ledger.get(network.vss_key(sharing)))
+    record = json.loads(rt.ledger.get(sharing))
     record["commitments"][1] = hex(int(record["commitments"][1], 16) * rt.params.g
                                    % rt.params.q)
     rewrite_vss(rt, owners[0], sharing, json.dumps(record, sort_keys=True).encode())

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from mpcnet import dht, identity, keys, network, runner
-from mpcnet.audit import audit_trail, trail_key, trail_meta_key, vss_key
+from mpcnet.audit import audit_trail, trail_key, trail_meta_key
 from mpcnet.circuits import eval_plain, parse_circuit
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
@@ -78,18 +79,19 @@ def test_cheater_scenario_slashes():
 
 def test_mac_failure_leaves_the_flushed_batches_and_no_step_count():
     # The trail is flushed before the mask opening and before the MAC check
-    # that fails; nothing closes it, so the audit reads it as incomplete.
+    # that fails; nothing closes it, so no metadata record is posted and the
+    # audit reads the trail as incomplete.
     result = run_scenario(load("cheater"))
     ledger, cid = result.runtime.ledger, result.trace.computation_id
     assert result.trace.outcome == "cheat-detected"
-    assert "steps" not in json.loads(ledger.get(trail_meta_key(cid)))
+    assert ledger.get(trail_meta_key(cid)) is None
     assert [[rec["kind"] for rec in json.loads(ledger.get(trail_key(cid, b)))]
             for b in range(2)] == [["input", "input", "triple"], ["beaver"]]
     assert ledger.get(trail_key(cid, 2)) is None
     authority = result.runtime.authority.sign_pk
     assert sum(tx.sender == authority and tx.payload_type == "commitment-post"
-               for tx, _ in ledger.accepted) == 3
-    with pytest.raises(IncompleteTrail):
+               for tx, _ in ledger.accepted) == 2
+    with pytest.raises(IncompleteTrail, match="no trail metadata"):
         audit_trail(ledger, cid)
 
 
@@ -144,9 +146,17 @@ def bus_digest(log) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("label", sorted(PINNED_BUS))
-def test_bus_ciphertexts_match_their_pinned_digests(label):
-    text, mode, shape, digest = PINNED_BUS[label]
+# sha256 of the ledger dump of the same two runs: a moved, added or dropped
+# ledger entry, or a changed key or value, changes the digest.
+PINNED_LEDGER = {
+    "dot32-shamir": "529625ea9312fe95d341ceac4c49feab3068010ea9410b470acc1f6384ec7231",
+    "chain16-spdz": "29e68b8f37d0aa22fb244d7016d4d90abba149d53e57d1f2e8c50fd91a9a6284",
+}
+
+
+@functools.cache
+def pinned_run(label):
+    text, mode, shape, _ = PINNED_BUS[label]
     circuit = parse_circuit(text)
     cfg = ScenarioConfig(nodes=20, mode=mode, circuit_path=Path(f"{label}.circ"),
                          circuit_text=text, inputs=list(range(1, circuit.n_inputs + 1)),
@@ -154,7 +164,19 @@ def test_bus_ciphertexts_match_their_pinned_digests(label):
     result = run_scenario(cfg)
     assert result.exit_code == 0
     assert result.outputs == eval_plain(circuit, cfg.inputs, Field(cfg.prime))
-    assert bus_digest(result.runtime.bus.broadcast_log) == digest
+    return result
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_BUS))
+def test_bus_ciphertexts_match_their_pinned_digests(label):
+    digest = PINNED_BUS[label][3]
+    assert bus_digest(pinned_run(label).runtime.bus.broadcast_log) == digest
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_LEDGER))
+def test_ledger_dumps_match_their_pinned_digests(label):
+    dump = pinned_run(label).runtime.ledger.dump()
+    assert hashlib.sha256(dump.encode()).hexdigest() == PINNED_LEDGER[label]
 
 
 def test_abort_scenario_timeout_and_recovery():
@@ -197,7 +219,7 @@ def test_broken_commitment_shifts_only_its_vss_position():
                                  for i in range(len(cfg.inputs))])
         return rt.params, [
             [int(c, 16) for c in json.loads(rt.ledger.get(
-                vss_key(sharing_key(addr, f"input{i}"))))["commitments"]]
+                sharing_key(addr, f"input{i}")))["commitments"]]
             for i in range(len(cfg.inputs))]
 
     params, broken = vss_commitments(load("broken").faults)
@@ -371,15 +393,16 @@ def test_scenario_conserves_balances_plus_deposits(name):
                          ids=[p.stem for p in sorted(SCENARIOS.glob("*.scn"))]
                          + ["spdz-abort"])
 def test_each_input_is_one_owner_transaction(name, faults, rounds, monkeypatch):
-    # An input's commitments, declassify predicate and pointer predicate
+    # An input's commitments, at its sharing id, and its pointer predicate
     # carry one owner signature; the only other owner transaction is
     # owner0's identity registration. An SPDZ abort restarts the
     # computation and shares every input a second time.
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].sign_pk)
-        return protocol_share(*args, **kwargs)
+    def counted(owner, label, addr, x, x_ref, *args, **kwargs):
+        pointer = protocol_share(owner, label, addr, x, x_ref, *args, **kwargs)
+        calls.append((owner.sign_pk, [sharing_key(addr, x_ref), pointer]))
+        return pointer
 
     monkeypatch.setattr(runner, "protocol_share", counted)
     cfg = load(name)
@@ -387,10 +410,12 @@ def test_each_input_is_one_owner_transaction(name, faults, rounds, monkeypatch):
     result = run_scenario(cfg)
     rt = result.runtime
     owners = {kp.sign_pk for label, kp in rt.clients.items() if label.startswith("owner")}
-    signed = [(tx.sender, len(heights)) for tx, heights in rt.ledger.accepted
-              if tx.sender in owners]
+    signed = [(tx.sender, [rt.ledger.entries[h - 1].key for h in heights])
+              for tx, heights in rt.ledger.accepted if tx.sender in owners]
     assert len(calls) == len(cfg.inputs) * rounds
-    assert signed == [(rt.clients["owner0"].sign_pk, 1)] + [(pk, 3) for pk in calls]
+    (registrar, registered), *inputs = signed
+    assert registrar == rt.clients["owner0"].sign_pk and len(registered) == 1
+    assert inputs == calls
 
 
 def test_scaling_metrics_rows():
@@ -467,8 +492,8 @@ def test_average_ledger_bytes_at_seed_1():
     cfg = load("average")
     cfg.seed = 1
     entries = run_scenario(cfg).runtime.ledger.entries
-    assert len(entries) == 23
-    assert sum(len(e.canonical_bytes()) for e in entries) == 3308
+    assert len(entries) == 20
+    assert sum(len(e.canonical_bytes()) for e in entries) == 2861
 
 
 def recompute(result, requester, label):
