@@ -223,7 +223,9 @@ class Ledger(Board):
             if tx.sender != self.authority:
                 raise LedgerRejected("settlements are posted only by the authority")
             key = sha256(b"settlement" + bytes.fromhex(p["computation"]))
-            if self.writer(key) is not None:
+            # Anyone can compute this key and kv-put there first, so only an
+            # entry the authority wrote counts as a settlement.
+            if any(e.author == self.authority for e in self._history.get(key, ())):
                 raise LedgerRejected("the computation is already settled")
             transfers = [(bytes.fromhex(pk), int(d)) for pk, d in p.get("balance_deltas", [])]
             slashes = [(bytes.fromhex(pk), int(d)) for pk, d in p.get("deposit_deltas", [])]

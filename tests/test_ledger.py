@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -225,6 +226,26 @@ def test_a_computation_is_settled_once(rng):
     assert ledger.account(node.sign_pk).deposit == 50
     settle("cd" * 32, 1)
     assert ledger.account(node.sign_pk).deposit == 0
+
+
+def test_a_client_write_at_a_settlement_key_neither_blocks_nor_settles(rng):
+    # The settlement key is computable from the computation id. Eve, the
+    # party to be billed, kv-puts there first: the authority's settlement is
+    # still accepted, and a second one is still rejected.
+    eve, node, authority = (KeyPair.generate(rng) for _ in range(3))
+    ledger = Ledger(genesis_balances={eve.sign_pk: 1000, node.sign_pk: 1000},
+                    authority=authority.sign_pk)
+    key = sha256(b"settlement" + bytes.fromhex("ab" * 32))
+    put(ledger, eve, key, b"{}")
+    payload = {"computation": "ab" * 32,
+               "balance_deltas": [[eve.sign_pk.hex(), -50], [node.sign_pk.hex(), 50]],
+               "deposit_deltas": []}
+    ledger.submit_tx(make_tx(authority, "fee-settlement", payload, nonce=0))
+    assert ledger.get(key) == json.dumps(payload, sort_keys=True).encode()
+    assert ledger.account(eve.sign_pk).balance == 950
+    with pytest.raises(LedgerRejected, match="already settled"):
+        ledger.submit_tx(make_tx(authority, "fee-settlement", payload, nonce=1))
+    assert ledger.account(eve.sign_pk).balance == 950
 
 
 def test_append_only_prefix_property(ledger, kp):
