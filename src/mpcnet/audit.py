@@ -19,10 +19,13 @@ circuit after the fact:
   * the output step posts every party's final (share, blinding) opening.
 
 A party that posted a commitment inconsistent with what it later opened --
-anywhere along the trail -- is named by the auditor. The auditor keeps each
-derived commitment as a posted product times one exponent per base, and
-evaluates it with one multi-exponentiation only when an opening is checked
-against it.
+anywhere along the trail -- is named by the auditor. The exponents of the
+fold are public and the same for every party (linear coefficients and the
+opened eps and delta), so the auditor keeps each derived step as one
+per-party vector of posted products plus one exponent per symbol, shared by
+all parties, where a symbol names a per-party vector of bases. It evaluates
+a step only when an opening is checked against it, all parties at once,
+with one multi-exponentiation whose digit plan serves every party.
 
 Trail steps are posted in batches, one per opening round: the steps since
 the previous round go on the ledger as one JSON list keyed by
@@ -93,8 +96,9 @@ class TrailWriter:
     post_step buffers a record and returns its step index; flush posts every
     pending record as one batch, and the protocol flushes before each
     opening round. The metadata record, with the step and batch counts, is
-    posted only by close(), so an unfinished trail has none and audits as
-    incomplete rather than silently passing.
+    posted only by close(), in one transaction with the last batch, so an
+    unfinished trail has none and audits as incomplete rather than silently
+    passing.
     """
 
     def __init__(self, board: Ledger, computation_id: bytes, poster: KeyPair,
@@ -108,9 +112,11 @@ class TrailWriter:
         self.batches = 0
         self._pending = []
 
-    def post(self, key: bytes, record):
+    def post(self, *writes):
+        """Post (key, record) writes as one signed transaction."""
         tx = make_tx(self.poster, "commitment-post",
-                     writes_payload([(key, json.dumps(record, sort_keys=True).encode())]),
+                     writes_payload((key, json.dumps(record, sort_keys=True).encode())
+                                    for key, record in writes),
                      nonce=self.board.next_nonce(self.poster.sign_pk))
         self.board.submit_tx(tx)
 
@@ -126,17 +132,23 @@ class TrailWriter:
         self.steps += 1
         return self.steps - 1
 
-    def flush(self):
-        """Post the pending steps as one batch."""
-        self.post(trail_key(self.computation_id, self.batches), self._pending)
+    def _batch(self) -> tuple:
+        """The pending steps as the next batch's write."""
+        write = (trail_key(self.computation_id, self.batches), self._pending)
         self.batches += 1
         self._pending = []
+        return write
+
+    def flush(self):
+        """Post the pending steps as one batch."""
+        self.post(self._batch())
 
     def close(self):
-        self.flush()
-        self.post(trail_meta_key(self.computation_id),
-                  {"p": self.field_p, "n": self.n, "steps": self.steps,
-                   "batches": self.batches})
+        """Post the last batch and the metadata record in one transaction."""
+        batch = self._batch()
+        self.post(batch, (trail_meta_key(self.computation_id),
+                          {"p": self.field_p, "n": self.n, "steps": self.steps,
+                           "batches": self.batches}))
 
 
 def _combine(terms: list, p: int) -> list:
@@ -160,7 +172,7 @@ def pv_share(secret: int, n: int, key: MacKey, params: CommitParams,
     blind = spdz.additive_split(field.rand(rng), n, field, rng)
     commitments = commit_shares([v.value_share for v in value], blind, params, broken)
     sharing_id = sha256(writer.computation_id + writer.steps.to_bytes(8, "big") + b"input")
-    writer.post(sharing_id, {"commitments": [hex(c) for c in commitments]})
+    writer.post((sharing_id, {"commitments": [hex(c) for c in commitments]}))
     step = writer.post_input(sharing_id)
     return PVShare(value=value, randomness=blind, step=step)
 
@@ -285,38 +297,51 @@ class AuditReport:
 _PIPPENGER_FROM = 8   # fewer terms: one pow each is faster
 
 
-def _multi_exp(terms: list, q: int) -> int:
-    """prod(base^exp) mod q over (base, exp) terms with exp >= 0.
+def _multi_exp(rows, exps: list, q: int) -> list:
+    """prod_j row[j]^exps[j] mod q for each row, over exponents >= 0 that
+    every row shares.
 
-    From _PIPPENGER_FROM terms on, Pippenger's bucket method: the exponents
-    are cut into w-bit windows from the top; in each window every base goes
-    into the bucket of its digit, and the buckets are combined as
-    prod_d bucket_d^d with two running products, so a window costs one
-    multiplication per term plus two per bucket instead of a pow per term.
+    From _PIPPENGER_FROM terms on, Pippenger's method: the exponents are
+    cut into w-bit windows from the top, and each window's terms are
+    grouped by digit once, for all rows. A row then walks the digits from
+    the top down, multiplying each of its bases straight into a running
+    product and the running product into the window's product once per
+    digit, which gives prod_d (bases of digit d)^d. A window thus costs one
+    multiplication per term plus one per digit, with no bucket array and no
+    pow per term.
     """
-    if len(terms) < _PIPPENGER_FROM:
-        acc = 1
-        for base, exp in terms:
-            acc = acc * pow(base, exp, q) % q
-        return acc
-    w = max(3, (len(terms).bit_length() + 2) // 2)   # 3 up to 31 terms, 4 to 127
+    if len(exps) < _PIPPENGER_FROM:
+        out = []
+        for row in rows:
+            acc = 1
+            for base, exp in zip(row, exps):
+                acc = acc * pow(base, exp, q) % q
+            out.append(acc)
+        return out
+    w = max(3, (len(exps).bit_length() + 2) // 2)   # 3 up to 31 terms, 4 to 127
     top = (1 << w) - 1
-    bits = max(exp.bit_length() for _, exp in terms)
-    acc = 1
+    bits = max(exp.bit_length() for exp in exps)
+    plan = []   # per window, top first: the term indices of each digit, top digit first
     for shift in range((bits - 1) // w * w, -1, -w):
-        for _ in range(w):
-            acc = acc * acc % q
-        buckets = [1] * (top + 1)
-        for base, exp in terms:
-            digit = exp >> shift & top
-            if digit:
-                buckets[digit] = buckets[digit] * base % q
-        running = window = 1
-        for digit in range(top, 0, -1):
-            running = running * buckets[digit] % q
-            window = window * running % q
-        acc = acc * window % q
-    return acc
+        digits = [[] for _ in range(top + 1)]
+        for j, exp in enumerate(exps):
+            digits[exp >> shift & top].append(j)
+        high = max((d for d in range(1, top + 1) if digits[d]), default=0)
+        plan.append(digits[high:0:-1])
+    out = []
+    for row in rows:
+        acc = 1
+        for groups in plan:
+            for _ in range(w):
+                acc = acc * acc % q
+            running = window = 1
+            for group in groups:
+                for j in group:
+                    running = running * row[j] % q
+                window = window * running % q
+            acc = acc * window % q
+        out.append(acc)
+    return out
 
 
 def _reads(rec: dict) -> list:
@@ -342,15 +367,21 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
     derived per-party commitments. `openings` overrides the output step's
     posted openings when an auditor wants to check a third-party claim.
 
-    A derived commitment is held per party as (known, {base: exp}): a
-    Beaver step contributes C(b_i)^eps and C(a_i)^delta, a linear
-    coefficient c scales the exponents and coefficient 1 just multiplies.
-    Exponents of one base add up, so a commitment carries at most one term
-    per distinct base however often a wire is reused, and an exponent above
-    q - 1 is cut to ((e - 1) mod (q - 1)) + 1, which is exact for every base
-    mod the prime q, 0 included. The one multi-exponentiation that evaluates
-    it when an opening is checked thus gives what folding step by step gives
-    mod q, malformed bases included.
+    A derived step is held as (name, known, {symbol: exp}): `known` is a
+    per-party vector of posted products, and the exponent map is one for
+    all n parties, since every exponent is public. A symbol names a
+    per-party vector of bases: a triple's ("a", step) or ("b", step)
+    commitments, or the known vector of a source step that a linear
+    coefficient other than 1 scales, under that step's `name`. A Beaver
+    step contributes C(b)^eps and C(a)^delta; a linear coefficient c scales
+    the source's exponents and names its known vector, and coefficient 1
+    just multiplies the known vectors. Exponents of one symbol add up, so a
+    step carries at most one term per distinct symbol however often a wire
+    is reused, and an exponent above q - 1 is cut to ((e - 1) mod (q - 1))
+    + 1, which is exact for every base mod the prime q, 0 and bases >= q
+    included. The one multi-exponentiation that evaluates a step for all
+    parties when an opening is checked thus gives what folding step by step
+    gives mod q, malformed bases included.
     """
     meta_raw = board.get(trail_meta_key(computation_id))
     if meta_raw is None:
@@ -389,7 +420,8 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
             for ref in _reads(rec):
                 last_read[ref] = step
 
-        derived = {}   # step -> per-party (known, {base: exp}), or a triple's posted vectors
+        derived = {}   # step -> (name, known, {symbol: exp})
+        vectors = {}   # symbol -> its per-party bases, and a triple's ("c", step)
         guilty = set()
         reasons = []
         output_seen = False
@@ -402,18 +434,27 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
             if len(opens) != n:
                 raise IncompleteTrail(f"{label}: expected {n} openings, got {len(opens)}")
 
+        def in_field(value, label: str) -> int:
+            # The writer posts every coefficient mod p.
+            if type(value) is not int or not 0 <= value < field.p:
+                raise IncompleteTrail(f"{label} {value!r} is not an integer mod {field.p}")
+            return value
+
         def evaluate(step: int) -> list:
             """The per-party commitments of a step, folded once on first use."""
-            values = [known * _multi_exp(terms.items(), q) % q if terms else known
-                      for known, terms in derived[step]]
-            derived[step] = [(c, {}) for c in values]
-            return values
+            _, known, exps = derived[step]
+            if exps:
+                columns = [vectors[symbol] for symbol in exps]
+                folded = _multi_exp(zip(*columns), list(exps.values()), q)
+                known = [k * f % q for k, f in zip(known, folded)]
+                derived[step] = (("value", step), known, {})
+            return known
 
-        def accumulate(terms: dict, base: int, exp: int):
+        def accumulate(exps: dict, symbol: tuple, exp: int):
             # b^e = b^((e - 1) mod (q - 1) + 1) for every e >= 1 and every base
             # mod prime q, 0 included, so exponents stay below q.
-            exp += terms.get(base, 0)
-            terms[base] = (exp - 1) % order + 1 if exp > order else exp
+            exp += exps.get(symbol, 0)
+            exps[symbol] = (exp - 1) % order + 1 if exp > order else exp
 
         def check_masks(masked: list, mask: list, opens: list, label: str):
             # C(x_i) = commit(s_i, r_i) * C(a_i), with no inversion; a C(a_i)
@@ -429,50 +470,53 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                 # An input step without a digest matches no record.
                 commitments = vss_commitments(board, rec.get("sharing"), n,
                                               str(rec.get("vss")))
-                derived[step] = [(c, {}) for c in commitments]
+                derived[step] = (("known", step), commitments, {})
             elif kind == "triple":
-                derived[step] = {name: [int(c, 16) for c in rec[name]]
-                                 for name in ("a", "b", "c")}
+                for name in ("a", "b", "c"):
+                    if len(rec[name]) != n:
+                        raise IncompleteTrail(f"step {step}: expected {n} {name} commitments")
+                    vectors[name, step] = [int(c, 16) for c in rec[name]]
             elif kind == "linear":
-                rec_terms = rec["terms"]
+                rec_terms = [(in_field(coeff, f"step {step}: coefficient"), ref)
+                             for coeff, ref in rec["terms"]]
                 refs = [ref for _, ref in rec_terms]
                 # A coefficient-1 source read here for the last time, and only
                 # once, hands its terms over instead of being copied.
                 heir = next((pos for pos, (coeff, ref) in enumerate(rec_terms)
                              if coeff == 1 and last_read[ref] == step and refs.count(ref) == 1),
                             None)
-                public = pedersen.commit(rec["constant"], 0, params)
-                acc = []
-                for i in range(n):
-                    known, terms = derived[refs[heir]][i] if heir is not None else (1, {})
-                    known = known * public % q if i == 0 else known % q
-                    for pos, (coeff, ref) in enumerate(rec_terms):
-                        if pos == heir:
-                            continue
-                        src_known, src_terms = derived[ref][i]
-                        if coeff == 1:
-                            known = known * src_known % q
-                        else:
-                            accumulate(terms, src_known, coeff)
-                        for base, exp in src_terms.items():
-                            accumulate(terms, base, exp * coeff)
-                    acc.append((known, terms))
-                derived[step] = acc
+                public = pedersen.commit(in_field(rec["constant"], f"step {step}: constant"),
+                                         0, params)
+                if heir is None:
+                    known, exps = [1] * n, {}
+                else:
+                    _, known, exps = derived[refs[heir]]
+                    known = [k % q for k in known]
+                known[0] = known[0] * public % q
+                for pos, (coeff, ref) in enumerate(rec_terms):
+                    if pos == heir:
+                        continue
+                    src_name, src_known, src_exps = derived[ref]
+                    if coeff == 1:
+                        known = [k * c % q for k, c in zip(known, src_known)]
+                    else:
+                        vectors[src_name] = src_known
+                        accumulate(exps, src_name, coeff)
+                    for symbol, exp in src_exps.items():
+                        accumulate(exps, symbol, exp * coeff)
+                derived[step] = (("known", step), known, exps)
             elif kind == "beaver":
-                trip = derived[rec["triple"]]
+                triple = rec["triple"]
+                a, b, c = (vectors[name, triple] for name in ("a", "b", "c"))
                 eps_opens = rec["eps_openings"]
                 delta_opens = rec["delta_openings"]
-                check_masks(evaluate(rec["x"]), trip["a"], eps_opens, f"step {step} (eps)")
-                check_masks(evaluate(rec["y"]), trip["b"], delta_opens, f"step {step} (delta)")
+                check_masks(evaluate(rec["x"]), a, eps_opens, f"step {step} (eps)")
+                check_masks(evaluate(rec["y"]), b, delta_opens, f"step {step} (delta)")
                 eps = sum(s for s, _ in eps_opens) % field.p
                 delta = sum(s for s, _ in delta_opens) % field.p
-                public = pedersen.commit(field.mul(eps, delta), 0, params)
-                acc = []
-                for i in range(n):
-                    terms = {trip["b"][i]: eps}
-                    accumulate(terms, trip["a"][i], delta)
-                    acc.append((trip["c"][i] * public % q if i == 0 else trip["c"][i], terms))
-                derived[step] = acc
+                known = c[:]
+                known[0] = known[0] * pedersen.commit(field.mul(eps, delta), 0, params) % q
+                derived[step] = (("known", step), known, {("b", triple): eps, ("a", triple): delta})
             elif kind == "output":
                 output_seen = True
                 opens = openings if openings is not None else rec["openings"]
@@ -490,7 +534,7 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                 raise IncompleteTrail(f"unknown trail record kind {kind!r}")
             for ref in set(_reads(rec)):
                 if last_read[ref] == step:
-                    del derived[ref]
+                    derived.pop(ref, None)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise IncompleteTrail(repr(exc)) from None
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -277,6 +278,77 @@ def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
     assert audit.audit_trail(board, comp_id) == fold_trail(board, records, n, 101)
 
 
+def test_shared_exponents_fold_like_the_step_fold(setup101, f101):
+    # A trail whose exponent maps share symbols in every way the auditor
+    # tracks: u = 3x is scaled by t = 5u before a Beaver step evaluates it
+    # and by v = 2u + m after, and w1 = 100v and w2 = 100w1 + t chain
+    # coefficient p - 1, so exponents pass q - 1 and are cut per symbol.
+    # Party 1 then posts equal a and b commitments in the triple, and a c
+    # commitment equal to its commitment for input x. The audit must agree
+    # with the per-step fold as posted, and with +-1 on any one opening.
+    env, n = setup101, 3
+    field, params, rng = f101, env["params"], env["rng"]
+    minus_one = field.p - 1
+    key = spdz.gen_mac_key(n, field, rng)
+    ledger = Ledger()
+    comp_id = sha256(b"shared-exponents")
+    writer = audit.TrailWriter(ledger, comp_id, env["poster"], field, n)
+    x = audit.pv_share(4, n, key, params, writer, field, rng)
+    y = audit.pv_share(5, n, key, params, writer, field, rng)
+    u = audit.pv_linear([(3, x)], 0, key, field, writer)
+    t = audit.pv_linear([(5, u)], 0, key, field, writer)
+    triple = audit.pv_triple(key, params, writer, field, rng)
+    m = audit.pv_beaver(u, y, triple, key, params, field, LocalChannel(),
+                        spdz.MacCheckQueue(), writer)
+    v = audit.pv_linear([(2, u), (1, m)], 0, key, field, writer)
+    w1 = audit.pv_linear([(minus_one, v)], 0, key, field, writer)
+    w2 = audit.pv_linear([(minus_one, w1), (1, t)], 1, key, field, writer)
+    assert audit.pv_output(w2, field, writer) == (2 * 12 + 12 * 5 + 60 + 1) % field.p
+    writer.close()
+    meta_key = audit.trail_meta_key(comp_id)
+    batches = [json.loads(ledger.get(audit.trail_key(comp_id, b)))
+               for b in range(json.loads(ledger.get(meta_key))["batches"])]
+    records = [rec for batch in batches for rec in batch]
+    assert audit.audit_trail(ledger, comp_id) == fold_trail(ledger, records, n, 101)
+    assert audit.audit_trail(ledger, comp_id).ok
+
+    x_commitments = json.loads(ledger.get(bytes.fromhex(records[x.step]["sharing"])))
+    forged = copy.deepcopy(records)
+    triple_rec = forged[triple[0].step]
+    triple_rec["b"][1] = triple_rec["a"][1]
+    triple_rec["c"][1] = x_commitments["commitments"][1]
+
+    def board_of(records):
+        reposted, at = {}, 0
+        for b, batch in enumerate(batches):
+            reposted[audit.trail_key(comp_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
+            at += len(batch)
+
+        class Board:
+            def get(self, key):
+                return reposted.get(key) or ledger.get(key)
+
+        return Board()
+
+    board = board_of(forged)
+    assert audit.audit_trail(board, comp_id) == fold_trail(board, forged, n, 101)
+    assert audit.audit_trail(board, comp_id).guilty == (1,)
+    cases = 0
+    for posted in (records, forged):
+        for step, rec in enumerate(posted):
+            for name in ("eps_openings", "delta_openings", "openings"):
+                for i in range(n if name in rec else 0):
+                    for part, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
+                        tampered = copy.deepcopy(posted)
+                        tampered[step][name][i][part] += shift
+                        board = board_of(tampered)
+                        expected = fold_trail(board, tampered, n, 101)
+                        assert not expected.ok
+                        assert audit.audit_trail(board, comp_id) == expected, (step, name, i)
+                        cases += 1
+    assert cases == 2 * (2 * n + n) * 4
+
+
 @pytest.mark.parametrize("meta_edit,batch_edit", [
     (lambda meta: meta.pop("batches"), None),
     (lambda meta: meta.update(batches="2"), None),
@@ -305,26 +377,42 @@ def test_malformed_trail_is_incomplete(setup101, meta_edit, batch_edit):
 @pytest.mark.parametrize("p", [101, M61], ids=["p101", "M61"])
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 64, 200])
 def test_multi_exp_equals_the_product_of_pows(p, count):
-    # Below eight terms the product is one pow per term, from eight on the
-    # bucket method; both must give prod(pow(base, exp, q)) exactly, for
-    # exponent 0, exponents >= p and the bases 0, 1, q - 1 and q.
+    # 1, 3 and 15 rows share one exponent vector. Below eight terms each
+    # row is one pow per term, from eight on one digit plan serves every
+    # row; both must give prod(pow(base, exp, q)) exactly, for exponent 0,
+    # 1 << 130, exponents >= p and the bases 0, 1, q - 1, q and values >= q.
     q = pedersen.setup(Field(p)).q
     rng = random.Random(count * 1009 + p % 997)
     r = rng.randrange(2, q - 1)
-    edge = [(0, 0), (q, 0), (1, 1 << 130), (q - 1, p), (q - 1, p + 1),
-            (r, 0), (r, p - 1), (r, 2 * p + 3)]
-    terms = (edge + [(rng.randrange(2 * q), rng.randrange(1 << rng.choice((8, 61, 200))))
-                     for _ in range(count)])[:count]
+    edge_exps = [0, 0, 1 << 130, p, p + 1, 0, p - 1, 2 * p + 3]
+    edge_bases = [0, q, 1, q - 1, q - 1, r, r, r]
+    exps = (edge_exps + [rng.randrange(1 << rng.choice((8, 61, 200)))
+                         for _ in range(count)])[:count]
+    special = (0, 1, q - 1, q, q + 1, 2 * q - 1)
 
-    def product(pairs):
+    def base():
+        return rng.choice(special) if rng.random() < 0.2 else rng.randrange(2 * q)
+
+    def product(row, exps):
         acc = 1
-        for base, exp in pairs:
-            acc = acc * pow(base, exp, q) % q
+        for b, e in zip(row, exps, strict=True):
+            acc = acc * pow(b, e, q) % q
         return acc
 
-    assert audit._multi_exp(terms, q) == product(terms)
-    if count:
-        # A base divisible by q under a positive exponent zeroes the product.
-        for zero in ((0, 5), (q, 1)):
-            spoiled = terms[:-1] + [zero]
-            assert audit._multi_exp(spoiled, q) == product(spoiled) == 0
+    for n_rows in (1, 3, 15):
+        rows = [(edge_bases + [base() for _ in range(count)])[:count]]
+        rows += [[base() for _ in range(count)] for _ in range(n_rows - 1)]
+        assert audit._multi_exp(rows, exps, q) == [product(row, exps) for row in rows]
+        if not count:
+            continue
+        # A base divisible by q under a positive exponent zeroes its row and
+        # no other.
+        for zero, exp in ((0, 5), (q, 1)):
+            spoiled_exps = exps[:-1] + [exp]
+            spoiled = rows[:-1] + [rows[-1][:-1] + [zero]]
+            got = audit._multi_exp(spoiled, spoiled_exps, q)
+            assert got == [product(row, spoiled_exps) for row in spoiled]
+            assert got[-1] == 0
+            assert [value == 0 for value in got] == [
+                any(b % q == 0 and e > 0 for b, e in zip(row, spoiled_exps))
+                for row in spoiled]

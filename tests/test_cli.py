@@ -289,3 +289,50 @@ def test_cli_import_loads_no_numpy():
         [sys.executable, "-c", "import sys, mpcnet.cli; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert probe.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("coefficient", [2.5, -1, "p"], ids=["float", "negative", "p"])
+def test_audit_linear_coefficient_outside_the_field_is_an_incomplete_trail(
+        tmp_path, capsys, coefficient):
+    # The writer posts every linear coefficient mod p. In an 8-product SPDZ
+    # dot trail, whose output the auditor evaluates with the bucket method,
+    # a last linear record whose last coefficient is not an integer in
+    # [0, p) is an incomplete trail: exit 1 and no traceback.
+    k = 8
+    circuit = tmp_path / "dot8.circ"
+    circuit.write_text("\n".join(
+        [f"in x{i}" for i in range(k)] + [f"in y{i}" for i in range(k)]
+        + [f"p{i} = mul x{i} y{i}" for i in range(k)] + ["s1 = add p0 p1"]
+        + [f"s{i} = add s{i - 1} p{i}" for i in range(2, k)] + [f"out s{k - 1}"]) + "\n")
+    scn = tmp_path / "dot8.scn"
+    scn.write_text(f"nodes=8\nmode=spdz\ncircuit={circuit}\n"
+                   f"inputs={','.join(str(3 + i) for i in range(2 * k))}\nseed=3\n"
+                   "committee=3\ndeposit=50\nbalance=1000\n")
+    outdir = tmp_path / "out"
+    assert run_cli("run", scn, "--out", outdir) == 0
+    capsys.readouterr()
+    trace = (outdir / "trace.txt").read_text()
+    comp_id = bytes.fromhex(re.search(r"computation=([0-9a-f]{64})", trace).group(1))
+    lines = [line.split("\t") for line in (outdir / "ledger.tsv").read_text().splitlines()]
+    values = {key: value64 for _, key, value64, _ in lines}
+
+    def posted(key):
+        return json.loads(base64.b64decode(values[key.hex()]))
+
+    meta = posted(trail_meta_key(comp_id))
+    batch_key = next(key for key in (trail_key(comp_id, b).hex()
+                                     for b in reversed(range(meta["batches"])))
+                     if any(rec["kind"] == "linear" for rec in posted(bytes.fromhex(key))))
+    records = posted(bytes.fromhex(batch_key))
+    linear = [rec for rec in records if rec["kind"] == "linear"][-1]
+    linear["terms"][-1][0] = meta["p"] if coefficient == "p" else coefficient
+    edited = []
+    for height, key, value64, author in lines:
+        if key == batch_key:
+            value64 = base64.b64encode(json.dumps(records).encode()).decode()
+        edited.append("\t".join((height, key, value64, author)))
+    dump = tmp_path / "coefficient.tsv"
+    dump.write_text("\n".join(edited) + "\n")
+    assert run_cli("audit", dump, "--id", comp_id.hex()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: incomplete trail") and "Traceback" not in err

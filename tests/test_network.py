@@ -560,8 +560,9 @@ CHAIN4 = "in x0\nin x1\nin x2\nin x3\nm1 = mul x0 x1\nm2 = mul m1 x2\n" \
 @pytest.mark.parametrize("text,layers", [(DOT4, 1), (CHAIN4, 3)], ids=["dot4", "chain4"])
 def test_audited_trail_posts_one_batch_per_opening_round(text, layers):
     # The trail goes on the ledger once per multiplication layer (before its
-    # masks open), once before the output opening and once at close, plus
-    # the metadata record at close: L + 3 authority transactions.
+    # masks open), once before the output opening and once at close, where
+    # the metadata record rides in the same transaction: L + 2 authority
+    # transactions.
     rt, owners, ident, committee, mac_key, rng = make_env("spdz")
     circ = parse_circuit(text)
     values = [rng.randrange(101) for _ in range(circ.n_inputs)]
@@ -573,7 +574,7 @@ def test_audited_trail_posts_one_batch_per_opening_round(text, layers):
     assert out == eval_plain(circ, values, rt.field)
     posted = [tx.payload_type for tx, _ in rt.ledger.accepted[start:]
               if tx.sender == rt.authority.sign_pk]
-    assert posted == ["commitment-post"] * (layers + 3)
+    assert posted == ["commitment-post"] * (layers + 2)
     assert audit.audit_trail(rt.ledger, trace.computation_id).ok
 
 
