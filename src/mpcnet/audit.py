@@ -31,6 +31,13 @@ Trail steps are posted in batches, one per opening round: the steps since
 the previous round go on the ledger as one JSON list keyed by
 H(computation_id || batch_index) before the next values open, so every
 commitment is public before anything masked by it is revealed.
+
+Records are compact JSON, and each per-party vector in them is one base64
+field (the pedersen codecs): a triple's a, b and c and a VSS record's
+commitments as fixed-width integers, read back without a range check so a
+malformed base folds exactly; the Beaver and output openings as field
+elements, read back range-checked, since commit reduces mod p and an
+opening s + kp would otherwise open the commitment to s.
 """
 
 from __future__ import annotations
@@ -56,14 +63,21 @@ def trail_meta_key(computation_id: bytes) -> bytes:
     return sha256(computation_id + b"meta")
 
 
-def vss_commitments(board, sharing: str, n: int, digest: str | None = None) -> list:
+def record_bytes(record) -> bytes:
+    """A trail or VSS record as posted: compact JSON with sorted keys."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+
+
+def vss_commitments(board, sharing: str, n: int, params: CommitParams,
+                    digest: str | None = None) -> list:
     """The n commitments in the VSS record at the sharing id `sharing`
     (hex). ValueError if the record is missing, malformed or not n
     long, or, given a `digest`, if its sha256 hex is not that digest."""
     try:
         raw = board.get(bytes.fromhex(sharing))
-        commitments = [int(c, 16) for c in json.loads(raw.decode())["commitments"]]
-        if len(commitments) == n and digest in (None, sha256(raw).hex()):
+        commitments = pedersen.decode_commitments(json.loads(raw.decode())["commitments"],
+                                                  n, params)
+        if digest in (None, sha256(raw).hex()):
             return commitments
     except (AttributeError, KeyError, TypeError, ValueError):
         pass
@@ -115,8 +129,7 @@ class TrailWriter:
     def post(self, *writes):
         """Post (key, record) writes as one signed transaction."""
         tx = make_tx(self.poster, "commitment-post",
-                     writes_payload((key, json.dumps(record, sort_keys=True).encode())
-                                    for key, record in writes),
+                     writes_payload((key, record_bytes(record)) for key, record in writes),
                      nonce=self.board.next_nonce(self.poster.sign_pk))
         self.board.submit_tx(tx)
 
@@ -172,7 +185,7 @@ def pv_share(secret: int, n: int, key: MacKey, params: CommitParams,
     blind = spdz.additive_split(field.rand(rng), n, field, rng)
     commitments = commit_shares([v.value_share for v in value], blind, params, broken)
     sharing_id = sha256(writer.computation_id + writer.steps.to_bytes(8, "big") + b"input")
-    writer.post((sharing_id, {"commitments": [hex(c) for c in commitments]}))
+    writer.post((sharing_id, {"commitments": pedersen.encode_commitments(commitments, params)}))
     step = writer.post_input(sharing_id)
     return PVShare(value=value, randomness=blind, step=step)
 
@@ -192,7 +205,7 @@ def pv_triple(key: MacKey, params: CommitParams, writer: TrailWriter,
         commitments = commit_shares([v.value_share for v in value], blind, params,
                                     broken if name == "a" else ())
         parts[name] = PVShare(value=value, randomness=blind, step=-1)
-        record[name] = [hex(c) for c in commitments]
+        record[name] = pedersen.encode_commitments(commitments, params)
     step = writer.post_step(record)
     for part in parts.values():
         part.step = step
@@ -216,8 +229,10 @@ def pv_linear(terms: list, constant: int, key: MacKey, field: Field,
     return PVShare(value=value, randomness=blind, step=step)
 
 
-def _openings(share: PVShare) -> list:
-    return [[v.value_share, r] for v, r in zip(share.value, share.randomness)]
+def _openings(share: PVShare, field: Field) -> str:
+    """Every party's (share, blinding) opening of `share`, encoded."""
+    return pedersen.encode_openings(
+        [(v.value_share, r) for v, r in zip(share.value, share.randomness)], field)
 
 
 def pv_beaver(x: PVShare, y: PVShare, triple: tuple, key: MacKey,
@@ -266,8 +281,8 @@ def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParam
         step = writer.post_step({
             "kind": "beaver",
             "x": x.step, "y": y.step, "triple": c.step,
-            "eps_openings": _openings(eps_share),
-            "delta_openings": _openings(delta_share),
+            "eps_openings": _openings(eps_share, field),
+            "delta_openings": _openings(delta_share, field),
         })
         products.append(PVShare(value=value, randomness=blind, step=step))
     return products
@@ -275,12 +290,9 @@ def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParam
 
 def pv_output(share: PVShare, field: Field, writer: TrailWriter) -> int:
     """Post the final per-party openings; returns the opened output."""
-    opens = _openings(share)
-    value = 0
-    for s, _ in opens:
-        value = field.add(value, s)
+    value = sum(v.value_share for v in share.value) % field.p
     writer.post_step({"kind": "output", "source": share.step,
-                      "openings": opens, "value": value})
+                      "openings": _openings(share, field), "value": value})
     return value
 
 
@@ -365,7 +377,8 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
     records, and checks
     every posted opening (Beaver masks and the final output) against the
     derived per-party commitments. `openings` overrides the output step's
-    posted openings when an auditor wants to check a third-party claim.
+    posted openings when an auditor wants to check a third-party claim: n
+    (share, blinding) pairs of integers in [0, p), like the posted ones.
 
     A derived step is held as (name, known, {symbol: exp}): `known` is a
     per-party vector of posted products, and the exponent map is one for
@@ -408,10 +421,21 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
             raise IncompleteTrail(f"trail batches hold {len(records)} steps, "
                                   f"metadata says {steps}")
         field = Field(meta["p"])
+
+        def in_field(value, label: str) -> int:
+            # The writer posts every coefficient and opening mod p.
+            if type(value) is not int or not 0 <= value < field.p:
+                raise IncompleteTrail(f"{label} {value!r} is not an integer mod {field.p}")
+            return value
+
         params = pedersen.setup(field)
         n = meta["n"]
         q = params.q
         order = q - 1
+        if openings is not None:
+            if len(openings) != n:
+                raise IncompleteTrail(f"expected {n} output openings, got {len(openings)}")
+            openings = [(in_field(s, "opening"), in_field(r, "opening")) for s, r in openings]
 
         # The last step that reads each step: its derived commitments are
         # dropped after that, and a linear step may take over their terms.
@@ -429,16 +453,6 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
         def blame(i: int, label: str):
             guilty.add(i)
             reasons.append(f"party {i} broke its commitment at {label}")
-
-        def expect_n(opens: list, label: str):
-            if len(opens) != n:
-                raise IncompleteTrail(f"{label}: expected {n} openings, got {len(opens)}")
-
-        def in_field(value, label: str) -> int:
-            # The writer posts every coefficient mod p.
-            if type(value) is not int or not 0 <= value < field.p:
-                raise IncompleteTrail(f"{label} {value!r} is not an integer mod {field.p}")
-            return value
 
         def evaluate(step: int) -> list:
             """The per-party commitments of a step, folded once on first use."""
@@ -459,7 +473,6 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
         def check_masks(masked: list, mask: list, opens: list, label: str):
             # C(x_i) = commit(s_i, r_i) * C(a_i), with no inversion; a C(a_i)
             # divisible by q has no opening at all.
-            expect_n(opens, label)
             for i, (cx, ca, (s, r)) in enumerate(zip(masked, mask, opens)):
                 if not ca % q or cx % q != pedersen.commit(s, r, params) * ca % q:
                     blame(i, label)
@@ -468,14 +481,12 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
             kind = rec["kind"]
             if kind == "input":
                 # An input step without a digest matches no record.
-                commitments = vss_commitments(board, rec.get("sharing"), n,
+                commitments = vss_commitments(board, rec.get("sharing"), n, params,
                                               str(rec.get("vss")))
                 derived[step] = (("known", step), commitments, {})
             elif kind == "triple":
                 for name in ("a", "b", "c"):
-                    if len(rec[name]) != n:
-                        raise IncompleteTrail(f"step {step}: expected {n} {name} commitments")
-                    vectors[name, step] = [int(c, 16) for c in rec[name]]
+                    vectors[name, step] = pedersen.decode_commitments(rec[name], n, params)
             elif kind == "linear":
                 rec_terms = [(in_field(coeff, f"step {step}: coefficient"), ref)
                              for coeff, ref in rec["terms"]]
@@ -508,8 +519,8 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
             elif kind == "beaver":
                 triple = rec["triple"]
                 a, b, c = (vectors[name, triple] for name in ("a", "b", "c"))
-                eps_opens = rec["eps_openings"]
-                delta_opens = rec["delta_openings"]
+                eps_opens = pedersen.decode_openings(rec["eps_openings"], n, field)
+                delta_opens = pedersen.decode_openings(rec["delta_openings"], n, field)
                 check_masks(evaluate(rec["x"]), a, eps_opens, f"step {step} (eps)")
                 check_masks(evaluate(rec["y"]), b, delta_opens, f"step {step} (delta)")
                 eps = sum(s for s, _ in eps_opens) % field.p
@@ -519,10 +530,10 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                 derived[step] = (("known", step), known, {("b", triple): eps, ("a", triple): delta})
             elif kind == "output":
                 output_seen = True
-                opens = openings if openings is not None else rec["openings"]
+                opens = openings if openings is not None else pedersen.decode_openings(
+                    rec["openings"], n, field)
                 label = f"step {step} (output)"
                 derived_c = evaluate(rec["source"])
-                expect_n(opens, label)
                 for i, (c, (s, r)) in enumerate(zip(derived_c, opens)):
                     if not pedersen.verify_open(c, s, r, params):
                         blame(i, label)

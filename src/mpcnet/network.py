@@ -204,7 +204,7 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
         values, blinds, rt.params,
         {pos for pos, node in enumerate(committee) if node.behavior == BROKEN_COMMITMENT})
 
-    vss_record = {"commitments": [hex(c) for c in commitments]}
+    vss_record = {"commitments": pedersen.encode_commitments(commitments, rt.params)}
     blob = json.dumps({
         "ref": x_ref,
         "sharing": sharing_id.hex(),
@@ -215,7 +215,7 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
     }, sort_keys=True).encode()
     # One owner transaction: the commitments, then (through place_record)
     # the pointer's predicate.
-    writes = ((sharing_id, json.dumps(vss_record, sort_keys=True).encode()),)
+    writes = ((sharing_id, auditmod.record_bytes(vss_record)),)
     pointer = place_record(owner, addr, blob, q_compute, rt.ledger, rt.dht,
                            encrypt=False, writes=writes)
     # A rejected transaction raised above: only an accepted input is dealt.
@@ -266,7 +266,7 @@ def mpc_declassify(requester: KeyPair, requester_label: str, addr: bytes,
     if rt.ledger.writer(sharing_id) != requester.sign_pk:
         return None, []
 
-    commitments = auditmod.vss_commitments(rt.ledger, ref["sharing"], ref["n"])
+    commitments = auditmod.vss_commitments(rt.ledger, ref["sharing"], ref["n"], rt.params)
     field = rt.field
     committee = [rt.registry[i] for i in ref["committee"]]
     rows = []

@@ -14,10 +14,16 @@ table holds base^(d * 256^j) for every byte d, and a power is the product
 of one entry per byte of the exponent. A commitment to exponents below p
 then costs two table look-ups and two multiplications per exponent byte
 instead of two square-and-multiply exponentiations.
+
+On the ledger a vector of commitments is one base64 field of fixed-width
+big-endian integers, ceil(bits(q) / 8) bytes each (9 over M61), and a
+vector of openings is one base64 field of the (share, blinding) pairs in
+the field's own fixed-width encoding.
 """
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field as dc_field
 
 from .field import Field, is_prime
@@ -122,3 +128,43 @@ def combine(commitments: list, params: CommitParams) -> int:
     for c in commitments:
         acc = acc * c % params.q
     return acc
+
+
+def _width(params: CommitParams) -> int:
+    return (params.q.bit_length() + 7) // 8
+
+
+def encode_commitments(commitments: list, params: CommitParams) -> str:
+    """The commitments as one base64 field of ceil(bits(q) / 8)-byte
+    big-endian integers."""
+    w = _width(params)
+    return base64.b64encode(b"".join([c.to_bytes(w, "big") for c in commitments])).decode()
+
+
+def decode_commitments(text: str, n: int, params: CommitParams) -> list:
+    """The n commitments of an encode_commitments field.
+
+    Raises ValueError (TypeError for a non-string) unless `text` is base64
+    of exactly n integers. No range is checked: a value >= q reads back as
+    posted, and the auditor folds it exactly.
+    """
+    w = _width(params)
+    data = base64.b64decode(text, validate=True)
+    if len(data) != n * w:
+        raise ValueError(f"expected {n} commitments of {w} bytes, got {len(data)} bytes")
+    return [int.from_bytes(data[i:i + w], "big") for i in range(0, len(data), w)]
+
+
+def encode_openings(pairs: list, field: Field) -> str:
+    """The (share, blinding) pairs as one base64 field of field elements."""
+    return base64.b64encode(field.encode_many([v for pair in pairs for v in pair])).decode()
+
+
+def decode_openings(text: str, n: int, field: Field) -> list:
+    """The n (share, blinding) pairs of an encode_openings field.
+
+    Raises ValueError (TypeError for a non-string) unless `text` is base64
+    of exactly 2n elements, each in [0, p).
+    """
+    flat = field.decode_many([base64.b64decode(text, validate=True)], 2 * n)
+    return list(zip(flat[0::2], flat[1::2]))

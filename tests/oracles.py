@@ -129,9 +129,10 @@ def fold_trail(board, records: list, n: int, p: int, claimed_output=None,
             raw = board.get(bytes.fromhex(rec["sharing"]))
             if sha256(raw).hex() != rec["vss"]:
                 raise IncompleteTrail(f"input step {step} names a rewritten VSS record")
-            commitments[step] = [int(c, 16) for c in json.loads(raw)["commitments"]]
+            commitments[step] = pedersen.decode_commitments(
+                json.loads(raw)["commitments"], n, params)
         elif kind == "triple":
-            commitments[step] = {name: [int(c, 16) for c in rec[name]]
+            commitments[step] = {name: pedersen.decode_commitments(rec[name], n, params)
                                  for name in ("a", "b", "c")}
         elif kind == "linear":
             acc = [pedersen.commit(rec["constant"] if i == 0 else 0, 0, params)
@@ -144,8 +145,8 @@ def fold_trail(board, records: list, n: int, p: int, claimed_output=None,
         elif kind == "beaver":
             trip = commitments[rec["triple"]]
             x_c, y_c = commitments[rec["x"]], commitments[rec["y"]]
-            eps_opens = rec["eps_openings"]
-            delta_opens = rec["delta_openings"]
+            eps_opens = pedersen.decode_openings(rec["eps_openings"], n, field)
+            delta_opens = pedersen.decode_openings(rec["delta_openings"], n, field)
             eps_c = [x_c[i] * inverse_or_zero(trip["a"][i]) % q for i in range(n)]
             delta_c = [y_c[i] * inverse_or_zero(trip["b"][i]) % q for i in range(n)]
             check_openings(eps_c, eps_opens, f"step {step} (eps)")
@@ -162,7 +163,8 @@ def fold_trail(board, records: list, n: int, p: int, claimed_output=None,
             commitments[step] = acc
         elif kind == "output":
             output_seen = True
-            opens = openings if openings is not None else rec["openings"]
+            opens = openings if openings is not None else pedersen.decode_openings(
+                rec["openings"], n, field)
             check_openings(commitments[rec["source"]], opens, f"step {step} (output)")
             total = sum(s for s, _ in opens) % field.p
             claimed = claimed_output if claimed_output is not None else rec["value"]

@@ -75,7 +75,8 @@ def test_pv_share_posts_n_commitments(setup101, f101):
     vss = ledger.get(bytes.fromhex(record["sharing"]))
     assert record == {"kind": "input", "sharing": record["sharing"],
                       "vss": sha256(vss).hex()}
-    commitments = audit.vss_commitments(ledger, record["sharing"], 4, record["vss"])
+    commitments = audit.vss_commitments(ledger, record["sharing"], 4, env["params"],
+                                        record["vss"])
     assert pedersen.combine(commitments, env["params"]) == pedersen.commit(
         sum(s.value_share for s in share.value) % 101,
         sum(share.randomness) % 101,
@@ -92,10 +93,17 @@ def test_commit_shares_shifts_exactly_the_broken_parties(setup101, broken):
         c * params.g % params.q if i in broken else c for i, c in enumerate(honest)]
 
 
-@pytest.mark.parametrize("posted", [None, b"not json", b'{"commitments": ["0x5", "0x7"]}',
-                                    b'{"commitments": 5}', b"[1, 2, 3]"],
-                         ids=["missing", "not-json", "two-of-three", "not-a-list",
-                              "no-commitments"])
+P101 = pedersen.setup(Field(101))
+
+
+@pytest.mark.parametrize("posted", [
+    None, b"not json",
+    json.dumps({"commitments": pedersen.encode_commitments([5, 7], P101)}).encode(),
+    b'{"commitments": 5}', b"[1, 2, 3]",
+    json.dumps({"commitments": pedersen.encode_commitments([5, 7, 9], P101)[:-1]}).encode(),
+    b'{"commitments": ["0x5", "0x7", "0x9"]}',
+], ids=["missing", "not-json", "two-of-three", "not-a-list", "no-commitments",
+        "not-base64", "hex-list"])
 def test_input_naming_a_bad_vss_record_is_incomplete(setup101, posted):
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
     first = json.loads(ledger.get(audit.trail_key(comp_id, 0)))[0]
@@ -191,6 +199,57 @@ def test_short_openings_list_is_incomplete(setup101):
                           openings=[[0, 0], [0, 0]])
 
 
+@pytest.fixture
+def setup_m61(setup101):
+    field = Field(M61)
+    return {**setup101, "field": field, "params": pedersen.setup(field)}
+
+
+@pytest.mark.parametrize("name, party, part, multiple", [
+    ("eps_openings", 2, 0, 1),
+    ("delta_openings", 3, 1, 5),
+], ids=["eps-share-plus-p", "delta-blinding-plus-5p"])
+def test_posted_opening_outside_the_field_is_incomplete(setup_m61, name, party, part,
+                                                        multiple):
+    # s + k*p opens the same commitment as s, since commit reduces mod p.
+    # The writer posts every opening mod p, and the auditor reads one that
+    # is not as an incomplete trail rather than accepting it. Over M61 an
+    # element is 8 bytes wide, so 6p still fits.
+    field = setup_m61["field"]
+    ledger, comp_id, _ = run_pv_computation(setup_m61, 4)
+    batches = json.loads(ledger.get(audit.trail_meta_key(comp_id)))["batches"]
+    posted = {audit.trail_key(comp_id, b): json.loads(ledger.get(audit.trail_key(comp_id, b)))
+              for b in range(batches)}
+    key, batch = next((k, batch) for k, batch in posted.items()
+                      if any(rec["kind"] == "beaver" for rec in batch))
+    beaver = next(rec for rec in batch if rec["kind"] == "beaver")
+    opens = [list(pair) for pair in pedersen.decode_openings(beaver[name], 4, field)]
+    opens[party][part] += multiple * field.p
+    beaver[name] = pedersen.encode_openings(opens, field)
+    forged = audit.record_bytes(batch)
+
+    class Board:
+        def get(self, k):
+            return forged if k == key else ledger.get(k)
+
+    assert audit.audit_trail(ledger, comp_id).ok
+    with pytest.raises(IncompleteTrail, match="out of field range"):
+        audit.audit_trail(Board(), comp_id)
+
+
+@pytest.mark.parametrize("shift", [101, -101, 0.5], ids=["plus-p", "minus-p", "float"])
+def test_claimed_opening_outside_the_field_is_incomplete(setup101, f101, shift):
+    # The openings= override is held to the same range as posted openings.
+    ledger, comp_id, value = run_pv_computation(setup101, 3)
+    meta = json.loads(ledger.get(audit.trail_meta_key(comp_id)))
+    output = json.loads(ledger.get(audit.trail_key(comp_id, meta["batches"] - 1)))[-1]
+    opens = [list(pair) for pair in pedersen.decode_openings(output["openings"], 3, f101)]
+    assert audit.audit_trail(ledger, comp_id, openings=opens).ok
+    opens[1][0] += shift
+    with pytest.raises(IncompleteTrail, match="not an integer mod 101"):
+        audit.audit_trail(ledger, comp_id, openings=opens)
+
+
 def test_claimed_output_mismatch_fails(setup101):
     ledger, comp_id, value = run_pv_computation(setup101, 3)
     report = audit.audit_trail(ledger, comp_id, claimed_output=value + 1)
@@ -204,7 +263,7 @@ def test_false_output_opening_blames_party(setup101, f101):
     from mpcnet.audit import trail_key, trail_meta_key
     meta = json.loads(ledger.get(trail_meta_key(comp_id)).decode())
     out_rec = json.loads(ledger.get(trail_key(comp_id, meta["batches"] - 1)).decode())[-1]
-    opens = out_rec["openings"]
+    opens = [list(pair) for pair in pedersen.decode_openings(out_rec["openings"], 3, f101)]
     opens[2][0] = (opens[2][0] + 1) % 101
     claimed = sum(s for s, _ in opens) % 101
     report = audit.audit_trail(ledger, comp_id, claimed_output=claimed, openings=opens)
@@ -221,7 +280,11 @@ def test_zero_triple_commitment_names_its_party(setup101):
               for i in range(batches)}
     triple_key, batch = next((k, batch) for k, batch in posted.items()
                              if any(rec["kind"] == "triple" for rec in batch))
-    next(rec for rec in batch if rec["kind"] == "triple")["a"][1] = hex(setup101["params"].q)
+    params = setup101["params"]
+    triple = next(rec for rec in batch if rec["kind"] == "triple")
+    a = pedersen.decode_commitments(triple["a"], 3, params)
+    a[1] = params.q
+    triple["a"] = pedersen.encode_commitments(a, params)
     forged = json.dumps(batch, sort_keys=True).encode()
 
     class Board:
@@ -264,8 +327,9 @@ def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
     assert report.ok and report == fold_trail(ledger, records, n, 101)
     x_key = bytes.fromhex(records[x.step]["sharing"])
     x_record = json.loads(ledger.get(x_key))
-    x_record["commitments"][1] = hex(int(x_record["commitments"][1], 16) + params.q)
-    forged = json.dumps(x_record).encode()
+    x_commitments = pedersen.decode_commitments(x_record["commitments"], n, params)
+    x_commitments[1] += params.q
+    forged = json.dumps({"commitments": pedersen.encode_commitments(x_commitments, params)}).encode()
     records[x.step]["vss"] = sha256(forged).hex()
     overrides = {x_key: forged, audit.trail_key(comp_id, 0):
                  json.dumps(records[:len(batches[0])]).encode()}
@@ -312,11 +376,14 @@ def test_shared_exponents_fold_like_the_step_fold(setup101, f101):
     assert audit.audit_trail(ledger, comp_id) == fold_trail(ledger, records, n, 101)
     assert audit.audit_trail(ledger, comp_id).ok
 
-    x_commitments = json.loads(ledger.get(bytes.fromhex(records[x.step]["sharing"])))
+    x_commitments = audit.vss_commitments(ledger, records[x.step]["sharing"], n, params)
     forged = copy.deepcopy(records)
     triple_rec = forged[triple[0].step]
-    triple_rec["b"][1] = triple_rec["a"][1]
-    triple_rec["c"][1] = x_commitments["commitments"][1]
+    a, b, c = (pedersen.decode_commitments(triple_rec[name], n, params) for name in "abc")
+    b[1] = a[1]
+    c[1] = x_commitments[1]
+    triple_rec["b"] = pedersen.encode_commitments(b, params)
+    triple_rec["c"] = pedersen.encode_commitments(c, params)
 
     def board_of(records):
         reposted, at = {}, 0
@@ -340,7 +407,10 @@ def test_shared_exponents_fold_like_the_step_fold(setup101, f101):
                 for i in range(n if name in rec else 0):
                     for part, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
                         tampered = copy.deepcopy(posted)
-                        tampered[step][name][i][part] += shift
+                        opens = [list(pair) for pair in
+                                 pedersen.decode_openings(rec[name], n, field)]
+                        opens[i][part] = (opens[i][part] + shift) % field.p
+                        tampered[step][name] = pedersen.encode_openings(opens, field)
                         board = board_of(tampered)
                         expected = fold_trail(board, tampered, n, 101)
                         assert not expected.ok

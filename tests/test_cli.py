@@ -8,12 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from mpcnet import pedersen
 from mpcnet.audit import trail_key, trail_meta_key
 from mpcnet.cli import main
+from mpcnet.field import M61, Field
 from mpcnet.keys import KeyPair
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+M61_PARAMS = pedersen.setup(Field(M61))
 
 
 def run_cli(*argv):
@@ -177,7 +180,9 @@ def test_audit_dump_without_batch_count(tmp_path, capsys):
 @pytest.mark.parametrize("edit", [
     lambda key, value: (bytes(32).hex(), value),
     lambda key, value: (key, b"{not json"),
-    lambda key, value: (key, json.dumps({"commitments": json.loads(value)["commitments"][:2]}).encode()),
+    lambda key, value: (key, json.dumps({"commitments": pedersen.encode_commitments(
+        pedersen.decode_commitments(json.loads(value)["commitments"], 3, M61_PARAMS)[:2],
+        M61_PARAMS)}).encode()),
 ], ids=["missing", "not-json", "two-of-three"])
 def test_audit_dump_with_a_bad_vss_record(tmp_path, capsys, edit):
     # An input step names a VSS record the dump does not hold, holds as
@@ -209,6 +214,16 @@ def without(record: dict, field: str) -> dict:
     return {k: v for k, v in record.items() if k != field}
 
 
+def one_byte_short(blob: str) -> str:
+    return base64.b64encode(base64.b64decode(blob)[:-1]).decode()
+
+
+def first_element_p(blob: str) -> str:
+    """An openings blob whose first element is p (M61), one past the field."""
+    raw = base64.b64decode(blob)
+    return base64.b64encode(M61.to_bytes(8, "big") + raw[8:]).decode()
+
+
 @pytest.mark.parametrize("part, edit", [
     ("beaver", lambda rec: without(rec, "x")),
     ("beaver", lambda rec: {**rec, "x": 99}),
@@ -217,8 +232,11 @@ def without(record: dict, field: str) -> dict:
     ("meta", lambda meta: without(meta, "p")),
     ("meta", lambda meta: {**meta, "p": 100}),
     ("beaver", lambda rec: {**rec, "eps_openings": [1, 2, 3]}),
+    ("triple", lambda rec: {**rec, "a": one_byte_short(rec["a"])}),
+    ("beaver", lambda rec: {**rec, "delta_openings": first_element_p(rec["delta_openings"])}),
 ], ids=["beaver-without-x", "beaver-x-names-step-99", "record-without-kind",
-        "meta-not-json", "meta-without-p", "meta-p-not-prime", "eps-openings-not-pairs"])
+        "meta-not-json", "meta-without-p", "meta-p-not-prime", "eps-openings-not-pairs",
+        "triple-a-one-byte-short", "delta-opening-not-below-p"])
 def test_audit_malformed_trail_is_an_incomplete_trail(tmp_path, capsys, part, edit):
     # A trail whose metadata or first record of one kind lacks a field, or
     # holds one of the wrong type or range, is an incomplete trail: exit 1

@@ -8,7 +8,7 @@ import pytest
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from mpcnet import audit
+from mpcnet import audit, pedersen
 from mpcnet.circuits import cost_model, eval_plain, layerize, parse_circuit
 from mpcnet.dht import place_record
 from mpcnet.errors import CheatDetected, IncompleteTrail, LedgerRejected
@@ -190,11 +190,9 @@ def test_share_posts_n_commitments():
     accepted = len(rt.ledger.accepted)
     pointer = protocol_share(owners[0], "owner0", ident.addr, 9, "x", q, t=1,
                              rt=rt, rng=rng, committee=committee)
-    import json
     from mpcnet.network import sharing_key
     sharing = sharing_key(ident.addr, "x")
-    record = json.loads(rt.ledger.get(sharing).decode())
-    assert len(record["commitments"]) == 3
+    assert len(audit.vss_commitments(rt.ledger, sharing.hex(), 3, rt.params)) == 3
     (tx, heights), = rt.ledger.accepted[accepted:]
     assert tx.sender == owners[0].sign_pk
     assert [rt.ledger.entries[h - 1].key for h in heights] == \
@@ -221,7 +219,7 @@ def test_share_the_ledger_rejects_deals_no_share():
     rt, owners, ident, committee, _, rng = make_env()
     alice, eve = owners[0], rt.add_client("eve")
     sharing = network.sharing_key(ident.addr, "salary")
-    dummy = json.dumps({"commitments": ["0x1"] * 3}).encode()
+    dummy = audit.record_bytes({"commitments": pedersen.encode_commitments([1] * 3, rt.params)})
     rt.ledger.submit_tx(make_tx(eve, "kv-put", writes_payload([(sharing, dummy)]),
                                 nonce=rt.ledger.next_nonce(eve.sign_pk)))
     before = rt.bus.messages
@@ -261,8 +259,11 @@ def rewrite_vss(rt, owner, sharing_id, value: bytes):
                                 nonce=rt.ledger.next_nonce(owner.sign_pk)))
 
 
-@pytest.mark.parametrize("posted", [b"not json", b'{"commitments": ["0x5"]}'],
-                         ids=["not-json", "one-of-three"])
+@pytest.mark.parametrize("posted", [
+    b"not json",
+    audit.record_bytes({"commitments": pedersen.encode_commitments(
+        [5], pedersen.setup(Field(101)))}),
+], ids=["not-json", "one-of-three"])
 def test_declassify_with_a_malformed_vss_record_raises_value_error(posted):
     rt, owners, ident, committee, _, rng = make_env()
     alice = owners[0]
@@ -606,27 +607,33 @@ def repost(computation_id, meta, batches, records, vss):
     return board
 
 
-def tamper(records, vss, q, rng):
-    """Copies of the record list and the VSS records with one fault: +-1 on
-    an opening's share or blinding, or a posted input or triple commitment
-    set to 0, q, q + c or another party's."""
+def tamper(records, vss, params, n, rng):
+    """Copies of the record list and the VSS records with one fault: +-1
+    mod p on an opening's share or blinding, or a posted input or triple
+    commitment set to 0, q, q + c or another party's."""
     records, vss = copy.deepcopy((records, vss))
-    opened = [rec[name] for rec in records for name in
+    field, q = Field(params.p), params.q
+    opened = [(rec, name) for rec in records for name in
               ("eps_openings", "delta_openings", "openings") if name in rec]
     posted = []
     for rec in records:
         if rec["kind"] == "input":
-            posted.append(vss[rec["sharing"]]["commitments"])
+            posted.append((vss[rec["sharing"]], "commitments"))
         elif rec["kind"] == "triple":
-            posted += [rec["a"], rec["b"], rec["c"]]
+            posted += [(rec, "a"), (rec, "b"), (rec, "c")]
     if opened and rng.random() < 0.5:
-        row = rng.choice(rng.choice(opened))
-        row[rng.randrange(2)] += rng.choice((1, -1))
+        rec, name = rng.choice(opened)
+        opens = [list(pair) for pair in pedersen.decode_openings(rec[name], n, field)]
+        row = rng.choice(opens)
+        part = rng.randrange(2)
+        row[part] = (row[part] + rng.choice((1, -1))) % field.p
+        rec[name] = pedersen.encode_openings(opens, field)
     else:
-        vector = rng.choice(posted)
+        holder, name = rng.choice(posted)
+        vector = pedersen.decode_commitments(holder[name], n, params)
         i = rng.randrange(len(vector))
-        c = int(vector[i], 16)
-        vector[i] = hex(rng.choice((0, q, q + c, int(vector[(i + 1) % len(vector)], 16))))
+        vector[i] = rng.choice((0, q, q + vector[i], vector[(i + 1) % len(vector)]))
+        holder[name] = pedersen.encode_commitments(vector, params)
     return records, vss
 
 
@@ -654,7 +661,7 @@ def test_batched_audit_matches_step_fold_on_tampered_trails():
         records = [rec for batch in batches for rec in batch]
         assert audit.audit_trail(rt.ledger, cid) == fold_trail(rt.ledger, records, n, p)
         for _ in range(12):
-            forged, forged_vss = tamper(records, vss, rt.params.q, rng)
+            forged, forged_vss = tamper(records, vss, rt.params, n, rng)
             board = repost(cid, meta, batches, forged, forged_vss)
             expected = fold_trail(board, forged, n, p)
             assert audit.audit_trail(board, cid) == expected, (trail, forged, forged_vss)
@@ -680,10 +687,10 @@ def test_vss_record_rewritten_after_compute_blames_nobody():
     cid = trace.computation_id
     assert audit.audit_trail(rt.ledger, cid).ok
     sharing = network.sharing_key(ident.addr, "v0")
-    record = json.loads(rt.ledger.get(sharing))
-    record["commitments"][1] = hex(int(record["commitments"][1], 16) * rt.params.g
-                                   % rt.params.q)
-    rewrite_vss(rt, owners[0], sharing, json.dumps(record, sort_keys=True).encode())
+    commitments = audit.vss_commitments(rt.ledger, sharing.hex(), 3, rt.params)
+    commitments[1] = commitments[1] * rt.params.g % rt.params.q
+    record = {"commitments": pedersen.encode_commitments(commitments, rt.params)}
+    rewrite_vss(rt, owners[0], sharing, audit.record_bytes(record))
     meta, batches, vss = posted_trail(rt.ledger, cid)
     assert vss[sharing.hex()] == record
     records = [rec for batch in batches for rec in batch]
@@ -732,7 +739,7 @@ def test_audit_of_reused_wires_matches_step_fold(p):
     assert audit.audit_trail(rt.ledger, cid).ok
     rng = random.Random(p)
     for _ in range(12):
-        forged, forged_vss = tamper(records, vss, rt.params.q, rng)
+        forged, forged_vss = tamper(records, vss, rt.params, n, rng)
         board = repost(cid, meta, batches, forged, forged_vss)
         assert audit.audit_trail(board, cid) == fold_trail(board, forged, n, p), forged
 

@@ -7,7 +7,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from mpcnet import dht, identity, keys, network, runner
-from mpcnet.audit import audit_trail, trail_key, trail_meta_key
+from mpcnet.audit import audit_trail, trail_key, trail_meta_key, vss_commitments
 from mpcnet.circuits import eval_plain, parse_circuit
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
@@ -127,15 +127,21 @@ def _chain_circuit(k):
     return "\n".join(lines + [f"out m{k - 1}"]) + "\n"
 
 
-# sha256 of the bus's broadcast log at seed 11 (see bus_digest), for 32
-# products in one Shamir layer at t = 7 and for 15 SPDZ layers with party
-# reduction c = 3, both on 15 of 20 nodes. A moved rng draw, a changed
-# encoding or a changed ciphertext changes the digest.
+# Runs at seed 11 on 15 of 20 nodes: 32 products in one Shamir layer at
+# t = 7, the same under SPDZ with the audit trail, and 15 SPDZ layers with
+# party reduction c = 3.
+PINNED_RUNS = {
+    "dot32-shamir": (_dot_circuit(32), "shamir", dict(threshold=7)),
+    "dot32-spdz": (_dot_circuit(32), "spdz", {}),
+    "chain16-spdz": (_chain_circuit(16), "spdz", dict(reduction=3)),
+}
+
+# sha256 of the bus's broadcast log (see bus_digest). A moved rng draw, a
+# changed encoding or a changed ciphertext changes the digest.
 PINNED_BUS = {
-    "dot32-shamir": (_dot_circuit(32), "shamir", dict(threshold=7),
-                     "2c01a0b103f78e3c1515ad251821668a91d8a8c03d78b285d8ff954639ec6fd6"),
-    "chain16-spdz": (_chain_circuit(16), "spdz", dict(reduction=3),
-                     "ab555938c5c448905eb1f956e88aa90af036c92f703ccf2257ebae795d140ca9"),
+    "dot32-shamir": "2c01a0b103f78e3c1515ad251821668a91d8a8c03d78b285d8ff954639ec6fd6",
+    "dot32-spdz": "34eae7ef35c3687d83a425ed13a8d3d1af0b6676f81118e38c30c3727a0ca70c",
+    "chain16-spdz": "ab555938c5c448905eb1f956e88aa90af036c92f703ccf2257ebae795d140ca9",
 }
 
 
@@ -146,17 +152,18 @@ def bus_digest(log) -> str:
     return h.hexdigest()
 
 
-# sha256 of the ledger dump of the same two runs: a moved, added or dropped
-# ledger entry, or a changed key or value, changes the digest.
+# sha256 of the ledger dump: a moved, added or dropped ledger entry, or a
+# changed key or value, changes the digest. Only dot32-spdz posts a trail.
 PINNED_LEDGER = {
-    "dot32-shamir": "529625ea9312fe95d341ceac4c49feab3068010ea9410b470acc1f6384ec7231",
-    "chain16-spdz": "29e68b8f37d0aa22fb244d7016d4d90abba149d53e57d1f2e8c50fd91a9a6284",
+    "dot32-shamir": "57cf287b3ede000dde5e1576457e2e27d18fbd8b1e990c93cc67d6484e2bf8ae",
+    "dot32-spdz": "7d1e323866e09450fe1e48264043831fe23298a868b02c5f84ce7d36852c5b2f",
+    "chain16-spdz": "f8be40962211be102e203277957e51cc1550feea0f5a72712d6d9bbfd207c8b1",
 }
 
 
 @functools.cache
 def pinned_run(label):
-    text, mode, shape, _ = PINNED_BUS[label]
+    text, mode, shape = PINNED_RUNS[label]
     circuit = parse_circuit(text)
     cfg = ScenarioConfig(nodes=20, mode=mode, circuit_path=Path(f"{label}.circ"),
                          circuit_text=text, inputs=list(range(1, circuit.n_inputs + 1)),
@@ -169,8 +176,7 @@ def pinned_run(label):
 
 @pytest.mark.parametrize("label", sorted(PINNED_BUS))
 def test_bus_ciphertexts_match_their_pinned_digests(label):
-    digest = PINNED_BUS[label][3]
-    assert bus_digest(pinned_run(label).runtime.bus.broadcast_log) == digest
+    assert bus_digest(pinned_run(label).runtime.bus.broadcast_log) == PINNED_BUS[label]
 
 
 @pytest.mark.parametrize("label", sorted(PINNED_LEDGER))
@@ -211,19 +217,19 @@ def test_broken_commitment_shifts_only_its_vss_position():
     # Committee position 0 posts a broken commitment: each VSS record of
     # broken.scn differs from the same run without the fault at position 0
     # and nowhere else, where it is the honest commitment times g.
-    def vss_commitments(faults):
+    def posted_commitments(faults):
         cfg = load("broken")
         cfg.faults = faults
         rt = run_scenario(cfg).runtime
         addr = identity_address([rt.clients[f"owner{i}"].sign_pk
                                  for i in range(len(cfg.inputs))])
         return rt.params, [
-            [int(c, 16) for c in json.loads(rt.ledger.get(
-                sharing_key(addr, f"input{i}")))["commitments"]]
+            vss_commitments(rt.ledger, sharing_key(addr, f"input{i}").hex(), cfg.committee,
+                            rt.params)
             for i in range(len(cfg.inputs))]
 
-    params, broken = vss_commitments(load("broken").faults)
-    _, honest = vss_commitments({})
+    params, broken = posted_commitments(load("broken").faults)
+    _, honest = posted_commitments({})
     for shifted, plain in zip(broken, honest, strict=True):
         assert [pos for pos, (b, h) in enumerate(zip(shifted, plain)) if b != h] == [0]
         assert shifted[0] == plain[0] * params.g % params.q
@@ -493,7 +499,7 @@ def test_average_ledger_bytes_at_seed_1():
     cfg.seed = 1
     entries = run_scenario(cfg).runtime.ledger.entries
     assert len(entries) == 20
-    assert sum(len(e.canonical_bytes()) for e in entries) == 2861
+    assert sum(len(e.canonical_bytes()) for e in entries) == 2765
 
 
 def recompute(result, requester, label):
