@@ -22,10 +22,10 @@ A party that posted a commitment inconsistent with what it later opened --
 anywhere along the trail -- is named by the auditor. The exponents of the
 fold are public and the same for every party (linear coefficients and the
 opened eps and delta), so the auditor keeps each derived step as one
-per-party vector of posted products plus one exponent per symbol, shared by
-all parties, where a symbol names a per-party vector of bases. It evaluates
-a step only when an opening is checked against it, all parties at once,
-with one multi-exponentiation whose digit plan serves every party.
+public constant plus one exponent per symbol, shared by all parties, where
+a symbol names a per-party vector of bases. It evaluates a step only when
+an opening is checked against it, all parties at once, with one
+multi-exponentiation whose digit plan serves every party.
 
 Trail steps are posted in batches, one per opening round: the steps since
 the previous round go on the ledger as one JSON list keyed by
@@ -212,21 +212,29 @@ def pv_triple(key: MacKey, params: CommitParams, writer: TrailWriter,
     return parts["a"], parts["b"], parts["c"]
 
 
-def pv_linear(terms: list, constant: int, key: MacKey, field: Field,
-              writer: TrailWriter) -> PVShare:
-    """Linear combination of [[.]]-shares; local, but logged for the auditor.
+def _derive(terms: list, constant: int, key: MacKey, field: Field) -> PVShare:
+    """sum(coeff * [[x]]) + constant over (coeff, PVShare) terms, with no
+    trail step of its own (step -1).
 
     The public constant lands on party 0's value share with zero blinding,
     matching how the auditor folds it into party 0's commitment.
     """
-    value = spdz.auth_linear([(c, sh.value) for c, sh in terms], constant, key, field)
-    blind = _combine([(c, sh.randomness) for c, sh in terms], field.p)
-    step = writer.post_step({
+    return PVShare(
+        value=spdz.auth_linear([(c, sh.value) for c, sh in terms], constant, key, field),
+        randomness=_combine([(c, sh.randomness) for c, sh in terms], field.p),
+        step=-1)
+
+
+def pv_linear(terms: list, constant: int, key: MacKey, field: Field,
+              writer: TrailWriter) -> PVShare:
+    """Linear combination of [[.]]-shares; local, but logged for the auditor."""
+    share = _derive(terms, constant, key, field)
+    share.step = writer.post_step({
         "kind": "linear",
         "terms": [[c % field.p, sh.step] for c, sh in terms],
         "constant": constant % field.p,
     })
-    return PVShare(value=value, randomness=blind, step=step)
+    return share
 
 
 def _openings(share: PVShare, field: Field) -> str:
@@ -244,15 +252,6 @@ def pv_beaver(x: PVShare, y: PVShare, triple: tuple, key: MacKey,
                            writer)[0]
 
 
-def _mask(x: PVShare, a: PVShare, key: MacKey, field: Field) -> PVShare:
-    """[[x - a]], with no trail step of its own."""
-    minus_one = field.p - 1
-    return PVShare(
-        value=spdz.auth_linear([(1, x.value), (minus_one, a.value)], 0, key, field),
-        randomness=_combine([(1, x.randomness), (-1, a.randomness)], field.p),
-        step=-1)
-
-
 def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParams,
                     field: Field, net, queue: MacCheckQueue,
                     writer: TrailWriter) -> list:
@@ -265,7 +264,8 @@ def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParam
     the per-party openings (share, blinding) of its masks, so the auditor
     can hold every party to its input commitments.
     """
-    masks = [(_mask(x, a, key, field), _mask(y, b, key, field))
+    masks = [(_derive([(1, x), (-1, a)], 0, key, field),
+              _derive([(1, y), (-1, b)], 0, key, field))
              for (x, y), (a, b, _) in zip(pairs, triples, strict=True)]
     writer.flush()
     opened = spdz.open_many([m.value for pair in masks for m in pair],
@@ -273,18 +273,14 @@ def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParam
     products = []
     for (x, y), (a, b, c), (eps_share, delta_share), eps, delta in zip(
             pairs, triples, masks, opened[0::2], opened[1::2]):
-        value = spdz.auth_linear(
-            [(1, c.value), (eps, b.value), (delta, a.value)],
-            field.mul(eps, delta), key, field)
-        blind = _combine([(1, c.randomness), (eps, b.randomness), (delta, a.randomness)],
-                         field.p)
-        step = writer.post_step({
+        product = _derive([(1, c), (eps, b), (delta, a)], field.mul(eps, delta), key, field)
+        product.step = writer.post_step({
             "kind": "beaver",
             "x": x.step, "y": y.step, "triple": c.step,
             "eps_openings": _openings(eps_share, field),
             "delta_openings": _openings(delta_share, field),
         })
-        products.append(PVShare(value=value, randomness=blind, step=step))
+        products.append(product)
     return products
 
 
@@ -356,45 +352,35 @@ def _multi_exp(rows, exps: list, q: int) -> list:
     return out
 
 
-def _reads(rec: dict) -> list:
-    """The steps whose derived commitments a trail record reads."""
-    kind = rec["kind"]
-    if kind == "linear":
-        return [ref for _, ref in rec["terms"]]
-    if kind == "beaver":
-        return [rec["x"], rec["y"], rec["triple"]]
-    if kind == "output":
-        return [rec["source"]]
-    return []
-
-
 def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                 openings: list | None = None) -> AuditReport:
     """Recompute the commitment trail and name every inconsistent party.
 
     Reads the posted batches in order and walks their steps, folding
     input (VSS record) and triple commitments through linear and Beaver
-    records, and checks
-    every posted opening (Beaver masks and the final output) against the
-    derived per-party commitments. `openings` overrides the output step's
-    posted openings when an auditor wants to check a third-party claim: n
-    (share, blinding) pairs of integers in [0, p), like the posted ones.
+    records, and checks every posted opening (Beaver masks and the final
+    output) against the derived per-party commitments. `openings`
+    overrides the output step's posted openings when an auditor wants to
+    check a third-party claim: n (share, blinding) pairs of integers in
+    [0, p), like the posted ones.
 
-    A derived step is held as (name, known, {symbol: exp}): `known` is a
-    per-party vector of posted products, and the exponent map is one for
-    all n parties, since every exponent is public. A symbol names a
-    per-party vector of bases: a triple's ("a", step) or ("b", step)
-    commitments, or the known vector of a source step that a linear
-    coefficient other than 1 scales, under that step's `name`. A Beaver
-    step contributes C(b)^eps and C(a)^delta; a linear coefficient c scales
-    the source's exponents and names its known vector, and coefficient 1
-    just multiplies the known vectors. Exponents of one symbol add up, so a
-    step carries at most one term per distinct symbol however often a wire
-    is reused, and an exponent above q - 1 is cut to ((e - 1) mod (q - 1))
-    + 1, which is exact for every base mod the prime q, 0 and bases >= q
-    included. The one multi-exponentiation that evaluates a step for all
-    parties when an opening is checked thus gives what folding step by step
-    gives mod q, malformed bases included.
+    A derived step is held as (constant, {symbol: exp}), one for all n
+    parties, since every exponent is public. The constant is the public
+    constant on party 0, and a symbol names a per-party vector of bases: a
+    triple's ("a" | "b" | "c", step) commitments, or a step's own
+    ("value", step), which is an input's VSS commitments as posted or a
+    step already folded. An input is (0, {("value", s): 1}); a linear step
+    sums its sources' constants mod p and scales their maps by each
+    coefficient; a Beaver step is (eps * delta, {("c", t): 1, ("b", t):
+    eps, ("a", t): delta}). Exponents of one symbol add up, so a step
+    carries at most one term per distinct symbol however often a wire is
+    reused, and an exponent above q - 1 is cut to ((e - 1) mod (q - 1)) +
+    1, which is exact for every base mod the prime q, 0 and bases >= q
+    included. When an opening is checked against a step that has no value
+    yet, one multi-exponentiation folds it for all parties and
+    g^constant joins party 0 (exact, since g has order p); the result is
+    the step's value, and later readers use it as one symbol. This gives
+    what folding step by step gives mod q, malformed bases included.
     """
     meta_raw = board.get(trail_meta_key(computation_id))
     if meta_raw is None:
@@ -437,15 +423,8 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                 raise IncompleteTrail(f"expected {n} output openings, got {len(openings)}")
             openings = [(in_field(s, "opening"), in_field(r, "opening")) for s, r in openings]
 
-        # The last step that reads each step: its derived commitments are
-        # dropped after that, and a linear step may take over their terms.
-        last_read = {}
-        for step, rec in enumerate(records):
-            for ref in _reads(rec):
-                last_read[ref] = step
-
-        derived = {}   # step -> (name, known, {symbol: exp})
-        vectors = {}   # symbol -> its per-party bases, and a triple's ("c", step)
+        derived = {}   # step -> (constant, {symbol: exp})
+        vectors = {}   # symbol -> its per-party bases
         guilty = set()
         reasons = []
         output_seen = False
@@ -456,19 +435,16 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
 
         def evaluate(step: int) -> list:
             """The per-party commitments of a step, folded once on first use."""
-            _, known, exps = derived[step]
-            if exps:
-                columns = [vectors[symbol] for symbol in exps]
-                folded = _multi_exp(zip(*columns), list(exps.values()), q)
-                known = [k * f % q for k, f in zip(known, folded)]
-                derived[step] = (("value", step), known, {})
-            return known
-
-        def accumulate(exps: dict, symbol: tuple, exp: int):
-            # b^e = b^((e - 1) mod (q - 1) + 1) for every e >= 1 and every base
-            # mod prime q, 0 included, so exponents stay below q.
-            exp += exps.get(symbol, 0)
-            exps[symbol] = (exp - 1) % order + 1 if exp > order else exp
+            symbol = ("value", step)
+            if symbol not in vectors:
+                constant, exps = derived[step]
+                columns = [vectors[s] for s in exps]
+                value = _multi_exp(zip(*columns) if columns else [()] * n,
+                                   list(exps.values()), q)
+                value[0] = value[0] * pedersen.commit(constant, 0, params) % q
+                vectors[symbol] = value
+                derived[step] = (0, {symbol: 1})
+            return vectors[symbol]
 
         def check_masks(masked: list, mask: list, opens: list, label: str):
             # C(x_i) = commit(s_i, r_i) * C(a_i), with no inversion; a C(a_i)
@@ -481,60 +457,44 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
             kind = rec["kind"]
             if kind == "input":
                 # An input step without a digest matches no record.
-                commitments = vss_commitments(board, rec.get("sharing"), n, params,
-                                              str(rec.get("vss")))
-                derived[step] = (("known", step), commitments, {})
+                vectors["value", step] = vss_commitments(board, rec.get("sharing"), n, params,
+                                                         str(rec.get("vss")))
+                derived[step] = (0, {("value", step): 1})
             elif kind == "triple":
                 for name in ("a", "b", "c"):
                     vectors[name, step] = pedersen.decode_commitments(rec[name], n, params)
             elif kind == "linear":
-                rec_terms = [(in_field(coeff, f"step {step}: coefficient"), ref)
-                             for coeff, ref in rec["terms"]]
-                refs = [ref for _, ref in rec_terms]
-                # A coefficient-1 source read here for the last time, and only
-                # once, hands its terms over instead of being copied.
-                heir = next((pos for pos, (coeff, ref) in enumerate(rec_terms)
-                             if coeff == 1 and last_read[ref] == step and refs.count(ref) == 1),
-                            None)
-                public = pedersen.commit(in_field(rec["constant"], f"step {step}: constant"),
-                                         0, params)
-                if heir is None:
-                    known, exps = [1] * n, {}
-                else:
-                    _, known, exps = derived[refs[heir]]
-                    known = [k % q for k in known]
-                known[0] = known[0] * public % q
-                for pos, (coeff, ref) in enumerate(rec_terms):
-                    if pos == heir:
-                        continue
-                    src_name, src_known, src_exps = derived[ref]
-                    if coeff == 1:
-                        known = [k * c % q for k, c in zip(known, src_known)]
-                    else:
-                        vectors[src_name] = src_known
-                        accumulate(exps, src_name, coeff)
+                terms = [(in_field(coeff, f"step {step}: coefficient"), ref)
+                         for coeff, ref in rec["terms"]]
+                constant = in_field(rec["constant"], f"step {step}: constant")
+                exps = {}
+                for coeff, ref in terms:
+                    src_constant, src_exps = derived[ref]
+                    constant += coeff * src_constant
                     for symbol, exp in src_exps.items():
-                        accumulate(exps, symbol, exp * coeff)
-                derived[step] = (("known", step), known, exps)
+                        # b^e = b^((e - 1) mod (q - 1) + 1) for every e >= 1 and
+                        # every base mod prime q, 0 included, so exponents stay
+                        # below q.
+                        exp = exp * coeff + exps.get(symbol, 0)
+                        exps[symbol] = (exp - 1) % order + 1 if exp > order else exp
+                derived[step] = (constant % field.p, exps)
             elif kind == "beaver":
                 triple = rec["triple"]
-                a, b, c = (vectors[name, triple] for name in ("a", "b", "c"))
+                a, b = vectors["a", triple], vectors["b", triple]
                 eps_opens = pedersen.decode_openings(rec["eps_openings"], n, field)
                 delta_opens = pedersen.decode_openings(rec["delta_openings"], n, field)
                 check_masks(evaluate(rec["x"]), a, eps_opens, f"step {step} (eps)")
                 check_masks(evaluate(rec["y"]), b, delta_opens, f"step {step} (delta)")
                 eps = sum(s for s, _ in eps_opens) % field.p
                 delta = sum(s for s, _ in delta_opens) % field.p
-                known = c[:]
-                known[0] = known[0] * pedersen.commit(field.mul(eps, delta), 0, params) % q
-                derived[step] = (("known", step), known, {("b", triple): eps, ("a", triple): delta})
+                derived[step] = (field.mul(eps, delta), {("c", triple): 1, ("b", triple): eps,
+                                                         ("a", triple): delta})
             elif kind == "output":
                 output_seen = True
                 opens = openings if openings is not None else pedersen.decode_openings(
                     rec["openings"], n, field)
                 label = f"step {step} (output)"
-                derived_c = evaluate(rec["source"])
-                for i, (c, (s, r)) in enumerate(zip(derived_c, opens)):
+                for i, (c, (s, r)) in enumerate(zip(evaluate(rec["source"]), opens)):
                     if not pedersen.verify_open(c, s, r, params):
                         blame(i, label)
                 total = sum(s for s, _ in opens) % field.p
@@ -543,9 +503,6 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                     reasons.append(f"claimed output {claimed} != opened total {total}")
             else:
                 raise IncompleteTrail(f"unknown trail record kind {kind!r}")
-            for ref in set(_reads(rec)):
-                if last_read[ref] == step:
-                    derived.pop(ref, None)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise IncompleteTrail(repr(exc)) from None
 

@@ -63,6 +63,9 @@ class Field:
     __slots__ = ("p", "elem_size")
 
     def __init__(self, p: int = M61):
+        # A float such as 3.0 would pass is_prime's small-prime loop.
+        if type(p) is not int:
+            raise ValueError(f"field modulus must be an int, got {p!r}")
         if not is_prime(p):
             raise ValueError(f"field modulus must be prime, got {p}")
         self.p = p
@@ -106,9 +109,6 @@ class Field:
     def rand(self, rng: random.Random) -> int:
         """Uniform element of [0, p)."""
         return rng.randrange(self.p)
-
-    def rand_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.p)
 
     def encode(self, a: int) -> bytes:
         """Fixed-width big-endian encoding (width never depends on the value)."""

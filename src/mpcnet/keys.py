@@ -115,22 +115,6 @@ class KeyPair:
             f"enc_pk={self.enc_pk.hex()}\n"
         )
 
-    @classmethod
-    def from_text(cls, text: str) -> "KeyPair":
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            name, _, value = line.partition("=")
-            fields[name] = bytes.fromhex(value)
-        return cls(
-            sign_sk=fields["sign_sk"],
-            sign_pk=fields["sign_pk"],
-            enc_sk=fields["enc_sk"],
-            enc_pk=fields["enc_pk"],
-        )
-
 
 def verify(sign_pk: bytes, signature: bytes, message: bytes) -> bool:
     """Check an Ed25519 signature; never raises."""

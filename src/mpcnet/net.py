@@ -108,20 +108,6 @@ class EncryptedBus(LocalChannel):
         # Addressee decrypts on delivery; everyone else only sees ciphertext.
         self._inbox[dst].append((src, keys.unseal(aead, nonce, ciphertext)))
 
-    def eavesdrop(self, node, src, dst, counter, ciphertext) -> bytes:
-        """Attempt decryption of a broadcast entry with `node`'s keys.
-
-        Succeeds only when node is the addressee (or shares its key, i.e.
-        is the sender); raises cryptography's InvalidTag otherwise.
-        """
-        peer = self._keypairs[dst if node != dst else src]
-        key = keys.shared_key(self._keypairs[node].enc_key, peer.enc_pub)
-        return keys.unseal(AESGCM(key), self.nonce(src, dst, counter), ciphertext)
-
-    def length_sequence(self, node) -> list:
-        """Per-node marginal traffic shape: (direction, peer, nbytes) list."""
-        return [(d, peer, len(ct)) for d, peer, ct in self.logs[node]]
-
     def raw_bytes(self, node) -> bytes:
         """Everything this node's wiretap saw, concatenated."""
         return b"".join(ct for _, _, ct in self.logs[node])

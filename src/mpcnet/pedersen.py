@@ -122,14 +122,6 @@ def verify_open(commitment: int, s: int, r: int, params: CommitParams) -> bool:
     return commitment == commit(s, r, params)
 
 
-def combine(commitments: list, params: CommitParams) -> int:
-    """Product of commitments = commitment to the sum of openings."""
-    acc = 1
-    for c in commitments:
-        acc = acc * c % params.q
-    return acc
-
-
 def _width(params: CommitParams) -> int:
     return (params.q.bit_length() + 7) // 8
 

@@ -257,11 +257,3 @@ def mac_check(queue: MacCheckQueue, key: MacKey, field: Field, net,
     if total != 0:
         raise CheatDetected("MAC check failed on opened batch")
     return True
-
-
-def open_value(shares: list, field: Field) -> int:
-    """Dealer-side plaintext of an authenticated sharing (test oracle)."""
-    total = 0
-    for s in shares:
-        total = field.add(total, s.value_share)
-    return total

@@ -1,20 +1,23 @@
 """Test-only oracles: plaintext evaluators the secure engines are checked
 against, a step-by-step audit fold the batched auditor is checked against,
 per-element sharing kernels and DHT lookups the vectorised ones are checked
-against, and a seeded random-circuit generator. numpy is a test dependency,
-so the vectorised evaluator lives here and not in the package."""
+against, a seeded random-circuit generator, and the helpers only tests
+call: a sharing's plaintext, a wiretap on the bus, and reading back the
+key files `mpcnet keygen` writes. numpy is a test dependency, so the
+vectorised evaluator lives here and not in the package."""
 
 import json
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from mpcnet import pedersen
+from mpcnet import keys, pedersen
 from mpcnet.audit import AuditReport
 from mpcnet.circuits import Circuit, LayeredCircuit, parse_circuit
 from mpcnet.dht import K_BUCKET, PARALLELISM, xor_distance
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
-from mpcnet.keys import sha256
+from mpcnet.keys import KeyPair, sha256
 from mpcnet.shamir import ShamirShare
 from mpcnet.spdz import AuthShare
 
@@ -292,3 +295,55 @@ def iterative_find(net, start: bytes, target: bytes) -> tuple:
                 all(p in queried or not net.nodes[p].alive for p in shortlist[:K_BUCKET]):
             break
     return shortlist, value, hops
+
+
+# -- helpers only tests call ----------------------------------------------------
+
+def open_value(shares: list, field: Field) -> int:
+    """Dealer-side plaintext of an authenticated sharing."""
+    total = 0
+    for s in shares:
+        total = field.add(total, s.value_share)
+    return total
+
+
+def rand_nonzero(field: Field, rng) -> int:
+    """Uniform element of [1, p)."""
+    return rng.randrange(1, field.p)
+
+
+def combine_commitments(commitments: list, params) -> int:
+    """Product of commitments = commitment to the sum of openings."""
+    acc = 1
+    for c in commitments:
+        acc = acc * c % params.q
+    return acc
+
+
+def eavesdrop(bus, node, src, dst, counter, ciphertext) -> bytes:
+    """Attempt decryption of a broadcast entry with `node`'s keys.
+
+    Succeeds only when node is the addressee (or shares its key, i.e. is
+    the sender); raises cryptography's InvalidTag otherwise.
+    """
+    peer = bus._keypairs[dst if node != dst else src]
+    key = keys.shared_key(bus._keypairs[node].enc_key, peer.enc_pub)
+    return keys.unseal(AESGCM(key), bus.nonce(src, dst, counter), ciphertext)
+
+
+def length_sequence(bus, node) -> list:
+    """Per-node marginal traffic shape: (direction, peer, nbytes) list."""
+    return [(d, peer, len(ct)) for d, peer, ct in bus.logs[node]]
+
+
+def keypair_from_text(text: str) -> KeyPair:
+    """A KeyPair read back from KeyPair.to_text's format."""
+    fields = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        name, _, value = line.partition("=")
+        fields[name] = bytes.fromhex(value)
+    return KeyPair(sign_sk=fields["sign_sk"], sign_pk=fields["sign_pk"],
+                   enc_sk=fields["enc_sk"], enc_pk=fields["enc_pk"])

@@ -27,7 +27,7 @@ from mpcnet.network import Runtime, child_rng, mpc_declassify, protocol_compute,
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import parse_scenario
 from mpcnet.trace import ComputationTrace, NodeTally
-from oracles import eval_layered, eval_plain_vec, random_circuit
+from oracles import eval_layered, eval_plain_vec, open_value, rand_nonzero, random_circuit
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = ("average", "cheater", "abort", "broken", "scaling", "select")
@@ -92,7 +92,7 @@ def test_criterion_3_spdz_suite():
         triple = spdz.deal_triples(1, 3, key3, field, rng)[0]
         net, queue = LocalChannel(), spdz.MacCheckQueue()
         z = spdz.beaver_mul(x, y, triple, key3, field, net, queue)
-        assert spdz.open_value(z, field) == field.mul(a, b)
+        assert open_value(z, field) == field.mul(a, b)
         assert spdz.mac_check(queue, key3, field, net, rng) is True
 
     key2 = spdz.gen_mac_key(2, field, rng)
@@ -103,10 +103,10 @@ def test_criterion_3_spdz_suite():
         spdz.partial_open(shares, field, net, queue)
         value, macs = queue.entries[0]
         if trial % 2:
-            queue.entries[0] = (field.add(value, field.rand_nonzero(rng)), macs)
+            queue.entries[0] = (field.add(value, rand_nonzero(field, rng)), macs)
         else:
             victim = trial % len(macs)
-            macs[victim] = field.add(macs[victim], field.rand_nonzero(rng))
+            macs[victim] = field.add(macs[victim], rand_nonzero(field, rng))
         try:
             spdz.mac_check(queue, key2, field, net, rng)
         except CheatDetected:

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from mpcnet import audit, pedersen, spdz
+from mpcnet.circuits import layerize, parse_circuit
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import M61, Field
 from mpcnet.keys import KeyPair, sha256
 from mpcnet.ledger import Ledger
 from mpcnet.net import LocalChannel
-from oracles import fold_trail
+from oracles import combine_commitments, fold_trail, random_circuit
 
 
 @pytest.fixture
@@ -77,7 +78,7 @@ def test_pv_share_posts_n_commitments(setup101, f101):
                       "vss": sha256(vss).hex()}
     commitments = audit.vss_commitments(ledger, record["sharing"], 4, env["params"],
                                         record["vss"])
-    assert pedersen.combine(commitments, env["params"]) == pedersen.commit(
+    assert combine_commitments(commitments, env["params"]) == pedersen.commit(
         sum(s.value_share for s in share.value) % 101,
         sum(share.randomness) % 101,
         env["params"])
@@ -342,6 +343,30 @@ def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
     assert audit.audit_trail(board, comp_id) == fold_trail(board, records, n, 101)
 
 
+def test_linear_step_without_terms_folds_like_the_step_fold(setup101):
+    # A posted linear step with no terms is the public constant alone:
+    # g^5 on party 0 and 1 elsewhere, which the posted output openings of
+    # 2*(x*y) + 1 do not open.
+    ledger, comp_id, _ = run_pv_computation(setup101, 3)
+    batches = json.loads(ledger.get(audit.trail_meta_key(comp_id)).decode())["batches"]
+    posted = {audit.trail_key(comp_id, b): json.loads(ledger.get(audit.trail_key(comp_id, b)))
+              for b in range(batches)}
+    key, batch = next((k, batch) for k, batch in posted.items()
+                      if any(rec["kind"] == "linear" for rec in batch))
+    next(rec for rec in batch if rec["kind"] == "linear").update(terms=[], constant=5)
+    forged = json.dumps(batch).encode()
+
+    class Board:
+        def get(self, k):
+            return forged if k == key else ledger.get(k)
+
+    records = [rec for b in range(batches) for rec in
+               json.loads(Board().get(audit.trail_key(comp_id, b)))]
+    report = audit.audit_trail(Board(), comp_id)
+    assert report == fold_trail(Board(), records, 3, 101)
+    assert report.guilty == (0, 1, 2)
+
+
 def test_shared_exponents_fold_like_the_step_fold(setup101, f101):
     # A trail whose exponent maps share symbols in every way the auditor
     # tracks: u = 3x is scaled by t = 5u before a Beaver step evaluates it
@@ -486,3 +511,132 @@ def test_multi_exp_equals_the_product_of_pows(p, count):
             assert [value == 0 for value in got] == [
                 any(b % q == 0 and e > 0 for b, e in zip(row, spoiled_exps))
                 for row in spoiled]
+
+
+def pv_trail(circuit, n: int, env, comp_id: bytes) -> Ledger:
+    """The closed trail of `circuit` on fresh random inputs, written through
+    the pv_* API layer by layer as the audited engine writes it: inputs by
+    pv_share, add and smul by pv_linear (here with a random public constant
+    now and then), each mul layer by pv_triple and pv_beaver_layer, and the
+    outputs by pv_output."""
+    field, params, rng = env["field"], env["params"], env["rng"]
+    key = spdz.gen_mac_key(n, field, rng)
+    ledger = Ledger()
+    writer = audit.TrailWriter(ledger, comp_id, env["poster"], field, n)
+    plan = layerize(circuit, n)
+    gates = plan.circuit.gates
+    wires = {idx: audit.pv_share(field.rand(rng), n, key, params, writer, field, rng)
+             for idx, g in enumerate(gates) if g.kind == "input"}
+    for kind, indices in plan.layers:
+        if kind == "mul":
+            pairs = [(wires[a], wires[b]) for a, b in (gates[i].args for i in indices)]
+            triples = [audit.pv_triple(key, params, writer, field, rng) for _ in pairs]
+            wires.update(zip(indices, audit.pv_beaver_layer(
+                pairs, triples, key, params, field, LocalChannel(), spdz.MacCheckQueue(),
+                writer)))
+            continue
+        for i in indices:
+            g = gates[i]
+            terms = ([(1, wires[g.args[0]]), (1, wires[g.args[1]])] if g.kind == "add"
+                     else [(g.scalar % field.p, wires[g.args[0]])])
+            constant = field.rand(rng) if rng.random() < 0.25 else 0
+            wires[i] = audit.pv_linear(terms, constant, key, field, writer)
+    writer.flush()
+    for g in gates:
+        if g.kind == "output":
+            audit.pv_output(wires[g.args[0]], field, writer)
+    writer.close()
+    return ledger
+
+
+def dot_circuit(k: int):
+    lines = [f"in x{i}" for i in range(k)] + [f"in y{i}" for i in range(k)]
+    lines += [f"p{i} = mul x{i} y{i}" for i in range(k)]
+    total = "p0"
+    for i in range(1, k):
+        lines.append(f"s{i} = add {total} p{i}")
+        total = f"s{i}"
+    return parse_circuit("\n".join(lines + [f"out {total}"]))
+
+
+def chain_circuit(k: int):
+    lines = [f"in x{i}" for i in range(k + 1)] + ["m1 = mul x0 x1"]
+    lines += [f"m{i} = mul m{i - 1} x{i}" for i in range(2, k + 1)]
+    return parse_circuit("\n".join(lines + [f"out m{k}"]))
+
+
+@pytest.mark.parametrize("circuit, folds, terms", [
+    (dot_circuit(1), 1, [3]), (dot_circuit(4), 1, [12]), (dot_circuit(9), 1, [27]),
+    (chain_circuit(1), 1, [3]), (chain_circuit(4), 4, [3] * 4),
+], ids=["dot1", "dot4", "dot9", "chain1", "chain4"])
+def test_audit_folds_each_opened_step_once_and_no_input(setup101, monkeypatch, circuit,
+                                                        folds, terms):
+    # Work counts, not time: a dot product of any length folds once (its
+    # output, over a triple's c, b and a per product), and a chain of k
+    # products k times (each product once, as the next one's mask or as the
+    # output). An input is checked as posted and never folded.
+    calls = []
+    multi_exp = audit._multi_exp
+
+    def counted(rows, exps, q):
+        calls.append(len(exps))
+        return multi_exp(rows, exps, q)
+
+    monkeypatch.setattr(audit, "_multi_exp", counted)
+    comp_id = sha256(b"work-count")
+    ledger = pv_trail(circuit, 3, setup101, comp_id)
+    assert audit.audit_trail(ledger, comp_id).ok
+    assert len(calls) == folds and calls == terms
+
+
+def test_audit_agrees_with_the_step_fold_on_random_circuits(setup101):
+    # 100 seeded random circuits, each audited as posted and with one
+    # tamper: +-1 on one posted opening (share or blinding), or one party's
+    # triple base replaced by 0, by q, or by its value + q. The audit must
+    # equal the per-step fold every time.
+    params, n = setup101["params"], 3
+    q = params.q
+    rng = random.Random(2024)
+    tampered_ok = 0
+    for case in range(100):
+        comp_id = sha256(b"differential" + case.to_bytes(2, "big"))
+        ledger = pv_trail(random_circuit(rng), n, setup101, comp_id)
+        meta = json.loads(ledger.get(audit.trail_meta_key(comp_id)))
+        batches = [json.loads(ledger.get(audit.trail_key(comp_id, b)))
+                   for b in range(meta["batches"])]
+        records = [rec for batch in batches for rec in batch]
+        report = audit.audit_trail(ledger, comp_id)
+        assert report.ok and report == fold_trail(ledger, records, n, 101), case
+
+        forged = copy.deepcopy(records)
+        opened = [(step, name) for step, rec in enumerate(forged)
+                  for name in ("eps_openings", "delta_openings", "openings") if name in rec]
+        triples = [step for step, rec in enumerate(forged) if rec["kind"] == "triple"]
+        i = rng.randrange(n)
+        if triples and rng.random() < 0.5:
+            rec = forged[rng.choice(triples)]
+            name = rng.choice("abc")
+            bases = pedersen.decode_commitments(rec[name], n, params)
+            bases[i] = rng.choice((0, q, bases[i] + q))
+            rec[name] = pedersen.encode_commitments(bases, params)
+        else:
+            step, name = rng.choice(opened)
+            opens = [list(pair) for pair in
+                     pedersen.decode_openings(forged[step][name], n, setup101["field"])]
+            part = rng.randrange(2)
+            opens[i][part] = (opens[i][part] + rng.choice((1, -1))) % 101
+            forged[step][name] = pedersen.encode_openings(opens, setup101["field"])
+        reposted, at = {}, 0
+        for b, batch in enumerate(batches):
+            reposted[audit.trail_key(comp_id, b)] = json.dumps(forged[at:at + len(batch)]).encode()
+            at += len(batch)
+
+        class Board:
+            def get(self, key):
+                return reposted.get(key) or ledger.get(key)
+
+        report = audit.audit_trail(Board(), comp_id)
+        assert report == fold_trail(Board(), forged, n, 101), case
+        tampered_ok += report.ok
+    # Only a base raised by q leaves a tampered trail consistent.
+    assert tampered_ok < 50

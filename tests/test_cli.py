@@ -12,7 +12,7 @@ from mpcnet import pedersen
 from mpcnet.audit import trail_key, trail_meta_key
 from mpcnet.cli import main
 from mpcnet.field import M61, Field
-from mpcnet.keys import KeyPair
+from oracles import keypair_from_text
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -272,6 +272,32 @@ def test_audit_malformed_trail_is_an_incomplete_trail(tmp_path, capsys, part, ed
     assert err.startswith("error: incomplete trail") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("p", [3.0, 37.0, True], ids=["3.0", "37.0", "true"])
+def test_audit_trail_modulus_that_is_not_an_int_is_an_incomplete_trail(tmp_path, capsys, p):
+    # select.scn's trail metadata with "p" a float equal to a prime that
+    # is_prime's small-prime loop accepts, or a bool: exit 1 and no
+    # traceback.
+    outdir = tmp_path / "out"
+    assert run_cli("run", SCENARIOS / "select.scn", "--out", outdir) == 0
+    capsys.readouterr()
+    comp_id = re.search(r"computation=([0-9a-f]{64})",
+                        (outdir / "trace.txt").read_text()).group(1)
+    meta_key = trail_meta_key(bytes.fromhex(comp_id)).hex()
+    edited = []
+    for line in (outdir / "ledger.tsv").read_text().splitlines():
+        height, key, value64, author = line.split("\t")
+        if key == meta_key:
+            meta = {**json.loads(base64.b64decode(value64)), "p": p}
+            value64 = base64.b64encode(json.dumps(meta).encode()).decode()
+        edited.append("\t".join((height, key, value64, author)))
+    dump = tmp_path / "modulus.tsv"
+    dump.write_text("\n".join(edited) + "\n")
+    assert dump.read_text() != (outdir / "ledger.tsv").read_text()
+    assert run_cli("audit", dump, "--id", comp_id) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: incomplete trail") and "Traceback" not in err
+
+
 def test_keygen_deterministic(tmp_path, capsys):
     k1, k2 = tmp_path / "k1", tmp_path / "k2"
     assert run_cli("keygen", "--count", 3, "--out", k1, "--seed", 7) == 0
@@ -281,7 +307,7 @@ def test_keygen_deterministic(tmp_path, capsys):
     for name in files:
         assert (k1 / name).read_bytes() == (k2 / name).read_bytes()
     # distinct public keys, parseable format
-    pks = {KeyPair.from_text((k1 / n).read_text()).sign_pk for n in files}
+    pks = {keypair_from_text((k1 / n).read_text()).sign_pk for n in files}
     assert len(pks) == 3
 
 

@@ -3,11 +3,19 @@ import random
 import pytest
 
 from mpcnet.field import M61, Field, eval_poly, is_prime
+from oracles import rand_nonzero
 
 
 def test_field_requires_prime_modulus():
     with pytest.raises(ValueError, match="prime"):
         Field(100)
+
+
+@pytest.mark.parametrize("p", [3.0, 37.0, True, "101"], ids=["3.0", "37.0", "true", "str"])
+def test_field_requires_an_int_modulus(p):
+    # A float equal to a prime up to 37 passes is_prime's small-prime loop.
+    with pytest.raises(ValueError, match="int"):
+        Field(p)
 
 
 def test_is_prime_known_values():
@@ -17,7 +25,7 @@ def test_is_prime_known_values():
 
 def test_inverse_and_closure(f101, rng):
     for _ in range(200):
-        a = f101.rand_nonzero(rng)
+        a = rand_nonzero(f101, rng)
         assert f101.mul(a, f101.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         f101.inv(0)

@@ -1,22 +1,39 @@
-"""Golden replay: the sha256 of every artifact of the six bundled scenarios
-at seeds 1 and 7, pinned in tests/golden.json.
+"""Golden replay: the sha256 of every artifact the program writes for a
+fixed set of runs, pinned in tests/golden.json, one section per kind.
 
-Each run writes what `mpcnet run` writes (stdout, exit code, trace.txt,
-ledger.tsv, settlement.txt, metrics.csv), and `mpcnet audit` of its dump
-adds its stdout, stderr and exit code. A change that moves an artifact on
-purpose rewrites the manifest and names each moved artifact in CHANGES.md:
+* "scenarios": the six bundled scenarios at seeds 1 and 7. Each run writes
+  what `mpcnet run` writes (stdout, exit code, trace.txt, ledger.tsv,
+  settlement.txt, metrics.csv) plus the dump's entry count and canonical
+  byte count, and `mpcnet audit` of its dump adds its stdout, stderr and
+  exit code.
+* "runs": the perfbench circuits at seed 11 on 15 of 20 nodes (32 products
+  in one Shamir layer at t = 7, the same under SPDZ with the audit trail,
+  and 15 SPDZ layers with party reduction c = 3): the bus's ciphertexts
+  (a moved rng draw, a changed encoding or a changed ciphertext moves it)
+  and the ledger dump.
+* "demos": each demo's stdout.
+
+A change that moves an artifact on purpose rewrites the manifest and names
+each moved artifact in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import re
+import runpy
 from pathlib import Path
 
+from mpcnet.circuits import eval_plain, parse_circuit
 from mpcnet.cli import main
+from mpcnet.field import Field
+from mpcnet.ledger import load_dump
+from mpcnet.runner import run_scenario
+from mpcnet.scenario import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("golden.json")
@@ -36,8 +53,8 @@ def cli(*argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def replay(workdir: Path) -> dict:
-    """{"<scenario>/<seed>": {artifact: sha256 or exit code}} for every
+def replay_scenarios(workdir: Path) -> dict:
+    """{"<scenario>/<seed>": {artifact: sha256 or count}} for every
     bundled scenario and seed."""
     manifest = {}
     for scenario in sorted((ROOT / "scenarios").glob("*.scn")):
@@ -47,6 +64,9 @@ def replay(workdir: Path) -> dict:
             digests = {"run.exit": code, "run.stdout": sha256_text(stdout)}
             for name in FILES:
                 digests[name] = sha256_text((outdir / name).read_text())
+            entries = load_dump((outdir / "ledger.tsv").read_text()).entries
+            digests.update({"ledger.entries": len(entries),
+                            "ledger.bytes": sum(len(e.canonical_bytes()) for e in entries)})
             comp_id = re.search(r"computation=([0-9a-f]{64})",
                                 (outdir / "trace.txt").read_text()).group(1)
             code, stdout, stderr = cli("audit", outdir / "ledger.tsv", "--id", comp_id)
@@ -56,17 +76,95 @@ def replay(workdir: Path) -> dict:
     return manifest
 
 
+def dot_circuit(k: int) -> str:
+    lines = [f"in x{i}" for i in range(k)] + [f"in y{i}" for i in range(k)]
+    lines += [f"p{i} = mul x{i} y{i}" for i in range(k)]
+    lines += ["s1 = add p0 p1"] + [f"s{i} = add s{i - 1} p{i}" for i in range(2, k)]
+    return "\n".join(lines + [f"out s{k - 1}"]) + "\n"
+
+
+def chain_circuit(k: int) -> str:
+    lines = [f"in x{i}" for i in range(k)] + ["m1 = mul x0 x1"]
+    lines += [f"m{i} = mul m{i - 1} x{i}" for i in range(2, k)]
+    return "\n".join(lines + [f"out m{k - 1}"]) + "\n"
+
+
+RUNS = {
+    "dot32-shamir": (dot_circuit(32), "shamir", dict(threshold=7)),
+    "dot32-spdz": (dot_circuit(32), "spdz", {}),
+    "chain16-spdz": (chain_circuit(16), "spdz", dict(reduction=3)),
+}
+
+
+def bus_digest(log) -> str:
+    h = hashlib.sha256()
+    for src, dst, counter, ciphertext in log:
+        h.update(f"{src}>{dst}#{counter}:{len(ciphertext)}:".encode() + ciphertext)
+    return h.hexdigest()
+
+
+RUN_SEED = 11
+
+
+@functools.cache
+def run_digests(label: str) -> dict:
+    """{"bus": sha256, "ledger.tsv": sha256} of one run, computed once."""
+    text, mode, shape = RUNS[label]
+    circuit = parse_circuit(text)
+    cfg = ScenarioConfig(nodes=20, mode=mode, circuit_path=Path(f"{label}.circ"),
+                         circuit_text=text, inputs=list(range(1, circuit.n_inputs + 1)),
+                         seed=RUN_SEED, committee=15, **shape)
+    result = run_scenario(cfg)
+    assert result.exit_code == 0
+    assert result.outputs == eval_plain(circuit, cfg.inputs, Field(cfg.prime))
+    return {"bus": bus_digest(result.runtime.bus.broadcast_log),
+            "ledger.tsv": sha256_text(result.runtime.ledger.dump())}
+
+
+def replay_runs() -> dict:
+    """{"<run>/11": {"bus": sha256, "ledger.tsv": sha256}} for every run."""
+    return {f"{label}/{RUN_SEED}": run_digests(label) for label in RUNS}
+
+
+def replay_demos() -> dict:
+    """{"<demo>": {"stdout": sha256}} for every demo, run in process."""
+    manifest = {}
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        manifest[demo.stem] = {"stdout": sha256_text(out.getvalue())}
+    return manifest
+
+
+def pinned(section: str) -> dict:
+    return json.loads(MANIFEST.read_text())[section]
+
+
+def assert_unmoved(section: str, got: dict):
+    want = pinned(section)
+    moved = [f"{run} {name}" for run in sorted(want.keys() | got.keys())
+             for name in sorted(want.get(run, {}).keys() | got.get(run, {}).keys())
+             if want.get(run, {}).get(name) != got.get(run, {}).get(name)]
+    assert not moved, f"moved {section} artifacts: " + ", ".join(moved)
+
+
 def test_scenario_artifacts_match_the_manifest(tmp_path):
-    pinned = json.loads(MANIFEST.read_text())
-    got = replay(tmp_path)
-    moved = [f"{run} {name}" for run in sorted(pinned.keys() | got.keys())
-             for name in sorted(pinned.get(run, {}).keys() | got.get(run, {}).keys())
-             if pinned.get(run, {}).get(name) != got.get(run, {}).get(name)]
-    assert not moved, "moved artifacts: " + ", ".join(moved)
+    assert_unmoved("scenarios", replay_scenarios(tmp_path))
+
+
+def test_run_digests_match_the_manifest():
+    assert_unmoved("runs", replay_runs())
+
+
+def test_demo_stdout_matches_the_manifest():
+    assert_unmoved("demos", replay_demos())
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as workdir:
-        MANIFEST.write_text(json.dumps(replay(Path(workdir)), indent=1, sort_keys=True) + "\n")
+        manifest = {"scenarios": replay_scenarios(Path(workdir)), "runs": replay_runs(),
+                    "demos": replay_demos()}
+    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")

@@ -13,7 +13,8 @@ from mpcnet.hierarchy import (
     select_committee,
 )
 from mpcnet.net import LocalChannel
-from mpcnet.spdz import gen_mac_key, deal_authenticated, open_value
+from mpcnet.spdz import gen_mac_key, deal_authenticated
+from oracles import open_value
 
 
 def make_nodes(count, rng):

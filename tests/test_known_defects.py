@@ -7,15 +7,26 @@ into a failure, so a fix cannot go unnoticed and a test here cannot start
 passing by accident. Only defects that ROADMAP.md names belong here.
 """
 
+import contextlib
+import dataclasses
+import functools
+import operator
 import random
 import re
 from pathlib import Path
 
 import pytest
 
+from mpcnet import network, runner, shamir
 from mpcnet.audit import trail_key, trail_meta_key
 from mpcnet.cli import main
-from mpcnet.keys import KeyPair
+from mpcnet.dht import DhtNetwork, protocol_load, protocol_store, record_address
+from mpcnet.field import M61, Field
+from mpcnet.hierarchy import CommitteeTree, hierarchical_mul
+from mpcnet.identity import Predicate, gen_shared_identity, identity_address, serialize_acl
+from mpcnet.keys import KeyPair, sha256
+from mpcnet.ledger import Ledger, LedgerRejected, make_tx, writes_payload
+from mpcnet.net import LocalChannel
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import parse_scenario
 
@@ -62,3 +73,140 @@ def test_a_restarted_spdz_run_writes_every_trail_key_once():
     assert written
     assert len(written) == len(set(written)), [
         key.hex()[:16] for key in written if written.count(key) > 1]
+
+
+def xor_subset(vectors: list, target: int) -> list:
+    """Indices of vectors whose XOR is target, by Gaussian elimination over
+    GF(2); KeyError if target is not in their span."""
+    basis = {}   # pivot bit -> (vector, mask of the indices it combines)
+    for i, v in enumerate(vectors):
+        mask = 1 << i
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = (v, mask)
+                break
+            v, mask = v ^ basis[top][0], mask ^ basis[top][1]
+    mask = 0
+    while target:
+        vector, combined = basis[target.bit_length() - 1]
+        target, mask = target ^ vector, mask ^ combined
+    return [i for i in range(len(vectors)) if mask >> i & 1]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_a_registration_at_an_address_by_keys_that_fold_to_it_is_rejected():
+    # An address is the XOR of H(pk_i), linear over GF(2): out of 300 keys
+    # of her own, eve finds a subset whose hashes fold to alice's
+    # single-key address and registers them there before alice does.
+    rng = random.Random(3)
+    alice = KeyPair.generate(rng)
+    addr = identity_address([alice.sign_pk])
+    eve = [KeyPair.generate(rng) for _ in range(300)]
+    hashes = [int.from_bytes(sha256(kp.sign_pk), "big") for kp in eve]
+    subset = xor_subset(hashes, int.from_bytes(addr, "big"))
+    assert functools.reduce(operator.xor, (hashes[i] for i in subset)).to_bytes(32, "big") == addr
+    subset = [eve[i] for i in subset]
+    ledger = Ledger()
+    registrar = subset[0]
+    tx = make_tx(registrar, "identity-registration",
+                 writes_payload([(addr, serialize_acl({kp.sign_pk: Predicate.owner()
+                                                       for kp in subset}))]),
+                 nonce=ledger.next_nonce(registrar.sign_pk))
+    with pytest.raises(LedgerRejected):
+        ledger.submit_tx(tx)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_a_pointer_key_written_first_by_another_key_still_takes_its_owners_store():
+    # The pointer key H(addr || blob) is computable from public data, and
+    # eve kv-puts there before alice stores the blob.
+    rng = random.Random(77)
+    net = DhtNetwork()
+    for _ in range(16):
+        net.add_node(rng.randbytes(32))
+    net.bootstrap()
+    ledger = Ledger()
+    ident, (alice,) = gen_shared_identity([lambda: KeyPair.generate(random.Random(1000))],
+                                          [Predicate.owner()], ledger)
+    eve = KeyPair.generate(random.Random(4321))
+    blob = b"payroll"
+    with contextlib.suppress(LedgerRejected):
+        ledger.submit_tx(make_tx(eve, "kv-put",
+                                 writes_payload([(record_address(ident.addr, blob), b"(any)")]),
+                                 nonce=ledger.next_nonce(eve.sign_pk)))
+    a_x = protocol_store(alice, ident.addr, blob, Predicate.owner(), ledger, net,
+                         encrypt=False)
+    assert protocol_load(alice, ident.addr, a_x, ledger, net) == blob
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_a_tampered_spdz_output_share_fails_the_run(monkeypatch):
+    # select.scn with 1 added to position 1's value share of each output
+    # as it is opened; the trail posts the shares the engine holds.
+    opened = network.SpdzEngine.open
+
+    def tampered(self, outputs):
+        return opened(self, [[dataclasses.replace(s, value_share=(s.value_share + 1) % self.field.p)
+                              if pos == 1 else s for pos, s in enumerate(shares)]
+                             for shares in outputs])
+
+    monkeypatch.setattr(network.SpdzEngine, "open", tampered)
+    result = run_scenario(parse_scenario(SCENARIOS / "select.scn"))
+    assert result.exit_code == 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_a_dishonest_owner_gets_no_honest_member_slashed(monkeypatch):
+    # average.scn at committee 5, with the input0 owner adding 5 to
+    # position 2's Shamir share: nothing checks that the shares lie on one
+    # degree-t polynomial, so decoding blames the member who holds it.
+    dealt = shamir.share
+    shared = runner.protocol_share
+
+    def dishonest(owner, owner_label, addr, x, x_ref, *args, **kwargs):
+        if x_ref != "input0":
+            return shared(owner, owner_label, addr, x, x_ref, *args, **kwargs)
+
+        def shifted(*share_args):
+            shares = dealt(*share_args)
+            shares[2] = dataclasses.replace(shares[2], value=(shares[2].value + 5) % M61)
+            return shares
+
+        monkeypatch.setattr(shamir, "share", shifted)
+        try:
+            return shared(owner, owner_label, addr, x, x_ref, *args, **kwargs)
+        finally:
+            monkeypatch.setattr(shamir, "share", dealt)
+
+    monkeypatch.setattr(runner, "protocol_share", dishonest)
+    cfg = parse_scenario(SCENARIOS / "average.scn")
+    cfg.committee = 5
+    result = run_scenario(cfg)
+    members = set(result.runtime.registry[i].keypair.sign_pk for i in result.trace.committee)
+    assert not [line for line in result.settlement.lines
+                if line.slash and line.node_pk in members]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+def test_a_committee_tree_that_cannot_keep_the_threshold_is_refused():
+    # n = 9, t = 3, c = 3: a root committee of 3 holds a degree-1 sharing,
+    # which 2 colluding members open, below the t + 1 = 4 of the input.
+    field = Field(M61)
+    rng = random.Random(9)
+    x = shamir.share(6, 3, 9, field, rng)
+    y = shamir.share(7, 3, 9, field, rng)
+    with pytest.raises(ValueError):
+        hierarchical_mul(x, y, CommitteeTree.build(9, 3), field, LocalChannel(), rng)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+def test_the_computation_id_does_not_depend_on_the_inputs():
+    # Two select.scn runs that differ only in their inputs: the id in the
+    # public settlement is a hash over the seed, the circuit and the input
+    # values, so a small input space can be searched from it.
+    first = parse_scenario(SCENARIOS / "select.scn")
+    second = parse_scenario(SCENARIOS / "select.scn")
+    second.inputs = [0, 2, 3]
+    ids = {run_scenario(cfg).trace.computation_id for cfg in (first, second)}
+    assert len(ids) == 1

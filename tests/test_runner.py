@@ -1,5 +1,3 @@
-import functools
-import hashlib
 import json
 from pathlib import Path
 
@@ -15,8 +13,10 @@ from mpcnet.identity import Predicate, identity_address, serialize_acl
 from mpcnet.ledger import LedgerRejected, load_dump, make_tx, writes_payload
 from mpcnet.network import child_rng, protocol_compute, protocol_share, sharing_key
 from mpcnet.runner import run_scenario
-from mpcnet.scenario import ScenarioConfig, ScenarioError, parse_scenario
+from mpcnet.scenario import ScenarioError, parse_scenario
 from mpcnet.trace import ComputationTrace
+from oracles import length_sequence
+from test_golden import RUN_SEED, RUNS, pinned, run_digests
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -114,75 +114,15 @@ def test_no_channel_reuses_a_nonce(name):
     assert len(seen) == len(rt.bus.broadcast_log) > 0
 
 
-def _dot_circuit(k):
-    lines = [f"in x{i}" for i in range(k)] + [f"in y{i}" for i in range(k)]
-    lines += [f"p{i} = mul x{i} y{i}" for i in range(k)]
-    lines += ["s1 = add p0 p1"] + [f"s{i} = add s{i - 1} p{i}" for i in range(2, k)]
-    return "\n".join(lines + [f"out s{k - 1}"]) + "\n"
-
-
-def _chain_circuit(k):
-    lines = [f"in x{i}" for i in range(k)] + ["m1 = mul x0 x1"]
-    lines += [f"m{i} = mul m{i - 1} x{i}" for i in range(2, k)]
-    return "\n".join(lines + [f"out m{k - 1}"]) + "\n"
-
-
-# Runs at seed 11 on 15 of 20 nodes: 32 products in one Shamir layer at
-# t = 7, the same under SPDZ with the audit trail, and 15 SPDZ layers with
-# party reduction c = 3.
-PINNED_RUNS = {
-    "dot32-shamir": (_dot_circuit(32), "shamir", dict(threshold=7)),
-    "dot32-spdz": (_dot_circuit(32), "spdz", {}),
-    "chain16-spdz": (_chain_circuit(16), "spdz", dict(reduction=3)),
-}
-
-# sha256 of the bus's broadcast log (see bus_digest). A moved rng draw, a
-# changed encoding or a changed ciphertext changes the digest.
-PINNED_BUS = {
-    "dot32-shamir": "2c01a0b103f78e3c1515ad251821668a91d8a8c03d78b285d8ff954639ec6fd6",
-    "dot32-spdz": "34eae7ef35c3687d83a425ed13a8d3d1af0b6676f81118e38c30c3727a0ca70c",
-    "chain16-spdz": "ab555938c5c448905eb1f956e88aa90af036c92f703ccf2257ebae795d140ca9",
-}
-
-
-def bus_digest(log) -> str:
-    h = hashlib.sha256()
-    for src, dst, counter, ciphertext in log:
-        h.update(f"{src}>{dst}#{counter}:{len(ciphertext)}:".encode() + ciphertext)
-    return h.hexdigest()
-
-
-# sha256 of the ledger dump: a moved, added or dropped ledger entry, or a
-# changed key or value, changes the digest. Only dot32-spdz posts a trail.
-PINNED_LEDGER = {
-    "dot32-shamir": "57cf287b3ede000dde5e1576457e2e27d18fbd8b1e990c93cc67d6484e2bf8ae",
-    "dot32-spdz": "7d1e323866e09450fe1e48264043831fe23298a868b02c5f84ce7d36852c5b2f",
-    "chain16-spdz": "f8be40962211be102e203277957e51cc1550feea0f5a72712d6d9bbfd207c8b1",
-}
-
-
-@functools.cache
-def pinned_run(label):
-    text, mode, shape = PINNED_RUNS[label]
-    circuit = parse_circuit(text)
-    cfg = ScenarioConfig(nodes=20, mode=mode, circuit_path=Path(f"{label}.circ"),
-                         circuit_text=text, inputs=list(range(1, circuit.n_inputs + 1)),
-                         seed=11, committee=15, **shape)
-    result = run_scenario(cfg)
-    assert result.exit_code == 0
-    assert result.outputs == eval_plain(circuit, cfg.inputs, Field(cfg.prime))
-    return result
-
-
-@pytest.mark.parametrize("label", sorted(PINNED_BUS))
+@pytest.mark.parametrize("label", sorted(RUNS))
 def test_bus_ciphertexts_match_their_pinned_digests(label):
-    assert bus_digest(pinned_run(label).runtime.bus.broadcast_log) == PINNED_BUS[label]
+    assert run_digests(label)["bus"] == pinned("runs")[f"{label}/{RUN_SEED}"]["bus"]
 
 
-@pytest.mark.parametrize("label", sorted(PINNED_LEDGER))
+@pytest.mark.parametrize("label", sorted(RUNS))
 def test_ledger_dumps_match_their_pinned_digests(label):
-    dump = pinned_run(label).runtime.ledger.dump()
-    assert hashlib.sha256(dump.encode()).hexdigest() == PINNED_LEDGER[label]
+    want = pinned("runs")[f"{label}/{RUN_SEED}"]["ledger.tsv"]
+    assert run_digests(label)["ledger.tsv"] == want
 
 
 def test_abort_scenario_timeout_and_recovery():
@@ -455,7 +395,7 @@ def test_privacy_traffic_shape_independent_of_secrets():
     res_b = run_scenario(cfg_b)
     bus_a, bus_b = res_a.runtime.bus, res_b.runtime.bus
     for node in res_a.runtime.registry:
-        assert bus_a.length_sequence(node.index) == bus_b.length_sequence(node.index)
+        assert length_sequence(bus_a, node.index) == length_sequence(bus_b, node.index)
 
 
 def share_pointers(result) -> list:
@@ -498,8 +438,9 @@ def test_average_ledger_bytes_at_seed_1():
     cfg = load("average")
     cfg.seed = 1
     entries = run_scenario(cfg).runtime.ledger.entries
-    assert len(entries) == 20
-    assert sum(len(e.canonical_bytes()) for e in entries) == 2765
+    want = pinned("scenarios")["average/1"]
+    assert len(entries) == want["ledger.entries"]
+    assert sum(len(e.canonical_bytes()) for e in entries) == want["ledger.bytes"]
 
 
 def recompute(result, requester, label):

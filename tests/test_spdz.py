@@ -6,6 +6,7 @@ from mpcnet import spdz
 from mpcnet.errors import CheatDetected, MissingParty, TripleReuse
 from mpcnet.field import Field, M61
 from mpcnet.net import LocalChannel
+from oracles import open_value, rand_nonzero
 
 
 @pytest.fixture
@@ -35,16 +36,16 @@ def test_independent_dealings_same_sums(f101, rng, key):
 
 def test_triple_defining_property(f101, rng, key):
     for triple in spdz.deal_triples(20, 3, key, f101, rng):
-        a = spdz.open_value(triple.a, f101)
-        b = spdz.open_value(triple.b, f101)
-        assert spdz.open_value(triple.c, f101) == f101.mul(a, b)
+        a = open_value(triple.a, f101)
+        b = open_value(triple.b, f101)
+        assert open_value(triple.c, f101) == f101.mul(a, b)
 
 
 def test_triple_forced_values(f101, key, scripted):
     triple = spdz.deal_triples(1, 3, key, f101, scripted([2, 3]))[0]
-    assert spdz.open_value(triple.a, f101) == 2
-    assert spdz.open_value(triple.b, f101) == 3
-    assert spdz.open_value(triple.c, f101) == 6
+    assert open_value(triple.a, f101) == 2
+    assert open_value(triple.b, f101) == 3
+    assert open_value(triple.c, f101) == 6
 
 
 def test_triples_distinct_at_large_field():
@@ -52,7 +53,7 @@ def test_triples_distinct_at_large_field():
     rng = random.Random(8)
     key = spdz.gen_mac_key(3, field, rng)
     triples = spdz.deal_triples(100, 3, key, field, rng)
-    pairs = {(spdz.open_value(t.a, field), spdz.open_value(t.b, field)) for t in triples}
+    pairs = {(open_value(t.a, field), open_value(t.b, field)) for t in triples}
     assert len(pairs) == 100
 
 
@@ -60,15 +61,15 @@ def test_auth_linear_sum_and_constant(f101, rng, key):
     s1 = spdz.deal_authenticated(10, 3, key, f101, rng)
     s2 = spdz.deal_authenticated(20, 3, key, f101, rng)
     out = spdz.auth_linear([(1, s1), (1, s2)], 0, key, f101)
-    assert spdz.open_value(out, f101) == 30
+    assert open_value(out, f101) == 30
     assert sum(s.mac_share for s in out) % 101 == f101.mul(key.alpha, 30)
 
     const_only = spdz.auth_linear([], 9, key, f101)
-    assert spdz.open_value(const_only, f101) == 9
+    assert open_value(const_only, f101) == 9
     assert sum(s.mac_share for s in const_only) % 101 == f101.mul(key.alpha, 9)
 
     zeroed = spdz.auth_linear([(0, s1), (0, s2)], 0, key, f101)
-    assert spdz.open_value(zeroed, f101) == 0
+    assert open_value(zeroed, f101) == 0
 
 
 def test_beaver_mul_forced_triple(f101, rng, key, scripted):
@@ -79,7 +80,7 @@ def test_beaver_mul_forced_triple(f101, rng, key, scripted):
     net = LocalChannel()
     queue = spdz.MacCheckQueue()
     z = spdz.beaver_mul(x, y, triple, key, f101, net, queue)
-    assert spdz.open_value(z, f101) == 20
+    assert open_value(z, f101) == 20
     assert net.messages == 3 * 2
     assert len(queue.entries) == 2
     assert queue.entries[0][0] == 2 and queue.entries[1][0] == 2
@@ -90,7 +91,7 @@ def test_beaver_zero_x(f101, rng, key):
     x = spdz.deal_authenticated(0, 3, key, f101, rng)
     y = spdz.deal_authenticated(77, 3, key, f101, rng)
     z = spdz.beaver_mul(x, y, triple, key, f101, LocalChannel(), spdz.MacCheckQueue())
-    assert spdz.open_value(z, f101) == 0
+    assert open_value(z, f101) == 0
 
 
 def test_triple_reuse_rejected(f101, rng, key):
@@ -165,10 +166,10 @@ def test_tamper_detection_large_field():
         spdz.partial_open(shares, field, net, queue)
         value, macs = queue.entries[0]
         if trial % 2:
-            queue.entries[0] = (field.add(value, field.rand_nonzero(rng)), macs)
+            queue.entries[0] = (field.add(value, rand_nonzero(field, rng)), macs)
         else:
             macs[trial % len(macs)] = field.add(macs[trial % len(macs)],
-                                                field.rand_nonzero(rng))
+                                                rand_nonzero(field, rng))
         with pytest.raises(CheatDetected):
             spdz.mac_check(queue, key, field, net, rng)
 
@@ -213,7 +214,7 @@ def test_beaver_layer_one_round_and_tampered_eps_caught(liar):
     assert net.sizes == [2 * k * field.elem_size] * (n * (n - 1))
     assert len(queue) == 2 * k
     if liar is None:
-        assert [spdz.open_value(z, field) for z in products] == \
+        assert [open_value(z, field) for z in products] == \
             [field.mul(x, y) for x, y in zip(xs, ys)]
         assert spdz.mac_check(queue, key, field, LocalChannel(), rng) is True
     else:
