@@ -6,11 +6,14 @@ fixed set of runs, pinned in tests/golden.json, one section per kind.
   settlement.txt, metrics.csv) plus the dump's entry count and canonical
   byte count, and `mpcnet audit` of its dump adds its stdout, stderr and
   exit code.
-* "runs": the perfbench circuits at seed 11 on 15 of 20 nodes (32 products
-  in one Shamir layer at t = 7, the same under SPDZ with the audit trail,
-  and 15 SPDZ layers with party reduction c = 3): the bus's ciphertexts
-  (a moved rng draw, a changed encoding or a changed ciphertext moves it)
-  and the ledger dump.
+* "runs": the perfbench circuits at seed 11. On 15 of 20 nodes: 32
+  products in one Shamir layer at t = 7, the same under SPDZ with the audit
+  trail, and 15 layers with party reduction c = 3 under Shamir at t = 1 and
+  under SPDZ. On 11 of 16 nodes, 3 layers with a fault at position 1 under
+  each fault the benchmark injects (Shamir at t = 5). Each run pins the
+  bus's ciphertexts (a moved rng draw, a changed encoding or a changed
+  ciphertext moves it) and the ledger dump; a fault run also pins its exit
+  code, trace.txt and settlement.txt.
 * "demos": each demo's stdout.
 
 A change that moves an artifact on purpose rewrites the manifest and names
@@ -89,10 +92,25 @@ def chain_circuit(k: int) -> str:
     return "\n".join(lines + [f"out m{k - 1}"]) + "\n"
 
 
+WIDE = dict(nodes=20, committee=15)
+FAULTS = dict(nodes=16, committee=11)
+FAULT_AT = 1
+
+
+def fault_run(mode: str, fault: str, **shape) -> tuple:
+    return chain_circuit(4), mode, dict(FAULTS, faults={FAULT_AT: fault}, **shape)
+
+
 RUNS = {
-    "dot32-shamir": (dot_circuit(32), "shamir", dict(threshold=7)),
-    "dot32-spdz": (dot_circuit(32), "spdz", {}),
-    "chain16-spdz": (chain_circuit(16), "spdz", dict(reduction=3)),
+    "dot32-shamir": (dot_circuit(32), "shamir", dict(WIDE, threshold=7)),
+    "dot32-spdz": (dot_circuit(32), "spdz", WIDE),
+    "chain16-shamir": (chain_circuit(16), "shamir", dict(WIDE, threshold=1, reduction=3)),
+    "chain16-spdz": (chain_circuit(16), "spdz", dict(WIDE, reduction=3)),
+    "shamir-wrong-share": fault_run("shamir", "wrong-share", threshold=5),
+    "spdz-wrong-share": fault_run("spdz", "wrong-share"),
+    "spdz-broken-commitment": fault_run("spdz", "broken-commitment"),
+    "shamir-abort": fault_run("shamir", "abort-after-output", threshold=5),
+    "spdz-abort": fault_run("spdz", "abort-after-output"),
 }
 
 
@@ -108,21 +126,28 @@ RUN_SEED = 11
 
 @functools.cache
 def run_digests(label: str) -> dict:
-    """{"bus": sha256, "ledger.tsv": sha256} of one run, computed once."""
+    """{"bus": sha256, "ledger.tsv": sha256} of one run, computed once; a
+    fault run adds its exit code and the digests of its trace and
+    settlement."""
     text, mode, shape = RUNS[label]
     circuit = parse_circuit(text)
-    cfg = ScenarioConfig(nodes=20, mode=mode, circuit_path=Path(f"{label}.circ"),
-                         circuit_text=text, inputs=list(range(1, circuit.n_inputs + 1)),
-                         seed=RUN_SEED, committee=15, **shape)
+    cfg = ScenarioConfig(mode=mode, circuit_path=Path(f"{label}.circ"), circuit_text=text,
+                         inputs=list(range(1, circuit.n_inputs + 1)), seed=RUN_SEED, **shape)
     result = run_scenario(cfg)
-    assert result.exit_code == 0
-    assert result.outputs == eval_plain(circuit, cfg.inputs, Field(cfg.prime))
-    return {"bus": bus_digest(result.runtime.bus.broadcast_log),
-            "ledger.tsv": sha256_text(result.runtime.ledger.dump())}
+    digests = {"bus": bus_digest(result.runtime.bus.broadcast_log),
+               "ledger.tsv": sha256_text(result.runtime.ledger.dump())}
+    if cfg.faults:
+        digests.update({"exit": result.exit_code,
+                        "trace.txt": sha256_text(result.trace.to_text()),
+                        "settlement.txt": sha256_text(result.settlement.to_text())})
+    else:
+        assert result.exit_code == 0
+        assert result.outputs == eval_plain(circuit, cfg.inputs, Field(cfg.prime))
+    return digests
 
 
 def replay_runs() -> dict:
-    """{"<run>/11": {"bus": sha256, "ledger.tsv": sha256}} for every run."""
+    """{"<run>/11": run_digests(run)} for every run."""
     return {f"{label}/{RUN_SEED}": run_digests(label) for label in RUNS}
 
 
