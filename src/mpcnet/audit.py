@@ -8,8 +8,8 @@ MAC, since only the auditor's Pedersen check ever reads it. An input's
 commitments are on the ledger once, in its dealer's VSS record at the
 sharing id, which the input step names together with the record's sha256,
 so a dealer that rewrites the record later leaves the trail incomplete
-rather than moving the blame. Any third party can fold them through the
-circuit after the fact:
+rather than moving the blame. Anyone holding the ledger can fold them
+through the circuit after the fact:
 
   * linear steps and the public Beaver corrections are homomorphic on
     commitments, so every intermediate per-party commitment is recomputable
@@ -352,17 +352,14 @@ def _multi_exp(rows, exps: list, q: int) -> list:
     return out
 
 
-def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
-                openings: list | None = None) -> AuditReport:
+def audit_trail(board, computation_id: bytes) -> AuditReport:
     """Recompute the commitment trail and name every inconsistent party.
 
     Reads the posted batches in order and walks their steps, folding
     input (VSS record) and triple commitments through linear and Beaver
     records, and checks every posted opening (Beaver masks and the final
-    output) against the derived per-party commitments. `openings`
-    overrides the output step's posted openings when an auditor wants to
-    check a third-party claim: n (share, blinding) pairs of integers in
-    [0, p), like the posted ones.
+    output) against the derived per-party commitments. The verdict rests
+    on what the board holds and nothing else.
 
     A derived step is held as (constant, {symbol: exp}), one for all n
     parties, since every exponent is public. The constant is the public
@@ -409,7 +406,7 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
         field = Field(meta["p"])
 
         def in_field(value, label: str) -> int:
-            # The writer posts every coefficient and opening mod p.
+            # The writer posts every linear coefficient and constant mod p.
             if type(value) is not int or not 0 <= value < field.p:
                 raise IncompleteTrail(f"{label} {value!r} is not an integer mod {field.p}")
             return value
@@ -418,10 +415,6 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
         n = meta["n"]
         q = params.q
         order = q - 1
-        if openings is not None:
-            if len(openings) != n:
-                raise IncompleteTrail(f"expected {n} output openings, got {len(openings)}")
-            openings = [(in_field(s, "opening"), in_field(r, "opening")) for s, r in openings]
 
         derived = {}   # step -> (constant, {symbol: exp})
         vectors = {}   # symbol -> its per-party bases
@@ -491,16 +484,14 @@ def audit_trail(board, computation_id: bytes, claimed_output: int | None = None,
                                                          ("a", triple): delta})
             elif kind == "output":
                 output_seen = True
-                opens = openings if openings is not None else pedersen.decode_openings(
-                    rec["openings"], n, field)
+                opens = pedersen.decode_openings(rec["openings"], n, field)
                 label = f"step {step} (output)"
                 for i, (c, (s, r)) in enumerate(zip(evaluate(rec["source"]), opens)):
                     if not pedersen.verify_open(c, s, r, params):
                         blame(i, label)
                 total = sum(s for s, _ in opens) % field.p
-                claimed = claimed_output if claimed_output is not None else rec["value"]
-                if total != claimed % field.p:
-                    reasons.append(f"claimed output {claimed} != opened total {total}")
+                if total != rec["value"] % field.p:
+                    reasons.append(f"claimed output {rec['value']} != opened total {total}")
             else:
                 raise IncompleteTrail(f"unknown trail record kind {kind!r}")
     except (KeyError, TypeError, ValueError, IndexError) as exc:

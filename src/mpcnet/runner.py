@@ -22,7 +22,6 @@ from .ledger import LedgerRejected
 from .net import LocalChannel
 from .network import (
     BROKEN_COMMITMENT,
-    WRONG_SHARE,
     AbortedComputation,
     Runtime,
     child_rng,
@@ -178,13 +177,7 @@ def _run_compute(cfg, rt, trace, requester, addr, pointers, q_compute, circuit,
             break
         except CheatDetected:
             # The MAC check (or the Shamir output decoder) condemns the batch
-            # without naming anyone. A decoder that cannot identify a culprit
-            # leaves nobody to blame or slash; the SPDZ settlement still takes
-            # its culprits from the scenario's injected behaviors.
-            if cfg.mode == "spdz":
-                for node in committee:
-                    if node.behavior == WRONG_SHARE:
-                        trace.fault(node.index, WRONG_SHARE, "mac_check")
+            # without naming anyone, so nobody is blamed or slashed.
             trace.finalize("cheat-detected")
             return []
         except AbortedComputation as aborted:

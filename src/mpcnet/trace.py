@@ -23,7 +23,7 @@ class NodeTally:
 class DetectedFault:
     node: int          # registry index
     behavior: str
-    channel: str       # mac_check | audit_trail | timeout | share-consistency
+    channel: str       # audit_trail | timeout | share-consistency
 
 
 @dataclass

@@ -311,7 +311,7 @@ def test_criterion_8_incentive_suite():
             tr.per_node[i] = NodeTally(crng.randrange(6), crng.randrange(6),
                                        crng.randrange(4))
             if crng.random() < 0.25:
-                tr.fault(i, "wrong-share", "mac_check")
+                tr.fault(i, "wrong-share", "share-consistency")
         tr.finalize("ok")
         sched = FeeSchedule(w_round=crng.randrange(3), w_add=crng.randrange(3),
                             w_mul=crng.randrange(12),

@@ -43,6 +43,25 @@ def run_pv_computation(env, n, broken=frozenset(), tamper_output=None):
     return ledger, comp_id, value
 
 
+def forged_board(ledger, comp_id, kind, edit):
+    """A board that serves `ledger`, except that the trail batch holding
+    the first record of `kind` is served with `edit` applied to that
+    record in place."""
+    batches = json.loads(ledger.get(audit.trail_meta_key(comp_id)))["batches"]
+    key, batch = next((key, batch) for key, batch in (
+        (key, json.loads(ledger.get(key)))
+        for key in (audit.trail_key(comp_id, b) for b in range(batches)))
+        if any(rec["kind"] == kind for rec in batch))
+    edit(next(rec for rec in batch if rec["kind"] == kind))
+    forged = audit.record_bytes(batch)
+
+    class Board:
+        def get(self, k):
+            return forged if k == key else ledger.get(k)
+
+    return Board()
+
+
 def test_honest_run_passes(setup101):
     ledger, comp_id, value = run_pv_computation(setup101, 3)
     assert value == 41  # 2*(4*5) + 1
@@ -193,11 +212,15 @@ def test_unclosed_trail_is_incomplete(setup101, f101):
         audit.audit_trail(ledger, comp_id)
 
 
-def test_short_openings_list_is_incomplete(setup101):
-    ledger, comp_id, value = run_pv_computation(setup101, 3)
-    with pytest.raises(IncompleteTrail, match="openings"):
-        audit.audit_trail(ledger, comp_id, claimed_output=value,
-                          openings=[[0, 0], [0, 0]])
+def test_short_openings_list_is_incomplete(setup101, f101):
+    # The output record opens two of the three parties.
+    ledger, comp_id, _ = run_pv_computation(setup101, 3)
+
+    def shorten(rec):
+        rec["openings"] = pedersen.encode_openings([[0, 0], [0, 0]], f101)
+
+    with pytest.raises(IncompleteTrail, match="expected 6 bytes, got 4"):
+        audit.audit_trail(forged_board(ledger, comp_id, "output", shorten), comp_id)
 
 
 @pytest.fixture
@@ -218,56 +241,39 @@ def test_posted_opening_outside_the_field_is_incomplete(setup_m61, name, party, 
     # element is 8 bytes wide, so 6p still fits.
     field = setup_m61["field"]
     ledger, comp_id, _ = run_pv_computation(setup_m61, 4)
-    batches = json.loads(ledger.get(audit.trail_meta_key(comp_id)))["batches"]
-    posted = {audit.trail_key(comp_id, b): json.loads(ledger.get(audit.trail_key(comp_id, b)))
-              for b in range(batches)}
-    key, batch = next((k, batch) for k, batch in posted.items()
-                      if any(rec["kind"] == "beaver" for rec in batch))
-    beaver = next(rec for rec in batch if rec["kind"] == "beaver")
-    opens = [list(pair) for pair in pedersen.decode_openings(beaver[name], 4, field)]
-    opens[party][part] += multiple * field.p
-    beaver[name] = pedersen.encode_openings(opens, field)
-    forged = audit.record_bytes(batch)
 
-    class Board:
-        def get(self, k):
-            return forged if k == key else ledger.get(k)
+    def lift(beaver):
+        opens = [list(pair) for pair in pedersen.decode_openings(beaver[name], 4, field)]
+        opens[party][part] += multiple * field.p
+        beaver[name] = pedersen.encode_openings(opens, field)
 
     assert audit.audit_trail(ledger, comp_id).ok
     with pytest.raises(IncompleteTrail, match="out of field range"):
-        audit.audit_trail(Board(), comp_id)
-
-
-@pytest.mark.parametrize("shift", [101, -101, 0.5], ids=["plus-p", "minus-p", "float"])
-def test_claimed_opening_outside_the_field_is_incomplete(setup101, f101, shift):
-    # The openings= override is held to the same range as posted openings.
-    ledger, comp_id, value = run_pv_computation(setup101, 3)
-    meta = json.loads(ledger.get(audit.trail_meta_key(comp_id)))
-    output = json.loads(ledger.get(audit.trail_key(comp_id, meta["batches"] - 1)))[-1]
-    opens = [list(pair) for pair in pedersen.decode_openings(output["openings"], 3, f101)]
-    assert audit.audit_trail(ledger, comp_id, openings=opens).ok
-    opens[1][0] += shift
-    with pytest.raises(IncompleteTrail, match="not an integer mod 101"):
-        audit.audit_trail(ledger, comp_id, openings=opens)
+        audit.audit_trail(forged_board(ledger, comp_id, "beaver", lift), comp_id)
 
 
 def test_claimed_output_mismatch_fails(setup101):
     ledger, comp_id, value = run_pv_computation(setup101, 3)
-    report = audit.audit_trail(ledger, comp_id, claimed_output=value + 1)
+
+    def overstate(rec):
+        rec["value"] = value + 1
+
+    report = audit.audit_trail(forged_board(ledger, comp_id, "output", overstate), comp_id)
     assert not report.ok
 
 
 def test_false_output_opening_blames_party(setup101, f101):
+    # The output record opens party 2's share shifted by 1 and claims the
+    # total of what it opens: the claim adds up, and party 2 is named.
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
-    # Re-audit with party 2's opening shifted: the third-party claim check.
-    import json
-    from mpcnet.audit import trail_key, trail_meta_key
-    meta = json.loads(ledger.get(trail_meta_key(comp_id)).decode())
-    out_rec = json.loads(ledger.get(trail_key(comp_id, meta["batches"] - 1)).decode())[-1]
-    opens = [list(pair) for pair in pedersen.decode_openings(out_rec["openings"], 3, f101)]
-    opens[2][0] = (opens[2][0] + 1) % 101
-    claimed = sum(s for s, _ in opens) % 101
-    report = audit.audit_trail(ledger, comp_id, claimed_output=claimed, openings=opens)
+
+    def shift(rec):
+        opens = [list(pair) for pair in pedersen.decode_openings(rec["openings"], 3, f101)]
+        opens[2][0] = (opens[2][0] + 1) % 101
+        rec["openings"] = pedersen.encode_openings(opens, f101)
+        rec["value"] = sum(s for s, _ in opens) % 101
+
+    report = audit.audit_trail(forged_board(ledger, comp_id, "output", shift), comp_id)
     assert not report.ok
     assert 2 in report.guilty
 
@@ -276,23 +282,14 @@ def test_zero_triple_commitment_names_its_party(setup101):
     # A posted commitment divisible by q has no inverse; the audit must name
     # the party that posted it rather than fail on the division.
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
-    batches = json.loads(ledger.get(audit.trail_meta_key(comp_id)).decode())["batches"]
-    posted = {audit.trail_key(comp_id, i): json.loads(ledger.get(audit.trail_key(comp_id, i)))
-              for i in range(batches)}
-    triple_key, batch = next((k, batch) for k, batch in posted.items()
-                             if any(rec["kind"] == "triple" for rec in batch))
     params = setup101["params"]
-    triple = next(rec for rec in batch if rec["kind"] == "triple")
-    a = pedersen.decode_commitments(triple["a"], 3, params)
-    a[1] = params.q
-    triple["a"] = pedersen.encode_commitments(a, params)
-    forged = json.dumps(batch, sort_keys=True).encode()
 
-    class Board:
-        def get(self, key):
-            return forged if key == triple_key else ledger.get(key)
+    def zero(triple):
+        a = pedersen.decode_commitments(triple["a"], 3, params)
+        a[1] = params.q
+        triple["a"] = pedersen.encode_commitments(a, params)
 
-    report = audit.audit_trail(Board(), comp_id)
+    report = audit.audit_trail(forged_board(ledger, comp_id, "triple", zero), comp_id)
     assert not report.ok
     assert report.guilty == (1,)
 

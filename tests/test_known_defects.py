@@ -140,6 +140,24 @@ def test_a_pointer_key_written_first_by_another_key_still_takes_its_owners_store
     assert protocol_load(alice, ident.addr, a_x, ledger, net) == blob
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_an_input_whose_sharing_id_another_key_wrote_first_is_still_dealt():
+    # The sharing id H(addr || x_ref) is computable from public data, and
+    # eve kv-puts there before alice shares her input.
+    rt = network.Runtime(Field(M61), 23, 6, genesis_balance=1000)
+    alice, eve = rt.add_client("alice"), rt.add_client("eve")
+    ident, _ = gen_shared_identity([lambda: alice], [Predicate.owner()], rt.ledger)
+    sharing = network.sharing_key(ident.addr, "salary")
+    rt.ledger.submit_tx(make_tx(eve, "kv-put", writes_payload([(sharing, b"(any)")]),
+                                nonce=rt.ledger.next_nonce(eve.sign_pk)))
+    committee = rt.registry[:3]
+    pointer = network.protocol_share(alice, "alice", ident.addr, 42, "salary",
+                                     Predicate.owner(), committee=committee, t=1, rt=rt,
+                                     rng=random.Random(23))
+    assert pointer is not None
+    assert all(sharing in node.shares for node in committee)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 def test_a_tampered_spdz_output_share_fails_the_run(monkeypatch):
     # select.scn with 1 added to position 1's value share of each output
