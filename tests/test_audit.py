@@ -48,11 +48,12 @@ def forged_board(ledger, comp_id, kind, edit):
     the first record of `kind` is served with `edit` applied to that
     record in place."""
     batches = json.loads(ledger.get(audit.trail_meta_key(comp_id)))["batches"]
-    key, batch = next((key, batch) for key, batch in (
-        (key, json.loads(ledger.get(key)))
-        for key in (audit.trail_key(comp_id, b) for b in range(batches)))
-        if any(rec["kind"] == kind for rec in batch))
-    edit(next(rec for rec in batch if rec["kind"] == kind))
+    for key in (audit.trail_key(comp_id, b) for b in range(batches)):
+        batch = json.loads(ledger.get(key))
+        record = next((rec for rec in batch if rec["kind"] == kind), None)
+        if record is not None:
+            break
+    edit(record)
     forged = audit.record_bytes(batch)
 
     class Board:
