@@ -14,6 +14,10 @@ fixed set of runs, pinned in tests/golden.json, one section per kind.
   bus's ciphertexts (a moved rng draw, a changed encoding or a changed
   ciphertext moves it) and the ledger dump; a fault run also pins its exit
   code, trace.txt and settlement.txt.
+  The same section holds pass 1 of every perfbench workload at workload
+  seed 1 ("<workload>-pass1/<computation>"): each computation at the seed
+  the benchmark derives for it and, for a generated circuit, with the
+  inputs it draws, so the benchmark's own runs are pinned too.
 * "demos": each demo's stdout.
 
 A change that moves an artifact on purpose rewrites the manifest and names
@@ -23,10 +27,12 @@ each moved artifact in CHANGES.md:
 """
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
 import json
+import random
 import re
 import runpy
 from pathlib import Path
@@ -36,7 +42,7 @@ from mpcnet.cli import main
 from mpcnet.field import Field
 from mpcnet.ledger import load_dump
 from mpcnet.runner import run_scenario
-from mpcnet.scenario import ScenarioConfig
+from mpcnet.scenario import ScenarioConfig, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("golden.json")
@@ -114,6 +120,57 @@ RUNS = {
 }
 
 
+RUN_SEED = 11
+BENCH_SEED = 1
+BENCH_PASS = 1
+BENCH_WORKLOADS = {
+    "wide": ("dot32-shamir", "dot32-spdz"),
+    "deep": ("chain16-shamir", "chain16-spdz"),
+    "faults": ("shamir-wrong-share", "spdz-wrong-share", "spdz-broken-commitment",
+               "shamir-abort", "spdz-abort"),
+}
+
+
+def derive(*labels) -> int:
+    """perfbench's seed derivation (workloads.derive), copied so that this
+    test imports nothing from the benchmark."""
+    digest = hashlib.sha256(":".join(str(x) for x in labels).encode()).digest()
+    return int.from_bytes(digest[:7], "big")
+
+
+def generated_config(label: str, seed: int, inputs=None) -> ScenarioConfig:
+    """RUNS[label] at `seed`, on the inputs 1, 2, ... unless given."""
+    text, mode, shape = RUNS[label]
+    n_inputs = parse_circuit(text).n_inputs
+    return ScenarioConfig(mode=mode, circuit_path=Path(f"{label}.circ"), circuit_text=text,
+                          inputs=inputs or list(range(1, n_inputs + 1)), seed=seed, **shape)
+
+
+def bench_config(workload: str, label: str) -> ScenarioConfig:
+    """The config perfbench runs for one computation of pass 1: its seed
+    derived from the workload seed and, for a generated circuit, fresh
+    inputs drawn from that seed."""
+    seed = derive(BENCH_SEED, workload, BENCH_PASS, label)
+    if workload == "bundled":
+        return dataclasses.replace(parse_scenario(ROOT / "scenarios" / f"{label}.scn"),
+                                   seed=seed)
+    rng = random.Random(derive(seed, "inputs"))
+    n_inputs = parse_circuit(RUNS[label][0]).n_inputs
+    return generated_config(label, seed, [rng.randrange(1, 1 << 16) for _ in range(n_inputs)])
+
+
+@functools.cache
+def run_configs() -> dict:
+    """{manifest key: ScenarioConfig} of every run in the "runs" section."""
+    configs = {f"{label}/{RUN_SEED}": generated_config(label, RUN_SEED) for label in RUNS}
+    workloads = dict(BENCH_WORKLOADS, bundled=sorted(
+        path.stem for path in (ROOT / "scenarios").glob("*.scn")))
+    for workload, labels in workloads.items():
+        for label in labels:
+            configs[f"{workload}-pass{BENCH_PASS}/{label}"] = bench_config(workload, label)
+    return configs
+
+
 def bus_digest(log) -> str:
     h = hashlib.sha256()
     for src, dst, counter, ciphertext in log:
@@ -121,18 +178,12 @@ def bus_digest(log) -> str:
     return h.hexdigest()
 
 
-RUN_SEED = 11
-
-
 @functools.cache
-def run_digests(label: str) -> dict:
+def run_digests(key: str) -> dict:
     """{"bus": sha256, "ledger.tsv": sha256} of one run, computed once; a
     fault run adds its exit code and the digests of its trace and
     settlement."""
-    text, mode, shape = RUNS[label]
-    circuit = parse_circuit(text)
-    cfg = ScenarioConfig(mode=mode, circuit_path=Path(f"{label}.circ"), circuit_text=text,
-                         inputs=list(range(1, circuit.n_inputs + 1)), seed=RUN_SEED, **shape)
+    cfg = run_configs()[key]
     result = run_scenario(cfg)
     digests = {"bus": bus_digest(result.runtime.bus.broadcast_log),
                "ledger.tsv": sha256_text(result.runtime.ledger.dump())}
@@ -141,14 +192,15 @@ def run_digests(label: str) -> dict:
                         "trace.txt": sha256_text(result.trace.to_text()),
                         "settlement.txt": sha256_text(result.settlement.to_text())})
     else:
+        circuit = parse_circuit(cfg.circuit_text)
         assert result.exit_code == 0
         assert result.outputs == eval_plain(circuit, cfg.inputs, Field(cfg.prime))
     return digests
 
 
 def replay_runs() -> dict:
-    """{"<run>/11": run_digests(run)} for every run."""
-    return {f"{label}/{RUN_SEED}": run_digests(label) for label in RUNS}
+    """{key: run_digests(key)} for every run."""
+    return {key: run_digests(key) for key in run_configs()}
 
 
 def replay_demos() -> dict:

@@ -105,13 +105,15 @@ def test_no_channel_reuses_a_nonce(name):
 
 @pytest.mark.parametrize("label", sorted(RUNS))
 def test_bus_ciphertexts_match_their_pinned_digests(label):
-    assert run_digests(label)["bus"] == pinned("runs")[f"{label}/{RUN_SEED}"]["bus"]
+    key = f"{label}/{RUN_SEED}"
+    assert run_digests(key)["bus"] == pinned("runs")[key]["bus"]
 
 
 @pytest.mark.parametrize("label", sorted(RUNS))
 def test_ledger_dumps_match_their_pinned_digests(label):
-    want = pinned("runs")[f"{label}/{RUN_SEED}"]["ledger.tsv"]
-    assert run_digests(label)["ledger.tsv"] == want
+    key = f"{label}/{RUN_SEED}"
+    want = pinned("runs")[key]["ledger.tsv"]
+    assert run_digests(key)["ledger.tsv"] == want
 
 
 def test_abort_scenario_timeout_and_recovery():
