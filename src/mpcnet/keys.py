@@ -13,8 +13,10 @@ a key exchange, and parsing a public key costs a few microseconds more per
 agreement; so signing and channel set-up use the held objects instead of
 re-parsing the bytes.
 
-seal and unseal take an AES-GCM context rather than key bytes, so a caller
-that seals and opens one message under one key builds the context once.
+seal and unseal take an AES-GCM context rather than key bytes, so the
+context is built once per key, not once per message: the encrypted bus
+keeps one per communicating pair and seals and opens every message of that
+pair with it. Each message is still one seal and one unseal call.
 
 Public keys are always handled as 32 raw bytes, which lines up with the
 256-bit key/address space used by the ledger and the DHT.

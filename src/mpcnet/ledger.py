@@ -66,17 +66,20 @@ class Transaction:
     signature: bytes
 
     def signing_bytes(self) -> bytes:
-        body = json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
-        return (self.payload_type.encode() + b"\x00" + body.encode()
-                + self.nonce.to_bytes(8, "big"))
+        return signing_bytes(self.payload_type, self.payload, self.nonce)
+
+
+def signing_bytes(payload_type: str, payload: dict | list, nonce: int) -> bytes:
+    """What a transaction's signature covers: everything but its sender."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return payload_type.encode() + b"\x00" + body.encode() + nonce.to_bytes(8, "big")
 
 
 def make_tx(keypair, payload_type: str, payload: dict | list, nonce: int) -> Transaction:
     if payload_type not in PAYLOAD_TYPES:
         raise ValueError(f"unknown payload type {payload_type!r}")
-    unsigned = Transaction(keypair.sign_pk, payload_type, payload, nonce, b"")
     return Transaction(keypair.sign_pk, payload_type, payload, nonce,
-                       keypair.sign(unsigned.signing_bytes()))
+                       keypair.sign(signing_bytes(payload_type, payload, nonce)))
 
 
 @dataclass(frozen=True)

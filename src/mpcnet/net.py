@@ -13,10 +13,12 @@ Two implementations of the same small interface:
                      marginals across runs.
 
 Each communicating pair on an EncryptedBus makes one X25519 agreement, from
-the parsed keys its KeyPairs hold, and keeps the derived key for the bus's
-lifetime. Each message builds one AES-GCM context, which seals it and opens
-it for the addressee; contexts are not kept per pair, since most pairs carry
-a single message.
+the parsed keys its KeyPairs hold, and keeps one AES-GCM context under the
+derived key for the bus's lifetime; every message between the two, in
+either direction, is sealed and opened for the addressee with that context.
+Most pairs carry few messages (a `faults` benchmark pass has 509 pairs
+carrying 3,177 messages, a `deep` pass 690 carrying 2,038), and building a
+context costs about twice as much as sealing one short message with it.
 
 Both count every point-to-point send, in total and per round, which
 is what the message-complexity assertions measure.
@@ -69,7 +71,7 @@ class EncryptedBus(LocalChannel):
     def __init__(self):
         super().__init__()
         self._keypairs = {}
-        self._pair_keys = {}
+        self._pair_keys = {}              # (a, b) -> AESGCM, one per pair
         self._nonces = defaultdict(int)
         # node -> list of (direction, peer, ciphertext); ciphertext bytes are
         # what a wiretap of that node would record.
@@ -79,11 +81,12 @@ class EncryptedBus(LocalChannel):
     def register(self, node, keypair: keys.KeyPair):
         self._keypairs[node] = keypair
 
-    def _key_for(self, a, b) -> bytes:
+    def _aead_for(self, a, b) -> AESGCM:
+        """The pair's AES-GCM context, built at its first message."""
         pair = (a, b) if (a, b) in self._pair_keys else (b, a)
         if pair not in self._pair_keys:
-            self._pair_keys[(a, b)] = keys.shared_key(self._keypairs[a].enc_key,
-                                                      self._keypairs[b].enc_pub)
+            self._pair_keys[(a, b)] = AESGCM(keys.shared_key(self._keypairs[a].enc_key,
+                                                             self._keypairs[b].enc_pub))
             pair = (a, b)
         return self._pair_keys[pair]
 
@@ -97,7 +100,7 @@ class EncryptedBus(LocalChannel):
         return (self._keypairs[src].enc_pk > self._keypairs[dst].enc_pk) << 95 | counter
 
     def _deliver(self, src, dst, payload: bytes):
-        aead = AESGCM(self._key_for(src, dst))
+        aead = self._aead_for(src, dst)
         counter = self._nonces[(src, dst)]
         self._nonces[(src, dst)] += 1
         nonce = self.nonce(src, dst, counter)

@@ -16,8 +16,10 @@ def rng():
 
 
 class ScriptedRng:
-    """Deterministic rng stub: scripted randrange draws first, then a real
-    seeded generator for everything else."""
+    """Deterministic rng stub: scripted draws first, then a real seeded
+    generator for everything else. A scripted value is returned as is by
+    randrange or by getrandbits, the call Field.rand draws with, so it must
+    lie in the range the caller accepts."""
 
     def __init__(self, script, fallback_seed=0):
         self.script = list(script)
@@ -27,6 +29,11 @@ class ScriptedRng:
         if self.script:
             return self.script.pop(0)
         return self._rng.randrange(*args, **kwargs)
+
+    def getrandbits(self, k):
+        if self.script:
+            return self.script.pop(0)
+        return self._rng.getrandbits(k)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)

@@ -23,6 +23,19 @@ def test_is_prime_known_values():
     assert not is_prime(1) and not is_prime(561) and not is_prime(2 ** 61 + 1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, M61, (1 << 127) - 1],
+                         ids=["2", "3", "101", "M61", "M127"])
+def test_rand_draws_what_randrange_draws(p):
+    # Same values and the same generator state after, so a seeded run's
+    # draws do not depend on which of the two made them.
+    field = Field(p)
+    for seed in (0, 1, 7, 0xC0FFEE, 1 << 70):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [field.rand(ours) for _ in range(1000)] == [theirs.randrange(p)
+                                                           for _ in range(1000)]
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_inverse_and_closure(f101, rng):
     for _ in range(200):
         a = rand_nonzero(f101, rng)
