@@ -9,7 +9,9 @@ Fee rule: an honest participant earns
     w_round * rounds + w_add * adds + w_mul * muls
 from the requester's balance. A run that detected cheating without naming
 anyone and released nothing pays no fees and charges the requester
-nothing; every deposit stays intact. A node flagged malicious in the trace
+nothing; every deposit stays intact, and each member's line reads
+`reason=withheld`, not `honest`, since the unnamed cheater is among them.
+A node flagged malicious in the trace
 forfeits its entire deposit, split equally among the honest participants
 with the integer remainder going to the lowest-index honest node. A
 requester whose balance cannot cover the threshold (or the bill) has the
@@ -158,5 +160,6 @@ def settle_computation(trace: ComputationTrace, schedule: FeeSchedule,
             report.lines.append(SettlementLine(pk_of[idx], 0, slashes.get(idx, 0), behavior))
         else:
             report.lines.append(SettlementLine(
-                pk_of[idx], 0 if rejected else fees[idx], 0, "honest"))
+                pk_of[idx], 0 if rejected else fees[idx], 0,
+                "withheld" if withheld else "honest"))
     return report

@@ -277,6 +277,7 @@ def test_shamir_wrong_share_detected_at_committee_3(name):
     assert "event=fault" not in result.trace.to_text()
     assert [line.slash for line in result.settlement.lines] == [0, 0, 0]
     assert [line.fee for line in result.settlement.lines] == [0, 0, 0]
+    assert [line.reason for line in result.settlement.lines] == ["withheld"] * 3
     assert result.settlement.requester_charge == 0
     ledger = result.runtime.ledger
     assert all(ledger.account(pk).deposit == cfg.deposit
