@@ -11,11 +11,10 @@ from the requester's balance. A run that detected cheating without naming
 anyone and released nothing pays no fees and charges the requester
 nothing; every deposit stays intact, and each member's line reads
 `reason=withheld`, not `honest`, since the unnamed cheater is among them.
-A node flagged malicious in the trace
-forfeits its entire deposit, split equally among the honest participants
-with the integer remainder going to the lowest-index honest node. A
-requester whose balance cannot cover the threshold (or the bill) has the
-request marked rejected and no fees move.
+A node flagged malicious in the trace forfeits its entire deposit, split
+equally among the honest participants with the integer remainder going to
+the lowest-index honest node. A requester whose balance cannot cover the
+threshold (or the bill) has the request marked rejected and no fees move.
 """
 
 from __future__ import annotations
