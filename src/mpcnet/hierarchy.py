@@ -106,6 +106,10 @@ def hierarchical_mul(x: list, y: list, tree: CommitteeTree, field: Field,
     sharing of the full product. Total messages are O(n * c^2) against the
     flat protocol's n(n-1); for n = c the tree degenerates to exactly
     mul_with_reduction.
+
+    Every hop re-shares at degree t_c = (c - 1) // 2, so t_c + 1 colluding
+    members of one committee open what it holds: a sharing of threshold
+    t > t_c is refused, since the tree would not keep it.
     """
     n = tree.n_real
     if len(x) != n or len(y) != n:
@@ -115,6 +119,9 @@ def hierarchical_mul(x: list, y: list, tree: CommitteeTree, field: Field,
         raise ValueError(f"honest majority violated: 2t={2 * t} >= n={n}")
     c = tree.c
     t_c = (c - 1) // 2
+    if t > t_c:
+        raise ValueError(f"threshold t={t} exceeds the t_c={t_c} that "
+                         f"committees of c={c} keep")
     party_weight = weights_at_zero(tuple(s.index for s in x), field.p)
 
     # Leaf phase: every real party deals its weighted local product within

@@ -88,7 +88,7 @@ def settle_computation(trace: ComputationTrace, schedule: FeeSchedule,
     (requester under the balance threshold, or unable to cover the bill)
     moves no fees but still applies slashing for detected faults.
     """
-    if not trace.finalized:
+    if trace.outcome == "unfinished":
         raise ValueError("unfinalized trace")
     malicious = {f.node for f in trace.detected_faults}
     honest = [i for i in trace.committee if i not in malicious]
@@ -155,8 +155,8 @@ def settle_computation(trace: ComputationTrace, schedule: FeeSchedule,
                               requester_charge=0 if rejected else total_fees)
     for idx in trace.committee:
         if idx in malicious:
-            behavior = next(f.behavior for f in trace.detected_faults if f.node == idx)
-            report.lines.append(SettlementLine(pk_of[idx], 0, slashes.get(idx, 0), behavior))
+            label = next(f.behavior for f in trace.detected_faults if f.node == idx)
+            report.lines.append(SettlementLine(pk_of[idx], 0, slashes.get(idx, 0), label))
         else:
             report.lines.append(SettlementLine(
                 pk_of[idx], 0 if rejected else fees[idx], 0,

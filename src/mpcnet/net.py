@@ -20,8 +20,9 @@ Most pairs carry few messages (a `faults` benchmark pass has 509 pairs
 carrying 3,177 messages, a `deep` pass 690 carrying 2,038), and building a
 context costs about twice as much as sealing one short message with it.
 
-Both count every point-to-point send, in total and per round, which
-is what the message-complexity assertions measure.
+Both count every point-to-point send in `messages`, which is what the
+message-complexity assertions measure; a caller that wants the messages of
+one step reads the counter before and after it.
 """
 
 from __future__ import annotations
@@ -38,14 +39,12 @@ class LocalChannel:
 
     def __init__(self):
         self.messages = 0
-        self._round_messages = 0
         self._inbox = defaultdict(deque)
 
     def send(self, src, dst, payload: bytes):
         if src == dst:
             raise ValueError("self-sends are local state, not messages")
         self.messages += 1
-        self._round_messages += 1
         self._deliver(src, dst, payload)
 
     def _deliver(self, src, dst, payload: bytes):
@@ -57,12 +56,6 @@ class LocalChannel:
         out = list(box)
         box.clear()
         return out
-
-    def new_round(self):
-        """Close the current accounting round; returns its message count."""
-        n = self._round_messages
-        self._round_messages = 0
-        return n
 
 
 class EncryptedBus(LocalChannel):

@@ -56,9 +56,6 @@ ABORT_AFTER_OUTPUT = "abort-after-output"
 WRONG_SHARE = "wrong-share"
 BROKEN_COMMITMENT = "broken-commitment"
 BEHAVIORS = (HONEST, ABORT_AFTER_OUTPUT, WRONG_SHARE, BROKEN_COMMITMENT)
-# What a requester observes of a member whose opening never arrived, whatever
-# the cause; a fault label, not a behavior a scenario can inject.
-SILENT = "silent"
 
 IDLE_TIMEOUT = 3  # idle simulator steps before a silent party is timed out
 
@@ -401,9 +398,8 @@ def protocol_compute(requester: KeyPair, requester_label: str, addr: bytes,
 
     Returns the opened output list, or None when a reference is denied (no
     MPC message is sent in that case). CheatDetected and AbortedComputation
-    propagate to the caller after the trace counters are settled. A SPDZ
-    run posts its commitment trail exactly when the committee stays fixed
-    (`reduction` is None).
+    propagate to the caller. A SPDZ run posts its commitment trail exactly
+    when the committee stays fixed (`reduction` is None).
     """
     refs = []
     for pointer in pointers:
@@ -428,17 +424,13 @@ def protocol_compute(requester: KeyPair, requester_label: str, addr: bytes,
 
     plan = layerize(circ, n, reduction, threshold=t if mode == "shamir" else 1)
     context = (committee, rt, trace, rng, requester_label)
-    try:
-        if mode == "shamir":
-            engine = ShamirEngine(*context)
-        elif reduction is None:
-            engine = AuditedSpdzEngine(mac_key, *context)
-        else:
-            engine = SpdzEngine(mac_key, *context)
-        result = _evaluate(engine, refs, plan)
-    finally:
-        trace.messages_total = rt.bus.messages
-    return result
+    if mode == "shamir":
+        engine = ShamirEngine(*context)
+    elif reduction is None:
+        engine = AuditedSpdzEngine(mac_key, *context)
+    else:
+        engine = SpdzEngine(mac_key, *context)
+    return _evaluate(engine, refs, plan)
 
 
 def _evaluate(engine, refs: list, plan) -> list:
@@ -446,14 +438,16 @@ def _evaluate(engine, refs: list, plan) -> list:
     outputs. With party reduction, each multiplication layer is followed by
     a re-share to the plan's next committee size that carries only the live
     wires: those a later layer reads or an output gate names.
+    A layer's round-messages entry counts the bus messages from its start
+    to the next layer's start; messages_eval gains the loop's total.
     """
     rt, trace = engine.rt, engine.trace
     gates = plan.circuit.gates
     outputs = [g.args[0] for g in gates if g.kind == "output"]
-    messages_before = rt.bus.messages
     sharings = iter(refs)
     wires = {idx: engine.load(bytes.fromhex(next(sharings)["sharing"]))
              for idx, g in enumerate(gates) if g.kind == "input"}
+    start = layer_start = rt.bus.messages
     stage = 0
     for pos, (kind, gate_indices) in enumerate(plan.layers):
         members = engine.committee[:plan.schedule[stage]]
@@ -475,7 +469,6 @@ def _evaluate(engine, refs: list, plan) -> list:
                 wires[gi] = engine.linear(terms)
             for node in members:
                 trace.tally(node.index).adds += len(gate_indices)
-        trace.per_round_messages.append(rt.bus.new_round())
         if kind == "mul" and plan.reduction and stage + 1 < len(plan.schedule):
             stage += 1
             read_later = set(outputs).union(*(gates[gi].args for _, later in
@@ -484,7 +477,9 @@ def _evaluate(engine, refs: list, plan) -> list:
             wires = dict(zip(live, engine.reduce([wires[i] for i in live],
                                                  plan.schedule[stage])))
             trace.event("reduce", parties=plan.schedule[stage])
-    trace.messages_eval = rt.bus.messages - messages_before
+        trace.per_round_messages.append(rt.bus.messages - layer_start)
+        layer_start = rt.bus.messages
+    trace.messages_eval += layer_start - start
     return engine.open([wires[i] for i in outputs])
 
 
@@ -543,7 +538,7 @@ class ShamirEngine(_Engine):
             [self.field.add(s.value, 1) if node.behavior == WRONG_SHARE else s.value
              for s in row] for node, row in zip(self.committee, zip(*outputs))])
         for node in silent:
-            self.trace.fault(node.index, SILENT, "timeout")
+            self.trace.fault(node.index, "timeout")
             self.trace.event("recover", action="reconstruct-without", node=node.index)
         positions = sorted(arrived)
         results, outliers = [], set()
@@ -554,7 +549,7 @@ class ShamirEngine(_Engine):
             results.append(value)
         for k in sorted(outliers):
             node = self.committee[k]
-            self.trace.fault(node.index, WRONG_SHARE, "share-consistency")
+            self.trace.fault(node.index, "share-consistency")
             self.trace.event("recover", action="exclude-share", node=node.index)
         return results
 
@@ -606,7 +601,7 @@ class SpdzEngine(_Engine):
                                          for row in zip(*outputs)])
         if silent:
             for node in silent:
-                self.trace.fault(node.index, SILENT, "timeout")
+                self.trace.fault(node.index, "timeout")
             raise AbortedComputation([node.index for node in silent])
         return [sum(column) % self.field.p for column in zip(*arrived.values())]
 

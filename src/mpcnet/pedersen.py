@@ -7,6 +7,11 @@ a hash so nobody knows log_g(h); the scheme is hiding (r uniform) and
 binding (under discrete log), and multiplying commitments commits to the
 sum of the openings -- the property the public audit trail leans on.
 
+These are toy parameters: over M61, setup picks q = 52p + 1, a 67-bit
+prime, and a discrete log in the order-p subgroup costs about 2^31 group
+operations (Pollard's rho), so whoever computes log_g(h) can open a
+commitment to any value. Binding is nominal here; hiding is unaffected.
+
 g and h are fixed for a parameter set, so each CommitParams carries 8-bit
 fixed-base window tables for them (Brickell, Gordon, McCurley and Wilson,
 "Fast exponentiation with precomputation", EUROCRYPT 1992): row j of a

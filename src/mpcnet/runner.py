@@ -21,7 +21,6 @@ from .keys import sha256
 from .ledger import LedgerRejected
 from .net import LocalChannel
 from .network import (
-    BROKEN_COMMITMENT,
     AbortedComputation,
     Runtime,
     child_rng,
@@ -127,6 +126,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         outputs = _run_compute(cfg, rt, trace, requester, ident.addr, pointers,
                                q_compute, circuit, mac_key, committee)
 
+    trace.messages_total = rt.bus.messages   # no protocol message follows
     settlement = settle_computation(trace, cfg.fees, rt.ledger, rt.authority)
     trace.event("settled", rejected="yes" if settlement.rejected else "no",
                 charge=settlement.requester_charge)
@@ -205,7 +205,7 @@ def _run_compute(cfg, rt, trace, requester, addr, pointers, q_compute, circuit,
     if rt.ledger.get(trail_meta_key(trace.computation_id)) is not None:
         report = audit_trail(rt.ledger, trace.computation_id)
         for pos in report.guilty:
-            trace.fault(committee[pos].index, BROKEN_COMMITMENT, "audit_trail")
+            trace.fault(committee[pos].index, "audit_trail")
         trail_ok = report.ok
 
     if trace.outcome == "unfinished":

@@ -31,8 +31,9 @@ from .incentives import FeeSchedule
 from .network import BEHAVIORS as FAULT_BEHAVIORS
 
 MODES = ("shamir", "spdz")
-KEYS = ("nodes", "mode", "circuit", "inputs", "seed", "prime", "threshold",
-        "committee", "reduction", "deposit", "balance", "scaling")
+# Integer keys a file may omit; ScenarioConfig's defaults fill them in.
+OPTIONAL_INTS = ("prime", "threshold", "committee", "reduction", "deposit", "balance")
+KEYS = ("nodes", "mode", "circuit", "inputs", "seed") + OPTIONAL_INTS + ("scaling",)
 SEED_LIMIT = 2 ** 64    # seeds are hashed as 8 unsigned bytes
 
 
@@ -125,13 +126,8 @@ def parse_scenario(path) -> ScenarioConfig:
         circuit_text=circuit_path.read_text(),
         inputs=[_parse_int(v, "inputs") for v in pairs["inputs"].split(",") if v],
         seed=_parse_int(pairs["seed"], "seed"),
-        prime=_parse_int(pairs.get("prime", str(M61)), "prime"),
-        threshold=_parse_int(pairs.get("threshold", "1"), "threshold"),
-        committee=_parse_int(pairs.get("committee", "3"), "committee"),
-        reduction=_parse_int(pairs["reduction"], "reduction") if "reduction" in pairs else None,
+        **{key: _parse_int(pairs[key], key) for key in OPTIONAL_INTS if key in pairs},
         faults=faults,
-        deposit=_parse_int(pairs.get("deposit", "100"), "deposit"),
-        balance=_parse_int(pairs.get("balance", "100000"), "balance"),
         fees=FeeSchedule(**fee_kwargs),
         scaling=[_parse_int(v, "scaling") for v in pairs.get("scaling", "").split(",") if v],
         source=path,

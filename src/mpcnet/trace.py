@@ -9,6 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+# A fault's label is what its detection channel observed, whatever the
+# member was doing.
+FAULT_LABELS = {"share-consistency": "wrong-share", "timeout": "silent",
+                "audit_trail": "broken-commitment"}
+
 
 @dataclass
 class NodeTally:
@@ -22,7 +27,7 @@ class NodeTally:
 @dataclass(frozen=True)
 class DetectedFault:
     node: int          # registry index
-    behavior: str
+    behavior: str      # the label FAULT_LABELS gives the channel
     channel: str       # audit_trail | timeout | share-consistency
 
 
@@ -42,7 +47,6 @@ class ComputationTrace:
     output: list = dc_field(default_factory=list)
     detected_faults: list = dc_field(default_factory=list)
     events: list = dc_field(default_factory=list)
-    finalized: bool = False
 
     def tally(self, node: int) -> NodeTally:
         return self.per_node.setdefault(node, NodeTally())
@@ -51,15 +55,14 @@ class ComputationTrace:
         parts = [f"event={kind}"] + [f"{k}={_fmt(v)}" for k, v in fields.items()]
         self.events.append(" ".join(parts))
 
-    def fault(self, node: int, behavior: str, channel: str):
-        f = DetectedFault(node=node, behavior=behavior, channel=channel)
+    def fault(self, node: int, channel: str):
+        f = DetectedFault(node=node, behavior=FAULT_LABELS[channel], channel=channel)
         self.detected_faults.append(f)
-        self.event("fault", node=node, behavior=behavior, channel=channel)
+        self.event("fault", node=node, behavior=f.behavior, channel=channel)
 
     def finalize(self, outcome: str, output=None):
         self.outcome = outcome
         self.output = list(output) if output is not None else []
-        self.finalized = True
 
     def to_text(self) -> str:
         lines = [

@@ -32,8 +32,8 @@ def make_trace(committee_pks, requester_pk, tallies, faults=(), outcome="ok"):
         requester_pk=requester_pk)
     for idx, tally in enumerate(tallies):
         trace.per_node[idx] = tally
-    for idx, behavior in faults:
-        trace.fault(idx, behavior, "timeout")
+    for idx, channel in faults:
+        trace.fault(idx, channel)
     trace.finalize(outcome)
     return trace
 
@@ -100,7 +100,7 @@ def test_slash_split_equally():
         post_deposit(kp, 90, ledger)
     committee_pks = [kp.sign_pk for kp in keypairs[:4]]
     trace = make_trace(committee_pks, keypairs[4].sign_pk,
-                       [NodeTally(0, 0, 0)] * 4, faults=[(3, "abort-after-output")])
+                       [NodeTally(0, 0, 0)] * 4, faults=[(3, "timeout")])
     before = total_value(ledger)
     report = settle_computation(trace, FeeSchedule(), ledger, authority)
     assert total_value(ledger) == before
@@ -108,7 +108,7 @@ def test_slash_split_equally():
     for pk in committee_pks[:3]:
         assert ledger.account(pk).balance == 1000 - 90 + 30
     slash_line = [l for l in report.lines if l.slash][0]
-    assert slash_line.slash == 90 and slash_line.reason == "abort-after-output"
+    assert slash_line.slash == 90 and slash_line.reason == "silent"
 
 
 def test_slash_remainder_to_first_honest():
@@ -118,7 +118,7 @@ def test_slash_remainder_to_first_honest():
         post_deposit(kp, amount, ledger)
     committee_pks = [kp.sign_pk for kp in keypairs[:3]]
     trace = make_trace(committee_pks, keypairs[3].sign_pk,
-                       [NodeTally(0, 0, 0)] * 3, faults=[(2, "wrong-share")])
+                       [NodeTally(0, 0, 0)] * 3, faults=[(2, "share-consistency")])
     settle_computation(trace, FeeSchedule(), ledger, authority)
     # 91 split over 2 honest: 45 each, remainder 1 to the lowest index.
     assert ledger.account(committee_pks[0]).balance == 900 + 46
@@ -149,7 +149,7 @@ def test_conservation_randomized():
             post_deposit(kp, rng.randrange(0, min(balance, 200)), ledger)
         tallies = [NodeTally(rng.randrange(5), rng.randrange(5), rng.randrange(3))
                    for _ in range(n)]
-        faults = [(i, "wrong-share") for i in range(n) if rng.random() < 0.3]
+        faults = [(i, "share-consistency") for i in range(n) if rng.random() < 0.3]
         trace = make_trace([kp.sign_pk for kp in keypairs[:n]],
                            keypairs[n].sign_pk, tallies, faults=faults)
         schedule = FeeSchedule(w_round=rng.randrange(3), w_add=rng.randrange(3),

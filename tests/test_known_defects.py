@@ -206,7 +206,6 @@ def test_a_dishonest_owner_gets_no_honest_member_slashed(monkeypatch):
                 if line.slash and line.node_pk in members]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
 def test_a_committee_tree_that_cannot_keep_the_threshold_is_refused():
     # n = 9, t = 3, c = 3: a root committee of 3 holds a degree-1 sharing,
     # which 2 colluding members open, below the t + 1 = 4 of the input.

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -13,10 +15,10 @@ from mpcnet.identity import Predicate, identity_address, serialize_acl
 from mpcnet.ledger import LedgerRejected, load_dump, make_tx, writes_payload
 from mpcnet.network import child_rng, protocol_compute, protocol_share, sharing_key
 from mpcnet.runner import run_scenario
-from mpcnet.scenario import ScenarioError, parse_scenario
+from mpcnet.scenario import ScenarioConfig, ScenarioError, parse_scenario
 from mpcnet.trace import ComputationTrace
 from oracles import length_sequence
-from test_golden import RUN_SEED, RUNS, pinned, run_digests
+from test_golden import RUN_SEED, RUNS, SEEDS, pinned, run_configs, run_digests
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -30,6 +32,17 @@ def test_parse_scenario_fields():
     assert cfg.mode == "shamir" and cfg.nodes == 8 and cfg.committee == 3
     assert cfg.inputs == [52000, 61000, 46000]
     assert cfg.fees.w_mul == 10
+
+
+def test_a_scenario_with_only_the_required_keys_takes_the_dataclass_defaults(tmp_path):
+    scn = tmp_path / "bare.scn"
+    scn.write_text(f"nodes=4\nmode=shamir\ncircuit={SCENARIOS}/mean3.circ\n"
+                   "inputs=1,2,3\nseed=5\n")
+    cfg = parse_scenario(scn)
+    required = {"nodes": 4, "mode": "shamir", "circuit_path": SCENARIOS / "mean3.circ",
+                "circuit_text": (SCENARIOS / "mean3.circ").read_text(),
+                "inputs": [1, 2, 3], "seed": 5, "source": scn}
+    assert cfg == ScenarioConfig(**required)
 
 
 def test_parse_scenario_errors(tmp_path):
@@ -308,6 +321,39 @@ def test_rejected_when_balance_below_threshold():
     assert result.settlement.rejected
     assert result.outputs == []
     assert result.exit_code == 0
+
+
+def assert_counts_add_up(result):
+    """The trace's message counts are read off the bus: its layers sum to
+    the evaluation count, and its total is every message the bus carried."""
+    trace, bus = result.trace, result.runtime.bus
+    assert sum(trace.per_round_messages) == trace.messages_eval
+    assert trace.messages_total == bus.messages == len(bus.broadcast_log)
+
+
+@functools.cache
+def golden_configs() -> dict:
+    """Every run tests/golden.json pins: the bundled scenarios at its
+    seeds, and its "runs" section."""
+    scenarios = {f"{path.stem}/{seed}": dataclasses.replace(parse_scenario(path), seed=seed)
+                 for path in sorted(SCENARIOS.glob("*.scn")) for seed in SEEDS}
+    return {**scenarios, **run_configs()}
+
+
+@pytest.mark.parametrize("key", sorted(golden_configs()))
+def test_trace_counts_add_up_on_every_pinned_run(key):
+    assert_counts_add_up(run_scenario(golden_configs()[key]))
+
+
+def test_a_rejected_run_counts_its_share_messages():
+    # The three inputs were dealt to the committee of 3 before the
+    # requester's balance was checked.
+    cfg = load("average")
+    cfg.fees = dataclasses.replace(cfg.fees, min_balance=10 ** 9)
+    result = run_scenario(cfg)
+    assert result.trace.outcome == "rejected"
+    assert result.trace.messages_total == 9
+    assert_counts_add_up(result)
 
 
 def test_determinism_byte_identical():
