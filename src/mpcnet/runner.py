@@ -4,6 +4,11 @@ run_scenario is the single entry point behind both the CLI and the
 integration tests. It is fully deterministic for a given scenario file:
 every randomness consumer draws from a label-derived child of the scenario
 seed, so traces and ledger dumps compare byte-identical across runs.
+
+A requester whose balance is below the fee schedule's min_balance is
+rejected before any input is dealt. The scaling experiment
+(measure_mul_messages) runs only for the sizes a scenario lists under
+`scaling=`, one metrics row each; any other run has no metrics rows.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ class RunResult:
 
 def measure_mul_messages(n: int, field: Field, seed: int) -> tuple:
     """Measured message counts for one secure multiplication at size n:
-    (flat n(n-1) baseline, committee-tree hierarchical)."""
+    (flat n(n-1) baseline, committee-tree hierarchical), on scratch
+    channels apart from the scenario's network."""
     rng = child_rng(seed, f"scaling:{n}")
     x = shamir.share(3, 1, n, field, rng)
     y = shamir.share(4, 1, n, field, rng)
@@ -114,15 +120,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     )
     trace.event("committee", members=[n.index for n in committee])
 
-    pointers = _share_inputs(cfg, rt, ident.addr, q_compute, mac_key, committee, "")
-    for i, pointer in enumerate(pointers):
-        trace.event("share", ref=f"input{i}", pointer=pointer)
-
+    # The requester's balance is known before the first deal, so a request
+    # it cannot back deals nothing.
     outputs = []
     if rt.ledger.account(requester.sign_pk).balance < cfg.fees.min_balance:
         trace.event("rejected", reason="balance-below-threshold")
         trace.finalize("rejected")
     else:
+        pointers = _share_inputs(cfg, rt, ident.addr, q_compute, mac_key, committee, "")
+        for i, pointer in enumerate(pointers):
+            trace.event("share", ref=f"input{i}", pointer=pointer)
         outputs = _run_compute(cfg, rt, trace, requester, ident.addr, pointers,
                                q_compute, circuit, mac_key, committee)
 
@@ -131,12 +138,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     trace.event("settled", rejected="yes" if settlement.rejected else "no",
                 charge=settlement.requester_charge)
 
-    metrics_rows = []
+    # The scaling experiment runs only at the sizes the scenario names.
     rounds = cost_model(circuit).rounds
-    sizes = cfg.scaling if cfg.scaling else [cfg.committee]
-    for n in sizes:
-        base, hier = measure_mul_messages(n, field, cfg.seed)
-        metrics_rows.append((n, base, hier, rounds))
+    metrics_rows = [(n, *measure_mul_messages(n, field, cfg.seed), rounds)
+                    for n in cfg.scaling]
 
     expected = eval_plain(circuit, cfg.inputs, field)
     cheated = bool(trace.detected_faults) or trace.outcome == "cheat-detected"

@@ -139,12 +139,10 @@ def parse_scenario(path) -> ScenarioConfig:
     if cfg.committee > cfg.nodes:
         raise ScenarioError(f"{path}: committee={cfg.committee} exceeds nodes={cfg.nodes}")
     # Every metrics row multiplies a t = 1 sharing flat among its n parties.
-    metrics_key = "scaling" if cfg.scaling else "committee"
-    metrics_sizes = cfg.scaling or [cfg.committee]
-    if min(metrics_sizes) < 3:
-        raise ScenarioError(f"{path}: {metrics_key} size {min(metrics_sizes)} is below "
+    if cfg.scaling and min(cfg.scaling) < 3:
+        raise ScenarioError(f"{path}: scaling size {min(cfg.scaling)} is below "
                             "the 3 parties a metrics row's t = 1 product needs")
-    largest = max(metrics_sizes + [cfg.committee])
+    largest = max(cfg.scaling + [cfg.committee])
     if not is_prime(cfg.prime) or cfg.prime <= largest:
         raise ScenarioError(f"{path}: prime={cfg.prime} must be a prime above "
                             f"the largest party count {largest}")
@@ -158,9 +156,11 @@ def parse_scenario(path) -> ScenarioConfig:
     for pos in cfg.faults:
         if not 0 <= pos < cfg.committee:
             raise ScenarioError(f"{path}: fault position {pos} outside committee")
-    if cfg.mode == "shamir" and not 0 <= cfg.threshold < cfg.committee:
+    # A Shamir product has degree 2t, which the committee's points determine
+    # only under an honest majority.
+    if cfg.mode == "shamir" and not 0 <= 2 * cfg.threshold < cfg.committee:
         raise ScenarioError(f"{path}: threshold={cfg.threshold} must satisfy "
-                            f"0 <= threshold < committee={cfg.committee}")
+                            f"0 <= 2*threshold < committee={cfg.committee}")
     try:
         n_inputs = parse_circuit(cfg.circuit_text).n_inputs
     except CircuitSyntaxError as exc:

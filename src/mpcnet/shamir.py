@@ -177,7 +177,9 @@ def reshare(points: list, sources: list, weights: list, targets: list, t: int,
     and a target need not be a source. Every source deals a fresh degree-t
     sharing of each of its points at the targets' evaluation points (values
     outer, sources inner) and sends each other target one message with its
-    sub-share of every value, in order; it keeps its own. Each target's new
+    sub-share of every value, in order; it keeps its own. A source encodes
+    all its sub-shares once, target-major, and each message is its target's
+    len(points) * elem_size byte slice of that encoding. Each target's new
     share of value k is the weighted sum of the sub-shares it holds. This is
     the Damgård–Nielsen re-share step (CRYPTO 2007). Returns, per value, the
     targets' degree-t shares indexed by their evaluation points.
@@ -190,17 +192,24 @@ def reshare(points: list, sources: list, weights: list, targets: list, t: int,
         for d, rows in zip(values, subs):
             rows.append(eval_poly([d] + [field.rand(rng) for _ in range(t)], xs, p))
 
-    # kept[party] holds the sub-shares a source keeps for itself.
+    # kept[party] holds the sub-shares a source keeps for itself. flat holds
+    # a source's sub-shares target-major: target j's are
+    # flat[j * count:(j + 1) * count].
+    count = len(points)
+    width = count * field.elem_size
     kept = {}
     for src, rows in zip(sources, subs):
-        for (tgt, _), column in zip(targets, zip(*rows)):
+        flat = [0] * (count * len(targets))
+        for k, row in enumerate(rows):
+            flat[k::count] = row
+        encoded = field.encode_many(flat)
+        for j, (tgt, _) in enumerate(targets):
             if tgt == src:
-                kept[tgt] = column
+                kept[tgt] = tuple(flat[j * count:(j + 1) * count])
             else:
-                net.send(src, tgt, field.encode_many(column))
+                net.send(src, tgt, encoded[j * width:(j + 1) * width])
 
     weight_of = dict(zip(sources, weights))
-    count = len(points)
     shares = [[] for _ in points]
     for tgt, x in targets:
         # Every payload in the inbox is decoded in one pass: held is flat,

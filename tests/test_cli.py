@@ -58,6 +58,7 @@ def test_run_missing_circuit_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("edit, named", [
     ("inputs=5,8", "inputs"),
     ("threshold=5", "threshold"),
+    ("threshold=2", "threshold"),
     ("circuit=bad.circ", "line 4"),
     ("fee.mul=-1", "fee.mul"),
     ("fee.storage=1", "fee.storage"),

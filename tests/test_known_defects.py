@@ -217,6 +217,31 @@ def test_a_committee_tree_that_cannot_keep_the_threshold_is_refused():
         hierarchical_mul(x, y, CommitteeTree.build(9, 3), field, LocalChannel(), rng)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+def test_a_shifted_shamir_product_point_fails_the_run(monkeypatch):
+    # cheater.scn under Shamir at t = 1 with its fault cleared, where the
+    # source at index 1 adds 1 to its first product point before the first
+    # re-share: nothing checks what a member deals, so the output shifts by
+    # that member's weight -3 to 417 and the decoder sees a consistent
+    # sharing.
+    reshare = shamir.reshare
+    calls = []
+
+    def shifted(points, *args):
+        if not calls:
+            points = [list(values) for values in points]
+            points[0][1] += 1
+        calls.append(args)
+        return reshare(points, *args)
+
+    monkeypatch.setattr(shamir, "reshare", shifted)
+    cfg = parse_scenario(SCENARIOS / "cheater.scn")
+    cfg.mode, cfg.threshold, cfg.faults = "shamir", 1, {}
+    result = run_scenario(cfg)
+    assert calls
+    assert result.trace.outcome != "ok"
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
 def test_the_computation_id_does_not_depend_on_the_inputs():
     # Two select.scn runs that differ only in their inputs: the id in the

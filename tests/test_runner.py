@@ -345,14 +345,17 @@ def test_trace_counts_add_up_on_every_pinned_run(key):
     assert_counts_add_up(run_scenario(golden_configs()[key]))
 
 
-def test_a_rejected_run_counts_its_share_messages():
-    # The three inputs were dealt to the committee of 3 before the
-    # requester's balance was checked.
+def test_a_run_rejected_for_its_balance_deals_nothing():
+    # The requester's balance is checked before the first deal, so no
+    # input reaches the committee or the ledger.
     cfg = load("average")
     cfg.fees = dataclasses.replace(cfg.fees, min_balance=10 ** 9)
     result = run_scenario(cfg)
     assert result.trace.outcome == "rejected"
-    assert result.trace.messages_total == 9
+    assert result.trace.messages_total == 0
+    assert not [tx for tx, _ in result.runtime.ledger.accepted
+                if tx.payload_type == "kv-put"]
+    assert not [e for e in result.trace.events if e.startswith("event=share ")]
     assert_counts_add_up(result)
 
 
@@ -409,12 +412,25 @@ def test_each_input_is_one_owner_transaction(name, faults, rounds, monkeypatch):
 def test_scaling_metrics_rows():
     result = run_scenario(load("scaling"))
     rows = {n: (base, hier) for n, base, hier, _ in result.metrics_rows}
-    assert set(rows) == {9, 27, 81}
+    assert [n for n, *_ in result.metrics_rows] == [9, 27, 81]
     for n, (base, hier) in rows.items():
         assert base == n * (n - 1)
     ratios = [rows[n][1] / n for n in (9, 27, 81)]
     assert max(ratios) / min(ratios) < 2
     assert (rows[81][0] / 81) / (rows[9][0] / 9) >= 8
+
+
+@pytest.mark.parametrize("name", ["abort", "average", "broken", "cheater", "select"])
+def test_a_scenario_without_scaling_runs_no_scaling_experiment(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("measure_mul_messages called without scaling=")
+
+    monkeypatch.setattr(runner, "measure_mul_messages", refuse)
+    cfg = load(name)
+    assert cfg.scaling == []
+    result = run_scenario(cfg)
+    assert result.metrics_rows == []
+    assert result.metrics_csv() == runner.METRICS_HEADER + "\n"
 
 
 def test_privacy_no_plaintext_in_node_logs():

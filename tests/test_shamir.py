@@ -165,6 +165,37 @@ def test_mul_layer_matches_plain_and_separate_products():
     assert separate == layer
 
 
+class RecordingChannel(LocalChannel):
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def send(self, src, dst, payload: bytes):
+        super().send(src, dst, payload)
+        self.sent.append((src, dst, payload))
+
+
+def test_reshare_to_other_parties_sends_each_target_its_slice():
+    # A tree hop: parties 1..3 re-share three values to a committee at
+    # points 1..3 whose members 10 and 11 hold none of them, while party 1,
+    # the committee's second member, keeps its own sub-shares. Each message
+    # carries 3 sub-shares.
+    field = Field(M61)
+    rng = random.Random(29)
+    secrets = [field.rand(rng) for _ in range(3)]
+    sharings = [shamir.share(v, 1, 3, field, rng) for v in secrets]
+    sources, targets = [1, 2, 3], [(10, 1), (1, 2), (11, 3)]
+    net = RecordingChannel()
+    out = shamir.reshare([[s.value for s in sharing] for sharing in sharings], sources,
+                         shamir.weights_at_zero((1, 2, 3), field.p), targets, 1,
+                         field, net, rng)
+    assert sorted((src, dst) for src, dst, _ in net.sent) == \
+        sorted((src, tgt) for src in sources for tgt, _ in targets if tgt != src)
+    assert {len(payload) for _, _, payload in net.sent} == {3 * field.elem_size}
+    assert all([s.index for s in z] == [1, 2, 3] for z in out)
+    assert [shamir.reconstruct(z, field) for z in out] == secrets
+
+
 def test_every_subset_reconstructs_small():
     field = Field(M61)
     rng = random.Random(17)
