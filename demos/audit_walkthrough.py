@@ -2,10 +2,13 @@
 """Walkthrough: publicly auditable correctness.
 
 Every sharing carries Pedersen commitments on the bulletin board, and the
-masked openings of each multiplication go there too. A third party holding
-only the ledger can re-derive what every party's commitments must be and
-check the posted openings against them -- and a node that lied about a
-commitment is named, not just detected.
+masked openings of each multiplication go there too. The commitments (the
+inputs and the dealer's Beaver triple) are posted before the first mask
+opens; the openings, which commit to nothing new, follow in one more
+transaction when the trail closes. A third party holding only the ledger
+can re-derive what every party's commitments must be and check the posted
+openings against them -- and a node that lied about a commitment is named,
+not just detected.
 """
 
 import random
@@ -31,9 +34,11 @@ def run(tag, broken=frozenset()):
     x = audit.pv_share(4, 3, key, params, writer, field, rng, broken=broken)
     y = audit.pv_share(5, 3, key, params, writer, field, rng)
     triple = audit.pv_triple(key, params, writer, field, rng)
+    # The input and triple steps go on the ledger before the masks open.
     z = audit.pv_beaver(x, y, triple, key, params, field,
                         LocalChannel(), spdz.MacCheckQueue(), writer)
     value = audit.pv_output(z, field, writer)
+    # The Beaver and output openings follow with the metadata record.
     writer.close()
     return ledger, comp_id, value
 

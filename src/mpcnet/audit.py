@@ -27,10 +27,18 @@ a symbol names a per-party vector of bases. It evaluates a step only when
 an opening is checked against it, all parties at once, with one
 multi-exponentiation whose digit plan serves every party.
 
-Trail steps are posted in batches, one per opening round: the steps since
-the previous round go on the ledger as one JSON list keyed by
-H(computation_id || batch_index) before the next values open, so every
-commitment is public before anything masked by it is revealed.
+Trail steps are posted in batches, each one JSON list keyed by
+H(computation_id || batch_index). Before any value opens, the pending steps
+go on the ledger whenever one of them carries a commitment (an input or a
+triple), so every commitment is public before anything masked by it is
+revealed; steps that carry none (linear, Beaver and output steps) wait for
+the next transaction. The dealer deals every triple of an evaluation before
+its first opening (the offline phase), so an evaluation posts two
+transactions whatever its depth: the inputs and triples before the first
+opening, then the online steps with the metadata at close. An attempt that
+ends in a MAC failure or an abort posts its pending steps without the
+metadata instead, and a restart numbers its batches after the aborted
+attempt's.
 
 Records are compact JSON, and each per-party vector in them is one base64
 field (the pedersen codecs): a triple's a, b and c and a VSS record's
@@ -104,15 +112,24 @@ class PVShare:
     step: int
 
 
+COMMITTING = ("input", "triple")   # the step kinds that carry commitments
+
+
 class TrailWriter:
     """Posts trail records for one computation to the bulletin board.
 
-    post_step buffers a record and returns its step index; flush posts every
-    pending record as one batch, and the protocol flushes before each
-    opening round. The metadata record, with the step and batch counts, is
-    posted only by close(), in one transaction with the last batch, so an
-    unfinished trail has none and audits as incomplete rather than silently
-    passing.
+    post_step buffers a record and returns its step index. Before each
+    opening the protocol calls flush_commitments, which posts the pending
+    records as one batch only while one of them carries a commitment;
+    flush posts them whatever they carry. The metadata record, with the
+    step count and the batches that hold the steps, is posted only by
+    close(), in one transaction with the last batch, so an unfinished trail
+    has none and audits as incomplete rather than silently passing.
+
+    Batches are numbered from the first index whose key the board does not
+    hold yet, so the attempts of a restarted computation never write the
+    same key: the finishing attempt's metadata names its own batches, and
+    an aborted attempt's stay readable at theirs.
     """
 
     def __init__(self, board: Ledger, computation_id: bytes, poster: KeyPair,
@@ -123,6 +140,9 @@ class TrailWriter:
         self.field_p = field.p
         self.n = n
         self.steps = 0
+        self.first = 0
+        while board.get(trail_key(computation_id, self.first)) is not None:
+            self.first += 1
         self.batches = 0
         self._pending = []
 
@@ -147,21 +167,28 @@ class TrailWriter:
 
     def _batch(self) -> tuple:
         """The pending steps as the next batch's write."""
-        write = (trail_key(self.computation_id, self.batches), self._pending)
+        write = (trail_key(self.computation_id, self.first + self.batches), self._pending)
         self.batches += 1
         self._pending = []
         return write
 
     def flush(self):
-        """Post the pending steps as one batch."""
-        self.post(self._batch())
+        """Post the pending steps, if there are any, as one batch."""
+        if self._pending:
+            self.post(self._batch())
+
+    def flush_commitments(self):
+        """Flush if a pending step carries a commitment: the protocol calls
+        this before each opening."""
+        if any(record["kind"] in COMMITTING for record in self._pending):
+            self.flush()
 
     def close(self):
         """Post the last batch and the metadata record in one transaction."""
         batch = self._batch()
         self.post(batch, (trail_meta_key(self.computation_id),
                           {"p": self.field_p, "n": self.n, "steps": self.steps,
-                           "batches": self.batches}))
+                           "first": self.first, "batches": self.batches}))
 
 
 def _combine(terms: list, p: int) -> list:
@@ -257,17 +284,19 @@ def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParam
                     writer: TrailWriter) -> list:
     """[[x*y]] for every pair of one multiplication layer, a triple each.
 
-    The trail is flushed first, so the input and triple commitments are on
-    the ledger before any mask opens. eps = x - a and delta = y - b of every
-    product are then opened in one batched broadcast round (MAC check
-    deferred to the queue), and each product posts its own beaver step with
-    the per-party openings (share, blinding) of its masks, so the auditor
-    can hold every party to its input commitments.
+    Pending input and triple commitments are posted first
+    (flush_commitments), so they are on the ledger before any mask opens;
+    a layer whose triples were all posted earlier posts nothing here. eps =
+    x - a and delta = y - b of every product are then opened in one batched
+    broadcast round (MAC check deferred to the queue), and each product
+    buffers its own beaver step with the per-party openings (share,
+    blinding) of its masks, so the auditor can hold every party to its
+    input commitments.
     """
     masks = [(_derive([(1, x), (-1, a)], 0, key, field),
               _derive([(1, y), (-1, b)], 0, key, field))
              for (x, y), (a, b, _) in zip(pairs, triples, strict=True)]
-    writer.flush()
+    writer.flush_commitments()
     opened = spdz.open_many([m.value for pair in masks for m in pair],
                             field, net, queue)
     products = []
@@ -355,11 +384,11 @@ def _multi_exp(rows, exps: list, q: int) -> list:
 def audit_trail(board, computation_id: bytes) -> AuditReport:
     """Recompute the commitment trail and name every inconsistent party.
 
-    Reads the posted batches in order and walks their steps, folding
-    input (VSS record) and triple commitments through linear and Beaver
-    records, and checks every posted opening (Beaver masks and the final
-    output) against the derived per-party commitments. The verdict rests
-    on what the board holds and nothing else.
+    Reads the batches the metadata names, in order, and walks their steps,
+    folding input (VSS record) and triple commitments through linear and
+    Beaver records, and checks every posted opening (Beaver masks and the
+    final output) against the derived per-party commitments. The verdict
+    rests on what the board holds and nothing else.
 
     A derived step is held as (constant, {symbol: exp}), one for all n
     parties, since every exponent is public. The constant is the public
@@ -387,11 +416,11 @@ def audit_trail(board, computation_id: bytes) -> AuditReport:
         meta = json.loads(meta_raw.decode())
         if not isinstance(meta, dict) or meta.get("steps") is None:
             raise IncompleteTrail("trail metadata lacks a step count")
-        batches = meta.get("batches")
-        if not isinstance(batches, int):
-            raise IncompleteTrail("trail metadata lacks a batch count")
+        first, batches = meta.get("first"), meta.get("batches")
+        if not isinstance(first, int) or not isinstance(batches, int):
+            raise IncompleteTrail("trail metadata lacks a first batch or a batch count")
         records = []
-        for batch in range(batches):
+        for batch in range(first, first + batches):
             raw = board.get(trail_key(computation_id, batch))
             if raw is None:
                 raise IncompleteTrail(f"missing trail batch {batch}")

@@ -427,7 +427,8 @@ def protocol_compute(requester: KeyPair, requester_label: str, addr: bytes,
     if mode == "shamir":
         engine = ShamirEngine(*context)
     elif reduction is None:
-        engine = AuditedSpdzEngine(mac_key, *context)
+        muls = sum(len(gates) for kind, gates in plan.layers if kind == "mul")
+        engine = AuditedSpdzEngine(mac_key, muls, *context)
     else:
         engine = SpdzEngine(mac_key, *context)
     return _evaluate(engine, refs, plan)
@@ -608,14 +609,20 @@ class SpdzEngine(_Engine):
 
 class AuditedSpdzEngine(SpdzEngine):
     """SPDZ with the public Pedersen trail (see audit): wires are PVShares,
-    a value sharing and a MAC-free blinding sharing, and every step goes on
-    the ledger in one batch per opening round. Built only for a fixed
-    committee, so it never reduces."""
+    a value sharing and a MAC-free blinding sharing. The dealer deals all
+    `muls` triples of the evaluation up front, in the order the layers
+    consume them, so an evaluation posts its trail in two transactions:
+    inputs and triples before the first mask opens, then the online steps
+    with the metadata at close. A MAC failure or an abort posts the online
+    steps without the metadata. Built only for a fixed committee, so it
+    never reduces."""
 
-    def __init__(self, mac_key: MacKey | None, *context):
+    def __init__(self, mac_key: MacKey | None, muls: int, *context):
         super().__init__(mac_key, *context)
         self.writer = auditmod.TrailWriter(self.rt.ledger, self.trace.computation_id,
                                            self.rt.authority, self.field, self.key.n)
+        self.triples = iter([auditmod.pv_triple(self.key, self.rt.params, self.writer,
+                                                self.field, self.rng) for _ in range(muls)])
 
     def load(self, sharing_id: bytes) -> auditmod.PVShare:
         # The input step names the owner's VSS record, and the auditor
@@ -631,16 +638,20 @@ class AuditedSpdzEngine(SpdzEngine):
         return auditmod.pv_linear(terms, 0, self.key, self.field, self.writer)
 
     def mul_layer(self, pairs: list) -> list:
-        triples = [auditmod.pv_triple(self.key, self.rt.params, self.writer, self.field,
-                                      self.rng) for _ in pairs]
+        triples = [next(self.triples) for _ in pairs]
         return auditmod.pv_beaver_layer(pairs, triples, self.key, self.rt.params,
                                         self.field, self.chan, self.queue, self.writer)
 
     def open(self, outputs: list) -> list:
-        # The steps since the last mask opening go on the ledger before the
-        # MAC check and the reveal.
-        self.writer.flush()
-        results = super().open([pv.value for pv in outputs])
+        # Commitments still pending (a circuit without a multiplication) go
+        # on the ledger before the MAC check and the reveal.
+        self.writer.flush_commitments()
+        try:
+            results = super().open([pv.value for pv in outputs])
+        except (CheatDetected, AbortedComputation):
+            # A failed attempt posts its online steps, with no metadata.
+            self.writer.flush()
+            raise
         for pv in outputs:
             auditmod.pv_output(pv, self.field, self.writer)
         self.writer.close()

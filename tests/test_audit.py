@@ -81,7 +81,45 @@ def test_trail_metadata_is_written_once_at_close(setup101, f101):
     writer.close()
     meta_key = audit.trail_meta_key(comp_id)
     assert [e.key for e in ledger.entries] == [audit.trail_key(comp_id, 0), meta_key]
-    assert json.loads(ledger.get(meta_key)) == {"p": 101, "n": 3, "steps": 1, "batches": 1}
+    assert json.loads(ledger.get(meta_key)) == {"p": 101, "n": 3, "steps": 1, "first": 0,
+                                             "batches": 1}
+
+
+def test_only_pending_commitments_are_flushed_before_an_opening(setup101, f101):
+    # flush_commitments posts nothing while the pending steps carry no
+    # commitment, and all of them, in one batch, once one does.
+    ledger = Ledger()
+    comp_id = sha256(b"commitments-first")
+    writer = audit.TrailWriter(ledger, comp_id, setup101["poster"], f101, 3)
+    writer.post_step({"kind": "linear"})
+    writer.flush_commitments()
+    assert ledger.height == 0
+    writer.post_step({"kind": "triple"})
+    writer.flush_commitments()
+    assert json.loads(ledger.get(audit.trail_key(comp_id, 0))) == [{"kind": "linear"},
+                                                                   {"kind": "triple"}]
+    writer.flush_commitments()
+    writer.flush()
+    assert ledger.height == 1
+
+
+def test_a_second_writer_numbers_its_batches_after_the_first(setup101, f101):
+    # A restarted computation's second attempt writes no key of the
+    # first's, and its metadata names its own batches only.
+    ledger = Ledger()
+    comp_id = sha256(b"restart")
+    aborted = audit.TrailWriter(ledger, comp_id, setup101["poster"], f101, 3)
+    aborted.post_step({"kind": "aborted"})
+    aborted.flush()
+    finished = audit.TrailWriter(ledger, comp_id, setup101["poster"], f101, 3)
+    finished.post_step({"kind": "finished"})
+    finished.close()
+    meta_key = audit.trail_meta_key(comp_id)
+    assert [e.key for e in ledger.entries] == [audit.trail_key(comp_id, 0),
+                                               audit.trail_key(comp_id, 1), meta_key]
+    assert json.loads(ledger.get(meta_key)) == {"p": 101, "n": 3, "steps": 1, "first": 1,
+                                                "batches": 1}
+    assert json.loads(ledger.get(audit.trail_key(comp_id, 0))) == [{"kind": "aborted"}]
 
 
 def test_pv_share_posts_n_commitments(setup101, f101):
@@ -445,12 +483,16 @@ def test_shared_exponents_fold_like_the_step_fold(setup101, f101):
 @pytest.mark.parametrize("meta_edit,batch_edit", [
     (lambda meta: meta.pop("batches"), None),
     (lambda meta: meta.update(batches="2"), None),
+    (lambda meta: meta.pop("first"), None),
+    (lambda meta: meta.update(first=1), None),
     (None, lambda batch: batch[0]),
     (None, lambda batch: [batch]),
-], ids=["no-batch-count", "batch-count-string", "batch-is-a-record", "batch-of-lists"])
+], ids=["no-batch-count", "batch-count-string", "no-first-batch", "first-batch-shifted",
+        "batch-is-a-record", "batch-of-lists"])
 def test_malformed_trail_is_incomplete(setup101, meta_edit, batch_edit):
-    # Metadata without an integer batch count (as in a per-step trail) and
-    # a batch that is not a list of records are incomplete trails.
+    # Metadata without an integer batch count (as in a per-step trail) or
+    # first batch, metadata naming a batch the board lacks, and a batch
+    # that is not a list of records are incomplete trails.
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
     meta_key = audit.trail_meta_key(comp_id)
     board = {meta_key: ledger.get(meta_key)}
@@ -513,22 +555,24 @@ def test_multi_exp_equals_the_product_of_pows(p, count):
 
 def pv_trail(circuit, n: int, env, comp_id: bytes) -> Ledger:
     """The closed trail of `circuit` on fresh random inputs, written through
-    the pv_* API layer by layer as the audited engine writes it: inputs by
-    pv_share, add and smul by pv_linear (here with a random public constant
-    now and then), each mul layer by pv_triple and pv_beaver_layer, and the
-    outputs by pv_output."""
+    the pv_* API as the audited engine writes it: every triple up front by
+    pv_triple, inputs by pv_share, add and smul by pv_linear (here with a
+    random public constant now and then), each mul layer by
+    pv_beaver_layer, and the outputs by pv_output."""
     field, params, rng = env["field"], env["params"], env["rng"]
     key = spdz.gen_mac_key(n, field, rng)
     ledger = Ledger()
     writer = audit.TrailWriter(ledger, comp_id, env["poster"], field, n)
     plan = layerize(circuit, n)
     gates = plan.circuit.gates
+    dealt = iter([audit.pv_triple(key, params, writer, field, rng)
+                  for g in gates if g.kind == "mul"])
     wires = {idx: audit.pv_share(field.rand(rng), n, key, params, writer, field, rng)
              for idx, g in enumerate(gates) if g.kind == "input"}
     for kind, indices in plan.layers:
         if kind == "mul":
             pairs = [(wires[a], wires[b]) for a, b in (gates[i].args for i in indices)]
-            triples = [audit.pv_triple(key, params, writer, field, rng) for _ in pairs]
+            triples = [next(dealt) for _ in pairs]
             wires.update(zip(indices, audit.pv_beaver_layer(
                 pairs, triples, key, params, field, LocalChannel(), spdz.MacCheckQueue(),
                 writer)))
@@ -539,7 +583,7 @@ def pv_trail(circuit, n: int, env, comp_id: bytes) -> Ledger:
                      else [(g.scalar % field.p, wires[g.args[0]])])
             constant = field.rand(rng) if rng.random() < 0.25 else 0
             wires[i] = audit.pv_linear(terms, constant, key, field, writer)
-    writer.flush()
+    writer.flush_commitments()
     for g in gates:
         if g.kind == "output":
             audit.pv_output(wires[g.args[0]], field, writer)

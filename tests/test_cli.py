@@ -198,7 +198,7 @@ def test_audit_dump_with_a_bad_vss_record(tmp_path, capsys, edit):
     first_batch = trail_key(bytes.fromhex(comp_id), 0).hex()
     lines = [line.split("\t") for line in (outdir / "ledger.tsv").read_text().splitlines()]
     batch = next(json.loads(base64.b64decode(v)) for _, k, v, _ in lines if k == first_batch)
-    vss = batch[0]["sharing"]
+    vss = next(rec["sharing"] for rec in batch if rec["kind"] == "input")
     edited = []
     for height, key, value64, author in lines:
         if key == vss:

@@ -50,7 +50,7 @@ def test_a_dump_whose_trail_authors_never_signed_is_rejected(tmp_path, capsys):
         if key in trail:
             author, rewritten = stranger, rewritten + 1
         lines.append("\t".join((height, key, value64, author)))
-    assert rewritten == 4
+    assert rewritten == 3
     dump = tmp_path / "unsigned.tsv"
     dump.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -58,10 +58,9 @@ def test_a_dump_whose_trail_authors_never_signed_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: corrupt dump")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
 def test_a_restarted_spdz_run_writes_every_trail_key_once():
     # average.scn under SPDZ, with position 1 silent at the output: the
-    # restart posts its trail under the aborted attempt's keys.
+    # restart numbers its trail batches after the aborted attempt's.
     cfg = parse_scenario(SCENARIOS / "average.scn")
     cfg.mode = "spdz"
     cfg.faults = {1: "abort-after-output"}

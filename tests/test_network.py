@@ -557,14 +557,16 @@ DOT4 = "\n".join([f"in x{i}" for i in range(4)] + [f"in y{i}" for i in range(4)]
                  + ["s1 = add p0 p1", "s2 = add s1 p2", "s3 = add s2 p3", "out s3"])
 CHAIN4 = "in x0\nin x1\nin x2\nin x3\nm1 = mul x0 x1\nm2 = mul m1 x2\n" \
     "m3 = mul m2 x3\nout m3"
+CHAIN8 = "\n".join([f"in x{i}" for i in range(8)] + ["m1 = mul x0 x1"]
+                   + [f"m{i} = mul m{i - 1} x{i}" for i in range(2, 8)] + ["out m7"])
 
 
-@pytest.mark.parametrize("text,layers", [(DOT4, 1), (CHAIN4, 3)], ids=["dot4", "chain4"])
-def test_audited_trail_posts_one_batch_per_opening_round(text, layers):
-    # The trail goes on the ledger once per multiplication layer (before its
-    # masks open), once before the output opening and once at close, where
-    # the metadata record rides in the same transaction: L + 2 authority
-    # transactions.
+@pytest.mark.parametrize("text", [DOT4, CHAIN4, CHAIN8], ids=["dot4", "chain4", "chain8"])
+def test_audited_trail_posts_two_transactions_whatever_the_depth(text):
+    # Every triple is dealt before the first mask opens, so the inputs and
+    # triples go on the ledger in one transaction before it, and the online
+    # steps in one more at close, where the metadata record rides along:
+    # two authority transactions at 1, 3 or 7 multiplication layers.
     rt, owners, ident, committee, mac_key, rng = make_env("spdz")
     circ = parse_circuit(text)
     values = [rng.randrange(101) for _ in range(circ.n_inputs)]
@@ -576,7 +578,7 @@ def test_audited_trail_posts_one_batch_per_opening_round(text, layers):
     assert out == eval_plain(circ, values, rt.field)
     posted = [tx.payload_type for tx, _ in rt.ledger.accepted[start:]
               if tx.sender == rt.authority.sign_pk]
-    assert posted == ["commitment-post"] * (layers + 2)
+    assert posted == ["commitment-post"] * 2
     assert audit.audit_trail(rt.ledger, trace.computation_id).ok
 
 

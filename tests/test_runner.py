@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from mpcnet import dht, identity, keys, network, runner
+from mpcnet import audit, dht, identity, keys, network, runner, spdz
 from mpcnet.audit import audit_trail, trail_key, trail_meta_key, vss_commitments
-from mpcnet.circuits import eval_plain, parse_circuit
+from mpcnet.circuits import eval_plain, lower_select, parse_circuit
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
 from mpcnet.identity import Predicate, identity_address, serialize_acl
@@ -80,15 +80,15 @@ def test_average_scenario_matches_oracle():
 
 
 def test_mac_failure_leaves_the_flushed_batches_and_no_step_count():
-    # The trail is flushed before the mask opening and before the MAC check
-    # that fails; nothing closes it, so no metadata record is posted and the
-    # audit reads the trail as incomplete.
+    # The commitments are flushed before the mask opening, and the beaver
+    # step once the MAC check fails; nothing closes the trail, so no
+    # metadata record is posted and the audit reads it as incomplete.
     result = run_scenario(load("cheater"))
     ledger, cid = result.runtime.ledger, result.trace.computation_id
     assert result.trace.outcome == "cheat-detected"
     assert ledger.get(trail_meta_key(cid)) is None
     assert [[rec["kind"] for rec in json.loads(ledger.get(trail_key(cid, b)))]
-            for b in range(2)] == [["input", "input", "triple"], ["beaver"]]
+            for b in range(2)] == [["triple", "input", "input"], ["beaver"]]
     assert ledger.get(trail_key(cid, 2)) is None
     authority = result.runtime.authority.sign_pk
     assert sum(tx.sender == authority and tx.payload_type == "commitment-post"
@@ -254,6 +254,92 @@ def test_restarted_spdz_run_is_audited(faults, restarted_on, guilty):
     assert [(f.node, f.behavior) for f in result.trace.detected_faults
             if f.channel == "audit_trail"] == [(guilty, "broken-commitment")]
     assert settled(result, guilty) == (0, 100, "broken-commitment")
+
+
+AUDITED_PINS = sorted(key for key, cfg in run_configs().items()
+                      if cfg.mode == "spdz" and cfg.reduction is None)
+
+
+@dataclasses.dataclass
+class Attempt:
+    """What one TrailWriter (one attempt of a computation) posted."""
+
+    writer: object
+    posts: int = 0                  # commitment-post transactions
+    writes: list = dataclasses.field(default_factory=list)   # (key, batch) as posted
+    closed: bool = False            # posted the metadata record
+    at_first_opening: list | None = None   # kinds of the trail records on the ledger then
+
+
+@functools.cache
+def audited_attempts(key: str) -> tuple:
+    """(result, attempts) of one pinned audited run, with every
+    TrailWriter.post and the first spdz.open_many of each attempt logged."""
+    attempts = []
+    init, post, open_many = audit.TrailWriter.__init__, audit.TrailWriter.post, spdz.open_many
+
+    def tracked_init(writer, *args):
+        init(writer, *args)
+        attempts.append(Attempt(writer))
+
+    def tracked_post(writer, *writes):
+        post(writer, *writes)
+        attempt = next(a for a in attempts if a.writer is writer)
+        attempt.posts += 1
+        attempt.writes += [(k, batch) for k, batch in writes if isinstance(batch, list)]
+        attempt.closed |= any(k == trail_meta_key(writer.computation_id) for k, _ in writes)
+
+    def tracked_open_many(*args):
+        attempt = attempts[-1]
+        if attempt.at_first_opening is None:
+            board = attempt.writer.board
+            attempt.at_first_opening = [rec["kind"] for k, _ in attempt.writes
+                                        for rec in json.loads(board.get(k))]
+        return open_many(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audit.TrailWriter, "__init__", tracked_init)
+        patch.setattr(audit.TrailWriter, "post", tracked_post)
+        patch.setattr(spdz, "open_many", tracked_open_many)
+        result = run_scenario(run_configs()[key])
+    return result, attempts
+
+
+@pytest.mark.parametrize("key", AUDITED_PINS)
+def test_every_commitment_is_on_the_ledger_at_an_attempts_first_opening(key):
+    # The dealer deals the triples of every layer up front, so the first
+    # mask opening already finds every input step and one triple per mul.
+    cfg = run_configs()[key]
+    muls = sum(g.kind == "mul" for g in lower_select(parse_circuit(cfg.circuit_text)).gates)
+    _, attempts = audited_attempts(key)
+    assert attempts
+    for attempt in attempts:
+        kinds = attempt.at_first_opening
+        assert (kinds.count("input"), kinds.count("triple")) == (len(cfg.inputs), muls)
+
+
+@pytest.mark.parametrize("key", AUDITED_PINS)
+def test_every_audited_attempt_posts_two_trail_transactions(key):
+    _, attempts = audited_attempts(key)
+    assert [attempt.posts for attempt in attempts] == [2] * len(attempts)
+
+
+@pytest.mark.parametrize("key", AUDITED_PINS)
+def test_a_failed_attempt_posts_every_step_it_wrote_at_keys_of_its_own(key):
+    # Only the attempt that returns outputs posts the metadata. A MAC
+    # failure or an abort posts the pending steps without it, so every
+    # attempt's trail holds all of its steps, and each batch still reads
+    # as posted at the end of the run: a restart writes no key twice.
+    result, attempts = audited_attempts(key)
+    ledger = result.runtime.ledger
+    finished = [bool(result.outputs) and attempt is attempts[-1] for attempt in attempts]
+    assert [attempt.closed for attempt in attempts] == finished
+    for attempt in attempts:
+        assert sum(len(batch) for _, batch in attempt.writes) == attempt.writer.steps
+        for k, batch in attempt.writes:
+            assert json.loads(ledger.get(k)) == batch
+    written = [k for attempt in attempts for k, _ in attempt.writes]
+    assert len(written) == len(set(written))
 
 
 def test_shamir_wrong_share_identified_at_committee_4():
