@@ -6,9 +6,11 @@ Three ways of not paying the full n^2 price of naive MPC:
                         network.
   hierarchical_mul   -- the committee-tree multiplication: the n(n-1)
                         all-to-all re-share of degree reduction is replaced
-                        by constant-size committees arranged in a tree of
-                        depth log_c(n), dropping total messages from
-                        quadratic to linear in n.
+                        by committees of c to 2c - 1 of the n parties
+                        arranged in a tree of depth about log_c(n)
+                        (committee_levels), dropping total messages from
+                        quadratic to linear in n. There is no padding: every
+                        committee member is a real party.
   reduce_parties     -- re-shares values from N holders to the first m of
                         them, m being the layered plan's next committee
                         size (circuits.layerize sets the schedule).
@@ -20,10 +22,9 @@ shamir.reshare; reduce_parties_spdz is its additive (SPDZ) counterpart.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .field import Field
-from .shamir import reconstruct, reshare, weights_at_zero
+from .shamir import reshare, weights_at_zero
 from . import spdz
 from .spdz import AuthShare, MacKey
 
@@ -41,117 +42,93 @@ def select_committee(candidates: list, k: int, rng: random.Random) -> list:
             for _ in range(k)]
 
 
-@dataclass(frozen=True)
-class CommitteeTree:
-    """Leaf committees of size c composed up to a single root committee.
+def _cut(items: list, c: int) -> list:
+    """Consecutive groups of c; a short last group joins its neighbour."""
+    groups = [items[i:i + c] for i in range(0, len(items), c)]
+    if len(groups) > 1 and len(groups[-1]) < c:
+        groups[-2:] = [groups[-2] + groups[-1]]
+    return groups
 
-    Parties are integers 0..n_padded-1; ids >= n_real are virtual padding
-    whose contributions are publicly zero. levels[0] are the leaves; each
-    higher-level committee is formed from the first member of each of its c
-    children, so the root always has exactly c members.
+
+def committee_levels(n: int, c: int) -> list:
+    """The committee tree over parties 0..n-1, leaves first, root last.
+
+    The leaves cut the parties into consecutive groups of c; each higher
+    level cuts the committees below into consecutive groups of c children,
+    and a parent takes its children's members rank by rank (every child's
+    first member, then every child's second, ...) up to max(c, children).
+    A short last group joins its neighbour, so every committee has c to
+    2c - 1 members (all n when n < 2c). At n = c^k every committee has c
+    members and a parent is its children's first members.
     """
-
-    n_real: int
-    c: int
-    levels: tuple  # tuple of levels, each a tuple of committees (party tuples)
-
-    @classmethod
-    def build(cls, n: int, c: int) -> "CommitteeTree":
-        if c < 2:
-            raise ValueError("committee size must be at least 2")
-        if n < c:
-            raise ValueError(f"need at least c={c} parties")
-        padded = c
-        while padded < n:
-            padded *= c
-        leaves = tuple(tuple(range(i, i + c)) for i in range(0, padded, c))
-        levels = [leaves]
-        while len(levels[-1]) > 1:
-            prev = levels[-1]
-            nxt = tuple(tuple(child[0] for child in prev[j:j + c])
-                        for j in range(0, len(prev), c))
-            levels.append(nxt)
-        return cls(n_real=n, c=c, levels=tuple(levels))
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    @property
-    def root(self) -> tuple:
-        return self.levels[-1][0]
+    if c < 2:
+        raise ValueError("committee size must be at least 2")
+    if n < c:
+        raise ValueError(f"need at least c={c} parties")
+    levels = [_cut(list(range(n)), c)]
+    while len(levels[-1]) > 1:
+        levels.append([[m for rank in zip(*children) for m in rank][:max(c, len(children))]
+                       for children in _cut(levels[-1], c)])
+    return levels
 
 
-@dataclass
-class CommitteeSharing:
-    """A degree-t sharing held by one committee (local points 1..c)."""
-
-    members: tuple       # party ids, position matters
-    shares: list         # ShamirShare with index = local position + 1
-    threshold: int
-
-    def open(self, field: Field) -> int:
-        return reconstruct(self.shares, field)
+def _points(committee: list) -> list:
+    """A committee's (party, local evaluation point) pairs, points 1, 2, ..."""
+    return [(member, x) for x, member in enumerate(committee, 1)]
 
 
-def hierarchical_mul(x: list, y: list, tree: CommitteeTree, field: Field,
-                     net, rng: random.Random) -> CommitteeSharing:
-    """Multiply two degree-t sharings through the committee tree.
+def hierarchical_mul(x: list, y: list, c: int, field: Field,
+                     net, rng: random.Random) -> list:
+    """Multiply two degree-t sharings through the committee tree of
+    committee_levels(len(x), c); returns the root committee's shares.
 
     Party i's weighted local product w_i * x_i * y_i is a private summand of
-    x*y (w_i are the degree-2t interpolation weights over all real points).
-    Each party deals its summand only within its size-c leaf committee;
-    committees aggregate locally and re-share their partial sums up the
-    tree, c^2 messages per edge, until the root committee holds a degree-t_c
-    sharing of the full product. Total messages are O(n * c^2) against the
-    flat protocol's n(n-1); for n = c the tree degenerates to exactly
-    mul_with_reduction.
+    x*y (w_i are the degree-2t interpolation weights over all n points).
+    Each party deals its summand only within its leaf committee; committees
+    aggregate locally and re-share their partial sums up the tree, one
+    shamir.reshare per parent, until the root committee holds a degree-t_c
+    sharing of the full product at its local points 1, 2, ... Every
+    committee has c to 2c - 1 of the n real parties, so total messages are
+    O(n * c^2) against the flat protocol's n(n-1), and no message goes to
+    or comes from a party that does not exist. For n < 2c the tree is the
+    one committee of all n, whose one re-share is mul_with_reduction's at
+    degree t_c.
 
     Every hop re-shares at degree t_c = (c - 1) // 2, so t_c + 1 colluding
     members of one committee open what it holds: a sharing of threshold
     t > t_c is refused, since the tree would not keep it.
     """
-    n = tree.n_real
-    if len(x) != n or len(y) != n:
-        raise ValueError("sharing size does not match tree")
+    n = len(x)
+    levels = committee_levels(n, c)
+    if len(y) != n:
+        raise ValueError("sharings differ in size")
     t = x[0].threshold
     if 2 * t >= n:
         raise ValueError(f"honest majority violated: 2t={2 * t} >= n={n}")
-    c = tree.c
     t_c = (c - 1) // 2
     if t > t_c:
         raise ValueError(f"threshold t={t} exceeds the t_c={t_c} that "
                          f"committees of c={c} keep")
-    party_weight = weights_at_zero(tuple(s.index for s in x), field.p)
+    p = field.p
+    party_weight = weights_at_zero(tuple(s.index for s in x), p)
 
-    # Leaf phase: every real party deals its weighted local product within
-    # its leaf committee only. Virtual dealers contribute a public zero and
-    # send nothing, but virtual members still receive.
-    local_points = range(1, c + 1)
-    current = {}
-    for committee in tree.levels[0]:
-        real = [d for d in committee if d < n]
-        current[committee] = reshare(
-            [[field.mul(x[d].value, y[d].value) for d in real]], real,
-            [party_weight[d] for d in real], list(zip(committee, local_points)),
-            t_c, field, net, rng)[0]
+    # Leaf phase: every party deals its weighted local product within its
+    # leaf committee only.
+    held = [reshare([[field.mul(x[d].value, y[d].value) for d in leaf]], leaf,
+                    [party_weight[d] for d in leaf], _points(leaf), t_c, field, net, rng)[0]
+            for leaf in levels[0]]
 
-    # Tree phase: each child committee re-shares its partial-sum shares to
-    # the parent committee, which recombines with the child-local weights
-    # and sums over its children.
-    local_weights = weights_at_zero(tuple(local_points), field.p)
-    for level in range(1, tree.depth):
-        below, current = current, {}
-        for j, parent in enumerate(tree.levels[level]):
-            children = tree.levels[level - 1][j * c:(j + 1) * c]
-            current[parent] = reshare(
-                [[s.value for child in children for s in below[child]]],
-                [member for child in children for member in child],
-                local_weights * len(children), list(zip(parent, local_points)),
-                t_c, field, net, rng)[0]
-
-    root = tree.root
-    return CommitteeSharing(members=root, shares=current[root], threshold=t_c)
+    # Tree phase: each parent's children re-share their partial-sum shares
+    # to it; it recombines with each child's local-point weights and sums
+    # over its children.
+    for below, level in zip(levels, levels[1:]):
+        held = [reshare([[s.value for _, shares in children for s in shares]],
+                        [m for child, _ in children for m in child],
+                        [w for _, shares in children
+                         for w in weights_at_zero(tuple(s.index for s in shares), p)],
+                        _points(parent), t_c, field, net, rng)[0]
+                for parent, children in zip(level, _cut(list(zip(below, held)), c))]
+    return held[0]
 
 
 def reduce_parties(values: list, m: int, field: Field, net, rng: random.Random) -> list:

@@ -19,7 +19,7 @@ from . import shamir
 from .circuits import cost_model, eval_plain, parse_circuit
 from .errors import CheatDetected
 from .field import Field
-from .hierarchy import CommitteeTree, hierarchical_mul
+from .hierarchy import hierarchical_mul
 from .identity import Predicate, gen_shared_identity
 from .incentives import SettlementReport, post_deposit, settle_computation
 from .keys import sha256
@@ -68,9 +68,8 @@ def measure_mul_messages(n: int, field: Field, seed: int) -> tuple:
     y = shamir.share(4, 1, n, field, rng)
     base_net = LocalChannel()
     shamir.mul_with_reduction(x, y, field, base_net, rng)
-    tree = CommitteeTree.build(n, TREE_COMMITTEE)
     hier_net = LocalChannel()
-    hierarchical_mul(x, y, tree, field, hier_net, rng)
+    hierarchical_mul(x, y, TREE_COMMITTEE, field, hier_net, rng)
     return base_net.messages, hier_net.messages
 
 

@@ -221,6 +221,11 @@ def mac_check(queue: MacCheckQueue, key: MacKey, field: Field, net,
     commits to it with a salted hash, then opens. The batch passes iff the
     sigmas sum to zero, which never exposes alpha itself. Failure condemns
     the batch, not a specific party.
+
+    The check is simulated at party 0's view, as open_many is: each opening
+    party 0 received must hash to the commitment it received from that
+    sender, and party 0's own sigma plus the received ones must sum to zero.
+    The messages to every other party are sent but not read.
     """
     if not queue.entries:
         raise ValueError("empty MAC-check queue")
@@ -238,22 +243,24 @@ def mac_check(queue: MacCheckQueue, key: MacKey, field: Field, net,
     # Commit round, then open round: prevents a rushing party from choosing
     # its sigma after seeing the others.
     salts = [rng.randbytes(16) for _ in range(n)]
-    commits = [sha256(field.encode(sigmas[i]) + salts[i]) for i in range(n)]
-    for rnd_payloads in (commits, [field.encode(sigmas[i]) + salts[i] for i in range(n)]):
+    openings = [field.encode(sigmas[i]) + salts[i] for i in range(n)]
+    received = []
+    for rnd_payloads in ([sha256(opening) for opening in openings], openings):
         for i in range(n):
             for j in range(n):
                 if j != i:
                     net.send(i, j, rnd_payloads[i])
-        for j in range(n):
+        received.append(net.recv_all(0))
+        for j in range(1, n):
             net.recv_all(j)
-    for i in range(n):
-        if sha256(field.encode(sigmas[i]) + salts[i]) != commits[i]:
+    commits, opened = received
+    total = sigmas[0]
+    for (committer, commit), (src, opening) in zip(commits, opened):
+        if src != committer or sha256(opening) != commit:
             raise CheatDetected("commitment mismatch in MAC check")
+        total += field.decode(opening[:field.elem_size])
 
     queue.entries.clear()
-    total = 0
-    for s in sigmas:
-        total = field.add(total, s)
-    if total != 0:
+    if total % field.p != 0:
         raise CheatDetected("MAC check failed on opened batch")
     return True

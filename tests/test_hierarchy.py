@@ -6,7 +6,7 @@ import pytest
 from mpcnet import shamir
 from mpcnet.field import Field, M61
 from mpcnet.hierarchy import (
-    CommitteeTree,
+    committee_levels,
     hierarchical_mul,
     reduce_parties,
     reduce_parties_spdz,
@@ -59,50 +59,93 @@ def test_pinned_committee_draw():
 
 # -- committee tree --------------------------------------------------------------
 
-def test_tree_shape():
-    tree = CommitteeTree.build(27, 3)
-    assert tree.depth == 3
-    assert len(tree.levels[0]) == 9
-    assert len(tree.root) == 3
-    flat = [p for committee in tree.levels[0] for p in committee]
-    assert flat == list(range(27))      # every party in exactly one leaf
+class SendLog(LocalChannel):
+    """A LocalChannel that records the (src, dst) of every send."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = []
+
+    def send(self, src, dst, payload):
+        self.pairs.append((src, dst))
+        super().send(src, dst, payload)
 
 
-def test_tree_padding():
-    tree = CommitteeTree.build(5, 3)
-    assert tree.n_real == 5
-    assert len(tree.levels[0]) == 3     # padded to 9 virtual slots
+@pytest.mark.parametrize("c", [2, 3, 4, 5])
+def test_committee_levels_cover_the_real_parties_only(c):
+    for n in range(c, 41):
+        levels = committee_levels(n, c)
+        assert len(levels[-1]) == 1
+        # Every party is in exactly one leaf, and no committee holds a
+        # party that does not exist.
+        assert sorted(m for leaf in levels[0] for m in leaf) == list(range(n))
+        for level in levels:
+            for committee in level:
+                assert len(set(committee)) == len(committee)
+                assert all(0 <= m < n for m in committee)
+                if n < 2 * c:
+                    assert len(committee) == n
+                else:
+                    assert c <= len(committee) <= 2 * c - 1
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 5])
+def test_hierarchical_mul_sends_only_between_real_parties(c):
+    field = Field(M61)
+    t = (c - 1) // 2
+    for n in range(c, 41):
+        rng = random.Random(100 * c + n)
+        a, b = field.rand(rng), field.rand(rng)
+        x = shamir.share(a, t, n, field, rng)
+        y = shamir.share(b, t, n, field, rng)
+        net = SendLog()
+        root = hierarchical_mul(x, y, c, field, net, rng)
+        assert all(src < n and dst < n for src, dst in net.pairs)
+        assert len(root) == len(committee_levels(n, c)[-1][0])
+        assert shamir.reconstruct(root, field) == field.mul(a, b)
+
+
+def test_committee_levels_at_a_power_of_c():
+    # n = c^k: committees of exactly c, each parent its children's first
+    # members.
+    levels = committee_levels(27, 3)
+    assert [len(level) for level in levels] == [9, 3, 1]
+    assert levels[1] == [[0, 3, 6], [9, 12, 15], [18, 21, 24]]
+    assert levels[2] == [[0, 9, 18]]
+
+
+def test_committee_levels_join_a_short_last_group():
+    # The short last group joins its neighbour; a parent of fewer than c
+    # children takes members rank by rank up to c.
+    assert committee_levels(10, 3) == [[[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]], [[0, 3, 6]]]
+    assert committee_levels(5, 3) == [[[0, 1, 2, 3, 4]]]
+    assert committee_levels(8, 2) == [[[0, 1], [2, 3], [4, 5], [6, 7]],
+                                      [[0, 2], [4, 6]], [[0, 4]]]
+    assert committee_levels(20, 3)[1:] == [[[0, 3, 6], [9, 12, 15]], [[0, 9, 3]]]
+    assert committee_levels(30, 3)[1:] == [[[0, 3, 6], [9, 12, 15], [18, 21, 24, 27]],
+                                           [[0, 9, 18]]]
     with pytest.raises(ValueError):
-        CommitteeTree.build(2, 3)
+        committee_levels(2, 3)
+    with pytest.raises(ValueError):
+        committee_levels(5, 1)
 
 
 def test_hierarchical_product_oracle(f101, rng):
     x = shamir.share(2, 1, 9, f101, rng)
     y = shamir.share(3, 1, 9, f101, rng)
-    tree = CommitteeTree.build(9, 3)
-    root = hierarchical_mul(x, y, tree, f101, LocalChannel(), rng)
-    assert root.open(f101) == 6
+    root = hierarchical_mul(x, y, 3, f101, LocalChannel(), rng)
+    assert shamir.reconstruct(root, f101) == 6
 
 
 def test_hierarchical_random_products():
     field = Field(M61)
     rng = random.Random(12)
-    tree = CommitteeTree.build(9, 3)
     for _ in range(50):
         a, b = field.rand(rng), field.rand(rng)
         x = shamir.share(a, 1, 9, field, rng)
         y = shamir.share(b, 1, 9, field, rng)
-        root = hierarchical_mul(x, y, tree, field, LocalChannel(), rng)
-        assert root.open(field) == field.mul(a, b)
-
-
-def test_hierarchical_padded_committee(f101, rng):
-    # 5 real parties padded into a 9-slot tree; virtual summands are zero.
-    x = shamir.share(7, 1, 5, f101, rng)
-    y = shamir.share(8, 1, 5, f101, rng)
-    tree = CommitteeTree.build(5, 3)
-    root = hierarchical_mul(x, y, tree, f101, LocalChannel(), rng)
-    assert root.open(f101) == 56
+        root = hierarchical_mul(x, y, 3, field, LocalChannel(), rng)
+        assert shamir.reconstruct(root, field) == field.mul(a, b)
 
 
 def test_degenerate_tree_equals_flat_protocol(f101, rng):
@@ -111,9 +154,9 @@ def test_degenerate_tree_equals_flat_protocol(f101, rng):
     flat_net = LocalChannel()
     shamir.mul_with_reduction(x, y, f101, flat_net, rng)
     tree_net = LocalChannel()
-    root = hierarchical_mul(x, y, CommitteeTree.build(3, 3), f101, tree_net, rng)
+    root = hierarchical_mul(x, y, 3, f101, tree_net, rng)
     assert tree_net.messages == flat_net.messages == 6
-    assert root.open(f101) == 20
+    assert shamir.reconstruct(root, f101) == 20
 
 
 def test_hierarchical_scaling_trend():
@@ -124,8 +167,8 @@ def test_hierarchical_scaling_trend():
         x = shamir.share(2, 1, n, field, rng)
         y = shamir.share(3, 1, n, field, rng)
         net = LocalChannel()
-        root = hierarchical_mul(x, y, CommitteeTree.build(n, 3), field, net, rng)
-        assert root.open(field) == 6
+        root = hierarchical_mul(x, y, 3, field, net, rng)
+        assert shamir.reconstruct(root, field) == 6
         assert net.messages <= 2 * n * 3 ** 2    # K*n*c^2 with a generous K = 2
         ratios[n] = net.messages / n
     assert max(ratios.values()) / min(ratios.values()) < 2
@@ -133,26 +176,27 @@ def test_hierarchical_scaling_trend():
     assert baseline_ratio[81] / baseline_ratio[9] >= 8
 
 
-@pytest.mark.parametrize("n,messages", [(5, 34), (9, 42), (10, 116), (27, 150),
-                                        (28, 368)])
+@pytest.mark.parametrize("n,messages", [(5, 20), (9, 42), (10, 51), (27, 150),
+                                        (28, 159), (81, 474)])
 def test_hierarchical_exact_message_counts(n, messages):
-    # Padding counts: at n = 10 the tree pads to 27 parties, and virtual
-    # members still receive (ROADMAP item 7).
+    # c = 3. n = 5 is one committee of 5 (5 * 4); n = 10 is leaves of 3, 3
+    # and 4 (6 + 6 + 12) and one hop of 10 sources to a root of 3
+    # (10 * 3 - 3).
     field = Field(M61)
     rng = random.Random(n)
     x = shamir.share(6, 1, n, field, rng)
     y = shamir.share(7, 1, n, field, rng)
     net = LocalChannel()
-    root = hierarchical_mul(x, y, CommitteeTree.build(n, 3), field, net, rng)
+    root = hierarchical_mul(x, y, 3, field, net, rng)
     assert net.messages == messages
-    assert root.open(field) == 42
+    assert shamir.reconstruct(root, field) == 42
 
 
 def test_hierarchical_requires_honest_majority(f101, rng):
     x = shamir.share(1, 5, 9, f101, rng)
     y = shamir.share(1, 5, 9, f101, rng)
     with pytest.raises(ValueError, match="honest majority"):
-        hierarchical_mul(x, y, CommitteeTree.build(9, 3), f101, LocalChannel(), rng)
+        hierarchical_mul(x, y, 3, f101, LocalChannel(), rng)
 
 
 # -- party reduction --------------------------------------------------------------

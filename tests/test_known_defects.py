@@ -22,7 +22,7 @@ from mpcnet.audit import trail_key, trail_meta_key
 from mpcnet.cli import main
 from mpcnet.dht import DhtNetwork, protocol_load, protocol_store, record_address
 from mpcnet.field import M61, Field
-from mpcnet.hierarchy import CommitteeTree, hierarchical_mul
+from mpcnet.hierarchy import hierarchical_mul
 from mpcnet.identity import Predicate, gen_shared_identity, identity_address, serialize_acl
 from mpcnet.keys import KeyPair, sha256
 from mpcnet.ledger import Ledger, LedgerRejected, make_tx, writes_payload
@@ -213,7 +213,7 @@ def test_a_committee_tree_that_cannot_keep_the_threshold_is_refused():
     x = shamir.share(6, 3, 9, field, rng)
     y = shamir.share(7, 3, 9, field, rng)
     with pytest.raises(ValueError):
-        hierarchical_mul(x, y, CommitteeTree.build(9, 3), field, LocalChannel(), rng)
+        hierarchical_mul(x, y, 3, field, LocalChannel(), rng)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 17")

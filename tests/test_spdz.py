@@ -5,6 +5,7 @@ import pytest
 from mpcnet import spdz
 from mpcnet.errors import CheatDetected, MissingParty, TripleReuse
 from mpcnet.field import Field, M61
+from mpcnet.keys import sha256
 from mpcnet.net import LocalChannel
 from oracles import open_value, rand_nonzero
 
@@ -220,3 +221,57 @@ def test_beaver_layer_one_round_and_tampered_eps_caught(liar):
     else:
         with pytest.raises(CheatDetected):
             spdz.mac_check(queue, key, field, LocalChannel(), rng)
+
+
+class OpeningTamperChannel(LocalChannel):
+    """Rewrites what party 1 sends party 0 in the MAC check's two rounds:
+    `commit` maps the 32-byte commitment and `opening` the sigma-and-salt
+    opening (elem_size + 16 bytes) to what arrives."""
+
+    def __init__(self, field, commit=None, opening=None):
+        super().__init__()
+        self.opening_size = field.elem_size + 16
+        self.commit, self.opening = commit, opening
+
+    def send(self, src, dst, payload):
+        if (src, dst) == (1, 0):
+            if len(payload) == 32 and self.commit:
+                payload = self.commit(payload)
+            elif len(payload) == self.opening_size and self.opening:
+                payload = self.opening(payload)
+        super().send(src, dst, payload)
+
+
+def queued_honest_batch(field, rng, key, net):
+    queue = spdz.MacCheckQueue()
+    for v in (3, 1, 4):
+        spdz.partial_open(spdz.deal_authenticated(v, 3, key, field, rng), field, net, queue)
+    return queue
+
+
+def test_mac_check_reads_the_received_salt():
+    # One flipped salt byte in party 1's opening no longer matches the
+    # commitment party 0 received from it.
+    field = Field(M61)
+    rng = random.Random(41)
+    key = spdz.gen_mac_key(3, field, rng)
+    net = OpeningTamperChannel(field, opening=lambda p: p[:-1] + bytes([p[-1] ^ 1]))
+    queue = queued_honest_batch(field, rng, key, net)
+    with pytest.raises(CheatDetected, match="commitment mismatch"):
+        spdz.mac_check(queue, key, field, net, rng)
+
+
+def test_mac_check_sums_the_received_sigmas():
+    # Party 1's sigma replaced by 5 together with a commitment that matches
+    # it: the commitment check passes, and the received sigmas no longer
+    # sum to zero.
+    field = Field(M61)
+    rng = random.Random(43)
+    key = spdz.gen_mac_key(3, field, rng)
+    forged = field.encode(5) + bytes(16)
+    net = OpeningTamperChannel(field, commit=lambda _: sha256(forged),
+                               opening=lambda _: forged)
+    queue = queued_honest_batch(field, rng, key, net)
+    with pytest.raises(CheatDetected, match="MAC check failed"):
+        spdz.mac_check(queue, key, field, net, rng)
+
