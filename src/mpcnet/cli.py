@@ -61,8 +61,8 @@ def cmd_audit(args) -> int:
         print(f"error: dump not found: {path}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        board = load_dump(path.read_text())
-    except CorruptDump as exc:
+        board = load_dump(path.read_text(encoding="utf-8"))
+    except (CorruptDump, UnicodeDecodeError) as exc:
         print(f"error: corrupt dump: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

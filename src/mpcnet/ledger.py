@@ -23,15 +23,43 @@ signature.
 
 Keys are 256-bit. Arbitrary strings/byte strings are admitted at the API
 and hashed down to the shared keyspace.
+
+`Ledger.dump` writes one entry per line, each line ending in a newline:
+
+    <height> TAB <key: 64 hex digits> TAB <value: base64> TAB <author: 64 hex digits>
+
+Heights run 1, 2, 3, ... in line order; the value is standard padded
+base64 (RFC 4648, alphabet A-Z a-z 0-9 + /, `=` padding to a multiple of
+four characters), and an empty value is an empty field. `load_dump` skips a
+line that is empty or only whitespace and refuses, with CorruptDump naming
+the line, any other line that:
+
+- does not split on tabs into exactly four fields;
+- has a height other than the entry's own (the count of entries read so
+  far plus one), written in decimal without sign, spaces or leading zeros;
+- has a key or author that is not exactly 64 hex digits (either case);
+- has a value with a character outside the base64 alphabet (a non-ASCII
+  character among them), a `=` anywhere but in the padding, or padding
+  that does not bring it to the length of its decoding's encoding (`QUJD=`
+  and `QQ=` are refused).
+
+Only a newline ends a line: a carriage return, or any other character at
+which `str.splitlines` would also break, stays inside its field, and no
+field admits it.
+
+As with strict base64 decoding, the bits that the last character of a
+padded value carries beyond its bytes are not checked: `QR==` reads as
+`QQ==`, the byte `A`.
 """
 
 from __future__ import annotations
 
-import base64
 import json
+from binascii import a2b_base64, a2b_hex, b2a_base64
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import keys as keymod
 from .errors import CorruptDump, LedgerRejected
@@ -50,6 +78,20 @@ def normalize_key(k) -> bytes:
     if isinstance(k, str):
         return sha256(k.encode())
     raise TypeError(f"ledger keys are str or bytes, got {type(k).__name__}")
+
+
+def decode_base64(text) -> bytes:
+    """The bytes of a padded base64 field, as Ledger.dump writes values.
+
+    binascii's lenient decoder skips every character outside the alphabet
+    and stops at the padding, so the field is well-formed exactly when it
+    is as long as the encoding of what it decodes to. Raises ValueError
+    (binascii.Error) for anything else, TypeError for a non-string.
+    """
+    data = a2b_base64(text)
+    if len(text) != (len(data) + 2) // 3 * 4:
+        raise ValueError(f"{len(text)} characters do not encode {len(data)} bytes")
+    return data
 
 
 def writes_payload(writes) -> list:
@@ -82,8 +124,7 @@ def make_tx(keypair, payload_type: str, payload: dict | list, nonce: int) -> Tra
                        keypair.sign(signing_bytes(payload_type, payload, nonce)))
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     key: bytes
     value: bytes
     height: int
@@ -107,7 +148,11 @@ class Board:
 
     def _record(self, entry: LedgerEntry):
         self.entries.append(entry)
-        self._history.setdefault(entry.key, []).append(entry)
+        history = self._history.get(entry.key)
+        if history is None:
+            self._history[entry.key] = [entry]
+        else:
+            history.append(entry)
 
     @property
     def height(self) -> int:
@@ -197,7 +242,7 @@ class Ledger(Board):
         return heights[-1]
 
     def _append(self, key: bytes, value: bytes, author: bytes) -> int:
-        entry = LedgerEntry(key=key, value=value, height=self.height + 1, author=author)
+        entry = LedgerEntry(key, value, self.height + 1, author)
         prev = self.chain_hashes[-1] if self.chain_hashes else ZERO_HASH
         self.chain_hashes.append(sha256(prev + entry.canonical_bytes()))
         self._record(entry)
@@ -307,33 +352,40 @@ class Ledger(Board):
     # -- dump format -------------------------------------------------------
 
     def dump(self) -> str:
-        """One entry per line: height, hex key, base64 value, hex author."""
+        """One entry per line in the module docstring's grammar."""
         lines = []
         for e in self.entries:
-            value64 = base64.b64encode(e.value).decode()
-            lines.append(f"{e.height}\t{e.key.hex()}\t{value64}\t{e.author.hex()}")
-        return "\n".join(lines) + ("\n" if lines else "")
+            value64 = b2a_base64(e.value, newline=False).decode()
+            lines.append(f"{e.height}\t{e.key.hex()}\t{value64}\t{e.author.hex()}\n")
+        return "".join(lines)
 
 
 def load_dump(text: str) -> Board:
-    """Parse a ledger dump; malformed lines raise CorruptDump."""
+    """Parse a ledger dump; a line outside the module docstring's grammar
+    raises CorruptDump."""
     board = Board()
-    expected = 1
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    height = 1
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise CorruptDump(f"line {lineno}: expected 4 tab-separated fields")
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise CorruptDump(f"line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
+        height_text, key_hex, value64, author_hex = fields
+        if height_text != str(height):
+            raise CorruptDump(f"line {lineno}: height {height_text!r}, expected {height}")
         try:
-            height = int(parts[0])
-            key = bytes.fromhex(parts[1])
-            value = base64.b64decode(parts[2], validate=True)
-            author = bytes.fromhex(parts[3])
-        except (ValueError, base64.binascii.Error) as exc:
-            raise CorruptDump(f"line {lineno}: {exc}") from exc
-        if height != expected or len(key) != 32 or len(author) != 32:
-            raise CorruptDump(f"line {lineno}: malformed entry")
-        expected += 1
-        board._record(LedgerEntry(key=key, value=value, height=height, author=author))
+            key = a2b_hex(key_hex)
+            author = a2b_hex(author_hex)
+        except ValueError as exc:
+            raise CorruptDump(f"line {lineno}: key and author must be 64 hex digits: "
+                              f"{exc}") from exc
+        if len(key) != 32 or len(author) != 32:
+            raise CorruptDump(f"line {lineno}: key and author must be 64 hex digits")
+        try:
+            value = decode_base64(value64)
+        except ValueError as exc:
+            raise CorruptDump(f"line {lineno}: value is not padded base64: {exc}") from exc
+        board._record(LedgerEntry(key, value, height, author))
+        height += 1
     return board

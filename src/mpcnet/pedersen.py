@@ -28,11 +28,12 @@ the field's own fixed-width encoding.
 
 from __future__ import annotations
 
-import base64
+from binascii import b2a_base64
 from dataclasses import dataclass, field as dc_field
 
 from .field import Field, is_prime
 from .keys import sha256
+from .ledger import decode_base64
 
 
 def _window_table(base: int, q: int, p: int) -> tuple:
@@ -135,7 +136,8 @@ def encode_commitments(commitments: list, params: CommitParams) -> str:
     """The commitments as one base64 field of ceil(bits(q) / 8)-byte
     big-endian integers."""
     w = _width(params)
-    return base64.b64encode(b"".join([c.to_bytes(w, "big") for c in commitments])).decode()
+    data = b"".join([c.to_bytes(w, "big") for c in commitments])
+    return b2a_base64(data, newline=False).decode()
 
 
 def decode_commitments(text: str, n: int, params: CommitParams) -> list:
@@ -146,7 +148,7 @@ def decode_commitments(text: str, n: int, params: CommitParams) -> list:
     posted, and the auditor folds it exactly.
     """
     w = _width(params)
-    data = base64.b64decode(text, validate=True)
+    data = decode_base64(text)
     if len(data) != n * w:
         raise ValueError(f"expected {n} commitments of {w} bytes, got {len(data)} bytes")
     return [int.from_bytes(data[i:i + w], "big") for i in range(0, len(data), w)]
@@ -154,7 +156,8 @@ def decode_commitments(text: str, n: int, params: CommitParams) -> list:
 
 def encode_openings(pairs: list, field: Field) -> str:
     """The (share, blinding) pairs as one base64 field of field elements."""
-    return base64.b64encode(field.encode_many([v for pair in pairs for v in pair])).decode()
+    data = field.encode_many([v for pair in pairs for v in pair])
+    return b2a_base64(data, newline=False).decode()
 
 
 def decode_openings(text: str, n: int, field: Field) -> list:
@@ -163,5 +166,5 @@ def decode_openings(text: str, n: int, field: Field) -> list:
     Raises ValueError (TypeError for a non-string) unless `text` is base64
     of exactly 2n elements, each in [0, p).
     """
-    flat = field.decode_many([base64.b64decode(text, validate=True)], 2 * n)
+    flat = field.decode_many([decode_base64(text)], 2 * n)
     return list(zip(flat[0::2], flat[1::2]))

@@ -355,15 +355,13 @@ def test_criterion_9_ledger_history():
                 expected = hv
         assert ledger.get_at(k, t) == expected
 
-    import dataclasses
     flips = 0
     for target in range(1, min(40, ledger.height) + 1):
         entry = ledger.entries[target - 1]
         for pos in range(len(entry.value)):
             corrupted = bytearray(entry.value)
             corrupted[pos] ^= 0x55
-            ledger.entries[target - 1] = dataclasses.replace(
-                entry, value=bytes(corrupted))
+            ledger.entries[target - 1] = entry._replace(value=bytes(corrupted))
             assert ledger.verify_log() == target
             flips += 1
         ledger.entries[target - 1] = entry

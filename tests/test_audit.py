@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import random
@@ -507,6 +508,58 @@ def test_malformed_trail_is_incomplete(setup101, meta_edit, batch_edit):
         board[meta_key] = json.dumps(meta).encode()
     with pytest.raises(IncompleteTrail):
         audit.audit_trail(board, comp_id)
+
+
+# The base64 fields a trail record holds: commitments, then openings.
+BASE64_FIELDS = [("triple", "a"), ("beaver", "eps_openings"), ("output", "openings")]
+
+# One edit per kind of base64 field that load_dump refuses as a dump value.
+MALFORMED_BASE64 = {
+    "outside-the-alphabet": lambda text: text[:1] + "-" + text[2:],
+    "padding-missing": lambda text: text[:-1],
+    "padding-inside": lambda text: text[:4] + "=" + text[5:],
+    "only-padding": lambda text: "==",
+    "non-ascii": lambda text: text[:1] + "\u00e9" + text[2:],
+}
+
+
+def field_decoder(kind: str, env):
+    if kind == "triple":
+        return lambda text: pedersen.decode_commitments(text, 3, env["params"])
+    return lambda text: pedersen.decode_openings(text, 3, env["field"])
+
+
+@pytest.mark.parametrize("edit", MALFORMED_BASE64.values(), ids=MALFORMED_BASE64.keys())
+@pytest.mark.parametrize("kind, name", BASE64_FIELDS)
+def test_malformed_base64_field_is_refused_and_incomplete(setup101, kind, name, edit):
+    ledger, comp_id, _ = run_pv_computation(setup101, 3)
+    decode = field_decoder(kind, setup101)
+
+    def forge(rec):
+        decode(rec[name])
+        rec[name] = edit(rec[name])
+        with pytest.raises(ValueError):
+            decode(rec[name])
+
+    with pytest.raises(IncompleteTrail):
+        audit.audit_trail(forged_board(ledger, comp_id, kind, forge), comp_id)
+
+
+@pytest.mark.parametrize("kind, name", BASE64_FIELDS)
+def test_padding_past_the_encoding_is_incomplete(setup101, kind, name):
+    # Strict base64 decoding reads the field with one "=" appended as it
+    # reads the field; the decoders, like load_dump, refuse it.
+    ledger, comp_id, _ = run_pv_computation(setup101, 3)
+    decode = field_decoder(kind, setup101)
+
+    def forge(rec):
+        assert base64.b64decode(rec[name] + "=", validate=True) == base64.b64decode(rec[name])
+        rec[name] += "="
+        with pytest.raises(ValueError, match="characters do not encode"):
+            decode(rec[name])
+
+    with pytest.raises(IncompleteTrail, match="characters do not encode"):
+        audit.audit_trail(forged_board(ledger, comp_id, kind, forge), comp_id)
 
 
 @pytest.mark.parametrize("p", [101, M61], ids=["p101", "M61"])

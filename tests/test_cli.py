@@ -148,6 +148,17 @@ def test_audit_corrupt_dump(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
+def test_audit_dump_that_is_not_utf8_is_corrupt(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    run_cli("run", SCENARIOS / "average.scn", "--out", outdir)
+    raw = (outdir / "ledger.tsv").read_bytes()
+    dump = tmp_path / "ledger.tsv"
+    dump.write_bytes(raw[:50] + b"\xff" + raw[51:])
+    capsys.readouterr()
+    assert run_cli("audit", dump, "--id", "ab" * 32) == 1
+    assert capsys.readouterr().err.startswith("error: corrupt dump: 'utf-8' codec")
+
+
 def test_audit_unknown_computation(tmp_path, capsys):
     outdir = tmp_path / "out"
     run_cli("run", SCENARIOS / "average.scn", "--out", outdir)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -271,7 +270,7 @@ def test_verify_log_detects_byte_flip(ledger, kp):
     entry = ledger.entries[target - 1]
     flipped = bytearray(entry.value)
     flipped[1] ^= 0x40
-    ledger.entries[target - 1] = dataclasses.replace(entry, value=bytes(flipped))
+    ledger.entries[target - 1] = entry._replace(value=bytes(flipped))
     assert ledger.verify_log() == target
 
 
@@ -311,6 +310,144 @@ def test_load_dump_truncated(ledger, kp):
     broken = dump[: dump.rindex("\t")]
     with pytest.raises(CorruptDump):
         load_dump(broken)
+
+
+def two_line_dump(ledger, kp) -> list:
+    """The fields of a two-entry dump; line 2's value, b"hello", is padded."""
+    put(ledger, kp, "k", b"worlds")
+    put(ledger, kp, "k2", b"hello")
+    lines = [line.split("\t") for line in ledger.dump().splitlines()]
+    assert lines[1][2] == "aGVsbG8="
+    return lines
+
+
+def with_line_2(lines, edit) -> str:
+    """The dump with line 2's fields replaced by edit(fields)."""
+    edited = [lines[0], edit(list(lines[1]))]
+    return "".join("\t".join(fields) + "\n" for fields in edited)
+
+
+def set_field(index: int, text: str):
+    def edit(fields):
+        fields[index] = text
+        return fields
+    return edit
+
+
+HEX_64 = "ab" * 32
+
+# One edit per kind of line that load_dump refuses.
+MALFORMED_LINES = {
+    "three-fields": lambda fields: fields[:3],
+    "five-fields": lambda fields: fields + ["00"],
+    "height-not-an-integer": set_field(0, "two"),
+    "height-empty": set_field(0, ""),
+    "height-out-of-sequence": set_field(0, "3"),
+    "height-repeated": set_field(0, "1"),
+    "key-63-hex-digits": set_field(1, HEX_64[:-1]),
+    "key-66-hex-digits": set_field(1, HEX_64 + "ab"),
+    "key-not-hex": set_field(1, "zz" + HEX_64[2:]),
+    "author-62-hex-digits": set_field(3, HEX_64[:-2]),
+    "author-not-hex": set_field(3, HEX_64[:-1] + "g"),
+    "value-outside-the-alphabet": set_field(2, "aGV-bG8="),
+    "value-url-safe-alphabet": set_field(2, "aGV_bG8="),
+    "value-padding-missing": set_field(2, "aGVsbG8"),
+    "value-padding-inside": set_field(2, "aGVs=G8="),
+    "value-only-padding": set_field(2, "=="),
+    "value-one-char-past-a-quad": set_field(2, "aGVsb"),
+    "value-non-ascii": set_field(2, "aGVsbG\u00e9="),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+def test_load_dump_refuses_each_kind_of_malformed_line(ledger, kp, edit):
+    lines = two_line_dump(ledger, kp)
+    assert load_dump(with_line_2(lines, lambda fields: fields)).get("k2") == b"hello"
+    with pytest.raises(CorruptDump, match="^line 2: "):
+        load_dump(with_line_2(lines, edit))
+
+
+@pytest.mark.parametrize("height", ["+2", " 2", "02", "2 ", "\u0662"])
+def test_load_dump_refuses_a_height_not_in_plain_decimal(ledger, kp, height):
+    # int() reads each of these as 2; the grammar's height is the entry's
+    # number in plain decimal.
+    assert int(height) == 2
+    with pytest.raises(CorruptDump, match="^line 2: height"):
+        load_dump(with_line_2(two_line_dump(ledger, kp), set_field(0, height)))
+
+
+@pytest.mark.parametrize("field", [1, 3], ids=["key", "author"])
+def test_load_dump_refuses_hex_with_whitespace(ledger, kp, field):
+    # bytes.fromhex skips the space; the grammar wants 64 hex digits.
+    spaced = HEX_64[:2] + " " + HEX_64[2:]
+    assert bytes.fromhex(spaced) == bytes.fromhex(HEX_64)
+    with pytest.raises(CorruptDump, match="^line 2: "):
+        load_dump(with_line_2(two_line_dump(ledger, kp), set_field(field, spaced)))
+
+
+@pytest.mark.parametrize("value64", ["d29ybGRz=", "d29ybGRz==", "aGVsbG8=="])
+def test_load_dump_refuses_padding_past_the_encoding(ledger, kp, value64):
+    # Strict base64 decoding still reads "d29ybGRz=" as b"worlds"; the
+    # grammar's padding only fills the last quad.
+    with pytest.raises(CorruptDump, match="^line 2: value is not padded base64: .* do not encode"):
+        load_dump(with_line_2(two_line_dump(ledger, kp), set_field(2, value64)))
+
+
+def test_load_dump_refuses_a_carriage_return(ledger, kp):
+    # Lines end in a newline alone: a carriage return before it lands in
+    # the author field. (`mpcnet audit` reads its file with universal
+    # newlines, so a dump saved with CRLF endings still loads there.)
+    dump = with_line_2(two_line_dump(ledger, kp), lambda fields: fields)
+    with pytest.raises(CorruptDump, match="^line 1: "):
+        load_dump(dump.replace("\n", "\r\n"))
+
+
+def test_load_dump_reads_a_non_canonical_last_character_as_strict_base64_does(ledger, kp):
+    # "aGVsbG9=" sets a bit that "aGVsbG8=" leaves zero; both are b"hello".
+    import base64
+    assert base64.b64decode("aGVsbG9=", validate=True) == b"hello"
+    board = load_dump(with_line_2(two_line_dump(ledger, kp), set_field(2, "aGVsbG9=")))
+    assert board.get("k2") == b"hello"
+
+
+def test_load_dump_skips_blank_lines_and_reads_a_last_line_without_newline(ledger, kp):
+    lines = two_line_dump(ledger, kp)
+    dump = "\n \t\n" + "\t".join(lines[0]) + "\n\n" + "\t".join(lines[1])
+    assert load_dump(dump).entries == ledger.entries
+
+
+def test_an_empty_value_round_trips(ledger, kp):
+    put(ledger, kp, "empty", b"")
+    put(ledger, kp, "k", b"x")
+    dump = ledger.dump()
+    assert dump.splitlines()[0].split("\t")[2] == ""
+    board = load_dump(dump)
+    assert board.get("empty") == b"" and board.entries == ledger.entries
+
+
+def test_load_dump_reproduces_the_live_ledger(rng):
+    # Three writers, eight keys, values of 0 to 40 bytes; each key is
+    # rewritten by its first writer, and other writers' attempts are
+    # rejected. The dump's board must read like the ledger everywhere.
+    signers = [KeyPair.generate(rng) for _ in range(3)]
+    ledger = Ledger()
+    keys = [f"key{i}" for i in range(8)] + [bytes(range(32))]
+    for _ in range(300):
+        k, signer = rng.choice(keys), rng.choice(signers)
+        try:
+            put(ledger, signer, k, rng.randbytes(rng.randrange(41)))
+        except LedgerRejected:
+            assert ledger.writer(k) not in (None, signer.sign_pk)
+    assert len({ledger.writer(k) for k in keys}) > 1
+    assert any(sum(e.key == normalize_key(k) for e in ledger.entries) > 5 for k in keys)
+
+    board = load_dump(ledger.dump())
+    assert board.entries == ledger.entries and board.height == ledger.height
+    for k in keys + ["never-written"]:
+        assert board.get(k) == ledger.get(k)
+        assert board.writer(k) == ledger.writer(k)
+        for t in range(ledger.height + 2):
+            assert board.get_at(k, t) == ledger.get_at(k, t)
 
 
 def test_get_at_random_sequence_oracle(ledger, kp, rng):
