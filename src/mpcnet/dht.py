@@ -7,12 +7,14 @@ REPLICATION live nodes closest to its key by the same metric. Lookups and
 placement convert the target to an integer once and compare integer XORs
 against ids each table or node holds already converted.
 
-Values are encrypted client-side by default, under a key derived from the
-owner's signing keypair; record bytes at rest on any non-owner node are
-ciphertext. The protocol-level store/load pair gates everything through
-ledger-hosted predicates: a store registers the read predicate under the
-record address a_x = H(addr_P || x), and a load re-evaluates it before any
-bytes move.
+Records are plaintext pointer metadata (sharing id, mode, n, t,
+committee); the secret itself never reaches the DHT, since the committee
+holds it only as shares. The protocol-level store/load pair gates every
+record through ledger-hosted predicates: a store registers the read
+predicate under the record address a_x = H(addr_P || x), and a load
+re-evaluates it before any bytes move. Sealing a record under the storer's
+own key would serve no request: the requester that the predicate admits is
+in general another key, and could not open it.
 
 Desk-scale parameters: bucket size 8, replication 3, lookup parallelism 3.
 """
@@ -21,9 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from cryptography.exceptions import InvalidTag
-
-from . import keys as keymod
 from .identity import Predicate, check_permission, parse_predicate
 from .keys import KeyPair, sha256
 from .ledger import Ledger, make_tx, writes_payload
@@ -42,7 +41,6 @@ def xor_distance(a: bytes, b: bytes) -> int:
 class DhtRecord:
     key: bytes
     data: bytes
-    encrypted: bool
 
 
 class Bucket:
@@ -173,7 +171,7 @@ class DhtNetwork:
         goal = int.from_bytes(key, "big")
         return sorted(self.alive_nodes(), key=lambda n: n.int_id ^ goal)[:REPLICATION]
 
-    def dht_store(self, key: bytes, data: bytes, encrypted: bool) -> list:
+    def dht_store(self, key: bytes, data: bytes) -> list:
         """Replicate a record to its placement set; returns replica ids."""
         if not self.alive_nodes():
             raise LookupError("no route: network is empty")
@@ -182,7 +180,7 @@ class DhtNetwork:
         # moves perfbench's `deep` generation-2 collections (ROADMAP item 10).
         replica_ids = tuple(n.node_id for n in replicas)
         for node in replicas:
-            node.store[key] = DhtRecord(key=key, data=data, encrypted=encrypted)
+            node.store[key] = DhtRecord(key=key, data=data)
         return list(replica_ids)
 
     def dht_lookup(self, key: bytes, origin: bytes | None = None) -> tuple:
@@ -197,9 +195,6 @@ class DhtNetwork:
             raise KeyError(f"not found: {key.hex()}")
         return value, hops
 
-    def holders(self, key: bytes) -> list:
-        return [n.node_id for n in self.nodes.values() if key in n.store]
-
 
 # -- predicate-gated store/load (the link protocol over ledger + DHT) --------
 
@@ -209,17 +204,16 @@ def record_address(addr: bytes, x: bytes) -> bytes:
 
 
 def protocol_store(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
-                   board: Ledger, dht: DhtNetwork, encrypt: bool = True):
+                   board: Ledger, dht: DhtNetwork):
     """Authorize, then place_record: returns a_x, or None with nothing
     written or placed when the identity's `(policy)` denies the requester."""
     if not check_permission(requester.sign_pk, addr, Predicate.policy(), board):
         return None
-    return place_record(requester, addr, x, q_read, board, dht, encrypt)
+    return place_record(requester, addr, x, q_read, board, dht)
 
 
 def place_record(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
-                 board: Ledger, dht: DhtNetwork, encrypt: bool = True,
-                 writes: tuple = ()) -> bytes:
+                 board: Ledger, dht: DhtNetwork, writes: tuple = ()) -> bytes:
     """protocol_store after its `(policy)` check, which the caller has made.
 
     The predicate goes on the ledger first, as the last write of one
@@ -229,15 +223,10 @@ def place_record(requester: KeyPair, addr: bytes, x: bytes, q_read: Predicate,
     it is.
     """
     a_x = record_address(addr, x)
-    if encrypt:
-        data = keymod.seal(keymod.storage_cipher(requester),
-                           int.from_bytes(a_x[:12], "big"), x)
-    else:
-        data = x
     writes = [*writes, (a_x, q_read.to_text().encode())]
     board.submit_tx(make_tx(requester, "kv-put", writes_payload(writes),
                             nonce=board.next_nonce(requester.sign_pk)))
-    dht.dht_store(a_x, data, encrypted=encrypt)
+    dht.dht_store(a_x, x)
     return a_x
 
 
@@ -245,9 +234,8 @@ def protocol_load(requester: KeyPair, addr: bytes, a_x: bytes,
                   board: Ledger, dht: DhtNetwork):
     """Fetch a record if the ledger-stored read predicate admits the caller.
 
-    Returns the plaintext on success and None otherwise; records without a
-    registered predicate default closed. Encrypted records only open for
-    the key that stored them.
+    Returns the record's bytes on success and None otherwise; records
+    without a registered predicate default closed.
     """
     stored = board.get(a_x)
     if stored is None:
@@ -259,10 +247,4 @@ def protocol_load(requester: KeyPair, addr: bytes, a_x: bytes,
         record, _ = dht.dht_lookup(a_x)
     except KeyError:
         return None
-    if not record.encrypted:
-        return record.data
-    try:
-        return keymod.unseal(keymod.storage_cipher(requester),
-                             int.from_bytes(a_x[:12], "big"), record.data)
-    except InvalidTag:
-        return None
+    return record.data

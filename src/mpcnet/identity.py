@@ -64,10 +64,6 @@ class Predicate:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def any(cls):
-        return cls("any")
-
-    @classmethod
     def owner(cls):
         return cls("owner")
 
@@ -78,18 +74,6 @@ class Predicate:
     @classmethod
     def key_list(cls, pks):
         return cls("keys", keys=tuple(bytes(pk) for pk in pks))
-
-    @classmethod
-    def and_(cls, a, b):
-        return cls("and", children=(a, b))
-
-    @classmethod
-    def or_(cls, a, b):
-        return cls("or", children=(a, b))
-
-    @classmethod
-    def not_(cls, a):
-        return cls("not", children=(a,))
 
     # -- evaluation ----------------------------------------------------------
 

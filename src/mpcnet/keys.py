@@ -14,7 +14,7 @@ agreement; so signing and channel set-up use the held objects instead of
 re-parsing the bytes.
 
 seal and unseal take an AES-GCM context rather than key bytes, so the
-context is built once per key, not once per message: the encrypted bus
+context is built once per key, not once per message: the EncryptedBus
 keeps one per communicating pair and seals and opens every message of that
 pair with it. Each message is still one seal and one unseal call.
 
@@ -145,12 +145,3 @@ def unseal(aead: AESGCM, nonce_counter: int, ciphertext: bytes) -> bytes:
     """AES-GCM decryption; raises InvalidTag on a wrong key or tampering."""
     return aead.decrypt(nonce_counter.to_bytes(12, "big"), ciphertext, None)
 
-
-def storage_cipher(owner: KeyPair) -> AESGCM:
-    """AES-GCM context for client-side encryption of DHT records.
-
-    Its key is derived from the owner's signing secret so only the signing
-    entity can recover the plaintext; the derivation keeps the signing key
-    itself out of the storage path.
-    """
-    return AESGCM(sha256(b"mpcnet-storage-v1" + owner.sign_sk))

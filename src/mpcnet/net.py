@@ -6,7 +6,7 @@ Two implementations of the same small interface:
                      by engine-level tests where transport security is not
                      the point.
   EncryptedBus    -- models the secure point-to-point channels as a broadcast
-                     medium carrying public-key-encrypted payloads. Every
+                     medium carrying payloads sealed to their addressee. Every
                      ciphertext is visible to everyone; only the addressee
                      can decrypt. Keeps per-node traffic logs so tests can
                      byte-scan for plaintext leaks and compare message-length

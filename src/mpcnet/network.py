@@ -1,7 +1,7 @@
 """Deterministic multi-node simulator for the share/compute link protocols.
 
 Everything a scenario run needs lives in a Runtime: the field, the ledger,
-the DHT, the encrypted broadcast bus, and the node registry. On top of it,
+the DHT, the sealed broadcast bus, and the node registry. On top of it,
 protocol_share deals verifiable shares to the committee it is given, posts
 their commitments as the owner's VSS record at the sharing id and
 registers the computation reference behind a predicate; protocol_compute
@@ -214,7 +214,7 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
     # the pointer's predicate.
     writes = ((sharing_id, auditmod.record_bytes(vss_record)),)
     pointer = place_record(owner, addr, blob, q_compute, rt.ledger, rt.dht,
-                           encrypt=False, writes=writes)
+                           writes=writes)
     # A rejected transaction raised above: only an accepted input is dealt.
     for node, payload, share, blind in zip(committee, payloads, value_shares, blind_shares):
         rt.bus.send(owner_label, node.index, payload)

@@ -217,7 +217,7 @@ def test_criterion_7_protocols_end_to_end():
     # Protocol 3: store with a key-list read predicate; allowed and denied loads.
     q_read = Predicate.key_list([alice.sign_pk, bob.sign_pk])
     a_x = protocol_store(alice, ident.addr, b"group-report", q_read,
-                         rt.ledger, rt.dht, encrypt=False)
+                         rt.ledger, rt.dht)
     assert a_x is not None
     assert protocol_load(bob, ident.addr, a_x, rt.ledger, rt.dht) == b"group-report"
     assert protocol_load(eve, ident.addr, a_x, rt.ledger, rt.dht) is None

@@ -32,6 +32,11 @@ def build_network(size, seed=5):
     return net, ids, rng
 
 
+def holding(net, key):
+    """Ids of the nodes whose store holds `key`."""
+    return [nid for nid, node in net.nodes.items() if key in node.store]
+
+
 # -- distance metrics ----------------------------------------------------------
 
 def test_xor_distance_identity_and_toy():
@@ -64,7 +69,7 @@ def test_store_lookup_round_trip_and_hops():
     bound = math.ceil(math.log2(32)) + 2
     for i in range(500):
         key = rng.randbytes(32)
-        net.dht_store(key, b"v%d" % i, encrypted=False)
+        net.dht_store(key, b"v%d" % i)
         origin = ids[rng.randrange(len(ids))]
         record, hops = net.dht_lookup(key, origin=origin)
         assert record.data == b"v%d" % i
@@ -98,7 +103,7 @@ def test_routed_miss_raises_although_an_unqueried_node_holds_the_record():
         node.store = WatchedStore(nid)
     net.iterative_find(origin, key)
     hidden = next(nid for nid in net.nodes if nid not in queried)
-    net.nodes[hidden].store[key] = DhtRecord(key=key, data=b"off-route", encrypted=False)
+    net.nodes[hidden].store[key] = DhtRecord(key=key, data=b"off-route")
     with pytest.raises(KeyError, match="not found"):
         net.dht_lookup(key, origin=origin)
 
@@ -107,7 +112,7 @@ def test_replication_and_churn():
     net, _, rng = build_network(24)
     for _ in range(50):
         key = rng.randbytes(32)
-        replicas = net.dht_store(key, b"precious", encrypted=False)
+        replicas = net.dht_store(key, b"precious")
         assert len(replicas) == REPLICATION
         # Kill less than half the replica set; the record must survive.
         net.nodes[replicas[0]].alive = False
@@ -128,7 +133,7 @@ def test_placement_is_the_xor_closest_live_nodes():
         live = [nid for nid in ids if net.nodes[nid].alive]
         expected = sorted(live, key=lambda nid: xor_distance(key, nid))[:REPLICATION]
         assert [n.node_id for n in net.placement(key)] == expected
-        assert net.dht_store(key, b"v", encrypted=False) == expected
+        assert net.dht_store(key, b"v") == expected
 
 
 # -- predicate-gated store/load ---------------------------------------------------
@@ -146,8 +151,7 @@ def gated_env():
 def test_protocol_store_load_allowed_and_denied(gated_env):
     net, ledger, ident, (alice, bob), eve = gated_env
     q_read = Predicate.key_list([alice.sign_pk, bob.sign_pk])
-    a_x = protocol_store(alice, ident.addr, b"payroll", q_read, ledger, net,
-                         encrypt=False)
+    a_x = protocol_store(alice, ident.addr, b"payroll", q_read, ledger, net)
     assert a_x is not None
     assert protocol_load(alice, ident.addr, a_x, ledger, net) == b"payroll"
     assert protocol_load(bob, ident.addr, a_x, ledger, net) == b"payroll"
@@ -158,7 +162,7 @@ def test_protocol_store_denied_leaves_nothing(gated_env):
     net, ledger, ident, pairs, eve = gated_env
     height = ledger.height
     stored = {k for n in net.nodes.values() for k in n.store}
-    assert protocol_store(eve, ident.addr, b"spam", Predicate.any(), ledger, net) is None
+    assert protocol_store(eve, ident.addr, b"spam", Predicate("any"), ledger, net) is None
     assert ledger.height == height
     assert {k for n in net.nodes.values() for k in n.store} == stored
 
@@ -174,7 +178,7 @@ def test_protocol_store_deterministic_address(gated_env):
 def test_missing_policy_defaults_closed(gated_env):
     net, ledger, ident, (alice, _), _ = gated_env
     orphan = random.Random(5).randbytes(32)
-    net.dht_store(orphan, b"stray", encrypted=False)
+    net.dht_store(orphan, b"stray")
     assert protocol_load(alice, ident.addr, orphan, ledger, net) is None
 
 
@@ -201,8 +205,7 @@ def test_protocol_store_rolls_back_on_ledger_rejection(gated_env):
     board = RefusingBoard(ledger)
     before = {k for n in net.nodes.values() for k in n.store}
     with pytest.raises(LedgerRejected):
-        protocol_store(alice, ident.addr, b"doomed", Predicate.any(), board, net,
-                       encrypt=False)
+        protocol_store(alice, ident.addr, b"doomed", Predicate("any"), board, net)
     assert {k for n in net.nodes.values() for k in n.store} == before
 
 
@@ -213,13 +216,11 @@ def test_rejected_store_keeps_the_first_writers_record(gated_env):
     from mpcnet.errors import LedgerRejected
 
     net, ledger, ident, (alice, bob), _ = gated_env
-    a_x = protocol_store(alice, ident.addr, b"same-bytes", Predicate.owner(), ledger,
-                         net, encrypt=False)
-    holders = net.holders(a_x)
+    a_x = protocol_store(alice, ident.addr, b"same-bytes", Predicate.owner(), ledger, net)
+    holders = holding(net, a_x)
     with pytest.raises(LedgerRejected, match="another writer"):
-        protocol_store(bob, ident.addr, b"same-bytes", Predicate.any(), ledger, net,
-                       encrypt=False)
-    assert net.holders(a_x) == holders
+        protocol_store(bob, ident.addr, b"same-bytes", Predicate("any"), ledger, net)
+    assert holding(net, a_x) == holders
     assert ledger.get(a_x) == b"(owner)"
     assert protocol_load(alice, ident.addr, a_x, ledger, net) == b"same-bytes"
 
@@ -231,24 +232,13 @@ def test_store_with_a_rejected_preceding_write_places_nothing(gated_env):
     from mpcnet.errors import LedgerRejected
 
     net, ledger, ident, (alice, bob), _ = gated_env
-    a_x = protocol_store(alice, ident.addr, b"alice-data", Predicate.owner(), ledger,
-                         net, encrypt=False)
+    a_x = protocol_store(alice, ident.addr, b"alice-data", Predicate.owner(), ledger, net)
     height, nonce = ledger.height, ledger.next_nonce(bob.sign_pk)
     with pytest.raises(LedgerRejected, match="another writer"):
         place_record(bob, ident.addr, b"bob-data", Predicate.owner(), ledger, net,
-                     encrypt=False, writes=[(a_x, b"(any)")])
+                     writes=[(a_x, b"(any)")])
     bob_x = record_address(ident.addr, b"bob-data")
     assert (ledger.height, ledger.next_nonce(bob.sign_pk)) == (height, nonce)
-    assert ledger.get(bob_x) is None and not net.holders(bob_x)
+    assert ledger.get(bob_x) is None and not holding(net, bob_x)
     assert ledger.get(a_x) == b"(owner)"
 
-
-def test_encrypted_records_owner_only(gated_env):
-    net, ledger, ident, (alice, bob), _ = gated_env
-    a_x = protocol_store(alice, ident.addr, b"diary-entry", Predicate.owner(),
-                         ledger, net, encrypt=True)
-    assert protocol_load(alice, ident.addr, a_x, ledger, net) == b"diary-entry"
-    assert protocol_load(bob, ident.addr, a_x, ledger, net) is None
-    for node in net.nodes.values():
-        for record in node.store.values():
-            assert b"diary-entry" not in record.data

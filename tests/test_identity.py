@@ -57,8 +57,8 @@ def test_check_permission_paths():
     ledger = Ledger()
     ident, pairs = gen_shared_identity(make_gens(2), [Predicate.owner()] * 2, ledger)
     outsider = KeyPair.generate(random.Random(777))
-    assert check_permission(pairs[0].sign_pk, bytes(32), Predicate.any(), ledger) == 0
-    assert check_permission(outsider.sign_pk, ident.addr, Predicate.any(), ledger) == 1
+    assert check_permission(pairs[0].sign_pk, bytes(32), Predicate("any"), ledger) == 0
+    assert check_permission(outsider.sign_pk, ident.addr, Predicate("any"), ledger) == 1
     assert check_permission(outsider.sign_pk, ident.addr,
                             Predicate.key_list([pairs[0].sign_pk]), ledger) == 0
     assert check_permission(pairs[0].sign_pk, ident.addr,
@@ -66,21 +66,24 @@ def test_check_permission_paths():
 
 
 def test_predicate_combinators():
-    acl = {b"A" * 32: Predicate.any(), b"B" * 32: Predicate.not_(Predicate.any())}
+    acl = {b"A" * 32: Predicate("any"),
+           b"B" * 32: Predicate("not", children=(Predicate("any"),))}
     owner = Predicate.owner()
     assert owner.evaluate(acl, b"A" * 32)
     assert not owner.evaluate(acl, b"C" * 32)
-    combo = Predicate.or_(Predicate.key_list([b"C" * 32]), Predicate.owner())
+    combo = Predicate("or", children=(Predicate.key_list([b"C" * 32]), Predicate.owner()))
     assert combo.evaluate(acl, b"C" * 32)
     assert combo.evaluate(acl, b"B" * 32)
     assert not combo.evaluate(acl, b"D" * 32)
-    neg = Predicate.and_(Predicate.any(), Predicate.not_(Predicate.owner()))
+    neg = Predicate("and", children=(Predicate("any"),
+                                     Predicate("not", children=(Predicate.owner(),))))
     assert neg.evaluate(acl, b"D" * 32)
     assert not neg.evaluate(acl, b"A" * 32)
 
 
 def test_policy_predicate_defers_to_acl():
-    acl = {b"A" * 32: Predicate.any(), b"B" * 32: Predicate.not_(Predicate.any())}
+    acl = {b"A" * 32: Predicate("any"),
+           b"B" * 32: Predicate("not", children=(Predicate("any"),))}
     q = Predicate.policy()
     assert q.evaluate(acl, b"A" * 32)
     assert not q.evaluate(acl, b"B" * 32)     # own policy denies
@@ -93,12 +96,13 @@ def test_policy_predicate_defers_to_acl():
 def test_predicate_text_round_trip():
     pks = [KeyPair.generate(random.Random(i)).sign_pk for i in range(2)]
     samples = [
-        Predicate.any(),
+        Predicate("any"),
         Predicate.owner(),
         Predicate.policy(),
         Predicate.key_list(pks),
-        Predicate.or_(Predicate.owner(), Predicate.key_list(pks)),
-        Predicate.and_(Predicate.not_(Predicate.any()), Predicate.owner()),
+        Predicate("or", children=(Predicate.owner(), Predicate.key_list(pks))),
+        Predicate("and", children=(Predicate("not", children=(Predicate("any"),)),
+                                   Predicate.owner())),
     ]
     for pred in samples:
         text = pred.to_text()
@@ -114,7 +118,7 @@ def test_predicate_text_round_trip():
 
 def test_acl_serialization_round_trip():
     pks = [KeyPair.generate(random.Random(i)).sign_pk for i in range(3)]
-    acl = {pks[0]: Predicate.any(), pks[1]: Predicate.owner(),
+    acl = {pks[0]: Predicate("any"), pks[1]: Predicate.owner(),
            pks[2]: Predicate.key_list(pks[:1])}
     assert parse_acl(serialize_acl(acl)) == acl
 
@@ -175,7 +179,7 @@ def test_parse_acl_returns_a_fresh_dict():
     stored = ledger.get(ident.addr)
     assert check_permission(outsider.sign_pk, ident.addr, Predicate.owner(), ledger) == 0
     first = parse_acl(stored)
-    first[outsider.sign_pk] = Predicate.any()
+    first[outsider.sign_pk] = Predicate("any")
     second = parse_acl(stored)
     assert second is not first
     assert set(second) == {kp.sign_pk for kp in pairs}
@@ -208,7 +212,7 @@ def test_only_the_first_writer_may_rewrite_an_acl_or_a_pointer():
     ledger = rt.ledger
     ident, _ = gen_shared_identity([lambda: alice], [Predicate.owner()], ledger)
     pointer = protocol_store(alice, ident.addr, b"input", Predicate.owner(),
-                             ledger, rt.dht, encrypt=False)
+                             ledger, rt.dht)
     acl, height = ledger.get(ident.addr), ledger.height
 
     def write(kp, payload_type, key, value: bytes):
@@ -219,7 +223,7 @@ def test_only_the_first_writer_may_rewrite_an_acl_or_a_pointer():
         write(eve, "identity-registration", ident.addr,
               serialize_acl({eve.sign_pk: Predicate.owner()}))
     with pytest.raises(LedgerRejected, match="another writer"):
-        write(eve, "kv-put", pointer, Predicate.any().to_text().encode())
+        write(eve, "kv-put", pointer, Predicate("any").to_text().encode())
     assert [(tx.sender, tx.payload[0][0]) for tx, _ in ledger.rejected] == \
         [(eve.sign_pk, ident.addr.hex()), (eve.sign_pk, pointer.hex())]
     assert all("another writer" in reason for _, reason in ledger.rejected)

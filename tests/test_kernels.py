@@ -99,7 +99,7 @@ def test_lookups_match_the_byte_id_oracle(size):
     net.bootstrap()
     stored = [rng.randbytes(32) for _ in range(6)]
     for key in stored:
-        net.dht_store(key, b"data", encrypted=False)
+        net.dht_store(key, b"data")
     for nid in rng.sample(ids, size // 3):
         net.nodes[nid].alive = False
     targets = stored + [rng.randbytes(32) for _ in range(6)] + ids[:3]

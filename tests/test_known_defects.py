@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from mpcnet import network, runner, shamir
+from mpcnet import network, runner, shamir, spdz
 from mpcnet.audit import trail_key, trail_meta_key
 from mpcnet.cli import main
 from mpcnet.dht import DhtNetwork, protocol_load, protocol_store, record_address
@@ -134,8 +134,7 @@ def test_a_pointer_key_written_first_by_another_key_still_takes_its_owners_store
         ledger.submit_tx(make_tx(eve, "kv-put",
                                  writes_payload([(record_address(ident.addr, blob), b"(any)")]),
                                  nonce=ledger.next_nonce(eve.sign_pk)))
-    a_x = protocol_store(alice, ident.addr, blob, Predicate.owner(), ledger, net,
-                         encrypt=False)
+    a_x = protocol_store(alice, ident.addr, blob, Predicate.owner(), ledger, net)
     assert protocol_load(alice, ident.addr, a_x, ledger, net) == blob
 
 
@@ -251,3 +250,37 @@ def test_the_computation_id_does_not_depend_on_the_inputs():
     second.inputs = [0, 2, 3]
     ids = {run_scenario(cfg).trace.computation_id for cfg in (first, second)}
     assert len(ids) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20")
+@pytest.mark.parametrize("reduction", [None, 2], ids=["audited", "trail-free"])
+def test_openings_shifted_to_cancel_under_the_seeded_mac_coins_fail_the_run(
+        monkeypatch, reduction):
+    # cheater.scn with its fault cleared: position 1 shifts the value share
+    # it sends in the first Beaver opening by rho_2 on eps and by -rho_1 on
+    # delta, where rho_1 and rho_2 are the first two coins of the seeded
+    # mac-check stream, so sum_k rho_k * shift_k = 0 and the check passes.
+    cfg = parse_scenario(SCENARIOS / "cheater.scn")
+    cfg.faults, cfg.reduction = {}, reduction
+    field = Field(cfg.prime)
+    coins = network.child_rng(cfg.seed, "mac-check")
+    rho1, rho2 = field.rand(coins), field.rand(coins)
+    opened = spdz.open_many
+    calls = []
+
+    def shifted(sharings, *args):
+        if not calls:
+            sharings = [list(shares) for shares in sharings]
+            for k, shift in ((0, rho2), (1, field.p - rho1)):
+                share = sharings[k][1]
+                sharings[k][1] = dataclasses.replace(
+                    share, value_share=field.add(share.value_share, shift))
+        calls.append(sharings)
+        return opened(sharings, *args)
+
+    monkeypatch.setattr(spdz, "open_many", shifted)
+    result = run_scenario(cfg)
+    assert calls
+    assert result.trace.outcome != "ok"
+    assert result.outputs == []
+    assert not [line for line in result.settlement.lines if line.slash]

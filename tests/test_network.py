@@ -116,7 +116,7 @@ def test_shared_key_is_symmetric_in_the_pair(rng):
     assert len(ab) == 32
 
 
-# -- encrypted broadcast bus -----------------------------------------------------
+# -- sealed broadcast bus --------------------------------------------------------
 
 def test_bus_non_recipients_cannot_decrypt(rng):
     bus = EncryptedBus()
@@ -205,7 +205,7 @@ def test_share_denied_for_non_member():
     eve = rt.add_client("eve")
     height = rt.ledger.height
     pointer = protocol_share(eve, "eve", ident.addr, 1, "spam",
-                             Predicate.any(), t=1, rt=rt, rng=rng,
+                             Predicate("any"), t=1, rt=rt, rng=rng,
                              committee=committee)
     assert pointer is None
     assert rt.ledger.height == height
@@ -245,7 +245,7 @@ def test_declassify_denies_a_pointer_to_another_dealers_sharing(mode):
     ref = network.load_reference(alice, ident.addr, pointer, rt)
     forged = json.dumps({**ref, "ref": "eve"}, sort_keys=True).encode()
     eve_pointer = place_record(eve, ident.addr, forged, Predicate.key_list([eve.sign_pk]),
-                               rt.ledger, rt.dht, encrypt=False)
+                               rt.ledger, rt.dht)
     assert network.load_reference(eve, ident.addr, eve_pointer, rt) == {**ref, "ref": "eve"}
     before = rt.bus.messages
     assert mpc_declassify(eve, "eve", ident.addr, eve_pointer, rt) == (None, [])

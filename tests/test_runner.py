@@ -399,6 +399,39 @@ def test_spdz_wrong_share_on_linear_circuit_caught_by_audit():
     assert fault.channel == "audit_trail"
 
 
+LINEAR_AFTER_REDUCTION = "in x\nin y\nin z\nm = mul x y\ns = smul 5 m\na = add s z\nout a\n"
+
+
+@pytest.mark.parametrize("faults, outcome, outputs, widths", [
+    ({}, "ok", [218], [3, 3]),
+    ({1: "wrong-share"}, "cheat-detected", [], []),
+], ids=["honest", "wrong-share"])
+def test_spdz_linear_gates_run_on_the_reduced_committee(faults, outcome, outputs, widths,
+                                                        monkeypatch):
+    # 6 * 7 under SPDZ at committee 9 with reduction=3: the product is
+    # re-shared to 3 parties, so the smul and the add after it run on the
+    # reduced committee's shares. A wrong share is caught by the MAC check
+    # that runs before the re-share, so nothing after it runs.
+    linear = network.SpdzEngine.linear
+    seen = []
+
+    def counted(self, terms):
+        seen.append(self.key.n)
+        return linear(self, terms)
+
+    monkeypatch.setattr(network.SpdzEngine, "linear", counted)
+    cfg = load("cheater")
+    cfg.nodes, cfg.committee, cfg.reduction, cfg.seed = 12, 9, 3, 5
+    cfg.circuit_text, cfg.inputs, cfg.faults = LINEAR_AFTER_REDUCTION, [6, 7, 8], faults
+    result = run_scenario(cfg)
+    assert result.expected == [218]
+    assert result.trace.outcome == outcome
+    assert result.outputs == outputs
+    assert result.exit_code == (2 if faults else 0)
+    assert ("event=reduce parties=3" in result.trace.events) == bool(widths)
+    assert seen == widths
+    assert not [line for line in result.settlement.lines if line.slash]
+
 def test_rejected_when_balance_below_threshold():
     cfg = load("average")
     cfg.fees = type(cfg.fees)(min_balance=10 ** 9)
