@@ -6,10 +6,11 @@ board (commit_shares computes every dealing's). Computing nodes only ever
 operate on the <.>-shares; the blinding of a sharing dealt here carries no
 MAC, since only the auditor's Pedersen check ever reads it. An input's
 commitments are on the ledger once, in its dealer's VSS record at the
-sharing id, which the input step names together with the record's sha256,
-so a dealer that rewrites the record later leaves the trail incomplete
-rather than moving the blame. Anyone holding the ledger can fold them
-through the circuit after the fact:
+sharing id, which the input step names. The ledger lets the dealer rewrite
+that record, so the auditor reads the record as the dealer first posted
+it, the one the shares were dealt under: a later rewrite moves no blame.
+Anyone holding the ledger can fold them through the circuit after the
+fact:
 
   * linear steps and the public Beaver corrections are homomorphic on
     commitments, so every intermediate per-party commitment is recomputable
@@ -40,12 +41,13 @@ ends in a MAC failure or an abort posts its pending steps without the
 metadata instead, and a restart numbers its batches after the aborted
 attempt's.
 
-Records are compact JSON, and each per-party vector in them is one base64
-field (the pedersen codecs): a triple's a, b and c and a VSS record's
-commitments as fixed-width integers, read back without a range check so a
-malformed base folds exactly; the Beaver and output openings as field
-elements, read back range-checked, since commit reduces mod p and an
-opening s + kp would otherwise open the commitment to s.
+A VSS record is its n commitments as raw fixed-width integers
+(pedersen.pack_commitments). Trail records are compact JSON, and each
+per-party vector in them is one base64 field (the pedersen codecs): a
+triple's a, b and c as the same fixed-width integers, read back without a
+range check so a malformed base folds exactly; the Beaver and output
+openings as field elements, read back range-checked, since commit reduces
+mod p and an opening s + kp would otherwise open the commitment to s.
 """
 
 from __future__ import annotations
@@ -72,25 +74,19 @@ def trail_meta_key(computation_id: bytes) -> bytes:
 
 
 def record_bytes(record) -> bytes:
-    """A trail or VSS record as posted: compact JSON with sorted keys."""
+    """A trail record as posted: compact JSON with sorted keys."""
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
 
-def vss_commitments(board, sharing: str, n: int, params: CommitParams,
-                    digest: str | None = None) -> list:
-    """The n commitments in the VSS record at the sharing id `sharing`
-    (hex). ValueError if the record is missing, malformed or not n
-    long, or, given a `digest`, if its sha256 hex is not that digest."""
+def vss_commitments(board, sharing: str, n: int, params: CommitParams) -> list:
+    """The n commitments of the VSS record at the sharing id `sharing`
+    (hex), as its owner first posted it. ValueError if the sharing has no
+    record, or its first posting is not n commitments long."""
     try:
-        raw = board.get(bytes.fromhex(sharing))
-        commitments = pedersen.decode_commitments(json.loads(raw.decode())["commitments"],
-                                                  n, params)
-        if digest in (None, sha256(raw).hex()):
-            return commitments
-    except (AttributeError, KeyError, TypeError, ValueError):
-        pass
-    raise ValueError(f"sharing {sharing} has no VSS record of {n} commitments"
-                     + ("" if digest is None else f" with digest {digest}"))
+        return pedersen.unpack_commitments(board.first(bytes.fromhex(sharing)).value,
+                                           n, params)
+    except (AttributeError, TypeError, ValueError):
+        raise ValueError(f"sharing {sharing} has no VSS record of {n} commitments") from None
 
 
 def commit_shares(values: list, blinds: list, params: CommitParams,
@@ -148,17 +144,18 @@ class TrailWriter:
 
     def post(self, *writes):
         """Post (key, record) writes as one signed transaction."""
-        tx = make_tx(self.poster, "commitment-post",
-                     writes_payload((key, record_bytes(record)) for key, record in writes),
+        self.submit(writes_payload((key, record_bytes(record)) for key, record in writes))
+
+    def submit(self, payload: list):
+        """Sign and submit a keyed payload (ledger.writes_payload)."""
+        tx = make_tx(self.poster, "commitment-post", payload,
                      nonce=self.board.next_nonce(self.poster.sign_pk))
         self.board.submit_tx(tx)
 
     def post_input(self, sharing_id: bytes) -> int:
-        """An input step naming the sharing's VSS record as it stands now:
-        its sha256 binds the step to this version of the record."""
-        raw = self.board.get(sharing_id)
-        return self.post_step({"kind": "input", "sharing": sharing_id.hex(),
-                               "vss": sha256(raw).hex()})
+        """An input step naming the sharing's VSS record, which the auditor
+        reads as first posted."""
+        return self.post_step({"kind": "input", "sharing": sharing_id.hex()})
 
     def post_step(self, record: dict) -> int:
         self._pending.append(record)
@@ -212,7 +209,8 @@ def pv_share(secret: int, n: int, key: MacKey, params: CommitParams,
     blind = spdz.additive_split(field.rand(rng), n, field, rng)
     commitments = commit_shares([v.value_share for v in value], blind, params, broken)
     sharing_id = sha256(writer.computation_id + writer.steps.to_bytes(8, "big") + b"input")
-    writer.post((sharing_id, {"commitments": pedersen.encode_commitments(commitments, params)}))
+    record = pedersen.pack_commitments(commitments, params)
+    writer.submit(writes_payload([(sharing_id, record)]))
     step = writer.post_input(sharing_id)
     return PVShare(value=value, randomness=blind, step=step)
 
@@ -385,20 +383,20 @@ def audit_trail(board, computation_id: bytes) -> AuditReport:
     """Recompute the commitment trail and name every inconsistent party.
 
     Reads the batches the metadata names, in order, and walks their steps,
-    folding input (VSS record) and triple commitments through linear and
-    Beaver records, and checks every posted opening (Beaver masks and the
-    final output) against the derived per-party commitments. The verdict
-    rests on what the board holds and nothing else.
+    folding input (VSS record, as first posted) and triple commitments
+    through linear and Beaver records, and checks every posted opening
+    (Beaver masks and the final output) against the derived per-party
+    commitments. The verdict rests on what the board holds and nothing else.
 
     A derived step is held as (constant, {symbol: exp}), one for all n
     parties, since every exponent is public. The constant is the public
     constant on party 0, and a symbol names a per-party vector of bases: a
     triple's ("a" | "b" | "c", step) commitments, or a step's own
-    ("value", step), which is an input's VSS commitments as posted or a
-    step already folded. An input is (0, {("value", s): 1}); a linear step
-    sums its sources' constants mod p and scales their maps by each
-    coefficient; a Beaver step is (eps * delta, {("c", t): 1, ("b", t):
-    eps, ("a", t): delta}). Exponents of one symbol add up, so a step
+    ("value", step), which is an input's VSS commitments as first posted
+    or a step already folded. An input is (0, {("value", s): 1}); a
+    linear step sums its sources' constants mod p and scales their maps by
+    each coefficient; a Beaver step is (eps * delta, {("c", t): 1, ("b",
+    t): eps, ("a", t): delta}). Exponents of one symbol add up, so a step
     carries at most one term per distinct symbol however often a wire is
     reused, and an exponent above q - 1 is cut to ((e - 1) mod (q - 1)) +
     1, which is exact for every base mod the prime q, 0 and bases >= q
@@ -478,9 +476,7 @@ def audit_trail(board, computation_id: bytes) -> AuditReport:
         for step, rec in enumerate(records):
             kind = rec["kind"]
             if kind == "input":
-                # An input step without a digest matches no record.
-                vectors["value", step] = vss_commitments(board, rec.get("sharing"), n, params,
-                                                         str(rec.get("vss")))
+                vectors["value", step] = vss_commitments(board, rec.get("sharing"), n, params)
                 derived[step] = (0, {("value", step): 1})
             elif kind == "triple":
                 for name in ("a", "b", "c"):

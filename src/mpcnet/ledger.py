@@ -12,8 +12,9 @@ zero-sum settlements that only the genesis authority may post, at most one
 per computation, and bit-exact replayability.
 
 Keys live in one `Board`. The live `Ledger` is a Board that validates what
-it appends, and `load_dump` returns one, so `get`, `get_at`, `height` and
-`writer` (a key's first author) read alike on the ledger and on its dump.
+it appends, and `load_dump` returns one, so `get`, `get_at`, `height`,
+`first` (a key's first entry) and `writer` (its author) read alike on the
+ledger and on its dump.
 
 A keyed transaction (`kv-put`, `identity-registration`, `commitment-post`)
 carries a non-empty list of (key, value) writes, applied atomically: every
@@ -168,10 +169,15 @@ class Board:
         pos = bisect_right(history, t, key=attrgetter("height"))
         return history[pos - 1].value if pos else None
 
+    def first(self, k) -> LedgerEntry | None:
+        """k's first entry, or None if k was never written."""
+        history = self._history.get(normalize_key(k))
+        return history[0] if history else None
+
     def writer(self, k) -> bytes | None:
         """The author of k's first entry, or None if k was never written."""
-        history = self._history.get(normalize_key(k))
-        return history[0].author if history else None
+        entry = self.first(k)
+        return None if entry is None else entry.author
 
 
 @dataclass

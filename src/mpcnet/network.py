@@ -201,7 +201,6 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
         values, blinds, rt.params,
         {pos for pos, node in enumerate(committee) if node.behavior == BROKEN_COMMITMENT})
 
-    vss_record = {"commitments": pedersen.encode_commitments(commitments, rt.params)}
     blob = json.dumps({
         "ref": x_ref,
         "sharing": sharing_id.hex(),
@@ -212,7 +211,7 @@ def protocol_share(owner: KeyPair, owner_label: str, addr: bytes, x: int,
     }, sort_keys=True).encode()
     # One owner transaction: the commitments, then (through place_record)
     # the pointer's predicate.
-    writes = ((sharing_id, auditmod.record_bytes(vss_record)),)
+    writes = ((sharing_id, pedersen.pack_commitments(commitments, rt.params)),)
     pointer = place_record(owner, addr, blob, q_compute, rt.ledger, rt.dht,
                            writes=writes)
     # A rejected transaction raised above: only an accepted input is dealt.
@@ -248,13 +247,14 @@ def reveal(members: list, rows: list, requester, rt: Runtime) -> dict:
 def mpc_declassify(requester: KeyPair, requester_label: str, addr: bytes,
                    pointer: bytes, rt: Runtime):
     """Collect the raw shares back and reconstruct, verifying each opening
-    against the posted VSS commitments.
+    against the VSS commitments as the dealer first posted them, the ones
+    the shares were dealt under.
 
     Returns (value, faults); value is None when the requester is not the
     first writer of the VSS record (the dealer) or too few verified shares
     remain. faults lists (node index, channel) pairs for shares that failed
-    their commitment. A VSS record that is missing, malformed or not n
-    long raises ValueError.
+    their commitment. A VSS record that is missing or whose first posting
+    is not n commitments long raises ValueError.
     """
     ref = load_reference(requester, addr, pointer, rt)
     if ref is None:
@@ -626,7 +626,7 @@ class AuditedSpdzEngine(SpdzEngine):
 
     def load(self, sharing_id: bytes) -> auditmod.PVShare:
         # The input step names the owner's VSS record, and the auditor
-        # reads the input commitments from there.
+        # reads the input commitments from its first posting.
         step = self.writer.post_input(sharing_id)
         return auditmod.PVShare(
             value=super().load(sharing_id),

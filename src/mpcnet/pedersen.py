@@ -20,8 +20,9 @@ of one entry per byte of the exponent. A commitment to exponents below p
 then costs two table look-ups and two multiplications per exponent byte
 instead of two square-and-multiply exponentiations.
 
-On the ledger a vector of commitments is one base64 field of fixed-width
-big-endian integers, ceil(bits(q) / 8) bytes each (9 over M61), and a
+On the ledger a vector of commitments is fixed-width big-endian integers,
+ceil(bits(q) / 8) bytes each (9 over M61), back to back: raw, as an
+input's VSS record, and inside one base64 field of a trail record. A
 vector of openings is one base64 field of the (share, blinding) pairs in
 the field's own fixed-width encoding.
 """
@@ -132,26 +133,35 @@ def _width(params: CommitParams) -> int:
     return (params.q.bit_length() + 7) // 8
 
 
-def encode_commitments(commitments: list, params: CommitParams) -> str:
-    """The commitments as one base64 field of ceil(bits(q) / 8)-byte
-    big-endian integers."""
+def pack_commitments(commitments: list, params: CommitParams) -> bytes:
+    """The commitments as ceil(bits(q) / 8)-byte big-endian integers, back
+    to back: a VSS record as posted."""
     w = _width(params)
-    data = b"".join([c.to_bytes(w, "big") for c in commitments])
-    return b2a_base64(data, newline=False).decode()
+    return b"".join([c.to_bytes(w, "big") for c in commitments])
 
 
-def decode_commitments(text: str, n: int, params: CommitParams) -> list:
-    """The n commitments of an encode_commitments field.
+def unpack_commitments(data: bytes, n: int, params: CommitParams) -> list:
+    """The n commitments of a pack_commitments string.
 
-    Raises ValueError (TypeError for a non-string) unless `text` is base64
-    of exactly n integers. No range is checked: a value >= q reads back as
-    posted, and the auditor folds it exactly.
+    Raises ValueError unless `data` is exactly n integers long. No range is
+    checked: a value >= q reads back as posted, and the auditor folds it
+    exactly.
     """
     w = _width(params)
-    data = decode_base64(text)
     if len(data) != n * w:
         raise ValueError(f"expected {n} commitments of {w} bytes, got {len(data)} bytes")
     return [int.from_bytes(data[i:i + w], "big") for i in range(0, len(data), w)]
+
+
+def encode_commitments(commitments: list, params: CommitParams) -> str:
+    """The commitments packed into one base64 field."""
+    return b2a_base64(pack_commitments(commitments, params), newline=False).decode()
+
+
+def decode_commitments(text: str, n: int, params: CommitParams) -> list:
+    """The n commitments of an encode_commitments field. Raises ValueError
+    (TypeError for a non-string) unless `text` is base64 of exactly n."""
+    return unpack_commitments(decode_base64(text), n, params)
 
 
 def encode_openings(pairs: list, field: Field) -> str:

@@ -2,11 +2,10 @@
 against, a step-by-step audit fold the batched auditor is checked against,
 per-element sharing kernels and DHT lookups the vectorised ones are checked
 against, a seeded random-circuit generator, and the helpers only tests
-call: a sharing's plaintext, a wiretap on the bus, and reading back the
-key files `mpcnet keygen` writes. numpy is a test dependency, so the
-vectorised evaluator lives here and not in the package."""
-
-import json
+call: a sharing's plaintext, a ledger with some values reposted, a wiretap
+on the bus, and reading back the key files `mpcnet keygen` writes. numpy is
+a test dependency, so the vectorised evaluator lives here and not in the
+package."""
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -17,7 +16,8 @@ from mpcnet.circuits import Circuit, LayeredCircuit, parse_circuit
 from mpcnet.dht import K_BUCKET, PARALLELISM, xor_distance
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
-from mpcnet.keys import KeyPair, sha256
+from mpcnet.keys import KeyPair
+from mpcnet.ledger import Board
 from mpcnet.shamir import ShamirShare
 from mpcnet.spdz import AuthShare
 
@@ -95,10 +95,22 @@ def eval_layered(layered: LayeredCircuit, inputs: list, field: Field) -> list:
     return [values[g.args[0]] for g in circ.gates if g.kind == "output"]
 
 
+def reposted(board, values: dict) -> Board:
+    """A Board holding `board`'s entries in height order, with each entry
+    at a key in `values` holding values[key] instead, or left out where
+    that is None."""
+    out = Board()
+    for entry in board.entries:
+        value = values.get(entry.key, entry.value)
+        if value is not None:
+            out._record(entry._replace(value=value))
+    return out
+
+
 def fold_trail(board, records: list, n: int, p: int) -> AuditReport:
     """The audit as a per-step, per-party fold over a trail's record list,
     reading each input's commitments from the VSS record on `board` that
-    its step names, if the record still has the sha256 the step gives.
+    its step names, as first posted.
 
     Every derived commitment is reduced mod q as soon as its step is read:
     a linear step raises each source to its coefficient, a Beaver step
@@ -126,11 +138,10 @@ def fold_trail(board, records: list, n: int, p: int) -> AuditReport:
     for step, rec in enumerate(records):
         kind = rec["kind"]
         if kind == "input":
-            raw = board.get(bytes.fromhex(rec["sharing"]))
-            if sha256(raw).hex() != rec["vss"]:
-                raise IncompleteTrail(f"input step {step} names a rewritten VSS record")
-            commitments[step] = pedersen.decode_commitments(
-                json.loads(raw)["commitments"], n, params)
+            first = board.first(bytes.fromhex(rec["sharing"]))
+            if first is None:
+                raise IncompleteTrail(f"input step {step} names no VSS record")
+            commitments[step] = pedersen.unpack_commitments(first.value, n, params)
         elif kind == "triple":
             commitments[step] = {name: pedersen.decode_commitments(rec[name], n, params)
                                  for name in ("a", "b", "c")}

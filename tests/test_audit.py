@@ -12,7 +12,7 @@ from mpcnet.field import M61, Field
 from mpcnet.keys import KeyPair, sha256
 from mpcnet.ledger import Ledger
 from mpcnet.net import LocalChannel
-from oracles import combine_commitments, fold_trail, random_circuit
+from oracles import combine_commitments, fold_trail, random_circuit, reposted
 
 
 @pytest.fixture
@@ -55,13 +55,7 @@ def forged_board(ledger, comp_id, kind, edit):
         if record is not None:
             break
     edit(record)
-    forged = audit.record_bytes(batch)
-
-    class Board:
-        def get(self, k):
-            return forged if k == key else ledger.get(k)
-
-    return Board()
+    return reposted(ledger, {key: audit.record_bytes(batch)})
 
 
 def test_honest_run_passes(setup101):
@@ -132,11 +126,10 @@ def test_pv_share_posts_n_commitments(setup101, f101):
     share = audit.pv_share(33, 4, key, env["params"], writer, f101, env["rng"])
     writer.flush()
     record = json.loads(ledger.get(audit.trail_key(comp_id, 0)))[share.step]
-    vss = ledger.get(bytes.fromhex(record["sharing"]))
-    assert record == {"kind": "input", "sharing": record["sharing"],
-                      "vss": sha256(vss).hex()}
-    commitments = audit.vss_commitments(ledger, record["sharing"], 4, env["params"],
-                                        record["vss"])
+    assert record == {"kind": "input", "sharing": record["sharing"]}
+    # 4 commitments of ceil(bits(607) / 8) = 2 bytes each, raw.
+    assert len(ledger.get(bytes.fromhex(record["sharing"]))) == 8
+    commitments = audit.vss_commitments(ledger, record["sharing"], 4, env["params"])
     assert combine_commitments(commitments, env["params"]) == pedersen.commit(
         sum(s.value_share for s in share.value) % 101,
         sum(share.randomness) % 101,
@@ -156,25 +149,34 @@ def test_commit_shares_shifts_exactly_the_broken_parties(setup101, broken):
 P101 = pedersen.setup(Field(101))
 
 
-@pytest.mark.parametrize("posted", [
-    None, b"not json",
-    json.dumps({"commitments": pedersen.encode_commitments([5, 7], P101)}).encode(),
-    b'{"commitments": 5}', b"[1, 2, 3]",
-    json.dumps({"commitments": pedersen.encode_commitments([5, 7, 9], P101)[:-1]}).encode(),
-    b'{"commitments": ["0x5", "0x7", "0x9"]}',
-], ids=["missing", "not-json", "two-of-three", "not-a-list", "no-commitments",
-        "not-base64", "hex-list"])
+# Malformed VSS records for 3 parties at p = 101, where a record is 3
+# commitments of 2 bytes: none is 6 bytes long. The JSON ones are the
+# record's earlier form, base64 inside JSON, and its malformed variants.
+BAD_VSS_RECORDS = {
+    "missing": None,
+    "not-json": b"not json",
+    "two-of-three": pedersen.pack_commitments([5, 7], P101),
+    "not-a-list": b'{"commitments": 5}',
+    "no-commitments": b"[1, 2, 3]",
+    "not-base64": json.dumps(
+        {"commitments": pedersen.encode_commitments([5, 7, 9], P101)[:-1]}).encode(),
+    "hex-list": b'{"commitments": ["0x5", "0x7", "0x9"]}',
+    "empty": b"",
+    "one-byte-short": pedersen.pack_commitments([5, 7, 9], P101)[:-1],
+    "one-byte-long": pedersen.pack_commitments([5, 7, 9], P101) + b"\x00",
+    "json-form": audit.record_bytes(
+        {"commitments": pedersen.encode_commitments([5, 7, 9], P101)}),
+}
+
+
+@pytest.mark.parametrize("posted", BAD_VSS_RECORDS.values(), ids=BAD_VSS_RECORDS.keys())
 def test_input_naming_a_bad_vss_record_is_incomplete(setup101, posted):
+    # x's VSS record is first posted malformed, or never posted.
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
     first = json.loads(ledger.get(audit.trail_key(comp_id, 0)))[0]
     x_key = bytes.fromhex(first["sharing"])
-
-    class Board:
-        def get(self, key):
-            return posted if key == x_key else ledger.get(key)
-
     with pytest.raises(IncompleteTrail, match="VSS record"):
-        audit.audit_trail(Board(), comp_id)
+        audit.audit_trail(reposted(ledger, {x_key: posted}), comp_id)
 
 
 @pytest.mark.parametrize("name", [None, "zz", 7], ids=["no-name", "not-hex", "not-a-string"])
@@ -186,13 +188,8 @@ def test_input_without_a_sharing_name_is_incomplete(setup101, name):
     if name is not None:
         batch[0]["sharing"] = name
     forged = json.dumps(batch).encode()
-
-    class Board:
-        def get(self, key):
-            return forged if key == first_key else ledger.get(key)
-
     with pytest.raises(IncompleteTrail, match="VSS record"):
-        audit.audit_trail(Board(), comp_id)
+        audit.audit_trail(reposted(ledger, {first_key: forged}), comp_id)
 
 
 def test_single_broken_commitment_named_exactly(setup101):
@@ -338,9 +335,8 @@ def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
     # Linear steps the engine never emits: w = z + 2z reads one source twice
     # with different coefficients, and v = 1*x takes over input x's
     # commitments on x's last read. Both are opened. Honest, and with party
-    # 1's commitment in x's VSS record raised by q (and x's input step
-    # naming the forged record's digest), the audit must agree with the
-    # per-step fold.
+    # 1's commitment in x's VSS record raised by q as first posted, the
+    # audit must agree with the per-step fold.
     env, n = setup101, 3
     field, params, rng = f101, env["params"], env["rng"]
     key = spdz.gen_mac_key(n, field, rng)
@@ -364,19 +360,9 @@ def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
     report = audit.audit_trail(ledger, comp_id)
     assert report.ok and report == fold_trail(ledger, records, n, 101)
     x_key = bytes.fromhex(records[x.step]["sharing"])
-    x_record = json.loads(ledger.get(x_key))
-    x_commitments = pedersen.decode_commitments(x_record["commitments"], n, params)
+    x_commitments = audit.vss_commitments(ledger, x_key.hex(), n, params)
     x_commitments[1] += params.q
-    forged = json.dumps({"commitments": pedersen.encode_commitments(x_commitments, params)}).encode()
-    records[x.step]["vss"] = sha256(forged).hex()
-    overrides = {x_key: forged, audit.trail_key(comp_id, 0):
-                 json.dumps(records[:len(batches[0])]).encode()}
-
-    class Board:
-        def get(self, key):
-            return overrides.get(key) or ledger.get(key)
-
-    board = Board()
+    board = reposted(ledger, {x_key: pedersen.pack_commitments(x_commitments, params)})
     assert audit.audit_trail(board, comp_id) == fold_trail(board, records, n, 101)
 
 
@@ -391,16 +377,11 @@ def test_linear_step_without_terms_folds_like_the_step_fold(setup101):
     key, batch = next((k, batch) for k, batch in posted.items()
                       if any(rec["kind"] == "linear" for rec in batch))
     next(rec for rec in batch if rec["kind"] == "linear").update(terms=[], constant=5)
-    forged = json.dumps(batch).encode()
-
-    class Board:
-        def get(self, k):
-            return forged if k == key else ledger.get(k)
-
+    board = reposted(ledger, {key: json.dumps(batch).encode()})
     records = [rec for b in range(batches) for rec in
-               json.loads(Board().get(audit.trail_key(comp_id, b)))]
-    report = audit.audit_trail(Board(), comp_id)
-    assert report == fold_trail(Board(), records, 3, 101)
+               json.loads(board.get(audit.trail_key(comp_id, b)))]
+    report = audit.audit_trail(board, comp_id)
+    assert report == fold_trail(board, records, 3, 101)
     assert report.guilty == (0, 1, 2)
 
 
@@ -448,16 +429,11 @@ def test_shared_exponents_fold_like_the_step_fold(setup101, f101):
     triple_rec["c"] = pedersen.encode_commitments(c, params)
 
     def board_of(records):
-        reposted, at = {}, 0
+        values, at = {}, 0
         for b, batch in enumerate(batches):
-            reposted[audit.trail_key(comp_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
+            values[audit.trail_key(comp_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
             at += len(batch)
-
-        class Board:
-            def get(self, key):
-                return reposted.get(key) or ledger.get(key)
-
-        return Board()
+        return reposted(ledger, values)
 
     board = board_of(forged)
     assert audit.audit_trail(board, comp_id) == fold_trail(board, forged, n, 101)
@@ -721,17 +697,13 @@ def test_audit_agrees_with_the_step_fold_on_random_circuits(setup101):
             part = rng.randrange(2)
             opens[i][part] = (opens[i][part] + rng.choice((1, -1))) % 101
             forged[step][name] = pedersen.encode_openings(opens, setup101["field"])
-        reposted, at = {}, 0
+        values, at = {}, 0
         for b, batch in enumerate(batches):
-            reposted[audit.trail_key(comp_id, b)] = json.dumps(forged[at:at + len(batch)]).encode()
+            values[audit.trail_key(comp_id, b)] = json.dumps(forged[at:at + len(batch)]).encode()
             at += len(batch)
-
-        class Board:
-            def get(self, key):
-                return reposted.get(key) or ledger.get(key)
-
-        report = audit.audit_trail(Board(), comp_id)
-        assert report == fold_trail(Board(), forged, n, 101), case
+        board = reposted(ledger, values)
+        report = audit.audit_trail(board, comp_id)
+        assert report == fold_trail(board, forged, n, 101), case
         tampered_ok += report.ok
     # Only a base raised by q leaves a tampered trail consistent.
     assert tampered_ok < 50

@@ -8,15 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from mpcnet import pedersen
 from mpcnet.audit import trail_key, trail_meta_key
 from mpcnet.cli import main
-from mpcnet.field import M61, Field
+from mpcnet.field import M61
 from oracles import keypair_from_text
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
-M61_PARAMS = pedersen.setup(Field(M61))
 
 
 def run_cli(*argv):
@@ -193,14 +191,20 @@ def test_audit_dump_without_batch_count(tmp_path, capsys):
 @pytest.mark.parametrize("edit", [
     lambda key, value: (bytes(32).hex(), value),
     lambda key, value: (key, b"{not json"),
-    lambda key, value: (key, json.dumps({"commitments": pedersen.encode_commitments(
-        pedersen.decode_commitments(json.loads(value)["commitments"], 3, M61_PARAMS)[:2],
-        M61_PARAMS)}).encode()),
-], ids=["missing", "not-json", "two-of-three"])
+    lambda key, value: (key, value[:18]),
+    lambda key, value: (key, b""),
+    lambda key, value: (key, value[:-1]),
+    lambda key, value: (key, value + b"\x00"),
+    lambda key, value: (key, json.dumps(
+        {"commitments": base64.b64encode(value).decode()}).encode()),
+], ids=["missing", "not-json", "two-of-three", "empty", "one-byte-short", "one-byte-long",
+        "json-form"])
 def test_audit_dump_with_a_bad_vss_record(tmp_path, capsys, edit):
-    # An input step names a VSS record the dump does not hold, holds as
-    # something other than JSON, or holds with 2 commitments for 3 parties:
-    # an incomplete trail, exit 1, and no traceback.
+    # An input step names a VSS record the dump does not hold, or one first
+    # posted as something other than 3 commitments of 9 bytes: bytes that
+    # are not a record, 2 commitments, 0, 26 or 28 bytes, or the 3
+    # commitments in the record's earlier JSON form. Each is an incomplete
+    # trail, exit 1, and no traceback.
     outdir = tmp_path / "out"
     run_cli("run", SCENARIOS / "broken.scn", "--out", outdir)
     capsys.readouterr()

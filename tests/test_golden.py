@@ -12,8 +12,8 @@ fixed set of runs, pinned in tests/golden.json, one section per kind.
   under SPDZ. On 11 of 16 nodes, 3 layers with a fault at position 1 under
   each fault the benchmark injects (Shamir at t = 5). Each run pins the
   bus's ciphertexts (a moved rng draw, a changed encoding or a changed
-  ciphertext moves it) and the ledger dump; a fault run also pins its exit
-  code, trace.txt and settlement.txt.
+  ciphertext moves it), the ledger dump and its canonical byte count; a
+  fault run also pins its exit code, trace.txt and settlement.txt.
   The same section holds pass 1 of every perfbench workload at workload
   seed 1 ("<workload>-pass1/<computation>"): each computation at the seed
   the benchmark derives for it and, for a generated circuit, with the
@@ -180,13 +180,15 @@ def bus_digest(log) -> str:
 
 @functools.cache
 def run_digests(key: str) -> dict:
-    """{"bus": sha256, "ledger.tsv": sha256} of one run, computed once; a
-    fault run adds its exit code and the digests of its trace and
-    settlement."""
+    """{"bus": sha256, "ledger.tsv": sha256, "ledger.bytes": count} of one
+    run, computed once; a fault run adds its exit code and the digests of
+    its trace and settlement."""
     cfg = run_configs()[key]
     result = run_scenario(cfg)
+    ledger = result.runtime.ledger
     digests = {"bus": bus_digest(result.runtime.bus.broadcast_log),
-               "ledger.tsv": sha256_text(result.runtime.ledger.dump())}
+               "ledger.tsv": sha256_text(ledger.dump()),
+               "ledger.bytes": sum(len(e.canonical_bytes()) for e in ledger.entries)}
     if cfg.faults:
         digests.update({"exit": result.exit_code,
                         "trace.txt": sha256_text(result.trace.to_text()),

@@ -491,8 +491,9 @@ def test_get_at_every_height_matches_linear_scan(ledger, kp, rng):
 
 
 def test_writer_is_the_first_author_on_the_ledger_and_its_dump(ledger, kp, rng):
-    # The live ledger and a board loaded from its dump name the same first
-    # writer for every key, a key its first writer rewrote included.
+    # The live ledger and a board loaded from its dump hold the same first
+    # entry, and name its author as writer, for every key, a key its first
+    # writer rewrote included.
     other = KeyPair.generate(rng)
     put(ledger, kp, "mine", b"v1")
     put(ledger, other, "theirs", b"w1")
@@ -501,7 +502,10 @@ def test_writer_is_the_first_author_on_the_ledger_and_its_dump(ledger, kp, rng):
         put(ledger, other, "mine", b"x")
     board = load_dump(ledger.dump())
     for key in {e.key for e in ledger.entries}:
-        first = next(e.author for e in ledger.entries if e.key == key)
-        assert ledger.writer(key) == board.writer(key) == first
-    assert board.get("mine") == b"v2" and board.writer("mine") == kp.sign_pk
+        first = next(e for e in ledger.entries if e.key == key)
+        assert ledger.first(key) == board.first(key) == first
+        assert ledger.writer(key) == board.writer(key) == first.author
+    assert board.get("mine") == b"v2" and board.first("mine").value == b"v1"
+    assert board.writer("mine") == kp.sign_pk
+    assert ledger.first("never-written") is None and board.first("never-written") is None
     assert ledger.writer("never-written") is None and board.writer("never-written") is None

@@ -1,3 +1,4 @@
+import base64
 import copy
 import dataclasses
 import itertools
@@ -11,7 +12,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from mpcnet import audit, pedersen
 from mpcnet.circuits import cost_model, eval_plain, layerize, parse_circuit
 from mpcnet.dht import place_record
-from mpcnet.errors import CheatDetected, IncompleteTrail, LedgerRejected
+from mpcnet.errors import CheatDetected, LedgerRejected
 from mpcnet.field import M61, Field, eval_poly
 from mpcnet.identity import Predicate, gen_shared_identity
 from mpcnet import network, shamir
@@ -31,7 +32,7 @@ from mpcnet.spdz import gen_mac_key
 from mpcnet.trace import ComputationTrace
 from mpcnet.keys import sha256, shared_key, verify
 from oracles import (eavesdrop, fold_trail, keypair_from_text, length_sequence, rand_nonzero,
-                     random_circuit)
+                     random_circuit, reposted)
 
 MEAN3 = """
 in x0
@@ -220,7 +221,7 @@ def test_share_the_ledger_rejects_deals_no_share():
     rt, owners, ident, committee, _, rng = make_env()
     alice, eve = owners[0], rt.add_client("eve")
     sharing = network.sharing_key(ident.addr, "salary")
-    dummy = audit.record_bytes({"commitments": pedersen.encode_commitments([1] * 3, rt.params)})
+    dummy = pedersen.pack_commitments([1] * 3, rt.params)
     rt.ledger.submit_tx(make_tx(eve, "kv-put", writes_payload([(sharing, dummy)]),
                                 nonce=rt.ledger.next_nonce(eve.sign_pk)))
     before = rt.bus.messages
@@ -254,24 +255,34 @@ def test_declassify_denies_a_pointer_to_another_dealers_sharing(mode):
 
 
 def rewrite_vss(rt, owner, sharing_id, value: bytes):
-    """The owner, the VSS record's first writer, rewrites it on the ledger."""
+    """The owner, the VSS record's first writer, (re)writes it on the ledger."""
     rt.ledger.submit_tx(make_tx(owner, "kv-put",
                                 writes_payload([(sharing_id, value)]),
                                 nonce=rt.ledger.next_nonce(owner.sign_pk)))
 
 
+P101 = pedersen.setup(Field(101))
+
+
+# A VSS record for 3 parties at p = 101 is 3 commitments of 2 bytes.
 @pytest.mark.parametrize("posted", [
     b"not json",
-    audit.record_bytes({"commitments": pedersen.encode_commitments(
-        [5], pedersen.setup(Field(101)))}),
-], ids=["not-json", "one-of-three"])
+    pedersen.pack_commitments([5], P101),
+    b"",
+    pedersen.pack_commitments([5, 7, 9], P101)[:-1],
+    pedersen.pack_commitments([5, 7, 9], P101) + b"\x00",
+    audit.record_bytes({"commitments": pedersen.encode_commitments([5, 7, 9], P101)}),
+], ids=["not-json", "one-of-three", "empty", "one-byte-short", "one-byte-long", "json-form"])
 def test_declassify_with_a_malformed_vss_record_raises_value_error(posted):
+    # The owner posts a malformed record at the sharing id before sharing,
+    # so the well-formed record the shares are dealt under is its second
+    # posting: the first is the one declassify reads, and it refuses it.
     rt, owners, ident, committee, _, rng = make_env()
     alice = owners[0]
+    rewrite_vss(rt, alice, network.sharing_key(ident.addr, "salary"), posted)
     pointer = protocol_share(alice, "owner0", ident.addr, 57, "salary",
                              Predicate.key_list([alice.sign_pk]), t=1, rt=rt, rng=rng,
                              committee=committee)
-    rewrite_vss(rt, alice, network.sharing_key(ident.addr, "salary"), posted)
     with pytest.raises(ValueError, match="VSS record"):
         mpc_declassify(alice, "owner0", ident.addr, pointer, rt)
 
@@ -583,31 +594,25 @@ def test_audited_trail_posts_two_transactions_whatever_the_depth(text):
 
 
 def posted_trail(ledger, computation_id):
-    """(metadata, list of batches, VSS records by sharing) of a closed
-    trail, as posted."""
+    """(list of batches, VSS records by sharing) of a closed trail, as
+    first posted; a VSS record is the base64 of its bytes."""
     meta = json.loads(ledger.get(audit.trail_meta_key(computation_id)))
     batches = [json.loads(ledger.get(audit.trail_key(computation_id, b)))
                for b in range(meta["batches"])]
-    vss = {rec["sharing"]: json.loads(ledger.get(bytes.fromhex(rec["sharing"])))
-           for batch in batches for rec in batch if rec["kind"] == "input"}
-    return meta, batches, vss
+    vss = {rec["sharing"]: base64.b64encode(ledger.first(bytes.fromhex(rec["sharing"])).value)
+           .decode() for batch in batches for rec in batch if rec["kind"] == "input"}
+    return batches, vss
 
 
-def repost(computation_id, meta, batches, records, vss):
-    """A board with the trail's metadata, `records` in the original
-    batches, and the VSS records `vss`, each input step naming the sha256
-    of the record as reposted."""
-    board = {audit.trail_meta_key(computation_id): json.dumps(meta).encode()}
-    for sharing, record in vss.items():
-        board[bytes.fromhex(sharing)] = json.dumps(record).encode()
-    for rec in records:
-        if rec["kind"] == "input":
-            rec["vss"] = sha256(board[bytes.fromhex(rec["sharing"])]).hex()
+def repost(ledger, computation_id, batches, records, vss):
+    """`ledger` with `records` in the trail's original batches and the VSS
+    records `vss` as their first postings."""
+    values = {bytes.fromhex(sharing): base64.b64decode(record) for sharing, record in vss.items()}
     at = 0
     for b, batch in enumerate(batches):
-        board[audit.trail_key(computation_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
+        values[audit.trail_key(computation_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
         at += len(batch)
-    return board
+    return reposted(ledger, values)
 
 
 def tamper(records, vss, params, n, rng):
@@ -621,7 +626,7 @@ def tamper(records, vss, params, n, rng):
     posted = []
     for rec in records:
         if rec["kind"] == "input":
-            posted.append((vss[rec["sharing"]], "commitments"))
+            posted.append((vss, rec["sharing"]))
         elif rec["kind"] == "triple":
             posted += [(rec, "a"), (rec, "b"), (rec, "c")]
     if opened and rng.random() < 0.5:
@@ -660,12 +665,12 @@ def test_batched_audit_matches_step_fold_on_tampered_trails():
         protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt, trace,
                          env_rng, mac_key=mac_key)
         cid = trace.computation_id
-        meta, batches, vss = posted_trail(rt.ledger, cid)
+        batches, vss = posted_trail(rt.ledger, cid)
         records = [rec for batch in batches for rec in batch]
         assert audit.audit_trail(rt.ledger, cid) == fold_trail(rt.ledger, records, n, p)
         for _ in range(12):
             forged, forged_vss = tamper(records, vss, rt.params, n, rng)
-            board = repost(cid, meta, batches, forged, forged_vss)
+            board = repost(rt.ledger, cid, batches, forged, forged_vss)
             expected = fold_trail(board, forged, n, p)
             assert audit.audit_trail(board, cid) == expected, (trail, forged, forged_vss)
             cases += 1
@@ -680,27 +685,28 @@ def test_vss_record_rewritten_after_compute_blames_nobody():
     # After the computation the owner rewrites its VSS record with party
     # 1's commitment shifted by g, which the ledger allows its first
     # writer. Read as it stands now, the record would blame party 1; the
-    # input step's digest pins the record the engine loaded, so the audit
-    # of the ledger and of its dump finds the trail incomplete instead.
+    # auditor reads it as first posted, the record the shares were dealt
+    # under, so the audit of the ledger and of its dump passes unchanged.
     rt, owners, ident, committee, mac_key, rng = make_env("spdz", seed=3)
     ptrs = share_inputs(rt, owners, ident, committee, mac_key, rng, "spdz", [4, 5], "v")
     trace = fresh_trace(rt, committee, owners[0], seed=3)
     protocol_compute(owners[0], "owner0", ident.addr, ptrs, parse_circuit(MUL2), rt,
                      trace, rng, mac_key=mac_key)
     cid = trace.computation_id
-    assert audit.audit_trail(rt.ledger, cid).ok
+    honest = audit.audit_trail(rt.ledger, cid)
+    assert honest.ok
     sharing = network.sharing_key(ident.addr, "v0")
     commitments = audit.vss_commitments(rt.ledger, sharing.hex(), 3, rt.params)
     commitments[1] = commitments[1] * rt.params.g % rt.params.q
-    record = {"commitments": pedersen.encode_commitments(commitments, rt.params)}
-    rewrite_vss(rt, owners[0], sharing, audit.record_bytes(record))
-    meta, batches, vss = posted_trail(rt.ledger, cid)
-    assert vss[sharing.hex()] == record
+    record = pedersen.pack_commitments(commitments, rt.params)
+    rewrite_vss(rt, owners[0], sharing, record)
+    assert rt.ledger.get(sharing) == record
+    batches, vss = posted_trail(rt.ledger, cid)
     records = [rec for batch in batches for rec in batch]
-    assert audit.audit_trail(repost(cid, meta, batches, records, vss), cid).guilty == (1,)
+    vss[sharing.hex()] = base64.b64encode(record).decode()
+    assert audit.audit_trail(repost(rt.ledger, cid, batches, records, vss), cid).guilty == (1,)
     for board in (rt.ledger, load_dump(rt.ledger.dump())):
-        with pytest.raises(IncompleteTrail, match="VSS record"):
-            audit.audit_trail(board, cid)
+        assert audit.audit_trail(board, cid) == honest
 
 
 def reuse_circuit(depth: int) -> str:
@@ -736,14 +742,14 @@ def test_audit_of_reused_wires_matches_step_fold(p):
                            env_rng, mac_key=mac_key)
     assert out == eval_plain(circ, values, rt.field)
     cid = trace.computation_id
-    meta, batches, vss = posted_trail(rt.ledger, cid)
+    batches, vss = posted_trail(rt.ledger, cid)
     records = [rec for batch in batches for rec in batch]
     assert audit.audit_trail(rt.ledger, cid) == fold_trail(rt.ledger, records, n, p)
     assert audit.audit_trail(rt.ledger, cid).ok
     rng = random.Random(p)
     for _ in range(12):
         forged, forged_vss = tamper(records, vss, rt.params, n, rng)
-        board = repost(cid, meta, batches, forged, forged_vss)
+        board = repost(rt.ledger, cid, batches, forged, forged_vss)
         assert audit.audit_trail(board, cid) == fold_trail(board, forged, n, p), forged
 
 

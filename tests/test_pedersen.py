@@ -1,3 +1,4 @@
+import base64
 import itertools
 import random
 
@@ -94,3 +95,20 @@ def test_window_tables_are_derived_state(params):
     rebuilt = pedersen.CommitParams(q=params.q, p=params.p, g=params.g, h=params.h)
     assert rebuilt == params and hash(rebuilt) == hash(params)
     assert repr(params) == f"CommitParams(q={params.q}, p=101, g={params.g}, h={params.h})"
+
+
+def test_commitments_pack_raw_and_encode_as_base64_of_the_packing():
+    # Over M61 q has 67 bits, so each commitment is 9 big-endian bytes; a
+    # VSS record for 15 parties is 135 bytes, and the trail's base64 field
+    # is those bytes encoded. No range is checked: q + 1 reads back as is.
+    params = pedersen.setup(Field(M61))
+    commitments = [params.q + 1] + [pedersen.commit(s, s + 1, params) for s in range(14)]
+    packed = pedersen.pack_commitments(commitments, params)
+    assert len(packed) == 135 and packed[:9] == (params.q + 1).to_bytes(9, "big")
+    assert pedersen.unpack_commitments(packed, 15, params) == commitments
+    assert base64.b64decode(pedersen.encode_commitments(commitments, params)) == packed
+    assert pedersen.decode_commitments(base64.b64encode(packed).decode(), 15,
+                                       params) == commitments
+    for data in (b"", packed[:-1], packed + b"\x00"):
+        with pytest.raises(ValueError, match="expected 15 commitments of 9 bytes"):
+            pedersen.unpack_commitments(data, 15, params)

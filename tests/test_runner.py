@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from mpcnet import audit, dht, identity, keys, network, runner, spdz
+from mpcnet import audit, dht, identity, keys, network, pedersen, runner, spdz
 from mpcnet.audit import audit_trail, trail_key, trail_meta_key, vss_commitments
 from mpcnet.circuits import eval_plain, lower_select, parse_circuit
 from mpcnet.errors import IncompleteTrail
@@ -124,9 +124,11 @@ def test_bus_ciphertexts_match_their_pinned_digests(label):
 
 @pytest.mark.parametrize("label", sorted(RUNS))
 def test_ledger_dumps_match_their_pinned_digests(label):
+    # The dump's digest and its canonical byte count, the count perfbench's
+    # ledger_bytes_per_computation sums.
     key = f"{label}/{RUN_SEED}"
-    want = pinned("runs")[key]["ledger.tsv"]
-    assert run_digests(key)["ledger.tsv"] == want
+    got, want = run_digests(key), pinned("runs")[key]
+    assert (got["ledger.tsv"], got["ledger.bytes"]) == (want["ledger.tsv"], want["ledger.bytes"])
 
 
 def test_abort_scenario_timeout_and_recovery():
@@ -340,6 +342,55 @@ def test_a_failed_attempt_posts_every_step_it_wrote_at_keys_of_its_own(key):
             assert json.loads(ledger.get(k)) == batch
     written = [k for attempt in attempts for k, _ in attempt.writes]
     assert len(written) == len(set(written))
+
+
+def run_with_input0_rewritten(cfg: ScenarioConfig, monkeypatch):
+    """Run `cfg` with owner0 rewriting input0's VSS record between sharing
+    and computing, party 1's commitment multiplied by g: the ledger lets a
+    record's first writer rewrite it. Returns the result."""
+    compute = runner.protocol_compute
+
+    def rewrite_then_compute(requester, label, addr, pointers, circuit, rt, *args, **kwargs):
+        sharing = sharing_key(addr, "input0")
+        commitments = vss_commitments(rt.ledger, sharing.hex(), cfg.committee, rt.params)
+        commitments[1] = commitments[1] * rt.params.g % rt.params.q
+        owner = rt.clients["owner0"]
+        rt.ledger.submit_tx(make_tx(
+            owner, "kv-put",
+            writes_payload([(sharing, pedersen.pack_commitments(commitments, rt.params))]),
+            nonce=rt.ledger.next_nonce(owner.sign_pk)))
+        return compute(requester, label, addr, pointers, circuit, rt, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "protocol_compute", rewrite_then_compute)
+    return run_scenario(cfg)
+
+
+def audited_chain4() -> ScenarioConfig:
+    """chain4 under audited SPDZ on 11 of 16 nodes, with no fault."""
+    return dataclasses.replace(run_configs()[f"spdz-wrong-share/{RUN_SEED}"], faults={})
+
+
+@pytest.mark.parametrize("cfg", [load("select"), audited_chain4()], ids=["select", "chain4-n11"])
+def test_a_vss_record_rewritten_before_compute_frames_nobody(cfg, monkeypatch):
+    # The shares were dealt under the record as first posted, which is the
+    # one the audit reads, so the rewrite names and slashes no member.
+    result = run_with_input0_rewritten(cfg, monkeypatch)
+    assert result.runtime.ledger.get(audit.trail_meta_key(result.trace.computation_id))
+    assert (result.trace.outcome, result.exit_code) == ("ok", 0)
+    assert result.trace.detected_faults == []
+    assert [line.slash for line in result.settlement.lines] == [0] * cfg.committee
+    assert result.outputs == eval_plain(parse_circuit(cfg.circuit_text), cfg.inputs,
+                                        Field(cfg.prime))
+
+
+def test_declassify_after_a_vss_record_rewrite_returns_the_input(monkeypatch):
+    cfg = load("select")
+    result = run_with_input0_rewritten(cfg, monkeypatch)
+    rt = result.runtime
+    owners = [rt.clients[f"owner{i}"] for i in range(len(cfg.inputs))]
+    addr = identity_address([kp.sign_pk for kp in owners])
+    assert network.mpc_declassify(owners[0], "owner0", addr, share_pointers(result)[0],
+                                  rt) == (cfg.inputs[0], [])
 
 
 def test_shamir_wrong_share_identified_at_committee_4():
