@@ -36,7 +36,7 @@ def run(tag, broken=frozenset()):
     triple = audit.pv_triple(key, params, writer, field, rng)
     # The input and triple steps go on the ledger before the masks open.
     z = audit.pv_beaver(x, y, triple, key, params, field,
-                        LocalChannel(), spdz.MacCheckQueue(), writer)
+                        LocalChannel(), [], writer)
     value = audit.pv_output(z, field, writer)
     # The Beaver and output openings follow with the metadata record.
     writer.close()

@@ -62,7 +62,7 @@ from .field import Field
 from .keys import KeyPair, sha256
 from .ledger import Ledger, make_tx, writes_payload
 from .pedersen import CommitParams
-from .spdz import MacCheckQueue, MacKey
+from .spdz import MacKey
 
 
 def trail_key(computation_id: bytes, batch: int) -> bytes:
@@ -269,7 +269,7 @@ def _openings(share: PVShare, field: Field) -> str:
 
 
 def pv_beaver(x: PVShare, y: PVShare, triple: tuple, key: MacKey,
-              params: CommitParams, field: Field, net, queue: MacCheckQueue,
+              params: CommitParams, field: Field, net, queue: list,
               writer: TrailWriter) -> PVShare:
     """[[x*y]] via a Beaver triple; the mask openings go on the trail
     (see pv_beaver_layer)."""
@@ -278,7 +278,7 @@ def pv_beaver(x: PVShare, y: PVShare, triple: tuple, key: MacKey,
 
 
 def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParams,
-                    field: Field, net, queue: MacCheckQueue,
+                    field: Field, net, queue: list,
                     writer: TrailWriter) -> list:
     """[[x*y]] for every pair of one multiplication layer, a triple each.
 

@@ -176,12 +176,9 @@ class DhtNetwork:
         if not self.alive_nodes():
             raise LookupError("no route: network is empty")
         replicas = self.placement(key)
-        # Kept as a tuple turned into a list: returning the list directly
-        # moves perfbench's `deep` generation-2 collections (ROADMAP item 10).
-        replica_ids = tuple(n.node_id for n in replicas)
         for node in replicas:
             node.store[key] = DhtRecord(key=key, data=data)
-        return list(replica_ids)
+        return [n.node_id for n in replicas]
 
     def dht_lookup(self, key: bytes, origin: bytes | None = None) -> tuple:
         """Fetch a record via iterative routing; returns (record, hops)."""

@@ -18,14 +18,6 @@ class TripleReuse(MpcError):
     """A Beaver triple was consumed twice."""
 
 
-class MissingParty(MpcError):
-    """A party withheld its contribution to an opening."""
-
-    def __init__(self, parties, msg=None):
-        self.parties = tuple(parties)
-        super().__init__(msg or f"missing contributions from parties {self.parties}")
-
-
 class LedgerRejected(MpcError):
     """The ledger refused a transaction (bad signature, stale nonce, funds)."""
 

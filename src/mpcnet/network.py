@@ -48,7 +48,7 @@ from .identity import Predicate, check_permission
 from .keys import KeyPair, sha256
 from .ledger import Ledger
 from .net import EncryptedBus
-from .spdz import MacCheckQueue, MacKey
+from .spdz import MacKey
 from .trace import ComputationTrace
 
 HONEST = "honest"
@@ -566,7 +566,7 @@ class SpdzEngine(_Engine):
         if mac_key is None:
             raise ValueError("spdz evaluation needs the MAC key split")
         self.key = mac_key
-        self.queue = MacCheckQueue()
+        self.queue = []
         self.check_rng = child_rng(self.rt.seed, "mac-check")
 
     def load(self, sharing_id: bytes) -> list:
@@ -585,7 +585,7 @@ class SpdzEngine(_Engine):
                                  self.queue)
 
     def check_macs(self):
-        if self.queue.entries:
+        if self.queue:
             spdz.mac_check(self.queue, self.key, self.field, self.chan, self.check_rng)
 
     def reduce(self, values: list, m: int) -> list:

@@ -2,14 +2,19 @@
 
 Every shared value s is held as n additive value shares plus n additive
 shares of the MAC alpha*s under a global key alpha that is itself only ever
-held in additive shares. Linear operations are local; multiplication
-consumes a precomputed Beaver triple and only opens the masked differences
-eps = x-a and delta = y-b; the masks of every product in a multiplication
-layer open together in one broadcast round (open_many), n(n-1) messages
-per layer. Opened values accumulate in a deferred MAC-check
-queue; the batched check takes a public random linear combination and does
-a commit-then-open round on the per-party check values, so a single
-additive tamper anywhere survives undetected only with probability 1/p.
+held in additive shares. Linear operations are local;
+multiplication consumes a precomputed Beaver triple and only opens the
+masked differences eps = x-a and delta = y-b.
+
+Every exchange is one broadcast round (broadcast): each party sends every
+other party one message, n(n-1) in all, and the round is read at party 0's
+view. The masks of every product in a multiplication layer open together
+in one such round (open_many). Each opened value and its MAC shares are
+appended, as a pair, to the MAC-check queue, a plain list; the deferred
+batched check takes a public random linear combination of the queue and
+runs a commit round and an open round on the per-party check values, so a
+single additive tamper anywhere survives undetected only with probability
+1/p.
 
 Triples and authenticated sharings come from a trusted dealer here. The
 production story replaces that dealer with an offline preprocessing phase;
@@ -22,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .errors import CheatDetected, MissingParty, TripleReuse
+from .errors import CheatDetected, TripleReuse
 from .field import Field
 from .keys import sha256
 
@@ -124,69 +129,62 @@ def auth_linear(terms: list, constant: int, key: MacKey, field: Field) -> list:
     return out
 
 
-class MacCheckQueue:
-    """Pending opened values awaiting the deferred batched MAC check."""
-
-    def __init__(self):
-        self.entries = []
-
-    def push(self, value: int, mac_shares: list):
-        self.entries.append((value, list(mac_shares)))
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def open_many(sharings: list, field: Field, net, queue: MacCheckQueue | None = None) -> list:
-    """Reveal every sharing's value (not its MAC) in one broadcast round.
-
-    Party i sends party j one message carrying its value share of every
-    sharing, in order: n(n-1) messages however many sharings there are.
-    Each opened value and its MAC shares are pushed on the MAC-check queue,
-    in order, for the deferred verification round.
+def broadcast(payloads: list, net) -> list:
+    """One round of n(n-1) messages: party i sends payloads[i] to every other
+    party. Every party would compute the same from its own inbox, so every
+    inbox is drained and only party 0's is returned, as (src, payload)
+    pairs in sender order: the round is read at party 0's view.
     """
-    missing = sorted({i for shares in sharings for i, s in enumerate(shares) if s is None})
-    if missing:
-        raise MissingParty(missing)
-    n = len(sharings[0])
-    for i in range(n):
-        payload = field.encode_many([shares[i].value_share for shares in sharings])
+    n = len(payloads)
+    for i, payload in enumerate(payloads):
         for j in range(n):
             if j != i:
                 net.send(i, j, payload)
-    # Every party drains its inbox and computes the same sums; simulate once
-    # at party 0's view and discard the redundant copies. Each total is one
-    # exact integer sum, reduced once.
-    count = len(sharings)
-    held = [shares[0].value_share for shares in sharings] + \
-        field.decode_many([payload for _, payload in net.recv_all(0)], count)
-    totals = [sum(held[k::count]) % field.p for k in range(count)]
+    inbox = net.recv_all(0)
     for j in range(1, n):
         net.recv_all(j)
-    if queue is not None:
-        for total, shares in zip(totals, sharings):
-            queue.push(total, [s.mac_share for s in shares])
+    return inbox
+
+
+def open_many(sharings: list, field: Field, net, queue: list) -> list:
+    """Reveal every sharing's value (not its MAC) in one broadcast round.
+
+    Party i broadcasts one message carrying its value share of every
+    sharing, in order: n(n-1) messages however many sharings there are.
+    Each (opened value, MAC shares) pair is appended to the MAC-check queue,
+    in order, for the deferred verification round.
+    """
+    n = len(sharings[0])
+    inbox = broadcast([field.encode_many([shares[i].value_share for shares in sharings])
+                       for i in range(n)], net)
+    # Each total is one exact integer sum, reduced once.
+    count = len(sharings)
+    held = [shares[0].value_share for shares in sharings] + \
+        field.decode_many([payload for _, payload in inbox], count)
+    totals = [sum(held[k::count]) % field.p for k in range(count)]
+    queue.extend((total, [s.mac_share for s in shares])
+                 for total, shares in zip(totals, sharings))
     return totals
 
 
-def partial_open(shares: list, field: Field, net, queue: MacCheckQueue | None = None) -> int:
+def partial_open(shares: list, field: Field, net, queue: list) -> int:
     """Reveal one sharing's value: n(n-1) messages (see open_many)."""
     return open_many([shares], field, net, queue)[0]
 
 
-def open_pair(a: list, b: list, field: Field, net, queue: MacCheckQueue) -> tuple:
+def open_pair(a: list, b: list, field: Field, net, queue: list) -> tuple:
     """Partially open two sharings in one broadcast round (see open_many)."""
     return tuple(open_many([a, b], field, net, queue))
 
 
 def beaver_mul(x: list, y: list, triple: BeaverTriple, key: MacKey, field: Field,
-               net, queue: MacCheckQueue) -> list:
+               net, queue: list) -> list:
     """Multiply <x> and <y> by consuming a Beaver triple (see beaver_layer)."""
     return beaver_layer([(x, y)], [triple], key, field, net, queue)[0]
 
 
 def beaver_layer(pairs: list, triples: list, key: MacKey, field: Field,
-                 net, queue: MacCheckQueue) -> list:
+                 net, queue: list) -> list:
     """Multiply every pair (<x>, <y>) of one layer, one Beaver triple each.
 
     Parties open eps = x-a and delta = y-b of every product in a single
@@ -212,55 +210,40 @@ def beaver_layer(pairs: list, triples: list, key: MacKey, field: Field,
             for triple, eps, delta in zip(triples, opened[0::2], opened[1::2])]
 
 
-def mac_check(queue: MacCheckQueue, key: MacKey, field: Field, net,
-              rng: random.Random) -> bool:
+def mac_check(queue: list, key: MacKey, field: Field, net,
+              rng: random.Random) -> None:
     """Batched verification that every queued opening satisfies mac = alpha*s.
 
     A public random coefficient rho_k weights each queued value; party i
     computes sigma_i = sum_k rho_k * (mac_share_{k,i} - alpha_share_i * s_k),
     commits to it with a salted hash, then opens. The batch passes iff the
     sigmas sum to zero, which never exposes alpha itself. Failure condemns
-    the batch, not a specific party.
+    the batch, not a specific party, and raises CheatDetected; a passing
+    batch empties the queue.
 
-    The check is simulated at party 0's view, as open_many is: each opening
-    party 0 received must hash to the commitment it received from that
-    sender, and party 0's own sigma plus the received ones must sum to zero.
-    The messages to every other party are sent but not read.
+    Both rounds are broadcasts read at party 0's view: each opening party 0
+    received must hash to the commitment it received from that sender, and
+    party 0's own sigma plus the received ones must sum to zero.
     """
-    if not queue.entries:
+    if not queue:
         raise ValueError("empty MAC-check queue")
-    n = key.n
-    rhos = [field.rand(rng) for _ in queue.entries]
-
-    sigmas = []
-    for i in range(n):
-        sigma = 0
-        for rho, (value, mac_shares) in zip(rhos, queue.entries):
-            diff = field.sub(mac_shares[i], field.mul(key.alpha_shares[i], value))
-            sigma = field.add(sigma, field.mul(rho, diff))
-        sigmas.append(sigma)
+    p = field.p
+    rhos = [field.rand(rng) for _ in queue]
+    # Each sigma is one exact integer sum, reduced once.
+    sigmas = [sum(rho * (mac_shares[i] - alpha_i * value)
+                  for rho, (value, mac_shares) in zip(rhos, queue)) % p
+              for i, alpha_i in enumerate(key.alpha_shares)]
 
     # Commit round, then open round: prevents a rushing party from choosing
     # its sigma after seeing the others.
-    salts = [rng.randbytes(16) for _ in range(n)]
-    openings = [field.encode(sigmas[i]) + salts[i] for i in range(n)]
-    received = []
-    for rnd_payloads in ([sha256(opening) for opening in openings], openings):
-        for i in range(n):
-            for j in range(n):
-                if j != i:
-                    net.send(i, j, rnd_payloads[i])
-        received.append(net.recv_all(0))
-        for j in range(1, n):
-            net.recv_all(j)
-    commits, opened = received
+    openings = [field.encode(sigma) + rng.randbytes(16) for sigma in sigmas]
+    commits = broadcast([sha256(opening) for opening in openings], net)
     total = sigmas[0]
-    for (committer, commit), (src, opening) in zip(commits, opened):
+    for (committer, commit), (src, opening) in zip(commits, broadcast(openings, net)):
         if src != committer or sha256(opening) != commit:
             raise CheatDetected("commitment mismatch in MAC check")
         total += field.decode(opening[:field.elem_size])
 
-    queue.entries.clear()
-    if total % field.p != 0:
+    queue.clear()
+    if total % p != 0:
         raise CheatDetected("MAC check failed on opened batch")
-    return True

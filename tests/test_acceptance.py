@@ -90,20 +90,20 @@ def test_criterion_3_spdz_suite():
         x = spdz.deal_authenticated(a, 3, key3, field, rng)
         y = spdz.deal_authenticated(b, 3, key3, field, rng)
         triple = spdz.deal_triples(1, 3, key3, field, rng)[0]
-        net, queue = LocalChannel(), spdz.MacCheckQueue()
+        net, queue = LocalChannel(), []
         z = spdz.beaver_mul(x, y, triple, key3, field, net, queue)
         assert open_value(z, field) == field.mul(a, b)
-        assert spdz.mac_check(queue, key3, field, net, rng) is True
+        spdz.mac_check(queue, key3, field, net, rng)
 
     key2 = spdz.gen_mac_key(2, field, rng)
     caught = 0
     for trial in range(10000):
-        net, queue = LocalChannel(), spdz.MacCheckQueue()
+        net, queue = LocalChannel(), []
         shares = spdz.deal_authenticated(field.rand(rng), 2, key2, field, rng)
         spdz.partial_open(shares, field, net, queue)
-        value, macs = queue.entries[0]
+        value, macs = queue[0]
         if trial % 2:
-            queue.entries[0] = (field.add(value, rand_nonzero(field, rng)), macs)
+            queue[0] = (field.add(value, rand_nonzero(field, rng)), macs)
         else:
             victim = trial % len(macs)
             macs[victim] = field.add(macs[victim], rand_nonzero(field, rng))
@@ -134,7 +134,7 @@ def test_criterion_4_public_audit_suite():
                                   broken={culprit})
             y = auditmod.pv_share(5, n, key, params, writer, field, rng)
             triple = auditmod.pv_triple(key, params, writer, field, rng)
-            net, queue = LocalChannel(), spdz.MacCheckQueue()
+            net, queue = LocalChannel(), []
             z = auditmod.pv_beaver(x, y, triple, key, params, field, net,
                                    queue, writer)
             auditmod.pv_output(z, field, writer)

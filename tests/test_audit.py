@@ -36,7 +36,7 @@ def run_pv_computation(env, n, broken=frozenset(), tamper_output=None):
     x = audit.pv_share(4, n, key, params, writer, field, rng, broken=broken)
     y = audit.pv_share(5, n, key, params, writer, field, rng)
     triple = audit.pv_triple(key, params, writer, field, rng)
-    net, queue = LocalChannel(), spdz.MacCheckQueue()
+    net, queue = LocalChannel(), []
     z = audit.pv_beaver(x, y, triple, key, params, field, net, queue, writer)
     w = audit.pv_linear([(2, z)], 1, key, field, writer)
     value = audit.pv_output(w, field, writer)
@@ -221,7 +221,7 @@ def test_broken_triple_in_batched_layer_named(setup101):
                for i in range(k)]
     net = LocalChannel()
     products = audit.pv_beaver_layer(pairs, triples, key, params, field, net,
-                                     spdz.MacCheckQueue(), writer)
+                                     [], writer)
     assert net.messages == n * (n - 1)
     total = audit.pv_linear([(1, z) for z in products], 0, key, field, writer)
     assert audit.pv_output(total, field, writer) == sum(
@@ -347,7 +347,7 @@ def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
     y = audit.pv_share(5, n, key, params, writer, field, rng)
     triple = audit.pv_triple(key, params, writer, field, rng)
     z = audit.pv_beaver(x, y, triple, key, params, field, LocalChannel(),
-                        spdz.MacCheckQueue(), writer)
+                        [], writer)
     w = audit.pv_linear([(1, z), (2, z)], 1, key, field, writer)
     assert audit.pv_output(w, field, writer) == 61   # 3*(4*5) + 1
     v = audit.pv_linear([(1, x)], 0, key, field, writer)
@@ -406,7 +406,7 @@ def test_shared_exponents_fold_like_the_step_fold(setup101, f101):
     t = audit.pv_linear([(5, u)], 0, key, field, writer)
     triple = audit.pv_triple(key, params, writer, field, rng)
     m = audit.pv_beaver(u, y, triple, key, params, field, LocalChannel(),
-                        spdz.MacCheckQueue(), writer)
+                        [], writer)
     v = audit.pv_linear([(2, u), (1, m)], 0, key, field, writer)
     w1 = audit.pv_linear([(minus_one, v)], 0, key, field, writer)
     w2 = audit.pv_linear([(minus_one, w1), (1, t)], 1, key, field, writer)
@@ -603,7 +603,7 @@ def pv_trail(circuit, n: int, env, comp_id: bytes) -> Ledger:
             pairs = [(wires[a], wires[b]) for a, b in (gates[i].args for i in indices)]
             triples = [next(dealt) for _ in pairs]
             wires.update(zip(indices, audit.pv_beaver_layer(
-                pairs, triples, key, params, field, LocalChannel(), spdz.MacCheckQueue(),
+                pairs, triples, key, params, field, LocalChannel(), [],
                 writer)))
             continue
         for i in indices:

@@ -151,7 +151,7 @@ def test_open_many_rejects_a_malformed_payload(f101, rng, tampered):
     key = spdz.gen_mac_key(3, f101, rng)
     sharings = [spdz.deal_authenticated(v, 3, key, f101, rng) for v in (4, 5)]
     with pytest.raises(ValueError):
-        spdz.open_many(sharings, f101, tampered)
+        spdz.open_many(sharings, f101, tampered, [])
 
 
 def test_spdz_reduction_rejects_a_malformed_payload(f101, rng, tampered):

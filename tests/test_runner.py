@@ -116,6 +116,19 @@ def test_no_channel_reuses_a_nonce(name):
     assert len(seen) == len(rt.bus.broadcast_log) > 0
 
 
+FAULT_RUNS = sorted(label for label, (_, _, shape) in RUNS.items() if shape.get("faults"))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scn")) + FAULT_RUNS)
+def test_every_inbox_is_empty_after_a_run(name):
+    # Every message the run sent was read or drained by the party it was
+    # addressed to: no node or client has one left waiting.
+    cfg = run_configs()[f"{name}/{RUN_SEED}"] if name in RUNS else load(name)
+    rt = run_scenario(cfg).runtime
+    for party in [node.index for node in rt.registry] + list(rt.clients):
+        assert rt.bus.recv_all(party) == [], party
+
+
 @pytest.mark.parametrize("label", sorted(RUNS))
 def test_bus_ciphertexts_match_their_pinned_digests(label):
     key = f"{label}/{RUN_SEED}"

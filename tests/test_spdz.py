@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mpcnet import spdz
-from mpcnet.errors import CheatDetected, MissingParty, TripleReuse
+from mpcnet.errors import CheatDetected, TripleReuse
 from mpcnet.field import Field, M61
 from mpcnet.keys import sha256
 from mpcnet.net import LocalChannel
@@ -79,19 +79,19 @@ def test_beaver_mul_forced_triple(f101, rng, key, scripted):
     x = spdz.deal_authenticated(4, 3, key, f101, rng)
     y = spdz.deal_authenticated(5, 3, key, f101, rng)
     net = LocalChannel()
-    queue = spdz.MacCheckQueue()
+    queue = []
     z = spdz.beaver_mul(x, y, triple, key, f101, net, queue)
     assert open_value(z, f101) == 20
     assert net.messages == 3 * 2
-    assert len(queue.entries) == 2
-    assert queue.entries[0][0] == 2 and queue.entries[1][0] == 2
+    assert len(queue) == 2
+    assert queue[0][0] == 2 and queue[1][0] == 2
 
 
 def test_beaver_zero_x(f101, rng, key):
     triple = spdz.deal_triples(1, 3, key, f101, rng)[0]
     x = spdz.deal_authenticated(0, 3, key, f101, rng)
     y = spdz.deal_authenticated(77, 3, key, f101, rng)
-    z = spdz.beaver_mul(x, y, triple, key, f101, LocalChannel(), spdz.MacCheckQueue())
+    z = spdz.beaver_mul(x, y, triple, key, f101, LocalChannel(), [])
     assert open_value(z, f101) == 0
 
 
@@ -99,18 +99,28 @@ def test_triple_reuse_rejected(f101, rng, key):
     triple = spdz.deal_triples(1, 3, key, f101, rng)[0]
     x = spdz.deal_authenticated(1, 3, key, f101, rng)
     y = spdz.deal_authenticated(2, 3, key, f101, rng)
-    spdz.beaver_mul(x, y, triple, key, f101, LocalChannel(), spdz.MacCheckQueue())
+    spdz.beaver_mul(x, y, triple, key, f101, LocalChannel(), [])
     with pytest.raises(TripleReuse):
-        spdz.beaver_mul(x, y, triple, key, f101, LocalChannel(), spdz.MacCheckQueue())
+        spdz.beaver_mul(x, y, triple, key, f101, LocalChannel(), [])
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_broadcast_returns_party_0s_inbox_and_drains_the_rest(n):
+    net = LocalChannel()
+    payloads = [bytes([i]) * (i + 1) for i in range(n)]
+    inbox = spdz.broadcast(payloads, net)
+    assert net.messages == n * (n - 1)
+    assert inbox == [(i, payloads[i]) for i in range(1, n)]
+    assert all(net.recv_all(j) == [] for j in range(n))
 
 
 def test_partial_open_round_trip(f101, rng, key):
     shares = spdz.deal_authenticated(42, 3, key, f101, rng)
     net = LocalChannel()
-    queue = spdz.MacCheckQueue()
+    queue = []
     assert spdz.partial_open(shares, f101, net, queue) == 42
     assert net.messages == 6
-    assert queue.entries[0][0] == 42
+    assert queue[0][0] == 42
 
 
 def test_open_after_deal_identity():
@@ -122,28 +132,21 @@ def test_open_after_deal_identity():
     for _ in range(1000):
         s = field.rand(rng)
         shares = spdz.deal_authenticated(s, 3, key, field, rng)
-        assert spdz.partial_open(shares, field, net, spdz.MacCheckQueue()) == s
-
-
-def test_partial_open_missing_party(f101, rng, key):
-    shares = spdz.deal_authenticated(5, 3, key, f101, rng)
-    shares[1] = None
-    with pytest.raises(MissingParty):
-        spdz.partial_open(shares, f101, LocalChannel(), spdz.MacCheckQueue())
+        assert spdz.partial_open(shares, field, net, []) == s
 
 
 def test_mac_check_passes_honest_batch(f101, rng, key):
     net = LocalChannel()
-    queue = spdz.MacCheckQueue()
+    queue = []
     for v in (3, 1, 4, 1, 5):
         spdz.partial_open(spdz.deal_authenticated(v, 3, key, f101, rng), f101, net, queue)
-    assert spdz.mac_check(queue, key, f101, net, rng) is True
-    assert not queue.entries
+    spdz.mac_check(queue, key, f101, net, rng)
+    assert not queue
 
 
 def test_mac_check_empty_queue(f101, rng, key):
     with pytest.raises(ValueError, match="empty"):
-        spdz.mac_check(spdz.MacCheckQueue(), key, f101, LocalChannel(), rng)
+        spdz.mac_check([], key, f101, LocalChannel(), rng)
 
 
 def test_mac_check_linear_ops_message_free(f101, rng, key):
@@ -162,12 +165,12 @@ def test_tamper_detection_large_field():
     key = spdz.gen_mac_key(2, field, rng)
     for trial in range(2000):
         net = LocalChannel()
-        queue = spdz.MacCheckQueue()
+        queue = []
         shares = spdz.deal_authenticated(field.rand(rng), 2, key, field, rng)
         spdz.partial_open(shares, field, net, queue)
-        value, macs = queue.entries[0]
+        value, macs = queue[0]
         if trial % 2:
-            queue.entries[0] = (field.add(value, rand_nonzero(field, rng)), macs)
+            queue[0] = (field.add(value, rand_nonzero(field, rng)), macs)
         else:
             macs[trial % len(macs)] = field.add(macs[trial % len(macs)],
                                                 rand_nonzero(field, rng))
@@ -209,7 +212,7 @@ def test_beaver_layer_one_round_and_tampered_eps_caught(liar):
               spdz.deal_authenticated(y, n, key, field, rng)) for x, y in zip(xs, ys)]
     triples = spdz.deal_triples(k, n, key, field, rng)
     net = LyingChannel(field, liar, slot=2 * 2)
-    queue = spdz.MacCheckQueue()
+    queue = []
     products = spdz.beaver_layer(pairs, triples, key, field, net, queue)
     assert net.messages == n * (n - 1)
     assert net.sizes == [2 * k * field.elem_size] * (n * (n - 1))
@@ -217,7 +220,7 @@ def test_beaver_layer_one_round_and_tampered_eps_caught(liar):
     if liar is None:
         assert [open_value(z, field) for z in products] == \
             [field.mul(x, y) for x, y in zip(xs, ys)]
-        assert spdz.mac_check(queue, key, field, LocalChannel(), rng) is True
+        spdz.mac_check(queue, key, field, LocalChannel(), rng)
     else:
         with pytest.raises(CheatDetected):
             spdz.mac_check(queue, key, field, LocalChannel(), rng)
@@ -243,7 +246,7 @@ class OpeningTamperChannel(LocalChannel):
 
 
 def queued_honest_batch(field, rng, key, net):
-    queue = spdz.MacCheckQueue()
+    queue = []
     for v in (3, 1, 4):
         spdz.partial_open(spdz.deal_authenticated(v, 3, key, field, rng), field, net, queue)
     return queue

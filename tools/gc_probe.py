@@ -1,6 +1,6 @@
 """Where a benchmark run's generation-2 collections land.
 
-    PYTHONHASHSEED=0 python tools/gc_probe.py --checkout . --workload deep --seed 1 --passes 60
+    PYTHONHASHSEED=0 python tools/gc_probe.py --checkout . --seed 1 --passes 60
 
 perfbench/run.py scales every pass by the reference loops just before and
 just after it, so a generation-2 collection that lands inside a reference
@@ -14,7 +14,10 @@ loop of passes with the module's `reference_loop` wrapped, counting
 generation-2 collection starts through `gc.callbacks` until --passes passes
 (and the reference loop after the last) are done. It prints three counts,
 as A/B/C: reference loops holding a collection, passes scaled by such a
-loop, and collections inside passes.
+loop, and collections inside passes. With --workload omitted it probes
+bundled, wide, deep and faults in turn, each in a fresh subprocess (a
+reading depends on what the process has allocated before), and prints one
+line for each.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ import math
 import runpy
 import sys
 from pathlib import Path
+
+
+WORKLOADS = ("bundled", "wide", "deep", "faults")
 
 
 class Done(Exception):
@@ -80,12 +86,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=Path, required=True,
                         help="root of the checkout whose perfbench/run.py and src/ run")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", help="one workload (default: each of "
+                        + ", ".join(WORKLOADS) + " in turn)")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--passes", type=int, required=True)
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
+    if args.workload is None:
+        # Imported here only: every module a probing process loads moves
+        # its readings (importing subprocess moved deep's 14/27/7 to 15/29/6).
+        import subprocess
+        for workload in WORKLOADS:
+            subprocess.run([sys.executable, __file__, "--checkout", str(args.checkout),
+                            "--workload", workload, "--seed", str(args.seed),
+                            "--passes", str(args.passes)], check=True)
+        return 0
     loops, scaled, inside = probe(args.checkout.resolve(), args.workload, args.seed, args.passes)
     print(f"workload={args.workload} seed={args.seed} passes={args.passes} "
           f"gen2: {loops}/{scaled}/{inside} (reference loops holding a collection / "
