@@ -2,19 +2,15 @@
 
 Every shared value s is held as n additive value shares plus n additive
 shares of the MAC alpha*s under a global key alpha that is itself only ever
-held in additive shares. Linear operations are local;
-multiplication consumes a precomputed Beaver triple and only opens the
-masked differences eps = x-a and delta = y-b.
-
-Every exchange is one broadcast round (broadcast): each party sends every
-other party one message, n(n-1) in all, and the round is read at party 0's
-view. The masks of every product in a multiplication layer open together
-in one such round (open_many). Each opened value and its MAC shares are
-appended, as a pair, to the MAC-check queue, a plain list; the deferred
-batched check takes a public random linear combination of the queue and
-runs a commit round and an open round on the per-party check values, so a
-single additive tamper anywhere survives undetected only with probability
-1/p.
+held in additive shares. Linear operations are local; multiplication
+consumes a precomputed Beaver triple and only opens the masked differences
+eps = x-a and delta = y-b. Every exchange is one broadcast round
+(broadcast), n(n-1) messages read at party 0's view: the masks of a whole
+multiplication layer open together in one (open_many), and each opened
+value joins the MAC-check queue, a plain list, with its MAC shares. The
+deferred batched check weighs the queue by public coins drawn from the
+transcript and runs a commit round and an open round on the per-party check
+values, so a single additive tamper survives only with probability 1/p.
 
 Triples and authenticated sharings come from a trusted dealer here. The
 production story replaces that dealer with an offline preprocessing phase;
@@ -214,21 +210,26 @@ def mac_check(queue: list, key: MacKey, field: Field, net,
               rng: random.Random) -> None:
     """Batched verification that every queued opening satisfies mac = alpha*s.
 
-    A public random coefficient rho_k weights each queued value; party i
-    computes sigma_i = sum_k rho_k * (mac_share_{k,i} - alpha_share_i * s_k),
+    A public coefficient rho_k weights each queued value; party i computes
+    sigma_i = sum_k rho_k * (mac_share_{k,i} - alpha_share_i * s_k),
     commits to it with a salted hash, then opens. The batch passes iff the
     sigmas sum to zero, which never exposes alpha itself. Failure condemns
-    the batch, not a specific party, and raises CheatDetected; a passing
-    batch empties the queue.
+    the batch, not a specific party, and raises CheatDetected; the queue is
+    emptied once every received opening matches its commitment.
 
     Both rounds are broadcasts read at party 0's view: each opening party 0
     received must hash to the commitment it received from that sender, and
-    party 0's own sigma plus the received ones must sum to zero.
+    party 0's own sigma plus the received ones must sum to zero. The coins
+    come from the transcript (Fiat-Shamir), rho_k = sha256(T || k as 8 bytes
+    big-endian) mod p with T the queued values encoded in order, so none is
+    known before the openings it weighs; only the salts come from rng.
     """
     if not queue:
         raise ValueError("empty MAC-check queue")
     p = field.p
-    rhos = [field.rand(rng) for _ in queue]
+    transcript = field.encode_many([value for value, _ in queue])
+    rhos = [int.from_bytes(sha256(transcript + k.to_bytes(8, "big")), "big") % p
+            for k in range(len(queue))]
     # Each sigma is one exact integer sum, reduced once.
     sigmas = [sum(rho * (mac_shares[i] - alpha_i * value)
                   for rho, (value, mac_shares) in zip(rhos, queue)) % p

@@ -252,14 +252,15 @@ def test_the_computation_id_does_not_depend_on_the_inputs():
     assert len(ids) == 1
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 20")
 @pytest.mark.parametrize("reduction", [None, 2], ids=["audited", "trail-free"])
 def test_openings_shifted_to_cancel_under_the_seeded_mac_coins_fail_the_run(
         monkeypatch, reduction):
     # cheater.scn with its fault cleared: position 1 shifts the value share
     # it sends in the first Beaver opening by rho_2 on eps and by -rho_1 on
-    # delta, where rho_1 and rho_2 are the first two coins of the seeded
-    # mac-check stream, so sum_k rho_k * shift_k = 0 and the check passes.
+    # delta, where rho_1 and rho_2 are the first two draws of the seeded
+    # mac-check stream. Coins drawn from that stream would give
+    # sum_k rho_k * shift_k = 0 and pass the check; coins derived from the
+    # opened values cannot be known before the openings, and catch it.
     cfg = parse_scenario(SCENARIOS / "cheater.scn")
     cfg.faults, cfg.reduction = {}, reduction
     field = Field(cfg.prime)

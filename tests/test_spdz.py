@@ -178,6 +178,25 @@ def test_tamper_detection_large_field():
             spdz.mac_check(queue, key, field, net, rng)
 
 
+def test_mac_check_coins_come_from_the_openings_not_from_rng():
+    # Two opened values shifted by rho_2 and -rho_1, the next two draws of
+    # the check's rng: coins drawn from rng would cancel the shifts, while
+    # coins derived from the opened values catch them.
+    field = Field(M61)
+    rng = random.Random(61)
+    key = spdz.gen_mac_key(3, field, rng)
+    net, queue = LocalChannel(), []
+    for v in (3, 4):
+        spdz.partial_open(spdz.deal_authenticated(v, 3, key, field, rng), field, net, queue)
+    state = rng.getstate()
+    rho1, rho2 = field.rand(rng), field.rand(rng)
+    rng.setstate(state)
+    (v1, m1), (v2, m2) = queue
+    queue[:] = [(field.add(v1, rho2), m1), (field.sub(v2, rho1), m2)]
+    with pytest.raises(CheatDetected, match="MAC check failed"):
+        spdz.mac_check(queue, key, field, net, rng)
+
+
 class LyingChannel(LocalChannel):
     """Records payload sizes; party `liar` (if any) adds one to its share of
     the `slot`-th value in every broadcast it sends."""
