@@ -26,8 +26,7 @@ for node in rt.registry:
 
 # Three colleagues form a shared identity; its ACL lives on the ledger.
 owners = [rt.add_client(f"owner{i}") for i in range(3)]
-ident, _ = gen_shared_identity([lambda kp=kp: kp for kp in owners],
-                               [Predicate.owner()] * 3, rt.ledger)
+ident = gen_shared_identity(owners, [Predicate.owner()] * 3, rt.ledger)
 print("shared identity:", ident.addr.hex()[:16], "...")
 
 # Each salary is secret-shared to the same 3-node committee; the pointer

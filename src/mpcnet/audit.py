@@ -216,8 +216,7 @@ def pv_share(secret: int, n: int, key: MacKey, params: CommitParams,
 
 
 def pv_triple(key: MacKey, params: CommitParams, writer: TrailWriter,
-              field: Field, rng: random.Random,
-              broken: set = frozenset()) -> tuple:
+              field: Field, rng: random.Random) -> tuple:
     """Dealer-issued Beaver triple in [[.]] form, commitments on the ledger."""
     a = field.rand(rng)
     b = field.rand(rng)
@@ -227,8 +226,7 @@ def pv_triple(key: MacKey, params: CommitParams, writer: TrailWriter,
     for name, plain in (("a", a), ("b", b), ("c", field.mul(a, b))):
         value = spdz.deal_authenticated(plain, n, key, field, rng)
         blind = spdz.additive_split(field.rand(rng), n, field, rng)
-        commitments = commit_shares([v.value_share for v in value], blind, params,
-                                    broken if name == "a" else ())
+        commitments = commit_shares([v.value_share for v in value], blind, params)
         parts[name] = PVShare(value=value, randomness=blind, step=-1)
         record[name] = pedersen.encode_commitments(commitments, params)
     step = writer.post_step(record)

@@ -50,7 +50,7 @@ def cmd_run(args) -> int:
           f"output={','.join(str(v) for v in result.outputs)} "
           f"messages={result.trace.messages_total}")
     for fault in result.trace.detected_faults:
-        print(f"detected node={fault.node} behavior={fault.behavior} "
+        print(f"detected node={fault.node} label={fault.label} "
               f"channel={fault.channel}")
     return result.exit_code
 

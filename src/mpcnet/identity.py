@@ -1,10 +1,10 @@
 """Shared identities and predicate-based access control.
 
-A shared identity binds n freshly generated signing keys to one 256-bit
-address obtained by XOR-folding the hashed public keys; the address maps to
-an ACL on the ledger. Access decisions are made by predicates: small,
-deterministic, publicly evaluable expressions over (ACL, requester key), so
-any ledger verifier reaches the same verdict. The secret halves of the
+A shared identity binds n signing keys to one 256-bit address, the hash of
+the sorted public keys; the address maps to an ACL on the ledger. Access
+decisions are made by predicates: small, deterministic, publicly evaluable
+expressions over (ACL, requester key), so any ledger verifier reaches the
+same verdict. The secret halves of the
 keypairs stay off-ledger with their parties.
 
 Predicate text form (documented grammar, bit-exact):
@@ -27,30 +27,20 @@ from types import MappingProxyType
 from .keys import sha256
 from .ledger import Ledger, make_tx, writes_payload
 
-ZERO_ADDR = bytes(32)
-
-
-def fold_address(key_hashes: list) -> bytes:
-    """XOR-fold hashed public keys, starting from the zero string."""
-    addr = ZERO_ADDR
-    for h in key_hashes:
-        addr = bytes(x ^ y for x, y in zip(addr, h.ljust(len(addr), b"\x00")))
-    return addr
-
-
 def identity_address(pks: list) -> bytes:
-    """addr_P = XOR over H(pk_i); for a single key this is just H(pk_1)."""
-    return fold_address([sha256(pk) for pk in pks])
+    """addr_P = H(sorted pks concatenated); for a single key this is H(pk_1).
+
+    The paper folds H(pk_i) by XOR, which is linear over GF(2): about 256
+    keys of one's own reach any chosen address. A hash over the whole sorted
+    key set binds the address to keys that nobody else can produce.
+    """
+    return sha256(b"".join(sorted(pks)))
 
 
 @dataclass(frozen=True)
 class SharedIdentity:
     addr: bytes
     pks: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.pks)
 
 
 class Predicate:
@@ -184,34 +174,30 @@ def _acl_view(data: bytes) -> MappingProxyType:
     return MappingProxyType(parse_acl(data))
 
 
-def gen_shared_identity(keygens: list, policies: list, ledger: Ledger):
-    """Protocol: fresh keypair per party, fold the address, register the ACL.
+def gen_shared_identity(keypairs: list, policies: list, ledger: Ledger) -> SharedIdentity:
+    """Protocol: hash the parties' keys into the address, register the ACL.
 
-    keygens are zero-argument callables returning a KeyPair (so callers
-    control the randomness source); policies align with them one-to-one.
-    Returns (SharedIdentity, keypairs); the secret keys never touch the
-    ledger.
+    policies align with keypairs one-to-one; the first party signs the
+    registration. The secret keys never touch the ledger.
     """
-    if not keygens:
+    if not keypairs:
         raise ValueError("need at least one party")
-    if len(policies) != len(keygens):
+    if len(policies) != len(keypairs):
         raise ValueError("one policy per party")
-    pairs = [gen() for gen in keygens]
-    acl = {kp.sign_pk: pol for kp, pol in zip(pairs, policies)}
-    addr = identity_address([kp.sign_pk for kp in pairs])
+    pks = tuple(kp.sign_pk for kp in keypairs)
+    acl = dict(zip(pks, policies))
+    addr = identity_address(pks)
 
-    registrar = pairs[0]
+    registrar = keypairs[0]
     tx = make_tx(registrar, "identity-registration",
                  writes_payload([(addr, serialize_acl(acl))]),
                  nonce=ledger.next_nonce(registrar.sign_pk))
     ledger.submit_tx(tx)
-    return SharedIdentity(addr=addr, pks=tuple(kp.sign_pk for kp in pairs)), pairs
+    return SharedIdentity(addr=addr, pks=pks)
 
 
-def check_permission(pk: bytes, addr: bytes, q: Predicate, board) -> int:
-    """Permissions check against the board: 1 iff the identity exists and
+def check_permission(pk: bytes, addr: bytes, q: Predicate, board) -> bool:
+    """Permissions check against the board: True iff the identity exists and
     the predicate admits pk. Unknown addresses deny."""
     stored = board.get(addr)
-    if stored is None:
-        return 0
-    return 1 if q.evaluate(_acl_view(stored), pk) else 0
+    return stored is not None and q.evaluate(_acl_view(stored), pk)

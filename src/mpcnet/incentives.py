@@ -22,11 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .keys import KeyPair
-from .ledger import Account, Ledger, make_tx
+from .ledger import Ledger, make_tx
 from .trace import ComputationTrace
-
-__all__ = ["Account", "FeeSchedule", "SettlementLine", "SettlementReport",
-           "post_deposit", "settle_computation"]
 
 
 @dataclass(frozen=True)
@@ -155,7 +152,7 @@ def settle_computation(trace: ComputationTrace, schedule: FeeSchedule,
                               requester_charge=0 if rejected else total_fees)
     for idx in trace.committee:
         if idx in malicious:
-            label = next(f.behavior for f in trace.detected_faults if f.node == idx)
+            label = next(f.label for f in trace.detected_faults if f.node == idx)
             report.lines.append(SettlementLine(pk_of[idx], 0, slashes.get(idx, 0), label))
         else:
             report.lines.append(SettlementLine(

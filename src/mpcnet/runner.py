@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import shamir
-from .circuits import cost_model, eval_plain, parse_circuit
+from .circuits import cost_model, parse_circuit
 from .errors import CheatDetected
 from .field import Field
 from .hierarchy import hierarchical_mul
@@ -49,7 +49,6 @@ class RunResult:
     trace: ComputationTrace
     settlement: SettlementReport
     outputs: list
-    expected: list
     metrics_rows: list = dc_field(default_factory=list)
     exit_code: int = 0
 
@@ -88,11 +87,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     # The data owners form a shared identity; its ACL is what every later
     # permission check resolves against.
     owners = [rt.add_client(f"owner{i}") for i in range(circuit.n_inputs)]
-    ident, _ = gen_shared_identity(
-        [lambda kp=kp: kp for kp in owners],
-        [Predicate.owner() for _ in owners],
-        rt.ledger,
-    )
+    ident = gen_shared_identity(owners, [Predicate.owner() for _ in owners], rt.ledger)
     requester = owners[0]
     # Input pointers defer to the identity's ACL, so compute rights follow
     # it and the owner list is on the ledger once.
@@ -106,9 +101,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     if cfg.mode == "spdz":
         mac_key = gen_mac_key(cfg.committee, field, child_rng(cfg.seed, "mac-key"))
 
+    # The id is public (settlement, trail keys), so it hashes the request's
+    # public fields only: no input value enters it, and the engine does.
     computation_id = sha256(
-        b"computation" + cfg.seed.to_bytes(8, "big") + cfg.circuit_text.encode()
-        + ",".join(str(v) for v in cfg.inputs).encode())
+        b"computation" + cfg.seed.to_bytes(8, "big") + cfg.mode.encode() + b"\x00"
+        + cfg.circuit_text.encode())
     trace = ComputationTrace(
         computation_id=computation_id,
         mode=cfg.mode,
@@ -142,11 +139,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     metrics_rows = [(n, *measure_mul_messages(n, field, cfg.seed), rounds)
                     for n in cfg.scaling]
 
-    expected = eval_plain(circuit, cfg.inputs, field)
     cheated = bool(trace.detected_faults) or trace.outcome == "cheat-detected"
     return RunResult(
         config=cfg, runtime=rt, trace=trace, settlement=settlement,
-        outputs=outputs, expected=expected, metrics_rows=metrics_rows,
+        outputs=outputs, metrics_rows=metrics_rows,
         exit_code=2 if cheated else 0,
     )
 

@@ -27,7 +27,7 @@ class NodeTally:
 @dataclass(frozen=True)
 class DetectedFault:
     node: int          # registry index
-    behavior: str      # the label FAULT_LABELS gives the channel
+    label: str         # the label FAULT_LABELS gives the channel
     channel: str       # audit_trail | timeout | share-consistency
 
 
@@ -56,9 +56,9 @@ class ComputationTrace:
         self.events.append(" ".join(parts))
 
     def fault(self, node: int, channel: str):
-        f = DetectedFault(node=node, behavior=FAULT_LABELS[channel], channel=channel)
+        f = DetectedFault(node=node, label=FAULT_LABELS[channel], channel=channel)
         self.detected_faults.append(f)
-        self.event("fault", node=node, behavior=f.behavior, channel=channel)
+        self.event("fault", node=node, label=f.label, channel=channel)
 
     def finalize(self, outcome: str, output=None):
         self.outcome = outcome

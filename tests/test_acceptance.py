@@ -205,14 +205,13 @@ def test_criterion_7_protocols_end_to_end():
     # Protocol 1: a 2-party shared identity on the ledger.
     alice = rt.add_client("alice")
     bob = rt.add_client("bob")
-    ident, _ = gen_shared_identity(
-        [lambda: alice, lambda: bob], [Predicate.owner()] * 2, rt.ledger)
+    ident = gen_shared_identity([alice, bob], [Predicate.owner()] * 2, rt.ledger)
     assert rt.ledger.get(ident.addr) is not None
 
     # Protocol 2: permission checks against the board.
     eve = rt.add_client("eve")
-    assert check_permission(alice.sign_pk, ident.addr, Predicate.owner(), rt.ledger) == 1
-    assert check_permission(eve.sign_pk, ident.addr, Predicate.owner(), rt.ledger) == 0
+    assert check_permission(alice.sign_pk, ident.addr, Predicate.owner(), rt.ledger)
+    assert not check_permission(eve.sign_pk, ident.addr, Predicate.owner(), rt.ledger)
 
     # Protocol 3: store with a key-list read predicate; allowed and denied loads.
     q_read = Predicate.key_list([alice.sign_pk, bob.sign_pk])

@@ -142,8 +142,8 @@ def test_placement_is_the_xor_closest_live_nodes():
 def gated_env():
     net, _, rng = build_network(16, seed=77)
     ledger = Ledger()
-    gens = [lambda s=i: KeyPair.generate(random.Random(1000 + s)) for i in range(2)]
-    ident, pairs = gen_shared_identity(gens, [Predicate.owner()] * 2, ledger)
+    pairs = [KeyPair.generate(random.Random(1000 + i)) for i in range(2)]
+    ident = gen_shared_identity(pairs, [Predicate.owner()] * 2, ledger)
     eve = KeyPair.generate(random.Random(4321))
     return net, ledger, ident, pairs, eve
 

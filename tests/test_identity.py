@@ -8,7 +8,6 @@ from mpcnet.field import Field
 from mpcnet.identity import (
     Predicate,
     check_permission,
-    fold_address,
     gen_shared_identity,
     identity_address,
     parse_acl,
@@ -20,21 +19,13 @@ from mpcnet.ledger import Ledger, make_tx, writes_payload
 from mpcnet.network import Runtime
 
 
-def make_gens(count, base_seed=100):
-    return [lambda s=base_seed + i: KeyPair.generate(random.Random(s))
-            for i in range(count)]
+def make_pairs(count, base_seed=100):
+    return [KeyPair.generate(random.Random(base_seed + i)) for i in range(count)]
 
 
 def test_single_party_address_is_hash():
     kp = KeyPair.generate(random.Random(0))
     assert identity_address([kp.sign_pk]) == sha256(kp.sign_pk)
-
-
-def test_toy_xor_fold():
-    # Single-byte toy hashes 0x3A and 0x5C fold to 0x66.
-    addr = fold_address([b"\x3a", b"\x5c"])
-    assert addr[0] == 0x66
-    assert addr[1:] == bytes(31)
 
 
 def test_address_order_independent():
@@ -46,8 +37,9 @@ def test_address_order_independent():
 
 def test_gen_shared_identity_registers_acl():
     ledger = Ledger()
-    ident, pairs = gen_shared_identity(make_gens(2), [Predicate.owner()] * 2, ledger)
-    assert ident.n == 2
+    pairs = make_pairs(2)
+    ident = gen_shared_identity(pairs, [Predicate.owner()] * 2, ledger)
+    assert ident.pks == tuple(kp.sign_pk for kp in pairs)
     stored = ledger.get(ident.addr)
     acl = parse_acl(stored)
     assert set(acl) == {kp.sign_pk for kp in pairs}
@@ -55,14 +47,15 @@ def test_gen_shared_identity_registers_acl():
 
 def test_check_permission_paths():
     ledger = Ledger()
-    ident, pairs = gen_shared_identity(make_gens(2), [Predicate.owner()] * 2, ledger)
+    pairs = make_pairs(2)
+    ident = gen_shared_identity(pairs, [Predicate.owner()] * 2, ledger)
     outsider = KeyPair.generate(random.Random(777))
-    assert check_permission(pairs[0].sign_pk, bytes(32), Predicate("any"), ledger) == 0
-    assert check_permission(outsider.sign_pk, ident.addr, Predicate("any"), ledger) == 1
-    assert check_permission(outsider.sign_pk, ident.addr,
-                            Predicate.key_list([pairs[0].sign_pk]), ledger) == 0
+    assert check_permission(pairs[0].sign_pk, bytes(32), Predicate("any"), ledger) is False
+    assert check_permission(outsider.sign_pk, ident.addr, Predicate("any"), ledger) is True
+    assert not check_permission(outsider.sign_pk, ident.addr,
+                                Predicate.key_list([pairs[0].sign_pk]), ledger)
     assert check_permission(pairs[0].sign_pk, ident.addr,
-                            Predicate.key_list([pairs[0].sign_pk]), ledger) == 1
+                            Predicate.key_list([pairs[0].sign_pk]), ledger)
 
 
 def test_predicate_combinators():
@@ -130,10 +123,10 @@ def test_owner_only_fuzz():
     for case in range(500):
         n = rng.randrange(1, 5)
         seeds = [rng.randrange(1 << 30) for _ in range(n)]
-        gens = [lambda s=s: KeyPair.generate(random.Random(s)) for s in seeds]
-        ident, pairs = gen_shared_identity(gens, [Predicate.owner()] * n, ledger)
+        pairs = [KeyPair.generate(random.Random(s)) for s in seeds]
+        ident = gen_shared_identity(pairs, [Predicate.owner()] * n, ledger)
         chosen = pairs[rng.randrange(n)]
-        assert check_permission(chosen.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+        assert check_permission(chosen.sign_pk, ident.addr, Predicate.owner(), ledger)
 
 
 def test_address_collision_free():
@@ -147,16 +140,18 @@ def test_address_collision_free():
 
 def test_check_permission_is_pure():
     ledger = Ledger()
-    ident, pairs = gen_shared_identity(make_gens(1), [Predicate.owner()], ledger)
+    pairs = make_pairs(1)
+    ident = gen_shared_identity(pairs, [Predicate.owner()], ledger)
     height = ledger.height
     for _ in range(3):
-        assert check_permission(pairs[0].sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+        assert check_permission(pairs[0].sign_pk, ident.addr, Predicate.owner(), ledger)
     assert ledger.height == height
 
 
 def test_check_permission_follows_a_replaced_acl():
     ledger = Ledger()
-    ident, (a, b) = gen_shared_identity(make_gens(2), [Predicate.owner()] * 2, ledger)
+    a, b = make_pairs(2)
+    ident = gen_shared_identity([a, b], [Predicate.owner()] * 2, ledger)
     original = ledger.get(ident.addr)
 
     def register(acl_bytes):
@@ -164,27 +159,28 @@ def test_check_permission_follows_a_replaced_acl():
                                  writes_payload([(ident.addr, acl_bytes)]),
                                  nonce=ledger.next_nonce(a.sign_pk)))
 
-    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger)
     register(serialize_acl({a.sign_pk: Predicate.owner()}))
-    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger) == 0
-    assert check_permission(a.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+    assert not check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger)
+    assert check_permission(a.sign_pk, ident.addr, Predicate.owner(), ledger)
     register(original)
-    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger)
 
 
 def test_parse_acl_returns_a_fresh_dict():
     ledger = Ledger()
-    ident, pairs = gen_shared_identity(make_gens(2), [Predicate.owner()] * 2, ledger)
+    pairs = make_pairs(2)
+    ident = gen_shared_identity(pairs, [Predicate.owner()] * 2, ledger)
     outsider = KeyPair.generate(random.Random(778))
     stored = ledger.get(ident.addr)
-    assert check_permission(outsider.sign_pk, ident.addr, Predicate.owner(), ledger) == 0
+    assert not check_permission(outsider.sign_pk, ident.addr, Predicate.owner(), ledger)
     first = parse_acl(stored)
     first[outsider.sign_pk] = Predicate("any")
     second = parse_acl(stored)
     assert second is not first
     assert set(second) == {kp.sign_pk for kp in pairs}
     # Editing a parse result changes neither later parses nor the checks.
-    assert check_permission(outsider.sign_pk, ident.addr, Predicate.owner(), ledger) == 0
+    assert not check_permission(outsider.sign_pk, ident.addr, Predicate.owner(), ledger)
 
 
 @pytest.mark.parametrize("acl_text", [
@@ -193,7 +189,8 @@ def test_parse_acl_returns_a_fresh_dict():
 ], ids=["not-json", "json-list", "truncated-predicate", "deep-predicate"])
 def test_registration_that_does_not_parse_as_an_acl_is_rejected(acl_text):
     ledger = Ledger()
-    ident, (a, b) = gen_shared_identity(make_gens(2), [Predicate.owner()] * 2, ledger)
+    a, b = make_pairs(2)
+    ident = gen_shared_identity([a, b], [Predicate.owner()] * 2, ledger)
     acl, height = ledger.get(ident.addr), ledger.height
     value = acl_text.replace("%s", b.sign_pk.hex()).encode()
     with pytest.raises(LedgerRejected, match="malformed"):
@@ -201,7 +198,7 @@ def test_registration_that_does_not_parse_as_an_acl_is_rejected(acl_text):
                                  writes_payload([(ident.addr, value)]),
                                  nonce=ledger.next_nonce(a.sign_pk)))
     assert (ledger.height, ledger.get(ident.addr)) == (height, acl)
-    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+    assert check_permission(b.sign_pk, ident.addr, Predicate.owner(), ledger)
 
 
 def test_only_the_first_writer_may_rewrite_an_acl_or_a_pointer():
@@ -210,7 +207,7 @@ def test_only_the_first_writer_may_rewrite_an_acl_or_a_pointer():
     rt = Runtime(Field(101), 5, 4)
     alice, eve = rt.add_client("alice"), rt.add_client("eve")
     ledger = rt.ledger
-    ident, _ = gen_shared_identity([lambda: alice], [Predicate.owner()], ledger)
+    ident = gen_shared_identity([alice], [Predicate.owner()], ledger)
     pointer = protocol_store(alice, ident.addr, b"input", Predicate.owner(),
                              ledger, rt.dht)
     acl, height = ledger.get(ident.addr), ledger.height
@@ -230,13 +227,13 @@ def test_only_the_first_writer_may_rewrite_an_acl_or_a_pointer():
     assert (ledger.height, ledger.get(ident.addr)) == (height, acl)
     assert ledger.get(pointer) == b"(owner)"
     assert ledger.next_nonce(eve.sign_pk) == 0
-    assert check_permission(alice.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
-    assert check_permission(eve.sign_pk, ident.addr, Predicate.owner(), ledger) == 0
+    assert check_permission(alice.sign_pk, ident.addr, Predicate.owner(), ledger)
+    assert not check_permission(eve.sign_pk, ident.addr, Predicate.owner(), ledger)
 
     write(alice, "identity-registration", ident.addr,
           serialize_acl({alice.sign_pk: Predicate.owner(), eve.sign_pk: Predicate.owner()}))
     write(alice, "kv-put", pointer, Predicate.key_list([alice.sign_pk]).to_text().encode())
-    assert check_permission(eve.sign_pk, ident.addr, Predicate.owner(), ledger) == 1
+    assert check_permission(eve.sign_pk, ident.addr, Predicate.owner(), ledger)
     assert ledger.get(pointer) == Predicate.key_list([alice.sign_pk]).to_text().encode()
 
 
@@ -258,7 +255,7 @@ def test_an_identity_address_cannot_be_squatted():
     with pytest.raises(LedgerRejected, match="registrar is not in the ACL"):
         register({alice.sign_pk: Predicate.owner()})
     assert ledger.get(addr) is None and ledger.next_nonce(eve.sign_pk) == 0
-    ident, _ = gen_shared_identity([lambda: alice], [Predicate.owner()], ledger)
+    ident = gen_shared_identity([alice], [Predicate.owner()], ledger)
     assert ident.addr == addr
-    assert check_permission(alice.sign_pk, addr, Predicate.owner(), ledger) == 1
-    assert check_permission(eve.sign_pk, addr, Predicate.owner(), ledger) == 0
+    assert check_permission(alice.sign_pk, addr, Predicate.owner(), ledger)
+    assert not check_permission(eve.sign_pk, addr, Predicate.owner(), ledger)

@@ -93,7 +93,6 @@ def xor_subset(vectors: list, target: int) -> list:
     return [i for i in range(len(vectors)) if mask >> i & 1]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 def test_a_registration_at_an_address_by_keys_that_fold_to_it_is_rejected():
     # An address is the XOR of H(pk_i), linear over GF(2): out of 300 keys
     # of her own, eve finds a subset whose hashes fold to alice's
@@ -126,8 +125,8 @@ def test_a_pointer_key_written_first_by_another_key_still_takes_its_owners_store
         net.add_node(rng.randbytes(32))
     net.bootstrap()
     ledger = Ledger()
-    ident, (alice,) = gen_shared_identity([lambda: KeyPair.generate(random.Random(1000))],
-                                          [Predicate.owner()], ledger)
+    alice = KeyPair.generate(random.Random(1000))
+    ident = gen_shared_identity([alice], [Predicate.owner()], ledger)
     eve = KeyPair.generate(random.Random(4321))
     blob = b"payroll"
     with contextlib.suppress(LedgerRejected):
@@ -144,7 +143,7 @@ def test_an_input_whose_sharing_id_another_key_wrote_first_is_still_dealt():
     # eve kv-puts there before alice shares her input.
     rt = network.Runtime(Field(M61), 23, 6, genesis_balance=1000)
     alice, eve = rt.add_client("alice"), rt.add_client("eve")
-    ident, _ = gen_shared_identity([lambda: alice], [Predicate.owner()], rt.ledger)
+    ident = gen_shared_identity([alice], [Predicate.owner()], rt.ledger)
     sharing = network.sharing_key(ident.addr, "salary")
     rt.ledger.submit_tx(make_tx(eve, "kv-put", writes_payload([(sharing, b"(any)")]),
                                 nonce=rt.ledger.next_nonce(eve.sign_pk)))
@@ -240,7 +239,6 @@ def test_a_shifted_shamir_product_point_fails_the_run(monkeypatch):
     assert result.trace.outcome != "ok"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
 def test_the_computation_id_does_not_depend_on_the_inputs():
     # Two select.scn runs that differ only in their inputs: the id in the
     # public settlement is a hash over the seed, the circuit and the input

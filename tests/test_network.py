@@ -52,8 +52,7 @@ def make_env(mode="shamir", seed=11, nodes=6, committee=3, p=101):
     for node in rt.registry:
         post_deposit(node.keypair, 100, rt.ledger)
     owners = [rt.add_client(f"owner{i}") for i in range(3)]
-    ident, _ = gen_shared_identity([lambda kp=kp: kp for kp in owners],
-                                   [Predicate.owner()] * 3, rt.ledger)
+    ident = gen_shared_identity(owners, [Predicate.owner()] * 3, rt.ledger)
     rng = child_rng(seed, "test")
     committee_nodes = rt.sample_committee(committee, rng)
     mac_key = gen_mac_key(committee, rt.field, rng) if mode == "spdz" else None

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 from pathlib import Path
 
@@ -150,7 +151,7 @@ def test_abort_scenario_timeout_and_recovery():
     assert result.exit_code == 2
     faults = result.trace.detected_faults
     # The requester observes silence, not the injected behavior behind it.
-    assert faults[0].behavior == "silent"
+    assert faults[0].label == "silent"
     assert faults[0].channel == "timeout"
     # Shamir honest majority: the run recovers and still produces the output.
     circuit = parse_circuit(cfg.circuit_text)
@@ -166,7 +167,7 @@ def test_broken_commitment_scenario_audited():
     result = run_scenario(load("broken"))
     assert result.exit_code == 2
     faults = result.trace.detected_faults
-    assert faults[0].behavior == "broken-commitment"
+    assert faults[0].label == "broken-commitment"
     assert faults[0].channel == "audit_trail"
     guilty_node = result.trace.committee[0]
     assert faults[0].node == guilty_node
@@ -230,7 +231,8 @@ def test_spdz_abort_restarts_with_replacement():
     result = run_scenario(cfg)
     assert any("restart" in e for e in result.trace.events)
     assert [f.channel for f in result.trace.detected_faults] == ["timeout"]
-    assert result.outputs == result.expected
+    assert result.outputs == eval_plain(parse_circuit(cfg.circuit_text), cfg.inputs,
+                                        Field(cfg.prime))
     assert result.exit_code == 2
     # The restarted attempt's trail is complete and passes the audit.
     rt = result.runtime
@@ -266,7 +268,7 @@ def test_restarted_spdz_run_is_audited(faults, restarted_on, guilty):
     assert f"event=restart committee={restarted_on}" in result.trace.events
     assert result.exit_code == 2
     assert result.trace.outcome == "cheat-detected"
-    assert [(f.node, f.behavior) for f in result.trace.detected_faults
+    assert [(f.node, f.label) for f in result.trace.detected_faults
             if f.channel == "audit_trail"] == [(guilty, "broken-commitment")]
     assert settled(result, guilty) == (0, 100, "broken-commitment")
 
@@ -415,7 +417,7 @@ def test_shamir_wrong_share_identified_at_committee_4():
     result = run_scenario(cfg)
     assert result.exit_code == 2
     fault = result.trace.detected_faults[0]
-    assert fault.behavior == "wrong-share"
+    assert fault.label == "wrong-share"
     assert fault.channel == "share-consistency"
     circuit = parse_circuit(cfg.circuit_text)
     assert result.outputs == eval_plain(circuit, cfg.inputs, Field(cfg.prime))
@@ -459,7 +461,7 @@ def test_spdz_wrong_share_on_linear_circuit_caught_by_audit():
     result = run_scenario(cfg)
     assert result.exit_code == 2
     fault = result.trace.detected_faults[0]
-    assert fault.behavior == "broken-commitment"
+    assert fault.label == "broken-commitment"
     assert fault.channel == "audit_trail"
 
 
@@ -488,7 +490,7 @@ def test_spdz_linear_gates_run_on_the_reduced_committee(faults, outcome, outputs
     cfg.nodes, cfg.committee, cfg.reduction, cfg.seed = 12, 9, 3, 5
     cfg.circuit_text, cfg.inputs, cfg.faults = LINEAR_AFTER_REDUCTION, [6, 7, 8], faults
     result = run_scenario(cfg)
-    assert result.expected == [218]
+    assert eval_plain(parse_circuit(cfg.circuit_text), cfg.inputs, Field(cfg.prime)) == [218]
     assert result.trace.outcome == outcome
     assert result.outputs == outputs
     assert result.exit_code == (2 if faults else 0)
@@ -549,6 +551,28 @@ def test_determinism_byte_identical():
         assert first.trace.to_text() == second.trace.to_text(), name
         assert first.runtime.ledger.dump() == second.runtime.ledger.dump(), name
         assert first.metrics_csv() == second.metrics_csv(), name
+
+
+def test_the_computation_id_hashes_the_public_fields_and_binds_the_engine():
+    # select.scn as SPDZ and as Shamir at threshold 1. The id is
+    # H("computation" || seed as 8 bytes big-endian || mode || 0x00 ||
+    # circuit text), recomputed here from the scenario file itself.
+    path = SCENARIOS / "select.scn"
+    fields = dict(line.split("=", 1) for line in path.read_text().splitlines()
+                  if line and not line.startswith("#"))
+    circuit = (SCENARIOS / fields["circuit"]).read_bytes()
+    ids = {}
+    for mode in ("spdz", "shamir"):
+        cfg = load("select")
+        if mode == "shamir":
+            cfg.mode, cfg.threshold = "shamir", 1
+        result = run_scenario(cfg)
+        assert result.trace.outcome == "ok"
+        ids[mode] = result.trace.computation_id
+        assert ids[mode] == hashlib.sha256(
+            b"computation" + int(fields["seed"]).to_bytes(8, "big") + mode.encode()
+            + b"\x00" + circuit).digest()
+    assert ids["spdz"] != ids["shamir"]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scn")))
