@@ -216,8 +216,10 @@ def pv_share(secret: int, n: int, key: MacKey, params: CommitParams,
 
 
 def pv_triple(key: MacKey, params: CommitParams, writer: TrailWriter,
-              field: Field, rng: random.Random) -> tuple:
-    """Dealer-issued Beaver triple in [[.]] form, commitments on the ledger."""
+              field: Field, rng: random.Random,
+              broken: set = frozenset()) -> tuple:
+    """Dealer-issued Beaver triple in [[.]] form, commitments on the ledger;
+    the parties in `broken` post a broken commitment to their share of a."""
     a = field.rand(rng)
     b = field.rand(rng)
     parts = {}
@@ -226,7 +228,8 @@ def pv_triple(key: MacKey, params: CommitParams, writer: TrailWriter,
     for name, plain in (("a", a), ("b", b), ("c", field.mul(a, b))):
         value = spdz.deal_authenticated(plain, n, key, field, rng)
         blind = spdz.additive_split(field.rand(rng), n, field, rng)
-        commitments = commit_shares([v.value_share for v in value], blind, params)
+        commitments = commit_shares([v.value_share for v in value], blind, params,
+                                    broken if name == "a" else ())
         parts[name] = PVShare(value=value, randomness=blind, step=-1)
         record[name] = pedersen.encode_commitments(commitments, params)
     step = writer.post_step(record)

@@ -199,10 +199,12 @@ def _run_compute(cfg, rt, trace, requester, addr, pointers, q_compute, circuit,
                                      "-retry")
             rng = child_rng(cfg.seed, "compute-retry")
 
-    # Post-hoc public audit of the commitment trail, where one was posted.
+    # Post-hoc public audit of the commitment trail, where the authority
+    # posted one. The id is public, so anyone can write under its trail
+    # keys first; a trail whose metadata another key wrote is not audited.
     # The audit observes commitments that do not match their openings.
     trail_ok = True
-    if rt.ledger.get(trail_meta_key(trace.computation_id)) is not None:
+    if rt.ledger.writer(trail_meta_key(trace.computation_id)) == rt.authority.sign_pk:
         report = audit_trail(rt.ledger, trace.computation_id)
         for pos in report.guilty:
             trace.fault(committee[pos].index, "audit_trail")

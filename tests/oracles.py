@@ -2,8 +2,9 @@
 against, a step-by-step audit fold the batched auditor is checked against,
 per-element sharing kernels and DHT lookups the vectorised ones are checked
 against, a seeded random-circuit generator, and the helpers only tests
-call: a sharing's plaintext, a ledger with some values reposted, a wiretap
-on the bus, and reading back the key files `mpcnet keygen` writes. numpy is
+call: a sharing's plaintext, a ledger with some values reposted, a runtime
+whose ledger another key wrote to first, a wiretap on the bus, and reading
+back the key files `mpcnet keygen` writes. numpy is
 a test dependency, so the vectorised evaluator lives here and not in the
 package."""
 
@@ -17,7 +18,8 @@ from mpcnet.dht import K_BUCKET, PARALLELISM, xor_distance
 from mpcnet.errors import IncompleteTrail
 from mpcnet.field import Field
 from mpcnet.keys import KeyPair
-from mpcnet.ledger import Board
+from mpcnet.ledger import Board, make_tx, writes_payload
+from mpcnet.network import Runtime
 from mpcnet.shamir import ShamirShare
 from mpcnet.spdz import AuthShare
 
@@ -105,6 +107,20 @@ def reposted(board, values: dict) -> Board:
         if value is not None:
             out._record(entry._replace(value=value))
     return out
+
+
+def written_first(writes: list, writer: KeyPair) -> type:
+    """A Runtime whose ledger holds `writes`, kv-put by `writer`, before
+    anything else is posted: what a client can do at any key it derives
+    from public data. Patch it over runner.Runtime."""
+
+    class Squatted(Runtime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.ledger.submit_tx(make_tx(writer, "kv-put", writes_payload(writes),
+                                          nonce=self.ledger.next_nonce(writer.sign_pk)))
+
+    return Squatted
 
 
 def fold_trail(board, records: list, n: int, p: int) -> AuditReport:

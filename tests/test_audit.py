@@ -202,10 +202,10 @@ def test_single_broken_commitment_named_exactly(setup101):
             assert report.guilty == (culprit,)
 
 
-def test_broken_triple_in_batched_layer_named(setup101, monkeypatch):
+def test_broken_triple_in_batched_layer_named(setup101):
     # Four products share one opening round; party 1 posts a broken
-    # commitment for the third product's triple only (its a, shifted by g).
-    # The audit still names exactly party 1.
+    # commitment for the third product's triple only. The audit still
+    # names exactly party 1.
     env = setup101
     field, params, rng = env["field"], env["params"], env["rng"]
     n, k = 3, 4
@@ -216,14 +216,9 @@ def test_broken_triple_in_batched_layer_named(setup101, monkeypatch):
     pairs = [(audit.pv_share(2 + i, n, key, params, writer, field, rng),
               audit.pv_share(7 + i, n, key, params, writer, field, rng))
              for i in range(k)]
-    commit_shares = audit.commit_shares
-    triples = []
-    for i in range(k):
-        shifted = iter([{1}] if i == 2 else [])
-        monkeypatch.setattr(audit, "commit_shares", lambda values, blinds, params:
-                            commit_shares(values, blinds, params, next(shifted, ())))
-        triples.append(audit.pv_triple(key, params, writer, field, rng))
-    monkeypatch.undo()
+    triples = [audit.pv_triple(key, params, writer, field, rng,
+                               broken={1} if i == 2 else frozenset())
+               for i in range(k)]
     net = LocalChannel()
     products = audit.pv_beaver_layer(pairs, triples, key, params, field, net,
                                      [], writer)

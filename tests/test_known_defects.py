@@ -29,6 +29,7 @@ from mpcnet.ledger import Ledger, LedgerRejected, make_tx, writes_payload
 from mpcnet.net import LocalChannel
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import parse_scenario
+from oracles import written_first
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -94,9 +95,10 @@ def xor_subset(vectors: list, target: int) -> list:
 
 
 def test_a_registration_at_an_address_by_keys_that_fold_to_it_is_rejected():
-    # An address is the XOR of H(pk_i), linear over GF(2): out of 300 keys
-    # of her own, eve finds a subset whose hashes fold to alice's
-    # single-key address and registers them there before alice does.
+    # Out of 300 keys of her own, eve finds a subset whose H(pk_i) XOR-fold
+    # to alice's single-key address, as an address folded that way would
+    # accept, and registers them there before alice does. An address is the
+    # hash of the sorted keys, so the ledger rejects the registration.
     rng = random.Random(3)
     alice = KeyPair.generate(rng)
     addr = identity_address([alice.sign_pk])
@@ -240,14 +242,30 @@ def test_a_shifted_shamir_product_point_fails_the_run(monkeypatch):
 
 
 def test_the_computation_id_does_not_depend_on_the_inputs():
-    # Two select.scn runs that differ only in their inputs: the id in the
-    # public settlement is a hash over the seed, the circuit and the input
-    # values, so a small input space can be searched from it.
+    # Two select.scn runs that differ only in their inputs get one id. The
+    # id is public (settlement, trail keys), and an id that hashed the
+    # inputs would let a small input space be searched from it.
     first = parse_scenario(SCENARIOS / "select.scn")
     second = parse_scenario(SCENARIOS / "select.scn")
     second.inputs = [0, 2, 3]
     ids = {run_scenario(cfg).trace.computation_id for cfg in (first, second)}
     assert len(ids) == 1
+
+
+@pytest.mark.xfail(strict=True, raises=LedgerRejected, reason="ROADMAP item 3")
+@pytest.mark.parametrize("squat", [trail_meta_key, lambda cid: trail_key(cid, 1)],
+                         ids=["metadata", "second-batch"])
+def test_a_trail_key_another_key_wrote_first_does_not_stop_a_spdz_run(monkeypatch, squat):
+    # The id hashes public fields only, so eve derives select.scn's trail
+    # keys and kv-puts at one before the run. TrailWriter steps over a held
+    # first batch key, but the metadata key is fixed and the second batch
+    # follows the first, so the authority's post there is rejected.
+    cfg = parse_scenario(SCENARIOS / "select.scn")
+    cid = sha256(b"computation" + cfg.seed.to_bytes(8, "big") + cfg.mode.encode() + b"\x00"
+                 + cfg.circuit_path.read_bytes())
+    eve = KeyPair.generate(random.Random(4321))
+    monkeypatch.setattr(runner, "Runtime", written_first([(squat(cid), b"(any)")], eve))
+    assert run_scenario(cfg).trace.outcome == "ok"
 
 
 @pytest.mark.parametrize("reduction", [None, 2], ids=["audited", "trail-free"])

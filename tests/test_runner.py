@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from mpcnet.network import child_rng, protocol_compute, protocol_share, sharing_
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import ScenarioConfig, ScenarioError, parse_scenario
 from mpcnet.trace import ComputationTrace
-from oracles import length_sequence
+from oracles import length_sequence, written_first
 from test_golden import RUN_SEED, RUNS, SEEDS, pinned, run_configs, run_digests
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -553,26 +554,57 @@ def test_determinism_byte_identical():
         assert first.metrics_csv() == second.metrics_csv(), name
 
 
-def test_the_computation_id_hashes_the_public_fields_and_binds_the_engine():
-    # select.scn as SPDZ and as Shamir at threshold 1. The id is
-    # H("computation" || seed as 8 bytes big-endian || mode || 0x00 ||
-    # circuit text), recomputed here from the scenario file itself.
-    path = SCENARIOS / "select.scn"
-    fields = dict(line.split("=", 1) for line in path.read_text().splitlines()
-                  if line and not line.startswith("#"))
-    circuit = (SCENARIOS / fields["circuit"]).read_bytes()
-    ids = {}
-    for mode in ("spdz", "shamir"):
-        cfg = load("select")
-        if mode == "shamir":
-            cfg.mode, cfg.threshold = "shamir", 1
-        result = run_scenario(cfg)
-        assert result.trace.outcome == "ok"
-        ids[mode] = result.trace.computation_id
-        assert ids[mode] == hashlib.sha256(
-            b"computation" + int(fields["seed"]).to_bytes(8, "big") + mode.encode()
-            + b"\x00" + circuit).digest()
-    assert ids["spdz"] != ids["shamir"]
+def public_id(cfg) -> bytes:
+    """H("computation" || seed as 8 bytes big-endian || mode || 0x00 ||
+    circuit file), recomputed apart from the runner."""
+    return hashlib.sha256(b"computation" + cfg.seed.to_bytes(8, "big") + cfg.mode.encode()
+                          + b"\x00" + cfg.circuit_path.read_bytes()).digest()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scn")))
+def test_the_computation_id_hashes_the_public_fields(name):
+    assert run_scenario(load(name)).trace.computation_id == public_id(load(name))
+
+
+def test_the_computation_id_binds_the_engine():
+    # select.scn as SPDZ and as Shamir at threshold 1.
+    shamir = load("select")
+    shamir.mode, shamir.threshold = "shamir", 1
+    results = [run_scenario(cfg) for cfg in (load("select"), shamir)]
+    assert [r.trace.outcome for r in results] == ["ok", "ok"]
+    ids = [r.trace.computation_id for r in results]
+    assert ids == [public_id(load("select")), public_id(shamir)]
+    assert ids[0] != ids[1]
+
+
+def test_a_trail_another_key_posts_under_a_shamir_runs_id_is_not_audited(monkeypatch):
+    # The id is public, so before average.scn runs (Shamir, no trail) eve
+    # posts broken.scn's failing trail, with its VSS records, under
+    # average's id. The runner audits only a trail whose metadata the
+    # authority wrote, so the run still ends ok and nobody is named.
+    broken = run_scenario(load("broken"))
+    board, source = broken.runtime.ledger, broken.trace.computation_id
+    cfg = load("average")
+    target = public_id(cfg)
+    meta = board.get(trail_meta_key(source))
+    writes = [(trail_meta_key(target), meta)]
+    meta = json.loads(meta)
+    for batch in range(meta["first"], meta["first"] + meta["batches"]):
+        records = json.loads(board.get(trail_key(source, batch)))
+        for record in records:
+            if record["kind"] == "input":
+                sharing = bytes.fromhex(record["sharing"])
+                copy = keys.sha256(b"eve" + sharing)
+                writes.append((copy, board.first(sharing).value))
+                record["sharing"] = copy.hex()
+        writes.append((trail_key(target, batch), audit.record_bytes(records)))
+    eve = keys.KeyPair.generate(random.Random(4321))
+    monkeypatch.setattr(runner, "Runtime", written_first(writes, eve))
+    result = run_scenario(cfg)
+    assert not audit_trail(result.runtime.ledger, target).ok
+    assert result.trace.outcome == "ok" and result.exit_code == 0
+    assert result.trace.detected_faults == []
+    assert [line.slash for line in result.settlement.lines] == [0] * cfg.committee
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scn")))
