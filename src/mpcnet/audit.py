@@ -28,26 +28,36 @@ a symbol names a per-party vector of bases. It evaluates a step only when
 an opening is checked against it, all parties at once, with one
 multi-exponentiation whose digit plan serves every party.
 
-Trail steps are posted in batches, each one JSON list keyed by
-H(computation_id || batch_index). Before any value opens, the pending steps
-go on the ledger whenever one of them carries a commitment (an input or a
-triple), so every commitment is public before anything masked by it is
-revealed; steps that carry none (linear, Beaver and output steps) wait for
-the next transaction. The dealer deals every triple of an evaluation before
-its first opening (the offline phase), so an evaluation posts two
-transactions whatever its depth: the inputs and triples before the first
-opening, then the online steps with the metadata at close. An attempt that
-ends in a MAC failure or an abort posts its pending steps without the
-metadata instead, and a restart numbers its batches after the aborted
-attempt's.
+Trail steps are posted in batches keyed by H(computation_id ||
+batch_index). Before any value opens, the pending steps go on the ledger
+whenever one of them carries a commitment (an input or a triple), so every
+commitment is public before anything masked by it is revealed; steps that
+carry none (linear, Beaver and output steps) wait for the next
+transaction. The dealer deals every triple of an evaluation before its
+first opening (the offline phase), so an evaluation posts two transactions
+whatever its depth: the inputs and triples before the first opening, then
+the online steps with the metadata at close. An attempt that ends in a MAC
+failure or an abort posts its pending steps without the metadata instead,
+and a restart numbers its batches after the aborted attempt's.
 
 A VSS record is its n commitments as raw fixed-width integers
-(pedersen.pack_commitments). Trail records are compact JSON, and each
-per-party vector in them is one base64 field (the pedersen codecs): a
-triple's a, b and c as the same fixed-width integers, read back without a
-range check so a malformed base folds exactly; the Beaver and output
-openings as field elements, read back range-checked, since commit reduces
-mod p and an opening s + kp would otherwise open the commitment to s.
+(pedersen.pack_commitments). A trail batch is its steps laid end to end,
+each one ASCII kind letter and then big-endian fields whose widths follow
+from the metadata's n and p: w = ceil(bits(q) / 8) bytes per commitment, e
+= Field.elem_size per element, 4 bytes per step index or term count.
+
+  I  input    the 32-byte sharing id                          33
+  T  triple   a, b and c, n commitments each                  1 + 3nw
+  L  linear   k, k x (coefficient, source step), constant     5 + k(e + 4) + e
+  B  Beaver   x, y and triple steps, 2n eps and 2n delta      13 + 4ne
+              opening elements
+  O  output   source step, 2n opening elements, the value     5 + (2n + 1)e
+
+An opening vector is each party's (share, blinding) pair in turn.
+Commitments are read back without a range check, so a malformed base
+folds exactly; every opening, coefficient, constant and value must be
+below p, since commit reduces mod p and an opening s + kp would otherwise
+open the commitment to s. The metadata record is compact JSON.
 """
 
 from __future__ import annotations
@@ -74,19 +84,130 @@ def trail_meta_key(computation_id: bytes) -> bytes:
 
 
 def record_bytes(record) -> bytes:
-    """A trail record as posted: compact JSON with sorted keys."""
+    """The metadata record as posted: compact JSON with sorted keys."""
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
 
-def vss_commitments(board, sharing: str, n: int, params: CommitParams) -> list:
-    """The n commitments of the VSS record at the sharing id `sharing`
-    (hex), as its owner first posted it. ValueError if the sharing has no
-    record, or its first posting is not n commitments long."""
+def vss_commitments(board, sharing: bytes, n: int, params: CommitParams) -> list:
+    """The n commitments of the VSS record at the sharing id `sharing`, as
+    its owner first posted it. ValueError if the sharing has no record, or
+    its first posting is not n commitments long."""
     try:
-        return pedersen.unpack_commitments(board.first(bytes.fromhex(sharing)).value,
-                                           n, params)
-    except (AttributeError, TypeError, ValueError):
-        raise ValueError(f"sharing {sharing} has no VSS record of {n} commitments") from None
+        return pedersen.unpack_commitments(board.first(sharing).value, n, params)
+    except (AttributeError, ValueError):
+        raise ValueError(f"sharing {sharing.hex()} has no VSS record "
+                         f"of {n} commitments") from None
+
+
+_KIND = {"input": b"I", "triple": b"T", "linear": b"L", "beaver": b"B", "output": b"O"}
+_INDEX = 4   # bytes per step index or term count
+
+
+def _index(i: int) -> bytes:
+    return i.to_bytes(_INDEX, "big")
+
+
+def pack_steps(records: list, field: Field, params: CommitParams) -> bytes:
+    """Trail step records as one posted batch: each step's kind letter and
+    fixed-width fields, laid end to end (the layout in the module notes).
+
+    A record is {"kind": ..., plus per kind}: input "sharing" (32 bytes);
+    triple "a", "b", "c" (commitment lists); linear "terms" ((coefficient,
+    step) pairs) and "constant"; Beaver "x", "y", "triple" (steps),
+    "eps_openings" and "delta_openings"; output "source", "openings" and
+    "value". An openings list is each party's share and blinding in turn,
+    2n elements. parse_steps reads the records back.
+    """
+    out = []
+    for rec in records:
+        kind = rec["kind"]
+        out.append(_KIND[kind])
+        if kind == "input":
+            out.append(rec["sharing"])
+        elif kind == "triple":
+            out += [pedersen.pack_commitments(rec[name], params) for name in "abc"]
+        elif kind == "linear":
+            out.append(_index(len(rec["terms"])))
+            out += [field.encode(c) + _index(ref) for c, ref in rec["terms"]]
+            out.append(field.encode(rec["constant"]))
+        elif kind == "beaver":
+            out += [_index(rec[name]) for name in ("x", "y", "triple")]
+            out.append(field.encode_many(rec["eps_openings"]))
+            out.append(field.encode_many(rec["delta_openings"]))
+        else:
+            out.append(_index(rec["source"]))
+            out.append(field.encode_many(rec["openings"]))
+            out.append(field.encode(rec["value"]))
+    return b"".join(out)
+
+
+def parse_steps(data: bytes, n: int, field: Field, params: CommitParams,
+                start: int = 0, end: int | None = None) -> list:
+    """The step records of one posted batch whose first step is trail step
+    `start`, as pack_steps wrote them; `end` is the trail's step count.
+
+    Raises IncompleteTrail on a step cut short, bytes after step end - 1,
+    an unknown kind letter, an opening, coefficient, constant or value not
+    below p, or a step index that names no earlier step. Commitments are
+    read without a range check.
+    """
+    p, e = field.p, field.elem_size
+    vector = n * pedersen.width(params)
+    fixed = {b"I": 33, b"T": 1 + 3 * vector, b"B": 13 + 4 * n * e, b"O": 5 + (2 * n + 1) * e}
+    records = []
+    at, step = 0, start
+
+    def elements(lo: int, count: int) -> list:
+        values = [int.from_bytes(data[i:i + e], "big") for i in range(lo, lo + count * e, e)]
+        if values and max(values) >= p:
+            raise IncompleteTrail(f"step {step} holds an element not below p = {p}")
+        return values
+
+    def earlier(lo: int) -> int:
+        ref = int.from_bytes(data[lo:lo + _INDEX], "big")
+        if ref >= step:
+            raise IncompleteTrail(f"step {step} names step {ref}, which is not an earlier step")
+        return ref
+
+    while at < len(data):
+        if step == end:
+            raise IncompleteTrail(f"bytes after the last step, {end - 1}")
+        letter = data[at:at + 1]
+        if letter == b"L":
+            k = int.from_bytes(data[at + 1:at + 5], "big")
+            size = 5 + k * (e + _INDEX) + e
+        elif letter in fixed:
+            size = fixed[letter]
+        else:
+            raise IncompleteTrail(f"step {step} has the unknown kind letter {letter!r}")
+        if at + size > len(data):
+            raise IncompleteTrail(f"step {step} is cut short")
+        body = at + 1
+        if letter == b"I":
+            rec = {"kind": "input", "sharing": data[body:body + 32]}
+        elif letter == b"T":
+            rec = {"kind": "triple"}
+            for name in "abc":
+                rec[name] = pedersen.unpack_commitments(data[body:body + vector], n, params)
+                body += vector
+        elif letter == b"L":
+            terms = []
+            for lo in range(body + _INDEX, body + _INDEX + k * (e + _INDEX), e + _INDEX):
+                terms.append((elements(lo, 1)[0], earlier(lo + e)))
+            rec = {"kind": "linear", "terms": terms, "constant": elements(at + size - e, 1)[0]}
+        elif letter == b"B":
+            flat = elements(body + 3 * _INDEX, 4 * n)
+            rec = {"kind": "beaver", "x": earlier(body), "y": earlier(body + _INDEX),
+                   "triple": earlier(body + 2 * _INDEX),
+                   "eps_openings": flat[:2 * n], "delta_openings": flat[2 * n:]}
+        else:
+            flat = elements(body + _INDEX, 2 * n + 1)
+            rec = {"kind": "output", "source": earlier(body),
+                   "openings": flat[:-1], "value": flat[-1]}
+        records.append(rec)
+        at += size
+        step += 1
+    return records
 
 
 def commit_shares(values: list, blinds: list, params: CommitParams,
@@ -133,7 +254,8 @@ class TrailWriter:
         self.board = board
         self.computation_id = computation_id
         self.poster = poster
-        self.field_p = field.p
+        self.field = field
+        self.params = pedersen.setup(field)
         self.n = n
         self.steps = 0
         self.first = 0
@@ -143,8 +265,8 @@ class TrailWriter:
         self._pending = []
 
     def post(self, *writes):
-        """Post (key, record) writes as one signed transaction."""
-        self.submit(writes_payload((key, record_bytes(record)) for key, record in writes))
+        """Post (key, value bytes) writes as one signed transaction."""
+        self.submit(writes_payload(writes))
 
     def submit(self, payload: list):
         """Sign and submit a keyed payload (ledger.writes_payload)."""
@@ -155,7 +277,7 @@ class TrailWriter:
     def post_input(self, sharing_id: bytes) -> int:
         """An input step naming the sharing's VSS record, which the auditor
         reads as first posted."""
-        return self.post_step({"kind": "input", "sharing": sharing_id.hex()})
+        return self.post_step({"kind": "input", "sharing": sharing_id})
 
     def post_step(self, record: dict) -> int:
         self._pending.append(record)
@@ -164,7 +286,8 @@ class TrailWriter:
 
     def _batch(self) -> tuple:
         """The pending steps as the next batch's write."""
-        write = (trail_key(self.computation_id, self.first + self.batches), self._pending)
+        write = (trail_key(self.computation_id, self.first + self.batches),
+                 pack_steps(self._pending, self.field, self.params))
         self.batches += 1
         self._pending = []
         return write
@@ -183,9 +306,9 @@ class TrailWriter:
     def close(self):
         """Post the last batch and the metadata record in one transaction."""
         batch = self._batch()
-        self.post(batch, (trail_meta_key(self.computation_id),
-                          {"p": self.field_p, "n": self.n, "steps": self.steps,
-                           "first": self.first, "batches": self.batches}))
+        meta = {"p": self.field.p, "n": self.n, "steps": self.steps,
+                "first": self.first, "batches": self.batches}
+        self.post(batch, (trail_meta_key(self.computation_id), record_bytes(meta)))
 
 
 def _combine(terms: list, p: int) -> list:
@@ -231,7 +354,7 @@ def pv_triple(key: MacKey, params: CommitParams, writer: TrailWriter,
         commitments = commit_shares([v.value_share for v in value], blind, params,
                                     broken if name == "a" else ())
         parts[name] = PVShare(value=value, randomness=blind, step=-1)
-        record[name] = pedersen.encode_commitments(commitments, params)
+        record[name] = commitments
     step = writer.post_step(record)
     for part in parts.values():
         part.step = step
@@ -257,16 +380,15 @@ def pv_linear(terms: list, constant: int, key: MacKey, field: Field,
     share = _derive(terms, constant, key, field)
     share.step = writer.post_step({
         "kind": "linear",
-        "terms": [[c % field.p, sh.step] for c, sh in terms],
+        "terms": [(c % field.p, sh.step) for c, sh in terms],
         "constant": constant % field.p,
     })
     return share
 
 
-def _openings(share: PVShare, field: Field) -> str:
-    """Every party's (share, blinding) opening of `share`, encoded."""
-    return pedersen.encode_openings(
-        [(v.value_share, r) for v, r in zip(share.value, share.randomness)], field)
+def _openings(share: PVShare) -> list:
+    """Every party's share and blinding of `share`, in turn."""
+    return [x for v, r in zip(share.value, share.randomness) for x in (v.value_share, r)]
 
 
 def pv_beaver(x: PVShare, y: PVShare, triple: tuple, key: MacKey,
@@ -305,8 +427,8 @@ def pv_beaver_layer(pairs: list, triples: list, key: MacKey, params: CommitParam
         product.step = writer.post_step({
             "kind": "beaver",
             "x": x.step, "y": y.step, "triple": c.step,
-            "eps_openings": _openings(eps_share, field),
-            "delta_openings": _openings(delta_share, field),
+            "eps_openings": _openings(eps_share),
+            "delta_openings": _openings(delta_share),
         })
         products.append(product)
     return products
@@ -316,7 +438,7 @@ def pv_output(share: PVShare, field: Field, writer: TrailWriter) -> int:
     """Post the final per-party openings; returns the opened output."""
     value = sum(v.value_share for v in share.value) % field.p
     writer.post_step({"kind": "output", "source": share.step,
-                      "openings": _openings(share, field), "value": value})
+                      "openings": _openings(share), "value": value})
     return value
 
 
@@ -415,32 +537,23 @@ def audit_trail(board, computation_id: bytes) -> AuditReport:
         meta = json.loads(meta_raw.decode())
         if not isinstance(meta, dict) or meta.get("steps") is None:
             raise IncompleteTrail("trail metadata lacks a step count")
-        first, batches = meta.get("first"), meta.get("batches")
+        first, batches, n = meta.get("first"), meta.get("batches"), meta.get("n")
         if not isinstance(first, int) or not isinstance(batches, int):
             raise IncompleteTrail("trail metadata lacks a first batch or a batch count")
+        if type(n) is not int or n < 1:
+            raise IncompleteTrail(f"trail metadata's party count {n!r} is not a positive int")
+        field = Field(meta["p"])
+        params = pedersen.setup(field)
+        steps = meta["steps"]
         records = []
         for batch in range(first, first + batches):
             raw = board.get(trail_key(computation_id, batch))
             if raw is None:
                 raise IncompleteTrail(f"missing trail batch {batch}")
-            posted = json.loads(raw.decode())
-            if not isinstance(posted, list) or not all(isinstance(r, dict) for r in posted):
-                raise IncompleteTrail(f"trail batch {batch} is not a list of records")
-            records.extend(posted)
-        steps = meta["steps"]
+            records += parse_steps(raw, n, field, params, len(records), steps)
         if len(records) != steps:
             raise IncompleteTrail(f"trail batches hold {len(records)} steps, "
                                   f"metadata says {steps}")
-        field = Field(meta["p"])
-
-        def in_field(value, label: str) -> int:
-            # The writer posts every linear coefficient and constant mod p.
-            if type(value) is not int or not 0 <= value < field.p:
-                raise IncompleteTrail(f"{label} {value!r} is not an integer mod {field.p}")
-            return value
-
-        params = pedersen.setup(field)
-        n = meta["n"]
         q = params.q
         order = q - 1
 
@@ -470,24 +583,22 @@ def audit_trail(board, computation_id: bytes) -> AuditReport:
         def check_masks(masked: list, mask: list, opens: list, label: str):
             # C(x_i) = commit(s_i, r_i) * C(a_i), with no inversion; a C(a_i)
             # divisible by q has no opening at all.
-            for i, (cx, ca, (s, r)) in enumerate(zip(masked, mask, opens)):
+            for i, (cx, ca, s, r) in enumerate(zip(masked, mask, opens[0::2], opens[1::2])):
                 if not ca % q or cx % q != pedersen.commit(s, r, params) * ca % q:
                     blame(i, label)
 
         for step, rec in enumerate(records):
             kind = rec["kind"]
             if kind == "input":
-                vectors["value", step] = vss_commitments(board, rec.get("sharing"), n, params)
+                vectors["value", step] = vss_commitments(board, rec["sharing"], n, params)
                 derived[step] = (0, {("value", step): 1})
             elif kind == "triple":
                 for name in ("a", "b", "c"):
-                    vectors[name, step] = pedersen.decode_commitments(rec[name], n, params)
+                    vectors[name, step] = rec[name]
             elif kind == "linear":
-                terms = [(in_field(coeff, f"step {step}: coefficient"), ref)
-                         for coeff, ref in rec["terms"]]
-                constant = in_field(rec["constant"], f"step {step}: constant")
+                constant = rec["constant"]
                 exps = {}
-                for coeff, ref in terms:
+                for coeff, ref in rec["terms"]:
                     src_constant, src_exps = derived[ref]
                     constant += coeff * src_constant
                     for symbol, exp in src_exps.items():
@@ -500,26 +611,24 @@ def audit_trail(board, computation_id: bytes) -> AuditReport:
             elif kind == "beaver":
                 triple = rec["triple"]
                 a, b = vectors["a", triple], vectors["b", triple]
-                eps_opens = pedersen.decode_openings(rec["eps_openings"], n, field)
-                delta_opens = pedersen.decode_openings(rec["delta_openings"], n, field)
+                eps_opens, delta_opens = rec["eps_openings"], rec["delta_openings"]
                 check_masks(evaluate(rec["x"]), a, eps_opens, f"step {step} (eps)")
                 check_masks(evaluate(rec["y"]), b, delta_opens, f"step {step} (delta)")
-                eps = sum(s for s, _ in eps_opens) % field.p
-                delta = sum(s for s, _ in delta_opens) % field.p
+                eps = sum(eps_opens[0::2]) % field.p
+                delta = sum(delta_opens[0::2]) % field.p
                 derived[step] = (field.mul(eps, delta), {("c", triple): 1, ("b", triple): eps,
                                                          ("a", triple): delta})
-            elif kind == "output":
+            else:
                 output_seen = True
-                opens = pedersen.decode_openings(rec["openings"], n, field)
+                opens = rec["openings"]
                 label = f"step {step} (output)"
-                for i, (c, (s, r)) in enumerate(zip(evaluate(rec["source"]), opens)):
+                for i, (c, s, r) in enumerate(zip(evaluate(rec["source"]), opens[0::2],
+                                                  opens[1::2])):
                     if not pedersen.verify_open(c, s, r, params):
                         blame(i, label)
-                total = sum(s for s, _ in opens) % field.p
-                if total != rec["value"] % field.p:
+                total = sum(opens[0::2]) % field.p
+                if total != rec["value"]:
                     reasons.append(f"claimed output {rec['value']} != opened total {total}")
-            else:
-                raise IncompleteTrail(f"unknown trail record kind {kind!r}")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise IncompleteTrail(repr(exc)) from None
 

@@ -263,7 +263,7 @@ def mpc_declassify(requester: KeyPair, requester_label: str, addr: bytes,
     if rt.ledger.writer(sharing_id) != requester.sign_pk:
         return None, []
 
-    commitments = auditmod.vss_commitments(rt.ledger, ref["sharing"], ref["n"], rt.params)
+    commitments = auditmod.vss_commitments(rt.ledger, sharing_id, ref["n"], rt.params)
     field = rt.field
     committee = [rt.registry[i] for i in ref["committee"]]
     rows = []

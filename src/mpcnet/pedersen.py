@@ -21,20 +21,17 @@ then costs two table look-ups and two multiplications per exponent byte
 instead of two square-and-multiply exponentiations.
 
 On the ledger a vector of commitments is fixed-width big-endian integers,
-ceil(bits(q) / 8) bytes each (9 over M61), back to back: raw, as an
-input's VSS record, and inside one base64 field of a trail record. A
-vector of openings is one base64 field of the (share, blinding) pairs in
-the field's own fixed-width encoding.
+width(params) = ceil(bits(q) / 8) bytes each (9 over M61), back to back:
+an input's VSS record is one such vector, and a trail's triple step holds
+three (see audit).
 """
 
 from __future__ import annotations
 
-from binascii import b2a_base64
 from dataclasses import dataclass, field as dc_field
 
 from .field import Field, is_prime
 from .keys import sha256
-from .ledger import decode_base64
 
 
 def _window_table(base: int, q: int, p: int) -> tuple:
@@ -129,14 +126,15 @@ def verify_open(commitment: int, s: int, r: int, params: CommitParams) -> bool:
     return commitment == commit(s, r, params)
 
 
-def _width(params: CommitParams) -> int:
+def width(params: CommitParams) -> int:
+    """Bytes per posted commitment: ceil(bits(q) / 8)."""
     return (params.q.bit_length() + 7) // 8
 
 
 def pack_commitments(commitments: list, params: CommitParams) -> bytes:
     """The commitments as ceil(bits(q) / 8)-byte big-endian integers, back
     to back: a VSS record as posted."""
-    w = _width(params)
+    w = width(params)
     return b"".join([c.to_bytes(w, "big") for c in commitments])
 
 
@@ -147,34 +145,7 @@ def unpack_commitments(data: bytes, n: int, params: CommitParams) -> list:
     checked: a value >= q reads back as posted, and the auditor folds it
     exactly.
     """
-    w = _width(params)
+    w = width(params)
     if len(data) != n * w:
         raise ValueError(f"expected {n} commitments of {w} bytes, got {len(data)} bytes")
     return [int.from_bytes(data[i:i + w], "big") for i in range(0, len(data), w)]
-
-
-def encode_commitments(commitments: list, params: CommitParams) -> str:
-    """The commitments packed into one base64 field."""
-    return b2a_base64(pack_commitments(commitments, params), newline=False).decode()
-
-
-def decode_commitments(text: str, n: int, params: CommitParams) -> list:
-    """The n commitments of an encode_commitments field. Raises ValueError
-    (TypeError for a non-string) unless `text` is base64 of exactly n."""
-    return unpack_commitments(decode_base64(text), n, params)
-
-
-def encode_openings(pairs: list, field: Field) -> str:
-    """The (share, blinding) pairs as one base64 field of field elements."""
-    data = field.encode_many([v for pair in pairs for v in pair])
-    return b2a_base64(data, newline=False).decode()
-
-
-def decode_openings(text: str, n: int, field: Field) -> list:
-    """The n (share, blinding) pairs of an encode_openings field.
-
-    Raises ValueError (TypeError for a non-string) unless `text` is base64
-    of exactly 2n elements, each in [0, p).
-    """
-    flat = field.decode_many([decode_base64(text)], 2 * n)
-    return list(zip(flat[0::2], flat[1::2]))

@@ -2,17 +2,21 @@
 against, a step-by-step audit fold the batched auditor is checked against,
 per-element sharing kernels and DHT lookups the vectorised ones are checked
 against, a seeded random-circuit generator, and the helpers only tests
-call: a sharing's plaintext, a ledger with some values reposted, a runtime
-whose ledger another key wrote to first, a wiretap on the bus, and reading
-back the key files `mpcnet keygen` writes. numpy is
+call: a sharing's plaintext, a ledger with some values reposted, a trail
+read back as step records and reposted edited, a runtime whose ledger
+another key wrote to first, a wiretap on the bus, and reading back the key
+files `mpcnet keygen` writes. numpy is
 a test dependency, so the vectorised evaluator lives here and not in the
 package."""
+
+import itertools
+import json
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from mpcnet import keys, pedersen
-from mpcnet.audit import AuditReport
+from mpcnet import audit, keys, pedersen
+from mpcnet.audit import AuditReport, trail_key, trail_meta_key
 from mpcnet.circuits import Circuit, LayeredCircuit, parse_circuit
 from mpcnet.dht import K_BUCKET, PARALLELISM, xor_distance
 from mpcnet.errors import IncompleteTrail
@@ -109,6 +113,44 @@ def reposted(board, values: dict) -> Board:
     return out
 
 
+def trail_records(board, computation_id: bytes, n: int = None, p: int = None) -> list:
+    """A trail's steps as records, read through audit.parse_steps: the
+    batches its metadata names, in order, or, for a trail without metadata
+    and given its n and p, the batches from index 0 up to the first key
+    the board does not hold."""
+    meta = board.get(trail_meta_key(computation_id))
+    if meta is None:
+        batches = itertools.takewhile(
+            lambda b: board.get(trail_key(computation_id, b)) is not None, itertools.count())
+    else:
+        meta = json.loads(meta)
+        n, p = meta["n"], meta["p"]
+        batches = range(meta["first"], meta["first"] + meta["batches"])
+    field = Field(p)
+    params = pedersen.setup(field)
+    records = []
+    for b in batches:
+        records += audit.parse_steps(board.get(trail_key(computation_id, b)), n, field,
+                                     params, len(records))
+    return records
+
+
+def reposted_trail(board, computation_id: bytes, records: list) -> Board:
+    """A copy of `board` whose closed trail holds `records` instead, packed
+    into the batches the metadata names, as many steps each as each holds
+    on `board`."""
+    meta = json.loads(board.get(trail_meta_key(computation_id)))
+    field = Field(meta["p"])
+    params = pedersen.setup(field)
+    values, at = {}, 0
+    for b in range(meta["first"], meta["first"] + meta["batches"]):
+        key = trail_key(computation_id, b)
+        size = len(audit.parse_steps(board.get(key), meta["n"], field, params, at))
+        values[key] = audit.pack_steps(records[at:at + size], field, params)
+        at += size
+    return reposted(board, values)
+
+
 def written_first(writes: list, writer: KeyPair) -> type:
     """A Runtime whose ledger holds `writes`, kv-put by `writer`, before
     anything else is posted: what a client can do at any key it derives
@@ -146,7 +188,7 @@ def fold_trail(board, records: list, n: int, p: int) -> AuditReport:
         return pow(c, -1, q) if c % q else 0
 
     def check_openings(derived, opens, label):
-        for i, (c, (s, r)) in enumerate(zip(derived, opens)):
+        for i, (c, s, r) in enumerate(zip(derived, opens[0::2], opens[1::2])):
             if not pedersen.verify_open(c, s, r, params):
                 guilty.add(i)
                 reasons.append(f"party {i} broke its commitment at {label}")
@@ -154,13 +196,12 @@ def fold_trail(board, records: list, n: int, p: int) -> AuditReport:
     for step, rec in enumerate(records):
         kind = rec["kind"]
         if kind == "input":
-            first = board.first(bytes.fromhex(rec["sharing"]))
+            first = board.first(rec["sharing"])
             if first is None:
                 raise IncompleteTrail(f"input step {step} names no VSS record")
             commitments[step] = pedersen.unpack_commitments(first.value, n, params)
         elif kind == "triple":
-            commitments[step] = {name: pedersen.decode_commitments(rec[name], n, params)
-                                 for name in ("a", "b", "c")}
+            commitments[step] = {name: rec[name] for name in ("a", "b", "c")}
         elif kind == "linear":
             acc = [pedersen.commit(rec["constant"] if i == 0 else 0, 0, params)
                    for i in range(n)]
@@ -172,14 +213,13 @@ def fold_trail(board, records: list, n: int, p: int) -> AuditReport:
         elif kind == "beaver":
             trip = commitments[rec["triple"]]
             x_c, y_c = commitments[rec["x"]], commitments[rec["y"]]
-            eps_opens = pedersen.decode_openings(rec["eps_openings"], n, field)
-            delta_opens = pedersen.decode_openings(rec["delta_openings"], n, field)
+            eps_opens, delta_opens = rec["eps_openings"], rec["delta_openings"]
             eps_c = [x_c[i] * inverse_or_zero(trip["a"][i]) % q for i in range(n)]
             delta_c = [y_c[i] * inverse_or_zero(trip["b"][i]) % q for i in range(n)]
             check_openings(eps_c, eps_opens, f"step {step} (eps)")
             check_openings(delta_c, delta_opens, f"step {step} (delta)")
-            eps = sum(s for s, _ in eps_opens) % field.p
-            delta = sum(s for s, _ in delta_opens) % field.p
+            eps = sum(eps_opens[0::2]) % field.p
+            delta = sum(delta_opens[0::2]) % field.p
             acc = []
             for i in range(n):
                 c = trip["c"][i] * pow(trip["b"][i], eps, q) % q
@@ -190,9 +230,9 @@ def fold_trail(board, records: list, n: int, p: int) -> AuditReport:
             commitments[step] = acc
         elif kind == "output":
             output_seen = True
-            opens = pedersen.decode_openings(rec["openings"], n, field)
+            opens = rec["openings"]
             check_openings(commitments[rec["source"]], opens, f"step {step} (output)")
-            total = sum(s for s, _ in opens) % field.p
+            total = sum(opens[0::2]) % field.p
             if total != rec["value"] % field.p:
                 reasons.append(f"claimed output {rec['value']} != opened total {total}")
         else:

@@ -2,6 +2,7 @@ import base64
 import copy
 import json
 import random
+import re
 
 import pytest
 
@@ -12,7 +13,13 @@ from mpcnet.field import M61, Field
 from mpcnet.keys import KeyPair, sha256
 from mpcnet.ledger import Ledger
 from mpcnet.net import LocalChannel
-from oracles import combine_commitments, fold_trail, random_circuit, reposted
+from mpcnet.runner import run_scenario
+from mpcnet.scenario import parse_scenario
+from oracles import (combine_commitments, fold_trail, random_circuit, reposted,
+                     reposted_trail, trail_records)
+from test_golden import ROOT, run_configs
+
+SCENARIOS = ROOT / "scenarios"
 
 
 @pytest.fixture
@@ -45,17 +52,11 @@ def run_pv_computation(env, n, broken=frozenset(), tamper_output=None):
 
 
 def forged_board(ledger, comp_id, kind, edit):
-    """A board that serves `ledger`, except that the trail batch holding
-    the first record of `kind` is served with `edit` applied to that
-    record in place."""
-    batches = json.loads(ledger.get(audit.trail_meta_key(comp_id)))["batches"]
-    for key in (audit.trail_key(comp_id, b) for b in range(batches)):
-        batch = json.loads(ledger.get(key))
-        record = next((rec for rec in batch if rec["kind"] == kind), None)
-        if record is not None:
-            break
-    edit(record)
-    return reposted(ledger, {key: audit.record_bytes(batch)})
+    """A board that serves `ledger`, except that the first trail record of
+    `kind` is posted with `edit` applied to it in place."""
+    records = trail_records(ledger, comp_id)
+    edit(next(rec for rec in records if rec["kind"] == kind))
+    return reposted_trail(ledger, comp_id, records)
 
 
 def test_honest_run_passes(setup101):
@@ -72,7 +73,7 @@ def test_trail_metadata_is_written_once_at_close(setup101, f101):
     comp_id = sha256(b"metadata-once")
     writer = audit.TrailWriter(ledger, comp_id, setup101["poster"], f101, 3)
     assert ledger.height == 0
-    writer.post_step({"kind": "marker"})
+    writer.post_input(sha256(b"marker"))
     writer.close()
     meta_key = audit.trail_meta_key(comp_id)
     assert [e.key for e in ledger.entries] == [audit.trail_key(comp_id, 0), meta_key]
@@ -86,13 +87,14 @@ def test_only_pending_commitments_are_flushed_before_an_opening(setup101, f101):
     ledger = Ledger()
     comp_id = sha256(b"commitments-first")
     writer = audit.TrailWriter(ledger, comp_id, setup101["poster"], f101, 3)
-    writer.post_step({"kind": "linear"})
+    linear = {"kind": "linear", "terms": [], "constant": 5}
+    triple = {"kind": "triple", "a": [1, 2, 3], "b": [4, 5, 6], "c": [7, 8, 9]}
+    writer.post_step(linear)
     writer.flush_commitments()
     assert ledger.height == 0
-    writer.post_step({"kind": "triple"})
+    writer.post_step(triple)
     writer.flush_commitments()
-    assert json.loads(ledger.get(audit.trail_key(comp_id, 0))) == [{"kind": "linear"},
-                                                                   {"kind": "triple"}]
+    assert trail_records(ledger, comp_id, 3, 101) == [linear, triple]
     writer.flush_commitments()
     writer.flush()
     assert ledger.height == 1
@@ -104,17 +106,18 @@ def test_a_second_writer_numbers_its_batches_after_the_first(setup101, f101):
     ledger = Ledger()
     comp_id = sha256(b"restart")
     aborted = audit.TrailWriter(ledger, comp_id, setup101["poster"], f101, 3)
-    aborted.post_step({"kind": "aborted"})
+    aborted.post_input(sha256(b"aborted"))
     aborted.flush()
     finished = audit.TrailWriter(ledger, comp_id, setup101["poster"], f101, 3)
-    finished.post_step({"kind": "finished"})
+    finished.post_input(sha256(b"finished"))
     finished.close()
     meta_key = audit.trail_meta_key(comp_id)
     assert [e.key for e in ledger.entries] == [audit.trail_key(comp_id, 0),
                                                audit.trail_key(comp_id, 1), meta_key]
     assert json.loads(ledger.get(meta_key)) == {"p": 101, "n": 3, "steps": 1, "first": 1,
                                                 "batches": 1}
-    assert json.loads(ledger.get(audit.trail_key(comp_id, 0))) == [{"kind": "aborted"}]
+    assert ledger.get(audit.trail_key(comp_id, 0)) == b"I" + sha256(b"aborted")
+    assert trail_records(ledger, comp_id) == [{"kind": "input", "sharing": sha256(b"finished")}]
 
 
 def test_pv_share_posts_n_commitments(setup101, f101):
@@ -125,10 +128,10 @@ def test_pv_share_posts_n_commitments(setup101, f101):
     writer = audit.TrailWriter(ledger, comp_id, env["poster"], f101, 4)
     share = audit.pv_share(33, 4, key, env["params"], writer, f101, env["rng"])
     writer.flush()
-    record = json.loads(ledger.get(audit.trail_key(comp_id, 0)))[share.step]
+    record = trail_records(ledger, comp_id, 4, 101)[share.step]
     assert record == {"kind": "input", "sharing": record["sharing"]}
     # 4 commitments of ceil(bits(607) / 8) = 2 bytes each, raw.
-    assert len(ledger.get(bytes.fromhex(record["sharing"]))) == 8
+    assert len(ledger.get(record["sharing"])) == 8
     commitments = audit.vss_commitments(ledger, record["sharing"], 4, env["params"])
     assert combine_commitments(commitments, env["params"]) == pedersen.commit(
         sum(s.value_share for s in share.value) % 101,
@@ -152,20 +155,19 @@ P101 = pedersen.setup(Field(101))
 # Malformed VSS records for 3 parties at p = 101, where a record is 3
 # commitments of 2 bytes: none is 6 bytes long. The JSON ones are the
 # record's earlier form, base64 inside JSON, and its malformed variants.
+RAW_RECORD_64 = base64.b64encode(pedersen.pack_commitments([5, 7, 9], P101)).decode()
 BAD_VSS_RECORDS = {
     "missing": None,
     "not-json": b"not json",
     "two-of-three": pedersen.pack_commitments([5, 7], P101),
     "not-a-list": b'{"commitments": 5}',
     "no-commitments": b"[1, 2, 3]",
-    "not-base64": json.dumps(
-        {"commitments": pedersen.encode_commitments([5, 7, 9], P101)[:-1]}).encode(),
+    "not-base64": json.dumps({"commitments": RAW_RECORD_64[:-1]}).encode(),
     "hex-list": b'{"commitments": ["0x5", "0x7", "0x9"]}',
     "empty": b"",
     "one-byte-short": pedersen.pack_commitments([5, 7, 9], P101)[:-1],
     "one-byte-long": pedersen.pack_commitments([5, 7, 9], P101) + b"\x00",
-    "json-form": audit.record_bytes(
-        {"commitments": pedersen.encode_commitments([5, 7, 9], P101)}),
+    "json-form": audit.record_bytes({"commitments": RAW_RECORD_64}),
 }
 
 
@@ -173,23 +175,24 @@ BAD_VSS_RECORDS = {
 def test_input_naming_a_bad_vss_record_is_incomplete(setup101, posted):
     # x's VSS record is first posted malformed, or never posted.
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
-    first = json.loads(ledger.get(audit.trail_key(comp_id, 0)))[0]
-    x_key = bytes.fromhex(first["sharing"])
+    x_key = trail_records(ledger, comp_id)[0]["sharing"]
     with pytest.raises(IncompleteTrail, match="VSS record"):
         audit.audit_trail(reposted(ledger, {x_key: posted}), comp_id)
 
 
-@pytest.mark.parametrize("name", [None, "zz", 7], ids=["no-name", "not-hex", "not-a-string"])
-def test_input_without_a_sharing_name_is_incomplete(setup101, name):
+@pytest.mark.parametrize("name", [
+    lambda comp_id: bytes(32),
+    lambda comp_id: audit.trail_key(comp_id, 0),
+    lambda comp_id: audit.trail_meta_key(comp_id),
+], ids=["zeros", "batch-key", "metadata-key"])
+def test_input_naming_no_vss_record_is_incomplete(setup101, name):
+    # The first input step names a key nobody posted, or one that holds a
+    # trail batch or the metadata record rather than n commitments.
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
-    first_key = audit.trail_key(comp_id, 0)
-    batch = json.loads(ledger.get(first_key))
-    batch[0].pop("sharing")
-    if name is not None:
-        batch[0]["sharing"] = name
-    forged = json.dumps(batch).encode()
+    records = trail_records(ledger, comp_id)
+    records[0]["sharing"] = name(comp_id)
     with pytest.raises(IncompleteTrail, match="VSS record"):
-        audit.audit_trail(reposted(ledger, {first_key: forged}), comp_id)
+        audit.audit_trail(reposted_trail(ledger, comp_id, records), comp_id)
 
 
 def test_single_broken_commitment_named_exactly(setup101):
@@ -250,13 +253,14 @@ def test_unclosed_trail_is_incomplete(setup101, f101):
 
 
 def test_short_openings_list_is_incomplete(setup101, f101):
-    # The output record opens two of the three parties.
+    # The output record opens two of the three parties, so the step is
+    # cut short by the two elements it lacks.
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
 
     def shorten(rec):
-        rec["openings"] = pedersen.encode_openings([[0, 0], [0, 0]], f101)
+        rec["openings"] = [0, 0, 0, 0]
 
-    with pytest.raises(IncompleteTrail, match="expected 6 bytes, got 4"):
+    with pytest.raises(IncompleteTrail, match="step 5 is cut short"):
         audit.audit_trail(forged_board(ledger, comp_id, "output", shorten), comp_id)
 
 
@@ -280,12 +284,10 @@ def test_posted_opening_outside_the_field_is_incomplete(setup_m61, name, party, 
     ledger, comp_id, _ = run_pv_computation(setup_m61, 4)
 
     def lift(beaver):
-        opens = [list(pair) for pair in pedersen.decode_openings(beaver[name], 4, field)]
-        opens[party][part] += multiple * field.p
-        beaver[name] = pedersen.encode_openings(opens, field)
+        beaver[name][2 * party + part] += multiple * field.p
 
     assert audit.audit_trail(ledger, comp_id).ok
-    with pytest.raises(IncompleteTrail, match="out of field range"):
+    with pytest.raises(IncompleteTrail, match="not below p"):
         audit.audit_trail(forged_board(ledger, comp_id, "beaver", lift), comp_id)
 
 
@@ -305,10 +307,9 @@ def test_false_output_opening_blames_party(setup101, f101):
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
 
     def shift(rec):
-        opens = [list(pair) for pair in pedersen.decode_openings(rec["openings"], 3, f101)]
-        opens[2][0] = (opens[2][0] + 1) % 101
-        rec["openings"] = pedersen.encode_openings(opens, f101)
-        rec["value"] = sum(s for s, _ in opens) % 101
+        opens = rec["openings"]
+        opens[4] = (opens[4] + 1) % 101
+        rec["value"] = sum(opens[0::2]) % 101
 
     report = audit.audit_trail(forged_board(ledger, comp_id, "output", shift), comp_id)
     assert not report.ok
@@ -322,9 +323,7 @@ def test_zero_triple_commitment_names_its_party(setup101):
     params = setup101["params"]
 
     def zero(triple):
-        a = pedersen.decode_commitments(triple["a"], 3, params)
-        a[1] = params.q
-        triple["a"] = pedersen.encode_commitments(a, params)
+        triple["a"][1] = params.q
 
     report = audit.audit_trail(forged_board(ledger, comp_id, "triple", zero), comp_id)
     assert not report.ok
@@ -353,14 +352,11 @@ def test_unusual_linear_steps_fold_like_the_step_fold(setup101, f101):
     v = audit.pv_linear([(1, x)], 0, key, field, writer)
     assert audit.pv_output(v, field, writer) == 4
     writer.close()
-    meta_key = audit.trail_meta_key(comp_id)
-    batches = [json.loads(ledger.get(audit.trail_key(comp_id, b)))
-               for b in range(json.loads(ledger.get(meta_key))["batches"])]
-    records = [rec for batch in batches for rec in batch]
+    records = trail_records(ledger, comp_id)
     report = audit.audit_trail(ledger, comp_id)
     assert report.ok and report == fold_trail(ledger, records, n, 101)
-    x_key = bytes.fromhex(records[x.step]["sharing"])
-    x_commitments = audit.vss_commitments(ledger, x_key.hex(), n, params)
+    x_key = records[x.step]["sharing"]
+    x_commitments = audit.vss_commitments(ledger, x_key, n, params)
     x_commitments[1] += params.q
     board = reposted(ledger, {x_key: pedersen.pack_commitments(x_commitments, params)})
     assert audit.audit_trail(board, comp_id) == fold_trail(board, records, n, 101)
@@ -371,15 +367,9 @@ def test_linear_step_without_terms_folds_like_the_step_fold(setup101):
     # g^5 on party 0 and 1 elsewhere, which the posted output openings of
     # 2*(x*y) + 1 do not open.
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
-    batches = json.loads(ledger.get(audit.trail_meta_key(comp_id)).decode())["batches"]
-    posted = {audit.trail_key(comp_id, b): json.loads(ledger.get(audit.trail_key(comp_id, b)))
-              for b in range(batches)}
-    key, batch = next((k, batch) for k, batch in posted.items()
-                      if any(rec["kind"] == "linear" for rec in batch))
-    next(rec for rec in batch if rec["kind"] == "linear").update(terms=[], constant=5)
-    board = reposted(ledger, {key: json.dumps(batch).encode()})
-    records = [rec for b in range(batches) for rec in
-               json.loads(board.get(audit.trail_key(comp_id, b)))]
+    board = forged_board(ledger, comp_id, "linear",
+                         lambda rec: rec.update(terms=[], constant=5))
+    records = trail_records(board, comp_id)
     report = audit.audit_trail(board, comp_id)
     assert report == fold_trail(board, records, 3, 101)
     assert report.guilty == (0, 1, 2)
@@ -412,30 +402,16 @@ def test_shared_exponents_fold_like_the_step_fold(setup101, f101):
     w2 = audit.pv_linear([(minus_one, w1), (1, t)], 1, key, field, writer)
     assert audit.pv_output(w2, field, writer) == (2 * 12 + 12 * 5 + 60 + 1) % field.p
     writer.close()
-    meta_key = audit.trail_meta_key(comp_id)
-    batches = [json.loads(ledger.get(audit.trail_key(comp_id, b)))
-               for b in range(json.loads(ledger.get(meta_key))["batches"])]
-    records = [rec for batch in batches for rec in batch]
+    records = trail_records(ledger, comp_id)
     assert audit.audit_trail(ledger, comp_id) == fold_trail(ledger, records, n, 101)
     assert audit.audit_trail(ledger, comp_id).ok
 
     x_commitments = audit.vss_commitments(ledger, records[x.step]["sharing"], n, params)
     forged = copy.deepcopy(records)
     triple_rec = forged[triple[0].step]
-    a, b, c = (pedersen.decode_commitments(triple_rec[name], n, params) for name in "abc")
-    b[1] = a[1]
-    c[1] = x_commitments[1]
-    triple_rec["b"] = pedersen.encode_commitments(b, params)
-    triple_rec["c"] = pedersen.encode_commitments(c, params)
-
-    def board_of(records):
-        values, at = {}, 0
-        for b, batch in enumerate(batches):
-            values[audit.trail_key(comp_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
-            at += len(batch)
-        return reposted(ledger, values)
-
-    board = board_of(forged)
+    triple_rec["b"][1] = triple_rec["a"][1]
+    triple_rec["c"][1] = x_commitments[1]
+    board = reposted_trail(ledger, comp_id, forged)
     assert audit.audit_trail(board, comp_id) == fold_trail(board, forged, n, 101)
     assert audit.audit_trail(board, comp_id).guilty == (1,)
     cases = 0
@@ -445,11 +421,9 @@ def test_shared_exponents_fold_like_the_step_fold(setup101, f101):
                 for i in range(n if name in rec else 0):
                     for part, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
                         tampered = copy.deepcopy(posted)
-                        opens = [list(pair) for pair in
-                                 pedersen.decode_openings(rec[name], n, field)]
-                        opens[i][part] = (opens[i][part] + shift) % field.p
-                        tampered[step][name] = pedersen.encode_openings(opens, field)
-                        board = board_of(tampered)
+                        opens = tampered[step][name]
+                        opens[2 * i + part] = (opens[2 * i + part] + shift) % field.p
+                        board = reposted_trail(ledger, comp_id, tampered)
                         expected = fold_trail(board, tampered, n, 101)
                         assert not expected.ok
                         assert audit.audit_trail(board, comp_id) == expected, (step, name, i)
@@ -462,23 +436,22 @@ def test_shared_exponents_fold_like_the_step_fold(setup101, f101):
     (lambda meta: meta.update(batches="2"), None),
     (lambda meta: meta.pop("first"), None),
     (lambda meta: meta.update(first=1), None),
-    (None, lambda batch: batch[0]),
-    (None, lambda batch: [batch]),
+    (None, lambda batch: batch[:33]),
+    (None, lambda batch: json.dumps([list(batch)]).encode()),
 ], ids=["no-batch-count", "batch-count-string", "no-first-batch", "first-batch-shifted",
         "batch-is-a-record", "batch-of-lists"])
 def test_malformed_trail_is_incomplete(setup101, meta_edit, batch_edit):
     # Metadata without an integer batch count (as in a per-step trail) or
-    # first batch, metadata naming a batch the board lacks, and a batch
-    # that is not a list of records are incomplete trails.
+    # first batch, metadata naming a batch the board lacks, a batch that
+    # is one record (its first step alone), and a batch posted as a JSON
+    # list of lists are incomplete trails.
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
     meta_key = audit.trail_meta_key(comp_id)
     board = {meta_key: ledger.get(meta_key)}
     meta = json.loads(board[meta_key])
     for b in range(meta["batches"]):
-        batch = json.loads(ledger.get(audit.trail_key(comp_id, b)))
-        if batch_edit:
-            batch = batch_edit(batch)
-        board[audit.trail_key(comp_id, b)] = json.dumps(batch).encode()
+        batch = ledger.get(audit.trail_key(comp_id, b))
+        board[audit.trail_key(comp_id, b)] = batch_edit(batch) if batch_edit else batch
     if meta_edit:
         meta_edit(meta)
         board[meta_key] = json.dumps(meta).encode()
@@ -486,56 +459,117 @@ def test_malformed_trail_is_incomplete(setup101, meta_edit, batch_edit):
         audit.audit_trail(board, comp_id)
 
 
-# The base64 fields a trail record holds: commitments, then openings.
-BASE64_FIELDS = [("triple", "a"), ("beaver", "eps_openings"), ("output", "openings")]
+def edited_batch(edit):
+    """Post run_pv_computation's last batch (Beaver, linear and output
+    steps 3 to 5) with `edit` applied to its bytes."""
+    def forge(ledger, comp_id):
+        key = audit.trail_key(comp_id, 1)
+        return reposted(ledger, {key: edit(ledger.get(key))})
+    return forge
 
-# One edit per kind of base64 field that load_dump refuses as a dump value.
-MALFORMED_BASE64 = {
-    "outside-the-alphabet": lambda text: text[:1] + "-" + text[2:],
-    "padding-missing": lambda text: text[:-1],
-    "padding-inside": lambda text: text[:4] + "=" + text[5:],
-    "only-padding": lambda text: "==",
-    "non-ascii": lambda text: text[:1] + "\u00e9" + text[2:],
+
+def edited_step(kind, edit):
+    """Post the first step of `kind` with `edit` applied to its record."""
+    return lambda ledger, comp_id: forged_board(ledger, comp_id, kind, edit)
+
+
+# One case per way the step parser refuses a batch, at p = 101 (e = 1).
+MALFORMED_STEPS = {
+    "cut-short": (edited_batch(lambda batch: batch[:-1]), "step 5 is cut short"),
+    "bytes-after-the-last-step": (edited_batch(lambda batch: batch + b"I" + bytes(32)),
+                                  "bytes after the last step, 5"),
+    "unknown-kind": (edited_batch(lambda batch: b"X" + batch[1:]),
+                     "step 3 has the unknown kind letter b'X'"),
+    "opening-p": (edited_step("beaver",
+                              lambda rec: rec.update(eps_openings=[101] + rec["eps_openings"][1:])),
+                  "step 3 holds an element not below"),
+    "coefficient-p": (edited_step("linear", lambda rec: rec.update(terms=[(101, 3)])),
+                      "step 4 holds an element not below"),
+    "constant-p": (edited_step("linear", lambda rec: rec.update(constant=101)),
+                   "step 4 holds an element not below"),
+    "value-p": (edited_step("output", lambda rec: rec.update(value=101)),
+                "step 5 holds an element not below"),
+    "source-is-itself": (edited_step("output", lambda rec: rec.update(source=5)),
+                         "step 5 names step 5, which is not an earlier step"),
+    "triple-is-later": (edited_step("beaver", lambda rec: rec.update(triple=4)),
+                        "step 3 names step 4, which is not an earlier step"),
 }
 
 
-def field_decoder(kind: str, env):
-    if kind == "triple":
-        return lambda text: pedersen.decode_commitments(text, 3, env["params"])
-    return lambda text: pedersen.decode_openings(text, 3, env["field"])
-
-
-@pytest.mark.parametrize("edit", MALFORMED_BASE64.values(), ids=MALFORMED_BASE64.keys())
-@pytest.mark.parametrize("kind, name", BASE64_FIELDS)
-def test_malformed_base64_field_is_refused_and_incomplete(setup101, kind, name, edit):
+@pytest.mark.parametrize("forge, match", MALFORMED_STEPS.values(), ids=MALFORMED_STEPS.keys())
+def test_malformed_step_is_incomplete(setup101, forge, match):
     ledger, comp_id, _ = run_pv_computation(setup101, 3)
-    decode = field_decoder(kind, setup101)
-
-    def forge(rec):
-        decode(rec[name])
-        rec[name] = edit(rec[name])
-        with pytest.raises(ValueError):
-            decode(rec[name])
-
-    with pytest.raises(IncompleteTrail):
-        audit.audit_trail(forged_board(ledger, comp_id, kind, forge), comp_id)
+    assert audit.audit_trail(ledger, comp_id).ok
+    with pytest.raises(IncompleteTrail, match=re.escape(match)):
+        audit.audit_trail(forge(ledger, comp_id), comp_id)
 
 
-@pytest.mark.parametrize("kind, name", BASE64_FIELDS)
-def test_padding_past_the_encoding_is_incomplete(setup101, kind, name):
-    # Strict base64 decoding reads the field with one "=" appended as it
-    # reads the field; the decoders, like load_dump, refuse it.
-    ledger, comp_id, _ = run_pv_computation(setup101, 3)
-    decode = field_decoder(kind, setup101)
+def posted_batches(board, comp_id) -> dict:
+    """{key: bytes} of a closed trail's batches."""
+    meta = json.loads(board.get(audit.trail_meta_key(comp_id)))
+    return {key: board.get(key) for key in (audit.trail_key(comp_id, b) for b in range(
+        meta["first"], meta["first"] + meta["batches"]))}
 
-    def forge(rec):
-        assert base64.b64decode(rec[name] + "=", validate=True) == base64.b64decode(rec[name])
-        rec[name] += "="
-        with pytest.raises(ValueError, match="characters do not encode"):
-            decode(rec[name])
 
-    with pytest.raises(IncompleteTrail, match="characters do not encode"):
-        audit.audit_trail(forged_board(ledger, comp_id, kind, forge), comp_id)
+def test_no_edit_of_a_batch_makes_the_auditor_crash(setup101):
+    # select.scn's trail (M61, n = 3) and a p = 101 trail of a seeded
+    # random circuit: every strict prefix of each batch, each batch with
+    # one byte appended, and 150 seeded single-byte edits per batch make
+    # audit_trail return a report or raise IncompleteTrail, nothing else.
+    result = run_scenario(parse_scenario(SCENARIOS / "select.scn"))
+    trails = [(result.runtime.ledger, result.trace.computation_id)]
+    comp_id = sha256(b"never-crashes")
+    trails.append((pv_trail(random_circuit(random.Random(5), max_gates=12), 3, setup101,
+                            comp_id), comp_id))
+    rng = random.Random(35)
+    outcomes = {"report": 0, "incomplete": 0}
+    for board, comp_id in trails:
+        for key, batch in posted_batches(board, comp_id).items():
+            forged = [batch[:cut] for cut in range(len(batch))] + [batch + b"\x00"]
+            for _ in range(150):
+                at = rng.randrange(len(batch))
+                byte = rng.choice([b for b in range(256) if b != batch[at]])
+                forged.append(batch[:at] + bytes([byte]) + batch[at + 1:])
+            for data in forged:
+                try:
+                    audit.audit_trail(reposted(board, {key: data}), comp_id)
+                    outcomes["report"] += 1
+                except IncompleteTrail:
+                    outcomes["incomplete"] += 1
+    assert outcomes["report"] and outcomes["incomplete"]
+
+
+def step_size(rec, n: int, w: int, e: int) -> int:
+    """A step's posted length by the layout's formula."""
+    return {"input": 33, "triple": 1 + 3 * n * w,
+            "linear": 5 + len(rec.get("terms", ())) * (e + 4) + e,
+            "beaver": 13 + 4 * n * e, "output": 5 + (2 * n + 1) * e}[rec["kind"]]
+
+
+@pytest.mark.parametrize("source", ["select", "wide-pass1/dot32-spdz"])
+def test_each_batch_is_as_long_as_the_layout_says(source):
+    # Over M61 w = 9 and e = 8. Pass 1 of dot32-spdz (n = 15): 64 inputs
+    # and 32 triples, then 32 Beaver steps, 31 two-term linear steps and
+    # one output, 32,280 bytes in all.
+    cfg = (parse_scenario(SCENARIOS / "select.scn") if source == "select"
+           else run_configs()[source])
+    result = run_scenario(cfg)
+    board, comp_id = result.runtime.ledger, result.trace.computation_id
+    meta = json.loads(board.get(audit.trail_meta_key(comp_id)))
+    n, field = meta["n"], Field(meta["p"])
+    params = pedersen.setup(field)
+    w, e = pedersen.width(params), field.elem_size
+    assert (w, e) == (9, 8)
+    start = 0
+    total = 0
+    for batch in posted_batches(board, comp_id).values():
+        records = audit.parse_steps(batch, n, field, params, start)
+        assert len(batch) == sum(step_size(rec, n, w, e) for rec in records)
+        assert audit.pack_steps(records, field, params) == batch
+        start += len(records)
+        total += len(batch)
+    if source != "select":
+        assert n == 15 and total == 32_280
 
 
 @pytest.mark.parametrize("p", [101, M61], ids=["p101", "M61"])
@@ -672,10 +706,7 @@ def test_audit_agrees_with_the_step_fold_on_random_circuits(setup101):
     for case in range(100):
         comp_id = sha256(b"differential" + case.to_bytes(2, "big"))
         ledger = pv_trail(random_circuit(rng), n, setup101, comp_id)
-        meta = json.loads(ledger.get(audit.trail_meta_key(comp_id)))
-        batches = [json.loads(ledger.get(audit.trail_key(comp_id, b)))
-                   for b in range(meta["batches"])]
-        records = [rec for batch in batches for rec in batch]
+        records = trail_records(ledger, comp_id)
         report = audit.audit_trail(ledger, comp_id)
         assert report.ok and report == fold_trail(ledger, records, n, 101), case
 
@@ -685,23 +716,13 @@ def test_audit_agrees_with_the_step_fold_on_random_circuits(setup101):
         triples = [step for step, rec in enumerate(forged) if rec["kind"] == "triple"]
         i = rng.randrange(n)
         if triples and rng.random() < 0.5:
-            rec = forged[rng.choice(triples)]
-            name = rng.choice("abc")
-            bases = pedersen.decode_commitments(rec[name], n, params)
+            bases = forged[rng.choice(triples)][rng.choice("abc")]
             bases[i] = rng.choice((0, q, bases[i] + q))
-            rec[name] = pedersen.encode_commitments(bases, params)
         else:
             step, name = rng.choice(opened)
-            opens = [list(pair) for pair in
-                     pedersen.decode_openings(forged[step][name], n, setup101["field"])]
-            part = rng.randrange(2)
-            opens[i][part] = (opens[i][part] + rng.choice((1, -1))) % 101
-            forged[step][name] = pedersen.encode_openings(opens, setup101["field"])
-        values, at = {}, 0
-        for b, batch in enumerate(batches):
-            values[audit.trail_key(comp_id, b)] = json.dumps(forged[at:at + len(batch)]).encode()
-            at += len(batch)
-        board = reposted(ledger, values)
+            at = 2 * i + rng.randrange(2)
+            forged[step][name][at] = (forged[step][name][at] + rng.choice((1, -1))) % 101
+        board = reposted_trail(ledger, comp_id, forged)
         report = audit.audit_trail(board, comp_id)
         assert report == fold_trail(board, forged, n, 101), case
         tampered_ok += report.ok

@@ -2,15 +2,18 @@ import base64
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from mpcnet import audit, pedersen
 from mpcnet.audit import trail_key, trail_meta_key
 from mpcnet.cli import main
-from mpcnet.field import M61
+from mpcnet.field import M61, Field
+from mpcnet.ledger import load_dump
 from oracles import keypair_from_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,10 +213,10 @@ def test_audit_dump_with_a_bad_vss_record(tmp_path, capsys, edit):
     capsys.readouterr()
     trace = (outdir / "trace.txt").read_text()
     comp_id = re.search(r"computation=([0-9a-f]{64})", trace).group(1)
-    first_batch = trail_key(bytes.fromhex(comp_id), 0).hex()
     lines = [line.split("\t") for line in (outdir / "ledger.tsv").read_text().splitlines()]
-    batch = next(json.loads(base64.b64decode(v)) for _, k, v, _ in lines if k == first_batch)
-    vss = next(rec["sharing"] for rec in batch if rec["kind"] == "input")
+    board = load_dump((outdir / "ledger.tsv").read_text())
+    vss = next(rec["sharing"] for *_, rec in posted_steps(board, bytes.fromhex(comp_id))
+               if rec["kind"] == "input").hex()
     edited = []
     for height, key, value64, author in lines:
         if key == vss:
@@ -231,60 +234,79 @@ def without(record: dict, field: str) -> dict:
     return {k: v for k, v in record.items() if k != field}
 
 
-def one_byte_short(blob: str) -> str:
-    return base64.b64encode(base64.b64decode(blob)[:-1]).decode()
+def posted_steps(board, comp_id: bytes) -> list:
+    """(batch key, batch bytes, offset in the batch, record) of every step
+    of the closed trail at `comp_id`."""
+    meta = json.loads(board.get(trail_meta_key(comp_id)))
+    field = Field(meta["p"])
+    params = pedersen.setup(field)
+    steps = []
+    for b in range(meta["first"], meta["first"] + meta["batches"]):
+        key = trail_key(comp_id, b)
+        batch = board.get(key)
+        records = audit.parse_steps(batch, meta["n"], field, params, len(steps))
+        steps += [(key, batch, len(audit.pack_steps(records[:i], field, params)), rec)
+                  for i, rec in enumerate(records)]
+    return steps
 
 
-def first_element_p(blob: str) -> str:
-    """An openings blob whose first element is p (M61), one past the field."""
-    raw = base64.b64decode(blob)
-    return base64.b64encode(M61.to_bytes(8, "big") + raw[8:]).decode()
+def write_edited(src: Path, dst: Path, values: dict):
+    """`src`'s dump written to `dst`, with each key in `values` holding
+    values[key] instead."""
+    lines = []
+    for line in src.read_text().splitlines():
+        height, key, value64, author = line.split("\t")
+        if bytes.fromhex(key) in values:
+            value64 = base64.b64encode(values[bytes.fromhex(key)]).decode()
+        lines.append("\t".join((height, key, value64, author)))
+    dst.write_text("\n".join(lines) + "\n")
 
 
+def spliced(batch: bytes, at: int, drop: int, insert: bytes = b"") -> bytes:
+    return batch[:at] + insert + batch[at + drop:]
+
+
+# Over M61 an element is 8 bytes and a commitment 9. A Beaver step is its
+# letter, three 4-byte step indices, then 2n eps and 2n delta elements.
 @pytest.mark.parametrize("part, edit", [
-    ("beaver", lambda rec: without(rec, "x")),
-    ("beaver", lambda rec: {**rec, "x": 99}),
-    ("input", lambda rec: without(rec, "kind")),
+    ("beaver", lambda batch, at, rec: spliced(batch, at + 1, 4)),
+    ("beaver", lambda batch, at, rec: spliced(batch, at + 1, 4, (99).to_bytes(4, "big"))),
+    ("input", lambda batch, at, rec: spliced(batch, at, 1)),
     ("meta", lambda meta: "{not json"),
     ("meta", lambda meta: without(meta, "p")),
     ("meta", lambda meta: {**meta, "p": 100}),
-    ("beaver", lambda rec: {**rec, "eps_openings": [1, 2, 3]}),
-    ("triple", lambda rec: {**rec, "a": one_byte_short(rec["a"])}),
-    ("beaver", lambda rec: {**rec, "delta_openings": first_element_p(rec["delta_openings"])}),
+    ("beaver", lambda batch, at, rec: spliced(
+        batch, at + 13 + (len(rec["eps_openings"]) - 1) * 8, 8)),
+    ("triple", lambda batch, at, rec: spliced(batch, at + len(rec["a"]) * 9, 1)),
+    ("beaver", lambda batch, at, rec: spliced(
+        batch, at + 13 + len(rec["eps_openings"]) * 8, 8, M61.to_bytes(8, "big"))),
 ], ids=["beaver-without-x", "beaver-x-names-step-99", "record-without-kind",
         "meta-not-json", "meta-without-p", "meta-p-not-prime", "eps-openings-not-pairs",
         "triple-a-one-byte-short", "delta-opening-not-below-p"])
 def test_audit_malformed_trail_is_an_incomplete_trail(tmp_path, capsys, part, edit):
-    # A trail whose metadata or first record of one kind lacks a field, or
-    # holds one of the wrong type or range, is an incomplete trail: exit 1
-    # and no traceback.
+    # A trail whose metadata lacks a field or holds one of the wrong type or
+    # range, or whose first step of one kind loses its x index, its kind
+    # letter, an eps element or a byte of its a vector, names step 99 as x,
+    # or opens delta with the element p, is an incomplete trail: exit 1 and
+    # no traceback.
     outdir = tmp_path / "out"
     run_cli("run", SCENARIOS / "broken.scn", "--out", outdir)
     capsys.readouterr()
     trace = (outdir / "trace.txt").read_text()
-    comp_id = re.search(r"computation=([0-9a-f]{64})", trace).group(1)
-    meta_key = trail_meta_key(bytes.fromhex(comp_id)).hex()
-    batch_keys = {trail_key(bytes.fromhex(comp_id), b).hex() for b in range(16)}
-    edited, done = [], False
-    for line in (outdir / "ledger.tsv").read_text().splitlines():
-        height, key, value64, author = line.split("\t")
-        value = None
-        if part == "meta" and key == meta_key:
-            value = edit(json.loads(base64.b64decode(value64)))
-        elif part != "meta" and key in batch_keys and not done:
-            records = json.loads(base64.b64decode(value64))
-            pos = next((i for i, rec in enumerate(records) if rec["kind"] == part), None)
-            if pos is not None:
-                records[pos], done = edit(records[pos]), True
-                value = records
-        if value is not None:
-            raw = value.encode() if isinstance(value, str) else json.dumps(value).encode()
-            value64 = base64.b64encode(raw).decode()
-        edited.append("\t".join((height, key, value64, author)))
+    comp_id = bytes.fromhex(re.search(r"computation=([0-9a-f]{64})", trace).group(1))
+    board = load_dump((outdir / "ledger.tsv").read_text())
+    if part == "meta":
+        key = trail_meta_key(comp_id)
+        value = edit(json.loads(board.get(key)))
+        value = value.encode() if isinstance(value, str) else json.dumps(value).encode()
+    else:
+        key, batch, at, rec = next(step for step in posted_steps(board, comp_id)
+                                   if step[3]["kind"] == part)
+        value = edit(batch, at, rec)
     dump = tmp_path / "malformed.tsv"
-    dump.write_text("\n".join(edited) + "\n")
+    write_edited(outdir / "ledger.tsv", dump, {key: value})
     assert dump.read_text() != (outdir / "ledger.tsv").read_text()
-    assert run_cli("audit", dump, "--id", comp_id) == 1
+    assert run_cli("audit", dump, "--id", comp_id.hex()) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: incomplete trail") and "Traceback" not in err
 
@@ -352,13 +374,16 @@ def test_cli_import_loads_no_numpy():
     assert probe.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("coefficient", [2.5, -1, "p"], ids=["float", "negative", "p"])
+@pytest.mark.parametrize("coefficient", [
+    struct.pack(">d", 2.5), (-1).to_bytes(8, "big", signed=True), M61.to_bytes(8, "big"),
+], ids=["float", "negative", "p"])
 def test_audit_linear_coefficient_outside_the_field_is_an_incomplete_trail(
         tmp_path, capsys, coefficient):
     # The writer posts every linear coefficient mod p. In an 8-product SPDZ
     # dot trail, whose output the auditor evaluates with the bucket method,
-    # a last linear record whose last coefficient is not an integer in
-    # [0, p) is an incomplete trail: exit 1 and no traceback.
+    # a last linear step whose last coefficient's 8 bytes hold 2.5 as an
+    # IEEE double, -1 in two's complement, or p, each an integer >= p, is an
+    # incomplete trail: exit 1 and no traceback.
     k = 8
     circuit = tmp_path / "dot8.circ"
     circuit.write_text("\n".join(
@@ -374,26 +399,12 @@ def test_audit_linear_coefficient_outside_the_field_is_an_incomplete_trail(
     capsys.readouterr()
     trace = (outdir / "trace.txt").read_text()
     comp_id = bytes.fromhex(re.search(r"computation=([0-9a-f]{64})", trace).group(1))
-    lines = [line.split("\t") for line in (outdir / "ledger.tsv").read_text().splitlines()]
-    values = {key: value64 for _, key, value64, _ in lines}
-
-    def posted(key):
-        return json.loads(base64.b64decode(values[key.hex()]))
-
-    meta = posted(trail_meta_key(comp_id))
-    batch_key = next(key for key in (trail_key(comp_id, b).hex()
-                                     for b in reversed(range(meta["batches"])))
-                     if any(rec["kind"] == "linear" for rec in posted(bytes.fromhex(key))))
-    records = posted(bytes.fromhex(batch_key))
-    linear = [rec for rec in records if rec["kind"] == "linear"][-1]
-    linear["terms"][-1][0] = meta["p"] if coefficient == "p" else coefficient
-    edited = []
-    for height, key, value64, author in lines:
-        if key == batch_key:
-            value64 = base64.b64encode(json.dumps(records).encode()).decode()
-        edited.append("\t".join((height, key, value64, author)))
+    board = load_dump((outdir / "ledger.tsv").read_text())
+    key, batch, at, rec = [step for step in posted_steps(board, comp_id)
+                           if step[3]["kind"] == "linear"][-1]
+    last = at + 5 + (len(rec["terms"]) - 1) * 12
     dump = tmp_path / "coefficient.tsv"
-    dump.write_text("\n".join(edited) + "\n")
+    write_edited(outdir / "ledger.tsv", dump, {key: spliced(batch, last, 8, coefficient)})
     assert run_cli("audit", dump, "--id", comp_id.hex()) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: incomplete trail") and "Traceback" not in err

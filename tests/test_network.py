@@ -32,7 +32,7 @@ from mpcnet.spdz import gen_mac_key
 from mpcnet.trace import ComputationTrace
 from mpcnet.keys import sha256, shared_key, verify
 from oracles import (eavesdrop, fold_trail, keypair_from_text, length_sequence, rand_nonzero,
-                     random_circuit, reposted)
+                     random_circuit, reposted, reposted_trail, trail_records)
 
 MEAN3 = """
 in x0
@@ -193,7 +193,7 @@ def test_share_posts_n_commitments():
                              rt=rt, rng=rng, committee=committee)
     from mpcnet.network import sharing_key
     sharing = sharing_key(ident.addr, "x")
-    assert len(audit.vss_commitments(rt.ledger, sharing.hex(), 3, rt.params)) == 3
+    assert len(audit.vss_commitments(rt.ledger, sharing, 3, rt.params)) == 3
     (tx, heights), = rt.ledger.accepted[accepted:]
     assert tx.sender == owners[0].sign_pk
     assert [rt.ledger.entries[h - 1].key for h in heights] == \
@@ -270,7 +270,8 @@ P101 = pedersen.setup(Field(101))
     b"",
     pedersen.pack_commitments([5, 7, 9], P101)[:-1],
     pedersen.pack_commitments([5, 7, 9], P101) + b"\x00",
-    audit.record_bytes({"commitments": pedersen.encode_commitments([5, 7, 9], P101)}),
+    audit.record_bytes({"commitments": base64.b64encode(
+        pedersen.pack_commitments([5, 7, 9], P101)).decode()}),
 ], ids=["not-json", "one-of-three", "empty", "one-byte-short", "one-byte-long", "json-form"])
 def test_declassify_with_a_malformed_vss_record_raises_value_error(posted):
     # The owner posts a malformed record at the sharing id before sharing,
@@ -592,32 +593,27 @@ def test_audited_trail_posts_two_transactions_whatever_the_depth(text):
     assert audit.audit_trail(rt.ledger, trace.computation_id).ok
 
 
-def posted_trail(ledger, computation_id):
-    """(list of batches, VSS records by sharing) of a closed trail, as
-    first posted; a VSS record is the base64 of its bytes."""
-    meta = json.loads(ledger.get(audit.trail_meta_key(computation_id)))
-    batches = [json.loads(ledger.get(audit.trail_key(computation_id, b)))
-               for b in range(meta["batches"])]
-    vss = {rec["sharing"]: base64.b64encode(ledger.first(bytes.fromhex(rec["sharing"])).value)
-           .decode() for batch in batches for rec in batch if rec["kind"] == "input"}
-    return batches, vss
+def posted_trail(ledger, computation_id, n, params):
+    """(step records, VSS commitments by sharing id) of a closed trail, as
+    first posted."""
+    records = trail_records(ledger, computation_id)
+    vss = {rec["sharing"]: audit.vss_commitments(ledger, rec["sharing"], n, params)
+           for rec in records if rec["kind"] == "input"}
+    return records, vss
 
 
-def repost(ledger, computation_id, batches, records, vss):
+def repost(ledger, computation_id, records, vss, params):
     """`ledger` with `records` in the trail's original batches and the VSS
-    records `vss` as their first postings."""
-    values = {bytes.fromhex(sharing): base64.b64decode(record) for sharing, record in vss.items()}
-    at = 0
-    for b, batch in enumerate(batches):
-        values[audit.trail_key(computation_id, b)] = json.dumps(records[at:at + len(batch)]).encode()
-        at += len(batch)
-    return reposted(ledger, values)
+    commitments `vss` as their first postings."""
+    return reposted(reposted_trail(ledger, computation_id, records),
+                    {sharing: pedersen.pack_commitments(commitments, params)
+                     for sharing, commitments in vss.items()})
 
 
 def tamper(records, vss, params, n, rng):
-    """Copies of the record list and the VSS records with one fault: +-1
-    mod p on an opening's share or blinding, or a posted input or triple
-    commitment set to 0, q, q + c or another party's."""
+    """Copies of the record list and the VSS commitments with one fault:
+    +-1 mod p on an opening's share or blinding, or a posted input or
+    triple commitment set to 0, q, q + c or another party's."""
     records, vss = copy.deepcopy((records, vss))
     field, q = Field(params.p), params.q
     opened = [(rec, name) for rec in records for name in
@@ -630,17 +626,13 @@ def tamper(records, vss, params, n, rng):
             posted += [(rec, "a"), (rec, "b"), (rec, "c")]
     if opened and rng.random() < 0.5:
         rec, name = rng.choice(opened)
-        opens = [list(pair) for pair in pedersen.decode_openings(rec[name], n, field)]
-        row = rng.choice(opens)
-        part = rng.randrange(2)
-        row[part] = (row[part] + rng.choice((1, -1))) % field.p
-        rec[name] = pedersen.encode_openings(opens, field)
+        at = 2 * rng.randrange(len(rec[name]) // 2) + rng.randrange(2)
+        rec[name][at] = (rec[name][at] + rng.choice((1, -1))) % field.p
     else:
         holder, name = rng.choice(posted)
-        vector = pedersen.decode_commitments(holder[name], n, params)
+        vector = holder[name]
         i = rng.randrange(len(vector))
         vector[i] = rng.choice((0, q, q + vector[i], vector[(i + 1) % len(vector)]))
-        holder[name] = pedersen.encode_commitments(vector, params)
     return records, vss
 
 
@@ -664,12 +656,11 @@ def test_batched_audit_matches_step_fold_on_tampered_trails():
         protocol_compute(owners[0], "owner0", ident.addr, ptrs, circ, rt, trace,
                          env_rng, mac_key=mac_key)
         cid = trace.computation_id
-        batches, vss = posted_trail(rt.ledger, cid)
-        records = [rec for batch in batches for rec in batch]
+        records, vss = posted_trail(rt.ledger, cid, n, rt.params)
         assert audit.audit_trail(rt.ledger, cid) == fold_trail(rt.ledger, records, n, p)
         for _ in range(12):
             forged, forged_vss = tamper(records, vss, rt.params, n, rng)
-            board = repost(rt.ledger, cid, batches, forged, forged_vss)
+            board = repost(rt.ledger, cid, forged, forged_vss, rt.params)
             expected = fold_trail(board, forged, n, p)
             assert audit.audit_trail(board, cid) == expected, (trail, forged, forged_vss)
             cases += 1
@@ -695,15 +686,15 @@ def test_vss_record_rewritten_after_compute_blames_nobody():
     honest = audit.audit_trail(rt.ledger, cid)
     assert honest.ok
     sharing = network.sharing_key(ident.addr, "v0")
-    commitments = audit.vss_commitments(rt.ledger, sharing.hex(), 3, rt.params)
+    commitments = audit.vss_commitments(rt.ledger, sharing, 3, rt.params)
     commitments[1] = commitments[1] * rt.params.g % rt.params.q
     record = pedersen.pack_commitments(commitments, rt.params)
     rewrite_vss(rt, owners[0], sharing, record)
     assert rt.ledger.get(sharing) == record
-    batches, vss = posted_trail(rt.ledger, cid)
-    records = [rec for batch in batches for rec in batch]
-    vss[sharing.hex()] = base64.b64encode(record).decode()
-    assert audit.audit_trail(repost(rt.ledger, cid, batches, records, vss), cid).guilty == (1,)
+    records, vss = posted_trail(rt.ledger, cid, 3, rt.params)
+    vss[sharing] = commitments
+    board = repost(rt.ledger, cid, records, vss, rt.params)
+    assert audit.audit_trail(board, cid).guilty == (1,)
     for board in (rt.ledger, load_dump(rt.ledger.dump())):
         assert audit.audit_trail(board, cid) == honest
 
@@ -741,14 +732,13 @@ def test_audit_of_reused_wires_matches_step_fold(p):
                            env_rng, mac_key=mac_key)
     assert out == eval_plain(circ, values, rt.field)
     cid = trace.computation_id
-    batches, vss = posted_trail(rt.ledger, cid)
-    records = [rec for batch in batches for rec in batch]
+    records, vss = posted_trail(rt.ledger, cid, n, rt.params)
     assert audit.audit_trail(rt.ledger, cid) == fold_trail(rt.ledger, records, n, p)
     assert audit.audit_trail(rt.ledger, cid).ok
     rng = random.Random(p)
     for _ in range(12):
         forged, forged_vss = tamper(records, vss, rt.params, n, rng)
-        board = repost(rt.ledger, cid, batches, forged, forged_vss)
+        board = repost(rt.ledger, cid, forged, forged_vss, rt.params)
         assert audit.audit_trail(board, cid) == fold_trail(board, forged, n, p), forged
 
 

@@ -19,7 +19,7 @@ from mpcnet.network import child_rng, protocol_compute, protocol_share, sharing_
 from mpcnet.runner import run_scenario
 from mpcnet.scenario import ScenarioConfig, ScenarioError, parse_scenario
 from mpcnet.trace import ComputationTrace
-from oracles import length_sequence, written_first
+from oracles import length_sequence, reposted_trail, trail_records, written_first
 from test_golden import RUN_SEED, RUNS, SEEDS, pinned, run_configs, run_digests
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -89,8 +89,11 @@ def test_mac_failure_leaves_the_flushed_batches_and_no_step_count():
     ledger, cid = result.runtime.ledger, result.trace.computation_id
     assert result.trace.outcome == "cheat-detected"
     assert ledger.get(trail_meta_key(cid)) is None
-    assert [[rec["kind"] for rec in json.loads(ledger.get(trail_key(cid, b)))]
-            for b in range(2)] == [["triple", "input", "input"], ["beaver"]]
+    field = Field(result.runtime.field.p)
+    params = pedersen.setup(field)
+    assert [[rec["kind"] for rec in audit.parse_steps(ledger.get(trail_key(cid, b)), 3, field,
+                                                       params, start)]
+            for b, start in ((0, 0), (1, 3))] == [["triple", "input", "input"], ["beaver"]]
     assert ledger.get(trail_key(cid, 2)) is None
     authority = result.runtime.authority.sign_pk
     assert sum(tx.sender == authority and tx.payload_type == "commitment-post"
@@ -185,7 +188,7 @@ def test_broken_commitment_shifts_only_its_vss_position():
         addr = identity_address([rt.clients[f"owner{i}"].sign_pk
                                  for i in range(len(cfg.inputs))])
         return rt.params, [
-            vss_commitments(rt.ledger, sharing_key(addr, f"input{i}").hex(), cfg.committee,
+            vss_commitments(rt.ledger, sharing_key(addr, f"input{i}"), cfg.committee,
                             rt.params)
             for i in range(len(cfg.inputs))]
 
@@ -288,6 +291,15 @@ class Attempt:
     closed: bool = False            # posted the metadata record
     at_first_opening: list | None = None   # kinds of the trail records on the ledger then
 
+    def records(self, board) -> list:
+        """The step records of the batches this attempt wrote, as `board`
+        holds them."""
+        writer, records = self.writer, []
+        for k, _ in self.writes:
+            records += audit.parse_steps(board.get(k), writer.n, writer.field, writer.params,
+                                         len(records))
+        return records
+
 
 @functools.cache
 def audited_attempts(key: str) -> tuple:
@@ -304,15 +316,15 @@ def audited_attempts(key: str) -> tuple:
         post(writer, *writes)
         attempt = next(a for a in attempts if a.writer is writer)
         attempt.posts += 1
-        attempt.writes += [(k, batch) for k, batch in writes if isinstance(batch, list)]
-        attempt.closed |= any(k == trail_meta_key(writer.computation_id) for k, _ in writes)
+        meta_key = trail_meta_key(writer.computation_id)
+        attempt.writes += [(k, batch) for k, batch in writes if k != meta_key]
+        attempt.closed |= any(k == meta_key for k, _ in writes)
 
     def tracked_open_many(*args):
         attempt = attempts[-1]
         if attempt.at_first_opening is None:
-            board = attempt.writer.board
-            attempt.at_first_opening = [rec["kind"] for k, _ in attempt.writes
-                                        for rec in json.loads(board.get(k))]
+            attempt.at_first_opening = [rec["kind"]
+                                        for rec in attempt.records(attempt.writer.board)]
         return open_many(*args)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -353,9 +365,9 @@ def test_a_failed_attempt_posts_every_step_it_wrote_at_keys_of_its_own(key):
     finished = [bool(result.outputs) and attempt is attempts[-1] for attempt in attempts]
     assert [attempt.closed for attempt in attempts] == finished
     for attempt in attempts:
-        assert sum(len(batch) for _, batch in attempt.writes) == attempt.writer.steps
+        assert len(attempt.records(ledger)) == attempt.writer.steps
         for k, batch in attempt.writes:
-            assert json.loads(ledger.get(k)) == batch
+            assert ledger.get(k) == batch
     written = [k for attempt in attempts for k, _ in attempt.writes]
     assert len(written) == len(set(written))
 
@@ -368,7 +380,7 @@ def run_with_input0_rewritten(cfg: ScenarioConfig, monkeypatch):
 
     def rewrite_then_compute(requester, label, addr, pointers, circuit, rt, *args, **kwargs):
         sharing = sharing_key(addr, "input0")
-        commitments = vss_commitments(rt.ledger, sharing.hex(), cfg.committee, rt.params)
+        commitments = vss_commitments(rt.ledger, sharing, cfg.committee, rt.params)
         commitments[1] = commitments[1] * rt.params.g % rt.params.q
         owner = rt.clients["owner0"]
         rt.ledger.submit_tx(make_tx(
@@ -588,16 +600,16 @@ def test_a_trail_another_key_posts_under_a_shamir_runs_id_is_not_audited(monkeyp
     target = public_id(cfg)
     meta = board.get(trail_meta_key(source))
     writes = [(trail_meta_key(target), meta)]
+    records = trail_records(board, source)
+    for record in records:
+        if record["kind"] == "input":
+            copy = keys.sha256(b"eve" + record["sharing"])
+            writes.append((copy, board.first(record["sharing"]).value))
+            record["sharing"] = copy
+    forged = reposted_trail(board, source, records)
     meta = json.loads(meta)
     for batch in range(meta["first"], meta["first"] + meta["batches"]):
-        records = json.loads(board.get(trail_key(source, batch)))
-        for record in records:
-            if record["kind"] == "input":
-                sharing = bytes.fromhex(record["sharing"])
-                copy = keys.sha256(b"eve" + sharing)
-                writes.append((copy, board.first(sharing).value))
-                record["sharing"] = copy.hex()
-        writes.append((trail_key(target, batch), audit.record_bytes(records)))
+        writes.append((trail_key(target, batch), forged.get(trail_key(source, batch))))
     eve = keys.KeyPair.generate(random.Random(4321))
     monkeypatch.setattr(runner, "Runtime", written_first(writes, eve))
     result = run_scenario(cfg)
