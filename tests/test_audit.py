@@ -195,6 +195,16 @@ def test_input_naming_no_vss_record_is_incomplete(setup101, name):
         audit.audit_trail(reposted_trail(ledger, comp_id, records), comp_id)
 
 
+@pytest.mark.parametrize("name", [b"", b"zz", bytes([7])], ids=["no-name", "not-hex", "not-a-string"])
+def test_input_without_a_sharing_name_is_incomplete(setup101, name):
+    # The first batch is reposted as one input step whose name is absent
+    # or shorter than a 32-byte sharing id.
+    ledger, comp_id, _ = run_pv_computation(setup101, 3)
+    forged = {audit.trail_key(comp_id, 0): b"I" + name}
+    with pytest.raises(IncompleteTrail, match="step 0 is cut short"):
+        audit.audit_trail(reposted(ledger, forged), comp_id)
+
+
 def test_single_broken_commitment_named_exactly(setup101):
     # Exhaustive single-party fault injection for n in 2..5.
     for n in range(2, 6):
